@@ -7,21 +7,28 @@ the maximum over alternatives of per-pair ratio suprema.  Each pair is a
 linear-fractional program over the consistency polytope; introducing a
 joint scale variable (distances and facility geometry scaled together)
 turns it into one LP, and the substitution is exact because distortion
-is invariant under that joint scaling.  Denominators that can vanish are
-detected separately: since consistency constrains each agent's row
-independently, an agent can sit exactly on a facility iff that
-facility's distance row respects the agent's ranking, which makes the
-vanishing check combinatorial rather than numeric.
+is invariant under that joint scaling.
+
+Consistency constrains each agent's row independently, and agents with
+the same ranking are interchangeable.  Each LP therefore groups agents
+into classes that share a ranking and their coefficients in that LP, and
+carries one constraint block per class weighted by the class's share of
+the agents.  Averaging a feasible point over a class keeps it feasible
+and keeps the ratio, so the value is exact while the LP's size follows
+the number of classes, at most min(n, m!).  The same independence makes
+vanishing denominators combinatorial: an agent can sit exactly on a
+facility iff that facility's distance row respects the agent's ranking.
 
 Percentile objectives are piecewise linear: which agents realize the two
 order statistics is a subset choice, but per-agent independence collapses
-the search to one candidate configuration per agent (see
+the search to one candidate configuration per ranking class (see
 _percentile_candidates); one scaled LP each keeps the audit exact for up
 to eight agents, with sampled lower bounds beyond that.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 
@@ -29,7 +36,8 @@ import numpy as np
 
 from .assignment import AssignmentProblem, DistanceCost, iter_valid_assignments, total_cost
 from .core import (FacilityDistances, FullMetric, PreferenceProfile,
-                   check_consistency, consistency_constraints)
+                   check_consistency, consistency_constraints, pair_rows,
+                   ranking_block, stack_blocks)
 from .errors import (InternalInvariantError, MetricError, SearchSpaceError,
                      SolverError, UnboundedObjectiveError)
 from .lp import solve_lp
@@ -39,6 +47,7 @@ INF = float("inf")
 SCALE_TOL = 1e-7
 EXACT_PERCENTILE_MAX_N = 8
 ASSIGNMENT_AUDIT_CAP = 10 ** 4
+_LOG = logging.getLogger("ordmech")
 
 
 @dataclass(frozen=True)
@@ -62,68 +71,71 @@ class AuditReport:
         raise KeyError(key)
 
 
+def _group(keys) -> tuple[list, np.ndarray]:
+    """Distinct keys in order of first appearance, and the index of each
+    item's key among them."""
+    index: dict = {}
+    member = np.array([index.setdefault(key, len(index)) for key in keys])
+    return list(index), member
+
+
+@dataclass(frozen=True)
+class AgentClasses:
+    """Agents grouped by ranking and by their coefficients in one LP."""
+
+    keys: np.ndarray    # per class: ranking id, then the extra keys
+    weight: np.ndarray  # per class: its share of the agents
+    member: np.ndarray  # per agent: its class
+    rows: np.ndarray    # [A | -b]: one consistency block per class, then the scale
+
+
 class ConsistencyPolytope:
-    """Cached linear form of the consistent-metric closure plus the
-    combinatorial facts the audits reuse."""
+    """The consistent-metric closure as one constraint block per distinct
+    ranking, plus the combinatorial facts the audits reuse."""
 
     def __init__(self, profile: PreferenceProfile, fd: FacilityDistances):
+        if profile.m != fd.m:
+            raise MetricError("profile and facility distances disagree on m")
         self.profile = profile
         self.fd = fd
         self.n = profile.n
         self.m = profile.m
-        self.cons = consistency_constraints(profile, fd)
-        self.A = np.asarray(self.cons.A)
-        self.b = np.asarray(self.cons.b)
-        self.nv = self.n * self.m
-        # One extra column: rows scaled by the joint metric-scale variable.
-        self.cc_rows = np.hstack([self.A, -self.b[:, None]])
-        self._can_sit = self._compute_can_sit()
-        self._agent_blocks: list[tuple[np.ndarray, np.ndarray]] | None = None
+        self.radius = max(float(fd.values.max()), 1.0)
+        rankings, self.ranking_id = _group(profile.rankings)
+        pairs = pair_rows(fd)
+        self.blocks = [ranking_block(r, pairs, profile.top_only) for r in rankings]
+        # Agent i may lie exactly at facility f iff the row l(f, .) is
+        # weakly nondecreasing along its ranking.
+        l = fd.values
+        if profile.top_only:
+            sit = [l[:, r[0]] <= l.min(axis=1) + 1e-9 for r in rankings]
+        else:
+            sit = [np.all(l[:, r[:-1]] <= l[:, r[1:]] + 1e-9, axis=1)
+                   for r in map(list, rankings)]
+        self._can_sit = np.asarray(sit)[self.ranking_id]
         self._min_dist: dict[tuple[int, int], float] = {}
-
-    def var(self, i: int, f: int) -> int:
-        return i * self.m + f
-
-    def _compute_can_sit(self) -> np.ndarray:
-        """can_sit[i, f]: agent i may lie exactly at facility f, i.e. the
-        row l(f, .) is weakly nondecreasing along agent i's ranking."""
-        l = self.fd.values
-        can = np.zeros((self.n, self.m), dtype=bool)
-        for i, r in enumerate(self.profile.rankings):
-            for f in range(self.m):
-                if self.profile.top_only:
-                    ok = l[f, r[0]] <= l[f].min() + 1e-9
-                else:
-                    seq = [l[f, g] for g in r]
-                    ok = all(a <= b + 1e-9 for a, b in zip(seq, seq[1:]))
-                can[i, f] = ok
-        return can
 
     def can_sit_at(self, i: int, f: int) -> bool:
         return bool(self._can_sit[i, f])
 
-    def _agent_block(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """Rows of the closure touching agent i alone (all of them do:
-        consistency never couples two agents)."""
-        if self._agent_blocks is None:
-            self._agent_blocks = []
-            for j in range(self.n):
-                cols = slice(j * self.m, (j + 1) * self.m)
-                mask = np.abs(self.A[:, cols]).sum(axis=1) > 0
-                self._agent_blocks.append((self.A[mask, cols], self.b[mask]))
-        return self._agent_blocks[i]
+    def classes(self, *keys) -> AgentClasses:
+        """Group the agents by ranking and by the given per-agent keys."""
+        uniq, member = _group(zip(self.ranking_id.tolist(), *keys))
+        A, b = stack_blocks(self.blocks[key[0]] for key in uniq)
+        return AgentClasses(np.array(uniq), np.bincount(member) / self.n, member,
+                            np.hstack([A, -b[:, None]]))
 
     def min_agent_distance(self, i: int, f: int, engine: str = "highs") -> float:
-        """Smallest consistent d(i, f) over the agent's own slice."""
-        key = (i, f)
+        """Smallest consistent d(i, f), from the agent's ranking block."""
+        key = (int(self.ranking_id[i]), f)
         if key not in self._min_dist:
             if self._can_sit[i, f]:
                 self._min_dist[key] = 0.0
             else:
-                A_i, b_i = self._agent_block(i)
+                A_r, b_r = self.blocks[key[0]]
                 c = np.zeros(self.m)
                 c[f] = 1.0
-                res = solve_lp(c, A_i, b_i, engine=engine)
+                res = solve_lp(c, A_r, b_r, engine=engine)
                 if not res.optimal:
                     raise InternalInvariantError(
                         "agent slice of the consistency polytope is infeasible")
@@ -133,8 +145,7 @@ class ConsistencyPolytope:
     def interior_metric(self) -> np.ndarray:
         """All agents equally far from everything: consistent with every
         profile and strictly inside the pair constraints."""
-        radius = max(float(self.fd.values.max()), 1.0)
-        return np.full((self.n, self.m), radius)
+        return np.full((self.n, self.m), self.radius)
 
     def seated_metric(self, seats: dict[int, int]) -> np.ndarray:
         """Agents in ``seats`` placed exactly on their facility, everyone
@@ -143,6 +154,20 @@ class ConsistencyPolytope:
         for i, f in seats.items():
             d[i] = self.fd.values[f]
         return d
+
+
+def _flag(flags: list[str], flag: str) -> None:
+    """Record a fallback in the report flags and on the ``ordmech`` log."""
+    flags.append(flag)
+    _LOG.warning("audit fallback: %s", flag)
+
+
+def _ratio(num: float, den: float) -> float:
+    """num / den, where a vanishing denominator reads as an infinite ratio,
+    or as 1 when the numerator vanishes too."""
+    if den <= 1e-12:
+        return INF if num > 1e-12 else 1.0
+    return num / den
 
 
 def _metric_from_values(values, fd: FacilityDistances, flags: list[str],
@@ -159,7 +184,7 @@ def _metric_from_values(values, fd: FacilityDistances, flags: list[str],
         while lam <= 1e-4:
             try:
                 metric = FullMetric((1 - lam) * values + lam * interior, fd)
-                flags.append(f"{label}_repaired")
+                _flag(flags, f"{label}_repaired")
                 return metric
             except MetricError:
                 lam *= 10
@@ -173,52 +198,68 @@ class _PairOutcome:
     flags: list[str] = field(default_factory=list)
 
 
-def _ratio_pair(poly: ConsistencyPolytope, num: np.ndarray, num_const: float,
-                den: np.ndarray, den_const: float, engine: str,
-                want_witness: bool) -> _PairOutcome:
-    """sup (num.d + num_const) / (den.d + den_const) over the polytope.
-
-    Vanishing denominators must be excluded by the caller beforehand.
-    Variables are the scaled distances plus the scale; the denominator is
-    pinned to one.
-    """
-    rows = poly.cc_rows
-    zeros = np.zeros((rows.shape[0],))
-    c = np.append(num, num_const)
-    eq = np.append(den, den_const)[None, :]
-    res = solve_lp(c, rows, zeros, eq, [1.0], engine=engine, maximize=True)
-    if res.status == "infeasible":
-        # Denominator identically zero over the closure; callers resolve
-        # this case combinatorially before getting here.
-        raise InternalInvariantError("ratio LP infeasible on a feasible polytope")
+def _solve_scaled(poly: ConsistencyPolytope, cls: AgentClasses, c, A_ub, b_ub,
+                  A_eq, b_eq, interior: np.ndarray, engine: str,
+                  want_witness: bool) -> _PairOutcome:
+    """Maximize c.z over a scaled LP whose columns are one m-vector per
+    class, the scale, then any extra columns; the witness gives each agent
+    its class's vector divided by the scale.  ``interior`` is a feasible
+    point with a positive scale, strictly inside the pair rows."""
+    res = solve_lp(c, A_ub, b_ub, A_eq, b_eq, engine=engine, maximize=True)
     if res.status == "unbounded":
         return _PairOutcome(INF, None, ["unbounded_ratio"])
+    if not res.optimal:
+        # Denominators identically zero over the closure are resolved
+        # combinatorially before getting here.
+        raise InternalInvariantError("scaled LP infeasible on a feasible polytope")
     value = res.fun
     if not want_witness:
         return _PairOutcome(value, None)
     flags: list[str] = []
+    k = len(cls.weight) * poly.m  # the scale column
     z = res.x
-    tau = z[-1]
-    if tau <= SCALE_TOL:
+    if z[k] <= SCALE_TOL:
         # Among optimal solutions, prefer one at a genuine metric scale.
         eps = 1e-9 * max(1.0, abs(value))
-        rows2 = np.vstack([rows, -c])
-        rhs2 = np.append(zeros, -(value - eps))
         c_tau = np.zeros_like(c)
-        c_tau[-1] = 1.0
-        res2 = solve_lp(c_tau, rows2, rhs2, eq, [1.0], engine=engine, maximize=True)
-        if res2.optimal and res2.x[-1] > SCALE_TOL:
-            z, tau = res2.x, res2.x[-1]
+        c_tau[k] = 1.0
+        res2 = solve_lp(c_tau, np.vstack([A_ub, -c]), np.append(b_ub, -(value - eps)),
+                        A_eq, b_eq, engine=engine, maximize=True)
+        if res2.optimal and res2.x[k] > SCALE_TOL:
+            z = res2.x
         else:
-            flags.append("witness_at_scale_limit")
-            d_int = poly.interior_metric().reshape(-1)
-            den_val = float(den @ d_int + den_const)
-            z_int = np.append(d_int, 1.0) / den_val
+            _flag(flags, "witness_at_scale_limit")
             lam = 1e-7
-            z = (1 - lam) * z + lam * z_int
-            tau = z[-1]
-    witness = (z[:-1] / tau).reshape(poly.n, poly.m)
+            z = (1 - lam) * z + lam * interior
+    witness = (z[:k] / z[k]).reshape(-1, poly.m)[cls.member]
     return _PairOutcome(value, witness, flags)
+
+
+def _ratio_pair(poly: ConsistencyPolytope, cls: AgentClasses, num_at, num_const: float,
+                den_at, den_const: float, engine: str,
+                want_witness: bool) -> _PairOutcome:
+    """sup (sum_i d(i, num_at) + num_const) / (sum_i d(i, den_at) + den_const)
+    over the polytope, with ``num_at`` and ``den_at`` giving each class's
+    facility.
+
+    Vanishing denominators must be excluded by the caller beforehand.
+    Both sides are divided by n, so classes enter with their share of the
+    agents, and the scaled denominator is pinned to one.  Pinning a mean
+    rather than a sum keeps the scale independent of n, so dividing by it
+    does not multiply the solver's feasibility slack by n.
+    """
+    k = len(cls.weight) * poly.m
+    at = np.arange(len(cls.weight)) * poly.m
+    c = np.zeros(k + 1)
+    c[at + num_at] = cls.weight
+    c[k] = num_const / poly.n
+    eq = np.zeros(k + 1)
+    eq[at + den_at] = cls.weight
+    eq[k] = den_const / poly.n
+    interior = np.append(np.full(k, poly.radius), 1.0)
+    return _solve_scaled(poly, cls, c, cls.rows, np.zeros(cls.rows.shape[0]),
+                         eq[None, :], [1.0], interior / (eq @ interior), engine,
+                         want_witness)
 
 
 def _denominator_zero_state(poly: ConsistencyPolytope, seats: dict[int, int],
@@ -234,8 +275,7 @@ def _denominator_zero_state(poly: ConsistencyPolytope, seats: dict[int, int],
 
 
 def _finalize(poly: ConsistencyPolytope, objective: str, target, results,
-              exact: bool, alpha: float | None, engine: str,
-              recompute) -> AuditReport:
+              exact: bool, alpha: float | None, recompute) -> AuditReport:
     """Assemble the report: pick the maximizing alternative, materialize
     its witness and re-evaluate the ratio on it."""
     flags: list[str] = []
@@ -275,6 +315,7 @@ def audit_sum_social_choice(winner: int, profile: PreferenceProfile,
     poly = ConsistencyPolytope(profile, fd)
     n, m = poly.n, poly.m
     l = fd.values
+    cls = poly.classes()
     results: list[tuple[object, _PairOutcome]] = []
     for x in range(m):
         if x == winner:
@@ -289,25 +330,17 @@ def audit_sum_social_choice(winner: int, profile: PreferenceProfile,
             results.append((x, _PairOutcome(INF, poly.seated_metric(seats),
                                             ["denominator_vanishes"])))
             continue
-        num = np.zeros(poly.nv)
-        den = np.zeros(poly.nv)
-        for i in range(n):
-            num[poly.var(i, winner)] = 1.0
-            den[poly.var(i, x)] = 1.0
-        outcome = _ratio_pair(poly, num, 0.0, den, 0.0, engine, want_witness=True)
+        outcome = _ratio_pair(poly, cls, winner, 0.0, x, 0.0, engine,
+                              want_witness=True)
         if state == "both_zero":
             outcome.value = max(outcome.value, 1.0)
         results.append((x, outcome))
 
     def recompute(metric: FullMetric) -> float:
         cols = metric.distances.sum(axis=0)
-        numv = float(cols[winner])
-        denv = float(cols.min())
-        if denv <= 1e-12:
-            return INF if numv > 1e-12 else 1.0
-        return numv / denv
+        return _ratio(float(cols[winner]), float(cols.min()))
 
-    return _finalize(poly, "sum", winner, results, True, None, engine, recompute)
+    return _finalize(poly, "sum", winner, results, True, None, recompute)
 
 
 def audit_additive_assignment(x, profile: PreferenceProfile,
@@ -328,9 +361,6 @@ def audit_additive_assignment(x, profile: PreferenceProfile,
     l = fd.values
     spec = problem.cost_spec
     num_const = spec.facility_cost(x)
-    num = np.zeros(poly.nv)
-    for i, f in enumerate(x):
-        num[poly.var(i, f)] += 1.0
 
     alternatives = []
     for alt in iter_valid_assignments(n, problem.constraints):
@@ -352,11 +382,9 @@ def audit_additive_assignment(x, profile: PreferenceProfile,
                                               poly.seated_metric(dict(enumerate(alt))),
                                               ["denominator_vanishes"])))
             continue
-        den = np.zeros(poly.nv)
-        for i, f in enumerate(alt):
-            den[poly.var(i, f)] += 1.0
-        outcome = _ratio_pair(poly, num, num_const, den, den_const, engine,
-                              want_witness=True)
+        cls = poly.classes(x, alt)
+        outcome = _ratio_pair(poly, cls, cls.keys[:, 1], num_const, cls.keys[:, 2],
+                              den_const, engine, want_witness=True)
         if state == "both_zero":
             outcome.value = max(outcome.value, 1.0)
         results.append((alt, outcome))
@@ -364,12 +392,9 @@ def audit_additive_assignment(x, profile: PreferenceProfile,
     def recompute(metric: FullMetric) -> float:
         numv = total_cost(x, metric.distances, spec)
         denv = min(total_cost(alt, metric.distances, spec) for alt in alternatives)
-        if denv <= 1e-12:
-            return INF if numv > 1e-12 else 1.0
-        return numv / denv
+        return _ratio(numv, denv)
 
-    return _finalize(poly, "assignment_sum", x, results, True, None, engine,
-                     recompute)
+    return _finalize(poly, "assignment_sum", x, results, True, None, recompute)
 
 
 def _percentile_candidates(poly: ConsistencyPolytope, x: int, k: int,
@@ -398,68 +423,31 @@ def _percentile_candidates(poly: ConsistencyPolytope, x: int, k: int,
         yield [j] + others[:k - 1], [j] + others[k - 1:]
 
 
-def _percentile_pair_lp(poly: ConsistencyPolytope, S, T, x: int, w: int):
-    """One configuration LP: agents in S pin the denominator order
-    statistic (scaled to one), agents in T floor the numerator's."""
-    nv = poly.nv
-    ncols = nv + 2  # scale, then the order-statistic floor variable
-    base = np.hstack([poly.cc_rows, np.zeros((poly.cc_rows.shape[0], 1))])
-    extra_rows = []
-    extra_rhs = []
-    for i in S:
-        row = np.zeros(ncols)
-        row[poly.var(i, x)] = 1.0
-        extra_rows.append(row)
-        extra_rhs.append(1.0)
-    for i in T:
-        row = np.zeros(ncols)
-        row[-1] = 1.0
-        row[poly.var(i, w)] = -1.0
-        extra_rows.append(row)
-        extra_rhs.append(0.0)
-    A_ub = np.vstack([base] + [np.asarray(extra_rows)])
-    b_ub = np.concatenate([np.zeros(base.shape[0]), np.asarray(extra_rhs)])
-    c = np.zeros(ncols)
-    c[-1] = 1.0
-    return c, A_ub, b_ub
-
-
 def _percentile_config_value(poly: ConsistencyPolytope, S, T, x: int, w: int,
                              engine: str, want_witness: bool) -> _PairOutcome:
-    c, A_ub, b_ub = _percentile_pair_lp(poly, S, T, x, w)
-    res = solve_lp(c, A_ub, b_ub, engine=engine, maximize=True)
-    if res.status == "unbounded":
-        return _PairOutcome(INF, None, ["unbounded_ratio"])
-    if not res.optimal:
-        raise InternalInvariantError("percentile configuration LP infeasible")
-    value = res.fun
-    if not want_witness:
-        return _PairOutcome(value, None)
-    flags: list[str] = []
-    z = res.x
-    tau = z[poly.nv]
-    if tau <= SCALE_TOL:
-        eps = 1e-9 * max(1.0, abs(value))
-        A2 = np.vstack([A_ub, -c])
-        b2 = np.append(b_ub, -(value - eps))
-        c_tau = np.zeros_like(c)
-        c_tau[poly.nv] = 1.0
-        res2 = solve_lp(c_tau, A2, b2, engine=engine, maximize=True)
-        if res2.optimal and res2.x[poly.nv] > SCALE_TOL:
-            z, tau = res2.x, res2.x[poly.nv]
-        else:
-            flags.append("witness_at_scale_limit")
-            radius = max(float(poly.fd.values.max()), 1.0)
-            d_int = np.full(poly.nv, radius)
-            z_int = np.zeros_like(z)
-            z_int[:poly.nv] = d_int / radius
-            z_int[poly.nv] = 1.0 / radius
-            z_int[-1] = 1.0
-            lam = 1e-7
-            z = (1 - lam) * z + lam * z_int
-            tau = z[poly.nv]
-    witness = (z[:poly.nv] / tau).reshape(poly.n, poly.m)
-    return _PairOutcome(value, witness, flags)
+    """One configuration LP: agents in S pin the denominator order
+    statistic (scaled to one), agents in T floor the numerator's, and the
+    floor is maximized.  Agents are grouped by ranking and by membership
+    in S and in T."""
+    S, T = set(S), set(T)
+    cls = poly.classes([int(i in S) for i in range(poly.n)],
+                       [int(i in T) for i in range(poly.n)])
+    k = len(cls.weight) * poly.m  # then the scale, then the floor
+    s_at = np.flatnonzero(cls.keys[:, 1]) * poly.m
+    t_at = np.flatnonzero(cls.keys[:, 2]) * poly.m
+    extra = np.zeros((s_at.size + t_at.size, k + 2))
+    extra[np.arange(s_at.size), s_at + x] = 1.0
+    t_rows = np.arange(s_at.size, extra.shape[0])
+    extra[t_rows, k + 1] = 1.0
+    extra[t_rows, t_at + w] = -1.0
+    A_ub = np.vstack([np.hstack([cls.rows, np.zeros((cls.rows.shape[0], 1))]), extra])
+    b_ub = np.concatenate([np.zeros(cls.rows.shape[0]), np.ones(s_at.size),
+                           np.zeros(t_at.size)])
+    c = np.zeros(k + 2)
+    c[-1] = 1.0
+    interior = np.concatenate([np.ones(k), [1.0 / poly.radius, 1.0]])
+    return _solve_scaled(poly, cls, c, A_ub, b_ub, None, None, interior, engine,
+                         want_witness)
 
 
 def audit_percentile_social_choice(winner: int, profile: PreferenceProfile,
@@ -523,14 +511,10 @@ def audit_percentile_social_choice(winner: int, profile: PreferenceProfile,
                    for key, outcome in results]
 
     def recompute(metric: FullMetric) -> float:
-        numv = evaluate_percentile_cost(winner, metric, alpha)
-        denv = min(evaluate_percentile_cost(f, metric, alpha) for f in range(m))
-        if denv <= 1e-12:
-            return INF if numv > 1e-12 else 1.0
-        return numv / denv
+        return _ratio(evaluate_percentile_cost(winner, metric, alpha),
+                      min(evaluate_percentile_cost(f, metric, alpha) for f in range(m)))
 
-    return _finalize(poly, "percentile", winner, results, True, alpha, engine,
-                     recompute)
+    return _finalize(poly, "percentile", winner, results, True, alpha, recompute)
 
 
 def _sampled_percentile_audit(poly: ConsistencyPolytope, winner: int,
@@ -538,25 +522,46 @@ def _sampled_percentile_audit(poly: ConsistencyPolytope, winner: int,
                               engine: str) -> AuditReport:
     best_ratio = 1.0
     best_metric = None
-    m = poly.m
+    lp = _sampling_lp(poly)
     for trial in range(budget):
-        metric = sample_consistent_metric(poly.profile, poly.fd,
-                                          seed=seed + trial, engine=engine)
-        numv = evaluate_percentile_cost(winner, metric, alpha)
-        denv = min(evaluate_percentile_cost(f, metric, alpha) for f in range(m))
-        if denv <= 1e-12:
-            ratio = INF if numv > 1e-12 else 1.0
-        else:
-            ratio = numv / denv
+        metric = _sample_metric(poly, lp, seed + trial, engine)
+        ratio = _ratio(evaluate_percentile_cost(winner, metric, alpha),
+                       min(evaluate_percentile_cost(f, metric, alpha)
+                           for f in range(poly.m)))
         if ratio > best_ratio:
             best_ratio = ratio
             best_metric = metric
+    flags: list[str] = []
     if best_metric is None:
-        flags: list[str] = []
         best_metric = _metric_from_values(poly.interior_metric(), poly.fd,
                                           flags, "witness")
+    _flag(flags, "sampled_lower_bound")
     return AuditReport("percentile", winner, best_ratio, False, (),
-                       best_metric, best_ratio, alpha, ("sampled_lower_bound",))
+                       best_metric, best_ratio, alpha, tuple(flags))
+
+
+def _sampling_lp(poly: ConsistencyPolytope) -> tuple[np.ndarray, np.ndarray]:
+    """The per-agent closure, boxed to keep every direction bounded."""
+    cons = consistency_constraints(poly.profile, poly.fd)
+    upper = 3.0 * (float(poly.fd.values.max()) + 1.0)
+    return (np.vstack([cons.A, np.eye(cons.nvars)]),
+            np.concatenate([cons.b, np.full(cons.nvars, upper)]))
+
+
+def _sample_metric(poly: ConsistencyPolytope, lp, seed: int,
+                   engine: str) -> FullMetric:
+    rng = np.random.default_rng(seed)
+    c = rng.uniform(-1.0, 1.0, poly.n * poly.m)
+    res = solve_lp(c, *lp, engine=engine)
+    if not res.optimal:
+        raise InternalInvariantError(
+            "consistency polytope reported infeasible while sampling")
+    flags: list[str] = []
+    metric = _metric_from_values(res.x.reshape(poly.n, poly.m), poly.fd, flags,
+                                 "sample")
+    if not check_consistency(poly.profile, metric, tol=1e-7):
+        raise InternalInvariantError("sampled metric is not consistent")
+    return metric
 
 
 def sample_consistent_metric(profile: PreferenceProfile, fd: FacilityDistances,
@@ -565,20 +570,4 @@ def sample_consistent_metric(profile: PreferenceProfile, fd: FacilityDistances,
     random direction over the polytope, boxed to keep every direction
     bounded."""
     poly = ConsistencyPolytope(profile, fd)
-    rng = np.random.default_rng(seed)
-    c = rng.uniform(-1.0, 1.0, poly.nv)
-    upper = 3.0 * (float(fd.values.max()) + 1.0)
-    box = np.eye(poly.nv)
-    A_ub = np.vstack([poly.A, box]) if poly.A.size else box
-    b_ub = np.concatenate([poly.b, np.full(poly.nv, upper)]) if poly.A.size \
-        else np.full(poly.nv, upper)
-    res = solve_lp(c, A_ub, b_ub, engine=engine)
-    if not res.optimal:
-        raise InternalInvariantError(
-            "consistency polytope reported infeasible while sampling")
-    flags: list[str] = []
-    metric = _metric_from_values(res.x.reshape(poly.n, poly.m), fd, flags,
-                                 "sample")
-    if not check_consistency(profile, metric, tol=1e-7):
-        raise InternalInvariantError("sampled metric is not consistent")
-    return metric
+    return _sample_metric(poly, _sampling_lp(poly), seed, engine)

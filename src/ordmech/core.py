@@ -270,10 +270,9 @@ def project_agents(profile: PreferenceProfile, fd: FacilityDistances) -> Project
 class ConsistencyConstraintSet:
     """Linear closure of the consistent-metric set over variables d(i,F).
 
-    Rows: per-agent chain inequalities between consecutive ranks, then the
-    two absolute-difference bounds and the lower sum bound per facility
-    pair and agent.  Variable nonnegativity is part of the contract but is
-    carried as bounds, not rows.  Row kinds are kept for inspection.
+    Rows: one ``ranking_block`` per agent, stacked block-diagonally.
+    Variable nonnegativity is part of the contract but is carried as
+    bounds, not rows.  Row kinds are kept for inspection.
     """
 
     n: int
@@ -299,6 +298,50 @@ class ConsistencyConstraintSet:
         return bool(np.all(self.A @ x <= self.b + tol))
 
 
+def pair_rows(fd: FacilityDistances) -> tuple[np.ndarray, np.ndarray]:
+    """Rows tying one agent's distances to the facility geometry, the same
+    for every agent: per pair f < g, the two absolute-difference bounds
+    d(f) - d(g) <= l and d(g) - d(f) <= l, then the sum bound
+    -(d(f) + d(g)) <= -l."""
+    m = fd.m
+    f, g = np.triu_indices(m, 1)
+    at = np.arange(f.size)
+    diff = np.zeros((f.size, m))
+    diff[at, f], diff[at, g] = 1.0, -1.0
+    total = np.zeros((f.size, m))
+    total[at, f] = total[at, g] = -1.0
+    lv = fd.values[f, g]
+    A = np.stack([diff, -diff, total], axis=1).reshape(-1, m)
+    return A, np.stack([lv, lv, -lv], axis=1).reshape(-1)
+
+
+def ranking_block(ranking, pairs: tuple[np.ndarray, np.ndarray],
+                  top_only: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Constraint rows ``A d <= b`` over one agent's m distances: the m - 1
+    chain rows of its ranking (consecutive ranks, or the top choice against
+    every other facility when only tops are known), then ``pairs``."""
+    A_pair, b_pair = pairs
+    m = A_pair.shape[1]
+    if top_only:
+        before, after = [ranking[0]] * (m - 1), [g for g in range(m) if g != ranking[0]]
+    else:
+        before, after = list(ranking[:-1]), list(ranking[1:])
+    chain = np.zeros((m - 1, m))
+    chain[np.arange(m - 1), before] = 1.0
+    chain[np.arange(m - 1), after] = -1.0
+    return np.vstack([chain, A_pair]), np.concatenate([np.zeros(m - 1), b_pair])
+
+
+def stack_blocks(blocks) -> tuple[np.ndarray, np.ndarray]:
+    """Block-diagonal ``(A, b)`` from equal-shape ``(A_k, b_k)`` blocks over
+    consecutive groups of variables."""
+    As, bs = zip(*blocks)
+    k, (rows, cols) = len(As), As[0].shape
+    A = np.zeros((k, rows, k, cols))
+    A[np.arange(k), :, np.arange(k), :] = As
+    return A.reshape(k * rows, k * cols), np.concatenate(bs)
+
+
 def consistency_constraints(profile: PreferenceProfile,
                             fd: FacilityDistances) -> ConsistencyConstraintSet:
     """Emit the closed constraint system for the given ordinal data.
@@ -309,46 +352,8 @@ def consistency_constraints(profile: PreferenceProfile,
     n, m = profile.n, profile.m
     if m != fd.m:
         raise MetricError("profile and facility distances disagree on m")
-    l = fd.values
-    nv = n * m
-    rows: list[np.ndarray] = []
-    rhs: list[float] = []
-    kinds: list[str] = []
-
-    def var(i, f):
-        return i * m + f
-
-    for i, r in enumerate(profile.rankings):
-        if profile.top_only:
-            chain_pairs = [(r[0], g) for g in range(m) if g != r[0]]
-        else:
-            chain_pairs = list(zip(r, r[1:]))
-        for a, b in chain_pairs:
-            row = np.zeros(nv)
-            row[var(i, a)] = 1.0
-            row[var(i, b)] = -1.0
-            rows.append(row)
-            rhs.append(0.0)
-            kinds.append("chain")
-    for i in range(n):
-        for f in range(m):
-            for g in range(f + 1, m):
-                lv = float(l[f, g])
-                row = np.zeros(nv)
-                row[var(i, f)] = 1.0
-                row[var(i, g)] = -1.0
-                rows.append(row)
-                rhs.append(lv)
-                kinds.append("diff")
-                rows.append(-row)
-                rhs.append(lv)
-                kinds.append("diff")
-                row = np.zeros(nv)
-                row[var(i, f)] = -1.0
-                row[var(i, g)] = -1.0
-                rows.append(row)
-                rhs.append(-lv)
-                kinds.append("sum")
-    A = np.vstack(rows) if rows else np.zeros((0, nv))
-    return ConsistencyConstraintSet(n, m, _freeze(A), _freeze(np.asarray(rhs)),
-                                    tuple(kinds))
+    pairs = pair_rows(fd)
+    blocks = {r: ranking_block(r, pairs, profile.top_only) for r in set(profile.rankings)}
+    A, b = stack_blocks(blocks[r] for r in profile.rankings)
+    kinds = (("chain",) * (m - 1) + ("diff", "diff", "sum") * (m * (m - 1) // 2)) * n
+    return ConsistencyConstraintSet(n, m, _freeze(A), _freeze(b), kinds)

@@ -15,7 +15,8 @@ import numpy as np
 
 from . import social_choice as sc
 from .assignment import build_preset
-from .audit import audit_additive_assignment, audit_percentile_social_choice
+from .audit import (audit_additive_assignment, audit_percentile_social_choice,
+                    audit_sum_social_choice)
 from .core import (FacilityDistances, FacilitySet, FullMetric,
                    PreferenceProfile, check_consistency, facility_distances,
                    project_agents)
@@ -112,6 +113,12 @@ def check_sum5_tight(ex: WorkedExample) -> list[CheckResult]:
     out.append(_check("realized_sum_ratio",
                       abs(realized - expected) <= 1e-9,
                       f"ratio {realized!r} vs formula {expected!r}"))
+    audit = audit_sum_social_choice(W, ex.profile, ex.fd)
+    out.append(_check("audited_sum_ratio",
+                      abs(audit.value - expected) <= 1e-7 * expected
+                      and abs(audit.witness_ratio - audit.value) <= 1e-6 * audit.value,
+                      f"exact audit {audit.value!r}, witness {audit.witness_ratio!r}, "
+                      f"formula {expected!r}"))
     proj = sc.sum_winner(project_agents(ex.profile, ex.fd))
     out.append(_check("projected_sum_rule_picks_Y", proj.winner == Y,
                       f"projected-sum winner index {proj.winner}"))

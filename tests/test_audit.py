@@ -1,7 +1,9 @@
 """Distortion audits: exactness, witnesses, soundness, degenerate cases."""
 
+import logging
 import math
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,8 +15,11 @@ from ordmech import (PreferenceProfile, UnboundedObjectiveError,
                      facility_distances, median_winner, distance_partial_order,
                      project_agents,
                      sample_consistent_metric, sum_winner)
-from ordmech.audit import ConsistencyPolytope, _percentile_config_value
-from ordmech.gallery import gen_median_topchoice_bad
+from ordmech import audit
+from ordmech.audit import (ConsistencyPolytope, _metric_from_values,
+                           _percentile_config_value)
+from ordmech.fileio import load_instance
+from ordmech.gallery import gen_median_topchoice_bad, gen_sum5_tight
 
 from helpers import random_instance
 
@@ -354,3 +359,61 @@ def test_assignment_audit_rejects_max_cost():
     from ordmech import SolverError
     with pytest.raises(SolverError):
         audit_additive_assignment((0, 1), profile, fd, problem)
+
+
+def test_sum_audit_invariant_under_agent_replication():
+    # agents with one ranking form one block weighted by their share
+    rng = np.random.default_rng(50)
+    for trial in range(20):
+        profile, fd, _ = random_instance(rng, n_max=6, m_max=4)
+        winner = sum_winner(project_agents(profile, fd)).winner
+        base = audit_sum_social_choice(winner, profile, fd)
+        copies = 2 + trial % 2
+        grown = PreferenceProfile(profile.m, profile.rankings * copies)
+        report = audit_sum_social_choice(winner, grown, fd)
+        if math.isinf(base.value):
+            assert math.isinf(report.value)
+        else:
+            assert report.value == pytest.approx(base.value, abs=1e-9)
+
+
+def test_sum_audit_lp_size_follows_ranking_classes(monkeypatch):
+    # 2001 agents but three rankings: 3 classes x 3 facilities + the scale
+    ex = gen_sum5_tight(q=1000)
+    sizes = []
+    real = audit.solve_lp
+
+    def spy(c, *args, **kwargs):
+        sizes.append(len(c))
+        return real(c, *args, **kwargs)
+
+    monkeypatch.setattr(audit, "solve_lp", spy)
+    report = audit_sum_social_choice(1, ex.profile, ex.fd)
+    assert sizes and set(sizes) == {3 * 3 + 1}
+    assert report.value == pytest.approx((1000 * (5 - 4e-4) + 1) / 1001, rel=1e-7)
+
+
+def test_sum_audit_witness_reproduces_value_at_n400():
+    # clustered instance whose witness once needed repair: pinning the
+    # denominator's sum made the scale ~1/n and amplified solver slack
+    inst = load_instance(Path(__file__).parent / "fixtures" / "clustered_n400.json")
+    winner = sum_winner(project_agents(inst.profile, inst.fd)).winner
+    report = audit_sum_social_choice(winner, inst.profile, inst.fd)
+    assert "witness_repaired" not in report.flags
+    assert abs(report.witness_ratio - report.value) <= 1e-6 * report.value
+
+
+def test_fallbacks_log_a_warning(caplog):
+    rng = np.random.default_rng(46)
+    profile, fd, _ = random_instance(rng, n_max=12, m_max=3, n_min=9)
+    winner = median_winner(profile, distance_partial_order(fd)).winner
+    pair = facility_distances(("X", "Y"), [[0.0, 2.0], [2.0, 0.0]])
+    flags = []
+    with caplog.at_level(logging.WARNING, logger="ordmech"):
+        audit_percentile_social_choice(winner, profile, fd, 0.5, budget=3, seed=3)
+        # just outside the pair bound |d(X) - d(Y)| <= 2
+        _metric_from_values([[0.0, 2.0 + 1e-6]], pair, flags, "witness")
+    assert flags == ["witness_repaired"]
+    logged = " ".join(r.getMessage() for r in caplog.records if r.name == "ordmech")
+    assert "sampled_lower_bound" in logged
+    assert "witness_repaired" in logged
