@@ -19,11 +19,22 @@ the number of classes, at most min(n, m!).  The same independence makes
 vanishing denominators combinatorial: an agent can sit exactly on a
 facility iff that facility's distance row respects the agent's ranking.
 
+A ranking's rows are unit two-variable inequalities, so shortest paths
+give every bound on one distance, or on the sum or difference of two,
+exactly (_closure), and any values within those bounds extend to a full
+consistent row (_point).  Sum and assignment ratios read two distances
+per class, so their LPs carry just those two under their exact bounds,
+and only the maximizing alternative's witness is extended to full rows.
+
 Percentile objectives are piecewise linear: which agents realize the two
 order statistics is a subset choice, but per-agent independence collapses
-the search to one candidate configuration per ranking class (see
-_percentile_candidates); one scaled LP each keeps the audit exact for up
-to eight agents, with sampled lower bounds beyond that.
+the search to one candidate configuration per ranking class, whose value
+has a closed form in two bounds of that class's rows (see
+_percentile_candidates).  The audit solves one scaled LP per alternative
+over the one or two agents that bind its best candidate, and one over
+every class for the witness, at any n.
+
+All LPs go through ``lp.solve_lp`` (HiGHS).
 """
 
 from __future__ import annotations
@@ -45,7 +56,6 @@ from .social_choice import evaluate_percentile_cost, percentile_rank
 
 INF = float("inf")
 SCALE_TOL = 1e-7
-EXACT_PERCENTILE_MAX_N = 8
 ASSIGNMENT_AUDIT_CAP = 10 ** 4
 _LOG = logging.getLogger("ordmech")
 
@@ -57,7 +67,7 @@ class AuditReport:
     objective: str
     target: object                      # facility index or assignment tuple
     value: float
-    exact: bool
+    exact: bool                         # every audit path is exact
     per_alternative: tuple[tuple[object, float], ...]
     witness: FullMetric | None
     witness_ratio: float | None
@@ -86,7 +96,6 @@ class AgentClasses:
     keys: np.ndarray    # per class: ranking id, then the extra keys
     weight: np.ndarray  # per class: its share of the agents
     member: np.ndarray  # per agent: its class
-    rows: np.ndarray    # [A | -b]: one consistency block per class, then the scale
 
 
 class ConsistencyPolytope:
@@ -113,34 +122,36 @@ class ConsistencyPolytope:
             sit = [np.all(l[:, r[:-1]] <= l[:, r[1:]] + 1e-9, axis=1)
                    for r in map(list, rankings)]
         self._can_sit = np.asarray(sit)[self.ranking_id]
-        self._min_dist: dict[tuple[int, int], float] = {}
+        self._bounds: dict[int, np.ndarray] = {}
 
     def can_sit_at(self, i: int, f: int) -> bool:
         return bool(self._can_sit[i, f])
 
+    def bounds(self, ranking: int) -> np.ndarray:
+        """The closure (see _closure) of one distinct ranking's block."""
+        if ranking not in self._bounds:
+            self._bounds[ranking] = _closure(*self.blocks[ranking])
+        return self._bounds[ranking]
+
     def classes(self, *keys) -> AgentClasses:
         """Group the agents by ranking and by the given per-agent keys."""
         uniq, member = _group(zip(self.ranking_id.tolist(), *keys))
-        A, b = stack_blocks(self.blocks[key[0]] for key in uniq)
-        return AgentClasses(np.array(uniq), np.bincount(member) / self.n, member,
-                            np.hstack([A, -b[:, None]]))
+        return AgentClasses(np.array(uniq), np.bincount(member) / self.n, member)
 
-    def min_agent_distance(self, i: int, f: int, engine: str = "highs") -> float:
+    def class_rows(self, cls: AgentClasses) -> np.ndarray:
+        """[A | -b]: one consistency block per class, then the scale column."""
+        A, b = stack_blocks(self.blocks[r] for r in cls.keys[:, 0])
+        return np.hstack([A, -b[:, None]])
+
+    def min_agent_distance(self, i: int, f: int) -> float:
         """Smallest consistent d(i, f), from the agent's ranking block."""
-        key = (int(self.ranking_id[i]), f)
-        if key not in self._min_dist:
-            if self._can_sit[i, f]:
-                self._min_dist[key] = 0.0
-            else:
-                A_r, b_r = self.blocks[key[0]]
-                c = np.zeros(self.m)
-                c[f] = 1.0
-                res = solve_lp(c, A_r, b_r, engine=engine)
-                if not res.optimal:
-                    raise InternalInvariantError(
-                        "agent slice of the consistency polytope is infeasible")
-                self._min_dist[key] = max(res.fun, 0.0)
-        return self._min_dist[key]
+        if self._can_sit[i, f]:
+            return 0.0
+        return max(-float(self.bounds(self.ranking_id[i])[2 * f + 1, 2 * f]) / 2, 0.0)
+
+    def max_distance_gap(self, i: int, w: int, x: int) -> float:
+        """Largest consistent d(i, w) - d(i, x), from the agent's ranking block."""
+        return float(self.bounds(self.ranking_id[i])[2 * w, 2 * x])
 
     def interior_metric(self) -> np.ndarray:
         """All agents equally far from everything: consistent with every
@@ -154,6 +165,58 @@ class ConsistencyPolytope:
         for i, f in seats.items():
             d[i] = self.fd.values[f]
         return d
+
+
+def _closure(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Tightest bounds implied by ``A d <= b, d >= 0`` when every row has
+    two nonzero coefficients, each +1 or -1, as in a ranking block.
+
+    With v[2a] = d(a) and v[2a + 1] = -d(a), every row bounds one
+    difference v[p] - v[q], and entry [p, q] of the result is the least
+    upper bound of v[p] - v[q] over the system (inf if there is none).
+    Over the reals, shortest paths through these differences followed by
+    one halving step through the single-variable bounds give every such
+    bound exactly (the closure of an octagon); the system must be feasible.
+    """
+    m = A.shape[1]
+    W = np.full((2 * m, 2 * m), INF)
+    np.fill_diagonal(W, 0.0)
+    W[np.arange(1, 2 * m, 2), np.arange(0, 2 * m, 2)] = 0.0  # -d(a) <= 0
+    at, cols = np.nonzero(A)  # two per row, in order
+    a, e = cols[0::2], cols[1::2]
+    p = 2 * a + (A[at[0::2], a] < 0)
+    q = 2 * e + (A[at[1::2], e] > 0)  # v[p] - v[q] = row . d
+    np.minimum.at(W, (p, q), b)
+    np.minimum.at(W, (q ^ 1, p ^ 1), b)
+    for k in range(2 * m):
+        W = np.minimum(W, W[:, k, None] + W[None, k, :])
+    at = np.arange(2 * m)
+    half = W[at, at ^ 1] / 2  # v[p] - v[bar p] = 2 v[p]
+    return np.minimum(W, half[:, None] + half[at ^ 1][None, :])
+
+
+def _point(W: np.ndarray, fixed: dict[int, float]) -> np.ndarray:
+    """A point of a closed system (see _closure): the ``fixed`` coordinates
+    take their given values and every other coordinate its least value,
+    each clipped into the bounds left by the coordinates set before it.
+
+    Projecting a closed system onto any set of coordinates keeps exactly
+    its rows on them, so values that satisfy those rows extend one
+    coordinate at a time, each constrained only by its own bounds and its
+    rows with the coordinates already set."""
+    m = len(W) // 2
+    W = W.tolist()
+    d = [0.0] * m
+    done: list[int] = []
+    for a in [*fixed, *(a for a in range(m) if a not in fixed)]:
+        row, neg = W[2 * a], W[2 * a + 1]
+        low = max([-neg[2 * a] / 2] + [d[e] - W[2 * e][2 * a] for e in done]
+                  + [-d[e] - W[2 * e + 1][2 * a] for e in done])
+        high = min([row[2 * a + 1] / 2] + [d[e] + row[2 * e] for e in done]
+                   + [row[2 * e + 1] - d[e] for e in done])
+        d[a] = min(max(fixed.get(a, low), low), high)
+        done.append(a)
+    return np.array(d)
 
 
 def _flag(flags: list[str], flag: str) -> None:
@@ -196,70 +259,97 @@ class _PairOutcome:
     value: float
     witness_values: np.ndarray | None
     flags: list[str] = field(default_factory=list)
+    solution: np.ndarray | None = None  # the scaled LP's optimal point
 
 
 def _solve_scaled(poly: ConsistencyPolytope, cls: AgentClasses, c, A_ub, b_ub,
-                  A_eq, b_eq, interior: np.ndarray, engine: str,
-                  want_witness: bool) -> _PairOutcome:
-    """Maximize c.z over a scaled LP whose columns are one m-vector per
-    class, the scale, then any extra columns; the witness gives each agent
-    its class's vector divided by the scale.  ``interior`` is a feasible
-    point with a positive scale, strictly inside the pair rows."""
-    res = solve_lp(c, A_ub, b_ub, A_eq, b_eq, engine=engine, maximize=True)
-    if res.status == "unbounded":
-        return _PairOutcome(INF, None, ["unbounded_ratio"])
-    if not res.optimal:
-        # Denominators identically zero over the closure are resolved
-        # combinatorially before getting here.
-        raise InternalInvariantError("scaled LP infeasible on a feasible polytope")
-    value = res.fun
+                  A_eq, b_eq, interior: np.ndarray, k: int, rows,
+                  want_witness: bool, solved: _PairOutcome | None = None) -> _PairOutcome:
+    """Maximize c.z over a scaled LP whose first k columns belong to the
+    classes, then the scale, then any extra columns, or take the optimum
+    from ``solved``.  The witness divides the class columns by the scale
+    and ``rows`` turns them into one full distance row per class.
+    ``interior`` is a feasible point with a positive scale, strictly
+    inside the pair rows."""
+    if solved is None:
+        res = solve_lp(c, A_ub, b_ub, A_eq, b_eq, maximize=True)
+        if res.status == "unbounded":
+            return _PairOutcome(INF, None, ["unbounded_ratio"])
+        if not res.optimal:
+            # Denominators identically zero over the closure are resolved
+            # combinatorially before getting here.
+            raise InternalInvariantError("scaled LP infeasible on a feasible polytope")
+        solved = _PairOutcome(res.fun, None, solution=res.x)
     if not want_witness:
-        return _PairOutcome(value, None)
+        return solved
+    value = solved.value
     flags: list[str] = []
-    k = len(cls.weight) * poly.m  # the scale column
-    z = res.x
+    z = solved.solution
     if z[k] <= SCALE_TOL:
         # Among optimal solutions, prefer one at a genuine metric scale.
         eps = 1e-9 * max(1.0, abs(value))
         c_tau = np.zeros_like(c)
         c_tau[k] = 1.0
         res2 = solve_lp(c_tau, np.vstack([A_ub, -c]), np.append(b_ub, -(value - eps)),
-                        A_eq, b_eq, engine=engine, maximize=True)
+                        A_eq, b_eq, maximize=True)
         if res2.optimal and res2.x[k] > SCALE_TOL:
             z = res2.x
         else:
             _flag(flags, "witness_at_scale_limit")
             lam = 1e-7
             z = (1 - lam) * z + lam * interior
-    witness = (z[:k] / z[k]).reshape(-1, poly.m)[cls.member]
-    return _PairOutcome(value, witness, flags)
+    witness = rows(z[:k] / z[k])[cls.member]
+    return _PairOutcome(value, witness, flags, z)
 
 
 def _ratio_pair(poly: ConsistencyPolytope, cls: AgentClasses, num_at, num_const: float,
-                den_at, den_const: float, engine: str,
-                want_witness: bool) -> _PairOutcome:
+                den_at, den_const: float, want_witness: bool,
+                solved: _PairOutcome | None = None) -> _PairOutcome:
     """sup (sum_i d(i, num_at) + num_const) / (sum_i d(i, den_at) + den_const)
     over the polytope, with ``num_at`` and ``den_at`` giving each class's
     facility.
 
+    Only a class's distances to its two facilities enter the ratio, so the
+    LP carries just those two per class, under the rows the closure gives
+    them: the projection of a closed system onto two coordinates is exactly
+    its rows on them.  The witness extends both to a full row (_point).
     Vanishing denominators must be excluded by the caller beforehand.
     Both sides are divided by n, so classes enter with their share of the
     agents, and the scaled denominator is pinned to one.  Pinning a mean
     rather than a sum keeps the scale independent of n, so dividing by it
     does not multiply the solver's feasibility slack by n.
     """
-    k = len(cls.weight) * poly.m
-    at = np.arange(len(cls.weight)) * poly.m
+    n_cls = len(cls.weight)
+    r = np.arange(n_cls)
+    f = np.broadcast_to(num_at, (n_cls,))
+    g = np.broadcast_to(den_at, (n_cls,))
+    W = np.stack([poly.bounds(key) for key in cls.keys[:, 0]])
+    F, G = 2 * f, 2 * g
+    k = 2 * n_cls  # d(i, num_at) and d(i, den_at) per class, then the scale
+    # (coefficient of d(f), of d(g), bound): the eight octagon rows on the pair
+    octagon = [(1, -1, W[r, F, G]), (-1, 1, W[r, G, F]), (-1, -1, W[r, F + 1, G]),
+               (1, 1, W[r, F, G + 1]), (-1, 0, W[r, F + 1, F] / 2),
+               (1, 0, W[r, F, F + 1] / 2), (0, -1, W[r, G + 1, G] / 2),
+               (0, 1, W[r, G, G + 1] / 2)]
+    A = np.zeros((len(octagon), n_cls, k + 1))
+    for t, (ca, cb, bound) in enumerate(octagon):
+        A[t, r, 2 * r], A[t, r, 2 * r + 1], A[t, r, k] = ca, cb, -bound
+    A = A.reshape(-1, k + 1)
+    A = A[np.isfinite(A[:, k])]
     c = np.zeros(k + 1)
-    c[at + num_at] = cls.weight
+    c[2 * r] = cls.weight
     c[k] = num_const / poly.n
     eq = np.zeros(k + 1)
-    eq[at + den_at] = cls.weight
+    eq[2 * r + 1] = cls.weight
     eq[k] = den_const / poly.n
     interior = np.append(np.full(k, poly.radius), 1.0)
-    return _solve_scaled(poly, cls, c, cls.rows, np.zeros(cls.rows.shape[0]),
-                         eq[None, :], [1.0], interior / (eq @ interior), engine,
-                         want_witness)
+
+    def rows(values):
+        return np.array([_point(W[i], {int(f[i]): values[2 * i], int(g[i]): values[2 * i + 1]})
+                         for i in r])
+
+    return _solve_scaled(poly, cls, c, A, np.zeros(A.shape[0]), eq[None, :], [1.0],
+                         interior / (eq @ interior), k, rows, want_witness, solved)
 
 
 def _denominator_zero_state(poly: ConsistencyPolytope, seats: dict[int, int],
@@ -275,9 +365,10 @@ def _denominator_zero_state(poly: ConsistencyPolytope, seats: dict[int, int],
 
 
 def _finalize(poly: ConsistencyPolytope, objective: str, target, results,
-              exact: bool, alpha: float | None, recompute) -> AuditReport:
-    """Assemble the report: pick the maximizing alternative, materialize
-    its witness and re-evaluate the ratio on it."""
+              alpha: float | None, recompute, resolve) -> AuditReport:
+    """Assemble the report: pick the maximizing alternative, let
+    ``resolve(key, outcome)`` materialize its witness when its value came
+    from an LP, and re-evaluate the ratio on the witness."""
     flags: list[str] = []
     best_key = None
     best = 1.0
@@ -288,13 +379,14 @@ def _finalize(poly: ConsistencyPolytope, objective: str, target, results,
     witness = None
     witness_ratio = None
     if best_key is not None:
-        for key, outcome in results:
-            if key == best_key:
-                flags.extend(outcome.flags)
-                if outcome.witness_values is not None:
-                    witness = _metric_from_values(outcome.witness_values, poly.fd,
-                                                  flags, "witness")
-                break
+        outcome = next(o for key, o in results if key == best_key)
+        if outcome.witness_values is None and math.isfinite(outcome.value):
+            outcome = resolve(best_key, outcome)
+            results = [(key, outcome if key == best_key else o) for key, o in results]
+            best = max(o.value for _, o in results)
+        flags.extend(outcome.flags)
+        if outcome.witness_values is not None:
+            witness = _metric_from_values(outcome.witness_values, poly.fd, flags, "witness")
     if witness is None and math.isfinite(best):
         # Distortion 1 instances: any consistent point certifies the value.
         witness = _metric_from_values(poly.interior_metric(), poly.fd, flags,
@@ -304,13 +396,12 @@ def _finalize(poly: ConsistencyPolytope, objective: str, target, results,
         if not check_consistency(poly.profile, witness, tol=1e-7):
             raise InternalInvariantError("audit witness is not consistent")
     per_alt = tuple((key, outcome.value) for key, outcome in results)
-    return AuditReport(objective, target, best, exact, per_alt, witness,
+    return AuditReport(objective, target, best, True, per_alt, witness,
                        witness_ratio, alpha, tuple(flags))
 
 
 def audit_sum_social_choice(winner: int, profile: PreferenceProfile,
-                            fd: FacilityDistances,
-                            engine: str = "highs") -> AuditReport:
+                            fd: FacilityDistances) -> AuditReport:
     """Exact worst-case total-cost distortion of choosing ``winner``."""
     poly = ConsistencyPolytope(profile, fd)
     n, m = poly.n, poly.m
@@ -330,8 +421,7 @@ def audit_sum_social_choice(winner: int, profile: PreferenceProfile,
             results.append((x, _PairOutcome(INF, poly.seated_metric(seats),
                                             ["denominator_vanishes"])))
             continue
-        outcome = _ratio_pair(poly, cls, winner, 0.0, x, 0.0, engine,
-                              want_witness=True)
+        outcome = _ratio_pair(poly, cls, winner, 0.0, x, 0.0, want_witness=False)
         if state == "both_zero":
             outcome.value = max(outcome.value, 1.0)
         results.append((x, outcome))
@@ -340,12 +430,13 @@ def audit_sum_social_choice(winner: int, profile: PreferenceProfile,
         cols = metric.distances.sum(axis=0)
         return _ratio(float(cols[winner]), float(cols.min()))
 
-    return _finalize(poly, "sum", winner, results, True, None, recompute)
+    return _finalize(poly, "sum", winner, results, None, recompute,
+                     lambda x, solved: _ratio_pair(poly, cls, winner, 0.0, x, 0.0,
+                                                   want_witness=True, solved=solved))
 
 
 def audit_additive_assignment(x, profile: PreferenceProfile,
                               fd: FacilityDistances, problem: AssignmentProblem,
-                              engine: str = "highs",
                               cap: int = ASSIGNMENT_AUDIT_CAP) -> AuditReport:
     """Exact worst-case distortion of assignment ``x`` against every valid
     alternative, for additive distance cost and constant facility costs."""
@@ -361,6 +452,11 @@ def audit_additive_assignment(x, profile: PreferenceProfile,
     l = fd.values
     spec = problem.cost_spec
     num_const = spec.facility_cost(x)
+
+    def _assignment_pair(alt, want_witness: bool, solved=None) -> _PairOutcome:
+        cls = poly.classes(x, alt)
+        return _ratio_pair(poly, cls, cls.keys[:, 1], num_const, cls.keys[:, 2],
+                           spec.facility_cost(alt), want_witness, solved)
 
     alternatives = []
     for alt in iter_valid_assignments(n, problem.constraints):
@@ -382,9 +478,7 @@ def audit_additive_assignment(x, profile: PreferenceProfile,
                                               poly.seated_metric(dict(enumerate(alt))),
                                               ["denominator_vanishes"])))
             continue
-        cls = poly.classes(x, alt)
-        outcome = _ratio_pair(poly, cls, cls.keys[:, 1], num_const, cls.keys[:, 2],
-                              den_const, engine, want_witness=True)
+        outcome = _assignment_pair(alt, want_witness=False)
         if state == "both_zero":
             outcome.value = max(outcome.value, 1.0)
         results.append((alt, outcome))
@@ -394,12 +488,13 @@ def audit_additive_assignment(x, profile: PreferenceProfile,
         denv = min(total_cost(alt, metric.distances, spec) for alt in alternatives)
         return _ratio(numv, denv)
 
-    return _finalize(poly, "assignment_sum", x, results, True, None, recompute)
+    return _finalize(poly, "assignment_sum", x, results, None, recompute,
+                     lambda alt, solved: _assignment_pair(alt, True, solved))
 
 
-def _percentile_candidates(poly: ConsistencyPolytope, x: int, k: int,
-                           engine: str):
-    """Candidate (S, T) subset pairs that provably contain the maximizer.
+def _percentile_candidates(poly: ConsistencyPolytope, x: int, w: int, k: int):
+    """Candidate (S, T) subset pairs that provably contain the maximizer,
+    each with its configuration value and the agents that bind it.
 
     S pins the denominator's k-th order statistic from above, T floors the
     numerator's from below.  The closure constrains each agent's row
@@ -409,22 +504,32 @@ def _percentile_candidates(poly: ConsistencyPolytope, x: int, k: int,
     agent j, and for fixed j the best S adds the k-1 other agents whose
     smallest consistent distance to x is lowest, because each member of S
     caps the usable scale at one over that distance.  That leaves one
-    candidate per agent (one per ranking class, by symmetry)."""
+    candidate per agent (one per ranking class, by symmetry).
+
+    Its value follows: with M the largest of those smallest distances over
+    S and c the largest consistent d(j, w) - d(j, x), agent j can sit at
+    d(j, x) = M, d(j, w) = M + c, so the value is 1 + max(c, 0) / M.  Only
+    j and the member of S that sets M bind, so the configuration restricted
+    to those one or two agents has the same value."""
     n = poly.n
-    mu = [poly.min_agent_distance(i, x, engine) for i in range(n)]
+    mu = [poly.min_agent_distance(i, x) for i in range(n)]
+    order = sorted(range(n), key=lambda i: (mu[i], i))
     seen = set()
     for j in range(n):
         key = poly.profile.rankings[j]
         if key in seen:
             continue
         seen.add(key)
-        others = sorted((i for i in range(n) if i != j),
-                        key=lambda i: (mu[i], i))
-        yield [j] + others[:k - 1], [j] + others[k - 1:]
+        others = [i for i in order if i != j]
+        S, T = [j] + others[:k - 1], [j] + others[k - 1:]
+        cap = max(S, key=lambda i: mu[i])
+        gap = max(poly.max_distance_gap(j, w, x), 0.0)
+        value = 1.0 + gap / mu[cap] if mu[cap] > 0 else INF
+        yield value, S, T, [j] if cap == j else [j, cap]
 
 
 def _percentile_config_value(poly: ConsistencyPolytope, S, T, x: int, w: int,
-                             engine: str, want_witness: bool) -> _PairOutcome:
+                             want_witness: bool) -> _PairOutcome:
     """One configuration LP: agents in S pin the denominator order
     statistic (scaled to one), agents in T floor the numerator's, and the
     floor is maximized.  Agents are grouped by ranking and by membership
@@ -440,23 +545,24 @@ def _percentile_config_value(poly: ConsistencyPolytope, S, T, x: int, w: int,
     t_rows = np.arange(s_at.size, extra.shape[0])
     extra[t_rows, k + 1] = 1.0
     extra[t_rows, t_at + w] = -1.0
-    A_ub = np.vstack([np.hstack([cls.rows, np.zeros((cls.rows.shape[0], 1))]), extra])
-    b_ub = np.concatenate([np.zeros(cls.rows.shape[0]), np.ones(s_at.size),
+    rows = poly.class_rows(cls)
+    A_ub = np.vstack([np.hstack([rows, np.zeros((rows.shape[0], 1))]), extra])
+    b_ub = np.concatenate([np.zeros(rows.shape[0]), np.ones(s_at.size),
                            np.zeros(t_at.size)])
     c = np.zeros(k + 2)
     c[-1] = 1.0
     interior = np.concatenate([np.ones(k), [1.0 / poly.radius, 1.0]])
-    return _solve_scaled(poly, cls, c, A_ub, b_ub, None, None, interior, engine,
-                         want_witness)
+    return _solve_scaled(poly, cls, c, A_ub, b_ub, None, None, interior, k,
+                         lambda values: values.reshape(-1, poly.m), want_witness)
 
 
 def audit_percentile_social_choice(winner: int, profile: PreferenceProfile,
-                                   fd: FacilityDistances, alpha: float,
-                                   budget: int = 200, seed: int = 0,
-                                   engine: str = "highs") -> AuditReport:
-    """Worst-case percentile-cost distortion: exact for up to eight agents
-    by order-statistic enumeration, otherwise the best lower bound found
-    on ``budget`` sampled consistent metrics."""
+                                   fd: FacilityDistances,
+                                   alpha: float) -> AuditReport:
+    """Exact worst-case percentile-cost distortion: per alternative, the
+    best candidate order-statistic configuration in closed form and one
+    scaled LP over the agents that bind it; one LP over every agent gives
+    the maximizing alternative's witness."""
     if alpha < 0.5 - 1e-12:
         raise UnboundedObjectiveError(
             f"alpha = {alpha} below one half has unbounded worst-case "
@@ -467,8 +573,6 @@ def audit_percentile_social_choice(winner: int, profile: PreferenceProfile,
     n, m = poly.n, poly.m
     k = percentile_rank(n, alpha)
     l = fd.values
-    if n > EXACT_PERCENTILE_MAX_N:
-        return _sampled_percentile_audit(poly, winner, alpha, budget, seed, engine)
 
     results: list[tuple[object, _PairOutcome]] = []
     best_combo: dict[object, tuple] = {}
@@ -485,89 +589,48 @@ def audit_percentile_social_choice(winner: int, profile: PreferenceProfile,
             results.append((x, _PairOutcome(INF, poly.seated_metric(seats),
                                             ["denominator_vanishes"])))
             continue
-        best = _PairOutcome(0.0, None)
-        best_st = None
-        for S, T in _percentile_candidates(poly, x, k, engine):
-            outcome = _percentile_config_value(poly, S, T, x, winner, engine,
-                                               want_witness=False)
-            if outcome.value > best.value:
-                best = outcome
-                best_st = (S, T)
-            if best.value == INF:
-                break
-        best_combo[x] = best_st
+        # The first best candidate's LP, restricted to the agents that bind
+        # it, gives the alternative's value; it must agree with the closed form.
+        candidates = list(_percentile_candidates(poly, x, winner, k))
+        top = max(c[0] for c in candidates)
+        tol = 0.0 if math.isinf(top) else 1e-9 * max(1.0, top)
+        value, S, T, binding = next(c for c in candidates if c[0] >= top - tol)
+        sub = ConsistencyPolytope(
+            PreferenceProfile(m, tuple(profile.rankings[i] for i in binding),
+                              profile.top_only), fd)
+        best = _percentile_config_value(sub, range(len(binding)), [0], x, winner,
+                                        want_witness=False)
+        if not (best.value == value or abs(best.value - value) <= 1e-6 * max(1.0, value)):
+            raise InternalInvariantError(
+                f"configuration LP gives {best.value}, its closed form {value}")
+        best_combo[x] = (S, T)
         results.append((x, best))
-
-    # Materialize the witness only for the maximizing alternative.
-    best_key, best_val = None, 1.0
-    for key, outcome in results:
-        if outcome.value > best_val:
-            best_key, best_val = key, outcome.value
-    if best_key is not None and math.isfinite(best_val) and best_combo.get(best_key):
-        S, T = best_combo[best_key]
-        refreshed = _percentile_config_value(poly, S, T, best_key, winner, engine,
-                                             want_witness=True)
-        results = [(key, refreshed if key == best_key else outcome)
-                   for key, outcome in results]
 
     def recompute(metric: FullMetric) -> float:
         return _ratio(evaluate_percentile_cost(winner, metric, alpha),
                       min(evaluate_percentile_cost(f, metric, alpha) for f in range(m)))
 
-    return _finalize(poly, "percentile", winner, results, True, alpha, recompute)
-
-
-def _sampled_percentile_audit(poly: ConsistencyPolytope, winner: int,
-                              alpha: float, budget: int, seed: int,
-                              engine: str) -> AuditReport:
-    best_ratio = 1.0
-    best_metric = None
-    lp = _sampling_lp(poly)
-    for trial in range(budget):
-        metric = _sample_metric(poly, lp, seed + trial, engine)
-        ratio = _ratio(evaluate_percentile_cost(winner, metric, alpha),
-                       min(evaluate_percentile_cost(f, metric, alpha)
-                           for f in range(poly.m)))
-        if ratio > best_ratio:
-            best_ratio = ratio
-            best_metric = metric
-    flags: list[str] = []
-    if best_metric is None:
-        best_metric = _metric_from_values(poly.interior_metric(), poly.fd,
-                                          flags, "witness")
-    _flag(flags, "sampled_lower_bound")
-    return AuditReport("percentile", winner, best_ratio, False, (),
-                       best_metric, best_ratio, alpha, tuple(flags))
-
-
-def _sampling_lp(poly: ConsistencyPolytope) -> tuple[np.ndarray, np.ndarray]:
-    """The per-agent closure, boxed to keep every direction bounded."""
-    cons = consistency_constraints(poly.profile, poly.fd)
-    upper = 3.0 * (float(poly.fd.values.max()) + 1.0)
-    return (np.vstack([cons.A, np.eye(cons.nvars)]),
-            np.concatenate([cons.b, np.full(cons.nvars, upper)]))
-
-
-def _sample_metric(poly: ConsistencyPolytope, lp, seed: int,
-                   engine: str) -> FullMetric:
-    rng = np.random.default_rng(seed)
-    c = rng.uniform(-1.0, 1.0, poly.n * poly.m)
-    res = solve_lp(c, *lp, engine=engine)
-    if not res.optimal:
-        raise InternalInvariantError(
-            "consistency polytope reported infeasible while sampling")
-    flags: list[str] = []
-    metric = _metric_from_values(res.x.reshape(poly.n, poly.m), poly.fd, flags,
-                                 "sample")
-    if not check_consistency(poly.profile, metric, tol=1e-7):
-        raise InternalInvariantError("sampled metric is not consistent")
-    return metric
+    # The maximizer's configuration LP over every agent gives its witness.
+    return _finalize(poly, "percentile", winner, results, alpha, recompute,
+                     lambda x, _: _percentile_config_value(poly, *best_combo[x], x, winner,
+                                                           want_witness=True))
 
 
 def sample_consistent_metric(profile: PreferenceProfile, fd: FacilityDistances,
-                             seed: int, engine: str = "highs") -> FullMetric:
+                             seed: int) -> FullMetric:
     """A deterministic point of the consistent closure: optimize a seeded
     random direction over the polytope, boxed to keep every direction
-    bounded."""
-    poly = ConsistencyPolytope(profile, fd)
-    return _sample_metric(poly, _sampling_lp(poly), seed, engine)
+    bounded.  The audits never sample; tests use this as an oracle."""
+    cons = consistency_constraints(profile, fd)
+    upper = 3.0 * (float(fd.values.max()) + 1.0)
+    rng = np.random.default_rng(seed)
+    c = rng.uniform(-1.0, 1.0, cons.nvars)
+    res = solve_lp(c, np.vstack([cons.A, np.eye(cons.nvars)]),
+                   np.concatenate([cons.b, np.full(cons.nvars, upper)]))
+    if not res.optimal:
+        raise InternalInvariantError(
+            "consistency polytope reported infeasible while sampling")
+    metric = _metric_from_values(res.x.reshape(profile.n, profile.m), fd, [], "sample")
+    if not check_consistency(profile, metric, tol=1e-7):
+        raise InternalInvariantError("sampled metric is not consistent")
+    return metric

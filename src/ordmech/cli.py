@@ -1,8 +1,7 @@
 """Command-line surface: solve, audit, gen, repro.
 
 Exit codes: 0 success, 1 reproduction/assertion failure, 2 usage or
-schema errors.  Commands are deterministic; anything that samples takes
-an explicit --seed.
+schema errors.  Commands are deterministic and every audit is exact.
 """
 
 from __future__ import annotations
@@ -64,17 +63,13 @@ def _parse_objective(raw: str) -> tuple[str, float | None]:
                       "percentile:<alpha>", field="objective")
 
 
-def _run_audit(inst: InstanceFile, target, objective: str, alpha: float | None,
-               seed: int | None, budget: int) -> dict:
+def _run_audit(inst: InstanceFile, target, objective: str, alpha: float | None) -> dict:
     fd = _require_fd(inst)
     if inst.preset in SOCIAL_PRESETS:
         if objective == "sum":
             report = audit_sum_social_choice(target, inst.profile, fd)
         else:
-            if inst.n > 8 and seed is None:
-                raise SchemaError("sampling audits need --seed", field="seed")
-            report = audit_percentile_social_choice(
-                target, inst.profile, fd, alpha, budget=budget, seed=seed or 0)
+            report = audit_percentile_social_choice(target, inst.profile, fd, alpha)
     else:
         if objective != "sum":
             raise SchemaError("assignment audits support the sum objective only",
@@ -123,8 +118,7 @@ def _cmd_solve(args) -> int:
 
     if args.audit is not None:
         objective, alpha = _parse_objective(args.audit)
-        audit_dict = _run_audit(inst, target, objective, alpha, args.seed,
-                                args.budget)
+        audit_dict = _run_audit(inst, target, objective, alpha)
     report = solve_report_to_dict(inst, mechanism, target, beta, exact,
                                   guarantee, audit_dict)
     _emit(report, args.out)
@@ -135,7 +129,7 @@ def _cmd_audit(args) -> int:
     inst = load_instance(args.instance)
     target = _parse_outcome(inst, args.outcome)
     objective, alpha = _parse_objective(args.objective)
-    report = _run_audit(inst, target, objective, alpha, args.seed, args.budget)
+    report = _run_audit(inst, target, objective, alpha)
     _emit(report, args.out)
     return 0
 
@@ -204,8 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="alg1 | alg2 | copeland | reduce:<solver>")
     p_solve.add_argument("--audit", default=None,
                          help="also audit the outcome: sum | median | percentile:a")
-    p_solve.add_argument("--seed", type=int, default=None)
-    p_solve.add_argument("--budget", type=int, default=200)
     p_solve.add_argument("--out", default=None)
     p_solve.set_defaults(func=_cmd_solve)
 
@@ -215,8 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="facility name, or comma-separated assignment")
     p_audit.add_argument("--objective", required=True,
                          help="sum | median | percentile:<alpha>")
-    p_audit.add_argument("--seed", type=int, default=None)
-    p_audit.add_argument("--budget", type=int, default=200)
     p_audit.add_argument("--out", default=None)
     p_audit.set_defaults(func=_cmd_audit)
 

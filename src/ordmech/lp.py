@@ -1,13 +1,11 @@
 """Small linear-programming layer used by the distortion audits.
 
-Two interchangeable engines solve the same problem form
+Every audit LP has the form
 
     minimize c.x  subject to  A_ub x <= b_ub,  A_eq x = b_eq,  x >= 0
 
-``highs`` delegates to scipy's HiGHS interface (default: fast, tight
-tolerances), ``simplex`` is a self-contained dense two-phase tableau
-simplex with Bland's rule, adequate for the <= 100-variable systems the
-audits build.  Both report an explicit infeasible / unbounded verdict.
+and is solved by scipy's HiGHS interface.  The result reports an explicit
+infeasible / unbounded verdict instead of raising.
 """
 
 from __future__ import annotations
@@ -17,8 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SolverError
-
-FEAS_TOL = 1e-9
 
 
 @dataclass
@@ -33,148 +29,18 @@ class LPResult:
 
 
 def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None,
-             engine: str = "highs", maximize: bool = False) -> LPResult:
+             maximize: bool = False) -> LPResult:
     """Solve the LP, all variables nonnegative.  ``maximize`` flips the objective."""
-    c = np.asarray(c, dtype=float)
-    sign = -1.0 if maximize else 1.0
-    if engine == "highs":
-        res = _solve_highs(sign * c, A_ub, b_ub, A_eq, b_eq)
-    elif engine == "simplex":
-        res = _solve_simplex(sign * c, A_ub, b_ub, A_eq, b_eq)
-    else:
-        raise SolverError(f"unknown LP engine {engine!r}")
-    if res.optimal and maximize:
-        res = LPResult("optimal", res.x, -res.fun)
-    return res
-
-
-def _solve_highs(c, A_ub, b_ub, A_eq, b_eq) -> LPResult:
     from scipy.optimize import linprog
 
-    res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
+    c = np.asarray(c, dtype=float)
+    sign = -1.0 if maximize else 1.0
+    res = linprog(sign * c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
                   bounds=(0, None), method="highs")
     if res.status == 0:
-        return LPResult("optimal", np.asarray(res.x), float(res.fun))
+        return LPResult("optimal", np.asarray(res.x), sign * float(res.fun))
     if res.status == 2:
         return LPResult("infeasible", None, None)
     if res.status == 3:
         return LPResult("unbounded", None, None)
     raise SolverError(f"LP solver failure: {res.message}")
-
-
-def _solve_simplex(c, A_ub, b_ub, A_eq, b_eq) -> LPResult:
-    """Dense two-phase tableau simplex, Bland's rule throughout."""
-    c = np.asarray(c, dtype=float)
-    nvar = c.size
-    rows = []
-    rhs = []
-    n_ub = 0
-    if A_ub is not None:
-        A_ub = np.atleast_2d(np.asarray(A_ub, dtype=float))
-        b_ub = np.atleast_1d(np.asarray(b_ub, dtype=float))
-        n_ub = A_ub.shape[0]
-        rows.append(A_ub)
-        rhs.append(b_ub)
-    if A_eq is not None:
-        A_eq = np.atleast_2d(np.asarray(A_eq, dtype=float))
-        b_eq = np.atleast_1d(np.asarray(b_eq, dtype=float))
-        rows.append(A_eq)
-        rhs.append(b_eq)
-    if not rows:
-        # Unconstrained besides x >= 0: minimum at 0 unless some cost < 0.
-        if np.any(c < -FEAS_TOL):
-            return LPResult("unbounded", None, None)
-        return LPResult("optimal", np.zeros(nvar), 0.0)
-
-    A = np.vstack(rows)
-    b = np.concatenate(rhs)
-    m = A.shape[0]
-
-    # Slack columns for the inequality block.
-    S = np.zeros((m, n_ub))
-    for i in range(n_ub):
-        S[i, i] = 1.0
-    A = np.hstack([A, S])
-
-    # Normalize rows to b >= 0, then one artificial per row (slacks whose
-    # row kept b >= 0 could serve as the initial basis, but uniform
-    # artificials keep the bookkeeping simple at this scale).
-    neg = b < 0
-    A[neg] *= -1.0
-    b = np.abs(b)
-    ncols = A.shape[1]
-    T = np.hstack([A, np.eye(m)])
-    basis = list(range(ncols, ncols + m))
-
-    art_cost = np.zeros(ncols + m)
-    art_cost[ncols:] = 1.0
-    T, b, basis, status = _simplex_iterate(T, b, basis, art_cost)
-    if status == "unbounded":  # phase 1 is bounded below by 0
-        raise SolverError("phase-1 simplex reported unbounded")
-    phase1_val = sum(b[i] for i, j in enumerate(basis) if j >= ncols)
-    if phase1_val > 1e-7:
-        return LPResult("infeasible", None, None)
-
-    # Pivot surviving artificials out of the basis (or drop redundant rows).
-    keep = np.ones(T.shape[0], dtype=bool)
-    for i in range(T.shape[0]):
-        if basis[i] >= ncols:
-            piv = None
-            for j in range(ncols):
-                if abs(T[i, j]) > 1e-9:
-                    piv = j
-                    break
-            if piv is None:
-                keep[i] = False
-            else:
-                _pivot(T, b, basis, i, piv)
-    T = T[keep][:, :ncols]
-    b = b[keep]
-    basis = [basis[i] for i in range(len(keep)) if keep[i]]
-
-    full_cost = np.zeros(ncols)
-    full_cost[:nvar] = c
-    T, b, basis, status = _simplex_iterate(T, b, basis, full_cost)
-    if status == "unbounded":
-        return LPResult("unbounded", None, None)
-    x = np.zeros(ncols)
-    for i, j in enumerate(basis):
-        x[j] = b[i]
-    xvar = x[:nvar]
-    return LPResult("optimal", xvar, float(c @ xvar))
-
-
-def _pivot(T, b, basis, row, col):
-    piv = T[row, col]
-    T[row] /= piv
-    b[row] /= piv
-    for r in range(T.shape[0]):
-        if r != row and abs(T[r, col]) > 0:
-            factor = T[r, col]
-            T[r] -= factor * T[row]
-            b[r] -= factor * b[row]
-    basis[row] = col
-
-
-def _simplex_iterate(T, b, basis, cost, max_iter=20000):
-    m = T.shape[0]
-    for _ in range(max_iter):
-        # Reduced costs for the current basis.
-        cb = cost[basis]
-        reduced = cost - cb @ T
-        entering = -1
-        for j in range(T.shape[1]):  # Bland: smallest eligible index
-            if j not in basis and reduced[j] < -FEAS_TOL:
-                entering = j
-                break
-        if entering < 0:
-            return T, b, basis, "optimal"
-        ratios = []
-        for i in range(m):
-            if T[i, entering] > FEAS_TOL:
-                ratios.append((b[i] / T[i, entering], basis[i], i))
-        if not ratios:
-            return T, b, basis, "unbounded"
-        ratios.sort(key=lambda t: (t[0], t[1]))
-        _pivot(T, b, basis, ratios[0][2], entering)
-    raise SolverError("simplex iteration limit exceeded")

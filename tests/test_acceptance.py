@@ -81,9 +81,20 @@ def test_criterion_03_augmented_majority_median_at_most_3(suite_median_200):
         winner = median_winner(profile, distance_partial_order(fd)).winner
         winners.append(winner)
         report = audit_percentile_social_choice(winner, profile, fd, 0.5)
-        assert report.exact, "median audit must take the exact path at n <= 7"
+        assert report.exact, "median audits must be exact"
         worst = max(worst, report.value)
-    ok_exact = worst <= 3 + TOL
+
+    # larger profiles, where the audit once fell back to sampling
+    rng = np.random.default_rng(SEED + 6)
+    worst_large = 0.0
+    for _ in range(20):
+        profile, fd, _ = random_instance(rng, n_max=40, m_max=4, m_min=3, n_min=9)
+        winner = median_winner(profile, distance_partial_order(fd)).winner
+        report = audit_percentile_social_choice(winner, profile, fd, 0.5)
+        assert report.exact, "median audits must be exact beyond eight agents"
+        assert abs(report.witness_ratio - report.value) <= TOL * report.value
+        worst_large = max(worst_large, report.value)
+    ok_exact = max(worst, worst_large) <= 3 + TOL
 
     alphas = (0.5, 0.6, 0.75, 1.0)
     worst_sampled = {a: 0.0 for a in alphas}
@@ -101,7 +112,8 @@ def test_criterion_03_augmented_majority_median_at_most_3(suite_median_200):
                     worst_sampled[a] = max(worst_sampled[a], pcs[winner] / best)
     ok_sampled = all(v <= 3 + TOL for v in worst_sampled.values())
     _verdict(3, ok_exact and ok_sampled,
-             f"max exact median distortion {worst:.9f}; sampled ratios "
+             f"max exact median distortion {worst:.9f} (n <= 7), "
+             f"{worst_large:.9f} (9 <= n <= 40); sampled ratios "
              + ", ".join(f"a={a}: {v:.6f}" for a, v in worst_sampled.items()))
 
 

@@ -162,6 +162,12 @@ def test_cli_usage_and_schema_errors(tmp_path):
     fixture = FIXTURES / "social_sum_small.json"
     assert main(["audit", "--instance", str(fixture), "--outcome", "A",
                  "--objective", "percentile:0.25"]) == 2
+    # audits are exact, so there is nothing to seed or budget
+    for flag in ("--seed", "--budget"):
+        assert main(["audit", "--instance", str(fixture), "--outcome", "A",
+                     "--objective", "median", flag, "3"]) == 2
+        assert main(["solve", "--instance", str(fixture), "--mechanism", "alg1",
+                     "--audit", "median", flag, "3"]) == 2
     bad = tmp_path / "bad.json"
     bad.write_text("{}")
     assert main(["solve", "--instance", str(bad), "--mechanism", "alg1"]) == 2

@@ -1,15 +1,13 @@
-"""The bundled dense simplex against scipy's HiGHS on the same problems."""
+"""solve_lp: status mapping and the sign flip of ``maximize``."""
 
-import numpy as np
 import pytest
-from scipy.optimize import linprog
 
 from ordmech.lp import solve_lp
 
 
 def test_known_minimum():
     # min x + 2y subject to x + y >= 1  ->  put everything on x
-    res = solve_lp([1.0, 2.0], A_ub=[[-1.0, -1.0]], b_ub=[-1.0], engine="simplex")
+    res = solve_lp([1.0, 2.0], A_ub=[[-1.0, -1.0]], b_ub=[-1.0])
     assert res.optimal
     assert res.fun == pytest.approx(1.0, abs=1e-9)
     assert res.x[0] == pytest.approx(1.0, abs=1e-9)
@@ -18,54 +16,17 @@ def test_known_minimum():
 def test_equality_and_maximize():
     # max x s.t. x + y = 2, x <= 1.5
     res = solve_lp([1.0, 0.0], A_ub=[[1.0, 0.0]], b_ub=[1.5],
-                   A_eq=[[1.0, 1.0]], b_eq=[2.0], engine="simplex", maximize=True)
+                   A_eq=[[1.0, 1.0]], b_eq=[2.0], maximize=True)
     assert res.optimal
     assert res.fun == pytest.approx(1.5, abs=1e-9)
 
 
 def test_infeasible_detected():
     # x <= -1 with x >= 0
-    res = solve_lp([1.0], A_ub=[[1.0]], b_ub=[-1.0], engine="simplex")
+    res = solve_lp([1.0], A_ub=[[1.0]], b_ub=[-1.0])
     assert res.status == "infeasible"
 
 
 def test_unbounded_detected():
-    res = solve_lp([-1.0], A_ub=[[-1.0]], b_ub=[0.0], engine="simplex")
+    res = solve_lp([-1.0], A_ub=[[-1.0]], b_ub=[0.0])
     assert res.status == "unbounded"
-
-
-def test_degenerate_cycling_guard():
-    # Classic degenerate vertex; Bland's rule must still terminate.
-    c = [-0.75, 150.0, -0.02, 6.0]
-    A = [[0.25, -60.0, -0.04, 9.0],
-         [0.5, -90.0, -0.02, 3.0],
-         [0.0, 0.0, 1.0, 0.0]]
-    b = [0.0, 0.0, 1.0]
-    mine = solve_lp(c, A_ub=A, b_ub=b, engine="simplex")
-    ref = solve_lp(c, A_ub=A, b_ub=b, engine="highs")
-    assert mine.optimal and ref.optimal
-    assert mine.fun == pytest.approx(ref.fun, abs=1e-8)
-
-
-def test_matches_highs_on_random_problems():
-    rng = np.random.default_rng(7)
-    agreements = 0
-    for _ in range(120):
-        nvar = int(rng.integers(2, 7))
-        nub = int(rng.integers(1, 6))
-        c = rng.uniform(-2, 2, nvar)
-        A_ub = rng.uniform(-1, 2, (nub, nvar))
-        b_ub = rng.uniform(-0.5, 3, nub)
-        A_eq = b_eq = None
-        if rng.random() < 0.4:
-            A_eq = rng.uniform(0, 2, (1, nvar))
-            b_eq = rng.uniform(0.5, 2, 1)
-        mine = solve_lp(c, A_ub, b_ub, A_eq, b_eq, engine="simplex")
-        ref = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
-                      bounds=(0, None), method="highs")
-        ref_status = {0: "optimal", 2: "infeasible", 3: "unbounded"}[ref.status]
-        assert mine.status == ref_status, (mine.status, ref_status)
-        if mine.optimal:
-            assert mine.fun == pytest.approx(ref.fun, abs=1e-7)
-            agreements += 1
-    assert agreements > 30  # a healthy share must be feasible-bounded
