@@ -12,6 +12,7 @@ guarantee from a beta-approximate projected solver.
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -86,25 +87,14 @@ class ConstraintSet:
     def is_valid(self, x: Assignment) -> bool:
         if any(not 0 <= f < self.m for f in x):
             return False
-        if self.capacities is not None:
-            counts = [0] * self.m
-            for f in x:
-                counts[f] += 1
-            for f, cap in enumerate(self.capacities):
-                if cap is not None and counts[f] > cap:
-                    return False
-        opened = len(set(x))
-        if self.at_most_open is not None and opened > self.at_most_open:
-            return False
-        if self.exactly_open is not None and opened != self.exactly_open:
-            return False
-        for i, j in self.must_coassign:
-            if x[i] != x[j]:
-                return False
-        for i, j in self.must_separate:
-            if x[i] == x[j]:
-                return False
-        return True
+        counts = Counter(x)
+        opened = len(counts)
+        return (all(cap is None or counts[f] <= cap
+                    for f, cap in enumerate(self.capacities or ()))
+                and (self.at_most_open is None or opened <= self.at_most_open)
+                and (self.exactly_open is None or opened == self.exactly_open)
+                and all(x[i] == x[j] for i, j in self.must_coassign)
+                and all(x[i] != x[j] for i, j in self.must_separate))
 
 
 def is_valid(x: Assignment, constraints: ConstraintSet) -> bool:
@@ -186,7 +176,7 @@ def count_search_space(n: int, m: int) -> int:
 
 
 def distance_vector(x: Assignment, distances: np.ndarray) -> np.ndarray:
-    return np.asarray([distances[i, f] for i, f in enumerate(x)], dtype=float)
+    return np.asarray(distances, dtype=float)[np.arange(len(x)), np.asarray(x, dtype=np.intp)]
 
 
 def total_cost(x: Assignment, distances: np.ndarray, spec: CostSpec) -> float:

@@ -82,22 +82,16 @@ def _run_audit(inst: InstanceFile, target, objective: str, alpha: float | None) 
 def _cmd_solve(args) -> int:
     inst = load_instance(args.instance)
     mechanism = args.mechanism
-    audit_dict = None
+    audit_dict = beta = exact = None
     if mechanism == "alg1":
-        outcome = sc.sum_winner(project_agents(inst.profile, _require_fd(inst)))
-        target = outcome.winner
-        beta, exact = None, None
+        target = sc.sum_winner(project_agents(inst.profile, _require_fd(inst))).winner
         guarantee = {"objective": "sum", "distortion_bound": 3.0}
     elif mechanism == "alg2":
-        outcome = sc.median_winner(inst.profile, _order_for(inst))
-        target = outcome.winner
-        beta, exact = None, None
+        target = sc.median_winner(inst.profile, _order_for(inst)).winner
         guarantee = {"objective": "median", "distortion_bound": 3.0,
                      "percentile_bound": 3.0, "sum_distortion_bound": 5.0}
     elif mechanism == "copeland":
-        outcome = sc.copeland_winner(inst.profile)
-        target = outcome.winner
-        beta, exact = None, None
+        target = sc.copeland_winner(inst.profile).winner
         guarantee = {"objective": "sum", "distortion_bound": 5.0,
                      "note": "baseline rule"}
     elif mechanism.startswith("reduce:"):

@@ -17,10 +17,11 @@ import numpy as np
 from .errors import MetricError, ProfileError
 
 TOL = 1e-9
+BLOCK = 1 << 13  # elements per temporary of the blocked array passes (64 KB)
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    arr = np.array(arr, dtype=float)
+def _freeze(arr: np.ndarray, dtype=float) -> np.ndarray:
+    arr = np.array(arr, dtype=dtype)
     arr.flags.writeable = False
     return arr
 
@@ -55,27 +56,36 @@ class MetricCheck:
     triple: tuple[int, ...] | None = None
 
 
+def _first(mask: np.ndarray) -> tuple[int, ...] | None:
+    """Index of the first true entry of ``mask`` in C order, or None."""
+    if mask.any():  # argmax of a boolean array is its first true entry
+        return tuple(int(v) for v in np.unravel_index(int(mask.argmax()), mask.shape))
+    return None
+
+
 def validate_distance_matrix(values, tol: float = TOL) -> MetricCheck:
     """Check symmetry, zero diagonal, nonnegativity and the triangle
-    inequality; on failure the report names the first offending entry."""
+    inequality; on failure the report names the first offending entry:
+    diagonal, then pairs i < j, then triples (i, j, k), each in
+    lexicographic order.  A non-finite entry raises ``MetricError``."""
     a = np.asarray(values, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise MetricError(f"distance matrix must be square, got shape {a.shape}")
-    m = a.shape[0]
-    for i in range(m):
-        if abs(a[i, i]) > tol:
-            return MetricCheck(False, "nonzero diagonal", (i, i))
-    for i in range(m):
-        for j in range(i + 1, m):
-            if a[i, j] < -tol or a[j, i] < -tol:
-                return MetricCheck(False, "negative distance", (i, j))
-            if abs(a[i, j] - a[j, i]) > tol:
-                return MetricCheck(False, "asymmetric", (i, j))
-    for i in range(m):
-        for j in range(m):
-            for k in range(m):
-                if a[i, k] > a[i, j] + a[j, k] + tol:
-                    return MetricCheck(False, "triangle inequality violated", (i, j, k))
+    if (bad := _first(~np.isfinite(a))) is not None:
+        raise MetricError(f"non-finite distance {a[bad]} at {bad}")
+    if (bad := _first(np.abs(np.diag(a)) > tol)) is not None:
+        return MetricCheck(False, "nonzero diagonal", bad * 2)
+    f, g = np.triu_indices(len(a), 1)
+    negative = (a[f, g] < -tol) | (a[g, f] < -tol)
+    if (bad := _first(negative | (np.abs(a[f, g] - a[g, f]) > tol))) is not None:
+        p = bad[0]
+        return MetricCheck(False, "negative distance" if negative[p] else "asymmetric",
+                           (int(f[p]), int(g[p])))
+    rows = max(1, BLOCK // max(a.size, 1))
+    for start in range(0, len(a), rows):
+        block = a[start:start + rows]  # [i, j, k]: a[i, k] > a[i, j] + a[j, k] + tol
+        if (bad := _first(block[:, None, :] > block[:, :, None] + a + tol)) is not None:
+            return MetricCheck(False, "triangle inequality violated", (start + bad[0], *bad[1:]))
     return MetricCheck(True)
 
 
@@ -98,10 +108,6 @@ class FacilityDistances:
     def m(self) -> int:
         return self.facilities.m
 
-    def __getitem__(self, pair) -> float:
-        i, j = pair
-        return float(self.values[i, j])
-
 
 def facility_distances(names, values) -> FacilityDistances:
     return FacilityDistances(FacilitySet(tuple(names)), values)
@@ -118,13 +124,28 @@ class PreferenceProfile:
     m: int
     rankings: tuple[tuple[int, ...], ...]
     top_only: bool = False
+    # The rankings as a read-only n x (m, or 1 when top-only) index array.
+    array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.m < 1:
             raise ProfileError("need at least one facility")
         if not self.rankings:
             raise ProfileError("need at least one agent")
-        for i, r in enumerate(self.rankings):
+        try:
+            arr = np.asarray(self.rankings)
+        except ValueError:  # ragged
+            arr = np.zeros(0)
+        # One array pass finds the suspect agents; the first of them that
+        # fails the per-agent check names the error.
+        if arr.shape != (self.n, 1 if self.top_only else self.m) or arr.dtype.kind not in "iu":
+            suspects = range(self.n)
+        elif self.top_only:
+            suspects = np.flatnonzero((arr[:, 0] < 0) | (arr[:, 0] >= self.m))
+        else:
+            suspects = np.flatnonzero((np.sort(arr, axis=1) != np.arange(self.m)).any(axis=1))
+        for i in map(int, suspects):
+            r = self.rankings[i]
             if len(r) == 0:
                 raise ProfileError(f"agent {i} has an empty ranking")
             if self.top_only:
@@ -132,24 +153,15 @@ class PreferenceProfile:
                     raise ProfileError(f"agent {i}: top-only entry must be one facility index")
             elif sorted(r) != list(range(self.m)):
                 raise ProfileError(f"agent {i}: ranking is not a permutation of all facilities")
+        object.__setattr__(self, "array", _freeze(arr, np.intp))
 
     @property
     def n(self) -> int:
         return len(self.rankings)
 
-    def top(self, i: int) -> int:
-        return self.rankings[i][0]
-
     @property
     def tops(self) -> tuple[int, ...]:
-        return tuple(r[0] for r in self.rankings)
-
-    def prefers(self, i: int, a: int, b: int) -> bool:
-        """True when agent i ranks facility a strictly before b."""
-        if self.top_only:
-            raise ProfileError("pairwise comparisons need full rankings")
-        r = self.rankings[i]
-        return r.index(a) < r.index(b)
+        return tuple(self.array[:, 0].tolist())
 
 
 @dataclass(frozen=True)
@@ -170,19 +182,25 @@ class FullMetric:
         l = self.facility_distances.values
         if d.ndim != 2 or d.shape[1] != self.facility_distances.m:
             raise MetricError("agent-facility matrix shape does not match facilities")
+        if (bad := _first(~np.isfinite(d))) is not None:
+            raise MetricError(f"agent {bad[0]}: d({bad[1]}) = {d[bad]} is not finite")
         if np.any(d < -TOL):
             raise MetricError("negative agent-facility distance")
-        n, m = d.shape
-        for i in range(n):
-            for f in range(m):
-                for g in range(f + 1, m):
-                    gap = abs(d[i, f] - d[i, g])
-                    if gap > l[f, g] + TOL:
-                        raise MetricError(
-                            f"agent {i}: |d({f}) - d({g})| = {gap} exceeds l = {l[f, g]}")
-                    if d[i, f] + d[i, g] < l[f, g] - TOL:
-                        raise MetricError(
-                            f"agent {i}: d({f}) + d({g}) falls short of l = {l[f, g]}")
+        # Blocks of agents against the pairs f < g: the first offender is the
+        # one an agent-major scan over the pairs meets, the difference bound
+        # tested before the sum bound.
+        f, g = np.triu_indices(d.shape[1], 1)
+        rows = max(1, BLOCK // max(f.size, 1))
+        for start in range(0, len(d), rows):
+            df, dg = d[start:start + rows, f], d[start:start + rows, g]
+            gap = np.abs(df - dg)
+            wide = gap > l[f, g] + TOL
+            if (bad := _first(wide | (df + dg < l[f, g] - TOL))) is not None:
+                (r, p), i, fp, gp = bad, start + bad[0], int(f[bad[1]]), int(g[bad[1]])
+                if wide[r, p]:
+                    raise MetricError(f"agent {i}: |d({fp}) - d({gp})| = {gap[r, p]} "
+                                      f"exceeds l = {l[fp, gp]}")
+                raise MetricError(f"agent {i}: d({fp}) + d({gp}) falls short of l = {l[fp, gp]}")
 
     @property
     def n(self) -> int:
@@ -215,11 +233,8 @@ def shortest_path_completion(metric: FullMetric) -> np.ndarray:
 def preferences_from_metric(metric: FullMetric) -> PreferenceProfile:
     """Rank facilities by distance, equal distances broken toward the
     lower facility index."""
-    rankings = []
-    for row in metric.distances:
-        order = sorted(range(metric.m), key=lambda j: (row[j], j))
-        rankings.append(tuple(order))
-    return PreferenceProfile(metric.m, tuple(rankings))
+    order = np.argsort(metric.distances, axis=1, kind="stable")
+    return PreferenceProfile(metric.m, tuple(map(tuple, order.tolist())))
 
 
 def check_consistency(profile: PreferenceProfile, metric: FullMetric,
@@ -229,15 +244,12 @@ def check_consistency(profile: PreferenceProfile, metric: FullMetric,
     d = metric.distances
     if d.shape[0] != profile.n or d.shape[1] != profile.m:
         raise MetricError("profile and metric dimensions disagree")
-    for i, r in enumerate(profile.rankings):
-        if profile.top_only:
-            if d[i, r[0]] > d[i].min() + tol:
-                return False
-            continue
-        for a, b in zip(r, r[1:]):
-            if d[i, a] > d[i, b] + tol:
-                return False
-    return True
+    r = profile.array
+    if profile.top_only:
+        top = d[np.arange(profile.n), r[:, 0]]
+        return not np.any(top > d.min(axis=1) + tol)
+    ranked = np.take_along_axis(d, r, axis=1)
+    return not np.any(ranked[:, :-1] > ranked[:, 1:] + tol)
 
 
 @dataclass(frozen=True)
@@ -280,9 +292,6 @@ class ConsistencyConstraintSet:
     A: np.ndarray
     b: np.ndarray
     kinds: tuple[str, ...] = field(repr=False)
-
-    def var(self, i: int, f: int) -> int:
-        return i * self.m + f
 
     @property
     def nvars(self) -> int:

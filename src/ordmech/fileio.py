@@ -68,12 +68,16 @@ def _matrix(raw, fieldname: str) -> np.ndarray:
     return arr
 
 
-def _facility_index(names: FacilitySet, raw, fieldname: str) -> int:
-    _expect(isinstance(raw, str), "facility references are names", fieldname)
+def _facility_indices(index: dict[str, int], raw, fieldname: str) -> tuple[int, ...]:
+    """Positions of the facilities named in ``raw``, through the file's one
+    name -> index map; the first bad reference raises."""
     try:
-        return names.index(raw)
-    except MetricError:
-        raise SchemaError(f"unknown facility {raw!r}", field=fieldname) from None
+        return tuple([index[g] for g in raw])
+    except (KeyError, TypeError):  # not a name, or not a known one
+        for g in raw:
+            _expect(isinstance(g, str), "facility references are names", fieldname)
+            _expect(g in index, f"unknown facility {g!r}", fieldname)
+        raise
 
 
 def parse_instance(text: str) -> InstanceFile:
@@ -99,6 +103,7 @@ def instance_from_dict(data) -> InstanceFile:
     except MetricError as exc:
         raise SchemaError(str(exc), field="facilities") from None
     m = facilities.m
+    index = {name: f for f, name in enumerate(facilities.names)}
 
     fd = None
     if "facility_distances" in data:
@@ -121,8 +126,7 @@ def instance_from_dict(data) -> InstanceFile:
             entry = raw[name]
             _expect(isinstance(entry, list), "ranking must be a list",
                     f"candidate_rankings.{name}")
-            idx = tuple(_facility_index(facilities, g, f"candidate_rankings.{name}")
-                        for g in entry)
+            idx = _facility_indices(index, entry, f"candidate_rankings.{name}")
             _expect(sorted(idx) == sorted(set(range(m)) - {f}),
                     "must order all other facilities", f"candidate_rankings.{name}")
             rankings.append(idx)
@@ -144,8 +148,7 @@ def instance_from_dict(data) -> InstanceFile:
         for i, entry in enumerate(raw):
             _expect(isinstance(entry, list), "ranking must be a list",
                     f"preferences[{i}]")
-            rankings.append(tuple(_facility_index(facilities, g, f"preferences[{i}]")
-                                  for g in entry))
+            rankings.append(_facility_indices(index, entry, f"preferences[{i}]"))
         try:
             profile = PreferenceProfile(m, tuple(rankings))
         except ProfileError as exc:
@@ -153,7 +156,7 @@ def instance_from_dict(data) -> InstanceFile:
     else:
         raw = data["tops"]
         _expect(isinstance(raw, list) and raw, "must be a nonempty list", "tops")
-        tops = tuple((_facility_index(facilities, g, "tops"),) for g in raw)
+        tops = tuple((f,) for f in _facility_indices(index, raw, "tops"))
         profile = PreferenceProfile(m, tops, top_only=True)
 
     preset = data.get("preset")
@@ -195,13 +198,12 @@ def instance_from_dict(data) -> InstanceFile:
         assignment = None
         choice = None
         if raw_scen.get("assignment") is not None:
-            assignment = tuple(_facility_index(facilities, g, f"{where}.assignment")
-                               for g in raw_scen["assignment"])
+            assignment = _facility_indices(index, raw_scen["assignment"],
+                                           f"{where}.assignment")
             _expect(len(assignment) == profile.n, "one facility per agent",
                     f"{where}.assignment")
         if raw_scen.get("choice") is not None:
-            choice = tuple(_facility_index(facilities, g, f"{where}.choice")
-                           for g in raw_scen["choice"])
+            choice = _facility_indices(index, raw_scen["choice"], f"{where}.choice")
         expected = raw_scen.get("expected_ratio")
         scenarios.append(Scenario(label, scen_fd, scen_metric,
                                   raw_scen.get("note", ""), assignment, choice,
@@ -212,7 +214,7 @@ def instance_from_dict(data) -> InstanceFile:
 
 
 def _matrix_out(arr: np.ndarray) -> list:
-    return [[float(v) for v in row] for row in arr]
+    return np.asarray(arr, dtype=float).tolist()
 
 
 def instance_to_dict(inst: InstanceFile) -> dict:

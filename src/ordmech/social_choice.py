@@ -12,6 +12,7 @@ so the augmentation pass only ever examines single-direction pairs.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import combinations
@@ -47,65 +48,86 @@ class MajorityGraph:
                 if self.defeats_or_ties(a, b)}
 
     def condorcet_winner(self) -> int | None:
-        for w in range(self.m):
-            if all(self.strictly_defeats(w, y) for y in range(self.m) if y != w):
-                return w
-        return None
+        beats = 2 * self.prefer > self.n
+        np.fill_diagonal(beats, True)
+        winners = np.flatnonzero(beats.all(axis=1))
+        return int(winners[0]) if winners.size else None
 
 
 def majority_graph(profile: PreferenceProfile) -> MajorityGraph:
+    """Pairwise counts, one ``bincount`` per rank position p over the pairs
+    (facility at p, facility after p) encoded as a * m + b: memory stays
+    O(n m + m^2).  ``median_winner`` needs nothing more when a Condorcet
+    winner exists; the distance order's closure is left unbuilt."""
     if profile.top_only:
         raise ProfileError("majority graph needs full rankings")
-    m = profile.m
-    prefer = np.zeros((m, m), dtype=int)
-    for r in profile.rankings:
-        pos = np.empty(m, dtype=int)
-        for p, f in enumerate(r):
-            pos[f] = p
-        for a in range(m):
-            for b in range(m):
-                if a != b and pos[a] < pos[b]:
-                    prefer[a, b] += 1
+    m, r = profile.m, profile.array
+    prefer = np.zeros(m * m, dtype=np.int64)
+    for p in range(m - 1):
+        prefer += np.bincount((r[:, p, None] * m + r[:, p + 1:]).ravel(), minlength=m * m)
+    prefer = prefer.reshape(m, m)
     prefer.flags.writeable = False
     return MajorityGraph(profile.n, prefer)
 
 
 @dataclass(frozen=True)
 class DistancePartialOrder:
-    """Known "<=" relation between facility-pair distances, closed under
-    transitivity; cycles collapse into equality classes automatically
-    because every cycle member reaches every other in the closure."""
+    """Known "<=" relation between facility-pair distances.  From numeric
+    distances (``values``) ``leq`` compares two values directly.  From
+    candidate rankings it reads the transitive closure ``reach`` of the
+    ``chain`` edges (closer pair, farther pair) along each ranking, which
+    is built only for candidate rankings and only on the first query;
+    cycles collapse into equality classes, as every member reaches every
+    other."""
 
     m: int
     pairs: tuple[tuple[int, int], ...]
-    reach: np.ndarray  # reach[p, q]: distance of pair p known <= pair q
+    values: np.ndarray | None = None  # values[p]: distance of pair p
+    chain: np.ndarray | None = None   # rows (p, q): pair p known <= pair q
 
     def pair_index(self, f: int, g: int) -> int:
         if f > g:
             f, g = g, f
-        return self.pairs.index((f, g))
+        if not 0 <= f < g < self.m:
+            raise ValueError(f"{(f, g)} is not a pair of distinct facilities")
+        return f * (2 * self.m - f - 1) // 2 + g - f - 1
 
     def leq(self, pair_a: tuple[int, int], pair_b: tuple[int, int]) -> bool:
-        return bool(self.reach[self.pair_index(*pair_a), self.pair_index(*pair_b)])
+        p, q = self.pair_index(*pair_a), self.pair_index(*pair_b)
+        if self.values is not None:
+            return bool(self.values[p] <= self.values[q] + TOL)
+        return bool(self.reach[p, q])
+
+    @functools.cached_property
+    def reach(self) -> np.ndarray:
+        """reach[p, q]: distance of pair p known <= pair q."""
+        if self.values is not None:
+            reach = self.values[:, None] <= self.values[None, :] + TOL
+        else:
+            reach = _reachability(len(self.pairs), self.chain)
+        reach.flags.writeable = False
+        return reach
 
     def equality_classes(self) -> list[set[tuple[int, int]]]:
-        seen = set()
-        classes = []
-        for p, pair in enumerate(self.pairs):
-            if p in seen:
-                continue
-            cls = {q for q in range(len(self.pairs))
-                   if self.reach[p, q] and self.reach[q, p]}
-            seen |= cls
-            classes.append({self.pairs[q] for q in cls})
+        same, seen, classes = self.reach & self.reach.T, set(), []
+        for p in range(len(self.pairs)):
+            if p not in seen:
+                cls = set(np.flatnonzero(same[p]).tolist())
+                seen |= cls
+                classes.append({self.pairs[q] for q in cls})
         return classes
 
 
-def _close(reach: np.ndarray) -> np.ndarray:
-    reach = reach.copy()
-    for k in range(reach.shape[0]):
-        reach |= np.outer(reach[:, k], reach[k, :])
-    reach.flags.writeable = False
+def _reachability(size: int, edges: np.ndarray) -> np.ndarray:
+    """Boolean reflexive-transitive closure of the directed graph with these
+    edge rows, by a breadth-first search from each node."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import breadth_first_order
+
+    graph = csr_matrix((np.ones(len(edges)), (edges[:, 0], edges[:, 1])), shape=(size, size))
+    reach = np.zeros((size, size), dtype=bool)
+    for v in range(size):
+        reach[v, breadth_first_order(graph, v, return_predecessors=False)] = True
     return reach
 
 
@@ -119,15 +141,9 @@ def distance_partial_order(source) -> DistancePartialOrder:
 
 
 def _order_from_values(fd: FacilityDistances) -> DistancePartialOrder:
-    pairs = tuple(combinations(range(fd.m), 2))
-    P = len(pairs)
-    reach = np.zeros((P, P), dtype=bool)
-    vals = [fd.values[f, g] for f, g in pairs]
-    for p in range(P):
-        for q in range(P):
-            reach[p, q] = vals[p] <= vals[q] + TOL
-    reach.flags.writeable = False
-    return DistancePartialOrder(fd.m, pairs, reach)
+    values = fd.values[np.triu_indices(fd.m, 1)]
+    values.flags.writeable = False
+    return DistancePartialOrder(fd.m, tuple(combinations(range(fd.m), 2)), values=values)
 
 
 def _order_from_candidate_rankings(rankings) -> DistancePartialOrder:
@@ -137,18 +153,12 @@ def _order_from_candidate_rankings(rankings) -> DistancePartialOrder:
         if sorted(r) != sorted(set(range(m)) - {f}):
             raise ProfileError(
                 f"candidate {f}: ranking must totally order the other candidates")
-    pairs = tuple(combinations(range(m), 2))
-    P = len(pairs)
-    index = {pair: p for p, pair in enumerate(pairs)}
-
-    def pidx(a, b):
-        return index[(a, b) if a < b else (b, a)]
-
-    reach = np.eye(P, dtype=bool)
-    for f, r in enumerate(rankings):
-        for closer, farther in zip(r, r[1:]):
-            reach[pidx(f, closer), pidx(f, farther)] = True
-    return DistancePartialOrder(m, pairs, _close(reach))
+    ranked = np.array(rankings, dtype=np.intp).reshape(m, max(m - 1, 0))
+    lo, hi = np.minimum(np.arange(m)[:, None], ranked), np.maximum(np.arange(m)[:, None], ranked)
+    ids = lo * (2 * m - lo - 1) // 2 + hi - lo - 1  # pair_index(f, ranked[f, j])
+    chain = np.stack([ids[:, :-1].ravel(), ids[:, 1:].ravel()], axis=1)
+    chain.flags.writeable = False
+    return DistancePartialOrder(m, tuple(combinations(range(m), 2)), chain=chain)
 
 
 @dataclass(frozen=True)
@@ -210,29 +220,16 @@ def median_winner(profile: PreferenceProfile,
     m = profile.m
     cw = graph.condorcet_winner()
     if cw is not None:
-        cert = tuple(EdgeJustification((cw, y), "majority")
-                     for y in range(m) if y != cw)
-        return SocialChoiceOutcome(cw, "condorcet", cert)
-
+        return SocialChoiceOutcome(cw, "condorcet", tuple(
+            EdgeJustification((cw, y), "majority") for y in range(m) if y != cw))
     added = augment_majority_edges(graph, order)
-
-    def out_full(v: int) -> bool:
-        return all(graph.defeats_or_ties(v, y) or (v, y) in added
-                   for y in range(m) if y != v)
-
     for w in range(m):
-        if out_full(w):
-            cert = []
-            for y in range(m):
-                if y == w:
-                    continue
-                if graph.defeats_or_ties(w, y):
-                    cert.append(EdgeJustification((w, y), "majority"))
-                else:
-                    cert.append(EdgeJustification((w, y), "witness", added[(w, y)]))
-            return SocialChoiceOutcome(w, "augmented_majority", tuple(cert))
-    raise InternalInvariantError(
-        "no alternative dominates the augmented majority graph")
+        cert = tuple(EdgeJustification((w, y), "majority") if graph.defeats_or_ties(w, y)
+                     else EdgeJustification((w, y), "witness", added.get((w, y)))
+                     for y in range(m) if y != w)
+        if all(j.via == "majority" or j.witness is not None for j in cert):
+            return SocialChoiceOutcome(w, "augmented_majority", cert)
+    raise InternalInvariantError("no alternative dominates the augmented majority graph")
 
 
 def evaluate_sum_cost(x: int, metric: FullMetric) -> float:
@@ -261,15 +258,9 @@ def evaluate_median_cost(x: int, metric: FullMetric) -> float:
 def copeland_winner(profile: PreferenceProfile) -> SocialChoiceOutcome:
     """Baseline: one point per strict pairwise defeat, half per tie."""
     graph = majority_graph(profile)
-    m = profile.m
-    scores = np.zeros(m)
-    for a, b in combinations(range(m), 2):
-        if graph.strictly_defeats(a, b):
-            scores[a] += 1.0
-        elif graph.strictly_defeats(b, a):
-            scores[b] += 1.0
-        else:
-            scores[a] += 0.5
-            scores[b] += 0.5
+    wins = 2 * graph.prefer > graph.n
+    ties = ~(wins | wins.T)
+    np.fill_diagonal(ties, False)
+    scores = wins.sum(axis=1) + 0.5 * ties.sum(axis=1)
     winner = int(np.argmax(scores))
     return SocialChoiceOutcome(winner, "copeland", scores=tuple(scores))

@@ -10,17 +10,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 
-from .assignment import (Assignment, ProjectedProblem, count_search_space,
-                         iter_valid_assignments, total_cost)
+from .assignment import (Assignment, DistanceCost, ProjectedProblem,
+                         count_search_space, iter_valid_assignments, total_cost)
+from .core import BLOCK
 from .errors import SearchSpaceError, SolverError
 
 BRUTE_FORCE_CAP = 10 ** 6
 KMEDIAN_EXACT_CAP = 10 ** 5
 FACILITY_EXACT_MAX_M = 16
+SCREEN_RTOL = 1e-9  # far above the (n + m) * 2.2e-16 rounding of a screened cost
 
 
 @dataclass(frozen=True)
@@ -33,6 +35,41 @@ class SolverResult:
     def __post_init__(self):
         if self.exact and self.beta != 1.0:
             raise SolverError("an exact solver must claim beta = 1")
+
+
+def _serve(D: np.ndarray, subset) -> Assignment:
+    """Each agent's nearest facility of ``subset`` (ascending), lowest index on ties."""
+    subset = np.asarray(subset)
+    return tuple(subset[np.argmin(D[:, subset], axis=1)].tolist())
+
+
+def _near_minimal(D: np.ndarray, sizes, largest: bool = False, opening=None) -> list[list[int]]:
+    """The subsets of facilities with a size in ``sizes`` (ascending lists,
+    in ``combinations`` order) that may serve the rows of ``D``, each by its
+    nearest open facility, at least cost: the sum (with ``largest``, the
+    maximum) of distances plus the opening costs of the facilities used.
+    Equal rows, such as the agents projected to one facility, are costed
+    once and weighted by their count; that sums in another order than a
+    per-agent cost, so every subset within a rounding margin of the least
+    is kept for the caller to cost per agent."""
+    rows, counts = np.unique(D, axis=0, return_counts=True)
+    opening = np.zeros(D.shape[1]) if opening is None else np.asarray(opening, dtype=float)
+    margin = SCREEN_RTOL * (1.0 + counts @ rows.max(axis=1) + np.abs(opening).sum())
+    kept, least = [], np.inf
+    for size in sizes:
+        subsets = combinations(range(D.shape[1]), size)
+        while block := list(islice(subsets, max(1, BLOCK // max(len(rows) * size, 1)))):
+            block = np.array(block)
+            near = rows[:, block]                                # rows x subsets x size
+            pick = near.argmin(axis=2)
+            dist = np.take_along_axis(near, pick[..., None], 2)[..., 0].T
+            used = np.zeros((len(block), D.shape[1]))
+            used[np.arange(len(block))[:, None], np.take_along_axis(block, pick.T, 1)] = 1
+            cost = (dist.max(axis=1) if largest else dist @ counts) + used @ opening
+            least = min(least, cost.min())
+            keep = cost <= least + margin
+            kept += zip(cost[keep].tolist(), block[keep].tolist())
+    return [subset for cost, subset in kept if cost <= least + margin]
 
 
 def brute_force_optimal(projected: ProjectedProblem,
@@ -51,23 +88,16 @@ def brute_force_optimal(projected: ProjectedProblem,
 
     plain = (cons.capacities is None and not cons.must_coassign
              and not cons.must_separate and not spec.coassign_penalties)
-    if plain and cons.exactly_open == 1:
+    if plain and cons.exactly_open in (None, 1):
+        limit = cons.at_most_open if cons.at_most_open is not None else m
+        sizes = (1,) if cons.exactly_open == 1 else range(1, limit + 1)
         best = None
-        for f in range(m):
-            x = (f,) * n
+        for subset in _near_minimal(D, sizes, spec.distance_cost is DistanceCost.MAX,
+                                    spec.opening_costs):
+            x = _serve(D, subset)
             c = total_cost(x, D, spec)
             if better(c, x, best):
                 best = (c, x)
-        return SolverResult(best[1], best[0], 1.0, True)
-    if plain and cons.exactly_open is None:
-        limit = cons.at_most_open if cons.at_most_open is not None else m
-        best = None
-        for size in range(1, limit + 1):
-            for subset in combinations(range(m), size):
-                x = tuple(min(subset, key=lambda f: (D[i, f], f)) for i in range(n))
-                c = total_cost(x, D, spec)
-                if better(c, x, best):
-                    best = (c, x)
         return SolverResult(best[1], best[0], 1.0, True)
 
     if count_search_space(n, m) > cap:
@@ -90,49 +120,33 @@ def min_cost_matching(cost) -> SolverResult:
     if cost.ndim != 2 or cost.shape[0] != cost.shape[1]:
         raise SolverError(f"matching needs a square cost matrix, got {cost.shape}")
     n = cost.shape[0]
-    INF = float("inf")
-    u = [0.0] * (n + 1)
-    v = [0.0] * (n + 1)
-    p = [0] * (n + 1)    # p[j]: row currently matched to column j (1-based)
-    way = [0] * (n + 1)
+    u, v = np.zeros(n + 1), np.zeros(n + 1)
+    p = np.zeros(n + 1, dtype=int)    # p[j]: row currently matched to column j (1-based)
+    way = np.zeros(n + 1, dtype=int)
     for i in range(1, n + 1):
-        p[0] = i
-        j0 = 0
-        minv = [INF] * (n + 1)
-        used = [False] * (n + 1)
+        p[0], j0 = i, 0
+        minv = np.full(n + 1, np.inf)
+        used = np.zeros(n + 1, dtype=bool)
         while True:
             used[j0] = True
-            i0 = p[j0]
-            delta = INF
-            j1 = 0
-            for j in range(1, n + 1):
-                if used[j]:
-                    continue
-                cur = cost[i0 - 1][j - 1] - u[i0] - v[j]
-                if cur < minv[j]:
-                    minv[j] = cur
-                    way[j] = j0
-                if minv[j] < delta:
-                    delta = minv[j]
-                    j1 = j
-            for j in range(n + 1):
-                if used[j]:
-                    u[p[j]] += delta
-                    v[j] -= delta
-                else:
-                    minv[j] -= delta
+            free = np.flatnonzero(~used)
+            cur = cost[p[j0] - 1, free - 1] - u[p[j0]] - v[free]
+            closer = cur < minv[free]
+            minv[free[closer]] = cur[closer]
+            way[free[closer]] = j0
+            j1 = free[np.argmin(minv[free])]  # the first least, as a scan would take
+            delta = minv[j1]
+            u[p[used]] += delta
+            v[used] -= delta
+            minv[~used] -= delta
             j0 = j1
             if p[j0] == 0:
                 break
         while j0:
-            j1 = way[j0]
-            p[j0] = p[j1]
-            j0 = j1
-    assignment = [0] * n
-    for j in range(1, n + 1):
-        if p[j]:
-            assignment[p[j] - 1] = j - 1
-    x = tuple(assignment)
+            p[j0], j0 = p[way[j0]], way[j0]
+    assignment = np.zeros(n, dtype=int)
+    assignment[p[1:] - 1] = np.arange(n)
+    x = tuple(assignment.tolist())
     value = float(sum(cost[i, x[i]] for i in range(n)))
     return SolverResult(x, value, 1.0, True)
 
@@ -209,17 +223,16 @@ def k_center_greedy(fd_values: np.ndarray, tops, k: int) -> SolverResult:
             raise SolverError("farthest agent hosted at an open center")
         centers.append(nxt)
         dist = np.minimum(dist, fd_values[list(tops), nxt])
-    centers_arr = np.asarray(sorted(centers))
-    sub = fd_values[np.asarray(tops)[:, None], centers_arr[None, :]]
-    x = tuple(int(centers_arr[j]) for j in np.argmin(sub, axis=1))
-    value = float(max(fd_values[tops[i], x[i]] for i in range(len(tops))))
+    x = _serve(fd_values[list(tops)], sorted(centers))
+    value = float(fd_values[list(tops), list(x)].max())
     return SolverResult(x, value, 2.0, False)
 
 
 def k_median_solver(fd_values: np.ndarray, tops, k: int,
                     exact_cap: int = KMEDIAN_EXACT_CAP) -> SolverResult:
     """Exact subset enumeration while C(m, k) fits the budget, otherwise
-    single-swap local search (documented factor 5)."""
+    single-swap local search (documented factor 5).  The enumeration costs
+    per agent only the subsets that ``_near_minimal`` keeps."""
     fd_values = np.asarray(fd_values, dtype=float)
     m = fd_values.shape[0]
     tops = list(tops)
@@ -232,7 +245,7 @@ def k_median_solver(fd_values: np.ndarray, tops, k: int,
 
     if math.comb(m, k) <= exact_cap:
         best = None
-        for subset in combinations(range(m), k):
+        for subset in _near_minimal(D, (k,)):
             c = subset_cost(subset)
             if best is None or c < best[0]:
                 best = (c, subset)
@@ -259,15 +272,14 @@ def k_median_solver(fd_values: np.ndarray, tops, k: int,
                     break
         exact = False
         beta = 5.0
-    subset = list(subset)
-    x = tuple(min(subset, key=lambda f: (D[i, f], f)) for i in range(len(tops)))
-    return SolverResult(x, cost, beta, exact)
+    return SolverResult(_serve(D, subset), cost, beta, exact)
 
 
 def facility_location_solver(distances: np.ndarray, opening_costs) -> SolverResult:
     """Exact open-set enumeration up to 16 facilities; beyond that an
     incremental greedy whose documented factor is harmonic in the agent
-    count."""
+    count.  The enumeration evaluates only the open sets that
+    ``_near_minimal`` keeps, in bitmask order."""
     D = np.asarray(distances, dtype=float)
     costs = np.asarray(opening_costs, dtype=float)
     n, m = D.shape
@@ -275,15 +287,15 @@ def facility_location_solver(distances: np.ndarray, opening_costs) -> SolverResu
         raise SolverError("need one opening cost per facility")
 
     def eval_open(subset: list[int]) -> tuple[float, Assignment]:
-        x = tuple(min(subset, key=lambda f: (D[i, f], f)) for i in range(n))
+        x = _serve(D, subset)
         used = set(x)
         value = float(sum(costs[f] for f in used) + sum(D[i, x[i]] for i in range(n)))
         return value, x
 
     if m <= FACILITY_EXACT_MAX_M:
         best = None
-        for mask in range(1, 1 << m):
-            subset = [f for f in range(m) if mask >> f & 1]
+        for subset in sorted(_near_minimal(D, range(1, m + 1), opening=costs),
+                             key=lambda subset: sum(1 << f for f in subset)):
             value, x = eval_open(subset)
             if best is None or value < best[0]:
                 best = (value, x)

@@ -5,7 +5,12 @@ symmetric matrix; agent rows are convex mixtures of two facility rows
 plus a nonnegative shift, which keeps every row inside the consistency
 polytope, and the profile is read off the metric, so every generated
 instance is consistent by construction.
+
+The loop oracles at the end are the plain per-agent and per-pair loops
+that the library's array passes replace; the parity tests compare the two.
 """
+
+from itertools import combinations
 
 import numpy as np
 
@@ -51,3 +56,187 @@ def random_instance(rng, n_max=8, m_max=5, n_min=2, m_min=2):
     metric = random_consistent_metric(rng, fd, n)
     profile = preferences_from_metric(metric)
     return profile, fd, metric
+
+
+# ---------------------------------------------------------------------------
+# Loop oracles: the per-agent and per-pair loops that the array passes in
+# ``ordmech`` replaced, kept verbatim as references for the parity tests.
+
+def loop_validate_distance_matrix(a, tol=1e-9):
+    """(ok, reason, triple) of the first offending entry."""
+    a = np.asarray(a, dtype=float)
+    m = a.shape[0]
+    for i in range(m):
+        if abs(a[i, i]) > tol:
+            return False, "nonzero diagonal", (i, i)
+    for i in range(m):
+        for j in range(i + 1, m):
+            if a[i, j] < -tol or a[j, i] < -tol:
+                return False, "negative distance", (i, j)
+            if abs(a[i, j] - a[j, i]) > tol:
+                return False, "asymmetric", (i, j)
+    for i in range(m):
+        for j in range(m):
+            for k in range(m):
+                if a[i, k] > a[i, j] + a[j, k] + tol:
+                    return False, "triangle inequality violated", (i, j, k)
+    return True, None, None
+
+
+def loop_full_metric_error(d, l, tol=1e-9):
+    """Message of the first geometry violation of an agent-facility
+    matrix, or None when it is valid."""
+    d = np.asarray(d, dtype=float)
+    if np.any(d < -tol):
+        return "negative agent-facility distance"
+    n, m = d.shape
+    for i in range(n):
+        for f in range(m):
+            for g in range(f + 1, m):
+                gap = abs(d[i, f] - d[i, g])
+                if gap > l[f, g] + tol:
+                    return f"agent {i}: |d({f}) - d({g})| = {gap} exceeds l = {l[f, g]}"
+                if d[i, f] + d[i, g] < l[f, g] - tol:
+                    return f"agent {i}: d({f}) + d({g}) falls short of l = {l[f, g]}"
+    return None
+
+
+def loop_check_consistency(rankings, top_only, d, tol=1e-9):
+    for i, r in enumerate(rankings):
+        if top_only:
+            if d[i, r[0]] > d[i].min() + tol:
+                return False
+            continue
+        for a, b in zip(r, r[1:]):
+            if d[i, a] > d[i, b] + tol:
+                return False
+    return True
+
+
+def loop_majority_counts(rankings, m):
+    prefer = np.zeros((m, m), dtype=int)
+    for r in rankings:
+        pos = np.empty(m, dtype=int)
+        for p, f in enumerate(r):
+            pos[f] = p
+        for a in range(m):
+            for b in range(m):
+                if a != b and pos[a] < pos[b]:
+                    prefer[a, b] += 1
+    return prefer
+
+
+def loop_numeric_reach(fd, tol=1e-9):
+    pairs = list(combinations(range(fd.m), 2))
+    vals = [fd.values[f, g] for f, g in pairs]
+    return np.array([[vp <= vq + tol for vq in vals] for vp in vals], dtype=bool)
+
+
+def loop_candidate_reach(rankings):
+    """Warshall closure of the chain edges of each candidate's ranking."""
+    m = len(rankings)
+    pairs = list(combinations(range(m), 2))
+    index = {pair: p for p, pair in enumerate(pairs)}
+    reach = np.eye(len(pairs), dtype=bool)
+    for f, r in enumerate(rankings):
+        for closer, farther in zip(r, r[1:]):
+            reach[index[tuple(sorted((f, closer)))], index[tuple(sorted((f, farther)))]] = True
+    for k in range(len(pairs)):
+        reach |= np.outer(reach[:, k], reach[k, :])
+    return reach
+
+
+def _loop_serve(D, subset):
+    return tuple(min(subset, key=lambda f: (D[i, f], f)) for i in range(D.shape[0]))
+
+
+def loop_k_median(fd_values, tops, k):
+    """(assignment, value): first subset of least cost in combinations order."""
+    D = np.asarray(fd_values, dtype=float)[list(tops), :]
+    best = None
+    for subset in combinations(range(D.shape[1]), k):
+        c = float(D[:, list(subset)].min(axis=1).sum())
+        if best is None or c < best[0]:
+            best = (c, subset)
+    return _loop_serve(D, best[1]), best[0]
+
+
+def loop_facility_location(D, costs):
+    """(assignment, value): first open set of least cost in bitmask order."""
+    D = np.asarray(D, dtype=float)
+    n, m = D.shape
+    best = None
+    for mask in range(1, 1 << m):
+        subset = [f for f in range(m) if mask >> f & 1]
+        x = _loop_serve(D, subset)
+        value = float(sum(costs[f] for f in set(x)) + sum(D[i, x[i]] for i in range(n)))
+        if best is None or value < best[0]:
+            best = (value, x)
+    return best[1], best[0]
+
+
+def loop_open_count_brute_force(D, spec, sizes):
+    """(assignment, value) of the open-count subset search over subsets of
+    the given sizes: least cost, then the lexicographically first assignment."""
+    from ordmech.assignment import total_cost
+
+    best = None
+    for size in sizes:
+        for subset in combinations(range(D.shape[1]), size):
+            x = _loop_serve(D, subset)
+            c = total_cost(x, D, spec)
+            if best is None or c < best[0] or (c == best[0] and x < best[1]):
+                best = (c, x)
+    return best[1], best[0]
+
+
+def loop_profile_error(m, rankings, top_only):
+    """Message of the first malformed ranking, or None."""
+    for i, r in enumerate(rankings):
+        if len(r) == 0:
+            return f"agent {i} has an empty ranking"
+        if top_only:
+            if len(r) != 1 or not 0 <= r[0] < m:
+                return f"agent {i}: top-only entry must be one facility index"
+        elif sorted(r) != list(range(m)):
+            return f"agent {i}: ranking is not a permutation of all facilities"
+    return None
+
+
+def loop_min_cost_matching(cost):
+    """(assignment, value) by shortest augmenting paths with potentials."""
+    n = cost.shape[0]
+    INF = float("inf")
+    u, v = [0.0] * (n + 1), [0.0] * (n + 1)
+    p, way = [0] * (n + 1), [0] * (n + 1)
+    for i in range(1, n + 1):
+        p[0], j0 = i, 0
+        minv, used = [INF] * (n + 1), [False] * (n + 1)
+        while True:
+            used[j0] = True
+            i0, delta, j1 = p[j0], INF, 0
+            for j in range(1, n + 1):
+                if used[j]:
+                    continue
+                cur = cost[i0 - 1][j - 1] - u[i0] - v[j]
+                if cur < minv[j]:
+                    minv[j], way[j] = cur, j0
+                if minv[j] < delta:
+                    delta, j1 = minv[j], j
+            for j in range(n + 1):
+                if used[j]:
+                    u[p[j]] += delta
+                    v[j] -= delta
+                else:
+                    minv[j] -= delta
+            j0 = j1
+            if p[j0] == 0:
+                break
+        while j0:
+            j1 = way[j0]
+            p[j0] = p[j1]
+            j0 = j1
+    x = [0] * n
+    for j in range(1, n + 1):
+        x[p[j] - 1] = j - 1
+    return tuple(x), float(sum(cost[i, x[i]] for i in range(n)))

@@ -190,3 +190,23 @@ def test_full_metric_rejects_geometry_violations():
         FullMetric([[0.5, 0.5]], fd)   # sum below l
     with pytest.raises(MetricError):
         FullMetric([[-1.0, 1.0]], fd)  # negative distance
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_facility_distances_rejected(bad):
+    values = [[0.0, bad], [bad, 0.0]]
+    with pytest.raises(MetricError, match=r"non-finite distance .* at \(0, 1\)"):
+        validate_distance_matrix(values)
+    with pytest.raises(MetricError, match=r"non-finite distance .* at \(0, 1\)"):
+        facility_distances(("X", "Y"), values)
+    diagonal = [[bad, 1.0], [1.0, 0.0]]
+    with pytest.raises(MetricError, match=r"at \(0, 0\)"):
+        validate_distance_matrix(diagonal)
+
+
+@pytest.mark.parametrize("row, first", [([np.nan, 1.0], 0), ([np.inf, np.inf], 0),
+                                        ([1.0, np.nan], 1), ([1.0, -np.inf], 1)])
+def test_non_finite_agent_distances_rejected(row, first):
+    fd = facility_distances(("X", "Y"), [[0, 1], [1, 0.0]])
+    with pytest.raises(MetricError, match=rf"agent 1: d\({first}\) = .* is not finite"):
+        FullMetric([[1.0, 1.0], row], fd)

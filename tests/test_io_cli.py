@@ -318,3 +318,23 @@ def test_cli_strawman_square_full_rankings_audit(tmp_path):
     assert report["outcome"]["winner"] == "X"
     assert report["audit"]["exact"] is True
     assert report["audit"]["value"] <= 3 + 1e-6
+
+
+@pytest.mark.parametrize("key, value, field, message", [
+    ("preferences", [["A", "B"], ["B", "Z"]], "preferences[1]", "unknown facility 'Z'"),
+    ("preferences", [["A", 1]], "preferences[0]", "facility references are names"),
+    ("preferences", [["A", ["B"]]], "preferences[0]", "facility references are names"),
+    ("tops", ["A", "Q"], "tops", "unknown facility 'Q'"),
+    ("candidate_rankings", {"A": ["B"], "B": ["C"]}, "candidate_rankings.B",
+     "unknown facility 'C'"),
+])
+def test_unknown_facility_names_name_their_field(key, value, field, message):
+    raw = {"schema": "ordmech-instance-v1", "facilities": ["A", "B"],
+           "facility_distances": [[0, 1], [1, 0]], "preset": "social_choice_sum"}
+    raw[key] = value
+    if key == "candidate_rankings":
+        raw["preferences"] = [["A", "B"]]
+    with pytest.raises(SchemaError) as err:
+        parse_instance(json.dumps(raw))
+    assert err.value.field == field
+    assert message in str(err.value)

@@ -1,0 +1,339 @@
+"""Array passes against the loop oracles they replaced (``helpers``).
+
+Validation must name the same first offender with the same message,
+mechanisms must return the same counts, orders, winners and certificates,
+and the exact projected solvers the same assignments and values bit for
+bit, ties included.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+
+from ordmech import (FullMetric, MetricError, PreferenceProfile, ProfileError,
+                     brute_force_optimal, build_preset, check_consistency,
+                     distance_partial_order, facility_distances,
+                     facility_location_solver, k_center_greedy, k_median_solver,
+                     majority_graph, median_winner, min_cost_matching,
+                     preferences_from_metric, project_problem,
+                     validate_distance_matrix)
+
+from helpers import (loop_candidate_reach, loop_check_consistency,
+                     loop_facility_location, loop_full_metric_error, loop_k_median,
+                     loop_majority_counts, loop_min_cost_matching, loop_numeric_reach,
+                     loop_open_count_brute_force, loop_profile_error,
+                     loop_validate_distance_matrix, random_consistent_metric,
+                     random_facility_distances, random_instance)
+
+
+def _perturb(rng, a, count):
+    """A copy of ``a`` with ``count`` entries moved by amounts from just
+    inside the 1e-9 tolerance up to order one, either sign."""
+    a = np.array(a, dtype=float)
+    scale = rng.choice([5e-10, 2e-9, 1e-3, 0.5, 3.0], size=count)
+    a.flat[rng.integers(0, a.size, count)] += scale * rng.choice([-1.0, 1.0], size=count)
+    return a
+
+
+def test_validate_distance_matrix_first_offender_matches_loop():
+    rng = np.random.default_rng(101)
+    reasons = {}
+    for _ in range(400):
+        fd = random_facility_distances(rng, int(rng.integers(1, 7)))
+        values = _perturb(rng, fd.values, int(rng.integers(0, 4)))
+        if rng.random() < 0.5:  # symmetric: the triangle check decides
+            values = np.triu(values) + np.triu(values, 1).T
+        check = validate_distance_matrix(values)
+        expected = loop_validate_distance_matrix(values)
+        assert (check.ok, check.reason, check.triple) == expected
+        reasons[check.reason] = reasons.get(check.reason, 0) + 1
+    assert min(reasons.values()) >= 5, reasons  # every kind of offender occurs
+
+
+def test_full_metric_first_offender_message_matches_loop():
+    rng = np.random.default_rng(102)
+    failures = 0
+    for _ in range(300):
+        fd = random_facility_distances(rng, int(rng.integers(1, 6)))
+        base = random_consistent_metric(rng, fd, int(rng.integers(1, 9))).distances
+        d = _perturb(rng, base, int(rng.integers(0, 4)))
+        expected = loop_full_metric_error(d, fd.values)
+        if expected is None:
+            FullMetric(d, fd)
+            continue
+        failures += 1
+        with pytest.raises(MetricError) as err:
+            FullMetric(d, fd)
+        assert str(err.value) == expected
+    assert failures > 100
+
+
+def test_full_metric_blocks_keep_agent_major_order():
+    # Enough agents for several validation blocks; offenders in two of them.
+    rng = np.random.default_rng(103)
+    fd = random_facility_distances(rng, 12)
+    d = random_consistent_metric(rng, fd, 3000).distances.copy()
+    d[2900, 11] += 50.0
+    d[2950, 0] += 50.0
+    with pytest.raises(MetricError) as err:
+        FullMetric(d, fd)
+    assert str(err.value) == loop_full_metric_error(d, fd.values)
+    assert str(err.value).startswith("agent 2900:")
+
+
+def _malformed(rng, r, m):
+    """``r`` broken in one of several ways, or left as it is."""
+    r = list(r)
+    kind = int(rng.integers(0, 6))
+    if kind == 1 and r:
+        r[int(rng.integers(0, len(r)))] = int(rng.integers(-1, m + 1))  # duplicate or range
+    elif kind == 2:
+        r = r[:-1]                                                       # too short
+    elif kind == 3:
+        r = r + [int(rng.integers(0, m))]                                # too long
+    elif kind == 4 and rng.random() < 0.3:
+        r = []
+    return tuple(r)
+
+
+def test_profile_first_malformed_ranking_matches_loop():
+    rng = np.random.default_rng(112)
+    failures = 0
+    for _ in range(400):
+        m, n = int(rng.integers(1, 6)), int(rng.integers(1, 7))
+        top_only = rng.random() < 0.3
+        rankings = []
+        for _ in range(n):
+            r = (int(rng.integers(0, m)),) if top_only else tuple(rng.permutation(m).tolist())
+            rankings.append(_malformed(rng, r, m) if rng.random() < 0.3 else r)
+        rankings = tuple(rankings)
+        expected = loop_profile_error(m, rankings, top_only)
+        if expected is None:
+            profile = PreferenceProfile(m, rankings, top_only)
+            assert profile.array.tolist() == [list(r) for r in rankings]
+            continue
+        failures += 1
+        with pytest.raises(ProfileError) as err:
+            PreferenceProfile(m, rankings, top_only)
+        assert str(err.value) == expected
+    assert failures > 100
+
+
+def test_check_consistency_matches_loop_full_and_top_only():
+    rng = np.random.default_rng(104)
+    seen = set()
+    for _ in range(200):
+        profile, fd, metric = random_instance(rng, n_max=8, m_max=5)
+        if rng.random() < 0.5:  # another agent's ranking: often inconsistent
+            rankings = tuple(profile.rankings[int(j)]
+                             for j in rng.permutation(profile.n))
+            profile = PreferenceProfile(profile.m, rankings)
+        for top_only in (False, True):
+            rankings = tuple((r[0],) for r in profile.rankings) if top_only \
+                else profile.rankings
+            prof = PreferenceProfile(profile.m, rankings, top_only=top_only)
+            got = check_consistency(prof, metric)
+            assert got == loop_check_consistency(rankings, top_only, metric.distances)
+            seen.add((top_only, got))
+    assert seen == {(False, True), (False, False), (True, True), (True, False)}
+
+
+def test_majority_counts_match_loop():
+    rng = np.random.default_rng(105)
+    cases = [(1, 1), (1, 2), (2, 2), (4, 2), (6, 3), (10, 4), (7, 5), (30, 6)]
+    for n, m in cases:
+        for _ in range(5):
+            rankings = tuple(tuple(int(f) for f in rng.permutation(m)) for _ in range(n))
+            graph = majority_graph(PreferenceProfile(m, rankings))
+            np.testing.assert_array_equal(graph.prefer, loop_majority_counts(rankings, m))
+            assert graph.prefer.dtype == loop_majority_counts(rankings, m).dtype
+
+
+def test_majority_even_n_exact_ties():
+    # Half the agents one way, half the other: every pair ties exactly.
+    m = 4
+    rankings = ((0, 1, 2, 3),) * 3 + ((3, 2, 1, 0),) * 3
+    graph = majority_graph(PreferenceProfile(m, rankings))
+    assert (graph.prefer + np.eye(m, dtype=int) * 3 == 3).all()
+    assert graph.condorcet_winner() is None
+    assert graph.edges() == {(a, b) for a in range(m) for b in range(m) if a != b}
+
+
+def test_condorcet_winner_matches_pairwise_definition():
+    rng = np.random.default_rng(106)
+    for _ in range(100):
+        m, n = int(rng.integers(1, 6)), int(rng.integers(1, 8))
+        rankings = tuple(tuple(int(f) for f in rng.permutation(m)) for _ in range(n))
+        graph = majority_graph(PreferenceProfile(m, rankings))
+        expected = next((w for w in range(m)
+                         if all(graph.strictly_defeats(w, y) for y in range(m) if y != w)),
+                        None)
+        assert graph.condorcet_winner() == expected
+
+
+def _candidate_rankings(rng, m, shuffled):
+    pts = rng.uniform(0.0, 10.0, size=(m, 2))
+    l = np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(axis=2))
+    out = []
+    for f in range(m):
+        others = [g for g in np.argsort(l[f], kind="stable").tolist() if g != f]
+        if shuffled:
+            rng.shuffle(others)
+        out.append(tuple(others))
+    return tuple(out)
+
+
+def test_pair_index_and_leq_match_loop_orders():
+    rng = np.random.default_rng(107)
+    for m in range(2, 7):
+        for trial in range(4):
+            fd = random_facility_distances(rng, m)
+            ranks = _candidate_rankings(rng, m, shuffled=trial % 2 == 1)
+            for order, reach in ((distance_partial_order(fd), loop_numeric_reach(fd)),
+                                 (distance_partial_order(ranks), loop_candidate_reach(ranks))):
+                for p, (f, g) in enumerate(order.pairs):
+                    assert order.pair_index(f, g) == order.pair_index(g, f) == p
+                for (p, a), (q, b) in itertools.product(enumerate(order.pairs), repeat=2):
+                    assert order.leq(a, b) == reach[p, q]
+                np.testing.assert_array_equal(order.reach, reach)
+
+
+def test_pair_index_rejects_non_pairs():
+    order = distance_partial_order(facility_distances("ABC", np.ones((3, 3)) - np.eye(3)))
+    for f, g in ((1, 1), (0, 3), (-1, 2)):
+        with pytest.raises(ValueError):
+            order.pair_index(f, g)
+
+
+def test_median_winner_certificates_match_loop_order():
+    """Winners and certificates from the array orders equal those from a
+    DistancePartialOrder carrying the loop closure."""
+    from ordmech.social_choice import DistancePartialOrder
+
+    rng = np.random.default_rng(108)
+    compared = 0
+    for _ in range(150):
+        profile, fd, _ = random_instance(rng, n_max=7, m_max=5, m_min=3)
+        ranks = _candidate_rankings(rng, fd.m, shuffled=rng.random() < 0.5)
+        for source, reach in ((fd, loop_numeric_reach(fd)),
+                              (ranks, loop_candidate_reach(ranks))):
+            order = distance_partial_order(source)
+            reference = DistancePartialOrder(order.m, order.pairs, chain=np.zeros((0, 2), int))
+            reference.__dict__["reach"] = reach  # the closure as the loops built it
+            assert median_winner(profile, order) == median_winner(profile, reference)
+            compared += 1
+    assert compared == 300
+
+
+def _tie_heavy_instance(rng, n, m):
+    """Facilities on a small grid, some co-located, agents at facilities:
+    many subsets tie, exactly on an integer grid, and only up to rounding
+    on a grid of step 0.1, where summation order decides the tie."""
+    step = rng.choice([1.0, 0.1])
+    pts = rng.integers(0, 3, size=(m, 2)) * step
+    l = np.abs(pts[:, None] - pts[None]).sum(axis=2)  # L1: a metric with many ties
+    tops = tuple(int(t) for t in rng.integers(0, m, n))
+    return l, tops
+
+
+def test_k_median_matches_loop_bit_for_bit():
+    rng = np.random.default_rng(109)
+    for trial in range(60):
+        m = int(rng.integers(2, 7))
+        n = int(rng.integers(1, 30))
+        if trial % 2:
+            l, tops = _tie_heavy_instance(rng, n, m)
+        else:
+            l = random_facility_distances(rng, m).values
+            tops = tuple(int(t) for t in rng.integers(0, m, n))
+        k = int(rng.integers(1, m + 1))
+        result = k_median_solver(l, tops, k)
+        assert (result.assignment, result.value) == loop_k_median(l, tops, k)
+
+
+def test_facility_location_matches_loop_bit_for_bit():
+    rng = np.random.default_rng(110)
+    for trial in range(60):
+        m = int(rng.integers(1, 7))
+        n = int(rng.integers(1, 25))
+        if trial % 2:
+            l, tops = _tie_heavy_instance(rng, n, m)
+            D = l[list(tops)]
+            costs = rng.integers(0, 3, m).astype(float)  # ties among open sets
+        else:
+            fd = random_facility_distances(rng, m)
+            D = random_consistent_metric(rng, fd, n).distances
+            costs = rng.uniform(0, 5, m)
+        result = facility_location_solver(D, costs)
+        assert (result.assignment, result.value) == loop_facility_location(D, costs)
+
+
+@pytest.mark.parametrize("preset", ["k_median", "k_center", "facility_location",
+                                    "social_choice_sum"])
+def test_brute_force_open_count_path_matches_loop(preset):
+    rng = np.random.default_rng(111)
+    for trial in range(25):
+        m = int(rng.integers(2, 6))
+        n = int(rng.integers(1, 12))
+        l, tops = _tie_heavy_instance(rng, n, m) if trial % 2 else \
+            (random_facility_distances(rng, m).values, None)
+        fd = facility_distances([f"F{j}" for j in range(m)], l)
+        if tops is None:
+            profile = preferences_from_metric(random_consistent_metric(rng, fd, n))
+        else:
+            profile = PreferenceProfile(m, tuple((t,) for t in tops), top_only=True)
+        params = {"k": int(rng.integers(1, m + 1))}
+        if preset == "facility_location":
+            params = {"opening_costs": rng.integers(0, 3, m).tolist()}
+        problem = build_preset(preset, n, fd.facilities, params)
+        projected = project_problem(profile, fd, problem)
+        cons = problem.constraints
+        limit = cons.at_most_open if cons.at_most_open is not None else m
+        sizes = (1,) if cons.exactly_open == 1 else range(1, limit + 1)
+        result = brute_force_optimal(projected)
+        expected = loop_open_count_brute_force(projected.distances, problem.cost_spec, sizes)
+        assert (result.assignment, result.value) == expected
+
+
+def test_min_cost_matching_matches_loop_bit_for_bit():
+    rng = np.random.default_rng(113)
+    for trial in range(80):
+        n = int(rng.integers(0, 9))
+        if trial % 2:  # projected rows repeat: many optimal matchings tie
+            l, tops = _tie_heavy_instance(rng, n, max(n, 1))
+            cost = l[list(tops)][:, :n]
+        else:
+            cost = rng.uniform(0, 10, size=(n, n))
+        result = min_cost_matching(cost)
+        assert (result.assignment, result.value) == loop_min_cost_matching(cost)
+
+
+def test_k_center_assignment_matches_nearest_center_loop():
+    rng = np.random.default_rng(114)
+    for trial in range(40):
+        m = int(rng.integers(1, 7))
+        l, tops = _tie_heavy_instance(rng, int(rng.integers(1, 12)), m)
+        result = k_center_greedy(l, tops, int(rng.integers(1, m + 1)))
+        centers = sorted(set(result.assignment))
+        assert result.assignment == tuple(min(centers, key=lambda f: (l[t, f], f))
+                                          for t in tops)
+        assert result.value == max(l[t, f] for t, f in zip(tops, result.assignment))
+
+
+@pytest.mark.parametrize("seed", [299, 553, 597, 797, 815, 875])
+def test_screening_keeps_subsets_tied_up_to_rounding(seed):
+    """On a grid of step 0.1 the host-weighted screening cost and the
+    per-agent cost of tied subsets differ in the last bits; at these seeds
+    a screen without its rounding margin picks another subset."""
+    rng = np.random.default_rng(seed)
+    m, n = int(rng.integers(2, 7)), int(rng.integers(1, 40))
+    pts = rng.integers(0, 4, size=(m, 2)) * 0.1
+    l = np.abs(pts[:, None] - pts[None]).sum(axis=2)
+    tops = tuple(int(t) for t in rng.integers(0, m, n))
+    k = int(rng.integers(1, m + 1))
+    result = k_median_solver(l, tops, k)
+    assert (result.assignment, result.value) == loop_k_median(l, tops, k)
+    D, costs = l[list(tops)], rng.integers(0, 3, m) * 0.1
+    result = facility_location_solver(D, costs)
+    assert (result.assignment, result.value) == loop_facility_location(D, costs)

@@ -103,6 +103,33 @@ def test_partial_order_two_facilities():
     assert order.equality_classes() == [{(0, 1)}]
 
 
+def test_condorcet_profile_never_builds_candidate_closure(monkeypatch):
+    from ordmech import social_choice
+
+    def no_closure(*args):
+        raise AssertionError("candidate closure built")
+
+    monkeypatch.setattr(social_choice, "_reachability", no_closure)
+    order = distance_partial_order(((1, 2), (2, 0), (0, 1)))
+    profile = PreferenceProfile(3, ((1, 0, 2), (1, 2, 0), (0, 1, 2)))
+    outcome = median_winner(profile, order)
+    assert (outcome.winner, outcome.kind) == (1, "condorcet")
+    assert "reach" not in vars(order)
+
+
+def test_candidate_closure_built_once_on_first_query(monkeypatch):
+    from ordmech import social_choice
+
+    calls = []
+    real = social_choice._reachability
+    monkeypatch.setattr(social_choice, "_reachability",
+                        lambda *args: calls.append(1) or real(*args))
+    order = distance_partial_order(((1, 2), (2, 0), (0, 1)))
+    assert not calls
+    assert order.leq((0, 1), (0, 2)) and order.leq((0, 2), (1, 2))
+    assert len(calls) == 1
+
+
 def test_partial_order_rejects_bad_rankings():
     with pytest.raises(ProfileError):
         distance_partial_order(((1, 1), (0,), (0, 1)))
