@@ -216,10 +216,6 @@ class ReducedSolution:
     distance_factor: float   # 1 + 2*beta bound on the distance cost
     facility_factor: float   # beta bound on the facility cost
 
-    @property
-    def guarantee(self) -> float:
-        return self.distance_factor
-
 
 def reduce_and_solve(problem: AssignmentProblem, profile: PreferenceProfile,
                      fd: FacilityDistances, solver) -> ReducedSolution:

@@ -30,9 +30,11 @@ Percentile objectives are piecewise linear: which agents realize the two
 order statistics is a subset choice, but per-agent independence collapses
 the search to one candidate configuration per ranking class, whose value
 has a closed form in two bounds of that class's rows (see
-_percentile_candidates).  The audit solves one scaled LP per alternative
-over the one or two agents that bind its best candidate, and one over
-every class for the witness, at any n.
+_percentile_candidate).  The audit solves one scaled LP per alternative
+over the ranking blocks of the one or two agents that bind its best
+candidate, and checks it against the closed form.  The maximizer's
+witness takes those agents' rows from that LP and places every other
+agent from the closure alone, so no LP ever spans the profile.
 
 All LPs go through ``lp.solve_lp`` (HiGHS).
 """
@@ -121,11 +123,8 @@ class ConsistencyPolytope:
         else:
             sit = [np.all(l[:, r[:-1]] <= l[:, r[1:]] + 1e-9, axis=1)
                    for r in map(list, rankings)]
-        self._can_sit = np.asarray(sit)[self.ranking_id]
+        self.can_sit = np.asarray(sit)[self.ranking_id]  # n x m
         self._bounds: dict[int, np.ndarray] = {}
-
-    def can_sit_at(self, i: int, f: int) -> bool:
-        return bool(self._can_sit[i, f])
 
     def bounds(self, ranking: int) -> np.ndarray:
         """The closure (see _closure) of one distinct ranking's block."""
@@ -138,14 +137,9 @@ class ConsistencyPolytope:
         uniq, member = _group(zip(self.ranking_id.tolist(), *keys))
         return AgentClasses(np.array(uniq), np.bincount(member) / self.n, member)
 
-    def class_rows(self, cls: AgentClasses) -> np.ndarray:
-        """[A | -b]: one consistency block per class, then the scale column."""
-        A, b = stack_blocks(self.blocks[r] for r in cls.keys[:, 0])
-        return np.hstack([A, -b[:, None]])
-
     def min_agent_distance(self, i: int, f: int) -> float:
         """Smallest consistent d(i, f), from the agent's ranking block."""
-        if self._can_sit[i, f]:
+        if self.can_sit[i, f]:
             return 0.0
         return max(-float(self.bounds(self.ranking_id[i])[2 * f + 1, 2 * f]) / 2, 0.0)
 
@@ -158,12 +152,11 @@ class ConsistencyPolytope:
         profile and strictly inside the pair constraints."""
         return np.full((self.n, self.m), self.radius)
 
-    def seated_metric(self, seats: dict[int, int]) -> np.ndarray:
-        """Agents in ``seats`` placed exactly on their facility, everyone
-        else at the interior radius."""
+    def seated_metric(self, agents, at) -> np.ndarray:
+        """``agents`` placed exactly on their facilities ``at`` (one, or one
+        each), everyone else at the interior radius."""
         d = self.interior_metric()
-        for i, f in seats.items():
-            d[i] = self.fd.values[f]
+        d[agents] = self.fd.values[at]
         return d
 
 
@@ -262,15 +255,13 @@ class _PairOutcome:
     solution: np.ndarray | None = None  # the scaled LP's optimal point
 
 
-def _solve_scaled(poly: ConsistencyPolytope, cls: AgentClasses, c, A_ub, b_ub,
-                  A_eq, b_eq, interior: np.ndarray, k: int, rows,
+def _solve_scaled(c, A_ub, b_ub, A_eq, b_eq, interior: np.ndarray, k: int, rows,
                   want_witness: bool, solved: _PairOutcome | None = None) -> _PairOutcome:
-    """Maximize c.z over a scaled LP whose first k columns belong to the
-    classes, then the scale, then any extra columns, or take the optimum
-    from ``solved``.  The witness divides the class columns by the scale
-    and ``rows`` turns them into one full distance row per class.
-    ``interior`` is a feasible point with a positive scale, strictly
-    inside the pair rows."""
+    """Maximize c.z over a scaled LP whose first k columns are distances,
+    then the scale, then any extra columns, or take the optimum from
+    ``solved``.  The witness divides the distance columns by the scale and
+    ``rows`` turns them into the full n x m witness.  ``interior`` is a
+    feasible point with a positive scale, strictly inside the pair rows."""
     if solved is None:
         res = solve_lp(c, A_ub, b_ub, A_eq, b_eq, maximize=True)
         if res.status == "unbounded":
@@ -298,8 +289,7 @@ def _solve_scaled(poly: ConsistencyPolytope, cls: AgentClasses, c, A_ub, b_ub,
             _flag(flags, "witness_at_scale_limit")
             lam = 1e-7
             z = (1 - lam) * z + lam * interior
-    witness = rows(z[:k] / z[k])[cls.member]
-    return _PairOutcome(value, witness, flags, z)
+    return _PairOutcome(value, rows(z[:k] / z[k]), flags, z)
 
 
 def _ratio_pair(poly: ConsistencyPolytope, cls: AgentClasses, num_at, num_const: float,
@@ -346,29 +336,35 @@ def _ratio_pair(poly: ConsistencyPolytope, cls: AgentClasses, num_at, num_const:
 
     def rows(values):
         return np.array([_point(W[i], {int(f[i]): values[2 * i], int(g[i]): values[2 * i + 1]})
-                         for i in r])
+                         for i in r])[cls.member]
 
-    return _solve_scaled(poly, cls, c, A, np.zeros(A.shape[0]), eq[None, :], [1.0],
+    return _solve_scaled(c, A, np.zeros(A.shape[0]), eq[None, :], [1.0],
                          interior / (eq @ interior), k, rows, want_witness, solved)
 
 
-def _denominator_zero_state(poly: ConsistencyPolytope, seats: dict[int, int],
-                            den_const: float, num_at_zero: float) -> str:
-    """Classify the points where the denominator vanishes:
-    "never" (it cannot), "infinite" (numerator positive there), or
-    "both_zero" (numerator forced to zero as well)."""
-    if den_const > 1e-12:
-        return "never"
-    if not all(poly.can_sit_at(i, f) for i, f in seats.items()):
-        return "never"
-    return "infinite" if num_at_zero > 1e-12 else "both_zero"
+def _pair_or_vanishing(poly: ConsistencyPolytope, at, den_const: float,
+                       num_at_zero: float, solve) -> _PairOutcome:
+    """A ratio whose denominator is den_const plus each agent's distance to
+    its facility in ``at`` (one, or one per agent), where ``solve()`` gives
+    the ratio LP's outcome.  The denominator can vanish iff den_const does
+    and every agent can sit on its facility.  There the ratio is infinite,
+    witnessed by seating them, when the numerator ``num_at_zero`` stays
+    positive, and reads at least 1 when it vanishes too."""
+    agents = np.arange(poly.n)
+    if den_const > 1e-12 or not poly.can_sit[agents, at].all():
+        return solve()
+    if num_at_zero > 1e-12:
+        return _PairOutcome(INF, poly.seated_metric(agents, at), ["denominator_vanishes"])
+    outcome = solve()
+    outcome.value = max(outcome.value, 1.0)
+    return outcome
 
 
 def _finalize(poly: ConsistencyPolytope, objective: str, target, results,
               alpha: float | None, recompute, resolve) -> AuditReport:
     """Assemble the report: pick the maximizing alternative, let
-    ``resolve(key, outcome)`` materialize its witness when its value came
-    from an LP, and re-evaluate the ratio on the witness."""
+    ``resolve(key, outcome)`` materialize its witness from the LP optimum
+    its value came from, and re-evaluate the ratio on the witness."""
     flags: list[str] = []
     best_key = None
     best = 1.0
@@ -382,8 +378,6 @@ def _finalize(poly: ConsistencyPolytope, objective: str, target, results,
         outcome = next(o for key, o in results if key == best_key)
         if outcome.witness_values is None and math.isfinite(outcome.value):
             outcome = resolve(best_key, outcome)
-            results = [(key, outcome if key == best_key else o) for key, o in results]
-            best = max(o.value for _, o in results)
         flags.extend(outcome.flags)
         if outcome.witness_values is not None:
             witness = _metric_from_values(outcome.witness_values, poly.fd, flags, "witness")
@@ -415,16 +409,9 @@ def audit_sum_social_choice(winner: int, profile: PreferenceProfile,
             # Co-located alternatives have identical cost columns.
             results.append((x, _PairOutcome(1.0, None)))
             continue
-        seats = {i: x for i in range(n)}
-        state = _denominator_zero_state(poly, seats, 0.0, n * l[x, winner])
-        if state == "infinite":
-            results.append((x, _PairOutcome(INF, poly.seated_metric(seats),
-                                            ["denominator_vanishes"])))
-            continue
-        outcome = _ratio_pair(poly, cls, winner, 0.0, x, 0.0, want_witness=False)
-        if state == "both_zero":
-            outcome.value = max(outcome.value, 1.0)
-        results.append((x, outcome))
+        results.append((x, _pair_or_vanishing(
+            poly, x, 0.0, n * l[x, winner],
+            lambda: _ratio_pair(poly, cls, winner, 0.0, x, 0.0, want_witness=False))))
 
     def recompute(metric: FullMetric) -> float:
         cols = metric.distances.sum(axis=0)
@@ -469,19 +456,10 @@ def audit_additive_assignment(x, profile: PreferenceProfile,
     for alt in alternatives:
         if alt == x:
             continue
-        den_const = spec.facility_cost(alt)
         num_at_zero = num_const + sum(l[alt[i], x[i]] for i in range(n))
-        state = _denominator_zero_state(poly, dict(enumerate(alt)), den_const,
-                                        num_at_zero)
-        if state == "infinite":
-            results.append((alt, _PairOutcome(INF,
-                                              poly.seated_metric(dict(enumerate(alt))),
-                                              ["denominator_vanishes"])))
-            continue
-        outcome = _assignment_pair(alt, want_witness=False)
-        if state == "both_zero":
-            outcome.value = max(outcome.value, 1.0)
-        results.append((alt, outcome))
+        results.append((alt, _pair_or_vanishing(
+            poly, list(alt), spec.facility_cost(alt), num_at_zero,
+            lambda: _assignment_pair(alt, want_witness=False))))
 
     def recompute(metric: FullMetric) -> float:
         numv = total_cost(x, metric.distances, spec)
@@ -492,9 +470,9 @@ def audit_additive_assignment(x, profile: PreferenceProfile,
                      lambda alt, solved: _assignment_pair(alt, True, solved))
 
 
-def _percentile_candidates(poly: ConsistencyPolytope, x: int, w: int, k: int):
-    """Candidate (S, T) subset pairs that provably contain the maximizer,
-    each with its configuration value and the agents that bind it.
+def _percentile_candidate(poly: ConsistencyPolytope, x: int, w: int, k: int):
+    """The best candidate (S, T) configuration for x against w: its value,
+    S with j first, and the agents that bind it.
 
     S pins the denominator's k-th order statistic from above, T floors the
     numerator's from below.  The closure constrains each agent's row
@@ -503,57 +481,71 @@ def _percentile_candidates(poly: ConsistencyPolytope, x: int, w: int, k: int):
     and never binds.  Hence an optimal configuration overlaps in a single
     agent j, and for fixed j the best S adds the k-1 other agents whose
     smallest consistent distance to x is lowest, because each member of S
-    caps the usable scale at one over that distance.  That leaves one
-    candidate per agent (one per ranking class, by symmetry).
+    caps the usable scale at one over that distance, and T is j plus every
+    agent outside S.  That leaves one candidate per agent (one per ranking
+    class, by symmetry); ties go to the first class within a relative 1e-9
+    of the best value.
 
     Its value follows: with M the largest of those smallest distances over
     S and c the largest consistent d(j, w) - d(j, x), agent j can sit at
     d(j, x) = M, d(j, w) = M + c, so the value is 1 + max(c, 0) / M.  Only
     j and the member of S that sets M bind, so the configuration restricted
     to those one or two agents has the same value."""
-    n = poly.n
-    mu = [poly.min_agent_distance(i, x) for i in range(n)]
-    order = sorted(range(n), key=lambda i: (mu[i], i))
-    seen = set()
-    for j in range(n):
-        key = poly.profile.rankings[j]
-        if key in seen:
-            continue
-        seen.add(key)
-        others = [i for i in order if i != j]
-        S, T = [j] + others[:k - 1], [j] + others[k - 1:]
-        cap = max(S, key=lambda i: mu[i])
+    firsts = np.unique(poly.ranking_id, return_index=True)[1]  # one agent per class
+    mu = np.array([poly.min_agent_distance(i, x) for i in firsts])[poly.ranking_id]
+    order = np.argsort(mu, kind="stable")
+
+    def subset(j):
+        return np.append(j, order[order != j][:k - 1])
+
+    candidates = []
+    for j in firsts:
+        S = subset(j)
+        cap = S[np.argmax(mu[S])]
         gap = max(poly.max_distance_gap(j, w, x), 0.0)
-        value = 1.0 + gap / mu[cap] if mu[cap] > 0 else INF
-        yield value, S, T, [j] if cap == j else [j, cap]
+        candidates.append((1.0 + gap / mu[cap] if mu[cap] > 0 else INF, j, cap))
+    top = max(c[0] for c in candidates)
+    tol = 0.0 if math.isinf(top) else 1e-9 * max(1.0, top)
+    value, j, cap = next(c for c in candidates if c[0] >= top - tol)
+    return value, subset(j), [j] if cap == j else [j, cap]
 
 
-def _percentile_config_value(poly: ConsistencyPolytope, S, T, x: int, w: int,
-                             want_witness: bool) -> _PairOutcome:
-    """One configuration LP: agents in S pin the denominator order
-    statistic (scaled to one), agents in T floor the numerator's, and the
-    floor is maximized.  Agents are grouped by ranking and by membership
-    in S and in T."""
-    S, T = set(S), set(T)
-    cls = poly.classes([int(i in S) for i in range(poly.n)],
-                       [int(i in T) for i in range(poly.n)])
-    k = len(cls.weight) * poly.m  # then the scale, then the floor
-    s_at = np.flatnonzero(cls.keys[:, 1]) * poly.m
-    t_at = np.flatnonzero(cls.keys[:, 2]) * poly.m
-    extra = np.zeros((s_at.size + t_at.size, k + 2))
-    extra[np.arange(s_at.size), s_at + x] = 1.0
-    t_rows = np.arange(s_at.size, extra.shape[0])
-    extra[t_rows, k + 1] = 1.0
-    extra[t_rows, t_at + w] = -1.0
-    rows = poly.class_rows(cls)
-    A_ub = np.vstack([np.hstack([rows, np.zeros((rows.shape[0], 1))]), extra])
-    b_ub = np.concatenate([np.zeros(rows.shape[0]), np.ones(s_at.size),
-                           np.zeros(t_at.size)])
+def _percentile_pair(poly: ConsistencyPolytope, S, binding, x: int, w: int,
+                     want_witness: bool, solved: _PairOutcome | None = None) -> _PairOutcome:
+    """sup d(j, w) / max over i in ``binding`` of d(i, x), j = binding[0],
+    as one scaled LP over the binding agents' ranking blocks: their
+    distances to x are scaled to at most one and a floor under d(j, w) is
+    maximized.
+
+    The witness keeps the binding agents' rows and places everyone else
+    from the closure alone.  The rest of S sits at its smallest consistent
+    distance to x, at most M = max over binding of d(i, x), so x's k-th
+    smallest distance is M.  Agents outside S sit equidistant from every
+    facility at max(radius, d(j, w)), which fits any ranking, so w's k-th
+    smallest distance is at least d(j, w) and the ratio reaches the value."""
+    m = poly.m
+    A, b = stack_blocks(poly.blocks[poly.ranking_id[i]] for i in binding)
+    k = len(binding) * m  # then the scale, then the floor
+    extra = np.zeros((len(binding) + 1, k + 2))
+    extra[np.arange(len(binding)), np.arange(0, k, m) + x] = 1.0
+    extra[-1, k + 1], extra[-1, w] = 1.0, -1.0
+    A_ub = np.vstack([np.hstack([A, -b[:, None], np.zeros((len(b), 1))]), extra])
+    b_ub = np.concatenate([np.zeros(len(b)), np.ones(len(binding)), [0.0]])
     c = np.zeros(k + 2)
     c[-1] = 1.0
     interior = np.concatenate([np.ones(k), [1.0 / poly.radius, 1.0]])
-    return _solve_scaled(poly, cls, c, A_ub, b_ub, None, None, interior, k,
-                         lambda values: values.reshape(-1, poly.m), want_witness)
+
+    def rows(values):
+        d = np.full((poly.n, m), max(poly.radius, values[w]))
+        rest = np.setdiff1d(S, binding)
+        ranks, first, member = np.unique(poly.ranking_id[rest], return_index=True,
+                                         return_inverse=True)
+        d[rest] = np.array([_point(poly.bounds(r), {x: poly.min_agent_distance(i, x)})
+                            for r, i in zip(ranks, rest[first])]).reshape(-1, m)[member]
+        d[binding] = values.reshape(-1, m)
+        return d
+
+    return _solve_scaled(c, A_ub, b_ub, None, None, interior, k, rows, want_witness, solved)
 
 
 def audit_percentile_social_choice(winner: int, profile: PreferenceProfile,
@@ -561,8 +553,8 @@ def audit_percentile_social_choice(winner: int, profile: PreferenceProfile,
                                    alpha: float) -> AuditReport:
     """Exact worst-case percentile-cost distortion: per alternative, the
     best candidate order-statistic configuration in closed form and one
-    scaled LP over the agents that bind it; one LP over every agent gives
-    the maximizing alternative's witness."""
+    scaled LP over the agents that bind it, whose optimum also gives the
+    maximizing alternative's witness."""
     if alpha < 0.5 - 1e-12:
         raise UnboundedObjectiveError(
             f"alpha = {alpha} below one half has unbounded worst-case "
@@ -570,8 +562,8 @@ def audit_percentile_social_choice(winner: int, profile: PreferenceProfile,
     if alpha > 1.0:
         raise UnboundedObjectiveError(f"alpha must lie in [0.5, 1], got {alpha}")
     poly = ConsistencyPolytope(profile, fd)
-    n, m = poly.n, poly.m
-    k = percentile_rank(n, alpha)
+    m = poly.m
+    k = percentile_rank(poly.n, alpha)
     l = fd.values
 
     results: list[tuple[object, _PairOutcome]] = []
@@ -582,38 +574,28 @@ def audit_percentile_social_choice(winner: int, profile: PreferenceProfile,
         if l[winner, x] <= 1e-12:
             results.append((x, _PairOutcome(1.0, None)))
             continue
-        eligible = sum(poly.can_sit_at(i, x) for i in range(n))
-        if eligible >= k:
-            seats = {i: x for i in range(n) if poly.can_sit_at(i, x)}
-            seats = dict(list(seats.items())[:k])
-            results.append((x, _PairOutcome(INF, poly.seated_metric(seats),
+        sitting = np.flatnonzero(poly.can_sit[:, x])
+        if sitting.size >= k:
+            results.append((x, _PairOutcome(INF, poly.seated_metric(sitting[:k], x),
                                             ["denominator_vanishes"])))
             continue
-        # The first best candidate's LP, restricted to the agents that bind
-        # it, gives the alternative's value; it must agree with the closed form.
-        candidates = list(_percentile_candidates(poly, x, winner, k))
-        top = max(c[0] for c in candidates)
-        tol = 0.0 if math.isinf(top) else 1e-9 * max(1.0, top)
-        value, S, T, binding = next(c for c in candidates if c[0] >= top - tol)
-        sub = ConsistencyPolytope(
-            PreferenceProfile(m, tuple(profile.rankings[i] for i in binding),
-                              profile.top_only), fd)
-        best = _percentile_config_value(sub, range(len(binding)), [0], x, winner,
-                                        want_witness=False)
+        # The best candidate's LP, restricted to the agents that bind it,
+        # gives the alternative's value; it must agree with the closed form.
+        value, S, binding = _percentile_candidate(poly, x, winner, k)
+        best = _percentile_pair(poly, S, binding, x, winner, want_witness=False)
         if not (best.value == value or abs(best.value - value) <= 1e-6 * max(1.0, value)):
             raise InternalInvariantError(
                 f"configuration LP gives {best.value}, its closed form {value}")
-        best_combo[x] = (S, T)
+        best_combo[x] = (S, binding)
         results.append((x, best))
 
     def recompute(metric: FullMetric) -> float:
         return _ratio(evaluate_percentile_cost(winner, metric, alpha),
                       min(evaluate_percentile_cost(f, metric, alpha) for f in range(m)))
 
-    # The maximizer's configuration LP over every agent gives its witness.
     return _finalize(poly, "percentile", winner, results, alpha, recompute,
-                     lambda x, _: _percentile_config_value(poly, *best_combo[x], x, winner,
-                                                           want_witness=True))
+                     lambda x, solved: _percentile_pair(poly, *best_combo[x], x, winner,
+                                                        True, solved))
 
 
 def sample_consistent_metric(profile: PreferenceProfile, fd: FacilityDistances,

@@ -65,7 +65,12 @@ def _parse_objective(raw: str) -> tuple[str, float | None]:
 
 def _run_audit(inst: InstanceFile, target, objective: str, alpha: float | None) -> dict:
     fd = _require_fd(inst)
-    if inst.preset in SOCIAL_PRESETS:
+    social = inst.preset in SOCIAL_PRESETS
+    if social == isinstance(target, tuple):
+        raise SchemaError(f"{inst.preset} audits {'a facility' if social else 'an assignment'}, "
+                          f"but the outcome is {'an assignment' if social else 'a facility'}",
+                          field="preset")
+    if social:
         if objective == "sum":
             report = audit_sum_social_choice(target, inst.profile, fd)
         else:

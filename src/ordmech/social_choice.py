@@ -184,17 +184,15 @@ def sum_winner(projected: ProjectedAgents) -> SocialChoiceOutcome:
     return SocialChoiceOutcome(winner, "projected_sum", scores=tuple(float(c) for c in costs))
 
 
-def augment_majority_edges(graph: MajorityGraph, order: DistancePartialOrder,
-                           pair_sequence=None) -> dict[tuple[int, int], int]:
+def augment_majority_edges(graph: MajorityGraph,
+                           order: DistancePartialOrder) -> dict[tuple[int, int], int]:
     """One pass over single-direction pairs: justify the missing reverse
     edge through a third alternative that defeats-or-ties the stronger
     side and is at least as far from it.  Only the original graph and the
     static order are consulted, so the pair order is immaterial."""
     m = graph.m
-    if pair_sequence is None:
-        pair_sequence = combinations(range(m), 2)
     added: dict[tuple[int, int], int] = {}
-    for f, g in pair_sequence:
+    for f, g in combinations(range(m), 2):
         fg = graph.defeats_or_ties(f, g)
         gf = graph.defeats_or_ties(g, f)
         if fg and gf:

@@ -13,11 +13,11 @@ from ordmech import (PreferenceProfile, UnboundedObjectiveError,
                      audit_sum_social_choice, build_preset, check_consistency,
                      evaluate_percentile_cost, evaluate_sum_cost,
                      facility_distances, median_winner, distance_partial_order,
-                     project_agents,
+                     FullMetric, preferences_from_metric, project_agents,
                      sample_consistent_metric, sum_winner)
 from ordmech import audit
-from ordmech.audit import (ConsistencyPolytope, _metric_from_values,
-                           _percentile_config_value)
+from ordmech.audit import ConsistencyPolytope, _metric_from_values
+from ordmech.core import consistency_constraints
 from ordmech.fileio import load_instance
 from ordmech.gallery import gen_median_topchoice_bad, gen_sum5_tight
 
@@ -209,6 +209,24 @@ def test_percentile_alpha_one_is_egalitarian():
     assert report.value >= 1.0
 
 
+def _config_value(cons, S, T, x, w) -> float:
+    """sup of min over T of d(., w) / max over S of d(., x) across the
+    consistency polytope of every agent, as one scaled LP: distances and
+    geometry scaled by tau, S's distances to x capped at one, and a floor
+    under T's distances to w maximized."""
+    k = cons.nvars  # then tau, then the floor
+    rows = np.hstack([cons.A, -cons.b[:, None], np.zeros((len(cons.b), 1))])
+    cap = np.zeros((len(S), k + 2))
+    cap[np.arange(len(S)), np.asarray(S) * cons.m + x] = 1.0
+    floor = np.zeros((len(T), k + 2))
+    floor[:, k + 1] = 1.0
+    floor[np.arange(len(T)), np.asarray(T) * cons.m + w] = -1.0
+    res = audit.solve_lp(np.eye(k + 2)[k + 1], np.vstack([rows, cap, floor]),
+                         np.concatenate([np.zeros(len(rows)), np.ones(len(S)),
+                                         np.zeros(len(T))]), maximize=True)
+    return math.inf if res.status == "unbounded" else res.fun
+
+
 def test_percentile_reduction_matches_subset_enumeration():
     # oracle: every (S, T) subset pair, not just the derived candidates.
     # Enumeration grows as C(n, k)^2 LPs per alternative, so n = 8 is left
@@ -222,6 +240,7 @@ def test_percentile_reduction_matches_subset_enumeration():
     for profile, fd, _ in instances:
         n, m = profile.n, profile.m
         poly = ConsistencyPolytope(profile, fd)
+        cons = consistency_constraints(profile, fd)
         winner = median_winner(profile, distance_partial_order(fd)).winner
         for alpha in (0.5, 0.75, 1.0):
             k = percentile_rank(n, alpha)
@@ -229,15 +248,12 @@ def test_percentile_reduction_matches_subset_enumeration():
             for x in range(m):
                 if x == winner or fd.values[winner, x] <= 1e-12:
                     continue
-                if sum(poly.can_sit_at(i, x) for i in range(n)) >= k:
+                if poly.can_sit[:, x].sum() >= k:
                     continue  # the audit reports infinity combinatorially
                 oracle = 0.0
                 for S in combinations(range(n), k):
                     for T in combinations(range(n), n - k + 1):
-                        val = _percentile_config_value(
-                            poly, list(S), list(T), x, winner,
-                            want_witness=False).value
-                        oracle = max(oracle, val)
+                        oracle = max(oracle, _config_value(cons, S, T, x, winner))
                 got = report.alternative_value(x)
                 if math.isinf(oracle) or math.isinf(got):
                     assert math.isinf(oracle) and math.isinf(got)
@@ -286,25 +302,39 @@ def test_point_extends_two_consistent_distances():
                     assert (A @ row - b).max() <= 1e-9
 
 
+def _planar_instance(rng, n, m):
+    """Agents and facilities at random points of the plane."""
+    pts = rng.uniform(0.0, 10.0, size=(n + m, 2))
+    d = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
+    fd = facility_distances(tuple(f"F{j + 1}" for j in range(m)), d[n:, n:])
+    metric = FullMetric(d[:n, n:], fd)
+    return preferences_from_metric(metric), fd
+
+
 def test_percentile_audit_lp_count_follows_alternatives(monkeypatch):
-    # one LP per audited alternative and one for the witness, however many
-    # ranking classes offer a candidate configuration
-    calls = []
+    # one LP per audited alternative over the one or two agents that bind
+    # it, however many ranking classes offer a candidate configuration; the
+    # maximizer's witness reuses its optimum
+    sizes = []
     real = audit.solve_lp
 
-    def spy(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+    def spy(c, *args, **kwargs):
+        sizes.append(len(c))
+        return real(c, *args, **kwargs)
 
     monkeypatch.setattr(audit, "solve_lp", spy)
     rng = np.random.default_rng(453)
-    for _ in range(5):
-        profile, fd, _ = random_instance(rng, n_min=20, n_max=30, m_min=4, m_max=4)
+    instances = [random_instance(rng, n_min=20, n_max=30, m_min=4, m_max=4)[:2]
+                 for _ in range(5)]
+    instances.append(_planar_instance(np.random.default_rng(456), 240, 6))
+    assert len(set(instances[-1][0].rankings)) > 50
+    for profile, fd in instances:
         assert len(set(profile.rankings)) >= 4
         winner = median_winner(profile, distance_partial_order(fd)).winner
-        calls.clear()
+        sizes.clear()
         report = audit_percentile_social_choice(winner, profile, fd, 0.5)
-        assert len(calls) <= (fd.m - 1) + 2  # at most one re-solve at the scale limit
+        assert len(sizes) <= (fd.m - 1) + 1  # at most one re-solve at the scale limit
+        assert max(sizes) <= 2 * fd.m + 2
         assert abs(report.witness_ratio - report.value) <= 1e-6 * report.value
 
 

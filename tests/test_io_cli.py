@@ -171,6 +171,14 @@ def test_cli_usage_and_schema_errors(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{}")
     assert main(["solve", "--instance", str(bad), "--mechanism", "alg1"]) == 2
+    # an outcome that does not fit the preset cannot be audited
+    for name, mechanism in (("social_sum_small.json", "reduce:brute_force"),
+                            ("tops_only.json", "reduce:brute_force"),
+                            ("matching_pair.json", "alg1")):
+        assert main(["solve", "--instance", str(FIXTURES / name),
+                     "--mechanism", mechanism, "--audit", "sum"]) == 2
+        assert main(["solve", "--instance", str(FIXTURES / name),
+                     "--mechanism", mechanism]) == 0
 
 
 def test_cli_outputs_are_deterministic(tmp_path):
