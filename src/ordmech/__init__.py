@@ -1,7 +1,7 @@
 """Ordinal facility assignment and social choice with distortion audits.
 
 Mechanisms that see only agents' rankings plus the facility geometry,
-together with exact LP audits of their worst-case cost ratio over every
+together with exact audits of their worst-case cost ratio over every
 metric consistent with that ordinal data.
 """
 

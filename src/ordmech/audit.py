@@ -4,39 +4,41 @@ Distortion of an outcome is the supremum, over all metrics consistent
 with the ordinal data and the facility geometry, of its cost divided by
 the best alternative's cost.  With positive costs that supremum equals
 the maximum over alternatives of per-pair ratio suprema.  Each pair is a
-linear-fractional program over the consistency polytope; introducing a
-joint scale variable (distances and facility geometry scaled together)
-turns it into one LP, and the substitution is exact because distortion
-is invariant under that joint scaling.
+linear-fractional program over the consistency polytope.
 
 Consistency constrains each agent's row independently, and agents with
-the same ranking are interchangeable.  Each LP therefore groups agents
-into classes that share a ranking and their coefficients in that LP, and
-carries one constraint block per class weighted by the class's share of
-the agents.  Averaging a feasible point over a class keeps it feasible
-and keeps the ratio, so the value is exact while the LP's size follows
-the number of classes, at most min(n, m!).  The same independence makes
-vanishing denominators combinatorial: an agent can sit exactly on a
-facility iff that facility's distance row respects the agent's ranking.
+the same ranking are interchangeable.  Each pair therefore groups agents
+into classes that share a ranking and their coefficients in that pair,
+weighted by the class's number of agents.  Averaging a feasible point
+over a class keeps it feasible and keeps the ratio, so the value is exact
+while the work follows the number of classes, at most min(n, m!).  The
+same independence makes vanishing denominators combinatorial: an agent
+can sit exactly on a facility iff that facility's distance row respects
+the agent's ranking.
 
 A ranking's rows are unit two-variable inequalities, so shortest paths
 give every bound on one distance, or on the sum or difference of two,
 exactly (_closure), and any values within those bounds extend to a full
 consistent row (_point).  Sum and assignment ratios read two distances
-per class, so their LPs carry just those two under their exact bounds,
-and only the maximizing alternative's witness is extended to full rows.
+per class, whose exact feasible set is an octagon of eight closure rows.
+Dinkelbach's parametric method maximizes the ratio over the octagons'
+vertices with no LP solver (_dinkelbach); its last step also certifies
+an upper bound that the report carries next to the witness's ratio.
+Only the maximizing alternative's witness is extended to full rows.
 
 Percentile objectives are piecewise linear: which agents realize the two
 order statistics is a subset choice, but per-agent independence collapses
 the search to one candidate configuration per ranking class, whose value
 has a closed form in two bounds of that class's rows (see
-_percentile_candidate).  The audit solves one scaled LP per alternative
-over the ranking blocks of the one or two agents that bind its best
-candidate, and checks it against the closed form.  The maximizer's
+_percentile_candidate).  The audit solves one scaled LP per alternative,
+through ``lp.solve_lp`` (HiGHS), over the ranking blocks of the one or
+two agents that bind its best candidate, and checks it against the
+closed form: a joint scale variable, distances and facility geometry
+scaled together, turns the ratio into that LP, exactly, because
+distortion is invariant under the joint scaling.  The maximizer's
 witness takes those agents' rows from that LP and places every other
-agent from the closure alone, so no LP ever spans the profile.
-
-All LPs go through ``lp.solve_lp`` (HiGHS).
+agent from the closure alone, so no LP ever spans the profile.  These are
+the only LPs the audits solve.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
@@ -75,6 +78,7 @@ class AuditReport:
     witness_ratio: float | None
     alpha: float | None = None
     flags: tuple[str, ...] = ()
+    certified_upper: float | None = None  # a dual bound on value; None for percentiles
 
     def alternative_value(self, key) -> float:
         for alt, val in self.per_alternative:
@@ -93,10 +97,10 @@ def _group(keys) -> tuple[list, np.ndarray]:
 
 @dataclass(frozen=True)
 class AgentClasses:
-    """Agents grouped by ranking and by their coefficients in one LP."""
+    """Agents grouped by ranking and by their coefficients in one ratio."""
 
     keys: np.ndarray    # per class: ranking id, then the extra keys
-    weight: np.ndarray  # per class: its share of the agents
+    count: np.ndarray   # per class: its number of agents
     member: np.ndarray  # per agent: its class
 
 
@@ -135,7 +139,7 @@ class ConsistencyPolytope:
     def classes(self, *keys) -> AgentClasses:
         """Group the agents by ranking and by the given per-agent keys."""
         uniq, member = _group(zip(self.ranking_id.tolist(), *keys))
-        return AgentClasses(np.array(uniq), np.bincount(member) / self.n, member)
+        return AgentClasses(np.array(uniq), np.bincount(member), member)
 
     def min_agent_distance(self, i: int, f: int) -> float:
         """Smallest consistent d(i, f), from the agent's ranking block."""
@@ -226,9 +230,14 @@ def _ratio(num: float, den: float) -> float:
     return num / den
 
 
+def _at_most(lo: float | None, hi: float) -> bool:
+    """lo <= hi within a relative 1e-9 (an absent lo passes)."""
+    return lo is None or lo <= hi + 1e-9 * abs(hi)
+
+
 def _metric_from_values(values, fd: FacilityDistances, flags: list[str],
                         label: str) -> FullMetric:
-    """Build a FullMetric from LP output, nudging it toward a strictly
+    """Build a FullMetric from an optimum's rows, nudging it toward a strictly
     interior point when solver slack leaves it microscopically outside."""
     values = np.maximum(np.asarray(values, dtype=float), 0.0)
     try:
@@ -252,7 +261,8 @@ class _PairOutcome:
     value: float
     witness_values: np.ndarray | None
     flags: list[str] = field(default_factory=list)
-    solution: np.ndarray | None = None  # the scaled LP's optimal point
+    solution: np.ndarray | None = None  # the optimum the witness is built from
+    upper: float | None = None          # a certified upper bound on value
 
 
 def _solve_scaled(c, A_ub, b_ub, A_eq, b_eq, interior: np.ndarray, k: int, rows,
@@ -292,61 +302,119 @@ def _solve_scaled(c, A_ub, b_ub, A_eq, b_eq, interior: np.ndarray, k: int, rows,
     return _PairOutcome(value, rows(z[:k] / z[k]), flags, z)
 
 
+# A class's octagon over (a, b) = (d(i, num_at), d(i, den_at)): row t reads
+# _OCT_A[t] * a + _OCT_B[t] * b <= bound t (see _ratio_pair).  Its vertices
+# lie where two rows with independent coefficients hold with equality.
+_OCT_A = np.array([1.0, -1.0, -1.0, 1.0, -1.0, 1.0, 0.0, 0.0])
+_OCT_B = np.array([-1.0, 1.0, -1.0, 1.0, 0.0, 0.0, -1.0, 1.0])
+_OCT_S, _OCT_T = np.array([(s, t) for s, t in combinations(range(8), 2)
+                           if _OCT_A[s] * _OCT_B[t] != _OCT_B[s] * _OCT_A[t]]).T
+_OCT_DET = _OCT_A[_OCT_S] * _OCT_B[_OCT_T] - _OCT_B[_OCT_S] * _OCT_A[_OCT_T]
+DINKELBACH_MAX_ITER = 100
+
+
+def _octagon_vertices(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Vertices of each class's octagon, given its eight row bounds ``h``
+    (classes x 8, inf where a row is absent): the intersections of every
+    pair of non-parallel rows, as (a, b, valid), where ``valid`` marks the
+    points that satisfy all eight rows within a relative 1e-9."""
+    S, T = _OCT_S, _OCT_T
+    with np.errstate(invalid="ignore"):
+        a = (h[:, S] * _OCT_B[T] - _OCT_B[S] * h[:, T]) / _OCT_DET
+        b = (_OCT_A[S] * h[:, T] - h[:, S] * _OCT_A[T]) / _OCT_DET
+        slack = _OCT_A * a[..., None] + _OCT_B * b[..., None] - h[:, None, :]
+    tol = 1e-9 * (1.0 + np.abs(np.where(np.isfinite(h), h, 0.0)).max(axis=1))
+    valid = np.isfinite(a) & np.isfinite(b) & (slack <= tol[:, None, None]).all(axis=2)
+    if not valid.any(axis=1).all():
+        raise InternalInvariantError("a ranking class's octagon has no vertex")
+    return np.where(valid, a, 0.0), np.where(valid, b, 0.0), valid
+
+
+def _dinkelbach(count: np.ndarray, h: np.ndarray, num_const: float,
+                den_const: float) -> _PairOutcome:
+    """max (sum_c count_c a_c + num_const) / (sum_c count_c b_c + den_const)
+    over each class's octagon (bounds ``h``), by Dinkelbach's parametric
+    method over the octagons' vertices.
+
+    A consistent row stays consistent when all its distances grow by the
+    same amount, so each class's octagon is the convex hull of its
+    vertices plus the ray (1, 1).  Along that ray |a - b| stays below
+    l(f, g), so the ratio tends to exactly 1, and any mix of vertices and
+    rays has a ratio between its vertex part's and 1: the value is the
+    larger of 1 and the vertex maximum.  Starting from rho = 1, every step
+    maximizes a - rho b per class and moves rho to the ratio of the chosen
+    vertices, read by _ratio, which strictly raises it until
+    F(rho) = max sum_c count_c (a_c - rho b_c) + num_const - rho den_const
+    vanishes.  F(rho) <= 0 is the LP dual's certificate that rho is an
+    upper bound: every point has num - rho den <= F(rho), so with the least
+    denominator den_lo, rho + max(F(rho), 0) / den_lo is one.  Where den_lo
+    vanishes, denominators read by the zero rule, and F(rho) within its
+    tolerance certifies rho itself."""
+    a, b, valid = _octagon_vertices(h)
+    rows = np.arange(len(count))
+    rho = 1.0
+    for _ in range(DINKELBACH_MAX_ITER):
+        pick = np.where(valid, a - rho * b, -INF).argmax(axis=1)
+        a_at, b_at = a[rows, pick], b[rows, pick]
+        num = float(count @ a_at) + num_const
+        den = float(count @ b_at) + den_const
+        gap = num - rho * den
+        ratio = _ratio(num, den)
+        # the last test catches rounding: no vertex improves on rho
+        if gap <= 1e-13 * (abs(num) + rho * abs(den)) or ratio <= rho:
+            break
+        if math.isinf(ratio):
+            # The chosen vertices seat every agent under a positive
+            # numerator, which _pair_or_vanishing lets through only below
+            # its 1e-12.
+            return _PairOutcome(INF, None, ["unbounded_ratio"], upper=INF)
+        rho = ratio
+    else:
+        raise InternalInvariantError("Dinkelbach's method did not converge")
+    den_lo = float(count @ np.where(valid, b, INF).min(axis=1)) + den_const
+    upper = rho + max(gap, 0.0) / den_lo if den_lo > 1e-12 else rho
+    return _PairOutcome(rho, None, solution=np.stack([a_at, b_at]), upper=upper)
+
+
 def _ratio_pair(poly: ConsistencyPolytope, cls: AgentClasses, num_at, num_const: float,
                 den_at, den_const: float, want_witness: bool,
                 solved: _PairOutcome | None = None) -> _PairOutcome:
     """sup (sum_i d(i, num_at) + num_const) / (sum_i d(i, den_at) + den_const)
     over the polytope, with ``num_at`` and ``den_at`` giving each class's
-    facility.
+    facility, or the witness of ``solved``, its earlier outcome.
 
-    Only a class's distances to its two facilities enter the ratio, so the
-    LP carries just those two per class, under the rows the closure gives
-    them: the projection of a closed system onto two coordinates is exactly
-    its rows on them.  The witness extends both to a full row (_point).
-    Vanishing denominators must be excluded by the caller beforehand.
-    Both sides are divided by n, so classes enter with their share of the
-    agents, and the scaled denominator is pinned to one.  Pinning a mean
-    rather than a sum keeps the scale independent of n, so dividing by it
-    does not multiply the solver's feasibility slack by n.
+    Only a class's distances to its two facilities enter the ratio, and the
+    projection of a closed system onto two coordinates is exactly its rows
+    on them: eight rows, an octagon, per class.  Classes enter with their
+    number of agents, and _dinkelbach maximizes the ratio.  The witness
+    extends the maximizing vertices to full rows (_point).  Vanishing
+    denominators must be excluded by the caller beforehand.
     """
-    n_cls = len(cls.weight)
+    n_cls = len(cls.count)
     r = np.arange(n_cls)
     f = np.broadcast_to(num_at, (n_cls,))
     g = np.broadcast_to(den_at, (n_cls,))
     W = np.stack([poly.bounds(key) for key in cls.keys[:, 0]])
-    F, G = 2 * f, 2 * g
-    k = 2 * n_cls  # d(i, num_at) and d(i, den_at) per class, then the scale
-    # (coefficient of d(f), of d(g), bound): the eight octagon rows on the pair
-    octagon = [(1, -1, W[r, F, G]), (-1, 1, W[r, G, F]), (-1, -1, W[r, F + 1, G]),
-               (1, 1, W[r, F, G + 1]), (-1, 0, W[r, F + 1, F] / 2),
-               (1, 0, W[r, F, F + 1] / 2), (0, -1, W[r, G + 1, G] / 2),
-               (0, 1, W[r, G, G + 1] / 2)]
-    A = np.zeros((len(octagon), n_cls, k + 1))
-    for t, (ca, cb, bound) in enumerate(octagon):
-        A[t, r, 2 * r], A[t, r, 2 * r + 1], A[t, r, k] = ca, cb, -bound
-    A = A.reshape(-1, k + 1)
-    A = A[np.isfinite(A[:, k])]
-    c = np.zeros(k + 1)
-    c[2 * r] = cls.weight
-    c[k] = num_const / poly.n
-    eq = np.zeros(k + 1)
-    eq[2 * r + 1] = cls.weight
-    eq[k] = den_const / poly.n
-    interior = np.append(np.full(k, poly.radius), 1.0)
-
-    def rows(values):
-        return np.array([_point(W[i], {int(f[i]): values[2 * i], int(g[i]): values[2 * i + 1]})
-                         for i in r])[cls.member]
-
-    return _solve_scaled(c, A, np.zeros(A.shape[0]), eq[None, :], [1.0],
-                         interior / (eq @ interior), k, rows, want_witness, solved)
+    if solved is None:
+        F, G = 2 * f, 2 * g
+        # in _OCT_A, _OCT_B order: a - b, b - a, -a - b, a + b, -a, a, -b, b
+        h = np.stack([W[r, F, G], W[r, G, F], W[r, F + 1, G], W[r, F, G + 1],
+                      W[r, F + 1, F] / 2, W[r, F, F + 1] / 2, W[r, G + 1, G] / 2,
+                      W[r, G, G + 1] / 2], axis=1)
+        solved = _dinkelbach(cls.count, h, num_const, den_const)
+    if not want_witness:
+        return solved
+    a, b = solved.solution
+    rows = np.array([_point(W[i], {int(f[i]): a[i], int(g[i]): b[i]}) for i in r])
+    return _PairOutcome(solved.value, rows[cls.member], solution=solved.solution,
+                        upper=solved.upper)
 
 
 def _pair_or_vanishing(poly: ConsistencyPolytope, at, den_const: float,
                        num_at_zero: float, solve) -> _PairOutcome:
     """A ratio whose denominator is den_const plus each agent's distance to
     its facility in ``at`` (one, or one per agent), where ``solve()`` gives
-    the ratio LP's outcome.  The denominator can vanish iff den_const does
+    the ratio's outcome.  The denominator can vanish iff den_const does
     and every agent can sit on its facility.  There the ratio is infinite,
     witnessed by seating them, when the numerator ``num_at_zero`` stays
     positive, and reads at least 1 when it vanishes too."""
@@ -354,7 +422,8 @@ def _pair_or_vanishing(poly: ConsistencyPolytope, at, den_const: float,
     if den_const > 1e-12 or not poly.can_sit[agents, at].all():
         return solve()
     if num_at_zero > 1e-12:
-        return _PairOutcome(INF, poly.seated_metric(agents, at), ["denominator_vanishes"])
+        return _PairOutcome(INF, poly.seated_metric(agents, at), ["denominator_vanishes"],
+                            upper=INF)
     outcome = solve()
     outcome.value = max(outcome.value, 1.0)
     return outcome
@@ -363,8 +432,10 @@ def _pair_or_vanishing(poly: ConsistencyPolytope, at, den_const: float,
 def _finalize(poly: ConsistencyPolytope, objective: str, target, results,
               alpha: float | None, recompute, resolve) -> AuditReport:
     """Assemble the report: pick the maximizing alternative, let
-    ``resolve(key, outcome)`` materialize its witness from the LP optimum
-    its value came from, and re-evaluate the ratio on the witness."""
+    ``resolve(key, outcome)`` materialize its witness from the optimum its
+    value came from, and re-evaluate the ratio on the witness.  Sum and
+    assignment outcomes carry certified upper bounds: the witness's ratio,
+    the value and the largest bound must come in that order."""
     flags: list[str] = []
     best_key = None
     best = 1.0
@@ -389,9 +460,16 @@ def _finalize(poly: ConsistencyPolytope, objective: str, target, results,
         witness_ratio = recompute(witness)
         if not check_consistency(poly.profile, witness, tol=1e-7):
             raise InternalInvariantError("audit witness is not consistent")
+    upper = None
+    if objective != "percentile":
+        upper = max([1.0, *(outcome.upper for _, outcome in results)])
+        if not (_at_most(witness_ratio, best) and _at_most(best, upper)):
+            raise InternalInvariantError(
+                f"witness ratio {witness_ratio}, value {best} and certified upper "
+                f"bound {upper} are out of order")
     per_alt = tuple((key, outcome.value) for key, outcome in results)
     return AuditReport(objective, target, best, True, per_alt, witness,
-                       witness_ratio, alpha, tuple(flags))
+                       witness_ratio, alpha, tuple(flags), upper)
 
 
 def audit_sum_social_choice(winner: int, profile: PreferenceProfile,
@@ -407,7 +485,7 @@ def audit_sum_social_choice(winner: int, profile: PreferenceProfile,
             continue
         if l[winner, x] <= 1e-12:
             # Co-located alternatives have identical cost columns.
-            results.append((x, _PairOutcome(1.0, None)))
+            results.append((x, _PairOutcome(1.0, None, upper=1.0)))
             continue
         results.append((x, _pair_or_vanishing(
             poly, x, 0.0, n * l[x, winner],
@@ -494,20 +572,26 @@ def _percentile_candidate(poly: ConsistencyPolytope, x: int, w: int, k: int):
     firsts = np.unique(poly.ranking_id, return_index=True)[1]  # one agent per class
     mu = np.array([poly.min_agent_distance(i, x) for i in firsts])[poly.ranking_id]
     order = np.argsort(mu, kind="stable")
-
-    def subset(j):
-        return np.append(j, order[order != j][:k - 1])
-
-    candidates = []
-    for j in firsts:
-        S = subset(j)
-        cap = S[np.argmax(mu[S])]
-        gap = max(poly.max_distance_gap(j, w, x), 0.0)
-        candidates.append((1.0 + gap / mu[cap] if mu[cap] > 0 else INF, j, cap))
-    top = max(c[0] for c in candidates)
+    # cap = S[argmax(mu[S])] for S = j, then the k-1 others lowest in
+    # ``order``, read off the order: the last of those others is order[k-1]
+    # when j is among the first k-1, else order[k-2].  The first maximum in
+    # S is j when j reaches that value, else the first agent at that value.
+    cap = firsts
+    if k > 1:
+        rank = np.empty(poly.n, dtype=int)
+        rank[order] = np.arange(poly.n)
+        cap_mu = mu[np.where(rank[firsts] < k - 1, order[k - 1], order[k - 2])]
+        first_at = order[np.searchsorted(mu[order], cap_mu)]
+        cap = np.where(mu[firsts] >= cap_mu, firsts, first_at)
+    gap = np.maximum([poly.max_distance_gap(j, w, x) for j in firsts], 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        values = np.where(mu[cap] > 0, 1.0 + gap / mu[cap], INF)
+    top = values.max()
     tol = 0.0 if math.isinf(top) else 1e-9 * max(1.0, top)
-    value, j, cap = next(c for c in candidates if c[0] >= top - tol)
-    return value, subset(j), [j] if cap == j else [j, cap]
+    best = np.flatnonzero(values >= top - tol)[0]
+    j, cap = firsts[best], cap[best]
+    S = np.append(j, order[order != j][:k - 1])
+    return float(values[best]), S, [j] if cap == j else [j, cap]
 
 
 def _percentile_pair(poly: ConsistencyPolytope, S, binding, x: int, w: int,

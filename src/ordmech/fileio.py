@@ -301,6 +301,7 @@ def audit_report_to_dict(report: AuditReport, inst: InstanceFile) -> dict:
         "witness_metric": (None if report.witness is None
                            else _matrix_out(report.witness.distances)),
         "witness_ratio": _number_out(report.witness_ratio),
+        "certified_upper": _number_out(report.certified_upper),
         "flags": list(report.flags),
     }
 

@@ -1,6 +1,7 @@
-"""Small linear-programming layer used by the distortion audits.
+"""Small linear-programming layer used by the percentile audits (and, as
+an oracle, by the tests).
 
-Every audit LP has the form
+Every such LP has the form
 
     minimize c.x  subject to  A_ub x <= b_ub,  A_eq x = b_eq,  x >= 0
 

@@ -8,6 +8,8 @@ instance is consistent by construction.
 
 The loop oracles at the end are the plain per-agent and per-pair loops
 that the library's array passes replace; the parity tests compare the two.
+The audit oracles after them solve each sum or assignment ratio as a HiGHS
+LP and build every percentile candidate's subset in full.
 """
 
 from itertools import combinations
@@ -240,3 +242,116 @@ def loop_min_cost_matching(cost):
     for j in range(1, n + 1):
         x[p[j] - 1] = j - 1
     return tuple(x), float(sum(cost[i, x[i]] for i in range(n)))
+
+
+# ---------------------------------------------------------------------------
+# Audit oracles: the HiGHS linear programs and subset rules that the audits'
+# exact passes replaced, kept as references for the parity tests.
+
+def highs_ratio_pair(poly, cls, num_at, num_const, den_at, den_const) -> float:
+    """sup (sum_i d(i, num_at) + num_const) / (sum_i d(i, den_at) + den_const)
+    as one Charnes-Cooper LP solved by HiGHS: per class its two distances
+    under the eight octagon rows of its closure, each bound multiplied by a
+    joint scale variable, and the scaled mean denominator pinned to one."""
+    from ordmech.lp import solve_lp
+
+    n_cls = len(cls.count)
+    r = np.arange(n_cls)
+    f = np.broadcast_to(num_at, (n_cls,))
+    g = np.broadcast_to(den_at, (n_cls,))
+    W = np.stack([poly.bounds(key) for key in cls.keys[:, 0]])
+    F, G = 2 * f, 2 * g
+    k = 2 * n_cls  # d(i, num_at) and d(i, den_at) per class, then the scale
+    octagon = [(1, -1, W[r, F, G]), (-1, 1, W[r, G, F]), (-1, -1, W[r, F + 1, G]),
+               (1, 1, W[r, F, G + 1]), (-1, 0, W[r, F + 1, F] / 2),
+               (1, 0, W[r, F, F + 1] / 2), (0, -1, W[r, G + 1, G] / 2),
+               (0, 1, W[r, G, G + 1] / 2)]
+    A = np.zeros((len(octagon), n_cls, k + 1))
+    for t, (ca, cb, bound) in enumerate(octagon):
+        A[t, r, 2 * r], A[t, r, 2 * r + 1], A[t, r, k] = ca, cb, -bound
+    A = A.reshape(-1, k + 1)
+    A = A[np.isfinite(A[:, k])]
+    c = np.zeros(k + 1)
+    c[2 * r] = cls.count / poly.n
+    c[k] = num_const / poly.n
+    eq = np.zeros(k + 1)
+    eq[2 * r + 1] = cls.count / poly.n
+    eq[k] = den_const / poly.n
+    res = solve_lp(c, A, np.zeros(A.shape[0]), eq[None, :], [1.0], maximize=True)
+    if res.status == "unbounded":
+        return float("inf")
+    assert res.optimal, res.status
+    return res.fun
+
+
+def _highs_values(poly, pairs):
+    """Per alternative: 1 when co-located (``None``), else the library's
+    vanishing-denominator rule around the HiGHS ratio LP."""
+    from ordmech.audit import _PairOutcome, _pair_or_vanishing
+
+    values = []
+    for pair in pairs:
+        if pair is None:
+            values.append(1.0)
+            continue
+        at, den_const, num_at_zero, lp = pair
+        values.append(_pair_or_vanishing(
+            poly, at, den_const, num_at_zero,
+            lambda: _PairOutcome(highs_ratio_pair(poly, *lp), None)).value)
+    return values
+
+
+def highs_sum_values(winner, profile, fd) -> list[float]:
+    """A sum audit's per-alternative values, each pair by the HiGHS LP."""
+    from ordmech.audit import ConsistencyPolytope
+
+    poly = ConsistencyPolytope(profile, fd)
+    cls = poly.classes()
+    l = fd.values
+    return _highs_values(poly, [
+        None if l[winner, x] <= 1e-12 else
+        (x, 0.0, poly.n * l[x, winner], (cls, winner, 0.0, x, 0.0))
+        for x in range(fd.m) if x != winner])
+
+
+def highs_assignment_values(x, profile, fd, problem) -> list[float]:
+    """An assignment audit's per-alternative values, each by the HiGHS LP."""
+    from ordmech import iter_valid_assignments
+    from ordmech.audit import ConsistencyPolytope
+
+    poly = ConsistencyPolytope(profile, fd)
+    spec = problem.cost_spec
+    x = tuple(x)
+    pairs = []
+    for alt in iter_valid_assignments(poly.n, problem.constraints):
+        if alt == x:
+            continue
+        cls = poly.classes(x, alt)
+        num_at_zero = spec.facility_cost(x) + sum(fd.values[alt[i], x[i]]
+                                                  for i in range(poly.n))
+        pairs.append((list(alt), spec.facility_cost(alt), num_at_zero,
+                      (cls, cls.keys[:, 1], spec.facility_cost(x), cls.keys[:, 2],
+                       spec.facility_cost(alt))))
+    return _highs_values(poly, pairs)
+
+
+def subset_percentile_candidate(poly, x, w, k):
+    """The percentile audit's best candidate (value, S, binding), building S
+    for every ranking class and taking its cap by argmax over S."""
+    firsts = np.unique(poly.ranking_id, return_index=True)[1]
+    mu = np.array([poly.min_agent_distance(i, x) for i in firsts])[poly.ranking_id]
+    order = np.argsort(mu, kind="stable")
+
+    def subset(j):
+        return np.append(j, order[order != j][:k - 1])
+
+    candidates = []
+    for j in firsts:
+        S = subset(j)
+        cap = S[np.argmax(mu[S])]
+        gap = max(poly.max_distance_gap(j, w, x), 0.0)
+        candidates.append((1.0 + gap / mu[cap] if mu[cap] > 0 else float("inf"), j, cap))
+    top = max(c[0] for c in candidates)
+    tol = 0.0 if top == float("inf") else 1e-9 * max(1.0, top)
+    value, j, cap = next(c for c in candidates if c[0] >= top - tol)
+    return value, subset(j), [j] if cap == j else [j, cap]

@@ -462,20 +462,23 @@ def test_sum_audit_invariant_under_agent_replication():
             assert report.value == pytest.approx(base.value, abs=1e-9)
 
 
-def test_sum_audit_lp_size_follows_ranking_classes(monkeypatch):
-    # 2001 agents but three rankings: 3 classes x 2 audited distances + the scale
+def test_sum_and_assignment_audits_solve_no_lp(monkeypatch):
+    # each ratio is maximized over the classes' octagon vertices, so neither
+    # audit reaches the LP solver, at 2001 agents or with opening costs
+    calls = []
+    monkeypatch.setattr(audit, "solve_lp", lambda *args, **kwargs: calls.append(args))
     ex = gen_sum5_tight(q=1000)
-    sizes = []
-    real = audit.solve_lp
-
-    def spy(c, *args, **kwargs):
-        sizes.append(len(c))
-        return real(c, *args, **kwargs)
-
-    monkeypatch.setattr(audit, "solve_lp", spy)
     report = audit_sum_social_choice(1, ex.profile, ex.fd)
-    assert sizes and set(sizes) == {3 * 2 + 1}
-    assert report.value == pytest.approx((1000 * (5 - 4e-4) + 1) / 1001, rel=1e-7)
+    assert report.value == pytest.approx((1000 * (5 - 4e-4) + 1) / 1001, rel=1e-12)
+    assert report.witness_ratio <= report.value <= report.certified_upper
+    fd = facility_distances(("X", "Y"), [[0.0, 2.0], [2.0, 0.0]])
+    profile = PreferenceProfile(2, ((0, 1), (1, 0)))
+    for name, params in (("matching_min_cost", {}),
+                         ("facility_location", {"opening_costs": [1.0, 0.5]})):
+        problem = build_preset(name, 2, fd.facilities, params)
+        report = audit_additive_assignment((1, 0), profile, fd, problem)
+        assert report.value > 1.0 and report.certified_upper is not None
+    assert calls == []
 
 
 def test_sum_audit_witness_reproduces_value_at_n400():
@@ -500,8 +503,8 @@ def test_fallbacks_log_a_warning(caplog):
 
 
 def test_only_the_maximizer_builds_a_witness(caplog):
-    # a two-agent matching whose other assignment sits at the scale limit:
-    # its witness is never built, so nothing is re-solved or logged
+    # a two-agent matching whose other assignment audits to 1: no witness
+    # but the interior point is built, so nothing is repaired or logged
     rng = np.random.default_rng(11)
     profile, fd, _ = next(inst for inst in (random_instance(rng, n_max=4, m_max=3)
                                             for _ in range(50))

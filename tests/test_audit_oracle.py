@@ -1,0 +1,139 @@
+"""Sum and assignment audits against the HiGHS LP they replaced.
+
+Every per-alternative value must match the scaled ratio LP of
+``helpers.highs_ratio_pair`` to 1e-12 relative, and every report must put
+its witness's ratio, its value and its certified upper bound in that order
+within 1e-9 relative.
+"""
+
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from ordmech import (InternalInvariantError, PreferenceProfile,
+                     audit_additive_assignment, audit_percentile_social_choice,
+                     audit_sum_social_choice, build_preset, facility_distances,
+                     iter_valid_assignments, preferences_from_metric,
+                     reduce_and_solve)
+from ordmech import audit
+from ordmech.fileio import load_instance
+from ordmech.gallery import gen_sum5_tight
+from ordmech.solvers import SOLVERS
+
+from helpers import (highs_assignment_values, highs_sum_values, random_consistent_metric,
+                     random_facility_distances, random_instance)
+
+SEED = 20260810  # the acceptance suites' seed
+
+
+def _close(got, want, rel=1e-12):
+    if math.isinf(want) or math.isinf(got):
+        return got == want
+    return abs(got - want) <= rel * max(1.0, abs(want))
+
+
+def _check(report, oracle):
+    got = [value for _, value in report.per_alternative]
+    assert len(got) == len(oracle)
+    for g, want in zip(got, oracle):
+        assert _close(g, want), (report.target, got, oracle)
+    assert report.value == max([1.0, *got])
+    upper = report.certified_upper
+    assert upper is not None and report.value <= upper + 1e-9 * abs(upper)
+    assert _close(upper, report.value, rel=1e-9)
+    if report.witness_ratio is not None:
+        assert report.witness_ratio <= report.value + 1e-9 * abs(report.value)
+
+
+def _sum_audits(profile, fd):
+    for winner in range(fd.m):
+        report = audit_sum_social_choice(winner, profile, fd)
+        _check(report, highs_sum_values(winner, profile, fd))
+
+
+def test_sum_audits_match_highs_on_the_criterion_1_suite():
+    rng = np.random.default_rng(SEED)
+    for profile, fd, _ in (random_instance(rng, n_max=8, m_max=5) for _ in range(500)):
+        _sum_audits(profile, fd)
+
+
+def test_sum_audits_match_highs_on_top_only_profiles():
+    rng = np.random.default_rng(SEED)
+    for _ in range(100):
+        profile, fd, _ = random_instance(rng, n_max=8, m_max=5)
+        tops = PreferenceProfile(fd.m, tuple((r[0],) for r in profile.rankings),
+                                 top_only=True)
+        _sum_audits(tops, fd)
+
+
+def test_sum_audits_match_highs_at_scale():
+    ex = gen_sum5_tight(q=1000)
+    _sum_audits(ex.profile, ex.fd)
+    inst = load_instance(Path(__file__).parent / "fixtures" / "clustered_n400.json")
+    _sum_audits(inst.profile, inst.fd)
+
+
+def test_assignment_audits_match_highs_on_the_criterion_6_suites():
+    # the criterion-6 matchings at the reduction's assignment, and where
+    # m <= 3 (at most 27 alternatives, so the oracle stays quick) facility
+    # location with opening costs and k-median on the same instances
+    rng = np.random.default_rng(SEED + 2)
+    for _ in range(200):
+        m = int(rng.integers(2, 5))
+        fd = random_facility_distances(rng, m)
+        profile = preferences_from_metric(random_consistent_metric(rng, fd, m))
+        costs = [float(c) for c in rng.uniform(0.0, 3.0, m)]
+        presets = [("matching_min_cost", {}, "matching")]
+        if m <= 3:
+            presets += [("facility_location", {"opening_costs": costs}, "brute_force"),
+                        ("k_median", {"k": int(rng.integers(1, m + 1))}, "brute_force")]
+        for preset, params, solver in presets:
+            problem = build_preset(preset, m, fd.facilities, params)
+            x = reduce_and_solve(problem, profile, fd, SOLVERS[solver]).assignment
+            report = audit_additive_assignment(x, profile, fd, problem)
+            _check(report, highs_assignment_values(x, profile, fd, problem))
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-13])
+def test_vanishing_denominator_with_vanishing_numerator(eps):
+    # X and Z lie eps apart and every agent can sit on Z: the denominator of
+    # (Z, Z) against (X, X) vanishes with its numerator (below 1e-12), so
+    # the ratio is maximized over vertices whose denominator may be zero
+    fd = facility_distances(("X", "Z", "Y"), [[0.0, eps, 2.0], [eps, 0.0, 2.0],
+                                              [2.0, 2.0, 0.0]])
+    profile = PreferenceProfile(3, ((0, 1, 2), (1, 0, 2), (0, 1, 2)))
+    assert audit.ConsistencyPolytope(profile, fd).can_sit[:, 1].all()
+    problem = build_preset("social_choice_sum", 3, fd.facilities)
+    for x in iter_valid_assignments(3, problem.constraints):
+        report = audit_additive_assignment(x, profile, fd, problem)
+        _check(report, highs_assignment_values(x, profile, fd, problem))
+    report = audit_additive_assignment((0, 0, 0), profile, fd, problem)
+    assert report.alternative_value((1, 1, 1)) == 1.0
+    assert report.flags == ()
+    # everyone can sit on X too, while Y lies 2 away: Y against X is infinite
+    report = audit_additive_assignment((2, 2, 2), profile, fd, problem)
+    assert "denominator_vanishes" in report.flags
+    assert report.value == math.inf and report.certified_upper == math.inf
+
+
+def test_percentile_audits_carry_no_certificate():
+    rng = np.random.default_rng(SEED + 1)
+    profile, fd, _ = random_instance(rng, n_max=7, m_max=4, m_min=3, n_min=3)
+    assert audit_percentile_social_choice(0, profile, fd, 0.5).certified_upper is None
+
+
+def test_out_of_order_certificate_is_an_error(monkeypatch):
+    real = audit._dinkelbach
+
+    def low_bound(*args):
+        outcome = real(*args)
+        outcome.upper = outcome.value / 2
+        return outcome
+
+    monkeypatch.setattr(audit, "_dinkelbach", low_bound)
+    fd = facility_distances(("X", "Y"), [[0.0, 2.0], [2.0, 0.0]])
+    profile = PreferenceProfile(2, ((0, 1), (1, 0)))
+    with pytest.raises(InternalInvariantError):
+        audit_sum_social_choice(0, profile, fd)

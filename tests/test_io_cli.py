@@ -276,10 +276,30 @@ def test_infinite_audit_value_serializes(tmp_path):
     report = json.loads(out.read_text())
     assert report["value"] == "inf"
     assert report["witness_ratio"] == "inf"
+    assert report["certified_upper"] == "inf"
     assert "denominator_vanishes" in report["flags"]
     root = Path(__file__).parent.parent
     schema = json.loads((root / "schemas" / "report.schema.json").read_text())
     jsonschema.validate(report, schema)
+
+
+def test_cli_audit_reports_its_certified_upper_bound(tmp_path):
+    jsonschema = pytest.importorskip("jsonschema")
+    root = Path(__file__).parent.parent
+    schema = json.loads((root / "schemas" / "report.schema.json").read_text())
+    path = FIXTURES / "clustered_n400.json"
+    for objective in ("sum", "median"):
+        out = tmp_path / f"{objective}.json"
+        assert main(["audit", "--instance", str(path), "--outcome", "F1",
+                     "--objective", objective, "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        jsonschema.validate(report, schema)
+        if objective == "median":
+            assert report["certified_upper"] is None
+            continue
+        value, upper = report["value"], report["certified_upper"]
+        assert report["witness_ratio"] <= value + 1e-9 * value
+        assert value <= upper <= value + 1e-9 * value
 
 
 def test_cli_repro_single_example():

@@ -18,13 +18,15 @@ from ordmech import (FullMetric, MetricError, PreferenceProfile, ProfileError,
                      majority_graph, median_winner, min_cost_matching,
                      preferences_from_metric, project_problem,
                      validate_distance_matrix)
+from ordmech.audit import ConsistencyPolytope, _percentile_candidate
 
 from helpers import (loop_candidate_reach, loop_check_consistency,
                      loop_facility_location, loop_full_metric_error, loop_k_median,
                      loop_majority_counts, loop_min_cost_matching, loop_numeric_reach,
                      loop_open_count_brute_force, loop_profile_error,
                      loop_validate_distance_matrix, random_consistent_metric,
-                     random_facility_distances, random_instance)
+                     random_facility_distances, random_instance,
+                     subset_percentile_candidate)
 
 
 def _perturb(rng, a, count):
@@ -337,3 +339,23 @@ def test_screening_keeps_subsets_tied_up_to_rounding(seed):
     D, costs = l[list(tops)], rng.integers(0, 3, m) * 0.1
     result = facility_location_solver(D, costs)
     assert (result.assignment, result.value) == loop_facility_location(D, costs)
+
+
+def test_percentile_cap_matches_subset_rule():
+    # the cap read off the sorted order names the same agent as argmax over
+    # the full subset, ties included: replicated and top-only profiles tie
+    # many agents' smallest distances, some of them at zero
+    rng = np.random.default_rng(108)
+    instances = [random_instance(rng, n_max=12, m_max=5)[:2] for _ in range(30)]
+    instances += [(PreferenceProfile(p.m, p.rankings * 3), fd) for p, fd in instances[:8]]
+    instances += [(PreferenceProfile(p.m, tuple((r[0],) for r in p.rankings), top_only=True),
+                   fd) for p, fd in instances[:8]]
+    for profile, fd in instances:
+        poly = ConsistencyPolytope(profile, fd)
+        for x, w in itertools.permutations(range(fd.m), 2):
+            for k in range(1, profile.n + 1):
+                value, S, binding = _percentile_candidate(poly, x, w, k)
+                want_value, want_S, want_binding = subset_percentile_candidate(poly, x, w, k)
+                assert value == want_value
+                assert np.array_equal(S, want_S)
+                assert binding == want_binding
