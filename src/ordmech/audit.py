@@ -29,16 +29,12 @@ Only the maximizing alternative's witness is extended to full rows.
 Percentile objectives are piecewise linear: which agents realize the two
 order statistics is a subset choice, but per-agent independence collapses
 the search to one candidate configuration per ranking class, whose value
-has a closed form in two bounds of that class's rows (see
-_percentile_candidate).  The audit solves one scaled LP per alternative,
-through ``lp.solve_lp`` (HiGHS), over the ranking blocks of the one or
-two agents that bind its best candidate, and checks it against the
-closed form: a joint scale variable, distances and facility geometry
-scaled together, turns the ratio into that LP, exactly, because
-distortion is invariant under the joint scaling.  The maximizer's
-witness takes those agents' rows from that LP and places every other
-agent from the closure alone, so no LP ever spans the profile.  These are
-the only LPs the audits solve.
+has a closed form in two closure entries of the one or two agents that
+bind it (see _percentile_candidate).  Each entry is the length of a
+shortest path of ranking rows, so summing those rows' bounds along the
+path (_path_bound) re-derives it from the raw rows and certifies an upper
+bound on the value, and the maximizer's witness, built from the closure
+alone, attains the value from below.  No audit solves an LP.
 """
 
 from __future__ import annotations
@@ -53,14 +49,13 @@ import numpy as np
 from .assignment import AssignmentProblem, DistanceCost, iter_valid_assignments, total_cost
 from .core import (FacilityDistances, FullMetric, PreferenceProfile,
                    check_consistency, consistency_constraints, pair_rows,
-                   ranking_block, stack_blocks)
+                   ranking_block)
 from .errors import (InternalInvariantError, MetricError, SearchSpaceError,
                      SolverError, UnboundedObjectiveError)
 from .lp import solve_lp
 from .social_choice import evaluate_percentile_cost, percentile_rank
 
 INF = float("inf")
-SCALE_TOL = 1e-7
 ASSIGNMENT_AUDIT_CAP = 10 ** 4
 _LOG = logging.getLogger("ordmech")
 
@@ -78,7 +73,7 @@ class AuditReport:
     witness_ratio: float | None
     alpha: float | None = None
     flags: tuple[str, ...] = ()
-    certified_upper: float | None = None  # a dual bound on value; None for percentiles
+    certified_upper: float | None = None  # a certified upper bound on value
 
     def alternative_value(self, key) -> float:
         for alt, val in self.per_alternative:
@@ -164,32 +159,76 @@ class ConsistencyPolytope:
         return d
 
 
-def _closure(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Tightest bounds implied by ``A d <= b, d >= 0`` when every row has
-    two nonzero coefficients, each +1 or -1, as in a ranking block.
-
-    With v[2a] = d(a) and v[2a + 1] = -d(a), every row bounds one
-    difference v[p] - v[q], and entry [p, q] of the result is the least
-    upper bound of v[p] - v[q] over the system (inf if there is none).
-    Over the reals, shortest paths through these differences followed by
-    one halving step through the single-variable bounds give every such
-    bound exactly (the closure of an octagon); the system must be feasible.
-    """
+def _edges(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The difference graph of ``A d <= b, d >= 0`` when every row of A has
+    two nonzero coefficients, each +1 or -1, as in a ranking block: with
+    v[2a] = d(a) and v[2a + 1] = -d(a), every row bounds v[p] - v[q], and
+    so v[q ^ 1] - v[p ^ 1], by its b, and d(a) >= 0 bounds v[2a + 1] - v[2a]
+    by 0.  Returns each edge's (source, target, bound)."""
     m = A.shape[1]
-    W = np.full((2 * m, 2 * m), INF)
-    np.fill_diagonal(W, 0.0)
-    W[np.arange(1, 2 * m, 2), np.arange(0, 2 * m, 2)] = 0.0  # -d(a) <= 0
     at, cols = np.nonzero(A)  # two per row, in order
     a, e = cols[0::2], cols[1::2]
     p = 2 * a + (A[at[0::2], a] < 0)
     q = 2 * e + (A[at[1::2], e] > 0)  # v[p] - v[q] = row . d
-    np.minimum.at(W, (p, q), b)
-    np.minimum.at(W, (q ^ 1, p ^ 1), b)
+    odd = np.arange(1, 2 * m, 2)
+    return (np.concatenate([p, q ^ 1, odd]), np.concatenate([q, p ^ 1, odd ^ 1]),
+            np.concatenate([b, b, np.zeros(m)]))
+
+
+def _closure(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Tightest bounds implied by a system of two-variable rows (see
+    _edges): entry [p, q] of the result is the least upper bound of
+    v[p] - v[q] over the system (inf if there is none).  Over the reals,
+    shortest paths through the edges followed by one halving step through
+    the single-variable bounds give every such bound exactly (the closure
+    of an octagon); the system must be feasible."""
+    m = A.shape[1]
+    W = np.full((2 * m, 2 * m), INF)
+    np.fill_diagonal(W, 0.0)
+    src, dst, bound = _edges(A, b)
+    np.minimum.at(W, (src, dst), bound)
     for k in range(2 * m):
         W = np.minimum(W, W[:, k, None] + W[None, k, :])
     at = np.arange(2 * m)
     half = W[at, at ^ 1] / 2  # v[p] - v[bar p] = 2 v[p]
     return np.minimum(W, half[:, None] + half[at ^ 1][None, :])
+
+
+def _path_bound(poly: ConsistencyPolytope, i: int, p: int, q: int) -> float:
+    """Entry [p, q] of the closure W of agent i's ranking block, re-derived
+    from the block's rows: their bounds summed along a path of edges (see
+    _edges) from p to q that W says are tight, or, where the closure took
+    its halving step, half the sum of the paths p -> p ^ 1 and q ^ 1 -> q.
+    The rows of a path add up to a bound on v[p] - v[q], so the sum holds
+    whatever W says.  Raises unless it is within a relative 1e-9 of the
+    entry, relative to at least the facility radius."""
+    W, scale = poly.bounds(poly.ranking_id[i]), poly.radius
+    src, dst, bound = _edges(*poly.blocks[poly.ranking_id[i]])
+    ends = list(zip(src.tolist(), dst.tolist()))
+
+    def walk(p: int, q: int) -> float:
+        tight = np.flatnonzero(W[p, src] + bound <= W[p, dst] + 1e-12 * scale).tolist()
+        via = {p: -1}  # node -> the tight edge that reached it
+        while q not in via:
+            step = {ends[e][1]: e for e in tight if ends[e][0] in via and ends[e][1] not in via}
+            if not step:
+                raise InternalInvariantError(f"no path of rows behind closure entry [{p}, {q}]")
+            via.update(step)
+        total = 0.0
+        while q != p:
+            total += float(bound[via[q]])
+            q = ends[via[q]][0]
+        return total
+
+    entry = float(W[p, q])
+    if q != p ^ 1 and entry == W[p, p ^ 1] / 2 + W[q ^ 1, q] / 2:
+        found = (walk(p, p ^ 1) + walk(q ^ 1, q)) / 2
+    else:
+        found = walk(p, q)
+    if not abs(found - entry) <= 1e-9 * max(scale, abs(entry)):
+        raise InternalInvariantError(f"closure entry [{p}, {q}] is {entry}, but its "
+                                     f"path of rows sums to {found}")
+    return found
 
 
 def _point(W: np.ndarray, fixed: dict[int, float]) -> np.ndarray:
@@ -261,45 +300,8 @@ class _PairOutcome:
     value: float
     witness_values: np.ndarray | None
     flags: list[str] = field(default_factory=list)
-    solution: np.ndarray | None = None  # the optimum the witness is built from
+    solution: object = None  # what the witness is built from
     upper: float | None = None          # a certified upper bound on value
-
-
-def _solve_scaled(c, A_ub, b_ub, A_eq, b_eq, interior: np.ndarray, k: int, rows,
-                  want_witness: bool, solved: _PairOutcome | None = None) -> _PairOutcome:
-    """Maximize c.z over a scaled LP whose first k columns are distances,
-    then the scale, then any extra columns, or take the optimum from
-    ``solved``.  The witness divides the distance columns by the scale and
-    ``rows`` turns them into the full n x m witness.  ``interior`` is a
-    feasible point with a positive scale, strictly inside the pair rows."""
-    if solved is None:
-        res = solve_lp(c, A_ub, b_ub, A_eq, b_eq, maximize=True)
-        if res.status == "unbounded":
-            return _PairOutcome(INF, None, ["unbounded_ratio"])
-        if not res.optimal:
-            # Denominators identically zero over the closure are resolved
-            # combinatorially before getting here.
-            raise InternalInvariantError("scaled LP infeasible on a feasible polytope")
-        solved = _PairOutcome(res.fun, None, solution=res.x)
-    if not want_witness:
-        return solved
-    value = solved.value
-    flags: list[str] = []
-    z = solved.solution
-    if z[k] <= SCALE_TOL:
-        # Among optimal solutions, prefer one at a genuine metric scale.
-        eps = 1e-9 * max(1.0, abs(value))
-        c_tau = np.zeros_like(c)
-        c_tau[k] = 1.0
-        res2 = solve_lp(c_tau, np.vstack([A_ub, -c]), np.append(b_ub, -(value - eps)),
-                        A_eq, b_eq, maximize=True)
-        if res2.optimal and res2.x[k] > SCALE_TOL:
-            z = res2.x
-        else:
-            _flag(flags, "witness_at_scale_limit")
-            lam = 1e-7
-            z = (1 - lam) * z + lam * interior
-    return _PairOutcome(value, rows(z[:k] / z[k]), flags, z)
 
 
 # A class's octagon over (a, b) = (d(i, num_at), d(i, den_at)): row t reads
@@ -432,10 +434,11 @@ def _pair_or_vanishing(poly: ConsistencyPolytope, at, den_const: float,
 def _finalize(poly: ConsistencyPolytope, objective: str, target, results,
               alpha: float | None, recompute, resolve) -> AuditReport:
     """Assemble the report: pick the maximizing alternative, let
-    ``resolve(key, outcome)`` materialize its witness from the optimum its
-    value came from, and re-evaluate the ratio on the witness.  Sum and
-    assignment outcomes carry certified upper bounds: the witness's ratio,
-    the value and the largest bound must come in that order."""
+    ``resolve(key, outcome)`` materialize its witness from what its value
+    came from, and re-evaluate the ratio on the witness.  Every outcome
+    carries a certified upper bound: the witness's ratio, the value and the
+    largest bound must come in that order, and a percentile witness, built
+    in closed form, must reach the value."""
     flags: list[str] = []
     best_key = None
     best = 1.0
@@ -460,13 +463,12 @@ def _finalize(poly: ConsistencyPolytope, objective: str, target, results,
         witness_ratio = recompute(witness)
         if not check_consistency(poly.profile, witness, tol=1e-7):
             raise InternalInvariantError("audit witness is not consistent")
-    upper = None
-    if objective != "percentile":
-        upper = max([1.0, *(outcome.upper for _, outcome in results)])
-        if not (_at_most(witness_ratio, best) and _at_most(best, upper)):
-            raise InternalInvariantError(
-                f"witness ratio {witness_ratio}, value {best} and certified upper "
-                f"bound {upper} are out of order")
+    upper = max([1.0, *(outcome.upper for _, outcome in results)])
+    reached = objective != "percentile" or witness_ratio is None or _at_most(best, witness_ratio)
+    if not (_at_most(witness_ratio, best) and _at_most(best, upper) and reached):
+        raise InternalInvariantError(
+            f"witness ratio {witness_ratio}, value {best} and certified upper "
+            f"bound {upper} are out of order")
     per_alt = tuple((key, outcome.value) for key, outcome in results)
     return AuditReport(objective, target, best, True, per_alt, witness,
                        witness_ratio, alpha, tuple(flags), upper)
@@ -594,51 +596,52 @@ def _percentile_candidate(poly: ConsistencyPolytope, x: int, w: int, k: int):
     return float(values[best]), S, [j] if cap == j else [j, cap]
 
 
-def _percentile_pair(poly: ConsistencyPolytope, S, binding, x: int, w: int,
-                     want_witness: bool, solved: _PairOutcome | None = None) -> _PairOutcome:
-    """sup d(j, w) / max over i in ``binding`` of d(i, x), j = binding[0],
-    as one scaled LP over the binding agents' ranking blocks: their
-    distances to x are scaled to at most one and a floor under d(j, w) is
-    maximized.
+def _percentile_pair(poly: ConsistencyPolytope, x: int, w: int, k: int) -> _PairOutcome:
+    """The value of x against w, from the best candidate configuration (see
+    _percentile_candidate), with an upper bound re-derived from the raw
+    ranking rows: the closure entries behind M (of the agent that sets it)
+    and behind c (of agent j) are each summed along their path of rows
+    (_path_bound), and 1 + max(c, 0) / M over those sums bounds the value.
+    A vanishing M reads as an infinite value."""
+    value, S, binding = _percentile_candidate(poly, x, w, k)
+    if math.isinf(value):
+        return _PairOutcome(INF, None, ["unbounded_ratio"], upper=INF)
+    j, cap = binding[0], binding[-1]
+    M_sum = -_path_bound(poly, cap, 2 * x + 1, 2 * x) / 2
+    c_sum = _path_bound(poly, j, 2 * w, 2 * x)
+    upper = 1.0 + max(c_sum, 0.0) / M_sum if M_sum > 0 else INF
+    M, c = poly.min_agent_distance(cap, x), max(poly.max_distance_gap(j, w, x), 0.0)
+    return _PairOutcome(value, None, solution=(S, binding, M, c), upper=upper)
 
-    The witness keeps the binding agents' rows and places everyone else
-    from the closure alone.  The rest of S sits at its smallest consistent
-    distance to x, at most M = max over binding of d(i, x), so x's k-th
-    smallest distance is M.  Agents outside S sit equidistant from every
-    facility at max(radius, d(j, w)), which fits any ranking, so w's k-th
-    smallest distance is at least d(j, w) and the ratio reaches the value."""
-    m = poly.m
-    A, b = stack_blocks(poly.blocks[poly.ranking_id[i]] for i in binding)
-    k = len(binding) * m  # then the scale, then the floor
-    extra = np.zeros((len(binding) + 1, k + 2))
-    extra[np.arange(len(binding)), np.arange(0, k, m) + x] = 1.0
-    extra[-1, k + 1], extra[-1, w] = 1.0, -1.0
-    A_ub = np.vstack([np.hstack([A, -b[:, None], np.zeros((len(b), 1))]), extra])
-    b_ub = np.concatenate([np.zeros(len(b)), np.ones(len(binding)), [0.0]])
-    c = np.zeros(k + 2)
-    c[-1] = 1.0
-    interior = np.concatenate([np.ones(k), [1.0 / poly.radius, 1.0]])
 
-    def rows(values):
-        d = np.full((poly.n, m), max(poly.radius, values[w]))
-        rest = np.setdiff1d(S, binding)
-        ranks, first, member = np.unique(poly.ranking_id[rest], return_index=True,
-                                         return_inverse=True)
-        d[rest] = np.array([_point(poly.bounds(r), {x: poly.min_agent_distance(i, x)})
-                            for r, i in zip(ranks, rest[first])]).reshape(-1, m)[member]
-        d[binding] = values.reshape(-1, m)
-        return d
+def _percentile_witness(poly: ConsistencyPolytope, x: int, w: int, S, binding,
+                        M: float, c: float) -> np.ndarray:
+    """Rows attaining 1 + c / M for x against w, from the closure alone.
 
-    return _solve_scaled(c, A_ub, b_ub, None, None, interior, k, rows, want_witness, solved)
+    Agent j = binding[0] sits at d(j, x) = M, d(j, w) = M + c, and the
+    agent that sets M, if another, at d(., x) = M.  The rest of S sits at
+    its smallest consistent distance to x, at most M, so x's k-th smallest
+    distance is at most M.  Agents outside S sit equidistant from every
+    facility at max(radius, M + c), which fits any ranking, so w's k-th
+    smallest distance is at least M + c and the ratio reaches the value."""
+    rid = poly.ranking_id
+    d = np.full((poly.n, poly.m), max(poly.radius, M + c))
+    rest = np.setdiff1d(S, binding)
+    ranks, first, member = np.unique(rid[rest], return_index=True, return_inverse=True)
+    d[rest] = np.array([_point(poly.bounds(r), {x: poly.min_agent_distance(i, x)})
+                        for r, i in zip(ranks, rest[first])]).reshape(-1, poly.m)[member]
+    d[binding[-1]] = _point(poly.bounds(rid[binding[-1]]), {x: M})
+    d[binding[0]] = _point(poly.bounds(rid[binding[0]]), {x: M, w: M + c})
+    return d
 
 
 def audit_percentile_social_choice(winner: int, profile: PreferenceProfile,
                                    fd: FacilityDistances,
                                    alpha: float) -> AuditReport:
     """Exact worst-case percentile-cost distortion: per alternative, the
-    best candidate order-statistic configuration in closed form and one
-    scaled LP over the agents that bind it, whose optimum also gives the
-    maximizing alternative's witness."""
+    best candidate order-statistic configuration in closed form, with an
+    upper bound certified by paths of ranking rows, and for the maximizing
+    alternative a witness built from the closure that reaches the value."""
     if alpha < 0.5 - 1e-12:
         raise UnboundedObjectiveError(
             f"alpha = {alpha} below one half has unbounded worst-case "
@@ -651,35 +654,28 @@ def audit_percentile_social_choice(winner: int, profile: PreferenceProfile,
     l = fd.values
 
     results: list[tuple[object, _PairOutcome]] = []
-    best_combo: dict[object, tuple] = {}
     for x in range(m):
         if x == winner:
             continue
         if l[winner, x] <= 1e-12:
-            results.append((x, _PairOutcome(1.0, None)))
+            results.append((x, _PairOutcome(1.0, None, upper=1.0)))
             continue
         sitting = np.flatnonzero(poly.can_sit[:, x])
         if sitting.size >= k:
             results.append((x, _PairOutcome(INF, poly.seated_metric(sitting[:k], x),
-                                            ["denominator_vanishes"])))
+                                            ["denominator_vanishes"], upper=INF)))
             continue
-        # The best candidate's LP, restricted to the agents that bind it,
-        # gives the alternative's value; it must agree with the closed form.
-        value, S, binding = _percentile_candidate(poly, x, winner, k)
-        best = _percentile_pair(poly, S, binding, x, winner, want_witness=False)
-        if not (best.value == value or abs(best.value - value) <= 1e-6 * max(1.0, value)):
-            raise InternalInvariantError(
-                f"configuration LP gives {best.value}, its closed form {value}")
-        best_combo[x] = (S, binding)
-        results.append((x, best))
+        results.append((x, _percentile_pair(poly, x, winner, k)))
 
     def recompute(metric: FullMetric) -> float:
         return _ratio(evaluate_percentile_cost(winner, metric, alpha),
                       min(evaluate_percentile_cost(f, metric, alpha) for f in range(m)))
 
-    return _finalize(poly, "percentile", winner, results, alpha, recompute,
-                     lambda x, solved: _percentile_pair(poly, *best_combo[x], x, winner,
-                                                        True, solved))
+    def resolve(x, solved: _PairOutcome) -> _PairOutcome:
+        return _PairOutcome(solved.value, _percentile_witness(poly, x, winner, *solved.solution),
+                            solution=solved.solution, upper=solved.upper)
+
+    return _finalize(poly, "percentile", winner, results, alpha, recompute, resolve)
 
 
 def sample_consistent_metric(profile: PreferenceProfile, fd: FacilityDistances,

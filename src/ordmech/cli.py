@@ -17,7 +17,7 @@ from .audit import (audit_additive_assignment, audit_percentile_social_choice,
 from .core import project_agents
 from .errors import OrdmechError, SchemaError
 from .fileio import (InstanceFile, audit_report_to_dict, example_to_instance,
-                     load_instance, save_instance, save_report,
+                     instance_digest, load_instance, save_instance, save_report,
                      solve_report_to_dict)
 from .gallery import EXAMPLES, gen_worked_example, verify_worked_example
 from .solvers import SOLVERS
@@ -63,7 +63,8 @@ def _parse_objective(raw: str) -> tuple[str, float | None]:
                       "percentile:<alpha>", field="objective")
 
 
-def _run_audit(inst: InstanceFile, target, objective: str, alpha: float | None) -> dict:
+def _run_audit(inst: InstanceFile, digest: str, target, objective: str,
+               alpha: float | None) -> dict:
     fd = _require_fd(inst)
     social = inst.preset in SOCIAL_PRESETS
     if social == isinstance(target, tuple):
@@ -81,11 +82,12 @@ def _run_audit(inst: InstanceFile, target, objective: str, alpha: float | None) 
                               field="objective")
         problem = build_preset(inst.preset, inst.n, inst.facilities, inst.params)
         report = audit_additive_assignment(target, inst.profile, fd, problem)
-    return audit_report_to_dict(report, inst)
+    return audit_report_to_dict(report, inst, digest)
 
 
 def _cmd_solve(args) -> int:
     inst = load_instance(args.instance)
+    digest = instance_digest(inst)
     mechanism = args.mechanism
     audit_dict = beta = exact = None
     if mechanism == "alg1":
@@ -117,8 +119,8 @@ def _cmd_solve(args) -> int:
 
     if args.audit is not None:
         objective, alpha = _parse_objective(args.audit)
-        audit_dict = _run_audit(inst, target, objective, alpha)
-    report = solve_report_to_dict(inst, mechanism, target, beta, exact,
+        audit_dict = _run_audit(inst, digest, target, objective, alpha)
+    report = solve_report_to_dict(inst, digest, mechanism, target, beta, exact,
                                   guarantee, audit_dict)
     _emit(report, args.out)
     return 0
@@ -128,7 +130,7 @@ def _cmd_audit(args) -> int:
     inst = load_instance(args.instance)
     target = _parse_outcome(inst, args.outcome)
     objective, alpha = _parse_objective(args.objective)
-    report = _run_audit(inst, target, objective, alpha)
+    report = _run_audit(inst, instance_digest(inst), target, objective, alpha)
     _emit(report, args.out)
     return 0
 

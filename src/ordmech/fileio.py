@@ -285,11 +285,11 @@ def _outcome_out(target, names) -> dict:
     return {"assignment": [names[f] for f in target]}
 
 
-def audit_report_to_dict(report: AuditReport, inst: InstanceFile) -> dict:
+def audit_report_to_dict(report: AuditReport, inst: InstanceFile, digest: str) -> dict:
     names = inst.facilities.names
     return {
         "schema": SCHEMA_AUDIT,
-        "instance_digest": instance_digest(inst),
+        "instance_digest": digest,
         "objective": report.objective,
         "alpha": report.alpha,
         "outcome": _outcome_out(report.target, names),
@@ -306,12 +306,12 @@ def audit_report_to_dict(report: AuditReport, inst: InstanceFile) -> dict:
     }
 
 
-def solve_report_to_dict(inst: InstanceFile, mechanism: str, target,
+def solve_report_to_dict(inst: InstanceFile, digest: str, mechanism: str, target,
                          beta: float | None, exact: bool | None,
                          guarantee: dict, audit: dict | None = None) -> dict:
     return {
         "schema": SCHEMA_REPORT,
-        "instance_digest": instance_digest(inst),
+        "instance_digest": digest,
         "mechanism": mechanism,
         "outcome": _outcome_out(target, inst.facilities.names),
         "beta": beta,

@@ -1,5 +1,5 @@
-"""Small linear-programming layer used by the percentile audits (and, as
-an oracle, by the tests).
+"""Small linear-programming layer.  No audit uses it: it serves
+``audit.sample_consistent_metric`` and the tests' HiGHS oracles.
 
 Every such LP has the form
 

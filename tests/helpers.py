@@ -8,8 +8,9 @@ instance is consistent by construction.
 
 The loop oracles at the end are the plain per-agent and per-pair loops
 that the library's array passes replace; the parity tests compare the two.
-The audit oracles after them solve each sum or assignment ratio as a HiGHS
-LP and build every percentile candidate's subset in full.
+The audit oracles after them solve each sum or assignment ratio, and each
+percentile alternative's binding configuration, as a HiGHS LP, and build
+every percentile candidate's subset in full.
 """
 
 from itertools import combinations
@@ -333,6 +334,52 @@ def highs_assignment_values(x, profile, fd, problem) -> list[float]:
                       (cls, cls.keys[:, 1], spec.facility_cost(x), cls.keys[:, 2],
                        spec.facility_cost(alt))))
     return _highs_values(poly, pairs)
+
+
+def highs_percentile_pair(poly, binding, x, w) -> float:
+    """sup d(j, w) / max over i in ``binding`` of d(i, x), j = binding[0],
+    as one scaled LP solved by HiGHS over the binding agents' ranking
+    blocks: distances and geometry scaled by a joint variable, the
+    distances to x capped at one, and a floor under d(j, w) maximized."""
+    from ordmech.core import stack_blocks
+    from ordmech.lp import solve_lp
+
+    m = poly.m
+    A, b = stack_blocks(poly.blocks[poly.ranking_id[i]] for i in binding)
+    k = len(binding) * m  # then the scale, then the floor
+    extra = np.zeros((len(binding) + 1, k + 2))
+    extra[np.arange(len(binding)), np.arange(0, k, m) + x] = 1.0
+    extra[-1, k + 1], extra[-1, w] = 1.0, -1.0
+    A_ub = np.vstack([np.hstack([A, -b[:, None], np.zeros((len(b), 1))]), extra])
+    b_ub = np.concatenate([np.zeros(len(b)), np.ones(len(binding)), [0.0]])
+    res = solve_lp(np.eye(k + 2)[k + 1], A_ub, b_ub, maximize=True)
+    if res.status == "unbounded":
+        return float("inf")
+    assert res.optimal, res.status
+    return res.fun
+
+
+def highs_percentile_values(winner, profile, fd, alpha) -> list[float]:
+    """A percentile audit's per-alternative values: 1 when co-located,
+    infinite when k agents can sit on the alternative, else the HiGHS LP
+    over the agents that bind the library's best candidate."""
+    from ordmech.audit import ConsistencyPolytope, _percentile_candidate
+    from ordmech.social_choice import percentile_rank
+
+    poly = ConsistencyPolytope(profile, fd)
+    k = percentile_rank(poly.n, alpha)
+    values = []
+    for x in range(fd.m):
+        if x == winner:
+            continue
+        if fd.values[winner, x] <= 1e-12:
+            values.append(1.0)
+        elif poly.can_sit[:, x].sum() >= k:
+            values.append(float("inf"))
+        else:
+            binding = _percentile_candidate(poly, x, winner, k)[2]
+            values.append(highs_percentile_pair(poly, binding, x, winner))
+    return values
 
 
 def subset_percentile_candidate(poly, x, w, k):

@@ -1,9 +1,10 @@
-"""Sum and assignment audits against the HiGHS LP they replaced.
+"""Audits against the HiGHS LPs they replaced.
 
-Every per-alternative value must match the scaled ratio LP of
-``helpers.highs_ratio_pair`` to 1e-12 relative, and every report must put
-its witness's ratio, its value and its certified upper bound in that order
-within 1e-9 relative.
+Every sum and assignment value must match the scaled ratio LP of
+``helpers.highs_ratio_pair`` to 1e-12 relative, every percentile value the
+binding configuration LP of ``helpers.highs_percentile_pair`` to 1e-9
+relative, and every report must put its witness's ratio, its value and its
+certified upper bound in that order within 1e-9 relative.
 """
 
 import math
@@ -14,16 +15,16 @@ import pytest
 
 from ordmech import (InternalInvariantError, PreferenceProfile,
                      audit_additive_assignment, audit_percentile_social_choice,
-                     audit_sum_social_choice, build_preset, facility_distances,
-                     iter_valid_assignments, preferences_from_metric,
-                     reduce_and_solve)
+                     audit_sum_social_choice, build_preset, distance_partial_order,
+                     facility_distances, iter_valid_assignments, median_winner,
+                     preferences_from_metric, reduce_and_solve)
 from ordmech import audit
 from ordmech.fileio import load_instance
 from ordmech.gallery import gen_sum5_tight
 from ordmech.solvers import SOLVERS
 
-from helpers import (highs_assignment_values, highs_sum_values, random_consistent_metric,
-                     random_facility_distances, random_instance)
+from helpers import (highs_assignment_values, highs_percentile_values, highs_sum_values,
+                     random_consistent_metric, random_facility_distances, random_instance)
 
 SEED = 20260810  # the acceptance suites' seed
 
@@ -118,10 +119,78 @@ def test_vanishing_denominator_with_vanishing_numerator(eps):
     assert report.value == math.inf and report.certified_upper == math.inf
 
 
-def test_percentile_audits_carry_no_certificate():
-    rng = np.random.default_rng(SEED + 1)
-    profile, fd, _ = random_instance(rng, n_max=7, m_max=4, m_min=3, n_min=3)
-    assert audit_percentile_social_choice(0, profile, fd, 0.5).certified_upper is None
+def _check_percentile(report, oracle):
+    # a percentile witness is built to reach the value, not just stay below
+    got = [value for _, value in report.per_alternative]
+    assert len(got) == len(oracle)
+    for g, want in zip(got, oracle):
+        assert _close(g, want, rel=1e-9), (report.target, got, oracle)
+    assert report.value == max([1.0, *got])
+    upper = report.certified_upper
+    assert upper is not None and report.value <= upper + 1e-9 * abs(upper)
+    if report.witness_ratio is not None:
+        assert _close(report.witness_ratio, report.value, rel=1e-9)
+
+
+def test_percentile_audits_match_highs_on_the_criterion_3_suite():
+    rng = np.random.default_rng(SEED + 1)  # the criterion-3 suite
+    instances = [random_instance(rng, n_max=7, m_max=4, m_min=3, n_min=3)[:2]
+                 for _ in range(200)]
+    rng = np.random.default_rng(SEED + 6)  # and its larger profiles
+    instances += [random_instance(rng, n_max=40, m_max=4, m_min=3, n_min=9)[:2]
+                  for _ in range(20)]
+    for profile, fd in instances:
+        winner = median_winner(profile, distance_partial_order(fd)).winner
+        for alpha in (0.5, 0.75, 1.0):
+            report = audit_percentile_social_choice(winner, profile, fd, alpha)
+            _check_percentile(report, highs_percentile_values(winner, profile, fd, alpha))
+
+
+def test_percentile_audits_match_highs_on_seeded_instances():
+    # every facility as the audited outcome, top-only profiles, and m up to 6
+    for seed in (45, 7):
+        rng = np.random.default_rng(seed)
+        for trial in range(20):
+            profile, fd, _ = random_instance(rng, n_max=40, m_max=6)
+            if trial % 3 == 0:
+                profile = PreferenceProfile(fd.m, tuple((r[0],) for r in profile.rankings),
+                                            top_only=True)
+            for winner in range(fd.m):
+                for alpha in (0.5, 0.75, 1.0):
+                    report = audit_percentile_social_choice(winner, profile, fd, alpha)
+                    _check_percentile(report,
+                                      highs_percentile_values(winner, profile, fd, alpha))
+
+
+def _tie_instance():
+    fd = facility_distances(("X", "Y"), [[0.0, 2.0], [2.0, 0.0]])
+    return PreferenceProfile(2, ((0, 1), (1, 0))), fd
+
+
+def test_tampered_percentile_closure_entry_is_an_error(monkeypatch):
+    # every gap d(w) - d(x) the closure bounds grows by 1/2, past what any
+    # path of ranking rows implies
+    real = audit._closure
+
+    def loose(A, b):
+        W = real(A, b)
+        even = np.arange(0, len(W), 2)
+        W[np.ix_(even, even)] += 0.5 * (1 - np.eye(len(even)))
+        return W
+
+    profile, fd = _tie_instance()
+    assert audit_percentile_social_choice(0, profile, fd, 1.0).value > 1.0
+    monkeypatch.setattr(audit, "_closure", loose)
+    with pytest.raises(InternalInvariantError, match="closure entry"):
+        audit_percentile_social_choice(0, profile, fd, 1.0)
+
+
+def test_tampered_percentile_witness_is_an_error(monkeypatch):
+    # a witness that falls short of the value is an error, not a number
+    monkeypatch.setattr(audit, "_percentile_witness", lambda poly, *args: poly.interior_metric())
+    profile, fd = _tie_instance()
+    with pytest.raises(InternalInvariantError, match="out of order"):
+        audit_percentile_social_choice(0, profile, fd, 1.0)
 
 
 def test_out_of_order_certificate_is_an_error(monkeypatch):
