@@ -140,35 +140,36 @@ def iter_valid_assignments(n: int, constraints: ConstraintSet):
         a, b = min(i, j), max(i, j)
         partners_ne.setdefault(b, []).append(a)
 
-    x = [0] * n
-    counts = [0] * m
+    def options(agent: int):
+        forced = {x[a] for a in partners_eq.get(agent, ())}
+        return iter(range(m) if not forced else forced if len(forced) == 1 else ())
 
-    def rec(agent: int, opened: int):
-        if agent == n:
-            if constraints.exactly_open is not None and opened != constraints.exactly_open:
-                return
+    # One iterator per placed agent over its facilities left to try: the
+    # search keeps its own stack, so n can run to the thousands.
+    x = [-1] * n
+    counts = [0] * m
+    opened = 0
+    stack = [options(0)] if n else []
+    if not n and constraints.exactly_open in (None, 0):
+        yield ()
+    while stack:
+        agent = len(stack) - 1
+        if x[agent] >= 0:  # take back the agent's last facility
+            counts[x[agent]] -= 1
+            opened -= counts[x[agent]] == 0
+        x[agent] = next((f for f in stack[-1]
+                         if (caps is None or caps[f] is None or counts[f] < caps[f])
+                         and all(x[a] != f for a in partners_ne.get(agent, ()))
+                         and (counts[f] or open_cap is None or opened < open_cap)), -1)
+        if x[agent] < 0:
+            stack.pop()
+            continue
+        opened += counts[x[agent]] == 0
+        counts[x[agent]] += 1
+        if agent + 1 < n:
+            stack.append(options(agent + 1))
+        elif constraints.exactly_open is None or opened == constraints.exactly_open:
             yield tuple(x)
-            return
-        forced = None
-        for a in partners_eq.get(agent, ()):
-            if forced is None:
-                forced = x[a]
-            elif forced != x[a]:
-                return
-        choices = range(m) if forced is None else (forced,)
-        for f in choices:
-            if caps is not None and caps[f] is not None and counts[f] >= caps[f]:
-                continue
-            if any(x[a] == f for a in partners_ne.get(agent, ())):
-                continue
-            newly = counts[f] == 0
-            if newly and open_cap is not None and opened + 1 > open_cap:
-                continue
-            x[agent] = f
-            counts[f] += 1
-            yield from rec(agent + 1, opened + (1 if newly else 0))
-            counts[f] -= 1
-    yield from rec(0, 0)
 
 
 def count_search_space(n: int, m: int) -> int:

@@ -14,7 +14,10 @@ over a class keeps it feasible and keeps the ratio, so the value is exact
 while the work follows the number of classes, at most min(n, m!).  The
 same independence makes vanishing denominators combinatorial: an agent
 can sit exactly on a facility iff that facility's distance row respects
-the agent's ranking.
+the agent's ranking, and one rule serves every objective
+(_pair_or_vanishing): a denominator vanishes iff as many agents as it
+needs seated (n for a sum, k for a k-th smallest distance) can sit on
+their facilities.  Only the maximizing alternative's witness is built.
 
 A ranking's rows are unit two-variable inequalities, so shortest paths
 give every bound on one distance, or on the sum or difference of two,
@@ -24,7 +27,6 @@ per class, whose exact feasible set is an octagon of eight closure rows.
 Dinkelbach's parametric method maximizes the ratio over the octagons'
 vertices with no LP solver (_dinkelbach); its last step also certifies
 an upper bound that the report carries next to the witness's ratio.
-Only the maximizing alternative's witness is extended to full rows.
 
 Percentile objectives are piecewise linear: which agents realize the two
 order statistics is a subset choice, but per-agent independence collapses
@@ -41,8 +43,9 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -123,28 +126,22 @@ class ConsistencyPolytope:
             sit = [np.all(l[:, r[:-1]] <= l[:, r[1:]] + 1e-9, axis=1)
                    for r in map(list, rankings)]
         self.can_sit = np.asarray(sit)[self.ranking_id]  # n x m
-        self._bounds: dict[int, np.ndarray] = {}
-
-    def bounds(self, ranking: int) -> np.ndarray:
-        """The closure (see _closure) of one distinct ranking's block."""
-        if ranking not in self._bounds:
-            self._bounds[ranking] = _closure(*self.blocks[ranking])
-        return self._bounds[ranking]
+        # per distinct ranking, the closure (see _closure) of its block
+        self.bounds = np.stack([_closure(*block) for block in self.blocks])
 
     def classes(self, *keys) -> AgentClasses:
         """Group the agents by ranking and by the given per-agent keys."""
         uniq, member = _group(zip(self.ranking_id.tolist(), *keys))
         return AgentClasses(np.array(uniq), np.bincount(member), member)
 
-    def min_agent_distance(self, i: int, f: int) -> float:
-        """Smallest consistent d(i, f), from the agent's ranking block."""
-        if self.can_sit[i, f]:
-            return 0.0
-        return max(-float(self.bounds(self.ranking_id[i])[2 * f + 1, 2 * f]) / 2, 0.0)
+    def min_agent_distance(self, agents, f: int) -> np.ndarray:
+        """Smallest consistent d(i, f) of each of ``agents``."""
+        low = np.maximum(-self.bounds[self.ranking_id[agents], 2 * f + 1, 2 * f] / 2, 0.0)
+        return np.where(self.can_sit[agents, f], 0.0, low)
 
-    def max_distance_gap(self, i: int, w: int, x: int) -> float:
-        """Largest consistent d(i, w) - d(i, x), from the agent's ranking block."""
-        return float(self.bounds(self.ranking_id[i])[2 * w, 2 * x])
+    def max_distance_gap(self, agents, w: int, x: int) -> np.ndarray:
+        """Largest consistent d(i, w) - d(i, x) of each of ``agents``."""
+        return self.bounds[self.ranking_id[agents], 2 * w, 2 * x]
 
     def interior_metric(self) -> np.ndarray:
         """All agents equally far from everything: consistent with every
@@ -202,7 +199,7 @@ def _path_bound(poly: ConsistencyPolytope, i: int, p: int, q: int) -> float:
     The rows of a path add up to a bound on v[p] - v[q], so the sum holds
     whatever W says.  Raises unless it is within a relative 1e-9 of the
     entry, relative to at least the facility radius."""
-    W, scale = poly.bounds(poly.ranking_id[i]), poly.radius
+    W, scale = poly.bounds[poly.ranking_id[i]], poly.radius
     src, dst, bound = _edges(*poly.blocks[poly.ranking_id[i]])
     ends = list(zip(src.tolist(), dst.tolist()))
 
@@ -295,13 +292,14 @@ def _metric_from_values(values, fd: FacilityDistances, flags: list[str],
         raise
 
 
-@dataclass
-class _PairOutcome:
+class _PairOutcome(NamedTuple):
+    """One alternative's ratio supremum, a certified upper bound on it, and
+    a builder of the rows of a witness attaining it (None without one)."""
+
     value: float
-    witness_values: np.ndarray | None
-    flags: list[str] = field(default_factory=list)
-    solution: object = None  # what the witness is built from
-    upper: float | None = None          # a certified upper bound on value
+    upper: float
+    witness: Callable[[], np.ndarray] | None = None
+    flags: tuple[str, ...] = ()
 
 
 # A class's octagon over (a, b) = (d(i, num_at), d(i, den_at)): row t reads
@@ -332,8 +330,8 @@ def _octagon_vertices(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return np.where(valid, a, 0.0), np.where(valid, b, 0.0), valid
 
 
-def _dinkelbach(count: np.ndarray, h: np.ndarray, num_const: float,
-                den_const: float) -> _PairOutcome:
+def _dinkelbach(count: np.ndarray, h: np.ndarray, num_const: float, den_const: float,
+                extend: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> _PairOutcome:
     """max (sum_c count_c a_c + num_const) / (sum_c count_c b_c + den_const)
     over each class's octagon (bounds ``h``), by Dinkelbach's parametric
     method over the octagons' vertices.
@@ -351,7 +349,8 @@ def _dinkelbach(count: np.ndarray, h: np.ndarray, num_const: float,
     upper bound: every point has num - rho den <= F(rho), so with the least
     denominator den_lo, rho + max(F(rho), 0) / den_lo is one.  Where den_lo
     vanishes, denominators read by the zero rule, and F(rho) within its
-    tolerance certifies rho itself."""
+    tolerance certifies rho itself.  The witness is ``extend`` of the
+    maximizing vertices' (a, b) per class."""
     a, b, valid = _octagon_vertices(h)
     rows = np.arange(len(count))
     rho = 1.0
@@ -369,21 +368,19 @@ def _dinkelbach(count: np.ndarray, h: np.ndarray, num_const: float,
             # The chosen vertices seat every agent under a positive
             # numerator, which _pair_or_vanishing lets through only below
             # its 1e-12.
-            return _PairOutcome(INF, None, ["unbounded_ratio"], upper=INF)
+            return _PairOutcome(INF, INF, None, ("unbounded_ratio",))
         rho = ratio
     else:
         raise InternalInvariantError("Dinkelbach's method did not converge")
     den_lo = float(count @ np.where(valid, b, INF).min(axis=1)) + den_const
     upper = rho + max(gap, 0.0) / den_lo if den_lo > 1e-12 else rho
-    return _PairOutcome(rho, None, solution=np.stack([a_at, b_at]), upper=upper)
+    return _PairOutcome(rho, upper, lambda: extend(a_at, b_at))
 
 
 def _ratio_pair(poly: ConsistencyPolytope, cls: AgentClasses, num_at, num_const: float,
-                den_at, den_const: float, want_witness: bool,
-                solved: _PairOutcome | None = None) -> _PairOutcome:
+                den_at, den_const: float) -> _PairOutcome:
     """sup (sum_i d(i, num_at) + num_const) / (sum_i d(i, den_at) + den_const)
-    over the polytope, with ``num_at`` and ``den_at`` giving each class's
-    facility, or the witness of ``solved``, its earlier outcome.
+    over the polytope, with ``num_at`` and ``den_at`` giving each class's facility.
 
     Only a class's distances to its two facilities enter the ratio, and the
     projection of a closed system onto two coordinates is exactly its rows
@@ -393,72 +390,71 @@ def _ratio_pair(poly: ConsistencyPolytope, cls: AgentClasses, num_at, num_const:
     denominators must be excluded by the caller beforehand.
     """
     n_cls = len(cls.count)
-    r = np.arange(n_cls)
     f = np.broadcast_to(num_at, (n_cls,))
     g = np.broadcast_to(den_at, (n_cls,))
-    W = np.stack([poly.bounds(key) for key in cls.keys[:, 0]])
-    if solved is None:
-        F, G = 2 * f, 2 * g
-        # in _OCT_A, _OCT_B order: a - b, b - a, -a - b, a + b, -a, a, -b, b
-        h = np.stack([W[r, F, G], W[r, G, F], W[r, F + 1, G], W[r, F, G + 1],
-                      W[r, F + 1, F] / 2, W[r, F, F + 1] / 2, W[r, G + 1, G] / 2,
-                      W[r, G, G + 1] / 2], axis=1)
-        solved = _dinkelbach(cls.count, h, num_const, den_const)
-    if not want_witness:
-        return solved
-    a, b = solved.solution
-    rows = np.array([_point(W[i], {int(f[i]): a[i], int(g[i]): b[i]}) for i in r])
-    return _PairOutcome(solved.value, rows[cls.member], solution=solved.solution,
-                        upper=solved.upper)
+    W, r = poly.bounds, cls.keys[:, 0]
+    F, G = 2 * f, 2 * g
+    # in _OCT_A, _OCT_B order: a - b, b - a, -a - b, a + b, -a, a, -b, b
+    h = np.stack([W[r, F, G], W[r, G, F], W[r, F + 1, G], W[r, F, G + 1],
+                  W[r, F + 1, F] / 2, W[r, F, F + 1] / 2, W[r, G + 1, G] / 2,
+                  W[r, G, G + 1] / 2], axis=1)
+
+    def extend(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return np.array([_point(W[key], {int(f[i]): a[i], int(g[i]): b[i]})
+                         for i, key in enumerate(r)])[cls.member]
+
+    return _dinkelbach(cls.count, h, num_const, den_const, extend)
 
 
-def _pair_or_vanishing(poly: ConsistencyPolytope, at, den_const: float,
+def _pair_or_vanishing(poly: ConsistencyPolytope, at, seated: int, den_const: float,
                        num_at_zero: float, solve) -> _PairOutcome:
-    """A ratio whose denominator is den_const plus each agent's distance to
-    its facility in ``at`` (one, or one per agent), where ``solve()`` gives
-    the ratio's outcome.  The denominator can vanish iff den_const does
-    and every agent can sit on its facility.  There the ratio is infinite,
-    witnessed by seating them, when the numerator ``num_at_zero`` stays
-    positive, and reads at least 1 when it vanishes too."""
-    agents = np.arange(poly.n)
-    if den_const > 1e-12 or not poly.can_sit[agents, at].all():
+    """A ratio whose denominator is den_const plus the agents' distances to
+    their facilities in ``at`` (one, or one per agent), summed (``seated``
+    = n) or as the ``seated``-th smallest, where ``solve()`` gives the
+    ratio's outcome.  The denominator can vanish iff den_const does and
+    ``seated`` agents can sit on their facilities.  There the ratio is
+    infinite, witnessed by seating the first of them, when the numerator
+    ``num_at_zero`` at that point stays positive, and reads at least 1 when
+    it vanishes too."""
+    at = np.broadcast_to(at, (poly.n,))
+    sitting = np.flatnonzero(poly.can_sit[np.arange(poly.n), at])
+    if den_const > 1e-12 or sitting.size < seated:
         return solve()
     if num_at_zero > 1e-12:
-        return _PairOutcome(INF, poly.seated_metric(agents, at), ["denominator_vanishes"],
-                            upper=INF)
+        seats = sitting[:seated]
+        return _PairOutcome(INF, INF, lambda: poly.seated_metric(seats, at[seats]),
+                            ("denominator_vanishes",))
     outcome = solve()
-    outcome.value = max(outcome.value, 1.0)
-    return outcome
+    return outcome._replace(value=max(outcome.value, 1.0))
+
+
+def _social_pairs(poly: ConsistencyPolytope, winner: int, pair) -> list:
+    """Per facility x other than ``winner``, the outcome ``pair(x)`` of winner
+    against x, or 1 where the two are co-located (identical cost columns)."""
+    return [(x, _PairOutcome(1.0, 1.0) if poly.fd.values[winner, x] <= 1e-12 else pair(x))
+            for x in range(poly.m) if x != winner]
 
 
 def _finalize(poly: ConsistencyPolytope, objective: str, target, results,
-              alpha: float | None, recompute, resolve) -> AuditReport:
-    """Assemble the report: pick the maximizing alternative, let
-    ``resolve(key, outcome)`` materialize its witness from what its value
-    came from, and re-evaluate the ratio on the witness.  Every outcome
+              alpha: float | None, recompute) -> AuditReport:
+    """Assemble the report: pick the maximizing alternative, build its
+    witness alone, and re-evaluate the ratio on the witness.  Every outcome
     carries a certified upper bound: the witness's ratio, the value and the
     largest bound must come in that order, and a percentile witness, built
     in closed form, must reach the value."""
     flags: list[str] = []
-    best_key = None
-    best = 1.0
-    for key, outcome in results:
+    best, top = 1.0, None
+    for _, outcome in results:
         if outcome.value > best:
-            best = outcome.value
-            best_key = key
-    witness = None
-    witness_ratio = None
-    if best_key is not None:
-        outcome = next(o for key, o in results if key == best_key)
-        if outcome.witness_values is None and math.isfinite(outcome.value):
-            outcome = resolve(best_key, outcome)
-        flags.extend(outcome.flags)
-        if outcome.witness_values is not None:
-            witness = _metric_from_values(outcome.witness_values, poly.fd, flags, "witness")
+            best, top = outcome.value, outcome
+    witness = witness_ratio = None
+    if top is not None:
+        flags.extend(top.flags)
+        if top.witness is not None:
+            witness = _metric_from_values(top.witness(), poly.fd, flags, "witness")
     if witness is None and math.isfinite(best):
         # Distortion 1 instances: any consistent point certifies the value.
-        witness = _metric_from_values(poly.interior_metric(), poly.fd, flags,
-                                      "witness")
+        witness = _metric_from_values(poly.interior_metric(), poly.fd, flags, "witness")
     if witness is not None:
         witness_ratio = recompute(witness)
         if not check_consistency(poly.profile, witness, tol=1e-7):
@@ -478,28 +474,17 @@ def audit_sum_social_choice(winner: int, profile: PreferenceProfile,
                             fd: FacilityDistances) -> AuditReport:
     """Exact worst-case total-cost distortion of choosing ``winner``."""
     poly = ConsistencyPolytope(profile, fd)
-    n, m = poly.n, poly.m
-    l = fd.values
+    n = poly.n
     cls = poly.classes()
-    results: list[tuple[object, _PairOutcome]] = []
-    for x in range(m):
-        if x == winner:
-            continue
-        if l[winner, x] <= 1e-12:
-            # Co-located alternatives have identical cost columns.
-            results.append((x, _PairOutcome(1.0, None, upper=1.0)))
-            continue
-        results.append((x, _pair_or_vanishing(
-            poly, x, 0.0, n * l[x, winner],
-            lambda: _ratio_pair(poly, cls, winner, 0.0, x, 0.0, want_witness=False))))
+    results = _social_pairs(poly, winner, lambda x: _pair_or_vanishing(
+        poly, x, n, 0.0, n * fd.values[x, winner],
+        lambda: _ratio_pair(poly, cls, winner, 0.0, x, 0.0)))
 
     def recompute(metric: FullMetric) -> float:
         cols = metric.distances.sum(axis=0)
         return _ratio(float(cols[winner]), float(cols.min()))
 
-    return _finalize(poly, "sum", winner, results, None, recompute,
-                     lambda x, solved: _ratio_pair(poly, cls, winner, 0.0, x, 0.0,
-                                                   want_witness=True, solved=solved))
+    return _finalize(poly, "sum", winner, results, None, recompute)
 
 
 def audit_additive_assignment(x, profile: PreferenceProfile,
@@ -514,40 +499,34 @@ def audit_additive_assignment(x, profile: PreferenceProfile,
         raise SolverError("assignment length does not match the agent count")
     if not problem.constraints.is_valid(x):
         raise SolverError("audited assignment violates the constraints")
-    poly = ConsistencyPolytope(profile, fd)
-    n = poly.n
-    l = fd.values
-    spec = problem.cost_spec
-    num_const = spec.facility_cost(x)
-
-    def _assignment_pair(alt, want_witness: bool, solved=None) -> _PairOutcome:
-        cls = poly.classes(x, alt)
-        return _ratio_pair(poly, cls, cls.keys[:, 1], num_const, cls.keys[:, 2],
-                           spec.facility_cost(alt), want_witness, solved)
-
+    n = profile.n
     alternatives = []
     for alt in iter_valid_assignments(n, problem.constraints):
         alternatives.append(alt)
         if len(alternatives) > cap:
             raise SearchSpaceError(
                 f"more than {cap} alternative assignments to audit")
+    poly = ConsistencyPolytope(profile, fd)
+    l = fd.values
+    spec = problem.cost_spec
+    num_const = spec.facility_cost(x)
 
-    results: list[tuple[object, _PairOutcome]] = []
-    for alt in alternatives:
-        if alt == x:
-            continue
-        num_at_zero = num_const + sum(l[alt[i], x[i]] for i in range(n))
-        results.append((alt, _pair_or_vanishing(
-            poly, list(alt), spec.facility_cost(alt), num_at_zero,
-            lambda: _assignment_pair(alt, want_witness=False))))
+    def pair(alt) -> _PairOutcome:
+        cls = poly.classes(x, alt)
+        return _ratio_pair(poly, cls, cls.keys[:, 1], num_const, cls.keys[:, 2],
+                           spec.facility_cost(alt))
+
+    results = [(alt, _pair_or_vanishing(
+        poly, list(alt), n, spec.facility_cost(alt),
+        num_const + sum(l[alt[i], x[i]] for i in range(n)), lambda: pair(alt)))
+        for alt in alternatives if alt != x]
 
     def recompute(metric: FullMetric) -> float:
         numv = total_cost(x, metric.distances, spec)
         denv = min(total_cost(alt, metric.distances, spec) for alt in alternatives)
         return _ratio(numv, denv)
 
-    return _finalize(poly, "assignment_sum", x, results, None, recompute,
-                     lambda alt, solved: _assignment_pair(alt, True, solved))
+    return _finalize(poly, "assignment_sum", x, results, None, recompute)
 
 
 def _percentile_candidate(poly: ConsistencyPolytope, x: int, w: int, k: int):
@@ -572,7 +551,7 @@ def _percentile_candidate(poly: ConsistencyPolytope, x: int, w: int, k: int):
     j and the member of S that sets M bind, so the configuration restricted
     to those one or two agents has the same value."""
     firsts = np.unique(poly.ranking_id, return_index=True)[1]  # one agent per class
-    mu = np.array([poly.min_agent_distance(i, x) for i in firsts])[poly.ranking_id]
+    mu = poly.min_agent_distance(np.arange(poly.n), x)
     order = np.argsort(mu, kind="stable")
     # cap = S[argmax(mu[S])] for S = j, then the k-1 others lowest in
     # ``order``, read off the order: the last of those others is order[k-1]
@@ -585,7 +564,7 @@ def _percentile_candidate(poly: ConsistencyPolytope, x: int, w: int, k: int):
         cap_mu = mu[np.where(rank[firsts] < k - 1, order[k - 1], order[k - 2])]
         first_at = order[np.searchsorted(mu[order], cap_mu)]
         cap = np.where(mu[firsts] >= cap_mu, firsts, first_at)
-    gap = np.maximum([poly.max_distance_gap(j, w, x) for j in firsts], 0.0)
+    gap = np.maximum(poly.max_distance_gap(firsts, w, x), 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         values = np.where(mu[cap] > 0, 1.0 + gap / mu[cap], INF)
     top = values.max()
@@ -605,13 +584,13 @@ def _percentile_pair(poly: ConsistencyPolytope, x: int, w: int, k: int) -> _Pair
     A vanishing M reads as an infinite value."""
     value, S, binding = _percentile_candidate(poly, x, w, k)
     if math.isinf(value):
-        return _PairOutcome(INF, None, ["unbounded_ratio"], upper=INF)
+        return _PairOutcome(INF, INF, None, ("unbounded_ratio",))
     j, cap = binding[0], binding[-1]
     M_sum = -_path_bound(poly, cap, 2 * x + 1, 2 * x) / 2
     c_sum = _path_bound(poly, j, 2 * w, 2 * x)
     upper = 1.0 + max(c_sum, 0.0) / M_sum if M_sum > 0 else INF
-    M, c = poly.min_agent_distance(cap, x), max(poly.max_distance_gap(j, w, x), 0.0)
-    return _PairOutcome(value, None, solution=(S, binding, M, c), upper=upper)
+    M, c = float(poly.min_agent_distance(cap, x)), max(float(poly.max_distance_gap(j, w, x)), 0.0)
+    return _PairOutcome(value, upper, lambda: _percentile_witness(poly, x, w, S, binding, M, c))
 
 
 def _percentile_witness(poly: ConsistencyPolytope, x: int, w: int, S, binding,
@@ -628,10 +607,11 @@ def _percentile_witness(poly: ConsistencyPolytope, x: int, w: int, S, binding,
     d = np.full((poly.n, poly.m), max(poly.radius, M + c))
     rest = np.setdiff1d(S, binding)
     ranks, first, member = np.unique(rid[rest], return_index=True, return_inverse=True)
-    d[rest] = np.array([_point(poly.bounds(r), {x: poly.min_agent_distance(i, x)})
-                        for r, i in zip(ranks, rest[first])]).reshape(-1, poly.m)[member]
-    d[binding[-1]] = _point(poly.bounds(rid[binding[-1]]), {x: M})
-    d[binding[0]] = _point(poly.bounds(rid[binding[0]]), {x: M, w: M + c})
+    mu = poly.min_agent_distance(rest[first], x).tolist()
+    d[rest] = np.array([_point(poly.bounds[r], {x: v})
+                        for r, v in zip(ranks, mu)]).reshape(-1, poly.m)[member]
+    d[binding[-1]] = _point(poly.bounds[rid[binding[-1]]], {x: M})
+    d[binding[0]] = _point(poly.bounds[rid[binding[0]]], {x: M, w: M + c})
     return d
 
 
@@ -646,36 +626,19 @@ def audit_percentile_social_choice(winner: int, profile: PreferenceProfile,
         raise UnboundedObjectiveError(
             f"alpha = {alpha} below one half has unbounded worst-case "
             "distortion; the audit refuses rather than report a number")
-    if alpha > 1.0:
+    if not alpha <= 1.0:  # NaN fails every comparison
         raise UnboundedObjectiveError(f"alpha must lie in [0.5, 1], got {alpha}")
     poly = ConsistencyPolytope(profile, fd)
     m = poly.m
     k = percentile_rank(poly.n, alpha)
-    l = fd.values
-
-    results: list[tuple[object, _PairOutcome]] = []
-    for x in range(m):
-        if x == winner:
-            continue
-        if l[winner, x] <= 1e-12:
-            results.append((x, _PairOutcome(1.0, None, upper=1.0)))
-            continue
-        sitting = np.flatnonzero(poly.can_sit[:, x])
-        if sitting.size >= k:
-            results.append((x, _PairOutcome(INF, poly.seated_metric(sitting[:k], x),
-                                            ["denominator_vanishes"], upper=INF)))
-            continue
-        results.append((x, _percentile_pair(poly, x, winner, k)))
+    results = _social_pairs(poly, winner, lambda x: _pair_or_vanishing(
+        poly, x, k, 0.0, fd.values[winner, x], lambda: _percentile_pair(poly, x, winner, k)))
 
     def recompute(metric: FullMetric) -> float:
         return _ratio(evaluate_percentile_cost(winner, metric, alpha),
                       min(evaluate_percentile_cost(f, metric, alpha) for f in range(m)))
 
-    def resolve(x, solved: _PairOutcome) -> _PairOutcome:
-        return _PairOutcome(solved.value, _percentile_witness(poly, x, winner, *solved.solution),
-                            solution=solved.solution, upper=solved.upper)
-
-    return _finalize(poly, "percentile", winner, results, alpha, recompute, resolve)
+    return _finalize(poly, "percentile", winner, results, alpha, recompute)
 
 
 def sample_consistent_metric(profile: PreferenceProfile, fd: FacilityDistances,

@@ -56,6 +56,12 @@ def _expect(condition: bool, message: str, fieldname: str):
         raise SchemaError(message, field=fieldname)
 
 
+def _is_number(value) -> bool:
+    """A finite JSON number; booleans are not numbers."""
+    return (isinstance(value, int) and not isinstance(value, bool)
+            or isinstance(value, float) and math.isfinite(value))
+
+
 def _matrix(raw, fieldname: str) -> np.ndarray:
     _expect(isinstance(raw, list) and raw
             and all(isinstance(r, list) for r in raw), "must be a matrix", fieldname)
@@ -164,6 +170,10 @@ def instance_from_dict(data) -> InstanceFile:
             f"preset must be one of {list(PRESET_NAMES)}", "preset")
     params = data.get("params", {})
     _expect(isinstance(params, dict), "must be an object", "params")
+    k, costs = params.get("k", 1), params.get("opening_costs", [])
+    _expect(_is_number(k) and k >= 1 and k == int(k), "k must be an integer >= 1", "params")
+    _expect(isinstance(costs, list) and all(_is_number(c) and c >= 0 for c in costs),
+            "opening_costs must be a list of numbers >= 0", "params")
     if preset != "social_choice_median":  # has no assignment-framework form
         try:
             build_preset(preset, profile.n, facilities, params)

@@ -260,7 +260,7 @@ def highs_ratio_pair(poly, cls, num_at, num_const, den_at, den_const) -> float:
     r = np.arange(n_cls)
     f = np.broadcast_to(num_at, (n_cls,))
     g = np.broadcast_to(den_at, (n_cls,))
-    W = np.stack([poly.bounds(key) for key in cls.keys[:, 0]])
+    W = poly.bounds[cls.keys[:, 0]]
     F, G = 2 * f, 2 * g
     k = 2 * n_cls  # d(i, num_at) and d(i, den_at) per class, then the scale
     octagon = [(1, -1, W[r, F, G]), (-1, 1, W[r, G, F]), (-1, -1, W[r, F + 1, G]),
@@ -290,6 +290,10 @@ def _highs_values(poly, pairs):
     vanishing-denominator rule around the HiGHS ratio LP."""
     from ordmech.audit import _PairOutcome, _pair_or_vanishing
 
+    def solve(lp):
+        value = highs_ratio_pair(poly, *lp)
+        return _PairOutcome(value, value)
+
     values = []
     for pair in pairs:
         if pair is None:
@@ -297,8 +301,7 @@ def _highs_values(poly, pairs):
             continue
         at, den_const, num_at_zero, lp = pair
         values.append(_pair_or_vanishing(
-            poly, at, den_const, num_at_zero,
-            lambda: _PairOutcome(highs_ratio_pair(poly, *lp), None)).value)
+            poly, at, poly.n, den_const, num_at_zero, lambda: solve(lp)).value)
     return values
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ordmech import (PreferenceProfile, UnboundedObjectiveError,
+from ordmech import (PreferenceProfile, SearchSpaceError, UnboundedObjectiveError,
                      audit_additive_assignment, audit_percentile_social_choice,
                      audit_sum_social_choice, build_preset, check_consistency,
                      evaluate_percentile_cost, evaluate_sum_cost,
@@ -293,7 +293,7 @@ def test_point_extends_two_consistent_distances():
         poly = ConsistencyPolytope(profile, fd)
         for i in range(profile.n):
             A, b = poly.blocks[poly.ranking_id[i]]
-            W = poly.bounds(poly.ranking_id[i])
+            W = poly.bounds[poly.ranking_id[i]]
             d = metric.distances[i]
             for f in range(fd.m):
                 for g in range(fd.m):
@@ -482,6 +482,33 @@ def test_sum_audit_witness_reproduces_value_at_n400():
     report = audit_sum_social_choice(winner, inst.profile, inst.fd)
     assert "witness_repaired" not in report.flags
     assert abs(report.witness_ratio - report.value) <= 1e-6 * report.value
+
+
+def test_each_ranking_closure_is_built_once(monkeypatch):
+    # every audit reads every distinct ranking's closure, built once; an
+    # assignment audit refused for its search space builds none
+    built = []
+    real = audit._closure
+    monkeypatch.setattr(audit, "_closure", lambda A, b: built.append(1) or real(A, b))
+    fixtures = Path(__file__).parent / "fixtures"
+    inst = load_instance(fixtures / "clustered_n400.json")
+    pair = load_instance(fixtures / "matching_pair.json")
+    problem = build_preset(pair.preset, pair.n, pair.facilities)
+    for profile, run in (
+            (inst.profile, lambda: audit_sum_social_choice(0, inst.profile, inst.fd)),
+            (inst.profile, lambda: audit_percentile_social_choice(0, inst.profile, inst.fd, 0.5)),
+            (pair.profile, lambda: audit_additive_assignment((1, 0), pair.profile, pair.fd,
+                                                             problem))):
+        built.clear()
+        run()
+        assert len(built) == len(set(profile.rankings))
+    built.clear()
+    line = facility_distances(("A", "B", "C"), [[0, 1, 2], [1, 0, 1], [2, 1, 0]])
+    wide = PreferenceProfile(3, ((0, 1, 2), (2, 1, 0)) * 7)  # 49149 alternatives
+    problem = build_preset("k_median", wide.n, line.facilities, {"k": 2})
+    with pytest.raises(SearchSpaceError):
+        audit_additive_assignment((0,) * wide.n, wide, line, problem)
+    assert built == []
 
 
 def test_fallbacks_log_a_warning(caplog):

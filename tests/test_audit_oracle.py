@@ -198,8 +198,7 @@ def test_out_of_order_certificate_is_an_error(monkeypatch):
 
     def low_bound(*args):
         outcome = real(*args)
-        outcome.upper = outcome.value / 2
-        return outcome
+        return outcome._replace(upper=outcome.value / 2)
 
     monkeypatch.setattr(audit, "_dinkelbach", low_bound)
     fd = facility_distances(("X", "Y"), [[0.0, 2.0], [2.0, 0.0]])

@@ -88,6 +88,18 @@ def test_schema_rejects_inconsistent_fields():
     bad["params"] = {"k": 9}
     with pytest.raises(SchemaError):
         parse_instance(json.dumps(bad))
+    # params the schema rejects: k an integer >= 1, opening costs numbers >= 0
+    for preset, params in (("k_center", {"k": "x"}), ("k_center", {"k": [1]}),
+                           ("k_center", {"k": 1.7}), ("k_median", {"k": 0}),
+                           ("k_median", {"k": True}),
+                           ("facility_location", {"opening_costs": ["a", 1]}),
+                           ("facility_location", {"opening_costs": 3}),
+                           ("facility_location", {"opening_costs": [float("nan"), 1]}),
+                           ("facility_location", {"opening_costs": [-1, 1]})):
+        bad = dict(base, preset=preset, params=params)
+        with pytest.raises(SchemaError) as err:
+            parse_instance(json.dumps(bad))
+        assert err.value.field == "params", params
 
 
 def test_cli_gen_solve_audit_pipeline(tmp_path):
@@ -169,8 +181,9 @@ def test_cli_usage_and_schema_errors(tmp_path):
     assert main(["gen", "--example", "not_an_example"]) == 2
     assert main(["nonsense"]) == 2
     fixture = FIXTURES / "social_sum_small.json"
-    assert main(["audit", "--instance", str(fixture), "--outcome", "A",
-                 "--objective", "percentile:0.25"]) == 2
+    for alpha in ("0.25", "nan"):
+        assert main(["audit", "--instance", str(fixture), "--outcome", "A",
+                     "--objective", f"percentile:{alpha}"]) == 2
     # audits are exact, so there is nothing to seed or budget
     for flag in ("--seed", "--budget"):
         assert main(["audit", "--instance", str(fixture), "--outcome", "A",
@@ -331,6 +344,30 @@ def test_cli_reduce_with_preset_params(tmp_path):
     assert report["exact"] is True and report["beta"] == 1.0
     assert report["guarantee"]["distance_factor"] == 3.0
     assert report["audit"]["value"] <= 3 + 1e-6
+
+
+def test_cli_thousands_of_agents_enumerate_without_recursion(tmp_path, capsys):
+    # valid assignments are enumerated depth-first on an explicit stack: a
+    # 1500-agent, one-facility instance is checked for one at load time,
+    # and a 1200-agent k-median audit is refused for its search space
+    one = {"schema": "ordmech-instance-v1", "facilities": ["A"],
+           "facility_distances": [[0]], "tops": ["A"] * 1500,
+           "preset": "social_choice_sum"}
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps(one))
+    assert main(["solve", "--instance", str(path), "--mechanism", "alg1",
+                 "--audit", "sum"]) == 0
+    wide = {"schema": "ordmech-instance-v1", "facilities": ["A", "B", "C"],
+            "facility_distances": [[0, 1, 2], [1, 0, 1], [2, 1, 0]],
+            "preferences": [["A", "B", "C"], ["C", "B", "A"]] * 600,
+            "preset": "k_median", "params": {"k": 2}}
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(wide))
+    capsys.readouterr()
+    assert main(["solve", "--instance", str(path), "--mechanism", "reduce:k_median",
+                 "--audit", "sum"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: more than") and err.count("\n") == 1
 
 
 def test_cli_median_preset_has_no_reduction(tmp_path):
