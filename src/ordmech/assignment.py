@@ -58,15 +58,18 @@ class CostSpec:
         if any(p < 0 for _, _, p in self.coassign_penalties):
             raise InvalidCostError("co-assignment penalties must be nonnegative")
 
-    def facility_cost(self, x: Assignment) -> float:
-        total = 0.0
+    def facility_cost(self, x) -> float | np.ndarray:
+        """Opening costs of the facilities x uses, added in facility order,
+        plus its co-assignment penalties; one per row of a stack of them."""
+        x = np.asarray(x)
+        total = np.zeros(x.shape[:-1])
         if self.opening_costs is not None:
-            for f in set(x):
-                total += self.opening_costs[f]
+            used = np.zeros((*x.shape[:-1], len(self.opening_costs)), dtype=bool)
+            np.put_along_axis(used, x, True, axis=-1)
+            total = np.where(used, self.opening_costs, 0.0).cumsum(axis=-1)[..., -1]
         for i, j, pen in self.coassign_penalties:
-            if x[i] == x[j]:
-                total += pen
-        return total
+            total = total + np.where(x[..., i] == x[..., j], pen, 0.0)
+        return total if x.ndim > 1 else float(total)
 
 
 @dataclass(frozen=True)
@@ -181,8 +184,8 @@ def distance_vector(x: Assignment, distances: np.ndarray) -> np.ndarray:
 
 
 def total_cost(x: Assignment, distances: np.ndarray, spec: CostSpec) -> float:
-    s = distance_vector(x, distances)
-    return spec.distance_cost.evaluate(s) + spec.facility_cost(x)
+    x = np.asarray(x, dtype=np.intp)
+    return spec.distance_cost.evaluate(distance_vector(x, distances)) + spec.facility_cost(x)
 
 
 @dataclass(frozen=True)

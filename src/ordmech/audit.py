@@ -15,7 +15,7 @@ while the work follows the number of classes, at most min(n, m!).  The
 same independence makes vanishing denominators combinatorial: an agent
 can sit exactly on a facility iff that facility's distance row respects
 the agent's ranking, and one rule serves every objective
-(_pair_or_vanishing): a denominator vanishes iff as many agents as it
+(_pairs_or_vanishing): a denominator vanishes iff as many agents as it
 needs seated (n for a sum, k for a k-th smallest distance) can sit on
 their facilities.  Only the maximizing alternative's witness is built.
 
@@ -24,9 +24,10 @@ give every bound on one distance, or on the sum or difference of two,
 exactly (_closure), and any values within those bounds extend to a full
 consistent row (_point).  Sum and assignment ratios read two distances
 per class, whose exact feasible set is an octagon of eight closure rows.
-Dinkelbach's parametric method maximizes the ratio over the octagons'
-vertices with no LP solver (_dinkelbach); its last step also certifies
-an upper bound that the report carries next to the witness's ratio.
+Dinkelbach's parametric method, one rho per alternative over blocks of
+(alternative, class) rows (_ratio_pairs), maximizes every ratio over the
+octagons' vertices with no LP solver (_dinkelbach); its last step also
+certifies an upper bound that the report carries next to the witness's.
 
 Percentile objectives are piecewise linear: which agents realize the two
 order statistics is a subset choice, but per-agent independence collapses
@@ -50,7 +51,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .assignment import AssignmentProblem, DistanceCost, iter_valid_assignments, total_cost
-from .core import (FacilityDistances, FullMetric, PreferenceProfile,
+from .core import (BLOCK, FacilityDistances, FullMetric, PreferenceProfile,
                    check_consistency, consistency_constraints, pair_rows,
                    ranking_block)
 from .errors import (InternalInvariantError, MetricError, SearchSpaceError,
@@ -85,23 +86,6 @@ class AuditReport:
         raise KeyError(key)
 
 
-def _group(keys) -> tuple[list, np.ndarray]:
-    """Distinct keys in order of first appearance, and the index of each
-    item's key among them."""
-    index: dict = {}
-    member = np.array([index.setdefault(key, len(index)) for key in keys])
-    return list(index), member
-
-
-@dataclass(frozen=True)
-class AgentClasses:
-    """Agents grouped by ranking and by their coefficients in one ratio."""
-
-    keys: np.ndarray    # per class: ranking id, then the extra keys
-    count: np.ndarray   # per class: its number of agents
-    member: np.ndarray  # per agent: its class
-
-
 class ConsistencyPolytope:
     """The consistent-metric closure as one constraint block per distinct
     ranking, plus the combinatorial facts the audits reuse."""
@@ -114,7 +98,9 @@ class ConsistencyPolytope:
         self.n = profile.n
         self.m = profile.m
         self.radius = max(float(fd.values.max()), 1.0)
-        rankings, self.ranking_id = _group(profile.rankings)
+        index: dict = {}  # distinct rankings, in order of first appearance
+        self.ranking_id = np.array([index.setdefault(r, len(index)) for r in profile.rankings])
+        rankings = list(index)
         pairs = pair_rows(fd)
         self.blocks = [ranking_block(r, pairs, profile.top_only) for r in rankings]
         # Agent i may lie exactly at facility f iff the row l(f, .) is
@@ -128,11 +114,6 @@ class ConsistencyPolytope:
         self.can_sit = np.asarray(sit)[self.ranking_id]  # n x m
         # per distinct ranking, the closure (see _closure) of its block
         self.bounds = np.stack([_closure(*block) for block in self.blocks])
-
-    def classes(self, *keys) -> AgentClasses:
-        """Group the agents by ranking and by the given per-agent keys."""
-        uniq, member = _group(zip(self.ranking_id.tolist(), *keys))
-        return AgentClasses(np.array(uniq), np.bincount(member), member)
 
     def min_agent_distance(self, agents, f: int) -> np.ndarray:
         """Smallest consistent d(i, f) of each of ``agents``."""
@@ -258,12 +239,11 @@ def _flag(flags: list[str], flag: str) -> None:
     _LOG.warning("audit fallback: %s", flag)
 
 
-def _ratio(num: float, den: float) -> float:
-    """num / den, where a vanishing denominator reads as an infinite ratio,
-    or as 1 when the numerator vanishes too."""
-    if den <= 1e-12:
-        return INF if num > 1e-12 else 1.0
-    return num / den
+def _ratio(num, den) -> np.ndarray:
+    """num / den elementwise, where a vanishing denominator reads as an
+    infinite ratio, or as 1 when the numerator vanishes too."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(den <= 1e-12, np.where(num > 1e-12, INF, 1.0), np.divide(num, den))
 
 
 def _at_most(lo: float | None, hi: float) -> bool:
@@ -292,24 +272,26 @@ def _metric_from_values(values, fd: FacilityDistances, flags: list[str],
         raise
 
 
-class _PairOutcome(NamedTuple):
-    """One alternative's ratio supremum, a certified upper bound on it, and
-    a builder of the rows of a witness attaining it (None without one)."""
+class _Pairs(NamedTuple):
+    """Per alternative: its ratio supremum, a certified upper bound, and
+    ``witness(j)``, rows attaining value j or None (an infinite value has
+    one iff its denominator vanishes, else its ratio is unbounded)."""
 
-    value: float
-    upper: float
-    witness: Callable[[], np.ndarray] | None = None
-    flags: tuple[str, ...] = ()
+    value: np.ndarray
+    upper: np.ndarray
+    witness: Callable[[int], np.ndarray | None]
 
 
 # A class's octagon over (a, b) = (d(i, num_at), d(i, den_at)): row t reads
-# _OCT_A[t] * a + _OCT_B[t] * b <= bound t (see _ratio_pair).  Its vertices
-# lie where two rows with independent coefficients hold with equality.
+# _OCT_A[t] * a + _OCT_B[t] * b <= bound t.  Its vertices lie where two
+# rows with independent coefficients hold with equality.
 _OCT_A = np.array([1.0, -1.0, -1.0, 1.0, -1.0, 1.0, 0.0, 0.0])
 _OCT_B = np.array([-1.0, 1.0, -1.0, 1.0, 0.0, 0.0, -1.0, 1.0])
 _OCT_S, _OCT_T = np.array([(s, t) for s, t in combinations(range(8), 2)
                            if _OCT_A[s] * _OCT_B[t] != _OCT_B[s] * _OCT_A[t]]).T
 _OCT_DET = _OCT_A[_OCT_S] * _OCT_B[_OCT_T] - _OCT_B[_OCT_S] * _OCT_A[_OCT_T]
+# rows per vertex pass: its vertex-by-row slack keeps within 2 * BLOCK elements
+_VERTEX_ROWS = 2 * BLOCK // (len(_OCT_S) * 8)
 DINKELBACH_MAX_ITER = 100
 
 
@@ -330,11 +312,12 @@ def _octagon_vertices(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return np.where(valid, a, 0.0), np.where(valid, b, 0.0), valid
 
 
-def _dinkelbach(count: np.ndarray, h: np.ndarray, num_const: float, den_const: float,
-                extend: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> _PairOutcome:
-    """max (sum_c count_c a_c + num_const) / (sum_c count_c b_c + den_const)
-    over each class's octagon (bounds ``h``), by Dinkelbach's parametric
-    method over the octagons' vertices.
+def _dinkelbach(h: np.ndarray, count: np.ndarray, alt: np.ndarray, num_const: np.ndarray,
+                den_const: np.ndarray):
+    """Per alternative j, max (sum_c count_c a_c + num_const[j]) /
+    (sum_c count_c b_c + den_const[j]) over its classes c (rows with alt =
+    j), each in its octagon (bounds ``h``), by Dinkelbach's parametric
+    method over the octagons' vertices with one rho per alternative.
 
     A consistent row stays consistent when all its distances grow by the
     same amount, so each class's octagon is the convex hull of its
@@ -345,113 +328,142 @@ def _dinkelbach(count: np.ndarray, h: np.ndarray, num_const: float, den_const: f
     maximizes a - rho b per class and moves rho to the ratio of the chosen
     vertices, read by _ratio, which strictly raises it until
     F(rho) = max sum_c count_c (a_c - rho b_c) + num_const - rho den_const
-    vanishes.  F(rho) <= 0 is the LP dual's certificate that rho is an
-    upper bound: every point has num - rho den <= F(rho), so with the least
-    denominator den_lo, rho + max(F(rho), 0) / den_lo is one.  Where den_lo
-    vanishes, denominators read by the zero rule, and F(rho) within its
-    tolerance certifies rho itself.  The witness is ``extend`` of the
-    maximizing vertices' (a, b) per class."""
+    vanishes; a stopped alternative keeps its rho and so its choice.
+    F(rho) <= 0 is the LP dual's certificate that rho is an upper bound:
+    every point has num - rho den <= F(rho), so with the least denominator
+    den_lo, rho + max(F(rho), 0) / den_lo is one, or rho itself where den_lo
+    vanishes and denominators read by the zero rule.  A step to an infinite
+    ratio (every agent seated under a positive numerator below the 1e-12 of
+    _pairs_or_vanishing) reads infinite.  Returns values, upper bounds and
+    each class's vertex (a, b)."""
     a, b, valid = _octagon_vertices(h)
-    rows = np.arange(len(count))
-    rho = 1.0
+    rows, size, rho = np.arange(len(count)), len(num_const), np.ones(len(num_const))
     for _ in range(DINKELBACH_MAX_ITER):
-        pick = np.where(valid, a - rho * b, -INF).argmax(axis=1)
+        pick = np.where(valid, a - rho[alt, None] * b, -INF).argmax(axis=1)
         a_at, b_at = a[rows, pick], b[rows, pick]
-        num = float(count @ a_at) + num_const
-        den = float(count @ b_at) + den_const
+        num = np.bincount(alt, count * a_at, size) + num_const
+        den = np.bincount(alt, count * b_at, size) + den_const
         gap = num - rho * den
         ratio = _ratio(num, den)
         # the last test catches rounding: no vertex improves on rho
-        if gap <= 1e-13 * (abs(num) + rho * abs(den)) or ratio <= rho:
+        stop = (gap <= 1e-13 * (abs(num) + rho * abs(den))) | (ratio <= rho)
+        unbounded = ~stop & np.isinf(ratio)
+        if (stop | unbounded).all():
             break
-        if math.isinf(ratio):
-            # The chosen vertices seat every agent under a positive
-            # numerator, which _pair_or_vanishing lets through only below
-            # its 1e-12.
-            return _PairOutcome(INF, INF, None, ("unbounded_ratio",))
-        rho = ratio
+        rho = np.where(stop | unbounded, rho, ratio)
     else:
         raise InternalInvariantError("Dinkelbach's method did not converge")
-    den_lo = float(count @ np.where(valid, b, INF).min(axis=1)) + den_const
-    upper = rho + max(gap, 0.0) / den_lo if den_lo > 1e-12 else rho
-    return _PairOutcome(rho, upper, lambda: extend(a_at, b_at))
+    den_lo = np.bincount(alt, count * np.where(valid, b, INF).min(axis=1), size) + den_const
+    with np.errstate(divide="ignore", invalid="ignore"):
+        upper = np.where(den_lo > 1e-12, rho + np.maximum(gap, 0.0) / den_lo, rho)
+    return (np.where(unbounded, INF, rho), np.where(unbounded, INF, upper), a_at, b_at)
 
 
-def _ratio_pair(poly: ConsistencyPolytope, cls: AgentClasses, num_at, num_const: float,
-                den_at, den_const: float) -> _PairOutcome:
-    """sup (sum_i d(i, num_at) + num_const) / (sum_i d(i, den_at) + den_const)
-    over the polytope, with ``num_at`` and ``den_at`` giving each class's facility.
+def _ratio_pairs(poly: ConsistencyPolytope, num_at, num_const: np.ndarray,
+                 den_at, den_const: np.ndarray) -> _Pairs:
+    """Per alternative j, sup (sum_i d(i, num_at[j, i]) + num_const[j]) /
+    (sum_i d(i, den_at[j, i]) + den_const[j]) over the polytope, where
+    ``num_at`` and ``den_at`` broadcast to alternatives x agents.
 
-    Only a class's distances to its two facilities enter the ratio, and the
+    Only a class's distances to its two facilities enter a ratio, and the
     projection of a closed system onto two coordinates is exactly its rows
-    on them: eight rows, an octagon, per class.  Classes enter with their
-    number of agents, and _dinkelbach maximizes the ratio.  The witness
-    extends the maximizing vertices to full rows (_point).  Vanishing
-    denominators must be excluded by the caller beforehand.
-    """
-    n_cls = len(cls.count)
-    f = np.broadcast_to(num_at, (n_cls,))
-    g = np.broadcast_to(den_at, (n_cls,))
-    W, r = poly.bounds, cls.keys[:, 0]
-    F, G = 2 * f, 2 * g
+    on them: an octagon per class.  Classes group an alternative's agents
+    by ranking, numerator and denominator facility, in order of first
+    appearance; the rows go through _dinkelbach in blocks of whole
+    alternatives, and witnesses extend the maximizing vertices (_point).
+    No denominator may vanish (see _pairs_or_vanishing)."""
+    n, m, size = poly.n, poly.m, len(num_const)
+    span = len(poly.blocks) * m * m  # codes of one alternative's classes
+    code = ((poly.ranking_id * m + num_at) * m + den_at
+            + span * np.arange(size)[:, None]).ravel()
+    _, first, inverse, count = np.unique(code, return_index=True, return_inverse=True,
+                                         return_counts=True)
+    order = np.argsort(first)  # the rows, by alternative, then first appearance
+    rank = np.argsort(order)  # the row of each distinct code
+    key, count, alt = code[first[order]] % span, count[order], first[order] // n
+    start = np.searchsorted(alt, np.arange(size + 1))  # each alternative's first row
+    r, f, g = key // (m * m), key // m % m, key % m
+    W, F, G = poly.bounds, 2 * f, 2 * g
     # in _OCT_A, _OCT_B order: a - b, b - a, -a - b, a + b, -a, a, -b, b
     h = np.stack([W[r, F, G], W[r, G, F], W[r, F + 1, G], W[r, F, G + 1],
                   W[r, F + 1, F] / 2, W[r, F, F + 1] / 2, W[r, G + 1, G] / 2,
                   W[r, G, G + 1] / 2], axis=1)
+    # blocks: alternatives starting in one window, within _VERTEX_ROWS rows
+    width = max(_VERTEX_ROWS + 1 - int(np.diff(start).max(initial=0)), 1)
+    cuts = [0, *(np.flatnonzero(np.diff(start[:-1] // width)) + 1).tolist(), size]
+    value, upper, a_at, b_at = map(np.concatenate, zip(*(
+        _dinkelbach(h[start[lo]:start[hi]], count[start[lo]:start[hi]],
+                    alt[start[lo]:start[hi]] - lo, num_const[lo:hi], den_const[lo:hi])
+        for lo, hi in zip(cuts, cuts[1:]))))
 
-    def extend(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return np.array([_point(W[key], {int(f[i]): a[i], int(g[i]): b[i]})
-                         for i, key in enumerate(r)])[cls.member]
+    def witness(j: int) -> np.ndarray | None:
+        if math.isinf(value[j]):
+            return None
+        rows = [_point(W[r[i]], {int(f[i]): a_at[i], int(g[i]): b_at[i]})
+                for i in range(start[j], start[j + 1])]
+        return np.array(rows)[rank[inverse[j * n:(j + 1) * n]] - start[j]]
 
-    return _dinkelbach(cls.count, h, num_const, den_const, extend)
-
-
-def _pair_or_vanishing(poly: ConsistencyPolytope, at, seated: int, den_const: float,
-                       num_at_zero: float, solve) -> _PairOutcome:
-    """A ratio whose denominator is den_const plus the agents' distances to
-    their facilities in ``at`` (one, or one per agent), summed (``seated``
-    = n) or as the ``seated``-th smallest, where ``solve()`` gives the
-    ratio's outcome.  The denominator can vanish iff den_const does and
-    ``seated`` agents can sit on their facilities.  There the ratio is
-    infinite, witnessed by seating the first of them, when the numerator
-    ``num_at_zero`` at that point stays positive, and reads at least 1 when
-    it vanishes too."""
-    at = np.broadcast_to(at, (poly.n,))
-    sitting = np.flatnonzero(poly.can_sit[np.arange(poly.n), at])
-    if den_const > 1e-12 or sitting.size < seated:
-        return solve()
-    if num_at_zero > 1e-12:
-        seats = sitting[:seated]
-        return _PairOutcome(INF, INF, lambda: poly.seated_metric(seats, at[seats]),
-                            ("denominator_vanishes",))
-    outcome = solve()
-    return outcome._replace(value=max(outcome.value, 1.0))
+    return _Pairs(value, upper, witness)
 
 
-def _social_pairs(poly: ConsistencyPolytope, winner: int, pair) -> list:
-    """Per facility x other than ``winner``, the outcome ``pair(x)`` of winner
-    against x, or 1 where the two are co-located (identical cost columns)."""
-    return [(x, _PairOutcome(1.0, 1.0) if poly.fd.values[winner, x] <= 1e-12 else pair(x))
-            for x in range(poly.m) if x != winner]
+def _pairs_or_vanishing(poly: ConsistencyPolytope, at: np.ndarray, seated: int,
+                        den_const: np.ndarray, num_at_zero: np.ndarray, one: np.ndarray,
+                        solve: Callable[[np.ndarray], _Pairs]) -> _Pairs:
+    """Ratios whose denominators are den_const[j] plus the agents' distances
+    to their facilities at[j] (alternatives x agents), summed (``seated``
+    = n) or as the ``seated``-th smallest, where ``solve(idx)`` gives those
+    of alternatives ``idx``, and those marked ``one`` read 1.  A
+    denominator can vanish iff its den_const does and ``seated`` agents can
+    sit on their facilities.  There the ratio is infinite, witnessed by
+    seating the first of them, when the numerator num_at_zero[j] at that
+    point stays positive, and reads at least 1 when it vanishes too."""
+    sits = poly.can_sit[np.arange(poly.n), at]
+    vanish = (den_const <= 1e-12) & (sits.sum(axis=1) >= seated)
+    infinite = vanish & (num_at_zero > 1e-12) & ~one
+    todo = np.flatnonzero(~infinite & ~one)
+    part = solve(todo)
+    value, upper = np.where(infinite, INF, 1.0), np.where(infinite, INF, 1.0)
+    value[todo] = np.where(vanish[todo], np.maximum(part.value, 1.0), part.value)
+    upper[todo] = part.upper
+    slot = dict(zip(todo.tolist(), range(len(todo))))
+
+    def witness(j: int) -> np.ndarray | None:
+        if infinite[j]:
+            seats = np.flatnonzero(sits[j])[:seated]
+            return poly.seated_metric(seats, at[j, seats])
+        return part.witness(slot[j]) if j in slot else None
+
+    return _Pairs(value, upper, witness)
 
 
-def _finalize(poly: ConsistencyPolytope, objective: str, target, results,
-              alpha: float | None, recompute) -> AuditReport:
+def _social_pairs(poly: ConsistencyPolytope, winner: int, seated: int,
+                  num_at_zero: np.ndarray, solve) -> tuple[list, _Pairs]:
+    """The facilities x other than ``winner`` and winner's outcome against
+    each: 1 where co-located, else ``solve(xs)`` under the vanishing rule."""
+    others = np.delete(np.arange(poly.m), winner)
+    return others.tolist(), _pairs_or_vanishing(
+        poly, np.broadcast_to(others[:, None], (len(others), poly.n)), seated,
+        np.zeros(len(others)), num_at_zero[others], poly.fd.values[winner, others] <= 1e-12,
+        lambda idx: solve(others[idx]))
+
+
+def _finalize(poly: ConsistencyPolytope, objective: str, target, keys: list,
+              pairs: _Pairs, alpha: float | None, recompute) -> AuditReport:
     """Assemble the report: pick the maximizing alternative, build its
     witness alone, and re-evaluate the ratio on the witness.  Every outcome
     carries a certified upper bound: the witness's ratio, the value and the
     largest bound must come in that order, and a percentile witness, built
     in closed form, must reach the value."""
     flags: list[str] = []
-    best, top = 1.0, None
-    for _, outcome in results:
-        if outcome.value > best:
-            best, top = outcome.value, outcome
+    top = int(np.argmax(np.append(1.0, pairs.value))) - 1  # -1: none exceeds 1
+    best = float(pairs.value[top]) if top >= 0 else 1.0
     witness = witness_ratio = None
-    if top is not None:
-        flags.extend(top.flags)
-        if top.witness is not None:
-            witness = _metric_from_values(top.witness(), poly.fd, flags, "witness")
+    if top >= 0:
+        rows = pairs.witness(top)
+        if math.isinf(best):
+            flags.append("unbounded_ratio" if rows is None else "denominator_vanishes")
+        if rows is not None:
+            witness = _metric_from_values(rows, poly.fd, flags, "witness")
     if witness is None and math.isfinite(best):
         # Distortion 1 instances: any consistent point certifies the value.
         witness = _metric_from_values(poly.interior_metric(), poly.fd, flags, "witness")
@@ -459,13 +471,13 @@ def _finalize(poly: ConsistencyPolytope, objective: str, target, results,
         witness_ratio = recompute(witness)
         if not check_consistency(poly.profile, witness, tol=1e-7):
             raise InternalInvariantError("audit witness is not consistent")
-    upper = max([1.0, *(outcome.upper for _, outcome in results)])
+    upper = float(np.max(pairs.upper, initial=1.0))
     reached = objective != "percentile" or witness_ratio is None or _at_most(best, witness_ratio)
     if not (_at_most(witness_ratio, best) and _at_most(best, upper) and reached):
         raise InternalInvariantError(
             f"witness ratio {witness_ratio}, value {best} and certified upper "
             f"bound {upper} are out of order")
-    per_alt = tuple((key, outcome.value) for key, outcome in results)
+    per_alt = tuple(zip(keys, pairs.value.tolist()))
     return AuditReport(objective, target, best, True, per_alt, witness,
                        witness_ratio, alpha, tuple(flags), upper)
 
@@ -474,17 +486,14 @@ def audit_sum_social_choice(winner: int, profile: PreferenceProfile,
                             fd: FacilityDistances) -> AuditReport:
     """Exact worst-case total-cost distortion of choosing ``winner``."""
     poly = ConsistencyPolytope(profile, fd)
-    n = poly.n
-    cls = poly.classes()
-    results = _social_pairs(poly, winner, lambda x: _pair_or_vanishing(
-        poly, x, n, 0.0, n * fd.values[x, winner],
-        lambda: _ratio_pair(poly, cls, winner, 0.0, x, 0.0)))
+    keys, pairs = _social_pairs(poly, winner, poly.n, poly.n * fd.values[:, winner], lambda xs:
+                                _ratio_pairs(poly, winner, 0.0 * xs, xs[:, None], 0.0 * xs))
 
     def recompute(metric: FullMetric) -> float:
         cols = metric.distances.sum(axis=0)
-        return _ratio(float(cols[winner]), float(cols.min()))
+        return float(_ratio(cols[winner], cols.min()))
 
-    return _finalize(poly, "sum", winner, results, None, recompute)
+    return _finalize(poly, "sum", winner, keys, pairs, None, recompute)
 
 
 def audit_additive_assignment(x, profile: PreferenceProfile,
@@ -507,26 +516,21 @@ def audit_additive_assignment(x, profile: PreferenceProfile,
             raise SearchSpaceError(
                 f"more than {cap} alternative assignments to audit")
     poly = ConsistencyPolytope(profile, fd)
-    l = fd.values
     spec = problem.cost_spec
-    num_const = spec.facility_cost(x)
-
-    def pair(alt) -> _PairOutcome:
-        cls = poly.classes(x, alt)
-        return _ratio_pair(poly, cls, cls.keys[:, 1], num_const, cls.keys[:, 2],
-                           spec.facility_cost(alt))
-
-    results = [(alt, _pair_or_vanishing(
-        poly, list(alt), n, spec.facility_cost(alt),
-        num_const + sum(l[alt[i], x[i]] for i in range(n)), lambda: pair(alt)))
-        for alt in alternatives if alt != x]
+    every = np.array(alternatives)
+    alts, keys = every[(every != x).any(axis=1)], [alt for alt in alternatives if alt != x]
+    num_const, den_const = np.full(len(alts), spec.facility_cost(x)), spec.facility_cost(alts)
+    num_at_zero = num_const + fd.values[alts, x].sum(axis=1)
+    pairs = _pairs_or_vanishing(
+        poly, alts, n, den_const, num_at_zero, np.zeros(len(alts), dtype=bool),
+        lambda idx: _ratio_pairs(poly, x, num_const[idx], alts[idx], den_const[idx]))
 
     def recompute(metric: FullMetric) -> float:
-        numv = total_cost(x, metric.distances, spec)
-        denv = min(total_cost(alt, metric.distances, spec) for alt in alternatives)
-        return _ratio(numv, denv)
+        d = metric.distances
+        costs = d[np.arange(n), every].sum(axis=1) + spec.facility_cost(every)
+        return float(_ratio(total_cost(x, d, spec), costs.min()))
 
-    return _finalize(poly, "assignment_sum", x, results, None, recompute)
+    return _finalize(poly, "assignment_sum", x, keys, pairs, None, recompute)
 
 
 def _percentile_candidate(poly: ConsistencyPolytope, x: int, w: int, k: int):
@@ -575,22 +579,26 @@ def _percentile_candidate(poly: ConsistencyPolytope, x: int, w: int, k: int):
     return float(values[best]), S, [j] if cap == j else [j, cap]
 
 
-def _percentile_pair(poly: ConsistencyPolytope, x: int, w: int, k: int) -> _PairOutcome:
-    """The value of x against w, from the best candidate configuration (see
-    _percentile_candidate), with an upper bound re-derived from the raw
-    ranking rows: the closure entries behind M (of the agent that sets it)
-    and behind c (of agent j) are each summed along their path of rows
-    (_path_bound), and 1 + max(c, 0) / M over those sums bounds the value.
-    A vanishing M reads as an infinite value."""
-    value, S, binding = _percentile_candidate(poly, x, w, k)
-    if math.isinf(value):
-        return _PairOutcome(INF, INF, None, ("unbounded_ratio",))
-    j, cap = binding[0], binding[-1]
-    M_sum = -_path_bound(poly, cap, 2 * x + 1, 2 * x) / 2
-    c_sum = _path_bound(poly, j, 2 * w, 2 * x)
-    upper = 1.0 + max(c_sum, 0.0) / M_sum if M_sum > 0 else INF
-    M, c = float(poly.min_agent_distance(cap, x)), max(float(poly.max_distance_gap(j, w, x)), 0.0)
-    return _PairOutcome(value, upper, lambda: _percentile_witness(poly, x, w, S, binding, M, c))
+def _percentile_pairs(poly: ConsistencyPolytope, xs: np.ndarray, w: int, k: int) -> _Pairs:
+    """Per x in ``xs``, the value of x against w, from the best candidate
+    configuration (see _percentile_candidate), with an upper bound
+    re-derived from the raw ranking rows: the closure entries behind M (of
+    the agent that sets it) and behind c (of agent j) are each summed along
+    their path of rows (_path_bound), and 1 + max(c, 0) / M over those sums
+    bounds the value.  A vanishing M reads as an infinite value."""
+    value, upper, build = [], [], []
+    for x in xs.tolist():
+        v, S, binding = _percentile_candidate(poly, x, w, k)
+        j, cap, finite = binding[0], binding[-1], math.isfinite(v)
+        M_sum = -_path_bound(poly, cap, 2 * x + 1, 2 * x) / 2 if finite else 0.0
+        c_sum = _path_bound(poly, j, 2 * w, 2 * x) if finite else 0.0
+        M = float(poly.min_agent_distance(cap, x))
+        c = max(float(poly.max_distance_gap(j, w, x)), 0.0)
+        value.append(v)
+        upper.append(1.0 + max(c_sum, 0.0) / M_sum if M_sum > 0 else INF)
+        build.append((x, w, S, binding, M, c) if finite else None)
+    return _Pairs(np.array(value, dtype=float), np.array(upper, dtype=float),
+                  lambda j: None if build[j] is None else _percentile_witness(poly, *build[j]))
 
 
 def _percentile_witness(poly: ConsistencyPolytope, x: int, w: int, S, binding,
@@ -631,14 +639,14 @@ def audit_percentile_social_choice(winner: int, profile: PreferenceProfile,
     poly = ConsistencyPolytope(profile, fd)
     m = poly.m
     k = percentile_rank(poly.n, alpha)
-    results = _social_pairs(poly, winner, lambda x: _pair_or_vanishing(
-        poly, x, k, 0.0, fd.values[winner, x], lambda: _percentile_pair(poly, x, winner, k)))
+    keys, pairs = _social_pairs(poly, winner, k, fd.values[winner],
+                                lambda xs: _percentile_pairs(poly, xs, winner, k))
 
     def recompute(metric: FullMetric) -> float:
-        return _ratio(evaluate_percentile_cost(winner, metric, alpha),
-                      min(evaluate_percentile_cost(f, metric, alpha) for f in range(m)))
+        return float(_ratio(evaluate_percentile_cost(winner, metric, alpha),
+                            min(evaluate_percentile_cost(f, metric, alpha) for f in range(m))))
 
-    return _finalize(poly, "percentile", winner, results, alpha, recompute)
+    return _finalize(poly, "percentile", winner, keys, pairs, alpha, recompute)
 
 
 def sample_consistent_metric(profile: PreferenceProfile, fd: FacilityDistances,

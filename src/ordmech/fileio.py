@@ -170,6 +170,8 @@ def instance_from_dict(data) -> InstanceFile:
             f"preset must be one of {list(PRESET_NAMES)}", "preset")
     params = data.get("params", {})
     _expect(isinstance(params, dict), "must be an object", "params")
+    for key in ("capacities", "must_coassign", "must_separate", "coassign_penalties"):
+        _expect(key not in params, f"{key} is not supported by any preset", "params")
     k, costs = params.get("k", 1), params.get("opening_costs", [])
     _expect(_is_number(k) and k >= 1 and k == int(k), "k must be an integer >= 1", "params")
     _expect(isinstance(costs, list) and all(_is_number(c) and c >= 0 for c in costs),

@@ -14,6 +14,7 @@ every percentile candidate's subset in full.
 """
 
 from itertools import combinations
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -285,14 +286,24 @@ def highs_ratio_pair(poly, cls, num_at, num_const, den_at, den_const) -> float:
     return res.fun
 
 
+def _classes(poly, *keys):
+    """The agents grouped by ranking and by the given per-agent keys, in
+    order of first appearance: each class's keys and number of agents."""
+    index = {}
+    member = [index.setdefault(key, len(index))
+              for key in zip(poly.ranking_id.tolist(), *keys)]
+    return SimpleNamespace(keys=np.array(list(index)), count=np.bincount(member))
+
+
 def _highs_values(poly, pairs):
     """Per alternative: 1 when co-located (``None``), else the library's
-    vanishing-denominator rule around the HiGHS ratio LP."""
-    from ordmech.audit import _PairOutcome, _pair_or_vanishing
+    vanishing-denominator rule around the HiGHS ratio LP, one alternative
+    at a time."""
+    from ordmech.audit import _Pairs, _pairs_or_vanishing
 
-    def solve(lp):
-        value = highs_ratio_pair(poly, *lp)
-        return _PairOutcome(value, value)
+    def solve(lp, idx):
+        value = np.full(len(idx), highs_ratio_pair(poly, *lp) if len(idx) else 0.0)
+        return _Pairs(value, value, lambda j: None)
 
     values = []
     for pair in pairs:
@@ -300,8 +311,10 @@ def _highs_values(poly, pairs):
             values.append(1.0)
             continue
         at, den_const, num_at_zero, lp = pair
-        values.append(_pair_or_vanishing(
-            poly, at, poly.n, den_const, num_at_zero, lambda: solve(lp)).value)
+        outcome = _pairs_or_vanishing(
+            poly, np.broadcast_to(at, (1, poly.n)), poly.n, np.array([den_const]),
+            np.array([num_at_zero]), np.zeros(1, dtype=bool), lambda idx: solve(lp, idx))
+        values.append(float(outcome.value[0]))
     return values
 
 
@@ -310,7 +323,7 @@ def highs_sum_values(winner, profile, fd) -> list[float]:
     from ordmech.audit import ConsistencyPolytope
 
     poly = ConsistencyPolytope(profile, fd)
-    cls = poly.classes()
+    cls = _classes(poly)
     l = fd.values
     return _highs_values(poly, [
         None if l[winner, x] <= 1e-12 else
@@ -330,7 +343,7 @@ def highs_assignment_values(x, profile, fd, problem) -> list[float]:
     for alt in iter_valid_assignments(poly.n, problem.constraints):
         if alt == x:
             continue
-        cls = poly.classes(x, alt)
+        cls = _classes(poly, x, alt)
         num_at_zero = spec.facility_cost(x) + sum(fd.values[alt[i], x[i]]
                                                   for i in range(poly.n))
         pairs.append((list(alt), spec.facility_cost(alt), num_at_zero,

@@ -73,6 +73,10 @@ def test_total_cost_matches_independent_recomputation():
             if x[i] == x[j]:
                 expected += p
         assert total_cost(x, D, spec) == pytest.approx(expected, abs=1e-9)
+        # a stack of assignments costs exactly what each row does alone
+        stack = rng.integers(0, m, (4, n))
+        assert spec.facility_cost(stack).tolist() == [spec.facility_cost(tuple(row))
+                                                      for row in stack.tolist()]
 
 
 def test_distance_cost_monotone_and_subadditive():

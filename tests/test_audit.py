@@ -14,12 +14,13 @@ from ordmech import (PreferenceProfile, SearchSpaceError, UnboundedObjectiveErro
                      evaluate_percentile_cost, evaluate_sum_cost,
                      facility_distances, median_winner, distance_partial_order,
                      FullMetric, preferences_from_metric, project_agents,
-                     sample_consistent_metric, sum_winner)
+                     reduce_and_solve, sample_consistent_metric, sum_winner)
 from ordmech import audit
 from ordmech.audit import ConsistencyPolytope, _metric_from_values
 from ordmech.core import consistency_constraints
 from ordmech.fileio import load_instance
 from ordmech.gallery import gen_median_topchoice_bad, gen_sum5_tight
+from ordmech.solvers import SOLVERS
 
 from helpers import random_instance
 
@@ -509,6 +510,30 @@ def test_each_ranking_closure_is_built_once(monkeypatch):
     with pytest.raises(SearchSpaceError):
         audit_additive_assignment((0,) * wide.n, wide, line, problem)
     assert built == []
+
+
+def test_one_vertex_pass_per_block(monkeypatch):
+    # every alternative's classes go through one batched vertex pass, in
+    # blocks of whole alternatives of at most _VERTEX_ROWS rows, instead
+    # of one pass per alternative
+    rows = []
+    real = audit._octagon_vertices
+    monkeypatch.setattr(audit, "_octagon_vertices", lambda h: rows.append(len(h)) or real(h))
+    inst = load_instance(Path(__file__).parent / "fixtures" / "kmedian_scenarios.json")
+    problem = build_preset(inst.preset, inst.n, inst.facilities, inst.params)
+    x = reduce_and_solve(problem, inst.profile, inst.fd, SOLVERS["k_median"]).assignment
+    report = audit_additive_assignment(x, inst.profile, inst.fd, problem)
+    assert len(report.per_alternative) == 6140
+    assert len(rows) < 6140 // 10
+    assert max(rows) <= audit._VERTEX_ROWS and sum(rows) >= 6140
+    # greedy blocks: all but the last are within one alternative of full
+    assert len(rows) <= sum(rows) // (audit._VERTEX_ROWS - inst.n) + 1
+    rng = np.random.default_rng(3)
+    profile, fd, _ = next(inst for inst in (random_instance(rng, n_max=8, m_max=5)
+                                            for _ in range(50)) if inst[1].m == 5)
+    rows.clear()
+    audit_sum_social_choice(0, profile, fd)
+    assert len(rows) == 1
 
 
 def test_fallbacks_log_a_warning(caplog):

@@ -119,6 +119,61 @@ def test_vanishing_denominator_with_vanishing_numerator(eps):
     assert report.value == math.inf and report.certified_upper == math.inf
 
 
+def test_assignment_audit_spanning_several_blocks_matches_highs(monkeypatch):
+    # 189 k-median alternatives of six agents: their (alternative, class)
+    # rows fill several vertex blocks, and each value still matches its LP
+    blocks = []
+    real = audit._octagon_vertices
+    monkeypatch.setattr(audit, "_octagon_vertices", lambda h: blocks.append(len(h)) or real(h))
+    rng = np.random.default_rng(SEED + 3)
+    fd = random_facility_distances(rng, 3)
+    profile = preferences_from_metric(random_consistent_metric(rng, fd, 6))
+    problem = build_preset("k_median", 6, fd.facilities, {"k": 2})
+    x = reduce_and_solve(problem, profile, fd, SOLVERS["brute_force"]).assignment
+    report = audit_additive_assignment(x, profile, fd, problem)
+    assert len(report.per_alternative) == 188 and len(blocks) > 1
+    _check(report, highs_assignment_values(x, profile, fd, problem))
+
+
+@pytest.mark.parametrize("eps, far, third", [(0.0, 2.0, (2, 0, 1)),
+                                              (6e-13, 1000.0, (0, 1, 2))])
+def test_assignment_audit_mixing_vanishing_and_ordinary_alternatives(eps, far, third):
+    # X and Z lie eps apart and Y far from both; agents can sit on their
+    # top choice and on anything co-located with it.  Against (Z, Z, Z),
+    # an alternative that seats everyone has a vanishing denominator: its
+    # ratio is infinite where the numerator stays above 1e-12 (agent 2
+    # moved from Y at eps 0, or two agents moved to X at eps 6e-13) and
+    # at least 1 where it does not (one agent moved to X); the rest are
+    # ordinary ratios
+    fd = facility_distances(("X", "Z", "Y"), [[0.0, eps, far], [eps, 0.0, far],
+                                              [far, far, 0.0]])
+    profile = PreferenceProfile(3, ((0, 1, 2), (1, 0, 2), third))
+    problem = build_preset("k_median", 3, fd.facilities, {"k": 3})
+    report = audit_additive_assignment((1, 1, 1), profile, fd, problem)
+    _check(report, highs_assignment_values((1, 1, 1), profile, fd, problem))
+    values = dict(report.per_alternative)
+    infinite = {alt for alt, value in values.items() if value == math.inf}
+    if eps:
+        assert infinite == {(0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0)}
+        assert values[(0, 1, 1)] == values[(1, 0, 1)] == 1.0
+    else:
+        assert infinite == {(0, 0, 2), (0, 1, 2), (1, 0, 2), (1, 1, 2)}
+        assert values[(0, 2, 2)] == 3.0 and values[(2, 2, 2)] == 2.0
+    assert report.flags == ("denominator_vanishes",)
+    assert report.value == report.certified_upper == math.inf
+
+
+def test_dinkelbach_that_needs_two_steps_fails_at_one(monkeypatch):
+    # the tie instance's ratio 3 takes a step from rho = 1 to 3 and a
+    # second to certify it: capped at one step, the audit raises
+    profile, fd = _tie_instance()
+    monkeypatch.setattr(audit, "DINKELBACH_MAX_ITER", 2)
+    assert audit_sum_social_choice(0, profile, fd).value == 3.0
+    monkeypatch.setattr(audit, "DINKELBACH_MAX_ITER", 1)
+    with pytest.raises(InternalInvariantError, match="did not converge"):
+        audit_sum_social_choice(0, profile, fd)
+
+
 def _check_percentile(report, oracle):
     # a percentile witness is built to reach the value, not just stay below
     got = [value for _, value in report.per_alternative]
@@ -194,13 +249,13 @@ def test_tampered_percentile_witness_is_an_error(monkeypatch):
 
 
 def test_out_of_order_certificate_is_an_error(monkeypatch):
-    real = audit._dinkelbach
+    real = audit._ratio_pairs
 
     def low_bound(*args):
         outcome = real(*args)
         return outcome._replace(upper=outcome.value / 2)
 
-    monkeypatch.setattr(audit, "_dinkelbach", low_bound)
+    monkeypatch.setattr(audit, "_ratio_pairs", low_bound)
     fd = facility_distances(("X", "Y"), [[0.0, 2.0], [2.0, 0.0]])
     profile = PreferenceProfile(2, ((0, 1), (1, 0)))
     with pytest.raises(InternalInvariantError):

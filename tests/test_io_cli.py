@@ -100,6 +100,13 @@ def test_schema_rejects_inconsistent_fields():
         with pytest.raises(SchemaError) as err:
             parse_instance(json.dumps(bad))
         assert err.value.field == "params", params
+    # constraints no preset honours are refused by name, not silently ignored
+    two = dict(base, preferences=[["A", "B"], ["A", "B"]], preset="k_median")
+    for key, value in (("capacities", [1, 1]), ("must_separate", [[0, 1]]),
+                       ("must_coassign", [[0, 1]]), ("coassign_penalties", [[0, 1, 2.0]])):
+        with pytest.raises(SchemaError) as err:
+            parse_instance(json.dumps(dict(two, params={"k": 2, key: value})))
+        assert err.value.field == "params" and key in str(err.value), key
 
 
 def test_cli_gen_solve_audit_pipeline(tmp_path):
