@@ -19,15 +19,16 @@ the agent's ranking, and one rule serves every objective
 needs seated (n for a sum, k for a k-th smallest distance) can sit on
 their facilities.  Only the maximizing alternative's witness is built.
 
-A ranking's rows are unit two-variable inequalities, so shortest paths
-give every bound on one distance, or on the sum or difference of two,
-exactly (_closure), and any values within those bounds extend to a full
-consistent row (_point).  Sum and assignment ratios read two distances
-per class, whose exact feasible set is an octagon of eight closure rows.
-Dinkelbach's parametric method, one rho per alternative over blocks of
-(alternative, class) rows (_ratio_pairs), maximizes every ratio over the
-octagons' vertices with no LP solver (_dinkelbach); its last step also
-certifies an upper bound that the report carries next to the witness's.
+A ranking's rows are unit two-variable inequalities, so shortest paths,
+in one stacked pass over the distinct rankings in chunks within BLOCK
+elements (_closure), give every bound on one distance, or on the sum or
+difference of two, exactly, and any values within those bounds extend
+to a full consistent row (_point).  Sum and assignment ratios read two
+distances per class, whose exact feasible set is an octagon of eight
+closure rows.  Dinkelbach's parametric method, one rho per alternative
+over blocks of (alternative, class) rows (_ratio_pairs), maximizes every
+ratio over the octagons' vertices with no LP solver (_dinkelbach); its
+last step also certifies an upper bound that the report carries too.
 
 Percentile objectives are piecewise linear: which agents realize the two
 order statistics is a subset choice, but per-agent independence collapses
@@ -52,8 +53,7 @@ import numpy as np
 
 from .assignment import AssignmentProblem, DistanceCost, iter_valid_assignments, total_cost
 from .core import (BLOCK, FacilityDistances, FullMetric, PreferenceProfile,
-                   check_consistency, consistency_constraints, pair_rows,
-                   ranking_block)
+                   check_consistency, consistency_constraints)
 from .errors import (InternalInvariantError, MetricError, SearchSpaceError,
                      SolverError, UnboundedObjectiveError)
 from .lp import solve_lp
@@ -87,33 +87,61 @@ class AuditReport:
 
 
 class ConsistencyPolytope:
-    """The consistent-metric closure as one constraint block per distinct
-    ranking, plus the combinatorial facts the audits reuse."""
+    """The consistent-metric closure per distinct ranking: the edges of its
+    rows, their closure (_closure) and who can sit on which facility.  The
+    rankings share the pair rows of the geometry and differ in their chain
+    rows, so the pair edges are kept once and the chain edges per ranking,
+    and one stacked pass closes every ranking, in chunks within BLOCK."""
 
     def __init__(self, profile: PreferenceProfile, fd: FacilityDistances):
         if profile.m != fd.m:
             raise MetricError("profile and facility distances disagree on m")
-        self.profile = profile
-        self.fd = fd
-        self.n = profile.n
-        self.m = profile.m
-        self.radius = max(float(fd.values.max()), 1.0)
+        self.profile, self.fd, self.n, self.m = profile, fd, profile.n, profile.m
+        m, l = profile.m, fd.values
+        self.radius = max(float(l.max()), 1.0)
         index: dict = {}  # distinct rankings, in order of first appearance
         self.ranking_id = np.array([index.setdefault(r, len(index)) for r in profile.rankings])
-        rankings = list(index)
-        pairs = pair_rows(fd)
-        self.blocks = [ranking_block(r, pairs, profile.top_only) for r in rankings]
-        # Agent i may lie exactly at facility f iff the row l(f, .) is
-        # weakly nondecreasing along its ranking.
-        l = fd.values
+        self.first = np.unique(self.ranking_id, return_index=True)[1]  # an agent per ranking
+        ranks = profile.array[self.first]
+        # Rows as edges (see _closure): per ranking, its chain rows
+        # d(before) - d(after) <= 0 (consecutive ranks, or the top choice
+        # against every other facility when only tops are known), then twins
         if profile.top_only:
-            sit = [l[:, r[0]] <= l.min(axis=1) + 1e-9 for r in rankings]
+            slot = np.arange(m - 1)
+            before, after = np.repeat(ranks, m - 1, axis=1), slot + (slot >= ranks)
         else:
-            sit = [np.all(l[:, r[:-1]] <= l[:, r[1:]] + 1e-9, axis=1)
-                   for r in map(list, rankings)]
-        self.can_sit = np.asarray(sit)[self.ranking_id]  # n x m
-        # per distinct ranking, the closure (see _closure) of its block
-        self.bounds = np.stack([_closure(*block) for block in self.blocks])
+            before, after = ranks[:, :-1], ranks[:, 1:]
+        down = before > after
+        p, q = 2 * np.minimum(before, after) + down, 2 * np.maximum(before, after) + down
+        self.chain = (np.hstack([p, q ^ 1]), np.hstack([q, p ^ 1]))
+        # and once the rows every ranking shares: the pair rows as in
+        # core.pair_rows (per f < g: d(f) - d(g) <= l, d(g) - d(f) <= l,
+        # -(d(f) + d(g)) <= -l), their twins, then d >= 0
+        f, g = np.nonzero(np.arange(m)[:, None] < np.arange(m))
+        p, q = (2 * f[:, None] + [0, 1, 1]).ravel(), (2 * g[:, None] + [0, 1, 0]).ravel()
+        b, odd = (l[f, g][:, None] * [1.0, 1.0, -1.0]).ravel(), np.arange(1, 2 * m, 2)
+        self.shared = (np.concatenate([p, q ^ 1, odd]), np.concatenate([q, p ^ 1, odd ^ 1]),
+                       np.concatenate([b, b, np.zeros(m)]))
+        shared = np.where(np.eye(2 * m, dtype=bool), 0.0, INF)
+        np.minimum.at(shared, self.shared[:2], self.shared[2])
+        bounds, sit, step = [], [], max(1, BLOCK // (2 * m) ** 2)
+        for lo in range(0, len(ranks), step):
+            src, dst = (e[lo:lo + step] for e in self.chain)
+            W = np.repeat(shared[None], len(src), axis=0)
+            np.minimum.at(W, (np.arange(len(src))[:, None], src, dst), 0.0)
+            bounds.append(_closure(W))
+            # one may sit on facility f iff l(f, .) never falls along the chain
+            sit.append((l[:, before[lo:lo + step]] <= l[:, after[lo:lo + step]] + 1e-9)
+                       .all(axis=2).T)
+        self.bounds = np.concatenate(bounds)  # per distinct ranking
+        self.can_sit = np.concatenate(sit)[self.ranking_id]  # n x m
+
+    def edges(self, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Ranking r's edges as (source, target, bound) in the order of its
+        core.ranking_block rows: chain, pair, their twins, then d >= 0."""
+        k, P = self.m - 1, (len(self.shared[0]) - self.m) // 2
+        chain = (self.chain[0][r], self.chain[1][r], np.zeros(2 * k))
+        return tuple(np.hstack([c[:k], s[:P], c[k:], s[P:]]) for c, s in zip(chain, self.shared))
 
     def min_agent_distance(self, agents, f: int) -> np.ndarray:
         """Smallest consistent d(i, f) of each of ``agents``."""
@@ -129,59 +157,32 @@ class ConsistencyPolytope:
         profile and strictly inside the pair constraints."""
         return np.full((self.n, self.m), self.radius)
 
-    def seated_metric(self, agents, at) -> np.ndarray:
-        """``agents`` placed exactly on their facilities ``at`` (one, or one
-        each), everyone else at the interior radius."""
-        d = self.interior_metric()
-        d[agents] = self.fd.values[at]
-        return d
 
-
-def _edges(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The difference graph of ``A d <= b, d >= 0`` when every row of A has
-    two nonzero coefficients, each +1 or -1, as in a ranking block: with
-    v[2a] = d(a) and v[2a + 1] = -d(a), every row bounds v[p] - v[q], and
-    so v[q ^ 1] - v[p ^ 1], by its b, and d(a) >= 0 bounds v[2a + 1] - v[2a]
-    by 0.  Returns each edge's (source, target, bound)."""
-    m = A.shape[1]
-    at, cols = np.nonzero(A)  # two per row, in order
-    a, e = cols[0::2], cols[1::2]
-    p = 2 * a + (A[at[0::2], a] < 0)
-    q = 2 * e + (A[at[1::2], e] > 0)  # v[p] - v[q] = row . d
-    odd = np.arange(1, 2 * m, 2)
-    return (np.concatenate([p, q ^ 1, odd]), np.concatenate([q, p ^ 1, odd ^ 1]),
-            np.concatenate([b, b, np.zeros(m)]))
-
-
-def _closure(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Tightest bounds implied by a system of two-variable rows (see
-    _edges): entry [p, q] of the result is the least upper bound of
-    v[p] - v[q] over the system (inf if there is none).  Over the reals,
-    shortest paths through the edges followed by one halving step through
-    the single-variable bounds give every such bound exactly (the closure
-    of an octagon); the system must be feasible."""
-    m = A.shape[1]
-    W = np.full((2 * m, 2 * m), INF)
-    np.fill_diagonal(W, 0.0)
-    src, dst, bound = _edges(A, b)
-    np.minimum.at(W, (src, dst), bound)
-    for k in range(2 * m):
-        W = np.minimum(W, W[:, k, None] + W[None, k, :])
-    at = np.arange(2 * m)
-    half = W[at, at ^ 1] / 2  # v[p] - v[bar p] = 2 v[p]
-    return np.minimum(W, half[:, None] + half[at ^ 1][None, :])
+def _closure(W: np.ndarray) -> np.ndarray:
+    """Close feasible systems of rows with two +-1 coefficients, given as
+    edges: with v[2a] = d(a) and v[2a + 1] = -d(a), a row bounds some
+    v[p] - v[q] and its twin v[q ^ 1] - v[p ^ 1], and d(a) >= 0 bounds
+    v[2a + 1] - v[2a] by 0.  W stacks one 2m x 2m matrix of least edge
+    bounds per system (inf where none, 0 on the diagonal) and is overwritten
+    by the least upper bound of every v[p] - v[q]: shortest paths, then one
+    halving step (the closure of an octagon, exact over the reals)."""
+    for k in range(W.shape[1]):
+        np.minimum(W, W[:, :, k, None] + W[:, None, k, :], out=W)
+    at = np.arange(W.shape[1])
+    half = W[:, at, at ^ 1] / 2  # v[p] - v[bar p] = 2 v[p]
+    return np.minimum(W, half[:, :, None] + half[:, None, at ^ 1], out=W)
 
 
 def _path_bound(poly: ConsistencyPolytope, i: int, p: int, q: int) -> float:
-    """Entry [p, q] of the closure W of agent i's ranking block, re-derived
-    from the block's rows: their bounds summed along a path of edges (see
-    _edges) from p to q that W says are tight, or, where the closure took
-    its halving step, half the sum of the paths p -> p ^ 1 and q ^ 1 -> q.
-    The rows of a path add up to a bound on v[p] - v[q], so the sum holds
-    whatever W says.  Raises unless it is within a relative 1e-9 of the
-    entry, relative to at least the facility radius."""
+    """Entry [p, q] of the closure W of agent i's ranking, re-derived from
+    its rows: their bounds summed along a path of edges (see
+    ConsistencyPolytope.edges) from p to q that W says are tight, or, where
+    the closure took its halving step, half the sum of the paths p -> p ^ 1
+    and q ^ 1 -> q.  The rows of a path add up to a bound on v[p] - v[q],
+    so the sum holds whatever W says.  Raises unless it is within a
+    relative 1e-9 of the entry, relative to at least the facility radius."""
     W, scale = poly.bounds[poly.ranking_id[i]], poly.radius
-    src, dst, bound = _edges(*poly.blocks[poly.ranking_id[i]])
+    src, dst, bound = poly.edges(poly.ranking_id[i])
     ends = list(zip(src.tolist(), dst.tolist()))
 
     def walk(p: int, q: int) -> float:
@@ -233,12 +234,6 @@ def _point(W: np.ndarray, fixed: dict[int, float]) -> np.ndarray:
     return np.array(d)
 
 
-def _flag(flags: list[str], flag: str) -> None:
-    """Record a fallback in the report flags and on the ``ordmech`` log."""
-    flags.append(flag)
-    _LOG.warning("audit fallback: %s", flag)
-
-
 def _ratio(num, den) -> np.ndarray:
     """num / den elementwise, where a vanishing denominator reads as an
     infinite ratio, or as 1 when the numerator vanishes too."""
@@ -265,7 +260,8 @@ def _metric_from_values(values, fd: FacilityDistances, flags: list[str],
         while lam <= 1e-4:
             try:
                 metric = FullMetric((1 - lam) * values + lam * interior, fd)
-                _flag(flags, f"{label}_repaired")
+                flags.append(f"{label}_repaired")  # a fallback: flagged and logged
+                _LOG.warning("audit fallback: %s", flags[-1])
                 return metric
             except MetricError:
                 lam *= 10
@@ -373,7 +369,7 @@ def _ratio_pairs(poly: ConsistencyPolytope, num_at, num_const: np.ndarray,
     alternatives, and witnesses extend the maximizing vertices (_point).
     No denominator may vanish (see _pairs_or_vanishing)."""
     n, m, size = poly.n, poly.m, len(num_const)
-    span = len(poly.blocks) * m * m  # codes of one alternative's classes
+    span = len(poly.bounds) * m * m  # codes of one alternative's classes
     code = ((poly.ranking_id * m + num_at) * m + den_at
             + span * np.arange(size)[:, None]).ravel()
     _, first, inverse, count = np.unique(code, return_index=True, return_inverse=True,
@@ -429,8 +425,9 @@ def _pairs_or_vanishing(poly: ConsistencyPolytope, at: np.ndarray, seated: int,
 
     def witness(j: int) -> np.ndarray | None:
         if infinite[j]:
-            seats = np.flatnonzero(sits[j])[:seated]
-            return poly.seated_metric(seats, at[j, seats])
+            seats, d = np.flatnonzero(sits[j])[:seated], poly.interior_metric()
+            d[seats] = poly.fd.values[at[j, seats]]  # seated, the rest far away
+            return d
         return part.witness(slot[j]) if j in slot else None
 
     return _Pairs(value, upper, witness)
@@ -554,27 +551,26 @@ def _percentile_candidate(poly: ConsistencyPolytope, x: int, w: int, k: int):
     d(j, x) = M, d(j, w) = M + c, so the value is 1 + max(c, 0) / M.  Only
     j and the member of S that sets M bind, so the configuration restricted
     to those one or two agents has the same value."""
-    firsts = np.unique(poly.ranking_id, return_index=True)[1]  # one agent per class
     mu = poly.min_agent_distance(np.arange(poly.n), x)
     order = np.argsort(mu, kind="stable")
     # cap = S[argmax(mu[S])] for S = j, then the k-1 others lowest in
     # ``order``, read off the order: the last of those others is order[k-1]
     # when j is among the first k-1, else order[k-2].  The first maximum in
     # S is j when j reaches that value, else the first agent at that value.
-    cap = firsts
+    cap = poly.first
     if k > 1:
         rank = np.empty(poly.n, dtype=int)
         rank[order] = np.arange(poly.n)
-        cap_mu = mu[np.where(rank[firsts] < k - 1, order[k - 1], order[k - 2])]
+        cap_mu = mu[np.where(rank[poly.first] < k - 1, order[k - 1], order[k - 2])]
         first_at = order[np.searchsorted(mu[order], cap_mu)]
-        cap = np.where(mu[firsts] >= cap_mu, firsts, first_at)
-    gap = np.maximum(poly.max_distance_gap(firsts, w, x), 0.0)
+        cap = np.where(mu[poly.first] >= cap_mu, poly.first, first_at)
+    gap = np.maximum(poly.max_distance_gap(poly.first, w, x), 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         values = np.where(mu[cap] > 0, 1.0 + gap / mu[cap], INF)
     top = values.max()
     tol = 0.0 if math.isinf(top) else 1e-9 * max(1.0, top)
     best = np.flatnonzero(values >= top - tol)[0]
-    j, cap = firsts[best], cap[best]
+    j, cap = poly.first[best], cap[best]
     S = np.append(j, order[order != j][:k - 1])
     return float(values[best]), S, [j] if cap == j else [j, cap]
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import suppress
 
 from . import social_choice as sc
 from .assignment import build_preset, reduce_and_solve
@@ -137,18 +138,14 @@ def _cmd_audit(args) -> int:
 
 def _parse_params(raw: str | None) -> dict:
     params = {}
-    if not raw:
-        return params
-    for part in raw.split(","):
-        if "=" not in part:
+    for part in raw.split(",") if raw else ():
+        key, eq, value = part.partition("=")
+        if not eq:
             raise SchemaError(f"bad parameter {part!r}; use key=value", field="params")
-        key, value = part.split("=", 1)
-        try:
-            num = float(value)
-            params[key.strip()] = int(num) if num.is_integer() and "e" not in value.lower() \
-                and "." not in value else num
-        except ValueError:
-            params[key.strip()] = value.strip()
+        for kind in (int, float, str.strip):
+            with suppress(ValueError):
+                params[key.strip()] = kind(value)
+                break
     return params
 
 

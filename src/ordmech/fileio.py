@@ -216,10 +216,11 @@ def instance_from_dict(data) -> InstanceFile:
                     f"{where}.assignment")
         if raw_scen.get("choice") is not None:
             choice = _facility_indices(index, raw_scen["choice"], f"{where}.choice")
-        expected = raw_scen.get("expected_ratio")
-        scenarios.append(Scenario(label, scen_fd, scen_metric,
-                                  raw_scen.get("note", ""), assignment, choice,
-                                  expected))
+        expected, note = raw_scen.get("expected_ratio"), raw_scen.get("note", "")
+        _expect(expected is None or _is_number(expected), "must be a number",
+                f"{where}.expected_ratio")
+        _expect(isinstance(note, str), "must be a string", f"{where}.note")
+        scenarios.append(Scenario(label, scen_fd, scen_metric, note, assignment, choice, expected))
 
     return InstanceFile(facilities, profile, preset, fd, candidate_rankings,
                         params, metric, tuple(scenarios))

@@ -8,6 +8,7 @@ scratch.  These back the reproduction command and the acceptance tests.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 from itertools import combinations, permutations
 
@@ -20,7 +21,7 @@ from .audit import (audit_additive_assignment, audit_percentile_social_choice,
 from .core import (FacilityDistances, FacilitySet, FullMetric,
                    PreferenceProfile, check_consistency, facility_distances,
                    project_agents)
-from .errors import OrdmechError
+from .errors import OrdmechError, SchemaError
 
 
 @dataclass(frozen=True)
@@ -413,6 +414,11 @@ def gen_worked_example(name: str, **params) -> WorkedExample:
     except KeyError:
         raise OrdmechError(
             f"unknown example {name!r}; choose from {sorted(EXAMPLES)}") from None
+    kinds = {k: (type(p.default), int) for k, p in inspect.signature(generator).parameters.items()}
+    bad = [k for k, v in params.items() if not isinstance(v, kinds.get(k, ()))]
+    if bad:  # a key the generator does not take, or a value of the wrong type
+        takes = ", ".join(f"{k} ({t.__name__})" for k, (t, _) in kinds.items()) or "no parameters"
+        raise SchemaError(f"{bad[0]}={params[bad[0]]!r}: {name} takes {takes}", field="params")
     return generator(**params)
 
 

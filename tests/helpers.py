@@ -8,9 +8,10 @@ instance is consistent by construction.
 
 The loop oracles at the end are the plain per-agent and per-pair loops
 that the library's array passes replace; the parity tests compare the two.
-The audit oracles after them solve each sum or assignment ratio, and each
-percentile alternative's binding configuration, as a HiGHS LP, and build
-every percentile candidate's subset in full.
+The audit oracles after them close each ranking's constraint block on its
+own, solve each sum or assignment ratio, and each percentile alternative's
+binding configuration, as a HiGHS LP, and build every percentile
+candidate's subset in full.
 """
 
 from itertools import combinations
@@ -247,8 +248,48 @@ def loop_min_cost_matching(cost):
 
 
 # ---------------------------------------------------------------------------
-# Audit oracles: the HiGHS linear programs and subset rules that the audits'
-# exact passes replaced, kept as references for the parity tests.
+# Audit oracles: the per-ranking closures, HiGHS linear programs and subset
+# rules that the audits' exact passes replaced, kept as references for the
+# parity tests.
+
+def agent_block(poly, i):
+    """Agent i's ranking block ``(A, b)``, as core.ranking_block builds it."""
+    from ordmech.core import pair_rows, ranking_block
+
+    return ranking_block(poly.profile.rankings[i], pair_rows(poly.fd), poly.profile.top_only)
+
+
+def block_edges(A, b):
+    """The difference graph of ``A d <= b, d >= 0`` when every row of A has
+    two nonzero coefficients, each +1 or -1, as in a ranking block: with
+    v[2a] = d(a) and v[2a + 1] = -d(a), every row bounds v[p] - v[q], and
+    so v[q ^ 1] - v[p ^ 1], by its b, and d(a) >= 0 bounds v[2a + 1] - v[2a]
+    by 0.  Returns each edge's (source, target, bound)."""
+    m = A.shape[1]
+    at, cols = np.nonzero(A)  # two per row, in order
+    a, e = cols[0::2], cols[1::2]
+    p = 2 * a + (A[at[0::2], a] < 0)
+    q = 2 * e + (A[at[1::2], e] > 0)  # v[p] - v[q] = row . d
+    odd = np.arange(1, 2 * m, 2)
+    return (np.concatenate([p, q ^ 1, odd]), np.concatenate([q, p ^ 1, odd ^ 1]),
+            np.concatenate([b, b, np.zeros(m)]))
+
+
+def block_closure(A, b):
+    """One block's closure: shortest paths through its edges (block_edges)
+    by Floyd-Warshall, then one halving step through the single-variable
+    bounds."""
+    m = A.shape[1]
+    W = np.full((2 * m, 2 * m), np.inf)
+    np.fill_diagonal(W, 0.0)
+    src, dst, bound = block_edges(A, b)
+    np.minimum.at(W, (src, dst), bound)
+    for k in range(2 * m):
+        W = np.minimum(W, W[:, k, None] + W[None, k, :])
+    at = np.arange(2 * m)
+    half = W[at, at ^ 1] / 2  # v[p] - v[bar p] = 2 v[p]
+    return np.minimum(W, half[:, None] + half[at ^ 1][None, :])
+
 
 def highs_ratio_pair(poly, cls, num_at, num_const, den_at, den_const) -> float:
     """sup (sum_i d(i, num_at) + num_const) / (sum_i d(i, den_at) + den_const)
@@ -361,7 +402,7 @@ def highs_percentile_pair(poly, binding, x, w) -> float:
     from ordmech.lp import solve_lp
 
     m = poly.m
-    A, b = stack_blocks(poly.blocks[poly.ranking_id[i]] for i in binding)
+    A, b = stack_blocks(agent_block(poly, i) for i in binding)
     k = len(binding) * m  # then the scale, then the floor
     extra = np.zeros((len(binding) + 1, k + 2))
     extra[np.arange(len(binding)), np.arange(0, k, m) + x] = 1.0

@@ -17,12 +17,13 @@ from ordmech import (PreferenceProfile, SearchSpaceError, UnboundedObjectiveErro
                      reduce_and_solve, sample_consistent_metric, sum_winner)
 from ordmech import audit
 from ordmech.audit import ConsistencyPolytope, _metric_from_values
-from ordmech.core import consistency_constraints
+from ordmech.core import BLOCK, consistency_constraints
 from ordmech.fileio import load_instance
 from ordmech.gallery import gen_median_topchoice_bad, gen_sum5_tight
 from ordmech.solvers import SOLVERS
 
-from helpers import random_instance
+from helpers import (agent_block, block_closure, block_edges, random_consistent_metric,
+                     random_facility_distances, random_instance)
 
 
 def _tie_instance(span=2.0):
@@ -276,7 +277,7 @@ def test_closure_bounds_match_lp():
         poly = ConsistencyPolytope(profile, fd)
         m = fd.m
         for i in range(profile.n):
-            A, b = poly.blocks[poly.ranking_id[i]]
+            A, b = agent_block(poly, i)
             for x in range(m):
                 res = audit.solve_lp(np.eye(m)[x], A, b)
                 assert poly.min_agent_distance(i, x) == pytest.approx(res.fun, abs=1e-9)
@@ -293,7 +294,7 @@ def test_point_extends_two_consistent_distances():
         profile, fd, metric = random_instance(rng, n_max=4, m_max=5)
         poly = ConsistencyPolytope(profile, fd)
         for i in range(profile.n):
-            A, b = poly.blocks[poly.ranking_id[i]]
+            A, b = agent_block(poly, i)
             W = poly.bounds[poly.ranking_id[i]]
             d = metric.distances[i]
             for f in range(fd.m):
@@ -485,31 +486,91 @@ def test_sum_audit_witness_reproduces_value_at_n400():
     assert abs(report.witness_ratio - report.value) <= 1e-6 * report.value
 
 
+def _stacked_profiles():
+    """(profile, fd) pairs for the stacked-closure tests: random full and
+    top-only profiles (some with co-located facilities), m = 1, and m = 10
+    profiles whose distinct rankings span several chunks."""
+    rng = np.random.default_rng(456)
+    cases = []
+    for _ in range(40):
+        profile, fd, _ = random_instance(rng, n_max=8, m_max=5)
+        cases.append((profile, fd))
+        cases.append((PreferenceProfile(fd.m, tuple((r[0],) for r in profile.rankings),
+                                        top_only=True), fd))
+    single = facility_distances(("X",), [[0.0]])
+    cases += [(PreferenceProfile(1, ((0,),) * 3), single),
+              (PreferenceProfile(1, ((0,),) * 2, top_only=True), single)]
+    colocated = facility_distances(("A", "B", "C"), [[0, 0, 2], [0, 0, 2], [2, 2, 0]])
+    cases += [(PreferenceProfile(3, ((0, 1, 2), (1, 0, 2), (2, 1, 0))), colocated),
+              (PreferenceProfile(3, ((1,), (2,)), top_only=True), colocated)]
+    for _ in range(2):
+        fd = random_facility_distances(rng, 10)
+        profile = preferences_from_metric(random_consistent_metric(rng, fd, 60))
+        assert len(set(profile.rankings)) > BLOCK // 20 ** 2
+        cases += [(profile, fd), (PreferenceProfile(10, tuple((r[0],) for r in profile.rankings),
+                                                    top_only=True), fd)]
+    return cases
+
+
+def test_stacked_closure_matches_per_ranking_oracle():
+    # the stacked pass keeps every ranking's edges in its block's row order
+    # and closes it bit for bit as a Floyd-Warshall over that block alone;
+    # an agent can sit on f iff the row l(f, .) keeps its chain rows
+    for profile, fd in _stacked_profiles():
+        poly = ConsistencyPolytope(profile, fd)
+        first = np.unique(poly.ranking_id, return_index=True)[1]
+        assert len(poly.bounds) == len(first) == len(set(profile.rankings))
+        for r, i in enumerate(first):
+            A, b = agent_block(poly, i)
+            for got, want in zip(poly.edges(r), block_edges(A, b)):
+                assert got.tolist() == want.tolist()
+            assert poly.bounds[r].tobytes() == block_closure(A, b).tobytes()
+        chain = fd.m - 1  # the first rows of every block
+        for i in range(profile.n):
+            A, b = agent_block(poly, i)
+            sits = (A[:chain] @ fd.values.T <= b[:chain, None] + 1e-9).all(axis=0)
+            assert poly.can_sit[i].tolist() == sits.tolist()
+
+
 def test_each_ranking_closure_is_built_once(monkeypatch):
-    # every audit reads every distinct ranking's closure, built once; an
-    # assignment audit refused for its search space builds none
-    built = []
+    # every audit reads every distinct ranking's closure, built once in
+    # chunks of whole rankings within the element budget; an assignment
+    # audit refused for its search space builds none
+    chunks = []
     real = audit._closure
-    monkeypatch.setattr(audit, "_closure", lambda A, b: built.append(1) or real(A, b))
+    monkeypatch.setattr(audit, "_closure", lambda W: chunks.append(real(W).copy()) or W)
     fixtures = Path(__file__).parent / "fixtures"
     inst = load_instance(fixtures / "clustered_n400.json")
     pair = load_instance(fixtures / "matching_pair.json")
     problem = build_preset(pair.preset, pair.n, pair.facilities)
-    for profile, run in (
-            (inst.profile, lambda: audit_sum_social_choice(0, inst.profile, inst.fd)),
-            (inst.profile, lambda: audit_percentile_social_choice(0, inst.profile, inst.fd, 0.5)),
-            (pair.profile, lambda: audit_additive_assignment((1, 0), pair.profile, pair.fd,
-                                                             problem))):
-        built.clear()
+    wide_fd = random_facility_distances(np.random.default_rng(457), 40)
+    wide = preferences_from_metric(random_consistent_metric(np.random.default_rng(458),
+                                                            wide_fd, 200))
+    for profile, fd, run in (
+            (inst.profile, inst.fd, lambda: audit_sum_social_choice(0, inst.profile, inst.fd)),
+            (inst.profile, inst.fd,
+             lambda: audit_percentile_social_choice(0, inst.profile, inst.fd, 0.5)),
+            (pair.profile, pair.fd, lambda: audit_additive_assignment(
+                (1, 0), pair.profile, pair.fd, problem)),
+            (wide, wide_fd, lambda: audit_sum_social_choice(0, wide, wide_fd))):
+        poly = ConsistencyPolytope(profile, fd)
+        first = np.unique(poly.ranking_id, return_index=True)[1]
+        chunks.clear()
         run()
-        assert len(built) == len(set(profile.rankings))
-    built.clear()
+        size = (2 * fd.m) ** 2
+        assert all(W.shape[1:] == (2 * fd.m, 2 * fd.m) for W in chunks)
+        assert max(W.size for W in chunks) <= max(BLOCK, size)
+        # the chunks, in order, close each distinct ranking exactly once
+        assert len(chunks) == -(-len(first) // max(1, BLOCK // size))
+        assert np.concatenate(chunks).tobytes() == np.stack(
+            [block_closure(*agent_block(poly, i)) for i in first]).tobytes()
+    chunks.clear()
     line = facility_distances(("A", "B", "C"), [[0, 1, 2], [1, 0, 1], [2, 1, 0]])
     wide = PreferenceProfile(3, ((0, 1, 2), (2, 1, 0)) * 7)  # 49149 alternatives
     problem = build_preset("k_median", wide.n, line.facilities, {"k": 2})
     with pytest.raises(SearchSpaceError):
         audit_additive_assignment((0,) * wide.n, wide, line, problem)
-    assert built == []
+    assert chunks == []
 
 
 def test_one_vertex_pass_per_block(monkeypatch):

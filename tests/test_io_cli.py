@@ -107,6 +107,17 @@ def test_schema_rejects_inconsistent_fields():
         with pytest.raises(SchemaError) as err:
             parse_instance(json.dumps(dict(two, params={"k": 2, key: value})))
         assert err.value.field == "params" and key in str(err.value), key
+    # a scenario's expected ratio is a number and its note a string
+    scenario = {"label": "s", "facility_distances": [[0, 1], [1, 0]], "metric": [[0, 1]]}
+    for key, value in (("expected_ratio", "x"), ("expected_ratio", True),
+                       ("expected_ratio", [3]), ("note", 7)):
+        bad = dict(base, scenarios=[dict(scenario, **{key: value})])
+        with pytest.raises(SchemaError) as err:
+            parse_instance(json.dumps(bad))
+        assert err.value.field == f"scenarios[0].{key}", (key, value)
+    good = parse_instance(json.dumps(dict(base, scenarios=[dict(
+        scenario, expected_ratio=3, note="tight")])))
+    assert good.scenarios[0].expected_ratio == 3 and good.scenarios[0].note == "tight"
 
 
 def test_cli_gen_solve_audit_pipeline(tmp_path):
@@ -182,10 +193,17 @@ def test_cli_top_only_instance_runs_alg1(tmp_path):
                  "--out", str(out)]) == 2
 
 
-def test_cli_usage_and_schema_errors(tmp_path):
+def test_cli_usage_and_schema_errors(tmp_path, capsys):
     assert main(["solve", "--instance", "missing.json",
                  "--mechanism", "alg1"]) == 2
     assert main(["gen", "--example", "not_an_example"]) == 2
+    # a parameter the example does not take, or of the wrong type, names its key
+    for params, key in (("q=abc", "q"), ("zz=1", "zz"), ("q=2.5", "q"), ("eps=x", "eps")):
+        capsys.readouterr()
+        assert main(["gen", "--example", "sum5_tight", "--params", params]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: params: {key}=") and "Traceback" not in err, err
+    assert main(["gen", "--example", "matching_lb3", "--params", "q=1"]) == 2
     assert main(["nonsense"]) == 2
     fixture = FIXTURES / "social_sum_small.json"
     for alpha in ("0.25", "nan"):
@@ -200,6 +218,12 @@ def test_cli_usage_and_schema_errors(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{}")
     assert main(["solve", "--instance", str(bad), "--mechanism", "alg1"]) == 2
+    # a scenario whose expected ratio is not a number is refused on load
+    scenario = json.loads((FIXTURES / "kmedian_scenarios.json").read_text())
+    scenario["scenarios"][0]["expected_ratio"] = "x"
+    bad.write_text(json.dumps(scenario))
+    assert main(["solve", "--instance", str(bad), "--mechanism", "reduce:k_median"]) == 2
+    assert "scenarios[0].expected_ratio" in capsys.readouterr().err
     # an outcome that does not fit the preset cannot be audited
     for name, mechanism in (("social_sum_small.json", "reduce:brute_force"),
                             ("tops_only.json", "reduce:brute_force"),
