@@ -53,7 +53,7 @@ import numpy as np
 
 from .assignment import AssignmentProblem, DistanceCost, iter_valid_assignments, total_cost
 from .core import (BLOCK, FacilityDistances, FullMetric, PreferenceProfile,
-                   check_consistency, consistency_constraints)
+                   check_consistency, consistency_constraints, pair_indices)
 from .errors import (InternalInvariantError, MetricError, SearchSpaceError,
                      SolverError, UnboundedObjectiveError)
 from .lp import solve_lp
@@ -99,8 +99,7 @@ class ConsistencyPolytope:
         self.profile, self.fd, self.n, self.m = profile, fd, profile.n, profile.m
         m, l = profile.m, fd.values
         self.radius = max(float(l.max()), 1.0)
-        index: dict = {}  # distinct rankings, in order of first appearance
-        self.ranking_id = np.array([index.setdefault(r, len(index)) for r in profile.rankings])
+        self.ranking_id = profile.class_of  # distinct rankings, in order of first appearance
         self.first = np.unique(self.ranking_id, return_index=True)[1]  # an agent per ranking
         ranks = profile.array[self.first]
         # Rows as edges (see _closure): per ranking, its chain rows
@@ -117,7 +116,7 @@ class ConsistencyPolytope:
         # and once the rows every ranking shares: the pair rows as in
         # core.pair_rows (per f < g: d(f) - d(g) <= l, d(g) - d(f) <= l,
         # -(d(f) + d(g)) <= -l), their twins, then d >= 0
-        f, g = np.nonzero(np.arange(m)[:, None] < np.arange(m))
+        f, g = pair_indices(m)
         p, q = (2 * f[:, None] + [0, 1, 1]).ravel(), (2 * g[:, None] + [0, 1, 0]).ravel()
         b, odd = (l[f, g][:, None] * [1.0, 1.0, -1.0]).ravel(), np.arange(1, 2 * m, 2)
         self.shared = (np.concatenate([p, q ^ 1, odd]), np.concatenate([q, p ^ 1, odd ^ 1]),
@@ -253,7 +252,7 @@ def _metric_from_values(values, fd: FacilityDistances, flags: list[str],
     values = np.maximum(np.asarray(values, dtype=float), 0.0)
     try:
         return FullMetric(values, fd)
-    except MetricError:
+    except MetricError as exc:
         radius = max(float(fd.values.max()), 1.0)
         interior = np.full_like(values, radius)
         lam = 1e-9
@@ -265,7 +264,7 @@ def _metric_from_values(values, fd: FacilityDistances, flags: list[str],
                 return metric
             except MetricError:
                 lam *= 10
-        raise
+        raise InternalInvariantError(f"{label} is not a metric: {exc}") from exc
 
 
 class _Pairs(NamedTuple):

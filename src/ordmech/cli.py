@@ -1,13 +1,12 @@
 """Command-line surface: solve, audit, gen, repro.
 
-Exit codes: 0 success, 1 reproduction/assertion failure, 2 usage or
-schema errors.  Commands are deterministic and every audit is exact.
+Exit codes: 0 success, 1 reproduction/assertion failure, 2 usage or schema
+errors, 3 internal errors (bugs).  Commands are deterministic; audits exact.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from contextlib import suppress
 
@@ -16,10 +15,10 @@ from .assignment import build_preset, reduce_and_solve
 from .audit import (audit_additive_assignment, audit_percentile_social_choice,
                     audit_sum_social_choice)
 from .core import project_agents
-from .errors import OrdmechError, SchemaError
+from .errors import InternalInvariantError, OrdmechError, SchemaError
 from .fileio import (InstanceFile, audit_report_to_dict, example_to_instance,
-                     instance_digest, load_instance, save_instance, save_report,
-                     solve_report_to_dict)
+                     instance_digest, load_instance, report_text, save_instance,
+                     save_report, serialize_instance, solve_report_to_dict)
 from .gallery import EXAMPLES, gen_worked_example, verify_worked_example
 from .solvers import SOLVERS
 
@@ -155,7 +154,6 @@ def _cmd_gen(args) -> int:
     if args.out:
         save_instance(inst, args.out)
     else:
-        from .fileio import serialize_instance
         sys.stdout.write(serialize_instance(inst))
     return 0
 
@@ -179,8 +177,7 @@ def _emit(report: dict, out: str | None) -> None:
     if out:
         save_report(report, out)
     else:
-        json.dump(report, sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        sys.stdout.write(report_text(report))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -233,9 +230,10 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (SchemaError, OrdmechError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except (OrdmechError, OSError) as exc:
+        internal = isinstance(exc, InternalInvariantError)  # a bug, not bad input
+        print(f"{'internal error' if internal else 'error'}: {exc}", file=sys.stderr)
+        return 3 if internal else 2
 
 
 if __name__ == "__main__":

@@ -10,6 +10,7 @@ operations here are pure; every value is immutable after construction.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,6 +50,13 @@ class FacilitySet:
             raise MetricError(f"unknown facility {name!r}") from None
 
 
+@functools.cache
+def pair_indices(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs f < g of ``np.triu_indices(m, 1)``, read-only, built once per m."""
+    f, g = np.nonzero(np.arange(m)[:, None] < np.arange(m))
+    return _freeze(f, np.intp), _freeze(g, np.intp)
+
+
 @dataclass(frozen=True)
 class MetricCheck:
     ok: bool
@@ -75,7 +83,7 @@ def validate_distance_matrix(values, tol: float = TOL) -> MetricCheck:
         raise MetricError(f"non-finite distance {a[bad]} at {bad}")
     if (bad := _first(np.abs(np.diag(a)) > tol)) is not None:
         return MetricCheck(False, "nonzero diagonal", bad * 2)
-    f, g = np.triu_indices(len(a), 1)
+    f, g = pair_indices(len(a))
     negative = (a[f, g] < -tol) | (a[g, f] < -tol)
     if (bad := _first(negative | (np.abs(a[f, g] - a[g, f]) > tol))) is not None:
         p = bad[0]
@@ -124,7 +132,10 @@ class PreferenceProfile:
     m: int
     rankings: tuple[tuple[int, ...], ...]
     top_only: bool = False
-    # The rankings as a read-only n x (m, or 1 when top-only) index array.
+    # The distinct rankings by first appearance, each agent's among them, and
+    # the rankings as a read-only n x (m, or 1 when top-only) index array.
+    classes: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    class_of: np.ndarray = field(init=False, repr=False, compare=False)
     array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -132,20 +143,21 @@ class PreferenceProfile:
             raise ProfileError("need at least one facility")
         if not self.rankings:
             raise ProfileError("need at least one agent")
+        index = {r: c for c, r in enumerate(dict.fromkeys(self.rankings))}
+        classes, class_of = tuple(index), list(map(index.__getitem__, self.rankings))
         try:
-            arr = np.asarray(self.rankings)
+            arr = np.asarray(classes)
         except ValueError:  # ragged
             arr = np.zeros(0)
-        # One array pass finds the suspect agents; the first of them that
-        # fails the per-agent check names the error.
-        if arr.shape != (self.n, 1 if self.top_only else self.m) or arr.dtype.kind not in "iu":
-            suspects = range(self.n)
+        # An array pass finds suspect classes; the first to fail names its first agent.
+        if arr.shape != (len(index), 1 if self.top_only else self.m) or arr.dtype.kind not in "iu":
+            suspects = range(len(index))
         elif self.top_only:
             suspects = np.flatnonzero((arr[:, 0] < 0) | (arr[:, 0] >= self.m))
         else:
             suspects = np.flatnonzero((np.sort(arr, axis=1) != np.arange(self.m)).any(axis=1))
-        for i in map(int, suspects):
-            r = self.rankings[i]
+        for r in map(classes.__getitem__, suspects):
+            i = self.rankings.index(r)
             if len(r) == 0:
                 raise ProfileError(f"agent {i} has an empty ranking")
             if self.top_only:
@@ -153,7 +165,9 @@ class PreferenceProfile:
                     raise ProfileError(f"agent {i}: top-only entry must be one facility index")
             elif sorted(r) != list(range(self.m)):
                 raise ProfileError(f"agent {i}: ranking is not a permutation of all facilities")
-        object.__setattr__(self, "array", _freeze(arr, np.intp))
+        object.__setattr__(self, "classes", classes)
+        object.__setattr__(self, "class_of", _freeze(class_of, np.intp))
+        object.__setattr__(self, "array", _freeze(arr[class_of], np.intp))
 
     @property
     def n(self) -> int:
@@ -189,7 +203,7 @@ class FullMetric:
         # Blocks of agents against the pairs f < g: the first offender is the
         # one an agent-major scan over the pairs meets, the difference bound
         # tested before the sum bound.
-        f, g = np.triu_indices(d.shape[1], 1)
+        f, g = pair_indices(d.shape[1])
         rows = max(1, BLOCK // max(f.size, 1))
         for start in range(0, len(d), rows):
             df, dg = d[start:start + rows, f], d[start:start + rows, g]
@@ -313,7 +327,7 @@ def pair_rows(fd: FacilityDistances) -> tuple[np.ndarray, np.ndarray]:
     d(f) - d(g) <= l and d(g) - d(f) <= l, then the sum bound
     -(d(f) + d(g)) <= -l."""
     m = fd.m
-    f, g = np.triu_indices(m, 1)
+    f, g = pair_indices(m)
     at = np.arange(f.size)
     diff = np.zeros((f.size, m))
     diff[at, f], diff[at, g] = 1.0, -1.0

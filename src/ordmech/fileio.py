@@ -15,6 +15,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -129,13 +130,11 @@ def instance_from_dict(data) -> InstanceFile:
                 "must rank every facility exactly once", "candidate_rankings")
         rankings = []
         for f, name in enumerate(facilities.names):
-            entry = raw[name]
-            _expect(isinstance(entry, list), "ranking must be a list",
-                    f"candidate_rankings.{name}")
-            idx = _facility_indices(index, entry, f"candidate_rankings.{name}")
-            _expect(sorted(idx) == sorted(set(range(m)) - {f}),
-                    "must order all other facilities", f"candidate_rankings.{name}")
-            rankings.append(idx)
+            where = f"candidate_rankings.{name}"
+            _expect(isinstance(raw[name], list), "ranking must be a list", where)
+            rankings.append(_facility_indices(index, raw[name], where))
+            _expect(sorted(rankings[-1]) == sorted(set(range(m)) - {f}),
+                    "must order all other facilities", where)
         candidate_rankings = tuple(rankings)
 
     _expect(fd is not None or candidate_rankings is not None,
@@ -150,11 +149,15 @@ def instance_from_dict(data) -> InstanceFile:
         raw = data["preferences"]
         _expect(isinstance(raw, list) and raw, "must be a nonempty list",
                 "preferences")
-        rankings = []
-        for i, entry in enumerate(raw):
-            _expect(isinstance(entry, list), "ranking must be a list",
-                    f"preferences[{i}]")
-            rankings.append(_facility_indices(index, entry, f"preferences[{i}]"))
+        try:  # names resolved once per distinct ranking, else agent by agent
+            keys = list(map(tuple, raw)) if set(map(type, raw)) == {list} else None
+            resolved = {key: tuple([index[g] for g in key]) for key in dict.fromkeys(keys)}
+            rankings = list(map(resolved.__getitem__, keys))
+        except (KeyError, TypeError):  # the per-agent loop names the first bad entry
+            rankings = []
+            for i, entry in enumerate(raw):
+                _expect(isinstance(entry, list), "ranking must be a list", f"preferences[{i}]")
+                rankings.append(_facility_indices(index, entry, f"preferences[{i}]"))
         try:
             profile = PreferenceProfile(m, tuple(rankings))
         except ProfileError as exc:
@@ -239,10 +242,9 @@ def instance_to_dict(inst: InstanceFile) -> dict:
         out["candidate_rankings"] = {
             names[f]: [names[g] for g in ranking]
             for f, ranking in enumerate(inst.candidate_rankings)}
-    if inst.profile.top_only:
-        out["tops"] = [names[r[0]] for r in inst.profile.rankings]
-    else:
-        out["preferences"] = [[names[g] for g in r] for r in inst.profile.rankings]
+    top_only, agents = inst.profile.top_only, inst.profile.class_of.tolist()
+    per_class = [names[r[0]] if top_only else [names[g] for g in r] for r in inst.profile.classes]
+    out["tops" if top_only else "preferences"] = list(map(per_class.__getitem__, agents))
     out["preset"] = inst.preset
     if inst.params:
         out["params"] = inst.params
@@ -273,8 +275,15 @@ def serialize_instance(inst: InstanceFile) -> str:
 
 
 def instance_digest(inst: InstanceFile) -> str:
-    canonical = json.dumps(instance_to_dict(inst), sort_keys=True,
-                           separators=(",", ":"))
+    """SHA-256 of the instance as canonical JSON (sorted keys, no spaces), its
+    preferences encoded once per ranking class and joined in agent order."""
+    profile, names = inst.profile, [json.dumps(name) for name in inst.facilities.names]
+    key, form = ("tops", "{}") if profile.top_only else ("preferences", "[{}]")
+    pieces = [form.format(",".join(map(names.__getitem__, r))) for r in profile.classes]
+    parts = {k: json.dumps(v, sort_keys=True, separators=(",", ":"))
+             for k, v in instance_to_dict(inst).items() if k != key}
+    parts[key] = "[" + ",".join(map(pieces.__getitem__, profile.class_of.tolist())) + "]"
+    canonical = "{" + ",".join(f"{json.dumps(k)}:{parts[k]}" for k in sorted(parts)) + "}"
     return "sha256:" + hashlib.sha256(canonical.encode()).hexdigest()
 
 
@@ -285,11 +294,7 @@ def example_to_instance(example: WorkedExample) -> InstanceFile:
 
 
 def _number_out(value: float):
-    if value is None:
-        return None
-    if math.isinf(value):
-        return "inf"
-    return float(value)
+    return None if value is None else "inf" if math.isinf(value) else float(value)
 
 
 def _outcome_out(target, names) -> dict:
@@ -335,16 +340,27 @@ def solve_report_to_dict(inst: InstanceFile, digest: str, mechanism: str, target
 
 
 def load_instance(path) -> InstanceFile:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_instance(fh.read())
+    return parse_instance(Path(path).read_text(encoding="utf-8"))
 
 
 def save_instance(inst: InstanceFile, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(serialize_instance(inst))
+    Path(path).write_text(serialize_instance(inst), encoding="utf-8")
+
+
+def report_text(report: dict) -> str:
+    """A solve or audit report as JSON indented by two spaces, but each row
+    of its witness on one line: the rows go through the C encoder in one
+    call, spliced in where the skeleton holds null (a quote inside a JSON
+    string is escaped, so the key's text can only be the key)."""
+    audit = report.get("audit") or report
+    if audit.get("witness_metric") is None:
+        return json.dumps(report, indent=2) + "\n"
+    pad, skeleton = "  " * (2 + (audit is not report)), {**audit, "witness_metric": None}
+    rows = json.dumps(audit["witness_metric"])[1:-1].replace("], [", "],\n" + pad + "[")
+    text = json.dumps(skeleton if audit is report else {**report, "audit": skeleton}, indent=2)
+    key = '"witness_metric": '
+    return text.replace(key + "null", f"{key}[\n{pad}{rows}\n{pad[2:]}]", 1) + "\n"
 
 
 def save_report(report: dict, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
+    Path(path).write_text(report_text(report), encoding="utf-8")

@@ -75,6 +75,9 @@ def _profile(m: int, *groups) -> PreferenceProfile:
 def gen_sum5_tight(q: int = 1000, eps: float = 1e-4) -> WorkedExample:
     """Three-cycle profile where the augmented-majority rule's total cost
     approaches five times optimal as q grows."""
+    if not (q >= 1 and eps > 0):
+        bad = f"eps={eps!r}" if q >= 1 else f"q={q!r}"
+        raise SchemaError(f"{bad}: sum5_tight needs q >= 1 and eps > 0", field="params")
     names = ("Y", "W", "P")
     Y, W, P = 0, 1, 2
     l = np.zeros((3, 3))

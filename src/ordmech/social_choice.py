@@ -19,9 +19,9 @@ from itertools import combinations
 
 import numpy as np
 
-from .core import FacilityDistances, FullMetric, PreferenceProfile, ProjectedAgents
+from .core import (TOL, FacilityDistances, FullMetric, PreferenceProfile, ProjectedAgents,
+                   pair_indices)
 from .errors import InternalInvariantError, ProfileError
-from .core import TOL
 
 
 @dataclass(frozen=True)
@@ -141,7 +141,7 @@ def distance_partial_order(source) -> DistancePartialOrder:
 
 
 def _order_from_values(fd: FacilityDistances) -> DistancePartialOrder:
-    values = fd.values[np.triu_indices(fd.m, 1)]
+    values = fd.values[pair_indices(fd.m)]
     values.flags.writeable = False
     return DistancePartialOrder(fd.m, tuple(combinations(range(fd.m), 2)), values=values)
 

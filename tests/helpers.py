@@ -14,6 +14,8 @@ binding configuration, as a HiGHS LP, and build every percentile
 candidate's subset in full.
 """
 
+import hashlib
+import json
 from itertools import combinations
 from types import SimpleNamespace
 
@@ -206,6 +208,21 @@ def loop_profile_error(m, rankings, top_only):
         elif sorted(r) != list(range(m)):
             return f"agent {i}: ranking is not a permutation of all facilities"
     return None
+
+
+def loop_instance_digest(inst):
+    """The instance digest as first defined: the whole instance, preferences
+    written agent by agent, encoded as one canonical JSON text."""
+    from ordmech.fileio import instance_to_dict
+
+    names, profile = inst.facilities.names, inst.profile
+    out = instance_to_dict(inst)
+    if profile.top_only:
+        out["tops"] = [names[r[0]] for r in profile.rankings]
+    else:
+        out["preferences"] = [[names[g] for g in r] for r in profile.rankings]
+    canonical = json.dumps(out, sort_keys=True, separators=(",", ":"))
+    return "sha256:" + hashlib.sha256(canonical.encode()).hexdigest()
 
 
 def loop_min_cost_matching(cost):

@@ -8,6 +8,7 @@ from ordmech import (FullMetric, MetricError, PreferenceProfile,
                      facility_distances, preferences_from_metric,
                      project_agents, shortest_path_completion,
                      validate_distance_matrix)
+from ordmech.core import pair_indices
 from ordmech.lp import solve_lp
 
 from helpers import random_consistent_metric, random_facility_distances, random_instance
@@ -85,6 +86,26 @@ def test_top_only_consistency():
     profile = PreferenceProfile(2, ((1,),), top_only=True)
     assert check_consistency(profile, FullMetric([[3.0, 1.0]], fd))
     assert not check_consistency(profile, FullMetric([[1.0, 3.0]], fd))
+
+
+def test_profile_classes_are_distinct_rankings_in_order_of_first_appearance():
+    profile = PreferenceProfile(3, ((2, 0, 1), (0, 1, 2), (2, 0, 1), (1, 2, 0), (0, 1, 2)))
+    assert profile.classes == ((2, 0, 1), (0, 1, 2), (1, 2, 0))
+    assert profile.class_of.tolist() == [0, 1, 0, 2, 1]
+    assert profile.array.tolist() == [list(r) for r in profile.rankings]
+    tops = PreferenceProfile(3, ((1,), (1,), (0,)), top_only=True)
+    assert tops.classes == ((1,), (0,)) and tops.class_of.tolist() == [0, 0, 1]
+    for arr in (profile.class_of, profile.array):
+        assert not arr.flags.writeable
+
+
+def test_pair_indices_are_the_cached_upper_triangle():
+    for m in range(7):
+        f, g = pair_indices(m)
+        expected = np.triu_indices(m, 1)
+        assert f.tolist() == expected[0].tolist() and g.tolist() == expected[1].tolist()
+        assert not f.flags.writeable and not g.flags.writeable
+        assert pair_indices(m)[0] is f
 
 
 def test_project_agents_basics():

@@ -4,12 +4,18 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from ordmech import SchemaError
+from ordmech import (InternalInvariantError, PreferenceProfile, SchemaError,
+                     audit_sum_social_choice)
+from ordmech import audit
 from ordmech.cli import main
-from ordmech.fileio import (instance_digest, load_instance, parse_instance,
-                            serialize_instance)
+from ordmech.fileio import (InstanceFile, audit_report_to_dict, instance_digest,
+                            load_instance, parse_instance, report_text, serialize_instance)
+from ordmech.gallery import Scenario
+
+from helpers import loop_instance_digest, random_consistent_metric, random_instance
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -198,7 +204,9 @@ def test_cli_usage_and_schema_errors(tmp_path, capsys):
                  "--mechanism", "alg1"]) == 2
     assert main(["gen", "--example", "not_an_example"]) == 2
     # a parameter the example does not take, or of the wrong type, names its key
-    for params, key in (("q=abc", "q"), ("zz=1", "zz"), ("q=2.5", "q"), ("eps=x", "eps")):
+    # and so is one out of its range
+    for params, key in (("q=abc", "q"), ("zz=1", "zz"), ("q=2.5", "q"), ("eps=x", "eps"),
+                        ("q=0", "q"), ("q=-3", "q"), ("eps=0", "eps")):
         capsys.readouterr()
         assert main(["gen", "--example", "sum5_tight", "--params", params]) == 2
         err = capsys.readouterr().err
@@ -429,6 +437,11 @@ def test_cli_strawman_square_full_rankings_audit(tmp_path):
     ("tops", ["A", "Q"], "tops", "unknown facility 'Q'"),
     ("candidate_rankings", {"A": ["B"], "B": ["C"]}, "candidate_rankings.B",
      "unknown facility 'C'"),
+    # agents 0-2 share a ranking, whose names are resolved once for them
+    ("preferences", [["A", "B"]] * 3 + [["A", "Z"]], "preferences[3]", "unknown facility 'Z'"),
+    ("preferences", [["A", "B"]] * 3 + ["A,B"], "preferences[3]", "ranking must be a list"),
+    ("preferences", [["A", "B"]] * 3 + [["A", 2]], "preferences[3]",
+     "facility references are names"),
 ])
 def test_unknown_facility_names_name_their_field(key, value, field, message):
     raw = {"schema": "ordmech-instance-v1", "facilities": ["A", "B"],
@@ -440,3 +453,89 @@ def test_unknown_facility_names_name_their_field(key, value, field, message):
         parse_instance(json.dumps(raw))
     assert err.value.field == field
     assert message in str(err.value)
+
+
+def _random_instance_file(rng) -> InstanceFile:
+    """A random instance whose agents repeat rankings, with at random
+    top-only preferences, candidate rankings, a true metric and a scenario."""
+    profile, fd, _ = random_instance(rng, n_max=6, m_max=5)
+    rankings = profile.rankings * int(rng.integers(1, 4))
+    rankings = tuple(rankings[i] for i in rng.permutation(len(rankings)))
+    top_only = bool(rng.random() < 0.3)
+    if top_only:
+        rankings = tuple(r[:1] for r in rankings)
+    n, m = len(rankings), fd.m
+    candidates = None
+    if rng.random() < 0.4:
+        candidates = tuple(tuple(int(g) for g in np.argsort(fd.values[f], kind="stable") if g != f)
+                           for f in range(m))
+    metric = random_consistent_metric(rng, fd, n) if rng.random() < 0.5 else None
+    scenarios = ()
+    if rng.random() < 0.4:
+        scenarios = (Scenario("worst", fd, random_consistent_metric(rng, fd, n), "a note",
+                              None, (int(rng.integers(0, m)),), 2.5),)
+    return InstanceFile(fd.facilities, PreferenceProfile(m, rankings, top_only),
+                        "social_choice_sum", fd, candidates, {}, metric, scenarios)
+
+
+def test_instance_digest_matches_agent_by_agent_oracle():
+    for path in _fixture_paths():
+        inst = load_instance(path)
+        assert instance_digest(inst) == loop_instance_digest(inst), path.name
+    rng = np.random.default_rng(211)
+    kinds = set()
+    for _ in range(150):
+        inst = _random_instance_file(rng)
+        assert instance_digest(inst) == loop_instance_digest(inst)
+        assert instance_digest(parse_instance(serialize_instance(inst))) == instance_digest(inst)
+        kinds.add((inst.profile.top_only, inst.candidate_rankings is not None,
+                   inst.metric is not None, bool(inst.scenarios),
+                   len(inst.profile.classes) < inst.n))
+    assert len(kinds) >= 20  # every feature turns up, alone and combined
+
+
+def test_reports_put_one_witness_row_per_line(tmp_path, capsys):
+    jsonschema = pytest.importorskip("jsonschema")
+    schema = json.loads((Path(__file__).parent.parent / "schemas"
+                         / "report.schema.json").read_text())
+    fixture = FIXTURES / "clustered_n400.json"
+    inst = load_instance(fixture)
+    audited = audit_report_to_dict(audit_sum_social_choice(0, inst.profile, inst.fd), inst,
+                                   instance_digest(inst))
+    argv = ["audit", "--instance", str(fixture), "--outcome", "F1", "--objective", "sum"]
+    out = tmp_path / "report.json"
+    capsys.readouterr()
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    assert main(argv + ["--out", str(out)]) == 0
+    assert printed == out.read_text() == report_text(audited)  # the same bytes either way
+    assert main(["solve", "--instance", str(fixture), "--mechanism", "alg1", "--audit", "median",
+                 "--out", str(out)]) == 0
+    for report, text in ((audited, printed), (json.loads(out.read_text()), out.read_text())):
+        indented = json.dumps(report, indent=2)
+        assert json.loads(text) == json.loads(indented)
+        assert "".join(text.split()) == "".join(indented.split())  # only whitespace moved
+        jsonschema.validate(json.loads(text), schema)
+        witness, lines = report.get("audit", report)["witness_metric"], text.splitlines()
+        start = next(k for k, line in enumerate(lines) if '"witness_metric": [' in line) + 1
+        rows = lines[start:start + len(witness)]
+        assert [json.loads(line.rstrip(",")) for line in rows] == witness
+        assert lines[start + len(witness)].strip() == "],"
+        # the rest keeps the two-space layout with one number per line
+        assert len(lines) == len(indented.splitlines()) - len(witness) * (len(witness[0]) + 1)
+
+
+def test_internal_faults_exit_3(monkeypatch, capsys):
+    fixture = FIXTURES / "social_sum_small.json"
+    inst = load_instance(fixture)
+
+    def broken_point(W, fixed):  # |d(f) - d(g)| far above any l(f, g)
+        return np.arange(len(W) // 2) * 1e6
+
+    monkeypatch.setattr(audit, "_point", broken_point)
+    with pytest.raises(InternalInvariantError):
+        audit_sum_social_choice(0, inst.profile, inst.fd)
+    capsys.readouterr()
+    assert main(["audit", "--instance", str(fixture), "--outcome", "A",
+                 "--objective", "sum"]) == 3
+    assert capsys.readouterr().err.startswith("internal error: witness is not a metric")
