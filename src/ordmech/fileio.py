@@ -78,6 +78,7 @@ def _matrix(raw, fieldname: str) -> np.ndarray:
 def _facility_indices(index: dict[str, int], raw, fieldname: str) -> tuple[int, ...]:
     """Positions of the facilities named in ``raw``, through the file's one
     name -> index map; the first bad reference raises."""
+    _expect(isinstance(raw, list), "must be a list of facility names", fieldname)
     try:
         return tuple([index[g] for g in raw])
     except (KeyError, TypeError):  # not a name, or not a known one
@@ -233,7 +234,8 @@ def _matrix_out(arr: np.ndarray) -> list:
     return np.asarray(arr, dtype=float).tolist()
 
 
-def instance_to_dict(inst: InstanceFile) -> dict:
+def _instance_skeleton(inst: InstanceFile) -> dict:
+    """``instance_to_dict`` with None in place of the agents' preferences."""
     names = inst.facilities.names
     out: dict = {"schema": SCHEMA_INSTANCE, "facilities": list(names)}
     if inst.fd is not None:
@@ -242,9 +244,7 @@ def instance_to_dict(inst: InstanceFile) -> dict:
         out["candidate_rankings"] = {
             names[f]: [names[g] for g in ranking]
             for f, ranking in enumerate(inst.candidate_rankings)}
-    top_only, agents = inst.profile.top_only, inst.profile.class_of.tolist()
-    per_class = [names[r[0]] if top_only else [names[g] for g in r] for r in inst.profile.classes]
-    out["tops" if top_only else "preferences"] = list(map(per_class.__getitem__, agents))
+    out["tops" if inst.profile.top_only else "preferences"] = None
     out["preset"] = inst.preset
     if inst.params:
         out["params"] = inst.params
@@ -270,6 +270,14 @@ def instance_to_dict(inst: InstanceFile) -> dict:
     return out
 
 
+def instance_to_dict(inst: InstanceFile) -> dict:
+    names, top_only, out = inst.facilities.names, inst.profile.top_only, _instance_skeleton(inst)
+    per_class = [names[r[0]] if top_only else [names[g] for g in r] for r in inst.profile.classes]
+    agents = inst.profile.class_of.tolist()
+    out["tops" if top_only else "preferences"] = list(map(per_class.__getitem__, agents))
+    return out
+
+
 def serialize_instance(inst: InstanceFile) -> str:
     return json.dumps(instance_to_dict(inst), indent=2) + "\n"
 
@@ -281,7 +289,7 @@ def instance_digest(inst: InstanceFile) -> str:
     key, form = ("tops", "{}") if profile.top_only else ("preferences", "[{}]")
     pieces = [form.format(",".join(map(names.__getitem__, r))) for r in profile.classes]
     parts = {k: json.dumps(v, sort_keys=True, separators=(",", ":"))
-             for k, v in instance_to_dict(inst).items() if k != key}
+             for k, v in _instance_skeleton(inst).items() if k != key}
     parts[key] = "[" + ",".join(map(pieces.__getitem__, profile.class_of.tolist())) + "]"
     canonical = "{" + ",".join(f"{json.dumps(k)}:{parts[k]}" for k in sorted(parts)) + "}"
     return "sha256:" + hashlib.sha256(canonical.encode()).hexdigest()

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, islice
 
 import numpy as np
 
@@ -43,33 +42,65 @@ def _serve(D: np.ndarray, subset) -> Assignment:
     return tuple(subset[np.argmin(D[:, subset], axis=1)].tolist())
 
 
+def _subset_minima(rows: np.ndarray, sizes):
+    """Chunks ``(subsets, low, arg)`` over the column subsets of ``rows`` with
+    a size in ``sizes``: the subsets as ascending index rows, each row's
+    least entry over the subset and the lowest column attaining it.  A
+    depth-first walk extends each prefix by each later column, so a
+    subset's minima are one ``np.minimum`` of its prefix's against its last
+    column.  Each size comes in ``combinations`` order, and no array (the
+    prefixes' included) holds more than BLOCK elements."""
+    R, m = rows.shape
+    cols, step, top = rows.T.copy(), max(1, BLOCK // max(R, m)), max(sizes)
+    index = np.min_scalar_type(-m)  # the least integer type that holds a column
+
+    def grow(subsets, low, arg):
+        size = subsets.shape[1] + 1
+        # the last column a subset of this size may end at and still grow to a wanted size
+        hi = m - 1 - min(t - size for t in sizes if t >= size)
+        ends = np.cumsum(np.maximum(hi - (subsets[:, -1] if size > 1 else -1), 0))
+        for start in range(0, int(ends[-1]), step):
+            child = np.arange(start, min(start + step, int(ends[-1])))
+            parent = np.searchsorted(ends, child, side="right")
+            col = (hi + 1 - (ends[parent] - child)).astype(index)
+            low_c, arg_c = low[parent], arg[parent]
+            np.copyto(arg_c, col[:, None], where=cols[col] < low_c)
+            np.minimum(low_c, cols[col], out=low_c)
+            chunk = np.column_stack((subsets[parent], col)), low_c, arg_c
+            if size in sizes:
+                yield chunk
+            if size < top:
+                yield from grow(*chunk)
+
+    yield from grow(np.zeros((1, 0), index), np.full((1, R), np.inf), np.zeros((1, R), index))
+
+
 def _near_minimal(D: np.ndarray, sizes, largest: bool = False, opening=None) -> list[list[int]]:
-    """The subsets of facilities with a size in ``sizes`` (ascending lists,
-    in ``combinations`` order) that may serve the rows of ``D``, each by its
-    nearest open facility, at least cost: the sum (with ``largest``, the
-    maximum) of distances plus the opening costs of the facilities used.
-    Equal rows, such as the agents projected to one facility, are costed
-    once and weighted by their count; that sums in another order than a
-    per-agent cost, so every subset within a rounding margin of the least
-    is kept for the caller to cost per agent."""
-    rows, counts = np.unique(D, axis=0, return_counts=True)
+    """The subsets of facilities with a size in ``sizes`` (which ascend), as
+    ascending lists, size by size in ``combinations`` order, that may serve the
+    rows of ``D``, each by its nearest open facility, at least cost: the sum
+    (with ``largest``, the maximum) of distances plus the opening costs of
+    the facilities used.  Each subset is costed once per distinct row from
+    the row minima of ``_subset_minima``, weighted by the row's count; that
+    sums in another order than a per-agent cost, so every subset within a
+    rounding margin of the least is kept for the caller to cost per agent."""
+    D = np.ascontiguousarray(D, dtype=float)  # distinct rows by their bytes: one key per row
+    _, first, counts = np.unique(D.view(np.dtype((np.void, 8 * D.shape[1]))).ravel(),
+                                 return_index=True, return_counts=True)
+    rows = D[first]
     opening = np.zeros(D.shape[1]) if opening is None else np.asarray(opening, dtype=float)
     margin = SCREEN_RTOL * (1.0 + counts @ rows.max(axis=1) + np.abs(opening).sum())
     kept, least = [], np.inf
-    for size in sizes:
-        subsets = combinations(range(D.shape[1]), size)
-        while block := list(islice(subsets, max(1, BLOCK // max(len(rows) * size, 1)))):
-            block = np.array(block)
-            near = rows[:, block]                                # rows x subsets x size
-            pick = near.argmin(axis=2)
-            dist = np.take_along_axis(near, pick[..., None], 2)[..., 0].T
-            used = np.zeros((len(block), D.shape[1]))
-            used[np.arange(len(block))[:, None], np.take_along_axis(block, pick.T, 1)] = 1
-            cost = (dist.max(axis=1) if largest else dist @ counts) + used @ opening
-            least = min(least, cost.min())
-            keep = cost <= least + margin
-            kept += zip(cost[keep].tolist(), block[keep].tolist())
-    return [subset for cost, subset in kept if cost <= least + margin]
+    for subsets, low, arg in _subset_minima(rows, sizes):
+        cost = low.max(axis=1) if largest else low @ counts
+        if opening.any():
+            used = np.zeros((len(arg), D.shape[1]))
+            used[np.arange(len(arg))[:, None], arg] = 1
+            cost += used @ opening
+        least = min(least, cost.min())
+        keep = cost <= least + margin
+        kept += zip(cost[keep].tolist(), subsets[keep].tolist())
+    return sorted((subset for cost, subset in kept if cost <= least + margin), key=len)
 
 
 def brute_force_optimal(projected: ProjectedProblem,
@@ -81,33 +112,21 @@ def brute_force_optimal(projected: ProjectedProblem,
     cons = problem.constraints
     spec = problem.cost_spec
     D = projected.distances
-
-    def better(c, x, best):
-        # cost first, then lexicographic assignment order on exact ties
-        return best is None or c < best[0] or (c == best[0] and x < best[1])
-
     plain = (cons.capacities is None and not cons.must_coassign
              and not cons.must_separate and not spec.coassign_penalties)
     if plain and cons.exactly_open in (None, 1):
         limit = cons.at_most_open if cons.at_most_open is not None else m
         sizes = (1,) if cons.exactly_open == 1 else range(1, limit + 1)
-        best = None
-        for subset in _near_minimal(D, sizes, spec.distance_cost is DistanceCost.MAX,
-                                    spec.opening_costs):
-            x = _serve(D, subset)
-            c = total_cost(x, D, spec)
-            if better(c, x, best):
-                best = (c, x)
-        return SolverResult(best[1], best[0], 1.0, True)
+        xs = [_serve(D, subset) for subset in
+              _near_minimal(D, sizes, spec.distance_cost is DistanceCost.MAX, spec.opening_costs)]
+        c, x = min((total_cost(x, D, spec), x) for x in xs)
+        return SolverResult(x, c, 1.0, True)
 
     if count_search_space(n, m) > cap:
         raise SearchSpaceError(
             f"{m}^{n} candidate assignments exceed the {cap} budget")
-    best = None
-    for x in iter_valid_assignments(n, cons):
-        c = total_cost(x, D, spec)
-        if better(c, x, best):
-            best = (c, x)
+    best = min(((total_cost(x, D, spec), x) for x in iter_valid_assignments(n, cons)),
+               default=None)
     if best is None:
         raise SolverError("no valid assignment exists")
     return SolverResult(best[1], best[0], 1.0, True)
@@ -231,8 +250,10 @@ def k_center_greedy(fd_values: np.ndarray, tops, k: int) -> SolverResult:
 def k_median_solver(fd_values: np.ndarray, tops, k: int,
                     exact_cap: int = KMEDIAN_EXACT_CAP) -> SolverResult:
     """Exact subset enumeration while C(m, k) fits the budget, otherwise
-    single-swap local search (documented factor 5).  The enumeration costs
-    per agent only the subsets that ``_near_minimal`` keeps."""
+    single-swap local search (documented factor 5).  The enumeration screens
+    every k-subset once per distinct projected row, from prefix minima in
+    chunks within BLOCK (``_near_minimal``), and costs per agent only the
+    subsets the screen keeps: the first least in ``combinations`` order."""
     fd_values = np.asarray(fd_values, dtype=float)
     m = fd_values.shape[0]
     tops = list(tops)
@@ -244,14 +265,8 @@ def k_median_solver(fd_values: np.ndarray, tops, k: int,
         return float(D[:, list(subset)].min(axis=1).sum())
 
     if math.comb(m, k) <= exact_cap:
-        best = None
-        for subset in _near_minimal(D, (k,)):
-            c = subset_cost(subset)
-            if best is None or c < best[0]:
-                best = (c, subset)
-        cost, subset = best
-        exact = True
-        beta = 1.0
+        cost, subset = min((subset_cost(subset), subset) for subset in _near_minimal(D, (k,)))
+        exact, beta = True, 1.0
     else:
         subset = tuple(range(k))
         cost = subset_cost(subset)
@@ -278,8 +293,10 @@ def k_median_solver(fd_values: np.ndarray, tops, k: int,
 def facility_location_solver(distances: np.ndarray, opening_costs) -> SolverResult:
     """Exact open-set enumeration up to 16 facilities; beyond that an
     incremental greedy whose documented factor is harmonic in the agent
-    count.  The enumeration evaluates only the open sets that
-    ``_near_minimal`` keeps, in bitmask order."""
+    count.  The enumeration screens the open sets of every size in one
+    walk that shares each prefix's row minima across sizes, with the opening
+    costs of the facilities each set uses (``_near_minimal``), and evaluates
+    per agent only the sets it keeps, in bitmask order."""
     D = np.asarray(distances, dtype=float)
     costs = np.asarray(opening_costs, dtype=float)
     n, m = D.shape
@@ -293,13 +310,10 @@ def facility_location_solver(distances: np.ndarray, opening_costs) -> SolverResu
         return value, x
 
     if m <= FACILITY_EXACT_MAX_M:
-        best = None
-        for subset in sorted(_near_minimal(D, range(1, m + 1), opening=costs),
-                             key=lambda subset: sum(1 << f for f in subset)):
-            value, x = eval_open(subset)
-            if best is None or value < best[0]:
-                best = (value, x)
-        return SolverResult(best[1], best[0], 1.0, True)
+        kept = sorted(_near_minimal(D, range(1, m + 1), opening=costs),
+                      key=lambda subset: sum(1 << f for f in subset))
+        value, x = min(map(eval_open, kept), key=lambda pair: pair[0])
+        return SolverResult(x, value, 1.0, True)
 
     opened: list[int] = []
     current = np.full(n, np.inf)

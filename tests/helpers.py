@@ -16,7 +16,7 @@ candidate's subset in full.
 
 import hashlib
 import json
-from itertools import combinations
+from itertools import combinations, islice
 from types import SimpleNamespace
 
 import numpy as np
@@ -195,6 +195,34 @@ def loop_open_count_brute_force(D, spec, sizes):
             if best is None or c < best[0] or (c == best[0] and x < best[1]):
                 best = (c, x)
     return best[1], best[0]
+
+
+def gathered_near_minimal(D, sizes, largest=False, opening=None):
+    """The subset screen as first written: every subset of a block gathers
+    its columns of each distinct row, takes their argmin and marks the
+    facilities used in a dense matrix; kept subsets come size by size in
+    ``combinations`` order."""
+    from ordmech.core import BLOCK
+    from ordmech.solvers import SCREEN_RTOL
+
+    rows, counts = np.unique(D, axis=0, return_counts=True)
+    opening = np.zeros(D.shape[1]) if opening is None else np.asarray(opening, dtype=float)
+    margin = SCREEN_RTOL * (1.0 + counts @ rows.max(axis=1) + np.abs(opening).sum())
+    kept, least = [], np.inf
+    for size in sizes:
+        subsets = combinations(range(D.shape[1]), size)
+        while block := list(islice(subsets, max(1, BLOCK // max(len(rows) * size, 1)))):
+            block = np.array(block)
+            near = rows[:, block]                                # rows x subsets x size
+            pick = near.argmin(axis=2)
+            dist = np.take_along_axis(near, pick[..., None], 2)[..., 0].T
+            used = np.zeros((len(block), D.shape[1]))
+            used[np.arange(len(block))[:, None], np.take_along_axis(block, pick.T, 1)] = 1
+            cost = (dist.max(axis=1) if largest else dist @ counts) + used @ opening
+            least = min(least, cost.min())
+            keep = cost <= least + margin
+            kept += zip(cost[keep].tolist(), block[keep].tolist())
+    return [subset for cost, subset in kept if cost <= least + margin]
 
 
 def loop_profile_error(m, rankings, top_only):

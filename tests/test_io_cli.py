@@ -113,10 +113,14 @@ def test_schema_rejects_inconsistent_fields():
         with pytest.raises(SchemaError) as err:
             parse_instance(json.dumps(dict(two, params={"k": 2, key: value})))
         assert err.value.field == "params" and key in str(err.value), key
-    # a scenario's expected ratio is a number and its note a string
+    # a scenario's expected ratio is a number, its note a string, and its
+    # assignment and choice lists of names: a string or a dict of names is
+    # not read element by element
     scenario = {"label": "s", "facility_distances": [[0, 1], [1, 0]], "metric": [[0, 1]]}
     for key, value in (("expected_ratio", "x"), ("expected_ratio", True),
-                       ("expected_ratio", [3]), ("note", 7)):
+                       ("expected_ratio", [3]), ("note", 7),
+                       ("assignment", "A"), ("assignment", 0), ("assignment", {"A": 1}),
+                       ("choice", "A"), ("choice", 0), ("choice", {"A": 1})):
         bad = dict(base, scenarios=[dict(scenario, **{key: value})])
         with pytest.raises(SchemaError) as err:
             parse_instance(json.dumps(bad))

@@ -7,6 +7,7 @@ bit, ties included.
 """
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,8 +20,10 @@ from ordmech import (FullMetric, MetricError, PreferenceProfile, ProfileError,
                      preferences_from_metric, project_problem,
                      validate_distance_matrix)
 from ordmech.audit import ConsistencyPolytope, _percentile_candidate
+from ordmech.core import BLOCK
+from ordmech.solvers import _near_minimal, _subset_minima
 
-from helpers import (loop_candidate_reach, loop_check_consistency,
+from helpers import (gathered_near_minimal, loop_candidate_reach, loop_check_consistency,
                      loop_facility_location, loop_full_metric_error, loop_k_median,
                      loop_majority_counts, loop_min_cost_matching, loop_numeric_reach,
                      loop_open_count_brute_force, loop_profile_error,
@@ -339,6 +342,76 @@ def test_screening_keeps_subsets_tied_up_to_rounding(seed):
     D, costs = l[list(tops)], rng.integers(0, 3, m) * 0.1
     result = facility_location_solver(D, costs)
     assert (result.assignment, result.value) == loop_facility_location(D, costs)
+
+
+def _screen_case(rng, trial):
+    """Distances with repeated rows (agents at facilities, or a few distinct
+    rows), often with two co-located facilities, m = 1 included; now and
+    then so many distinct rows that one size spans several chunks."""
+    m = 1 if trial % 10 == 0 else int(rng.integers(2, 8))
+    n = int(rng.integers(1, 30))
+    if trial % 7 == 3:
+        D = rng.uniform(0, 5, size=(int(rng.integers(300, 1500)), m))
+    elif trial % 3:
+        l, tops = _tie_heavy_instance(rng, n, m)
+        D = l[list(tops)]
+    else:
+        distinct = int(rng.integers(1, 5))
+        D = rng.uniform(0, 5, size=(distinct, m))[rng.integers(0, distinct, n)]
+    if m > 1 and trial % 4 == 1:
+        f, g = rng.choice(m, size=2, replace=False)
+        D[:, f] = D[:, g]  # co-located facilities: equal columns tie everywhere
+    return D
+
+
+def test_subset_minima_chunks_match_gathered_minima():
+    rng = np.random.default_rng(117)
+    for trial in range(60):
+        D = _screen_case(rng, trial)
+        m = D.shape[1]
+        for sizes in ((int(rng.integers(1, m + 1)),), range(1, m + 1)):
+            seen = {size: [] for size in sizes}
+            for subsets, low, arg in _subset_minima(D, sizes):
+                assert max(low.size, arg.size, subsets.size) <= BLOCK
+                near = D[:, subsets]                                # rows x subsets x size
+                assert np.array_equal(low, near.min(axis=2).T)
+                assert np.array_equal(arg, subsets[np.arange(len(subsets)), near.argmin(axis=2)].T)
+                seen[subsets.shape[1]] += map(tuple, subsets.tolist())
+            for size in sizes:
+                assert seen[size] == list(itertools.combinations(range(m), size))
+
+
+def test_subset_screen_keeps_the_gathered_screens_subsets_in_order():
+    rng = np.random.default_rng(118)
+    for trial in range(300):
+        D = _screen_case(rng, trial)
+        m = D.shape[1]
+        sizes = (int(rng.integers(1, m + 1)),) if trial % 2 else range(1, m + 1)
+        largest = bool(trial % 5 == 2)
+        opening = None
+        if trial % 3 == 1:  # opening costs on a coarse grid: open sets tie
+            opening = rng.integers(0, 3, m) * rng.choice([1.0, 0.1])
+        assert _near_minimal(D, sizes, largest, opening) == \
+            gathered_near_minimal(D, sizes, largest, opening), trial
+
+
+def test_subset_screen_memory_stays_within_blocks():
+    """A 1000-agent, 25-facility, k = 4 k-median (12,650 subsets): every
+    prefix level is chunked, so the screen's peak stays far below one
+    unchunked level."""
+    rng = np.random.default_rng(119)
+    pts, agents = rng.uniform(0, 10, size=(25, 2)), rng.uniform(0, 10, size=(1000, 2))
+    l = np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(axis=2))
+    tops = np.sqrt(((agents[:, None] - pts[None]) ** 2).sum(axis=2)).argmin(axis=1)
+    D = l[tops]
+    tracemalloc.start()
+    try:
+        kept = _near_minimal(D, (4,))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert kept == gathered_near_minimal(D, (4,))
+    assert peak < 1 << 20, peak
 
 
 def test_percentile_cap_matches_subset_rule():
