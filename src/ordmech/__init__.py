@@ -8,7 +8,7 @@ metric consistent with that ordinal data.
 from .assignment import (Assignment, AssignmentProblem, ConstraintSet, CostSpec,
                          DistanceCost, PRESET_NAMES, ProjectedProblem,
                          ReducedSolution, build_preset, distance_vector,
-                         is_valid, iter_valid_assignments, project_problem,
+                         iter_valid_assignments, project_problem,
                          reduce_and_solve, total_cost)
 from .audit import (AuditReport, ConsistencyPolytope, audit_additive_assignment,
                     audit_percentile_social_choice, audit_sum_social_choice,

@@ -1,18 +1,18 @@
 """General facility-assignment problems: constraints, costs, reduction.
 
-An assignment maps every agent to a facility subject to metric-independent
-constraints (capacities, open-facility bounds, co-assignment pairs).  Its
-cost is a monotone subadditive functional of the agent-facility distances
-plus a facility cost that depends on the assignment alone.  The reduction
-solves the fully known projected problem (agents moved to their top
-choices) and reuses that assignment, inheriting a 1 + 2*beta worst-case
-guarantee from a beta-approximate projected solver.
+An assignment maps every agent to a facility subject to two
+metric-independent rules: a bound on the facilities it opens and, for
+matchings, at most one agent per facility.  Its cost is a monotone
+subadditive functional of the agent-facility distances plus a facility
+cost that depends on the assignment alone.  The reduction solves the fully
+known projected problem (agents moved to their top choices) and reuses
+that assignment, inheriting a 1 + 2*beta worst-case guarantee from a
+beta-approximate projected solver.
 """
 
 from __future__ import annotations
 
 import enum
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,58 +50,38 @@ class DistanceCost(enum.Enum):
 class CostSpec:
     distance_cost: DistanceCost
     opening_costs: tuple[float, ...] | None = None
-    coassign_penalties: tuple[tuple[int, int, float], ...] = ()
 
     def __post_init__(self):
         if self.opening_costs is not None and any(c < 0 for c in self.opening_costs):
             raise InvalidCostError("opening costs must be nonnegative")
-        if any(p < 0 for _, _, p in self.coassign_penalties):
-            raise InvalidCostError("co-assignment penalties must be nonnegative")
 
     def facility_cost(self, x) -> float | np.ndarray:
-        """Opening costs of the facilities x uses, added in facility order,
-        plus its co-assignment penalties; one per row of a stack of them."""
+        """Opening costs of the facilities x uses, added in facility order;
+        one per row of a stack of assignments."""
         x = np.asarray(x)
         total = np.zeros(x.shape[:-1])
         if self.opening_costs is not None:
             used = np.zeros((*x.shape[:-1], len(self.opening_costs)), dtype=bool)
             np.put_along_axis(used, x, True, axis=-1)
             total = np.where(used, self.opening_costs, 0.0).cumsum(axis=-1)[..., -1]
-        for i, j, pen in self.coassign_penalties:
-            total = total + np.where(x[..., i] == x[..., j], pen, 0.0)
         return total if x.ndim > 1 else float(total)
 
 
 @dataclass(frozen=True)
 class ConstraintSet:
-    """Metric-independent validity rules for assignments."""
+    """Metric-independent validity rules for assignments: at most
+    ``at_most_open`` facilities used (unbounded when None) and, with
+    ``one_per_facility``, no two agents on one facility."""
 
     m: int
-    capacities: tuple[int | None, ...] | None = None
     at_most_open: int | None = None
-    exactly_open: int | None = None
-    must_coassign: tuple[tuple[int, int], ...] = ()
-    must_separate: tuple[tuple[int, int], ...] = ()
-
-    def __post_init__(self):
-        if self.capacities is not None and len(self.capacities) != self.m:
-            raise SolverError("capacities must list one bound per facility")
+    one_per_facility: bool = False
 
     def is_valid(self, x: Assignment) -> bool:
-        if any(not 0 <= f < self.m for f in x):
-            return False
-        counts = Counter(x)
-        opened = len(counts)
-        return (all(cap is None or counts[f] <= cap
-                    for f, cap in enumerate(self.capacities or ()))
-                and (self.at_most_open is None or opened <= self.at_most_open)
-                and (self.exactly_open is None or opened == self.exactly_open)
-                and all(x[i] == x[j] for i, j in self.must_coassign)
-                and all(x[i] != x[j] for i, j in self.must_separate))
-
-
-def is_valid(x: Assignment, constraints: ConstraintSet) -> bool:
-    return constraints.is_valid(tuple(x))
+        used = set(x)
+        return (all(0 <= f < self.m for f in used)
+                and (not self.one_per_facility or len(used) == len(x))
+                and (self.at_most_open is None or len(used) <= self.at_most_open))
 
 
 @dataclass(frozen=True)
@@ -113,12 +93,15 @@ class AssignmentProblem:
     preset: str | None = None
 
     def __post_init__(self):
-        if self.constraints.m != self.facilities.m:
+        cons = self.constraints
+        if cons.m != self.facilities.m:
             raise SolverError("constraints sized for a different facility count")
-        # Existence of a valid assignment is checked by search at desk scale.
-        if self.facilities.m ** self.n <= 200_000:
-            if next(iter_valid_assignments(self.n, self.constraints), None) is None:
-                raise SolverError("no valid assignment exists for this problem")
+        # Feasibility in closed form: with n >= 1 agents, all on one facility
+        # is valid unless the matching rule holds, which needs n facilities open.
+        opened = self.n if cons.one_per_facility else 1
+        bound = self.m if cons.at_most_open is None else min(self.m, cons.at_most_open)
+        if self.n < 1 or opened > bound:
+            raise SolverError("no valid assignment exists for this problem")
 
     @property
     def m(self) -> int:
@@ -127,33 +110,16 @@ class AssignmentProblem:
 
 def iter_valid_assignments(n: int, constraints: ConstraintSet):
     """Depth-first enumeration of valid assignments in lexicographic order,
-    pruning capacity, open-count and pairing violations early."""
-    m = constraints.m
-    caps = list(constraints.capacities) if constraints.capacities is not None else None
-    open_cap = constraints.at_most_open
-    if constraints.exactly_open is not None:
-        open_cap = (constraints.exactly_open if open_cap is None
-                    else min(open_cap, constraints.exactly_open))
-    partners_eq: dict[int, list[int]] = {}
-    partners_ne: dict[int, list[int]] = {}
-    for i, j in constraints.must_coassign:
-        a, b = min(i, j), max(i, j)
-        partners_eq.setdefault(b, []).append(a)
-    for i, j in constraints.must_separate:
-        a, b = min(i, j), max(i, j)
-        partners_ne.setdefault(b, []).append(a)
-
-    def options(agent: int):
-        forced = {x[a] for a in partners_eq.get(agent, ())}
-        return iter(range(m) if not forced else forced if len(forced) == 1 else ())
-
+    pruning open-count and matching violations early."""
+    m, single = constraints.m, constraints.one_per_facility
+    cap = m if constraints.at_most_open is None else constraints.at_most_open
     # One iterator per placed agent over its facilities left to try: the
     # search keeps its own stack, so n can run to the thousands.
     x = [-1] * n
     counts = [0] * m
     opened = 0
-    stack = [options(0)] if n else []
-    if not n and constraints.exactly_open in (None, 0):
+    stack = [iter(range(m))] if n else []
+    if not n:
         yield ()
     while stack:
         agent = len(stack) - 1
@@ -161,22 +127,16 @@ def iter_valid_assignments(n: int, constraints: ConstraintSet):
             counts[x[agent]] -= 1
             opened -= counts[x[agent]] == 0
         x[agent] = next((f for f in stack[-1]
-                         if (caps is None or caps[f] is None or counts[f] < caps[f])
-                         and all(x[a] != f for a in partners_ne.get(agent, ()))
-                         and (counts[f] or open_cap is None or opened < open_cap)), -1)
+                         if (not single if counts[f] else opened < cap)), -1)
         if x[agent] < 0:
             stack.pop()
             continue
         opened += counts[x[agent]] == 0
         counts[x[agent]] += 1
         if agent + 1 < n:
-            stack.append(options(agent + 1))
-        elif constraints.exactly_open is None or opened == constraints.exactly_open:
+            stack.append(iter(range(m)))
+        else:
             yield tuple(x)
-
-
-def count_search_space(n: int, m: int) -> int:
-    return m ** n
 
 
 def distance_vector(x: Assignment, distances: np.ndarray) -> np.ndarray:
@@ -258,7 +218,7 @@ def build_preset(name: str, n: int, facilities: FacilitySet,
     params = dict(params or {})
     m = facilities.m
     if name == "social_choice_sum":
-        constraints = ConstraintSet(m, exactly_open=1)
+        constraints = ConstraintSet(m, at_most_open=1)
         spec = CostSpec(DistanceCost.SUM)
     elif name == "social_choice_median":
         raise InvalidCostError(
@@ -267,7 +227,7 @@ def build_preset(name: str, n: int, facilities: FacilitySet,
     elif name in ("matching_min_cost", "matching_egalitarian"):
         if n != m:
             raise SolverError(f"{name} needs equally many agents and facilities")
-        constraints = ConstraintSet(m, capacities=(1,) * m)
+        constraints = ConstraintSet(m, one_per_facility=True)
         cost = DistanceCost.SUM if name == "matching_min_cost" else DistanceCost.MAX
         spec = CostSpec(cost)
     elif name in ("k_center", "k_median"):

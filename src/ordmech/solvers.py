@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assignment import (Assignment, DistanceCost, ProjectedProblem,
-                         count_search_space, iter_valid_assignments, total_cost)
+                         iter_valid_assignments, total_cost)
 from .core import BLOCK
 from .errors import SearchSpaceError, SolverError
 
@@ -106,30 +106,25 @@ def _near_minimal(D: np.ndarray, sizes, largest: bool = False, opening=None) -> 
 def brute_force_optimal(projected: ProjectedProblem,
                         cap: int = BRUTE_FORCE_CAP) -> SolverResult:
     """Globally minimal valid assignment; first in lexicographic order on
-    cost ties.  Open-count-only problems get a subset fast path."""
+    cost ties.  Problems without the matching rule get a subset fast path;
+    matchings are enumerated."""
     problem = projected.problem
     n, m = projected.n, problem.m
     cons = problem.constraints
     spec = problem.cost_spec
     D = projected.distances
-    plain = (cons.capacities is None and not cons.must_coassign
-             and not cons.must_separate and not spec.coassign_penalties)
-    if plain and cons.exactly_open in (None, 1):
+    if not cons.one_per_facility:
         limit = cons.at_most_open if cons.at_most_open is not None else m
-        sizes = (1,) if cons.exactly_open == 1 else range(1, limit + 1)
-        xs = [_serve(D, subset) for subset in
-              _near_minimal(D, sizes, spec.distance_cost is DistanceCost.MAX, spec.opening_costs)]
+        xs = [_serve(D, subset) for subset in _near_minimal(
+            D, range(1, limit + 1), spec.distance_cost is DistanceCost.MAX, spec.opening_costs)]
         c, x = min((total_cost(x, D, spec), x) for x in xs)
         return SolverResult(x, c, 1.0, True)
 
-    if count_search_space(n, m) > cap:
+    if m ** n > cap:
         raise SearchSpaceError(
             f"{m}^{n} candidate assignments exceed the {cap} budget")
-    best = min(((total_cost(x, D, spec), x) for x in iter_valid_assignments(n, cons)),
-               default=None)
-    if best is None:
-        raise SolverError("no valid assignment exists")
-    return SolverResult(best[1], best[0], 1.0, True)
+    c, x = min((total_cost(x, D, spec), x) for x in iter_valid_assignments(n, cons))
+    return SolverResult(x, c, 1.0, True)
 
 
 def min_cost_matching(cost) -> SolverResult:

@@ -1,12 +1,14 @@
 """Constraints, cost functionals and the projection reduction."""
 
+from itertools import product
+
 import numpy as np
 import pytest
 
 from ordmech import (AssignmentProblem, ConstraintSet, CostSpec, DistanceCost,
                      FullMetric, InvalidCostError, PreferenceProfile,
                      SolverError, brute_force_optimal, build_preset,
-                     facility_distances, is_valid, iter_valid_assignments,
+                     facility_distances, iter_valid_assignments,
                      preferences_from_metric, project_agents, project_problem,
                      reduce_and_solve, sum_winner, total_cost)
 from ordmech.solvers import SOLVERS
@@ -15,31 +17,46 @@ from helpers import random_consistent_metric, random_facility_distances
 
 
 def test_is_valid_capacity_one():
-    cons = ConstraintSet(3, capacities=(1, 1, 1))
-    assert is_valid((0, 1, 2), cons)
-    assert not is_valid((0, 0, 2), cons)
+    cons = ConstraintSet(3, one_per_facility=True)
+    assert cons.is_valid((0, 1, 2))
+    assert not cons.is_valid((0, 0, 2))
 
 
 def test_is_valid_single_open():
-    cons = ConstraintSet(3, exactly_open=1)
-    assert is_valid((1, 1, 1, 1), cons)
-    assert not is_valid((1, 2, 1, 1), cons)
+    cons = ConstraintSet(3, at_most_open=1)
+    assert cons.is_valid((1, 1, 1, 1))
+    assert not cons.is_valid((1, 2, 1, 1))
 
 
-def test_is_valid_pairs_and_open_bounds():
-    cons = ConstraintSet(3, at_most_open=2, must_coassign=((0, 1),),
-                         must_separate=((1, 2),))
-    assert is_valid((0, 0, 1), cons)
-    assert not is_valid((0, 1, 1), cons)   # pair 0,1 split
-    assert not is_valid((0, 0, 0), cons)   # pair 1,2 together
-    assert not is_valid((0, 0, 1, 2), cons)  # three facilities opened
+def test_is_valid_open_bound():
+    cons = ConstraintSet(3, at_most_open=2)
+    assert cons.is_valid((0, 0, 1))
+    assert not cons.is_valid((0, 0, 1, 2))  # three facilities opened
+    assert not cons.is_valid((0, 3))  # no such facility
 
 
 def test_iter_valid_assignments_enumerates_matchings():
-    cons = ConstraintSet(3, capacities=(1, 1, 1))
+    cons = ConstraintSet(3, one_per_facility=True)
     found = list(iter_valid_assignments(3, cons))
     assert len(found) == 6
     assert found == sorted(found)  # lexicographic order
+
+
+def test_iter_valid_assignments_matches_filtered_product():
+    # the same list in the same order as filtering every assignment by the
+    # rules themselves, and is_valid agrees with membership in that list
+    rng = np.random.default_rng(31)
+    for _ in range(40):
+        n, m = int(rng.integers(1, 6)), int(rng.integers(1, 5))
+        rules = [ConstraintSet(m), ConstraintSet(m, one_per_facility=True)]
+        rules += [ConstraintSet(m, at_most_open=k) for k in range(1, m + 1)]
+        for cons in rules:
+            expected = [x for x in product(range(m), repeat=n)
+                        if len(set(x)) <= (cons.at_most_open or m)
+                        and (not cons.one_per_facility or len(set(x)) == n)]
+            assert list(iter_valid_assignments(n, cons)) == expected
+            for x in product(range(m), repeat=n):
+                assert cons.is_valid(x) == (x in expected)
 
 
 def test_total_cost_basics():
@@ -63,15 +80,10 @@ def test_total_cost_matches_independent_recomputation():
         n, m = int(rng.integers(1, 6)), int(rng.integers(1, 5))
         D = rng.uniform(0, 9, (n, m))
         opening = tuple(rng.uniform(0, 4, m))
-        pen = ((0, n - 1, 2.5),) if n >= 2 else ()
-        spec = CostSpec(DistanceCost.SUM, opening_costs=opening,
-                        coassign_penalties=pen)
+        spec = CostSpec(DistanceCost.SUM, opening_costs=opening)
         x = tuple(int(f) for f in rng.integers(0, m, n))
         expected = sum(D[i, x[i]] for i in range(n))
         expected += sum(opening[f] for f in set(x))
-        for i, j, p in pen:
-            if x[i] == x[j]:
-                expected += p
         assert total_cost(x, D, spec) == pytest.approx(expected, abs=1e-9)
         # a stack of assignments costs exactly what each row does alone
         stack = rng.integers(0, m, (4, n))
@@ -102,15 +114,20 @@ def test_median_cost_is_a_typed_error():
 def test_cost_spec_rejects_negative_costs():
     with pytest.raises(InvalidCostError):
         CostSpec(DistanceCost.SUM, opening_costs=(-1.0,))
-    with pytest.raises(InvalidCostError):
-        CostSpec(DistanceCost.SUM, coassign_penalties=((0, 1, -2.0),))
 
 
 def test_problem_without_valid_assignment_rejected():
+    # feasibility is decided in closed form at every size, not by a search
+    # that stops at 200,000 assignments (3^12 lies past it)
     fd = facility_distances(("A", "B"), [[0, 1], [1, 0.0]])
-    cons = ConstraintSet(2, capacities=(1, 1))
+    cons = ConstraintSet(2, one_per_facility=True)
     with pytest.raises(SolverError):
         AssignmentProblem(3, fd.facilities, cons, CostSpec(DistanceCost.SUM))
+    fd3 = facility_distances(("A", "B", "C"), [[0, 1, 1], [1, 0, 1], [1, 1, 0.0]])
+    for n in (4, 12):
+        with pytest.raises(SolverError):
+            AssignmentProblem(n, fd3.facilities, ConstraintSet(3, at_most_open=0),
+                              CostSpec(DistanceCost.SUM))
 
 
 def test_project_problem_keeps_contract():
@@ -165,7 +182,7 @@ def test_reduce_validity_and_beta_propagation():
         profile = preferences_from_metric(metric)
         problem = build_preset("k_center", m, fd.facilities, {"k": max(1, m - 1)})
         solution = reduce_and_solve(problem, profile, fd, SOLVERS["k_center"])
-        assert is_valid(solution.assignment, problem.constraints)
+        assert problem.constraints.is_valid(solution.assignment)
         assert solution.beta == 2.0
         assert solution.distance_factor == 5.0
 

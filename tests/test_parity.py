@@ -294,8 +294,7 @@ def test_brute_force_open_count_path_matches_loop(preset):
         problem = build_preset(preset, n, fd.facilities, params)
         projected = project_problem(profile, fd, problem)
         cons = problem.constraints
-        limit = cons.at_most_open if cons.at_most_open is not None else m
-        sizes = (1,) if cons.exactly_open == 1 else range(1, limit + 1)
+        sizes = range(1, (cons.at_most_open if cons.at_most_open is not None else m) + 1)
         result = brute_force_optimal(projected)
         expected = loop_open_count_brute_force(projected.distances, problem.cost_spec, sizes)
         assert (result.assignment, result.value) == expected

@@ -8,7 +8,7 @@ import pytest
 from ordmech import (PreferenceProfile, SearchSpaceError, SolverError,
                      bottleneck_matching, brute_force_optimal, build_preset,
                      facility_distances, facility_location_solver,
-                     is_valid, k_center_greedy, k_median_solver,
+                     k_center_greedy, k_median_solver,
                      min_cost_matching, preferences_from_metric,
                      project_problem)
 
@@ -56,12 +56,10 @@ def test_brute_force_social_choice_is_column_argmin():
 
 
 def test_brute_force_respects_cap():
-    # 5^12 assignments with pair constraints exceeds the search budget
-    from ordmech import AssignmentProblem, ConstraintSet, CostSpec, DistanceCost
-    fd = random_facility_distances(np.random.default_rng(0), 5, allow_colocated=False)
-    profile = PreferenceProfile(5, (tuple(range(5)),) * 12)
-    cons = ConstraintSet(5, must_separate=((0, 1),))
-    prob = AssignmentProblem(12, fd.facilities, cons, CostSpec(DistanceCost.SUM))
+    # matchings are enumerated, and 8^8 assignments exceed the search budget
+    fd = random_facility_distances(np.random.default_rng(0), 8, allow_colocated=False)
+    profile = PreferenceProfile(8, (tuple(range(8)),) * 8)
+    prob = build_preset("matching_min_cost", 8, fd.facilities)
     projected = project_problem(profile, fd, prob)
     with pytest.raises(SearchSpaceError):
         brute_force_optimal(projected)
@@ -256,4 +254,4 @@ def test_solver_results_are_valid_assignments():
             problem = build_preset(preset, n, fd.facilities, params)
             projected = project_problem(profile, fd, problem)
             result = SOLVERS[solver_name](projected)
-            assert is_valid(result.assignment, problem.constraints)
+            assert problem.constraints.is_valid(result.assignment)
