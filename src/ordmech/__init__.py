@@ -6,9 +6,8 @@ metric consistent with that ordinal data.
 """
 
 from .assignment import (Assignment, AssignmentProblem, ConstraintSet, CostSpec,
-                         DistanceCost, PRESET_NAMES, ProjectedProblem,
-                         ReducedSolution, build_preset, distance_vector,
-                         iter_valid_assignments, project_problem,
+                         DistanceCost, PRESET_NAMES, build_preset,
+                         distance_vector, iter_valid_assignments,
                          reduce_and_solve, total_cost)
 from .audit import (AuditReport, ConsistencyPolytope, audit_additive_assignment,
                     audit_percentile_social_choice, audit_sum_social_choice,
@@ -22,8 +21,9 @@ from .core import (ConsistencyConstraintSet, FacilityDistances, FacilitySet,
 from .errors import (InternalInvariantError, InvalidCostError, MetricError,
                      OrdmechError, ProfileError, SchemaError, SearchSpaceError,
                      SolverError, UnboundedObjectiveError)
-from .gallery import (EXAMPLES, CheckResult, WorkedExample, Scenario,
-                      gen_worked_example, verify_worked_example)
+from .fileio import Scenario
+from .gallery import (EXAMPLES, CheckResult, gen_worked_example,
+                      verify_worked_example)
 from .social_choice import (DistancePartialOrder, MajorityGraph,
                             SocialChoiceOutcome, augment_majority_edges,
                             copeland_winner, distance_partial_order,

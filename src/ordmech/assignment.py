@@ -13,12 +13,16 @@ beta-approximate projected solver.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .core import FacilityDistances, FacilitySet, PreferenceProfile, project_agents
 from .errors import InvalidCostError, SolverError
+
+if TYPE_CHECKING:
+    from .solvers import SolverResult
 
 Assignment = tuple[int, ...]
 
@@ -148,52 +152,18 @@ def total_cost(x: Assignment, distances: np.ndarray, spec: CostSpec) -> float:
     return spec.distance_cost.evaluate(distance_vector(x, distances)) + spec.facility_cost(x)
 
 
-@dataclass(frozen=True)
-class ProjectedProblem:
-    """The same problem posed over agents relocated to their top choices;
-    all distances are known through the facility geometry."""
-
-    problem: AssignmentProblem
-    facility_distances: FacilityDistances
-    tops: tuple[int, ...]
-    distances: np.ndarray = field(repr=False)
-
-    @property
-    def n(self) -> int:
-        return len(self.tops)
-
-
-def project_problem(profile: PreferenceProfile, fd: FacilityDistances,
-                    problem: AssignmentProblem) -> ProjectedProblem:
+def reduce_and_solve(problem: AssignmentProblem, profile: PreferenceProfile,
+                     fd: FacilityDistances, solver) -> SolverResult:
+    """Solve the projected problem with the given omniscient solver handle,
+    called as ``solver(problem, project_agents(profile, fd))``, and reuse its
+    assignment: valid by construction, worst-case cost within 1 + 2*beta of
+    optimal on every consistent metric (facility cost within beta)."""
     if problem.n != profile.n:
         raise SolverError("problem and profile disagree on the agent count")
-    projected = project_agents(profile, fd)
-    return ProjectedProblem(problem, fd, projected.tops, projected.distance_matrix)
-
-
-@dataclass(frozen=True)
-class ReducedSolution:
-    assignment: Assignment
-    beta: float
-    exact: bool
-    projected_value: float
-    distance_factor: float   # 1 + 2*beta bound on the distance cost
-    facility_factor: float   # beta bound on the facility cost
-
-
-def reduce_and_solve(problem: AssignmentProblem, profile: PreferenceProfile,
-                     fd: FacilityDistances, solver) -> ReducedSolution:
-    """Solve the projected problem with the given omniscient solver handle
-    and reuse its assignment: valid by construction, worst-case cost within
-    1 + 2*beta of optimal on every consistent metric."""
-    projected = project_problem(profile, fd, problem)
-    result = solver(projected)
-    x = tuple(result.assignment)
-    if not problem.constraints.is_valid(x):
+    result = solver(problem, project_agents(profile, fd))
+    if not problem.constraints.is_valid(result.assignment):
         raise SolverError("solver returned an invalid assignment")
-    return ReducedSolution(x, result.beta, result.exact, result.value,
-                           distance_factor=1.0 + 2.0 * result.beta,
-                           facility_factor=result.beta)
+    return result
 
 
 PRESET_NAMES = (

@@ -16,9 +16,9 @@ from .audit import (audit_additive_assignment, audit_percentile_social_choice,
                     audit_sum_social_choice)
 from .core import project_agents
 from .errors import InternalInvariantError, OrdmechError, SchemaError
-from .fileio import (InstanceFile, audit_report_to_dict, example_to_instance,
-                     instance_digest, load_instance, report_text, save_instance,
-                     save_report, serialize_instance, solve_report_to_dict)
+from .fileio import (InstanceFile, audit_report_to_dict, instance_digest,
+                     load_instance, report_text, save_instance, save_report,
+                     serialize_instance, solve_report_to_dict)
 from .gallery import EXAMPLES, gen_worked_example, verify_worked_example
 from .solvers import SOLVERS
 
@@ -109,11 +109,9 @@ def _cmd_solve(args) -> int:
         problem = build_preset(inst.preset, inst.n, inst.facilities, inst.params)
         solution = reduce_and_solve(problem, inst.profile, _require_fd(inst),
                                     SOLVERS[solver_name])
-        target = solution.assignment
-        beta, exact = solution.beta, solution.exact
-        guarantee = {"formula": "1+2*beta", "beta": solution.beta,
-                     "distance_factor": solution.distance_factor,
-                     "facility_cost_factor": solution.facility_factor}
+        target, beta, exact = solution.assignment, solution.beta, solution.exact
+        guarantee = {"formula": "1+2*beta", "beta": beta,
+                     "distance_factor": 1.0 + 2.0 * beta, "facility_cost_factor": beta}
     else:
         raise SchemaError(f"unknown mechanism {mechanism!r}", field="mechanism")
 
@@ -149,8 +147,7 @@ def _parse_params(raw: str | None) -> dict:
 
 
 def _cmd_gen(args) -> int:
-    example = gen_worked_example(args.example, **_parse_params(args.params))
-    inst = example_to_instance(example)
+    inst = gen_worked_example(args.example, **_parse_params(args.params))
     if args.out:
         save_instance(inst, args.out)
     else:
@@ -162,8 +159,7 @@ def _cmd_repro(args) -> int:
     names = [args.example] if args.example else list(EXAMPLES)
     failures = 0
     for name in names:
-        example = gen_worked_example(name)
-        for result in verify_worked_example(example):
+        for result in verify_worked_example(name):
             status = "ok" if result.passed else "FAIL"
             print(f"{status:4s} {name} :: {result.label}"
                   + (f" ({result.detail})" if result.detail and not result.passed

@@ -25,11 +25,23 @@ from .core import (FacilityDistances, FacilitySet, FullMetric,
                    PreferenceProfile, facility_distances)
 from .errors import (InvalidCostError, MetricError, ProfileError,
                      SchemaError, SolverError)
-from .gallery import WorkedExample, Scenario
 
 SCHEMA_INSTANCE = "ordmech-instance-v1"
 SCHEMA_REPORT = "ordmech-report-v1"
 SCHEMA_AUDIT = "ordmech-audit-v1"
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """One adversarial metric paired with the decision it punishes."""
+
+    label: str
+    fd: FacilityDistances
+    metric: FullMetric
+    note: str
+    assignment: tuple[int, ...] | None = None
+    choice: tuple[int, ...] | None = None   # opened facilities
+    expected_ratio: float | None = None
 
 
 @dataclass(frozen=True)
@@ -293,12 +305,6 @@ def instance_digest(inst: InstanceFile) -> str:
     parts[key] = "[" + ",".join(map(pieces.__getitem__, profile.class_of.tolist())) + "]"
     canonical = "{" + ",".join(f"{json.dumps(k)}:{parts[k]}" for k in sorted(parts)) + "}"
     return "sha256:" + hashlib.sha256(canonical.encode()).hexdigest()
-
-
-def example_to_instance(example: WorkedExample) -> InstanceFile:
-    return InstanceFile(example.facilities, example.profile, example.preset,
-                        example.fd, None, dict(example.preset_params),
-                        example.metric, example.scenarios)
 
 
 def _number_out(value: float):

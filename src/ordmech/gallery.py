@@ -1,15 +1,16 @@
 """Named worked instances with documented worst-case behavior.
 
-Each generator emits a complete instance (profile, facility geometry,
-problem preset) plus the adversarial metrics that certify its documented
-ratio, and a verifier that recomputes every documented number from
-scratch.  These back the reproduction command and the acceptance tests.
+Each generator emits a complete ``InstanceFile`` (profile, facility
+geometry, problem preset) with the adversarial metrics that certify its
+documented ratio, and a checker that recomputes every documented number
+from scratch, given the instance and the generator's parameters.  These
+back the reproduction command and the acceptance tests.
 """
 
 from __future__ import annotations
 
 import inspect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations, permutations
 
 import numpy as np
@@ -18,37 +19,10 @@ from . import social_choice as sc
 from .assignment import build_preset
 from .audit import (audit_additive_assignment, audit_percentile_social_choice,
                     audit_sum_social_choice)
-from .core import (FacilityDistances, FacilitySet, FullMetric,
-                   PreferenceProfile, check_consistency, facility_distances,
-                   project_agents)
+from .core import (FullMetric, PreferenceProfile, check_consistency,
+                   facility_distances, project_agents)
 from .errors import OrdmechError, SchemaError
-
-
-@dataclass(frozen=True)
-class Scenario:
-    """One adversarial metric paired with the decision it punishes."""
-
-    label: str
-    fd: FacilityDistances
-    metric: FullMetric
-    note: str
-    assignment: tuple[int, ...] | None = None
-    choice: tuple[int, ...] | None = None   # opened facilities
-    expected_ratio: float | None = None
-
-
-@dataclass(frozen=True)
-class WorkedExample:
-    name: str
-    params: dict
-    facilities: FacilitySet
-    fd: FacilityDistances
-    profile: PreferenceProfile
-    preset: str
-    preset_params: dict = field(default_factory=dict)
-    metric: FullMetric | None = None
-    scenarios: tuple[Scenario, ...] = ()
-    note: str = ""
+from .fileio import InstanceFile, Scenario
 
 
 @dataclass(frozen=True)
@@ -72,7 +46,7 @@ def _profile(m: int, *groups) -> PreferenceProfile:
 
 # ---------------------------------------------------------------- sum5_tight
 
-def gen_sum5_tight(q: int = 1000, eps: float = 1e-4) -> WorkedExample:
+def gen_sum5_tight(q: int = 1000, eps: float = 1e-4) -> InstanceFile:
     """Three-cycle profile where the augmented-majority rule's total cost
     approaches five times optimal as q grows."""
     if not (q >= 1 and eps > 0):
@@ -90,14 +64,11 @@ def gen_sum5_tight(q: int = 1000, eps: float = 1e-4) -> WorkedExample:
             + [[1.0, 3 - 2 * eps, 1.0]] * q
             + [[1.0, 1.0, 1.0]])
     metric = FullMetric(np.asarray(rows), fd)
-    return WorkedExample("sum5_tight", {"q": q, "eps": eps}, fd.facilities, fd,
-                        profile, "social_choice_median", {}, metric,
-                        note="augmented-majority winner W pays ~5x on the "
-                             "bundled metric; the projected-sum rule picks Y")
+    return InstanceFile(fd.facilities, profile, "social_choice_median", fd, metric=metric)
 
 
-def check_sum5_tight(ex: WorkedExample) -> list[CheckResult]:
-    q, eps = ex.params["q"], ex.params["eps"]
+def check_sum5_tight(ex: InstanceFile, params: dict) -> list[CheckResult]:
+    q, eps = params["q"], params["eps"]
     Y, W = 0, 1
     out = []
     out.append(_check("metric_consistent",
@@ -131,7 +102,7 @@ def check_sum5_tight(ex: WorkedExample) -> list[CheckResult]:
 
 # ------------------------------------------------------- median_topchoice_bad
 
-def gen_median_topchoice_bad() -> WorkedExample:
+def gen_median_topchoice_bad() -> InstanceFile:
     """Square of four alternatives where the projected-sum rule's winner
     has median cost five times optimal on the bundled metric."""
     names = ("W", "X", "Y", "Z")
@@ -150,13 +121,10 @@ def gen_median_topchoice_bad() -> WorkedExample:
             + [[3.0, 1.0, 1.0, 3.0]] * 2
             + [[3.0, 1.0, 3.0, 1.0]] * 2)
     metric = FullMetric(np.asarray(rows), fd)
-    return WorkedExample("median_topchoice_bad", {}, fd.facilities, fd, profile,
-                        "social_choice_median", {}, metric,
-                        note="top choices alone cannot protect the median "
-                             "objective; full rankings can")
+    return InstanceFile(fd.facilities, profile, "social_choice_median", fd, metric=metric)
 
 
-def check_median_topchoice_bad(ex: WorkedExample) -> list[CheckResult]:
+def check_median_topchoice_bad(ex: InstanceFile, params: dict) -> list[CheckResult]:
     W, X = 0, 1
     out = []
     out.append(_check("metric_consistent",
@@ -184,9 +152,12 @@ def check_median_topchoice_bad(ex: WorkedExample) -> list[CheckResult]:
 
 # -------------------------------------------------- median_matching_unbounded
 
-def gen_median_matching_unbounded(eps: float = 1e-3) -> WorkedExample:
+def gen_median_matching_unbounded(eps: float = 1e-3) -> InstanceFile:
     """Two lookalike agents make any fixed matching pay 1/(2 eps) on the
     median-edge objective."""
+    if not eps > 0:
+        raise SchemaError(f"eps={eps!r}: median_matching_unbounded needs eps > 0",
+                          field="params")
     names = ("X", "Y", "Z")
     X, Y, Z = range(3)
     l = np.zeros((3, 3))
@@ -203,11 +174,7 @@ def gen_median_matching_unbounded(eps: float = 1e-3) -> WorkedExample:
     scenario = Scenario("roles_swapped", fd, FullMetric(swapped, fd),
                         note="the two lookalike agents trade places",
                         assignment=(X, Y, Z), expected_ratio=1.0 / (2 * eps))
-    return WorkedExample("median_matching_unbounded", {"eps": eps},
-                        fd.facilities, fd, profile, "matching_min_cost", {},
-                        None, (scenario,),
-                        note="median edge cost is not subadditive; no "
-                             "matching mechanism can bound its distortion")
+    return InstanceFile(fd.facilities, profile, "matching_min_cost", fd, scenarios=(scenario,))
 
 
 def _median_of(values) -> float:
@@ -216,8 +183,8 @@ def _median_of(values) -> float:
     return values[k - 1]
 
 
-def check_median_matching_unbounded(ex: WorkedExample) -> list[CheckResult]:
-    eps = ex.params["eps"]
+def check_median_matching_unbounded(ex: InstanceFile, params: dict) -> list[CheckResult]:
+    eps = params["eps"]
     scen = ex.scenarios[0]
     d = scen.metric.distances
     out = []
@@ -236,7 +203,7 @@ def check_median_matching_unbounded(ex: WorkedExample) -> list[CheckResult]:
 
 # ------------------------------------------------ facility_location_unbounded
 
-def gen_facility_location_unbounded(L: float = 1e6, eps: float = 1e-6) -> WorkedExample:
+def gen_facility_location_unbounded(L: float = 1e6, eps: float = 1e-6) -> InstanceFile:
     """Opening costs 1 and 100; without facility distances no opening rule
     is safe, and single-facility choices lose by a factor about L/103."""
     names = ("X", "Y")
@@ -255,9 +222,8 @@ def gen_facility_location_unbounded(L: float = 1e6, eps: float = 1e-6) -> Worked
         Scenario("open_both_bad", fd_near, near, "everyone is close to everything",
                  assignment=(X, Y), expected_ratio=(101 + 2 * eps) / (1 + 2 * eps)),
     )
-    return WorkedExample("facility_location_unbounded", {"L": L, "eps": eps},
-                        fd_far.facilities, fd_far, profile, "facility_location",
-                        {"opening_costs": list(costs)}, far, scenarios)
+    return InstanceFile(fd_far.facilities, profile, "facility_location", fd_far,
+                        params={"opening_costs": list(costs)}, metric=far, scenarios=scenarios)
 
 
 def _fl_cost(d: np.ndarray, costs, opened) -> float:
@@ -266,8 +232,8 @@ def _fl_cost(d: np.ndarray, costs, opened) -> float:
     return sum(costs[f] for f in used) + sum(d[i, assign[i]] for i in range(d.shape[0]))
 
 
-def check_facility_location_unbounded(ex: WorkedExample) -> list[CheckResult]:
-    costs = ex.preset_params["opening_costs"]
+def check_facility_location_unbounded(ex: InstanceFile, params: dict) -> list[CheckResult]:
+    costs = ex.params["opening_costs"]
     out = []
     for scen in ex.scenarios:
         out.append(_check(f"{scen.label}_witness_consistent",
@@ -291,9 +257,11 @@ def check_facility_location_unbounded(ex: WorkedExample) -> list[CheckResult]:
 
 # ---------------------------------------------------------------- kmedian_lb
 
-def gen_kmedian_lb(q: int = 5, L: float = 1e6) -> WorkedExample:
+def gen_kmedian_lb(q: int = 5, L: float = 1e6) -> InstanceFile:
     """Choosing two of three facilities without facility distances loses a
     factor linear in the number of agents for some consistent metric."""
+    if not q >= 1:
+        raise SchemaError(f"q={q!r}: kmedian_lb needs q >= 1", field="params")
     names = ("X", "Y", "Z")
     X, Y, Z = range(3)
     profile = _profile(3, (q, (X, Y, Z)), (q, (Y, X, Z)), (1, (Z, X, Y)))
@@ -312,12 +280,12 @@ def gen_kmedian_lb(q: int = 5, L: float = 1e6) -> WorkedExample:
         Scenario("yz_bad", fd_unit, unit, "a q-block walks one unit",
                  choice=(Y, Z), expected_ratio=float(q)),
     )
-    return WorkedExample("kmedian_lb", {"q": q, "L": L}, fd_far.facilities,
-                        fd_far, profile, "k_median", {"k": 2}, far, scenarios)
+    return InstanceFile(fd_far.facilities, profile, "k_median", fd_far,
+                        params={"k": 2}, metric=far, scenarios=scenarios)
 
 
-def check_kmedian_lb(ex: WorkedExample) -> list[CheckResult]:
-    q = ex.params["q"]
+def check_kmedian_lb(ex: InstanceFile, params: dict) -> list[CheckResult]:
+    q = params["q"]
     out = []
     for scen in ex.scenarios:
         out.append(_check(f"{scen.label}_witness_consistent",
@@ -334,7 +302,7 @@ def check_kmedian_lb(ex: WorkedExample) -> list[CheckResult]:
 
 # ------------------------------------------------------------- egalitarian_lb
 
-def gen_egalitarian_lb(eps: float = 1e-6) -> WorkedExample:
+def gen_egalitarian_lb(eps: float = 1e-6) -> InstanceFile:
     """Bottleneck matching with two lookalike agents forces ratio 2."""
     names = ("X", "Y")
     X, Y = 0, 1
@@ -344,11 +312,11 @@ def gen_egalitarian_lb(eps: float = 1e-6) -> WorkedExample:
     scenario = Scenario("lookalikes", fd, metric,
                         "the agent that looked safe to send away was not",
                         assignment=(X, Y), expected_ratio=2.0)
-    return WorkedExample("egalitarian_lb", {"eps": eps}, fd.facilities, fd,
-                        profile, "matching_egalitarian", {}, metric, (scenario,))
+    return InstanceFile(fd.facilities, profile, "matching_egalitarian", fd,
+                        metric=metric, scenarios=(scenario,))
 
 
-def check_egalitarian_lb(ex: WorkedExample) -> list[CheckResult]:
+def check_egalitarian_lb(ex: InstanceFile, params: dict) -> list[CheckResult]:
     scen = ex.scenarios[0]
     d = scen.metric.distances
     out = []
@@ -365,7 +333,7 @@ def check_egalitarian_lb(ex: WorkedExample) -> list[CheckResult]:
 
 # --------------------------------------------------------------- matching_lb3
 
-def gen_matching_lb3() -> WorkedExample:
+def gen_matching_lb3() -> InstanceFile:
     """Two agents both preferring the same facility: any deterministic
     matching rule can be made to pay three times optimal."""
     names = ("F1", "F2")
@@ -376,11 +344,11 @@ def gen_matching_lb3() -> WorkedExample:
     scenario = Scenario("halfway_and_home", fd, metric,
                         "one agent sits on F1, the other halfway to F2",
                         assignment=(F1, F2), expected_ratio=3.0)
-    return WorkedExample("matching_lb3", {}, fd.facilities, fd, profile,
-                        "matching_min_cost", {}, metric, (scenario,))
+    return InstanceFile(fd.facilities, profile, "matching_min_cost", fd,
+                        metric=metric, scenarios=(scenario,))
 
 
-def check_matching_lb3(ex: WorkedExample) -> list[CheckResult]:
+def check_matching_lb3(ex: InstanceFile, params: dict) -> list[CheckResult]:
     out = []
     scen = ex.scenarios[0]
     out.append(_check("witness_consistent",
@@ -411,20 +379,30 @@ EXAMPLES = {
 }
 
 
-def gen_worked_example(name: str, **params) -> WorkedExample:
+def _resolve(name: str, params: dict):
+    """The generator and checker of example ``name``, and the generator's full
+    parameter set: its defaults, overridden by ``params``, whose keys and
+    value types are checked against the generator's signature."""
     try:
-        generator, _ = EXAMPLES[name]
+        generator, checker = EXAMPLES[name]
     except KeyError:
         raise OrdmechError(
             f"unknown example {name!r}; choose from {sorted(EXAMPLES)}") from None
-    kinds = {k: (type(p.default), int) for k, p in inspect.signature(generator).parameters.items()}
+    signature = inspect.signature(generator).parameters
+    kinds = {k: (type(p.default), int) for k, p in signature.items()}
     bad = [k for k, v in params.items() if not isinstance(v, kinds.get(k, ()))]
     if bad:  # a key the generator does not take, or a value of the wrong type
         takes = ", ".join(f"{k} ({t.__name__})" for k, (t, _) in kinds.items()) or "no parameters"
         raise SchemaError(f"{bad[0]}={params[bad[0]]!r}: {name} takes {takes}", field="params")
+    return generator, checker, {k: p.default for k, p in signature.items()} | params
+
+
+def gen_worked_example(name: str, **params) -> InstanceFile:
+    generator, _, params = _resolve(name, params)
     return generator(**params)
 
 
-def verify_worked_example(example: WorkedExample) -> list[CheckResult]:
-    _, checker = EXAMPLES[example.name]
-    return checker(example)
+def verify_worked_example(name: str, **params) -> list[CheckResult]:
+    """Regenerate example ``name`` and recompute its documented numbers."""
+    generator, checker, params = _resolve(name, params)
+    return checker(generator(**params), params)

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import permutations
 
 import numpy as np
 
-from .assignment import (Assignment, DistanceCost, ProjectedProblem,
-                         iter_valid_assignments, total_cost)
-from .core import BLOCK
+from .assignment import Assignment, AssignmentProblem, DistanceCost, total_cost
+from .core import BLOCK, ProjectedAgents
 from .errors import SearchSpaceError, SolverError
 
 BRUTE_FORCE_CAP = 10 ** 6
@@ -103,16 +103,14 @@ def _near_minimal(D: np.ndarray, sizes, largest: bool = False, opening=None) -> 
     return sorted((subset for cost, subset in kept if cost <= least + margin), key=len)
 
 
-def brute_force_optimal(projected: ProjectedProblem,
+def brute_force_optimal(problem: AssignmentProblem, agents: ProjectedAgents,
                         cap: int = BRUTE_FORCE_CAP) -> SolverResult:
     """Globally minimal valid assignment; first in lexicographic order on
     cost ties.  Problems without the matching rule get a subset fast path;
-    matchings are enumerated."""
-    problem = projected.problem
-    n, m = projected.n, problem.m
-    cons = problem.constraints
-    spec = problem.cost_spec
-    D = projected.distances
+    matchings are enumerated, in ``permutations`` order, while there are at
+    most ``cap`` of them."""
+    n, m = agents.n, problem.m
+    cons, spec, D = problem.constraints, problem.cost_spec, agents.distance_matrix
     if not cons.one_per_facility:
         limit = cons.at_most_open if cons.at_most_open is not None else m
         xs = [_serve(D, subset) for subset in _near_minimal(
@@ -120,10 +118,12 @@ def brute_force_optimal(projected: ProjectedProblem,
         c, x = min((total_cost(x, D, spec), x) for x in xs)
         return SolverResult(x, c, 1.0, True)
 
-    if m ** n > cap:
+    # the problem is feasible, so n <= at_most_open: every injective map is valid
+    count = math.perm(m, n)
+    if count > cap:
         raise SearchSpaceError(
-            f"{m}^{n} candidate assignments exceed the {cap} budget")
-    c, x = min((total_cost(x, D, spec), x) for x in iter_valid_assignments(n, cons))
+            f"{count} matchings of {n} agents to {m} facilities exceed the {cap} budget")
+    c, x = min((total_cost(x, D, spec), x) for x in permutations(range(m), n))
     return SolverResult(x, c, 1.0, True)
 
 
@@ -334,45 +334,26 @@ def facility_location_solver(distances: np.ndarray, opening_costs) -> SolverResu
     return SolverResult(x, value, max(beta, 1.0), False)
 
 
-def _require_preset(projected: ProjectedProblem, names: tuple[str, ...]):
-    preset = projected.problem.preset
-    if preset not in names:
-        raise SolverError(f"solver expects preset in {names}, got {preset!r}")
+def _for_preset(preset: str, solve):
+    """A ``SOLVERS`` entry: ``solve(problem, agents)`` for problems of one preset."""
+    def solver(problem: AssignmentProblem, agents: ProjectedAgents) -> SolverResult:
+        if problem.preset != preset:
+            raise SolverError(f"solver expects preset in {(preset,)}, got {problem.preset!r}")
+        return solve(problem, agents)
+    return solver
 
 
-def _solve_matching(projected: ProjectedProblem) -> SolverResult:
-    _require_preset(projected, ("matching_min_cost",))
-    return min_cost_matching(projected.distances)
-
-
-def _solve_bottleneck(projected: ProjectedProblem) -> SolverResult:
-    _require_preset(projected, ("matching_egalitarian",))
-    return bottleneck_matching(projected.distances)
-
-
-def _solve_k_center(projected: ProjectedProblem) -> SolverResult:
-    _require_preset(projected, ("k_center",))
-    k = projected.problem.constraints.at_most_open
-    return k_center_greedy(projected.facility_distances.values, projected.tops, k)
-
-
-def _solve_k_median(projected: ProjectedProblem) -> SolverResult:
-    _require_preset(projected, ("k_median",))
-    k = projected.problem.constraints.at_most_open
-    return k_median_solver(projected.facility_distances.values, projected.tops, k)
-
-
-def _solve_facility_location(projected: ProjectedProblem) -> SolverResult:
-    _require_preset(projected, ("facility_location",))
-    return facility_location_solver(projected.distances,
-                                    projected.problem.cost_spec.opening_costs)
-
-
+# Each entry maps (problem, projected agents) to a SolverResult.
 SOLVERS = {
     "brute_force": brute_force_optimal,
-    "matching": _solve_matching,
-    "bottleneck": _solve_bottleneck,
-    "k_center": _solve_k_center,
-    "k_median": _solve_k_median,
-    "facility_location": _solve_facility_location,
+    "matching": _for_preset("matching_min_cost",
+                            lambda problem, agents: min_cost_matching(agents.distance_matrix)),
+    "bottleneck": _for_preset("matching_egalitarian",
+                              lambda problem, agents: bottleneck_matching(agents.distance_matrix)),
+    "k_center": _for_preset("k_center", lambda problem, agents: k_center_greedy(
+        agents.facility_distances.values, agents.tops, problem.constraints.at_most_open)),
+    "k_median": _for_preset("k_median", lambda problem, agents: k_median_solver(
+        agents.facility_distances.values, agents.tops, problem.constraints.at_most_open)),
+    "facility_location": _for_preset("facility_location", lambda problem, agents: (
+        facility_location_solver(agents.distance_matrix, problem.cost_spec.opening_costs))),
 }

@@ -235,7 +235,7 @@ def test_criterion_08_appendix_lower_bounds():
              ("egalitarian_lb", {"eps": 1e-6}))
     failures = []
     for name, params in cases:
-        for result in verify_worked_example(gen_worked_example(name, **params)):
+        for result in verify_worked_example(name, **params):
             if not result.passed:
                 failures.append((name, result.label, result.detail))
     _verdict(8, not failures,

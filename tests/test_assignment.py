@@ -7,10 +7,10 @@ import pytest
 
 from ordmech import (AssignmentProblem, ConstraintSet, CostSpec, DistanceCost,
                      FullMetric, InvalidCostError, PreferenceProfile,
-                     SolverError, brute_force_optimal, build_preset,
-                     facility_distances, iter_valid_assignments,
-                     preferences_from_metric, project_agents, project_problem,
-                     reduce_and_solve, sum_winner, total_cost)
+                     ProjectedAgents, SolverError, brute_force_optimal,
+                     build_preset, facility_distances, iter_valid_assignments,
+                     preferences_from_metric, project_agents, reduce_and_solve,
+                     sum_winner, total_cost)
 from ordmech.solvers import SOLVERS
 
 from helpers import random_consistent_metric, random_facility_distances
@@ -130,17 +130,30 @@ def test_problem_without_valid_assignment_rejected():
                               CostSpec(DistanceCost.SUM))
 
 
-def test_project_problem_keeps_contract():
+def test_reduce_passes_problem_and_projected_agents():
     rng = np.random.default_rng(21)
     fd = random_facility_distances(rng, 3)
     metric = random_consistent_metric(rng, fd, 3)
     profile = preferences_from_metric(metric)
     problem = build_preset("k_center", 3, fd.facilities, {"k": 2})
-    projected = project_problem(profile, fd, problem)
-    assert projected.problem is problem
+    seen = []
+
+    def solver(*args):
+        seen.append(args)
+        return SOLVERS["k_center"](*args)
+
+    result = reduce_and_solve(problem, profile, fd, solver)
+    (got, agents), = seen
+    assert got is problem and isinstance(agents, ProjectedAgents)
+    assert agents.tops == profile.tops
+    assert result == SOLVERS["k_center"](problem, agents)
     # projected agents sit at facility points: rows are rows of the geometry
-    for i, t in enumerate(projected.tops):
-        assert np.allclose(projected.distances[i], fd.values[t])
+    for i, t in enumerate(agents.tops):
+        assert np.allclose(agents.distance_matrix[i], fd.values[t])
+    other = build_preset("k_center", 4, fd.facilities, {"k": 2})
+    with pytest.raises(SolverError, match="disagree on the agent count"):
+        reduce_and_solve(other, profile, fd, solver)
+    assert len(seen) == 1  # the solver never saw the mismatched problem
 
 
 def test_reduce_social_choice_equals_projected_sum_rule():
@@ -153,8 +166,7 @@ def test_reduce_social_choice_equals_projected_sum_rule():
         solution = reduce_and_solve(problem, profile, fd, brute_force_optimal)
         winner = sum_winner(project_agents(profile, fd)).winner
         assert solution.assignment == (winner,) * profile.n
-        assert solution.distance_factor == 3.0
-        assert solution.facility_factor == 1.0
+        assert solution.beta == 1.0 and solution.exact
 
 
 def test_reduce_matching_worked_example():
@@ -183,8 +195,7 @@ def test_reduce_validity_and_beta_propagation():
         problem = build_preset("k_center", m, fd.facilities, {"k": max(1, m - 1)})
         solution = reduce_and_solve(problem, profile, fd, SOLVERS["k_center"])
         assert problem.constraints.is_valid(solution.assignment)
-        assert solution.beta == 2.0
-        assert solution.distance_factor == 5.0
+        assert solution.beta == 2.0 and not solution.exact
 
 
 def test_build_preset_validation():

@@ -3,13 +3,12 @@
 import pytest
 
 from ordmech import EXAMPLES, OrdmechError, gen_worked_example, verify_worked_example
-from ordmech.fileio import example_to_instance, parse_instance, serialize_instance
+from ordmech.fileio import parse_instance, serialize_instance
 
 
 @pytest.mark.parametrize("name", sorted(EXAMPLES))
 def test_example_verifies(name):
-    example = gen_worked_example(name)
-    results = verify_worked_example(example)
+    results = verify_worked_example(name)
     assert results
     failed = [r for r in results if not r.passed]
     assert not failed, failed
@@ -17,7 +16,7 @@ def test_example_verifies(name):
 
 @pytest.mark.parametrize("name", sorted(EXAMPLES))
 def test_example_serialization_round_trip(name):
-    inst = example_to_instance(gen_worked_example(name))
+    inst = gen_worked_example(name)
     text = serialize_instance(inst)
     again = serialize_instance(parse_instance(text))
     assert text == again
@@ -26,12 +25,14 @@ def test_example_serialization_round_trip(name):
 def test_parameters_flow_through():
     small = gen_worked_example("sum5_tight", q=7, eps=1e-3)
     assert small.profile.n == 15
-    assert small.params == {"q": 7, "eps": 1e-3}
-    results = verify_worked_example(small)
+    results = verify_worked_example("sum5_tight", q=7, eps=1e-3)
     assert all(r.passed for r in results)
+    # the checker gets the defaults of the parameters not given
+    assert all(r.passed for r in verify_worked_example("sum5_tight", q=7))
 
     lb = gen_worked_example("kmedian_lb", q=3)
-    assert all(r.passed for r in verify_worked_example(lb))
+    assert lb.n == 7
+    assert all(r.passed for r in verify_worked_example("kmedian_lb", q=3))
 
 
 def test_unknown_example_rejected():

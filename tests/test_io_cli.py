@@ -11,9 +11,8 @@ from ordmech import (InternalInvariantError, PreferenceProfile, SchemaError,
                      audit_sum_social_choice)
 from ordmech import audit
 from ordmech.cli import main
-from ordmech.fileio import (InstanceFile, audit_report_to_dict, instance_digest,
+from ordmech.fileio import (InstanceFile, Scenario, audit_report_to_dict, instance_digest,
                             load_instance, parse_instance, report_text, serialize_instance)
-from ordmech.gallery import Scenario
 
 from helpers import loop_instance_digest, random_consistent_metric, random_instance
 
@@ -244,6 +243,16 @@ def test_cli_usage_and_schema_errors(tmp_path, capsys):
                      "--mechanism", mechanism, "--audit", "sum"]) == 2
         assert main(["solve", "--instance", str(FIXTURES / name),
                      "--mechanism", mechanism]) == 0
+
+
+@pytest.mark.parametrize("example, params", [
+    ("kmedian_lb", "q=0"), ("kmedian_lb", "q=-2"),
+    ("median_matching_unbounded", "eps=0"), ("median_matching_unbounded", "eps=-0.001")])
+def test_cli_gen_refuses_out_of_range_params(example, params, capsys):
+    # kmedian_lb has 2q + 1 agents, q >= 1; median_matching_unbounded needs eps > 0
+    assert main(["gen", "--example", example, "--params", params]) == 2
+    out, err = capsys.readouterr()
+    assert not out and err.startswith(f"error: params: {params}: {example} needs "), err
 
 
 def test_cli_outputs_are_deterministic(tmp_path):

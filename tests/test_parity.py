@@ -17,7 +17,7 @@ from ordmech import (FullMetric, MetricError, PreferenceProfile, ProfileError,
                      distance_partial_order, facility_distances,
                      facility_location_solver, k_center_greedy, k_median_solver,
                      majority_graph, median_winner, min_cost_matching,
-                     preferences_from_metric, project_problem,
+                     preferences_from_metric, project_agents,
                      validate_distance_matrix)
 from ordmech.audit import ConsistencyPolytope, _percentile_candidate
 from ordmech.core import BLOCK
@@ -292,11 +292,11 @@ def test_brute_force_open_count_path_matches_loop(preset):
         if preset == "facility_location":
             params = {"opening_costs": rng.integers(0, 3, m).tolist()}
         problem = build_preset(preset, n, fd.facilities, params)
-        projected = project_problem(profile, fd, problem)
+        agents = project_agents(profile, fd)
         cons = problem.constraints
         sizes = range(1, (cons.at_most_open if cons.at_most_open is not None else m) + 1)
-        result = brute_force_optimal(projected)
-        expected = loop_open_count_brute_force(projected.distances, problem.cost_spec, sizes)
+        result = brute_force_optimal(problem, agents)
+        expected = loop_open_count_brute_force(agents.distance_matrix, problem.cost_spec, sizes)
         assert (result.assignment, result.value) == expected
 
 

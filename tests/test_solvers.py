@@ -1,16 +1,19 @@
 """Omniscient solvers against brute-force oracles."""
 
 from itertools import combinations, permutations
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from ordmech import (PreferenceProfile, SearchSpaceError, SolverError,
-                     bottleneck_matching, brute_force_optimal, build_preset,
-                     facility_distances, facility_location_solver,
-                     k_center_greedy, k_median_solver,
-                     min_cost_matching, preferences_from_metric,
-                     project_problem)
+from ordmech import (PRESET_NAMES, SOLVERS, PreferenceProfile, SearchSpaceError,
+                     SolverError, bottleneck_matching, brute_force_optimal,
+                     build_preset, facility_distances, facility_location_solver,
+                     iter_valid_assignments, k_center_greedy, k_median_solver,
+                     min_cost_matching, preferences_from_metric, project_agents,
+                     total_cost)
+from ordmech.cli import main
 
 from helpers import random_consistent_metric, random_facility_distances
 
@@ -18,13 +21,12 @@ from helpers import random_consistent_metric, random_facility_distances
 def _projected(preset, fd, rankings, params=None):
     profile = PreferenceProfile(fd.m, tuple(rankings))
     problem = build_preset(preset, profile.n, fd.facilities, params)
-    return problem, project_problem(profile, fd, problem)
+    return problem, project_agents(profile, fd)
 
 
 def test_brute_force_single_agent():
     fd = facility_distances(("X",), [[0.0]])
-    _, projected = _projected("social_choice_sum", fd, [(0,)])
-    result = brute_force_optimal(projected)
+    result = brute_force_optimal(*_projected("social_choice_sum", fd, [(0,)]))
     assert result.assignment == (0,)
     assert result.exact and result.beta == 1.0
 
@@ -32,11 +34,9 @@ def test_brute_force_single_agent():
 def test_brute_force_matching_antidiagonal():
     fd = facility_distances(("A", "B"), [[0, 1], [1, 0.0]])
     problem = build_preset("matching_min_cost", 2, fd.facilities)
-    profile = PreferenceProfile(2, ((0, 1), (0, 1)))
-    projected = project_problem(profile, fd, problem)
-    # Override the projected costs to the worked example.
-    object.__setattr__(projected, "distances", np.array([[0.0, 5.0], [1.0, 9.0]]))
-    result = brute_force_optimal(projected)
+    # projected agents whose costs are the worked example's
+    agents = SimpleNamespace(n=2, distance_matrix=np.array([[0.0, 5.0], [1.0, 9.0]]))
+    result = brute_force_optimal(problem, agents)
     assert result.assignment == (1, 0)
     assert result.value == pytest.approx(6.0)
 
@@ -48,21 +48,38 @@ def test_brute_force_social_choice_is_column_argmin():
         metric = random_consistent_metric(rng, fd, int(rng.integers(2, 6)))
         profile = preferences_from_metric(metric)
         problem = build_preset("social_choice_sum", profile.n, fd.facilities)
-        projected = project_problem(profile, fd, problem)
-        result = brute_force_optimal(projected)
-        sums = projected.distances.sum(axis=0)
+        agents = project_agents(profile, fd)
+        result = brute_force_optimal(problem, agents)
+        sums = agents.distance_matrix.sum(axis=0)
         assert result.assignment == (int(np.argmin(sums)),) * profile.n
         assert result.value == pytest.approx(float(sums.min()))
 
 
 def test_brute_force_respects_cap():
-    # matchings are enumerated, and 8^8 assignments exceed the search budget
-    fd = random_facility_distances(np.random.default_rng(0), 8, allow_colocated=False)
-    profile = PreferenceProfile(8, (tuple(range(8)),) * 8)
-    prob = build_preset("matching_min_cost", 8, fd.facilities)
-    projected = project_problem(profile, fd, prob)
+    # matchings are enumerated, and 10! of them exceed the search budget
+    fd = random_facility_distances(np.random.default_rng(0), 10, allow_colocated=False)
+    profile = PreferenceProfile(10, (tuple(range(10)),) * 10)
+    prob = build_preset("matching_min_cost", 10, fd.facilities)
     with pytest.raises(SearchSpaceError):
-        brute_force_optimal(projected)
+        brute_force_optimal(prob, project_agents(profile, fd))
+
+
+def test_brute_force_enumerates_matchings_within_the_cap():
+    # 8! = 40,320 matchings fit the budget, although 8^8 assignments do not
+    rng = np.random.default_rng(7)
+    fd = random_facility_distances(rng, 8, allow_colocated=False)
+    profile = PreferenceProfile(8, tuple(tuple(rng.permutation(8).tolist()) for _ in range(8)))
+    problem = build_preset("matching_min_cost", 8, fd.facilities)
+    agents = project_agents(profile, fd)
+    assert len(set(agents.tops)) < 8  # agents share tops, so matchings tie
+    D, spec = agents.distance_matrix, problem.cost_spec
+    result = brute_force_optimal(problem, agents)
+    assert result.exact and result.beta == 1.0
+    assert result.value == pytest.approx(min_cost_matching(D).value, rel=1e-12)
+    # the first least matching in lexicographic order, as the enumeration lists them
+    first = min(iter_valid_assignments(8, problem.constraints), key=lambda x: total_cost(x, D, spec))
+    assert result.assignment == first
+    assert result.value == total_cost(first, D, spec)
 
 
 def _matching_oracle(cost):
@@ -236,7 +253,6 @@ def test_facility_location_exact_equals_oracle():
 
 def test_solver_results_are_valid_assignments():
     rng = np.random.default_rng(16)
-    from ordmech import SOLVERS
     for _ in range(30):
         m = int(rng.integers(2, 5))
         fd = random_facility_distances(rng, m)
@@ -252,6 +268,30 @@ def test_solver_results_are_valid_assignments():
                 ("facility_location", "facility_location",
                  {"opening_costs": list(rng.uniform(0, 3, m))})):
             problem = build_preset(preset, n, fd.facilities, params)
-            projected = project_problem(profile, fd, problem)
-            result = SOLVERS[solver_name](projected)
+            result = SOLVERS[solver_name](problem, project_agents(profile, fd))
             assert problem.constraints.is_valid(result.assignment)
+
+
+def test_preset_solvers_refuse_other_presets(capsys):
+    fd = random_facility_distances(np.random.default_rng(17), 3)
+    agents = project_agents(PreferenceProfile(3, ((0, 1, 2), (1, 0, 2), (2, 1, 0))), fd)
+    params = {"k_center": {"k": 2}, "k_median": {"k": 2},
+              "facility_location": {"opening_costs": [1.0, 0.5, 2.0]}}
+    problems = {preset: build_preset(preset, 3, fd.facilities, params.get(preset))
+                for preset in PRESET_NAMES if preset != "social_choice_median"}
+    own = {"matching": "matching_min_cost", "bottleneck": "matching_egalitarian",
+           "k_center": "k_center", "k_median": "k_median",
+           "facility_location": "facility_location"}
+    for solver, preset in own.items():
+        result = SOLVERS[solver](problems[preset], agents)
+        assert problems[preset].constraints.is_valid(result.assignment)
+        for other, problem in problems.items():
+            if other != preset:
+                with pytest.raises(SolverError, match=f"expects preset in .*{preset}.*{other}"):
+                    SOLVERS[solver](problem, agents)
+    # on the command line, a solver for another preset is a usage error
+    fixture = Path(__file__).parent / "fixtures" / "kmedian_scenarios.json"
+    capsys.readouterr()
+    assert main(["solve", "--instance", str(fixture), "--mechanism", "reduce:matching"]) == 2
+    assert capsys.readouterr().err == (
+        "error: solver expects preset in ('matching_min_cost',), got 'k_median'\n")
