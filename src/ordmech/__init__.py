@@ -7,8 +7,7 @@ metric consistent with that ordinal data.
 
 from .assignment import (Assignment, AssignmentProblem, ConstraintSet, CostSpec,
                          DistanceCost, PRESET_NAMES, build_preset,
-                         distance_vector, iter_valid_assignments,
-                         reduce_and_solve, total_cost)
+                         distance_vector, reduce_and_solve, total_cost)
 from .audit import (AuditReport, ConsistencyPolytope, audit_additive_assignment,
                     audit_percentile_social_choice, audit_sum_social_choice,
                     sample_consistent_metric)

@@ -35,10 +35,11 @@ class DistanceCost(enum.Enum):
     SUM = "sum"
     MAX = "max"
 
-    def evaluate(self, s: np.ndarray) -> float:
+    def evaluate(self, s: np.ndarray):
+        """The cost of a distance vector, or of each row of a stack of them."""
         if self is DistanceCost.SUM:
-            return float(np.sum(s))
-        return float(np.max(s)) if len(s) else 0.0
+            return np.sum(s, axis=-1)
+        return np.max(s, axis=-1, initial=0.0)
 
     @classmethod
     def parse(cls, name: str) -> "DistanceCost":
@@ -112,44 +113,14 @@ class AssignmentProblem:
         return self.facilities.m
 
 
-def iter_valid_assignments(n: int, constraints: ConstraintSet):
-    """Depth-first enumeration of valid assignments in lexicographic order,
-    pruning open-count and matching violations early."""
-    m, single = constraints.m, constraints.one_per_facility
-    cap = m if constraints.at_most_open is None else constraints.at_most_open
-    # One iterator per placed agent over its facilities left to try: the
-    # search keeps its own stack, so n can run to the thousands.
-    x = [-1] * n
-    counts = [0] * m
-    opened = 0
-    stack = [iter(range(m))] if n else []
-    if not n:
-        yield ()
-    while stack:
-        agent = len(stack) - 1
-        if x[agent] >= 0:  # take back the agent's last facility
-            counts[x[agent]] -= 1
-            opened -= counts[x[agent]] == 0
-        x[agent] = next((f for f in stack[-1]
-                         if (not single if counts[f] else opened < cap)), -1)
-        if x[agent] < 0:
-            stack.pop()
-            continue
-        opened += counts[x[agent]] == 0
-        counts[x[agent]] += 1
-        if agent + 1 < n:
-            stack.append(iter(range(m)))
-        else:
-            yield tuple(x)
-
-
 def distance_vector(x: Assignment, distances: np.ndarray) -> np.ndarray:
     return np.asarray(distances, dtype=float)[np.arange(len(x)), np.asarray(x, dtype=np.intp)]
 
 
 def total_cost(x: Assignment, distances: np.ndarray, spec: CostSpec) -> float:
     x = np.asarray(x, dtype=np.intp)
-    return spec.distance_cost.evaluate(distance_vector(x, distances)) + spec.facility_cost(x)
+    cost = spec.distance_cost.evaluate(distance_vector(x, distances)) + spec.facility_cost(x)
+    return float(cost)
 
 
 def reduce_and_solve(problem: AssignmentProblem, profile: PreferenceProfile,

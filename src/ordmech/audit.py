@@ -16,19 +16,21 @@ same independence makes vanishing denominators combinatorial: an agent
 can sit exactly on a facility iff that facility's distance row respects
 the agent's ranking, and one rule serves every objective
 (_pairs_or_vanishing): a denominator vanishes iff as many agents as it
-needs seated (n for a sum, k for a k-th smallest distance) can sit on
-their facilities.  Only the maximizing alternative's witness is built.
+needs seated (n for a sum, k for a k-th smallest distance) can sit on one
+of their facilities.  Only the maximizing alternative's witness is built.
 
 A ranking's rows are unit two-variable inequalities, so shortest paths,
 in one stacked pass over the distinct rankings in chunks within BLOCK
 elements (_closure), give every bound on one distance, or on the sum or
 difference of two, exactly, and any values within those bounds extend
-to a full consistent row (_point).  Sum and assignment ratios read two
-distances per class, whose exact feasible set is an octagon of eight
-closure rows.  Dinkelbach's parametric method, one rho per alternative
-over blocks of (alternative, class) rows (_ratio_pairs), maximizes every
-ratio over the octagons' vertices with no LP solver (_dinkelbach); its
-last step also certifies an upper bound that the report carries too.
+to a full consistent row (_point).  Sum and assignment audits run over
+matchings or open sets of facilities, where each agent takes its best
+facility of the set, so a class reads its distance to its own facility
+and to one of the set's: per facility an octagon of eight closure rows.
+Dinkelbach's parametric method, one rho per alternative over blocks of
+(alternative, class) rows (_ratio_pairs), maximizes every ratio over the
+octagons' vertices with no LP solver (_dinkelbach); its last step also
+certifies an upper bound that the report carries too.
 
 Percentile objectives are piecewise linear: which agents realize the two
 order statistics is a subset choice, but per-agent independence collapses
@@ -46,18 +48,19 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, permutations
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .assignment import AssignmentProblem, DistanceCost, iter_valid_assignments, total_cost
+from .assignment import AssignmentProblem, DistanceCost, total_cost
 from .core import (BLOCK, FacilityDistances, FullMetric, PreferenceProfile,
                    check_consistency, consistency_constraints, pair_indices)
 from .errors import (InternalInvariantError, MetricError, SearchSpaceError,
                      SolverError, UnboundedObjectiveError)
 from .lp import solve_lp
 from .social_choice import evaluate_percentile_cost, percentile_rank
+from .solvers import _subset_minima, min_cost_matching
 
 INF = float("inf")
 ASSIGNMENT_AUDIT_CAP = 10 ** 4
@@ -268,33 +271,40 @@ def _metric_from_values(values, fd: FacilityDistances, flags: list[str],
 
 
 class _Pairs(NamedTuple):
-    """Per alternative: its ratio supremum, a certified upper bound, and
+    """Per alternative: its ratio supremum, a certified upper bound,
     ``witness(j)``, rows attaining value j or None (an infinite value has
-    one iff its denominator vanishes, else its ratio is unbounded)."""
+    one iff its denominator vanishes, else its ratio is unbounded), and for
+    additive ratios the assignment (of the denominator) each was read at."""
 
     value: np.ndarray
     upper: np.ndarray
     witness: Callable[[int], np.ndarray | None]
+    choice: np.ndarray | None = None
 
 
-# A class's octagon over (a, b) = (d(i, num_at), d(i, den_at)): row t reads
-# _OCT_A[t] * a + _OCT_B[t] * b <= bound t.  Its vertices lie where two
-# rows with independent coefficients hold with equality.
+# A class's octagon over (a, b) = (d(i, num_at), d(i, g)) for a candidate g:
+# row t reads _OCT_A[t] * a + _OCT_B[t] * b <= bound t.  Its vertices lie
+# where two rows with independent coefficients hold with equality.
 _OCT_A = np.array([1.0, -1.0, -1.0, 1.0, -1.0, 1.0, 0.0, 0.0])
 _OCT_B = np.array([-1.0, 1.0, -1.0, 1.0, 0.0, 0.0, -1.0, 1.0])
 _OCT_S, _OCT_T = np.array([(s, t) for s, t in combinations(range(8), 2)
                            if _OCT_A[s] * _OCT_B[t] != _OCT_B[s] * _OCT_A[t]]).T
 _OCT_DET = _OCT_A[_OCT_S] * _OCT_B[_OCT_T] - _OCT_B[_OCT_S] * _OCT_A[_OCT_T]
-# rows per vertex pass: its vertex-by-row slack keeps within 2 * BLOCK elements
+# Row t's bound is closure entry [p, q] (halved for the last four rows), with
+# p and q read as coefficients of (2 f, 2 g, 1) for numerator facility f and g
+_OCT_P = np.array([[1, 0, 1, 1, 1, 1, 0, 0], [0, 1, 0, 0, 0, 0, 1, 1], [0, 0, 1, 0, 1, 0, 1, 0]])
+_OCT_Q = np.array([[0, 1, 0, 0, 1, 1, 0, 0], [1, 0, 1, 1, 0, 0, 1, 1], [0, 0, 0, 1, 0, 1, 0, 1]])
+_OCT_HALF = np.array([1.0, 1.0, 1.0, 1.0, 0.5, 0.5, 0.5, 0.5])
+# octagons per vertex pass: its vertex-by-row slack keeps within 2 * BLOCK elements
 _VERTEX_ROWS = 2 * BLOCK // (len(_OCT_S) * 8)
 DINKELBACH_MAX_ITER = 100
 
 
 def _octagon_vertices(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vertices of each class's octagon, given its eight row bounds ``h``
-    (classes x 8, inf where a row is absent): the intersections of every
-    pair of non-parallel rows, as (a, b, valid), where ``valid`` marks the
-    points that satisfy all eight rows within a relative 1e-9."""
+    """Vertices of each octagon, given its eight row bounds ``h`` (octagons
+    x 8, inf where a row is absent): the intersections of every pair of
+    non-parallel rows, as (a, b, valid), where ``valid`` marks the points
+    that satisfy all eight rows within a relative 1e-9."""
     S, T = _OCT_S, _OCT_T
     with np.errstate(invalid="ignore"):
         a = (h[:, S] * _OCT_B[T] - _OCT_B[S] * h[:, T]) / _OCT_DET
@@ -311,17 +321,19 @@ def _dinkelbach(h: np.ndarray, count: np.ndarray, alt: np.ndarray, num_const: np
                 den_const: np.ndarray):
     """Per alternative j, max (sum_c count_c a_c + num_const[j]) /
     (sum_c count_c b_c + den_const[j]) over its classes c (rows with alt =
-    j), each in its octagon (bounds ``h``), by Dinkelbach's parametric
-    method over the octagons' vertices with one rho per alternative.
+    j), each in an octagon of one of its candidates (bounds ``h``, classes
+    x candidates x 8), by Dinkelbach's parametric method over the
+    octagons' vertices with one rho per alternative.
 
     A consistent row stays consistent when all its distances grow by the
-    same amount, so each class's octagon is the convex hull of its
-    vertices plus the ray (1, 1).  Along that ray |a - b| stays below
-    l(f, g), so the ratio tends to exactly 1, and any mix of vertices and
-    rays has a ratio between its vertex part's and 1: the value is the
-    larger of 1 and the vertex maximum.  Starting from rho = 1, every step
-    maximizes a - rho b per class and moves rho to the ratio of the chosen
-    vertices, read by _ratio, which strictly raises it until
+    same amount, so each octagon is the convex hull of its vertices plus
+    the ray (1, 1).  Along that ray |a - b| stays below l(f, g), so the
+    ratio tends to exactly 1, and any mix of vertices and rays has a ratio
+    between its vertex part's and 1: the value is the larger of 1 and the
+    vertex maximum.  Starting from rho = 1, every step maximizes a - rho b
+    per class over its candidates' vertices (the first on ties) and moves
+    rho to the ratio of the chosen vertices, read by _ratio, which strictly
+    raises it until
     F(rho) = max sum_c count_c (a_c - rho b_c) + num_const - rho den_const
     vanishes; a stopped alternative keeps its rho and so its choice.
     F(rho) <= 0 is the LP dual's certificate that rho is an upper bound:
@@ -329,9 +341,10 @@ def _dinkelbach(h: np.ndarray, count: np.ndarray, alt: np.ndarray, num_const: np
     den_lo, rho + max(F(rho), 0) / den_lo is one, or rho itself where den_lo
     vanishes and denominators read by the zero rule.  A step to an infinite
     ratio (every agent seated under a positive numerator below the 1e-12 of
-    _pairs_or_vanishing) reads infinite.  Returns values, upper bounds and
-    each class's vertex (a, b)."""
-    a, b, valid = _octagon_vertices(h)
+    _pairs_or_vanishing) reads infinite.  Returns values, upper bounds,
+    each class's vertex (a, b) and the candidate it lies on."""
+    shape = (len(h), h.shape[1] * len(_OCT_S))  # per class, its candidates' vertices
+    a, b, valid = (v.reshape(shape) for v in _octagon_vertices(h.reshape(-1, 8)))
     rows, size, rho = np.arange(len(count)), len(num_const), np.ones(len(num_const))
     for _ in range(DINKELBACH_MAX_ITER):
         pick = np.where(valid, a - rho[alt, None] * b, -INF).argmax(axis=1)
@@ -351,25 +364,29 @@ def _dinkelbach(h: np.ndarray, count: np.ndarray, alt: np.ndarray, num_const: np
     den_lo = np.bincount(alt, count * np.where(valid, b, INF).min(axis=1), size) + den_const
     with np.errstate(divide="ignore", invalid="ignore"):
         upper = np.where(den_lo > 1e-12, rho + np.maximum(gap, 0.0) / den_lo, rho)
-    return (np.where(unbounded, INF, rho), np.where(unbounded, INF, upper), a_at, b_at)
+    return (np.where(unbounded, INF, rho), np.where(unbounded, INF, upper), a_at, b_at,
+            pick // len(_OCT_S))
 
 
 def _ratio_pairs(poly: ConsistencyPolytope, num_at, num_const: np.ndarray,
-                 den_at, den_const: np.ndarray) -> _Pairs:
-    """Per alternative j, sup (sum_i d(i, num_at[j, i]) + num_const[j]) /
-    (sum_i d(i, den_at[j, i]) + den_const[j]) over the polytope, where
-    ``num_at`` and ``den_at`` broadcast to alternatives x agents.
+                 den_at: np.ndarray, den_const: np.ndarray) -> _Pairs:
+    """Per alternative j, sup (sum_i d(i, num_at[i]) + num_const[j]) /
+    (sum_i d(i, y_i) + den_const[j]) over the polytope and the assignments
+    y that seat each agent i on one of its candidates den_at[j, i]:
+    ``num_at`` broadcasts to the agents, and ``den_at`` is alternatives x
+    agents x candidates, with one row for an open set shared by all.
 
-    Only a class's distances to its two facilities enter a ratio, and the
-    projection of a closed system onto two coordinates is exactly its rows
-    on them: an octagon per class.  Classes group an alternative's agents
-    by ranking, numerator and denominator facility, in order of first
-    appearance; the rows go through _dinkelbach in blocks of whole
+    Only a class's distances to its numerator facility and a candidate g
+    enter a ratio, and the projection of a closed system onto two
+    coordinates is exactly its rows on them: an octagon per class and g.
+    Classes group an alternative's agents by ranking, numerator facility
+    and first candidate, in order of first appearance, so they share their
+    candidates; the rows go through _dinkelbach in blocks of whole
     alternatives, and witnesses extend the maximizing vertices (_point).
     No denominator may vanish (see _pairs_or_vanishing)."""
     n, m, size = poly.n, poly.m, len(num_const)
     span = len(poly.bounds) * m * m  # codes of one alternative's classes
-    code = ((poly.ranking_id * m + num_at) * m + den_at
+    code = ((poly.ranking_id * m + num_at) * m + den_at[:, :, 0]
             + span * np.arange(size)[:, None]).ravel()
     _, first, inverse, count = np.unique(code, return_index=True, return_inverse=True,
                                          return_counts=True)
@@ -377,19 +394,22 @@ def _ratio_pairs(poly: ConsistencyPolytope, num_at, num_const: np.ndarray,
     rank = np.argsort(order)  # the row of each distinct code
     key, count, alt = code[first[order]] % span, count[order], first[order] // n
     start = np.searchsorted(alt, np.arange(size + 1))  # each alternative's first row
-    r, f, g = key // (m * m), key // m % m, key % m
-    W, F, G = poly.bounds, 2 * f, 2 * g
-    # in _OCT_A, _OCT_B order: a - b, b - a, -a - b, a + b, -a, a, -b, b
-    h = np.stack([W[r, F, G], W[r, G, F], W[r, F + 1, G], W[r, F, G + 1],
-                  W[r, F + 1, F] / 2, W[r, F, F + 1] / 2, W[r, G + 1, G] / 2,
-                  W[r, G, G + 1] / 2], axis=1)
-    # blocks: alternatives starting in one window, within _VERTEX_ROWS rows
-    width = max(_VERTEX_ROWS + 1 - int(np.diff(start).max(initial=0)), 1)
+    r, f, W = key // (m * m), key // m % m, poly.bounds
+    cand = np.broadcast_to(den_at, (size, n, den_at.shape[2]))[alt, first[order] % n]
+
+    def octagons(lo: int, hi: int) -> np.ndarray:  # rows x candidates x 8
+        F, G = 2 * f[lo:hi, None, None], 2 * cand[lo:hi, :, None]
+        p, q = (F * C[0] + G * C[1] + C[2] for C in (_OCT_P, _OCT_Q))
+        return W[r[lo:hi, None, None], p, q] * _OCT_HALF
+
+    # blocks: alternatives starting in one window, within _VERTEX_ROWS octagons
+    width = max(_VERTEX_ROWS // cand.shape[1] + 1 - int(np.diff(start).max(initial=0)), 1)
     cuts = [0, *(np.flatnonzero(np.diff(start[:-1] // width)) + 1).tolist(), size]
-    value, upper, a_at, b_at = map(np.concatenate, zip(*(
-        _dinkelbach(h[start[lo]:start[hi]], count[start[lo]:start[hi]],
+    value, upper, a_at, b_at, pick = map(np.concatenate, zip(*(
+        _dinkelbach(octagons(start[lo], start[hi]), count[start[lo]:start[hi]],
                     alt[start[lo]:start[hi]] - lo, num_const[lo:hi], den_const[lo:hi])
         for lo, hi in zip(cuts, cuts[1:]))))
+    g = cand[np.arange(len(pick)), pick]  # each class's facility in the denominator
 
     def witness(j: int) -> np.ndarray | None:
         if math.isinf(value[j]):
@@ -398,49 +418,51 @@ def _ratio_pairs(poly: ConsistencyPolytope, num_at, num_const: np.ndarray,
                 for i in range(start[j], start[j + 1])]
         return np.array(rows)[rank[inverse[j * n:(j + 1) * n]] - start[j]]
 
-    return _Pairs(value, upper, witness)
+    return _Pairs(value, upper, witness, g[rank[inverse]].reshape(size, n))
 
 
-def _pairs_or_vanishing(poly: ConsistencyPolytope, at: np.ndarray, seated: int,
-                        den_const: np.ndarray, num_at_zero: np.ndarray, one: np.ndarray,
-                        solve: Callable[[np.ndarray], _Pairs]) -> _Pairs:
-    """Ratios whose denominators are den_const[j] plus the agents' distances
-    to their facilities at[j] (alternatives x agents), summed (``seated``
-    = n) or as the ``seated``-th smallest, where ``solve(idx)`` gives those
+def _pairs_or_vanishing(poly: ConsistencyPolytope, num_at, num_const: np.ndarray,
+                        den_at: np.ndarray, den_const: np.ndarray, seated: int,
+                        one: np.ndarray, solve: Callable[[np.ndarray], _Pairs] | None = None
+                        ) -> _Pairs:
+    """Ratios of num_const[j] plus the agents' distances to num_at, to
+    den_const[j] plus their distances to candidates den_at[j, i] (as for
+    _ratio_pairs), summed (``seated`` = n) or as the ``seated``-th
+    smallest, where ``solve(idx)`` (by default _ratio_pairs) gives those
     of alternatives ``idx``, and those marked ``one`` read 1.  A
-    denominator can vanish iff its den_const does and ``seated`` agents can
-    sit on their facilities.  There the ratio is infinite, witnessed by
-    seating the first of them, when the numerator num_at_zero[j] at that
-    point stays positive, and reads at least 1 when it vanishes too."""
-    sits = poly.can_sit[np.arange(poly.n), at]
-    vanish = (den_const <= 1e-12) & (sits.sum(axis=1) >= seated)
+    denominator can vanish iff its den_const does and ``seated`` agents
+    can sit on a candidate.  Seated each on the one farthest from its
+    numerator facility (the first on ties), the ratio is infinite when
+    num_const[j] plus their distances to num_at stays positive, witnessed
+    by seating the first ``seated``, and reads at least 1 when that
+    vanishes too."""
+    n, l, zero = poly.n, poly.fd.values, den_const <= 1e-12
+    cand = den_at[zero]
+    sits = poly.can_sit[np.arange(n)[:, None], cand]  # alternatives x agents x candidates
+    far = np.where(sits, l[cand, num_at[:, None]], -1.0).argmax(axis=2)[..., None]
+    seat = np.full((len(den_const), n), -1)
+    seat[zero] = np.where(sits.any(axis=2), np.take_along_axis(cand, far, 2)[..., 0], -1)
+    vanish = zero & ((seat >= 0).sum(axis=1) >= seated)
+    num_at_zero = num_const + np.where(seat >= 0, l[seat, num_at], 0.0).sum(axis=1)
     infinite = vanish & (num_at_zero > 1e-12) & ~one
     todo = np.flatnonzero(~infinite & ~one)
-    part = solve(todo)
+    part = solve(todo) if solve else _ratio_pairs(poly, num_at, num_const[todo],
+                                                  den_at[todo], den_const[todo])
     value, upper = np.where(infinite, INF, 1.0), np.where(infinite, INF, 1.0)
     value[todo] = np.where(vanish[todo], np.maximum(part.value, 1.0), part.value)
     upper[todo] = part.upper
+    if part.choice is not None:
+        seat[todo] = part.choice
     slot = dict(zip(todo.tolist(), range(len(todo))))
 
     def witness(j: int) -> np.ndarray | None:
         if infinite[j]:
-            seats, d = np.flatnonzero(sits[j])[:seated], poly.interior_metric()
-            d[seats] = poly.fd.values[at[j, seats]]  # seated, the rest far away
+            seats, d = np.flatnonzero(seat[j] >= 0)[:seated], poly.interior_metric()
+            d[seats] = l[seat[j, seats]]  # seated, the rest far away
             return d
         return part.witness(slot[j]) if j in slot else None
 
-    return _Pairs(value, upper, witness)
-
-
-def _social_pairs(poly: ConsistencyPolytope, winner: int, seated: int,
-                  num_at_zero: np.ndarray, solve) -> tuple[list, _Pairs]:
-    """The facilities x other than ``winner`` and winner's outcome against
-    each: 1 where co-located, else ``solve(xs)`` under the vanishing rule."""
-    others = np.delete(np.arange(poly.m), winner)
-    return others.tolist(), _pairs_or_vanishing(
-        poly, np.broadcast_to(others[:, None], (len(others), poly.n)), seated,
-        np.zeros(len(others)), num_at_zero[others], poly.fd.values[winner, others] <= 1e-12,
-        lambda idx: solve(others[idx]))
+    return _Pairs(value, upper, witness, seat)
 
 
 def _finalize(poly: ConsistencyPolytope, objective: str, target, keys: list,
@@ -480,23 +502,30 @@ def _finalize(poly: ConsistencyPolytope, objective: str, target, keys: list,
 
 def audit_sum_social_choice(winner: int, profile: PreferenceProfile,
                             fd: FacilityDistances) -> AuditReport:
-    """Exact worst-case total-cost distortion of choosing ``winner``."""
+    """Exact worst-case total-cost distortion of ``winner``: the additive
+    audit against each other facility as the one open set."""
     poly = ConsistencyPolytope(profile, fd)
-    keys, pairs = _social_pairs(poly, winner, poly.n, poly.n * fd.values[:, winner], lambda xs:
-                                _ratio_pairs(poly, winner, 0.0 * xs, xs[:, None], 0.0 * xs))
+    others = np.delete(np.arange(poly.m), winner)
+    zero = np.zeros(len(others))
+    pairs = _pairs_or_vanishing(poly, np.full(poly.n, winner), zero, others[:, None, None], zero,
+                                poly.n, fd.values[winner, others] <= 1e-12)
 
     def recompute(metric: FullMetric) -> float:
         cols = metric.distances.sum(axis=0)
         return float(_ratio(cols[winner], cols.min()))
 
-    return _finalize(poly, "sum", winner, keys, pairs, None, recompute)
+    return _finalize(poly, "sum", winner, others.tolist(), pairs, None, recompute)
 
 
 def audit_additive_assignment(x, profile: PreferenceProfile,
-                              fd: FacilityDistances, problem: AssignmentProblem,
-                              cap: int = ASSIGNMENT_AUDIT_CAP) -> AuditReport:
-    """Exact worst-case distortion of assignment ``x`` against every valid
-    alternative, for additive distance cost and constant facility costs."""
+                              fd: FacilityDistances, problem: AssignmentProblem) -> AuditReport:
+    """Exact worst-case distortion of assignment ``x``, for additive distance
+    cost and constant facility costs, against every other matching under
+    the matching rule, else against every open set S: its best assignment
+    into S at S's opening cost, no more than that assignment's own.  A
+    superset never lowers the ratio without opening costs, so the sets are
+    those of min(bound, m) facilities, else of every size up to the bound.
+    More than ASSIGNMENT_AUDIT_CAP alternatives are refused up front."""
     if problem.cost_spec.distance_cost is not DistanceCost.SUM:
         raise SolverError("assignment audits need the additive distance cost")
     x = tuple(x)
@@ -504,28 +533,36 @@ def audit_additive_assignment(x, profile: PreferenceProfile,
         raise SolverError("assignment length does not match the agent count")
     if not problem.constraints.is_valid(x):
         raise SolverError("audited assignment violates the constraints")
-    n = profile.n
-    alternatives = []
-    for alt in iter_valid_assignments(n, problem.constraints):
-        alternatives.append(alt)
-        if len(alternatives) > cap:
-            raise SearchSpaceError(
-                f"more than {cap} alternative assignments to audit")
+    n, m, cons, spec = profile.n, fd.m, problem.constraints, problem.cost_spec
+    bound = m if cons.at_most_open is None else min(cons.at_most_open, m)
+    opening = np.zeros(m) if spec.opening_costs is None else np.array(spec.opening_costs)
+    sizes = range(1, bound + 1) if opening.any() else (bound,)
+    count = math.perm(m, n) if cons.one_per_facility else sum(math.comb(m, s) for s in sizes)
+    if count > ASSIGNMENT_AUDIT_CAP:
+        raise SearchSpaceError(f"more than {ASSIGNMENT_AUDIT_CAP} alternatives to audit: {count}")
+    if cons.one_per_facility:
+        every = np.array(list(permutations(range(m), n)))
+        alts = every[(every != x).any(axis=1)]
+        den_at, den_const = alts[:, :, None], spec.facility_cost(alts)
+    else:  # each open set padded to the bound with its first facility
+        den_at = np.array([S + S[:1] * (bound - size) for size in sizes
+                           for S in combinations(range(m), size)])[:, None, :]
+        den_const = spec.facility_cost(den_at[:, 0])
     poly = ConsistencyPolytope(profile, fd)
-    spec = problem.cost_spec
-    every = np.array(alternatives)
-    alts, keys = every[(every != x).any(axis=1)], [alt for alt in alternatives if alt != x]
-    num_const, den_const = np.full(len(alts), spec.facility_cost(x)), spec.facility_cost(alts)
-    num_at_zero = num_const + fd.values[alts, x].sum(axis=1)
-    pairs = _pairs_or_vanishing(
-        poly, alts, n, den_const, num_at_zero, np.zeros(len(alts), dtype=bool),
-        lambda idx: _ratio_pairs(poly, x, num_const[idx], alts[idx], den_const[idx]))
+    num_const = np.full_like(den_const, spec.facility_cost(x))
+    pairs = _pairs_or_vanishing(poly, np.array(x), num_const, den_at, den_const, n,
+                                np.zeros_like(den_const, bool))
 
     def recompute(metric: FullMetric) -> float:
         d = metric.distances
-        costs = d[np.arange(n), every].sum(axis=1) + spec.facility_cost(every)
-        return float(_ratio(total_cost(x, d, spec), costs.min()))
+        if cons.one_per_facility:  # a facility's opening cost goes with its one agent
+            best = min_cost_matching(np.vstack([d + opening, np.zeros((m - n, m))])).value
+        else:
+            best = min(float((low.sum(axis=1) + opening[S].sum(axis=1)).min())
+                       for S, low, _ in _subset_minima(d, sizes))
+        return float(_ratio(total_cost(x, d, spec), best))
 
+    keys = [tuple(y) for y in pairs.choice.tolist()]
     return _finalize(poly, "assignment_sum", x, keys, pairs, None, recompute)
 
 
@@ -634,14 +671,17 @@ def audit_percentile_social_choice(winner: int, profile: PreferenceProfile,
     poly = ConsistencyPolytope(profile, fd)
     m = poly.m
     k = percentile_rank(poly.n, alpha)
-    keys, pairs = _social_pairs(poly, winner, k, fd.values[winner],
-                                lambda xs: _percentile_pairs(poly, xs, winner, k))
+    others = np.delete(np.arange(m), winner)
+    zero = np.zeros(len(others))
+    pairs = _pairs_or_vanishing(poly, np.full(poly.n, winner), zero, others[:, None, None], zero,
+                                k, fd.values[winner, others] <= 1e-12,
+                                lambda idx: _percentile_pairs(poly, others[idx], winner, k))
 
     def recompute(metric: FullMetric) -> float:
         return float(_ratio(evaluate_percentile_cost(winner, metric, alpha),
                             min(evaluate_percentile_cost(f, metric, alpha) for f in range(m))))
 
-    return _finalize(poly, "percentile", winner, keys, pairs, alpha, recompute)
+    return _finalize(poly, "percentile", winner, others.tolist(), pairs, alpha, recompute)
 
 
 def sample_consistent_metric(profile: PreferenceProfile, fd: FacilityDistances,

@@ -155,8 +155,8 @@ def check_median_topchoice_bad(ex: InstanceFile, params: dict) -> list[CheckResu
 def gen_median_matching_unbounded(eps: float = 1e-3) -> InstanceFile:
     """Two lookalike agents make any fixed matching pay 1/(2 eps) on the
     median-edge objective."""
-    if not eps > 0:
-        raise SchemaError(f"eps={eps!r}: median_matching_unbounded needs eps > 0",
+    if not 0 < eps <= 0.5:  # beyond 1/2 agent 1's row breaks its own ranking
+        raise SchemaError(f"eps={eps!r}: median_matching_unbounded needs 0 < eps <= 1/2",
                           field="params")
     names = ("X", "Y", "Z")
     X, Y, Z = range(3)
@@ -194,7 +194,7 @@ def check_median_matching_unbounded(ex: InstanceFile, params: dict) -> list[Chec
     best = min(_median_of([d[i, f] for i, f in enumerate(perm)])
                for perm in permutations(range(3)))
     ratio = fixed / best
-    out.append(_check("median_ratio_at_least_400", ratio >= 400,
+    out.append(_check("median_ratio_at_least_1_over_2eps", ratio >= (1 - 1e-9) / (2 * eps),
                       f"ratio {ratio} = {fixed} / {best}"))
     out.append(_check("documented_ratio", abs(ratio - 1.0 / (2 * eps)) <= 1e-6,
                       f"expected {1.0 / (2 * eps)}"))

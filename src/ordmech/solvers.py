@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import islice, permutations
 
 import numpy as np
 
@@ -107,8 +107,8 @@ def brute_force_optimal(problem: AssignmentProblem, agents: ProjectedAgents,
                         cap: int = BRUTE_FORCE_CAP) -> SolverResult:
     """Globally minimal valid assignment; first in lexicographic order on
     cost ties.  Problems without the matching rule get a subset fast path;
-    matchings are enumerated, in ``permutations`` order, while there are at
-    most ``cap`` of them."""
+    matchings are enumerated, in ``permutations`` order and costed in
+    chunks within BLOCK, while there are at most ``cap`` of them."""
     n, m = agents.n, problem.m
     cons, spec, D = problem.constraints, problem.cost_spec, agents.distance_matrix
     if not cons.one_per_facility:
@@ -123,8 +123,12 @@ def brute_force_optimal(problem: AssignmentProblem, agents: ProjectedAgents,
     if count > cap:
         raise SearchSpaceError(
             f"{count} matchings of {n} agents to {m} facilities exceed the {cap} budget")
-    c, x = min((total_cost(x, D, spec), x) for x in permutations(range(m), n))
-    return SolverResult(x, c, 1.0, True)
+    rows, matchings, best = np.arange(n), permutations(range(m), n), (np.inf, ())
+    while chunk := list(islice(matchings, max(1, BLOCK // n))):
+        cost = spec.distance_cost.evaluate(D[rows, np.array(chunk)]) + spec.facility_cost(chunk)
+        j = int(np.argmin(cost))  # the first least; earlier chunks win ties
+        best = min(best, (float(cost[j]), chunk[j]))
+    return SolverResult(best[1], best[0], 1.0, True)
 
 
 def min_cost_matching(cost) -> SolverResult:
@@ -205,10 +209,7 @@ def bottleneck_matching(cost) -> SolverResult:
             lo = mid + 1
     if best_match is None:
         raise SolverError("no perfect matching exists")
-    assignment = [0] * n
-    for c, r in enumerate(best_match):
-        assignment[r] = c
-    x = tuple(assignment)
+    x = tuple(np.argsort(best_match).tolist())  # best_match[c] is column c's row
     value = float(max(cost[i, x[i]] for i in range(n)))
     return SolverResult(x, value, 1.0, True)
 
@@ -262,26 +263,14 @@ def k_median_solver(fd_values: np.ndarray, tops, k: int,
     if math.comb(m, k) <= exact_cap:
         cost, subset = min((subset_cost(subset), subset) for subset in _near_minimal(D, (k,)))
         exact, beta = True, 1.0
-    else:
-        subset = tuple(range(k))
-        cost = subset_cost(subset)
-        improved = True
-        while improved:
-            improved = False
-            for out in subset:
-                for inn in range(m):
-                    if inn in subset:
-                        continue
-                    cand = tuple(sorted(set(subset) - {out} | {inn}))
-                    c = subset_cost(cand)
-                    if c < cost - 1e-12:
-                        subset, cost = cand, c
-                        improved = True
-                        break
-                if improved:
-                    break
-        exact = False
-        beta = 5.0
+    else:  # take the first improving single swap until none is left
+        better = tuple(range(k))
+        while better is not None:
+            subset, cost = better, subset_cost(better)
+            swaps = (tuple(sorted(set(subset) - {out} | {inn}))
+                     for out in subset for inn in range(m) if inn not in subset)
+            better = next((s for s in swaps if subset_cost(s) < cost - 1e-12), None)
+        exact, beta = False, 5.0
     return SolverResult(_serve(D, subset), cost, beta, exact)
 
 

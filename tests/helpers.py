@@ -11,12 +11,13 @@ that the library's array passes replace; the parity tests compare the two.
 The audit oracles after them close each ranking's constraint block on its
 own, solve each sum or assignment ratio, and each percentile alternative's
 binding configuration, as a HiGHS LP, and build every percentile
-candidate's subset in full.
+candidate's subset in full; the enumerated assignment audit runs over
+every valid assignment (iter_valid_assignments) instead of open sets.
 """
 
 import hashlib
 import json
-from itertools import combinations, islice
+from itertools import combinations, islice, permutations, product
 from types import SimpleNamespace
 
 import numpy as np
@@ -195,6 +196,16 @@ def loop_open_count_brute_force(D, spec, sizes):
             if best is None or c < best[0] or (c == best[0] and x < best[1]):
                 best = (c, x)
     return best[1], best[0]
+
+
+def loop_matching_brute_force(D, spec):
+    """(assignment, value) of the least matching, each costed on its own by
+    total_cost; the first in ``permutations`` order on ties."""
+    from ordmech.assignment import total_cost
+
+    n, m = D.shape
+    c, x = min((total_cost(x, D, spec), x) for x in permutations(range(m), n))
+    return x, c
 
 
 def gathered_near_minimal(D, sizes, largest=False, opening=None):
@@ -384,7 +395,7 @@ def _classes(poly, *keys):
 def _highs_values(poly, pairs):
     """Per alternative: 1 when co-located (``None``), else the library's
     vanishing-denominator rule around the HiGHS ratio LP, one alternative
-    at a time."""
+    at a time; each pair is (num_at, num_const, den_at, den_const, lp)."""
     from ordmech.audit import _Pairs, _pairs_or_vanishing
 
     def solve(lp, idx):
@@ -396,10 +407,10 @@ def _highs_values(poly, pairs):
         if pair is None:
             values.append(1.0)
             continue
-        at, den_const, num_at_zero, lp = pair
+        num_at, num_const, den_at, den_const, lp = pair
         outcome = _pairs_or_vanishing(
-            poly, np.broadcast_to(at, (1, poly.n)), poly.n, np.array([den_const]),
-            np.array([num_at_zero]), np.zeros(1, dtype=bool), lambda idx: solve(lp, idx))
+            poly, num_at, np.array([num_const]), np.reshape(den_at, (1, -1, 1)),
+            np.array([den_const]), poly.n, np.zeros(1, dtype=bool), lambda idx: solve(lp, idx))
         values.append(float(outcome.value[0]))
     return values
 
@@ -413,29 +424,104 @@ def highs_sum_values(winner, profile, fd) -> list[float]:
     l = fd.values
     return _highs_values(poly, [
         None if l[winner, x] <= 1e-12 else
-        (x, 0.0, poly.n * l[x, winner], (cls, winner, 0.0, x, 0.0))
+        (np.full(poly.n, winner), 0.0, x, 0.0, (cls, winner, 0.0, x, 0.0))
         for x in range(fd.m) if x != winner])
 
 
+def assignment_alternatives(x, problem) -> list[tuple[int, ...]]:
+    """The alternatives of an assignment audit, in its order: under the
+    matching rule every other matching; else every open set of the bound's
+    size, or, with opening costs, of every size up to the bound."""
+    m, cons = problem.m, problem.constraints
+    if cons.one_per_facility:
+        return [y for y in permutations(range(m), len(x)) if y != tuple(x)]
+    bound = m if cons.at_most_open is None else min(cons.at_most_open, m)
+    sizes = range(1, bound + 1) if any(problem.cost_spec.opening_costs or ()) else (bound,)
+    return [S for size in sizes for S in combinations(range(m), size)]
+
+
 def highs_assignment_values(x, profile, fd, problem) -> list[float]:
-    """An assignment audit's per-alternative values, each by the HiGHS LP."""
-    from ordmech import iter_valid_assignments
+    """An assignment audit's per-alternative values: per other matching its
+    own, and per open set the largest over the assignments into it, each
+    charged the opening cost of its open set; each assignment by the HiGHS
+    LP."""
     from ordmech.audit import ConsistencyPolytope
 
     poly = ConsistencyPolytope(profile, fd)
     spec = problem.cost_spec
     x = tuple(x)
-    pairs = []
-    for alt in iter_valid_assignments(poly.n, problem.constraints):
-        if alt == x:
+    num_const = spec.facility_cost(x)
+    values = []
+    for alt in assignment_alternatives(x, problem):
+        ys = [alt] if problem.constraints.one_per_facility else product(alt, repeat=poly.n)
+        pairs = []
+        for y in ys:
+            cls = _classes(poly, x, y)
+            pairs.append((np.array(x), num_const, list(y), spec.facility_cost(alt),
+                          (cls, cls.keys[:, 1], num_const, cls.keys[:, 2],
+                           spec.facility_cost(alt))))
+        values.append(max(_highs_values(poly, pairs)))
+    return values
+
+
+def iter_valid_assignments(n: int, constraints):
+    """Depth-first enumeration of valid assignments in lexicographic order,
+    pruning open-count and matching violations early."""
+    m, single = constraints.m, constraints.one_per_facility
+    cap = m if constraints.at_most_open is None else constraints.at_most_open
+    # One iterator per placed agent over its facilities left to try: the
+    # search keeps its own stack, so n can run to the thousands.
+    x = [-1] * n
+    counts = [0] * m
+    opened = 0
+    stack = [iter(range(m))] if n else []
+    if not n:
+        yield ()
+    while stack:
+        agent = len(stack) - 1
+        if x[agent] >= 0:  # take back the agent's last facility
+            counts[x[agent]] -= 1
+            opened -= counts[x[agent]] == 0
+        x[agent] = next((f for f in stack[-1]
+                         if (not single if counts[f] else opened < cap)), -1)
+        if x[agent] < 0:
+            stack.pop()
             continue
-        cls = _classes(poly, x, alt)
-        num_at_zero = spec.facility_cost(x) + sum(fd.values[alt[i], x[i]]
-                                                  for i in range(poly.n))
-        pairs.append((list(alt), spec.facility_cost(alt), num_at_zero,
-                      (cls, cls.keys[:, 1], spec.facility_cost(x), cls.keys[:, 2],
-                       spec.facility_cost(alt))))
-    return _highs_values(poly, pairs)
+        opened += counts[x[agent]] == 0
+        counts[x[agent]] += 1
+        if agent + 1 < n:
+            stack.append(iter(range(m)))
+        else:
+            yield tuple(x)
+
+
+def enumerated_assignment_audit(x, profile, fd, problem):
+    """The assignment audit over every other valid assignment, one
+    alternative each, each at its own facility cost; more than
+    ASSIGNMENT_AUDIT_CAP of them are refused.  Its value and flags are the
+    open-set audit's."""
+    from ordmech import SearchSpaceError, total_cost
+    from ordmech.audit import (ASSIGNMENT_AUDIT_CAP as cap, ConsistencyPolytope, _finalize,
+                               _pairs_or_vanishing, _ratio)
+
+    x, spec = tuple(x), problem.cost_spec
+    alternatives = list(islice(iter_valid_assignments(profile.n, problem.constraints), cap + 1))
+    if len(alternatives) > cap:
+        raise SearchSpaceError(f"more than {cap} alternative assignments to audit")
+    poly = ConsistencyPolytope(profile, fd)
+    every = np.array(alternatives)
+    alts = every[(every != x).any(axis=1)]
+    pairs = _pairs_or_vanishing(poly, np.array(x), np.full(len(alts), spec.facility_cost(x)),
+                                alts[:, :, None], spec.facility_cost(alts), poly.n,
+                                np.zeros(len(alts), dtype=bool))
+
+    def recompute(metric):
+        d = metric.distances
+        costs = d[np.arange(poly.n), every].sum(axis=1) + spec.facility_cost(every)
+        return float(_ratio(total_cost(x, d, spec), costs.min()))
+
+    keys = [tuple(y) for y in alts.tolist()]
+    return _finalize(poly, "assignment_sum", x, keys, pairs, None, recompute)
 
 
 def highs_percentile_pair(poly, binding, x, w) -> float:

@@ -17,8 +17,7 @@ from ordmech import (PreferenceProfile, audit_additive_assignment,
                      check_consistency, distance_partial_order,
                      evaluate_median_cost, evaluate_percentile_cost,
                      evaluate_sum_cost, facility_distances,
-                     gen_worked_example, iter_valid_assignments,
-                     k_center_greedy, median_winner, min_cost_matching,
+                     gen_worked_example, k_center_greedy, median_winner, min_cost_matching,
                      preferences_from_metric, project_agents,
                      reduce_and_solve, sample_consistent_metric, sum_winner,
                      total_cost, verify_worked_example)
@@ -26,8 +25,8 @@ from ordmech.assignment import DistanceCost
 from ordmech.cli import main as cli_main
 from ordmech.solvers import SOLVERS
 
-from helpers import (random_consistent_metric, random_facility_distances,
-                     random_instance)
+from helpers import (iter_valid_assignments, random_consistent_metric,
+                     random_facility_distances, random_instance)
 
 SEED = 20260810
 TOL = 1e-6

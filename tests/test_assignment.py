@@ -8,12 +8,12 @@ import pytest
 from ordmech import (AssignmentProblem, ConstraintSet, CostSpec, DistanceCost,
                      FullMetric, InvalidCostError, PreferenceProfile,
                      ProjectedAgents, SolverError, brute_force_optimal,
-                     build_preset, facility_distances, iter_valid_assignments,
-                     preferences_from_metric, project_agents, reduce_and_solve,
-                     sum_winner, total_cost)
+                     build_preset, facility_distances, preferences_from_metric,
+                     project_agents, reduce_and_solve, sum_winner, total_cost)
 from ordmech.solvers import SOLVERS
 
-from helpers import random_consistent_metric, random_facility_distances
+from helpers import (iter_valid_assignments, random_consistent_metric,
+                     random_facility_distances)
 
 
 def test_is_valid_capacity_one():

@@ -22,8 +22,8 @@ from ordmech.fileio import load_instance
 from ordmech.gallery import gen_median_topchoice_bad, gen_sum5_tight
 from ordmech.solvers import SOLVERS
 
-from helpers import (agent_block, block_closure, block_edges, random_consistent_metric,
-                     random_facility_distances, random_instance)
+from helpers import (agent_block, block_closure, block_edges, iter_valid_assignments,
+                     random_consistent_metric, random_facility_distances, random_instance)
 
 
 def _tie_instance(span=2.0):
@@ -424,7 +424,7 @@ def test_assignment_audit_with_opening_costs():
     assert math.isfinite(report.value)
     assert report.value >= 1.0
     samples = [sample_consistent_metric(profile, fd, seed=s) for s in range(8)]
-    from ordmech import total_cost, iter_valid_assignments
+    from ordmech import total_cost
     for metric in samples:
         mine = total_cost((0, 1), metric.distances, problem.cost_spec)
         best = min(total_cost(x, metric.distances, problem.cost_spec)
@@ -565,36 +565,68 @@ def test_each_ranking_closure_is_built_once(monkeypatch):
         assert np.concatenate(chunks).tobytes() == np.stack(
             [block_closure(*agent_block(poly, i)) for i in first]).tobytes()
     chunks.clear()
-    line = facility_distances(("A", "B", "C"), [[0, 1, 2], [1, 0, 1], [2, 1, 0]])
-    wide = PreferenceProfile(3, ((0, 1, 2), (2, 1, 0)) * 7)  # 49149 alternatives
-    problem = build_preset("k_median", wide.n, line.facilities, {"k": 2})
-    with pytest.raises(SearchSpaceError):
-        audit_additive_assignment((0,) * wide.n, wide, line, problem)
+    line = facility_distances([f"F{f}" for f in range(14)],
+                              np.abs(np.subtract.outer(np.arange(14.0), np.arange(14.0))))
+    wide = PreferenceProfile(14, (tuple(range(14)), tuple(range(13, -1, -1))))
+    problem = build_preset("facility_location", wide.n, line.facilities,
+                           {"opening_costs": [1.0] * 14})  # 2^14 - 1 = 16383 open sets
+    with pytest.raises(SearchSpaceError, match="more than 10000 alternatives"):
+        audit_additive_assignment((0, 0), wide, line, problem)
     assert chunks == []
 
 
+def _few_rankings_kmedian(n=300, m=7, k=3):
+    """A k-median audit of n agents that share six rankings, at the
+    reduction's assignment: (x, profile, fd, problem)."""
+    rng = np.random.default_rng(12)
+    fd = random_facility_distances(rng, m)
+    profile = preferences_from_metric(random_consistent_metric(rng, fd, 6))
+    profile = PreferenceProfile(m, profile.rankings * (n // 6))
+    problem = build_preset("k_median", profile.n, fd.facilities, {"k": k})
+    x = reduce_and_solve(problem, profile, fd, SOLVERS["k_median"]).assignment
+    return x, profile, fd, problem
+
+
 def test_one_vertex_pass_per_block(monkeypatch):
-    # every alternative's classes go through one batched vertex pass, in
-    # blocks of whole alternatives of at most _VERTEX_ROWS rows, instead
-    # of one pass per alternative
+    # every open set's classes, with an octagon per class and facility of
+    # the set, go through one batched vertex pass, in blocks of whole open
+    # sets of at most _VERTEX_ROWS octagons, instead of one pass per set
     rows = []
     real = audit._octagon_vertices
     monkeypatch.setattr(audit, "_octagon_vertices", lambda h: rows.append(len(h)) or real(h))
-    inst = load_instance(Path(__file__).parent / "fixtures" / "kmedian_scenarios.json")
-    problem = build_preset(inst.preset, inst.n, inst.facilities, inst.params)
-    x = reduce_and_solve(problem, inst.profile, inst.fd, SOLVERS["k_median"]).assignment
-    report = audit_additive_assignment(x, inst.profile, inst.fd, problem)
-    assert len(report.per_alternative) == 6140
-    assert len(rows) < 6140 // 10
-    assert max(rows) <= audit._VERTEX_ROWS and sum(rows) >= 6140
-    # greedy blocks: all but the last are within one alternative of full
-    assert len(rows) <= sum(rows) // (audit._VERTEX_ROWS - inst.n) + 1
+    x, profile, fd, problem = _few_rankings_kmedian()
+    report = audit_additive_assignment(x, profile, fd, problem)
+    assert len(report.per_alternative) == math.comb(7, 3) == 35
+    per_set = 3 * len(set(zip(profile.rankings, x)))  # octagons of one open set
+    assert sum(rows) == 35 * per_set and per_set <= audit._VERTEX_ROWS // 3
+    assert 1 < len(rows) < 35 // 3 and max(rows) <= audit._VERTEX_ROWS
+    # greedy blocks: all but the last are within one open set of full
+    assert len(rows) <= sum(rows) // (audit._VERTEX_ROWS - per_set) + 1
     rng = np.random.default_rng(3)
     profile, fd, _ = next(inst for inst in (random_instance(rng, n_max=8, m_max=5)
                                             for _ in range(50)) if inst[1].m == 5)
     rows.clear()
     audit_sum_social_choice(0, profile, fd)
     assert len(rows) == 1
+
+
+def test_kmedian_audit_beyond_the_assignment_enumeration():
+    # 240 agents, m = 8, k = 3: the C(8, 3) = 56 open sets are audited,
+    # where the valid assignments (more than 3^240) could not be listed;
+    # the value keeps the reduction's 1 + 2 beta bound
+    rng = np.random.default_rng(31)
+    fd = random_facility_distances(rng, 8)
+    profile = preferences_from_metric(random_consistent_metric(rng, fd, 240))
+    problem = build_preset("k_median", 240, fd.facilities, {"k": 3})
+    solution = reduce_and_solve(problem, profile, fd, SOLVERS["k_median"])
+    report = audit_additive_assignment(solution.assignment, profile, fd, problem)
+    assert len(report.per_alternative) == 56 and report.flags == ()
+    assert check_consistency(profile, report.witness, tol=1e-7)
+    assert report.witness_ratio <= report.value <= report.certified_upper
+    assert 1.0 < report.value <= 1.0 + 2.0 * solution.beta
+    # each entry is an assignment into its open set, read at the set's ratio
+    for (alt, value), S in zip(report.per_alternative, combinations(range(8), 3)):
+        assert set(alt) <= set(S) and 1.0 <= value <= report.value
 
 
 def test_fallbacks_log_a_warning(caplog):

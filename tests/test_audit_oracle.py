@@ -1,29 +1,33 @@
-"""Audits against the HiGHS LPs they replaced.
+"""Audits against the HiGHS LPs and the enumeration they replaced.
 
 Every sum and assignment value must match the scaled ratio LP of
 ``helpers.highs_ratio_pair`` to 1e-12 relative, every percentile value the
 binding configuration LP of ``helpers.highs_percentile_pair`` to 1e-9
 relative, and every report must put its witness's ratio, its value and its
-certified upper bound in that order within 1e-9 relative.
+certified upper bound in that order within 1e-9 relative.  Assignment
+audits over open sets must also match the audit over every valid
+assignment (``helpers.enumerated_assignment_audit``) to 1e-14 relative.
 """
 
+import itertools
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ordmech import (InternalInvariantError, PreferenceProfile,
+from ordmech import (InternalInvariantError, PreferenceProfile, SearchSpaceError,
                      audit_additive_assignment, audit_percentile_social_choice,
-                     audit_sum_social_choice, build_preset, distance_partial_order,
-                     facility_distances, iter_valid_assignments, median_winner,
+                     audit_sum_social_choice, build_preset, check_consistency,
+                     distance_partial_order, facility_distances, median_winner,
                      preferences_from_metric, reduce_and_solve)
 from ordmech import audit
 from ordmech.fileio import load_instance
 from ordmech.gallery import gen_sum5_tight
 from ordmech.solvers import SOLVERS
 
-from helpers import (highs_assignment_values, highs_percentile_values, highs_sum_values,
+from helpers import (enumerated_assignment_audit, highs_assignment_values,
+                     highs_percentile_values, highs_sum_values, iter_valid_assignments,
                      random_consistent_metric, random_facility_distances, random_instance)
 
 SEED = 20260810  # the acceptance suites' seed
@@ -120,47 +124,157 @@ def test_vanishing_denominator_with_vanishing_numerator(eps):
 
 
 def test_assignment_audit_spanning_several_blocks_matches_highs(monkeypatch):
-    # 189 k-median alternatives of six agents: their (alternative, class)
-    # rows fill several vertex blocks, and each value still matches its LP
+    # the three k-median open sets of six agents, with blocks cut to 16
+    # octagons: their (open set, class, facility) octagons fill several
+    # vertex blocks, and each value still matches the best of its 64
+    # assignments' LPs
     blocks = []
     real = audit._octagon_vertices
     monkeypatch.setattr(audit, "_octagon_vertices", lambda h: blocks.append(len(h)) or real(h))
+    monkeypatch.setattr(audit, "_VERTEX_ROWS", 16)
     rng = np.random.default_rng(SEED + 3)
     fd = random_facility_distances(rng, 3)
     profile = preferences_from_metric(random_consistent_metric(rng, fd, 6))
     problem = build_preset("k_median", 6, fd.facilities, {"k": 2})
     x = reduce_and_solve(problem, profile, fd, SOLVERS["brute_force"]).assignment
     report = audit_additive_assignment(x, profile, fd, problem)
-    assert len(report.per_alternative) == 188 and len(blocks) > 1
+    assert len(report.per_alternative) == 3 and len(blocks) > 1 and max(blocks) <= 16
     _check(report, highs_assignment_values(x, profile, fd, problem))
 
 
-@pytest.mark.parametrize("eps, far, third", [(0.0, 2.0, (2, 0, 1)),
-                                              (6e-13, 1000.0, (0, 1, 2))])
-def test_assignment_audit_mixing_vanishing_and_ordinary_alternatives(eps, far, third):
+INF = math.inf
+
+
+@pytest.mark.parametrize("eps, far, third, x, k, expected", [
+    # agent 2 can sit on Y alone: the open sets with Y seat everyone, and
+    # agent 2 moved from Z to Y keeps the numerator at 2
+    (0.0, 2.0, (2, 0, 1), (1, 1, 1), 2, [((0, 0, 0), 1.0), ((0, 0, 2), INF),
+                                          ((1, 1, 2), INF)]),
+    # one facility per set: Y is an ordinary ratio, X co-located with Z
+    (0.0, 2.0, (2, 0, 1), (1, 1, 1), 1, [((0, 0, 0), 1.0), ((1, 1, 1), 1.0),
+                                          ((2, 2, 2), 2.0)]),
+    (0.0, 2.0, (2, 0, 1), (1, 1, 1), 3, [((0, 0, 2), INF)]),
+    # everyone can sit on X and Z: seated on X, the farther, three agents
+    # 6e-13 away keep the numerator above 1e-12 (on Z it would vanish)
+    (6e-13, 1000.0, (0, 1, 2), (1, 1, 1), 2, [((0, 0, 0), INF), ((0, 0, 0), INF),
+                                               ((1, 1, 1), 1.0)]),
+    (6e-13, 1000.0, (0, 1, 2), (1, 1, 1), 1, [((0, 0, 0), INF), ((1, 1, 1), 1.0),
+                                               ((2, 2, 2), 1.0)]),
+    # two agents moved 4e-13 to X stay below 1e-12: {X, Y} reads at least
+    # 1, from its ordinary ratio, as does {Z, Y}, which seats all at no cost
+    (4e-13, 2.0, (2, 0, 1), (1, 1, 2), 2, None),
+])
+def test_assignment_audit_mixing_vanishing_and_ordinary_alternatives(eps, far, third, x, k,
+                                                                     expected):
     # X and Z lie eps apart and Y far from both; agents can sit on their
-    # top choice and on anything co-located with it.  Against (Z, Z, Z),
-    # an alternative that seats everyone has a vanishing denominator: its
-    # ratio is infinite where the numerator stays above 1e-12 (agent 2
-    # moved from Y at eps 0, or two agents moved to X at eps 6e-13) and
-    # at least 1 where it does not (one agent moved to X); the rest are
-    # ordinary ratios
+    # top choice and on anything co-located with it.  An open set on whose
+    # facilities every agent can sit has a vanishing denominator: its ratio
+    # is infinite where the numerator, each agent seated on its candidate
+    # farthest from its facility in x, stays above 1e-12, and at least 1
+    # where it does not; the other sets are ordinary ratios
     fd = facility_distances(("X", "Z", "Y"), [[0.0, eps, far], [eps, 0.0, far],
                                               [far, far, 0.0]])
     profile = PreferenceProfile(3, ((0, 1, 2), (1, 0, 2), third))
-    problem = build_preset("k_median", 3, fd.facilities, {"k": 3})
-    report = audit_additive_assignment((1, 1, 1), profile, fd, problem)
-    _check(report, highs_assignment_values((1, 1, 1), profile, fd, problem))
-    values = dict(report.per_alternative)
-    infinite = {alt for alt, value in values.items() if value == math.inf}
-    if eps:
-        assert infinite == {(0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0)}
-        assert values[(0, 1, 1)] == values[(1, 0, 1)] == 1.0
-    else:
-        assert infinite == {(0, 0, 2), (0, 1, 2), (1, 0, 2), (1, 1, 2)}
-        assert values[(0, 2, 2)] == 3.0 and values[(2, 2, 2)] == 2.0
-    assert report.flags == ("denominator_vanishes",)
-    assert report.value == report.certified_upper == math.inf
+    problem = build_preset("k_median", 3, fd.facilities, {"k": k})
+    report = audit_additive_assignment(x, profile, fd, problem)
+    _check(report, highs_assignment_values(x, profile, fd, problem))
+    if expected is None:
+        values = [value for _, value in report.per_alternative]
+        assert values[0] > 1.0 and values[1] > 1.0 and values[2] == 1.0
+        assert report.flags == () and math.isfinite(report.value)
+        return
+    assert list(report.per_alternative) == expected
+    infinite = report.value == INF
+    assert report.flags == (("denominator_vanishes",) if infinite else ())
+    assert (report.certified_upper == INF) == infinite
+
+
+def _xzy(eps, far, third):
+    """X and Z eps apart, Y far from both, and three agents: X > Z > Y,
+    Z > X > Y and ``third``."""
+    fd = facility_distances(("X", "Z", "Y"), [[0.0, eps, far], [eps, 0.0, far],
+                                              [far, far, 0.0]])
+    return PreferenceProfile(3, ((0, 1, 2), (1, 0, 2), third)), fd
+
+
+def _enumerable_audits():
+    """(x, profile, fd, problem) for matchings, k-median and facility
+    location (some opening costs rounded, so zero and tied), full and
+    top-only profiles, at the reduction's and at random valid assignments,
+    then the X-Z-Y instances at every valid x and kmedian_scenarios."""
+    rng = np.random.default_rng(SEED + 4)
+    for trial in range(180):
+        m, n = int(rng.integers(1, 5)), int(rng.integers(1, 6))
+        fd = random_facility_distances(rng, m)
+        profile = preferences_from_metric(random_consistent_metric(rng, fd, n))
+        if trial % 4 == 0:
+            profile = PreferenceProfile(m, tuple((r[0],) for r in profile.rankings),
+                                        top_only=True)
+        costs = rng.uniform(0.0, 3.0, m).round(trial % 2).tolist()
+        preset, params = (("matching_min_cost", {}) if trial % 3 == 0 and n == m else
+                          ("k_median", {"k": int(rng.integers(1, m + 1))}) if trial % 3 == 1
+                          else ("facility_location", {"opening_costs": costs}))
+        problem = build_preset(preset, n, fd.facilities, params)
+        yield reduce_and_solve(problem, profile, fd, SOLVERS["brute_force"]).assignment, \
+            profile, fd, problem
+        valid = list(iter_valid_assignments(n, problem.constraints))
+        yield valid[int(rng.integers(len(valid)))], profile, fd, problem
+    for far, third in ((2.0, (2, 0, 1)), (1000.0, (0, 1, 2)), (2.0, (1, 0, 2))):
+        profile, fd = _xzy(0.0, far, third)
+        for preset, params in (("k_median", {"k": 2}), ("k_median", {"k": 3}),
+                               ("facility_location", {"opening_costs": [0.0, 0.5, 1.0]})):
+            problem = build_preset(preset, 3, fd.facilities, params)
+            for x in iter_valid_assignments(3, problem.constraints):
+                yield x, profile, fd, problem
+    inst = load_instance(Path(__file__).parent / "fixtures" / "kmedian_scenarios.json")
+    problem = build_preset(inst.preset, inst.n, inst.facilities, inst.params)
+    for x in [reduce_and_solve(problem, inst.profile, inst.fd, SOLVERS["k_median"]).assignment,
+              *(s.assignment for s in inst.scenarios if s.assignment is not None)]:
+        yield x, inst.profile, inst.fd, problem
+
+
+def test_assignment_audits_match_the_enumerated_oracle():
+    # open sets and the enumeration agree on the value and the flags; each
+    # open-set report brackets its value with its witness and its bound
+    count = 0
+    for x, profile, fd, problem in _enumerable_audits():
+        try:
+            want = enumerated_assignment_audit(x, profile, fd, problem)
+        except SearchSpaceError:
+            continue
+        report = audit_additive_assignment(x, profile, fd, problem)
+        count += 1
+        assert _close(report.value, want.value, rel=1e-14), (x, report.value, want.value)
+        assert report.flags == want.flags
+        assert report.value <= report.certified_upper
+        if report.witness is not None:
+            assert check_consistency(profile, report.witness, tol=1e-7)
+            assert report.witness_ratio <= report.value + 1e-9 * report.value
+    assert count >= 400
+
+
+def test_facilities_closer_than_the_zero_rule_may_split_differently():
+    # Z and X 1e-13 or 6e-13 apart are co-located within the 1e-12 zero
+    # rule but not exactly.  An open set seats each agent on its farthest
+    # candidate, and a vanishing open set's ratio reads whole, while the
+    # enumeration reads each assignment on its own: the two may then pick
+    # different infinite alternatives ("unbounded_ratio" against
+    # "denominator_vanishes") or differ by the rule's own 1e-12 scale
+    split = 0
+    for eps, third in itertools.product((1e-13, 6e-13), ((2, 0, 1), (0, 1, 2), (1, 0, 2))):
+        profile, fd = _xzy(eps, 2.0, third)
+        for k in (2, 3):
+            problem = build_preset("k_median", 3, fd.facilities, {"k": k})
+            for x in iter_valid_assignments(3, problem.constraints):
+                report = audit_additive_assignment(x, profile, fd, problem)
+                want = enumerated_assignment_audit(x, profile, fd, problem)
+                assert _close(report.value, want.value, rel=1e-12)
+                split += report.value != want.value or report.flags != want.flags
+                if report.flags != want.flags:
+                    assert report.value == want.value == math.inf
+                    assert {*report.flags, *want.flags} == {"unbounded_ratio",
+                                                           "denominator_vanishes"}
+    assert split > 0
 
 
 def test_dinkelbach_that_needs_two_steps_fails_at_one(monkeypatch):

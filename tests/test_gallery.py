@@ -35,6 +35,14 @@ def test_parameters_flow_through():
     assert all(r.passed for r in verify_worked_example("kmedian_lb", q=3))
 
 
+@pytest.mark.parametrize("eps", [1e-3, 0.01, 0.1, 0.4, 0.5])
+def test_median_matching_unbounded_verifies_at_every_eps(eps):
+    # the ratio 1/(2 eps) holds, and is checked, over the whole range
+    failed = [r for r in verify_worked_example("median_matching_unbounded", eps=eps)
+              if not r.passed]
+    assert not failed, failed
+
+
 def test_unknown_example_rejected():
     with pytest.raises(OrdmechError):
         gen_worked_example("mystery_instance")

@@ -247,9 +247,11 @@ def test_cli_usage_and_schema_errors(tmp_path, capsys):
 
 @pytest.mark.parametrize("example, params", [
     ("kmedian_lb", "q=0"), ("kmedian_lb", "q=-2"),
-    ("median_matching_unbounded", "eps=0"), ("median_matching_unbounded", "eps=-0.001")])
+    ("median_matching_unbounded", "eps=0"), ("median_matching_unbounded", "eps=-0.001"),
+    ("median_matching_unbounded", "eps=0.7")])
 def test_cli_gen_refuses_out_of_range_params(example, params, capsys):
-    # kmedian_lb has 2q + 1 agents, q >= 1; median_matching_unbounded needs eps > 0
+    # kmedian_lb has 2q + 1 agents, q >= 1; median_matching_unbounded needs
+    # 0 < eps <= 1/2
     assert main(["gen", "--example", example, "--params", params]) == 2
     out, err = capsys.readouterr()
     assert not out and err.startswith(f"error: params: {params}: {example} needs "), err
@@ -398,10 +400,11 @@ def test_cli_reduce_with_preset_params(tmp_path):
     assert report["audit"]["value"] <= 3 + 1e-6
 
 
-def test_cli_thousands_of_agents_enumerate_without_recursion(tmp_path, capsys):
-    # valid assignments are enumerated depth-first on an explicit stack: a
-    # 1500-agent, one-facility instance is checked for one at load time,
-    # and a 1200-agent k-median audit is refused for its search space
+def test_cli_thousands_of_agents_audit_by_open_sets(tmp_path, capsys):
+    # a 1500-agent, one-facility instance is checked for a valid assignment
+    # at load time, a 1200-agent k-median audit runs over its three open
+    # sets, and 2^14 - 1 facility-location open sets are refused for their
+    # number
     one = {"schema": "ordmech-instance-v1", "facilities": ["A"],
            "facility_distances": [[0]], "tops": ["A"] * 1500,
            "preset": "social_choice_sum"}
@@ -417,7 +420,17 @@ def test_cli_thousands_of_agents_enumerate_without_recursion(tmp_path, capsys):
     path.write_text(json.dumps(wide))
     capsys.readouterr()
     assert main(["solve", "--instance", str(path), "--mechanism", "reduce:k_median",
-                 "--audit", "sum"]) == 2
+                 "--audit", "sum"]) == 0
+    audit = json.loads(capsys.readouterr().out)["audit"]
+    assert len(audit["per_alternative"]) == 3 and audit["value"] >= 1.0
+    line = [[abs(f - g) for g in range(14)] for f in range(14)]
+    many = {"schema": "ordmech-instance-v1", "facilities": [f"F{f}" for f in range(14)],
+            "facility_distances": line, "tops": ["F0", "F13"] * 600,
+            "preset": "facility_location", "params": {"opening_costs": [1.0] * 14}}
+    path = tmp_path / "many.json"
+    path.write_text(json.dumps(many))
+    assert main(["solve", "--instance", str(path), "--mechanism",
+                 "reduce:facility_location", "--audit", "sum"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: more than") and err.count("\n") == 1
 

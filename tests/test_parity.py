@@ -12,7 +12,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ordmech import (FullMetric, MetricError, PreferenceProfile, ProfileError,
+from ordmech import (AssignmentProblem, ConstraintSet, CostSpec, DistanceCost, FullMetric,
+                     MetricError, PreferenceProfile, ProfileError,
                      brute_force_optimal, build_preset, check_consistency,
                      distance_partial_order, facility_distances,
                      facility_location_solver, k_center_greedy, k_median_solver,
@@ -25,7 +26,8 @@ from ordmech.solvers import _near_minimal, _subset_minima
 
 from helpers import (gathered_near_minimal, loop_candidate_reach, loop_check_consistency,
                      loop_facility_location, loop_full_metric_error, loop_k_median,
-                     loop_majority_counts, loop_min_cost_matching, loop_numeric_reach,
+                     loop_majority_counts, loop_matching_brute_force,
+                     loop_min_cost_matching, loop_numeric_reach,
                      loop_open_count_brute_force, loop_profile_error,
                      loop_validate_distance_matrix, random_consistent_metric,
                      random_facility_distances, random_instance,
@@ -297,6 +299,32 @@ def test_brute_force_open_count_path_matches_loop(preset):
         sizes = range(1, (cons.at_most_open if cons.at_most_open is not None else m) + 1)
         result = brute_force_optimal(problem, agents)
         expected = loop_open_count_brute_force(agents.distance_matrix, problem.cost_spec, sizes)
+        assert (result.assignment, result.value) == expected
+
+
+def test_brute_force_matchings_match_per_matching_loop():
+    # the chunked costs equal each matching's own total_cost bit for bit,
+    # so the first least in permutations order wins as in the loop: on
+    # tie-heavy grids, with the max cost, with fewer agents than
+    # facilities, with opening costs, and past one chunk (8! matchings)
+    rng = np.random.default_rng(113)
+    for trial in range(80):
+        m = int(rng.integers(1, 7)) if trial < 78 else 8
+        n = m if trial % 3 else int(rng.integers(1, m + 1))
+        l, tops = _tie_heavy_instance(rng, n, m) if trial % 2 else \
+            (random_facility_distances(rng, m).values, None)
+        fd = facility_distances([f"F{j}" for j in range(m)], l)
+        if tops is None:
+            profile = preferences_from_metric(random_consistent_metric(rng, fd, n))
+        else:
+            profile = PreferenceProfile(m, tuple((t,) for t in tops), top_only=True)
+        cost = DistanceCost.MAX if trial % 4 >= 2 else DistanceCost.SUM
+        opening = tuple(rng.integers(0, 3, m).astype(float)) if trial % 5 == 0 else None
+        problem = AssignmentProblem(n, fd.facilities, ConstraintSet(m, one_per_facility=True),
+                                    CostSpec(cost, opening))
+        agents = project_agents(profile, fd)
+        result = brute_force_optimal(problem, agents)
+        expected = loop_matching_brute_force(agents.distance_matrix, problem.cost_spec)
         assert (result.assignment, result.value) == expected
 
 

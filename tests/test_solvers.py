@@ -10,12 +10,13 @@ import pytest
 from ordmech import (PRESET_NAMES, SOLVERS, PreferenceProfile, SearchSpaceError,
                      SolverError, bottleneck_matching, brute_force_optimal,
                      build_preset, facility_distances, facility_location_solver,
-                     iter_valid_assignments, k_center_greedy, k_median_solver,
+                     k_center_greedy, k_median_solver,
                      min_cost_matching, preferences_from_metric, project_agents,
                      total_cost)
 from ordmech.cli import main
 
-from helpers import random_consistent_metric, random_facility_distances
+from helpers import (iter_valid_assignments, random_consistent_metric,
+                     random_facility_distances)
 
 
 def _projected(preset, fd, rankings, params=None):
