@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import logging
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import combinations, permutations
 from typing import Callable, NamedTuple
@@ -421,21 +422,45 @@ def _ratio_pairs(poly: ConsistencyPolytope, num_at, num_const: np.ndarray,
     return _Pairs(value, upper, witness, g[rank[inverse]].reshape(size, n))
 
 
+def _joined(parts: list[_Pairs]) -> _Pairs:
+    """The alternatives of ``parts``, one part after another."""
+    ends = np.cumsum([len(p.value) for p in parts]).tolist()
+
+    def witness(j: int) -> np.ndarray | None:
+        b = bisect_right(ends, j)
+        return parts[b].witness(j - ends[b] + len(parts[b].value))
+
+    return _Pairs(*(np.concatenate([getattr(p, k) for p in parts])
+                    for k in ("value", "upper")), witness,
+                  np.concatenate([p.choice for p in parts]))
+
+
 def _pairs_or_vanishing(poly: ConsistencyPolytope, num_at, num_const: np.ndarray,
                         den_at: np.ndarray, den_const: np.ndarray, seated: int,
-                        one: np.ndarray, solve: Callable[[np.ndarray], _Pairs] | None = None
-                        ) -> _Pairs:
+                        one: np.ndarray, solve: Callable[..., _Pairs]) -> _Pairs:
     """Ratios of num_const[j] plus the agents' distances to num_at, to
     den_const[j] plus their distances to candidates den_at[j, i] (as for
     _ratio_pairs), summed (``seated`` = n) or as the ``seated``-th
-    smallest, where ``solve(idx)`` (by default _ratio_pairs) gives those
-    of alternatives ``idx``, and those marked ``one`` read 1.  A
-    denominator can vanish iff its den_const does and ``seated`` agents
-    can sit on a candidate.  Seated each on the one farthest from its
-    numerator facility (the first on ties), the ratio is infinite when
-    num_const[j] plus their distances to num_at stays positive, witnessed
-    by seating the first ``seated``, and reads at least 1 when that
-    vanishes too."""
+    smallest, where ``solve`` (called as _ratio_pairs is) gives those of
+    a block of alternatives, and those marked ``one`` read 1.  Blocks keep
+    alternatives x agents x candidates within BLOCK elements and keep no
+    witness: alternative j's is rebuilt from j alone, which reads the same
+    values, as every alternative's are computed apart.  A denominator can
+    vanish iff its den_const does and ``seated`` agents can sit on a
+    candidate.  Seated each on the one farthest from its numerator facility
+    (the first on ties), the ratio is infinite when num_const[j] plus their
+    distances to num_at stays positive, witnessed by seating the first
+    ``seated``, and reads at least 1 when that vanishes too."""
+    step = max(1, BLOCK // (poly.n * den_at.shape[2]))
+    if len(den_const) > step:
+        def block(lo: int, hi: int) -> _Pairs:
+            return _pairs_or_vanishing(poly, num_at, num_const[lo:hi], den_at[lo:hi],
+                                       den_const[lo:hi], seated, one[lo:hi], solve)
+
+        parts = (block(lo, lo + step) for lo in range(0, len(den_const), step))
+        value, upper, choice = map(np.concatenate, zip(*((p.value, p.upper, p.choice)
+                                                         for p in parts)))
+        return _Pairs(value, upper, lambda j: block(j, j + 1).witness(0), choice)
     n, l, zero = poly.n, poly.fd.values, den_const <= 1e-12
     cand = den_at[zero]
     sits = poly.can_sit[np.arange(n)[:, None], cand]  # alternatives x agents x candidates
@@ -446,8 +471,7 @@ def _pairs_or_vanishing(poly: ConsistencyPolytope, num_at, num_const: np.ndarray
     num_at_zero = num_const + np.where(seat >= 0, l[seat, num_at], 0.0).sum(axis=1)
     infinite = vanish & (num_at_zero > 1e-12) & ~one
     todo = np.flatnonzero(~infinite & ~one)
-    part = solve(todo) if solve else _ratio_pairs(poly, num_at, num_const[todo],
-                                                  den_at[todo], den_const[todo])
+    part = solve(poly, num_at, num_const[todo], den_at[todo], den_const[todo])
     value, upper = np.where(infinite, INF, 1.0), np.where(infinite, INF, 1.0)
     value[todo] = np.where(vanish[todo], np.maximum(part.value, 1.0), part.value)
     upper[todo] = part.upper
@@ -508,7 +532,7 @@ def audit_sum_social_choice(winner: int, profile: PreferenceProfile,
     others = np.delete(np.arange(poly.m), winner)
     zero = np.zeros(len(others))
     pairs = _pairs_or_vanishing(poly, np.full(poly.n, winner), zero, others[:, None, None], zero,
-                                poly.n, fd.values[winner, others] <= 1e-12)
+                                poly.n, fd.values[winner, others] <= 1e-12, _ratio_pairs)
 
     def recompute(metric: FullMetric) -> float:
         cols = metric.distances.sum(axis=0)
@@ -522,9 +546,10 @@ def audit_additive_assignment(x, profile: PreferenceProfile,
     """Exact worst-case distortion of assignment ``x``, for additive distance
     cost and constant facility costs, against every other matching under
     the matching rule, else against every open set S: its best assignment
-    into S at S's opening cost, no more than that assignment's own.  A
-    superset never lowers the ratio without opening costs, so the sets are
-    those of min(bound, m) facilities, else of every size up to the bound.
+    into S at S's opening cost, no more than that assignment's own.  An
+    assignment opens at most n facilities, and a superset never lowers the
+    ratio without opening costs, so the sets are those of min(bound, m, n)
+    facilities, else of every size up to that; each size is one pass.
     More than ASSIGNMENT_AUDIT_CAP alternatives are refused up front."""
     if problem.cost_spec.distance_cost is not DistanceCost.SUM:
         raise SolverError("assignment audits need the additive distance cost")
@@ -534,7 +559,7 @@ def audit_additive_assignment(x, profile: PreferenceProfile,
     if not problem.constraints.is_valid(x):
         raise SolverError("audited assignment violates the constraints")
     n, m, cons, spec = profile.n, fd.m, problem.constraints, problem.cost_spec
-    bound = m if cons.at_most_open is None else min(cons.at_most_open, m)
+    bound = min(cons.at_most_open or m, m, n)
     opening = np.zeros(m) if spec.opening_costs is None else np.array(spec.opening_costs)
     sizes = range(1, bound + 1) if opening.any() else (bound,)
     count = math.perm(m, n) if cons.one_per_facility else sum(math.comb(m, s) for s in sizes)
@@ -542,16 +567,14 @@ def audit_additive_assignment(x, profile: PreferenceProfile,
         raise SearchSpaceError(f"more than {ASSIGNMENT_AUDIT_CAP} alternatives to audit: {count}")
     if cons.one_per_facility:
         every = np.array(list(permutations(range(m), n)))
-        alts = every[(every != x).any(axis=1)]
-        den_at, den_const = alts[:, :, None], spec.facility_cost(alts)
-    else:  # each open set padded to the bound with its first facility
-        den_at = np.array([S + S[:1] * (bound - size) for size in sizes
-                           for S in combinations(range(m), size)])[:, None, :]
-        den_const = spec.facility_cost(den_at[:, 0])
+        groups = [every[(every != x).any(axis=1)]]
+    else:
+        groups = [np.array(list(combinations(range(m), size))) for size in sizes]
     poly = ConsistencyPolytope(profile, fd)
-    num_const = np.full_like(den_const, spec.facility_cost(x))
-    pairs = _pairs_or_vanishing(poly, np.array(x), num_const, den_at, den_const, n,
-                                np.zeros_like(den_const, bool))
+    pairs = _joined([_pairs_or_vanishing(
+        poly, np.array(x), np.full(len(y), spec.facility_cost(x)),
+        y[:, :, None] if cons.one_per_facility else y[:, None, :], spec.facility_cost(y), n,
+        np.zeros(len(y), bool), _ratio_pairs) for y in groups])
 
     def recompute(metric: FullMetric) -> float:
         d = metric.distances
@@ -673,9 +696,12 @@ def audit_percentile_social_choice(winner: int, profile: PreferenceProfile,
     k = percentile_rank(poly.n, alpha)
     others = np.delete(np.arange(m), winner)
     zero = np.zeros(len(others))
+
+    def solve(poly, num_at, num_const, den_at, den_const) -> _Pairs:
+        return _percentile_pairs(poly, den_at[:, 0, 0], winner, k)
+
     pairs = _pairs_or_vanishing(poly, np.full(poly.n, winner), zero, others[:, None, None], zero,
-                                k, fd.values[winner, others] <= 1e-12,
-                                lambda idx: _percentile_pairs(poly, others[idx], winner, k))
+                                k, fd.values[winner, others] <= 1e-12, solve)
 
     def recompute(metric: FullMetric) -> float:
         return float(_ratio(evaluate_percentile_cost(winner, metric, alpha),

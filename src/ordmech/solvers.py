@@ -209,7 +209,10 @@ def bottleneck_matching(cost) -> SolverResult:
             lo = mid + 1
     if best_match is None:
         raise SolverError("no perfect matching exists")
-    x = tuple(np.argsort(best_match).tolist())  # best_match[c] is column c's row
+    assignment = [0] * n
+    for c, r in enumerate(best_match):
+        assignment[r] = c
+    x = tuple(assignment)
     value = float(max(cost[i, x[i]] for i in range(n)))
     return SolverResult(x, value, 1.0, True)
 
@@ -263,14 +266,26 @@ def k_median_solver(fd_values: np.ndarray, tops, k: int,
     if math.comb(m, k) <= exact_cap:
         cost, subset = min((subset_cost(subset), subset) for subset in _near_minimal(D, (k,)))
         exact, beta = True, 1.0
-    else:  # take the first improving single swap until none is left
-        better = tuple(range(k))
-        while better is not None:
-            subset, cost = better, subset_cost(better)
-            swaps = (tuple(sorted(set(subset) - {out} | {inn}))
-                     for out in subset for inn in range(m) if inn not in subset)
-            better = next((s for s in swaps if subset_cost(s) < cost - 1e-12), None)
-        exact, beta = False, 5.0
+    else:
+        subset = tuple(range(k))
+        cost = subset_cost(subset)
+        improved = True
+        while improved:
+            improved = False
+            for out in subset:
+                for inn in range(m):
+                    if inn in subset:
+                        continue
+                    cand = tuple(sorted(set(subset) - {out} | {inn}))
+                    c = subset_cost(cand)
+                    if c < cost - 1e-12:
+                        subset, cost = cand, c
+                        improved = True
+                        break
+                if improved:
+                    break
+        exact = False
+        beta = 5.0
     return SolverResult(_serve(D, subset), cost, beta, exact)
 
 

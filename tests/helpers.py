@@ -398,8 +398,8 @@ def _highs_values(poly, pairs):
     at a time; each pair is (num_at, num_const, den_at, den_const, lp)."""
     from ordmech.audit import _Pairs, _pairs_or_vanishing
 
-    def solve(lp, idx):
-        value = np.full(len(idx), highs_ratio_pair(poly, *lp) if len(idx) else 0.0)
+    def solve(lp, num_const):
+        value = np.full(len(num_const), highs_ratio_pair(poly, *lp) if len(num_const) else 0.0)
         return _Pairs(value, value, lambda j: None)
 
     values = []
@@ -410,7 +410,8 @@ def _highs_values(poly, pairs):
         num_at, num_const, den_at, den_const, lp = pair
         outcome = _pairs_or_vanishing(
             poly, num_at, np.array([num_const]), np.reshape(den_at, (1, -1, 1)),
-            np.array([den_const]), poly.n, np.zeros(1, dtype=bool), lambda idx: solve(lp, idx))
+            np.array([den_const]), poly.n, np.zeros(1, dtype=bool),
+            lambda poly, num_at, num_const, *_: solve(lp, num_const))
         values.append(float(outcome.value[0]))
     return values
 
@@ -430,12 +431,12 @@ def highs_sum_values(winner, profile, fd) -> list[float]:
 
 def assignment_alternatives(x, problem) -> list[tuple[int, ...]]:
     """The alternatives of an assignment audit, in its order: under the
-    matching rule every other matching; else every open set of the bound's
-    size, or, with opening costs, of every size up to the bound."""
+    matching rule every other matching; else every open set of min(bound,
+    m, n) facilities, or, with opening costs, of every size up to that."""
     m, cons = problem.m, problem.constraints
     if cons.one_per_facility:
         return [y for y in permutations(range(m), len(x)) if y != tuple(x)]
-    bound = m if cons.at_most_open is None else min(cons.at_most_open, m)
+    bound = min(cons.at_most_open or m, m, len(x))
     sizes = range(1, bound + 1) if any(problem.cost_spec.opening_costs or ()) else (bound,)
     return [S for size in sizes for S in combinations(range(m), size)]
 
@@ -502,7 +503,7 @@ def enumerated_assignment_audit(x, profile, fd, problem):
     open-set audit's."""
     from ordmech import SearchSpaceError, total_cost
     from ordmech.audit import (ASSIGNMENT_AUDIT_CAP as cap, ConsistencyPolytope, _finalize,
-                               _pairs_or_vanishing, _ratio)
+                               _pairs_or_vanishing, _ratio, _ratio_pairs)
 
     x, spec = tuple(x), problem.cost_spec
     alternatives = list(islice(iter_valid_assignments(profile.n, problem.constraints), cap + 1))
@@ -513,7 +514,7 @@ def enumerated_assignment_audit(x, profile, fd, problem):
     alts = every[(every != x).any(axis=1)]
     pairs = _pairs_or_vanishing(poly, np.array(x), np.full(len(alts), spec.facility_cost(x)),
                                 alts[:, :, None], spec.facility_cost(alts), poly.n,
-                                np.zeros(len(alts), dtype=bool))
+                                np.zeros(len(alts), dtype=bool), _ratio_pairs)
 
     def recompute(metric):
         d = metric.distances

@@ -22,8 +22,9 @@ from ordmech.fileio import load_instance
 from ordmech.gallery import gen_median_topchoice_bad, gen_sum5_tight
 from ordmech.solvers import SOLVERS
 
-from helpers import (agent_block, block_closure, block_edges, iter_valid_assignments,
-                     random_consistent_metric, random_facility_distances, random_instance)
+from helpers import (agent_block, block_closure, block_edges, enumerated_assignment_audit,
+                     iter_valid_assignments, random_consistent_metric,
+                     random_facility_distances, random_instance)
 
 
 def _tie_instance(span=2.0):
@@ -567,12 +568,20 @@ def test_each_ranking_closure_is_built_once(monkeypatch):
     chunks.clear()
     line = facility_distances([f"F{f}" for f in range(14)],
                               np.abs(np.subtract.outer(np.arange(14.0), np.arange(14.0))))
-    wide = PreferenceProfile(14, (tuple(range(14)), tuple(range(13, -1, -1))))
+    # 14 agents may open all 14 facilities: 2^14 - 1 = 16383 open sets
+    wide = PreferenceProfile(14, (tuple(range(14)), tuple(range(13, -1, -1))) * 7)
     problem = build_preset("facility_location", wide.n, line.facilities,
-                           {"opening_costs": [1.0] * 14})  # 2^14 - 1 = 16383 open sets
-    with pytest.raises(SearchSpaceError, match="more than 10000 alternatives"):
-        audit_additive_assignment((0, 0), wide, line, problem)
+                           {"opening_costs": [1.0] * 14})
+    with pytest.raises(SearchSpaceError, match="more than 10000 alternatives to audit: 16383"):
+        audit_additive_assignment((0,) * 14, wide, line, problem)
     assert chunks == []
+    # two agents open at most two facilities: 14 + 91 sets, as the 196
+    # assignments of the enumeration
+    pair = PreferenceProfile(14, wide.rankings[:2])
+    problem = build_preset("facility_location", 2, line.facilities, {"opening_costs": [1.0] * 14})
+    report = audit_additive_assignment((0, 13), pair, line, problem)
+    assert len(report.per_alternative) == 14 + 91
+    assert report.value == enumerated_assignment_audit((0, 13), pair, line, problem).value
 
 
 def _few_rankings_kmedian(n=300, m=7, k=3):
@@ -598,16 +607,58 @@ def test_one_vertex_pass_per_block(monkeypatch):
     report = audit_additive_assignment(x, profile, fd, problem)
     assert len(report.per_alternative) == math.comb(7, 3) == 35
     per_set = 3 * len(set(zip(profile.rankings, x)))  # octagons of one open set
-    assert sum(rows) == 35 * per_set and per_set <= audit._VERTEX_ROWS // 3
-    assert 1 < len(rows) < 35 // 3 and max(rows) <= audit._VERTEX_ROWS
-    # greedy blocks: all but the last are within one open set of full
-    assert len(rows) <= sum(rows) // (audit._VERTEX_ROWS - per_set) + 1
+    # every set once, and the maximizing set again, alone, for its witness
+    assert rows[-1] == per_set and sum(rows) == 36 * per_set
+    assert per_set <= audit._VERTEX_ROWS // 3
+    assert 1 < len(rows) < 35 and max(rows) <= audit._VERTEX_ROWS
+    # _pairs_or_vanishing takes ``step`` open sets at a time (BLOCK elements
+    # of sets x agents x facilities); within each, greedy passes: all but
+    # the last are within one open set of full
+    step = BLOCK // (profile.n * 3)
+    assert len(rows) - 1 <= -(-35 // step) * (step * per_set // (audit._VERTEX_ROWS - per_set) + 1)
     rng = np.random.default_rng(3)
     profile, fd, _ = next(inst for inst in (random_instance(rng, n_max=8, m_max=5)
                                             for _ in range(50)) if inst[1].m == 5)
     rows.clear()
     audit_sum_social_choice(0, profile, fd)
     assert len(rows) == 1
+
+
+def test_alternative_blocks_change_no_report(monkeypatch):
+    # alternatives go through _pairs_or_vanishing in blocks within BLOCK
+    # elements of alternatives x agents x candidates, one pass per open-set
+    # size; a single block per call gives the same reports, bit for bit
+    rng = np.random.default_rng(77)
+    fd = random_facility_distances(rng, 30)
+    sums = preferences_from_metric(random_consistent_metric(rng, fd, 300))
+    x, kmed, kmed_fd, problem = _few_rankings_kmedian()
+    line = facility_distances([f"F{f}" for f in range(6)],
+                              np.abs(np.subtract.outer(np.arange(6.0), np.arange(6.0))))
+    fl_profile = preferences_from_metric(random_consistent_metric(rng, line, 200))
+    fl = build_preset("facility_location", 200, line.facilities,
+                      {"opening_costs": [0.5, 2.0, 0.0, 1.0, 3.0, 0.25]})
+    runs = (lambda: audit_sum_social_choice(3, sums, fd),
+            lambda: audit_additive_assignment(x, kmed, kmed_fd, problem),
+            lambda: audit_additive_assignment((2,) * 200, fl_profile, line, fl))
+    shapes, real = [], audit._ratio_pairs
+    monkeypatch.setattr(audit, "_ratio_pairs", lambda poly, num_at, num_const, den_at, den_const:
+                        shapes.append((poly.n, *den_at.shape))
+                        or real(poly, num_at, num_const, den_at, den_const))
+    blocked, calls = [], []
+    for run in runs:
+        blocked.append(run())
+        calls.append(len(shapes) - sum(calls))
+    assert min(calls) > 1  # every audit here needs several blocks
+    assert max(n * alts * cands for n, alts, _, cands in shapes) <= BLOCK
+    # the facility-location sets come one size at a time, none padded
+    assert {cands for *_, cands in shapes} >= set(range(1, 7))
+    monkeypatch.setattr(audit, "BLOCK", 1 << 40)
+    for report, run in zip(blocked, runs):
+        whole = run()
+        assert whole.per_alternative == report.per_alternative and whole.flags == report.flags
+        assert (whole.value, whole.witness_ratio, whole.certified_upper) == (
+            report.value, report.witness_ratio, report.certified_upper)
+        assert whole.witness.distances.tobytes() == report.witness.distances.tobytes()
 
 
 def test_kmedian_audit_beyond_the_assignment_enumeration():
