@@ -14,7 +14,7 @@ from .audit import (AuditReport, ConsistencyPolytope, audit_additive_assignment,
 from .core import (ConsistencyConstraintSet, FacilityDistances, FacilitySet,
                    FullMetric, MetricCheck, PreferenceProfile, ProjectedAgents,
                    check_consistency, consistency_constraints,
-                   facility_distances, full_metric, preferences_from_metric,
+                   facility_distances, preferences_from_metric,
                    project_agents, shortest_path_completion,
                    validate_distance_matrix)
 from .errors import (InternalInvariantError, InvalidCostError, MetricError,

@@ -19,6 +19,11 @@ from .errors import MetricError, ProfileError
 
 TOL = 1e-9
 BLOCK = 1 << 13  # elements per temporary of the blocked array passes (64 KB)
+# The largest facility distance accepted, far below the float maximum, so
+# that every sum an audit forms stays finite.  Agent distances may reach ten
+# times it: room for agents far from every facility and for an audit's
+# witness, whose entries stay within 3 times the largest facility distance.
+MAX_DISTANCE = 1e150
 
 
 def _freeze(arr: np.ndarray, dtype=float) -> np.ndarray:
@@ -75,12 +80,15 @@ def validate_distance_matrix(values, tol: float = TOL) -> MetricCheck:
     """Check symmetry, zero diagonal, nonnegativity and the triangle
     inequality; on failure the report names the first offending entry:
     diagonal, then pairs i < j, then triples (i, j, k), each in
-    lexicographic order.  A non-finite entry raises ``MetricError``."""
+    lexicographic order.  A non-finite entry, or one beyond
+    ``MAX_DISTANCE`` in size, raises ``MetricError``."""
     a = np.asarray(values, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise MetricError(f"distance matrix must be square, got shape {a.shape}")
     if (bad := _first(~np.isfinite(a))) is not None:
         raise MetricError(f"non-finite distance {a[bad]} at {bad}")
+    if (bad := _first(np.abs(a) > MAX_DISTANCE)) is not None:
+        raise MetricError(f"distance {a[bad]} at {bad} exceeds {MAX_DISTANCE:g}")
     if (bad := _first(np.abs(np.diag(a)) > tol)) is not None:
         return MetricCheck(False, "nonzero diagonal", bad * 2)
     f, g = pair_indices(len(a))
@@ -184,7 +192,8 @@ class FullMetric:
 
     The two-sided bound |d(i,F) - d(i,F')| <= l(F,F') <= d(i,F) + d(i,F')
     is exactly what makes a shortest-path completion over agents and
-    facilities a genuine metric that keeps every given entry.
+    facilities a genuine metric that keeps every given entry.  Distances
+    beyond ``10 * MAX_DISTANCE`` are refused.
     """
 
     distances: np.ndarray  # n x m
@@ -198,6 +207,9 @@ class FullMetric:
             raise MetricError("agent-facility matrix shape does not match facilities")
         if (bad := _first(~np.isfinite(d))) is not None:
             raise MetricError(f"agent {bad[0]}: d({bad[1]}) = {d[bad]} is not finite")
+        if (bad := _first(d > 10 * MAX_DISTANCE)) is not None:
+            raise MetricError(f"agent {bad[0]}: d({bad[1]}) = {d[bad]} exceeds "
+                              f"{10 * MAX_DISTANCE:g}")
         if np.any(d < -TOL):
             raise MetricError("negative agent-facility distance")
         # Blocks of agents against the pairs f < g: the first offender is the
@@ -223,10 +235,6 @@ class FullMetric:
     @property
     def m(self) -> int:
         return self.distances.shape[1]
-
-
-def full_metric(distances, fd: FacilityDistances) -> FullMetric:
-    return FullMetric(distances, fd)
 
 
 def shortest_path_completion(metric: FullMetric) -> np.ndarray:

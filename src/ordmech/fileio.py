@@ -76,8 +76,8 @@ def _is_number(value) -> bool:
 
 
 def _matrix(raw, fieldname: str) -> np.ndarray:
-    _expect(isinstance(raw, list) and raw
-            and all(isinstance(r, list) for r in raw), "must be a matrix", fieldname)
+    _expect(isinstance(raw, list) and raw and set(map(type, raw)) == {list},
+            "must be a matrix", fieldname)
     try:
         arr = np.asarray(raw, dtype=float)
     except (TypeError, ValueError):
@@ -219,10 +219,13 @@ def instance_from_dict(data) -> InstanceFile:
         arr = _matrix(raw_scen["facility_distances"], f"{where}.facility_distances")
         try:
             scen_fd = FacilityDistances(facilities, arr)
-            scen_metric = FullMetric(
-                _matrix(raw_scen["metric"], f"{where}.metric"), scen_fd)
         except MetricError as exc:
-            raise SchemaError(str(exc), field=where) from None
+            raise SchemaError(str(exc), field=f"{where}.facility_distances") from None
+        arr = _matrix(raw_scen["metric"], f"{where}.metric")
+        try:
+            scen_metric = FullMetric(arr, scen_fd)
+        except MetricError as exc:
+            raise SchemaError(str(exc), field=f"{where}.metric") from None
         assignment = None
         choice = None
         if raw_scen.get("assignment") is not None:
@@ -246,12 +249,47 @@ def _matrix_out(arr: np.ndarray) -> list:
     return np.asarray(arr, dtype=float).tolist()
 
 
-def _instance_skeleton(inst: InstanceFile) -> dict:
-    """``instance_to_dict`` with None in place of the agents' preferences."""
+def _matrix_json(matrix, item_sep: str, row_sep: str) -> str:
+    """A float64 matrix as the JSON text ``json.dumps`` writes for its rows,
+    with items split by ``item_sep`` and rows by ``row_sep``.  Each distinct
+    row is encoded once and its text repeated in row order.  Rows are keyed
+    by their float64 bytes, so 0.0 and -0.0 stay apart."""
+    a = np.ascontiguousarray(matrix, dtype=np.float64)
+    seps, between = (item_sep, ":"), "]" + item_sep + "["
+    if np.unique(a[:, 0]).size == len(a):  # distinct first entries: no row repeats
+        text = json.dumps(a.tolist(), separators=seps)
+        return text if row_sep == item_sep else text.replace(between, "]" + row_sep + "[")
+    keys = a.view(np.dtype((np.void, a.itemsize * a.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    texts = json.dumps(a[first].tolist(), separators=seps)[2:-2].split(between)
+    return "[[" + ("]" + row_sep + "[").join(map(texts.__getitem__, inverse.tolist())) + "]]"
+
+
+@dataclass(frozen=True)
+class _Json:
+    """Canonical JSON text that stands in for its value in a skeleton."""
+
+    text: str
+
+
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
+def _canonical(obj: dict) -> str:
+    """Canonical JSON of an object (sorted keys, no spaces) whose ``_Json``
+    values are already encoded."""
+    return "{" + ",".join(
+        f"{json.dumps(k)}:{v.text if isinstance(v, _Json) else _CANONICAL.encode(v)}"
+        for k, v in sorted(obj.items())) + "}"
+
+
+def _instance_skeleton(inst: InstanceFile, matrix=_matrix_out) -> dict:
+    """``instance_to_dict`` with None in place of the agents' preferences
+    and each matrix written by ``matrix``."""
     names = inst.facilities.names
     out: dict = {"schema": SCHEMA_INSTANCE, "facilities": list(names)}
     if inst.fd is not None:
-        out["facility_distances"] = _matrix_out(inst.fd.values)
+        out["facility_distances"] = matrix(inst.fd.values)
     if inst.candidate_rankings is not None:
         out["candidate_rankings"] = {
             names[f]: [names[g] for g in ranking]
@@ -261,14 +299,14 @@ def _instance_skeleton(inst: InstanceFile) -> dict:
     if inst.params:
         out["params"] = inst.params
     if inst.metric is not None:
-        out["metric"] = _matrix_out(inst.metric.distances)
+        out["metric"] = matrix(inst.metric.distances)
     if inst.scenarios:
         out["scenarios"] = []
         for scen in inst.scenarios:
             entry = {
                 "label": scen.label,
-                "facility_distances": _matrix_out(scen.fd.values),
-                "metric": _matrix_out(scen.metric.distances),
+                "facility_distances": matrix(scen.fd.values),
+                "metric": matrix(scen.metric.distances),
             }
             if scen.assignment is not None:
                 entry["assignment"] = [names[f] for f in scen.assignment]
@@ -295,16 +333,18 @@ def serialize_instance(inst: InstanceFile) -> str:
 
 
 def instance_digest(inst: InstanceFile) -> str:
-    """SHA-256 of the instance as canonical JSON (sorted keys, no spaces), its
-    preferences encoded once per ranking class and joined in agent order."""
+    """SHA-256 of the instance as canonical JSON (sorted keys, no spaces).
+    The preferences are encoded once per ranking class and each matrix once
+    per distinct row, straight from its array, then joined in agent order:
+    the same bytes as encoding the whole of ``instance_to_dict``."""
     profile, names = inst.profile, [json.dumps(name) for name in inst.facilities.names]
     key, form = ("tops", "{}") if profile.top_only else ("preferences", "[{}]")
     pieces = [form.format(",".join(map(names.__getitem__, r))) for r in profile.classes]
-    parts = {k: json.dumps(v, sort_keys=True, separators=(",", ":"))
-             for k, v in _instance_skeleton(inst).items() if k != key}
-    parts[key] = "[" + ",".join(map(pieces.__getitem__, profile.class_of.tolist())) + "]"
-    canonical = "{" + ",".join(f"{json.dumps(k)}:{parts[k]}" for k in sorted(parts)) + "}"
-    return "sha256:" + hashlib.sha256(canonical.encode()).hexdigest()
+    out = _instance_skeleton(inst, lambda arr: _Json(_matrix_json(arr, ",", ",")))
+    out[key] = _Json("[" + ",".join(map(pieces.__getitem__, profile.class_of.tolist())) + "]")
+    if inst.scenarios:
+        out["scenarios"] = _Json("[" + ",".join(map(_canonical, out["scenarios"])) + "]")
+    return "sha256:" + hashlib.sha256(_canonical(out).encode()).hexdigest()
 
 
 def _number_out(value: float):
@@ -363,17 +403,18 @@ def save_instance(inst: InstanceFile, path) -> None:
 
 def report_text(report: dict) -> str:
     """A solve or audit report as JSON indented by two spaces, but each row
-    of its witness on one line: the rows go through the C encoder in one
-    call, spliced in where the skeleton holds null (a quote inside a JSON
-    string is escaped, so the key's text can only be the key)."""
+    of its witness on one line.  Each distinct witness row is encoded once
+    (``_matrix_json``), with the bytes ``json.dumps`` gives it; the rows are
+    spliced in where the skeleton holds null (a quote inside a JSON string
+    is escaped, so the key's text can only be the key)."""
     audit = report.get("audit") or report
     if audit.get("witness_metric") is None:
         return json.dumps(report, indent=2) + "\n"
     pad, skeleton = "  " * (2 + (audit is not report)), {**audit, "witness_metric": None}
-    rows = json.dumps(audit["witness_metric"])[1:-1].replace("], [", "],\n" + pad + "[")
+    rows = _matrix_json(np.array(audit["witness_metric"], dtype=float), ", ", ",\n" + pad)
     text = json.dumps(skeleton if audit is report else {**report, "audit": skeleton}, indent=2)
     key = '"witness_metric": '
-    return text.replace(key + "null", f"{key}[\n{pad}{rows}\n{pad[2:]}]", 1) + "\n"
+    return text.replace(key + "null", f"{key}[\n{pad}{rows[1:-1]}\n{pad[2:]}]", 1) + "\n"
 
 
 def save_report(report: dict, path) -> None:

@@ -8,7 +8,7 @@ from ordmech import (FullMetric, MetricError, PreferenceProfile,
                      facility_distances, preferences_from_metric,
                      project_agents, shortest_path_completion,
                      validate_distance_matrix)
-from ordmech.core import pair_indices
+from ordmech.core import MAX_DISTANCE, pair_indices
 from ordmech.lp import solve_lp
 
 from helpers import random_consistent_metric, random_facility_distances, random_instance
@@ -223,6 +223,24 @@ def test_non_finite_facility_distances_rejected(bad):
     diagonal = [[bad, 1.0], [1.0, 0.0]]
     with pytest.raises(MetricError, match=r"at \(0, 0\)"):
         validate_distance_matrix(diagonal)
+
+
+@pytest.mark.filterwarnings("error")
+def test_distances_beyond_the_cap_are_refused():
+    above = np.nextafter(MAX_DISTANCE, np.inf)
+    triangle = np.full((3, 3), MAX_DISTANCE) - np.diag(np.full(3, MAX_DISTANCE))
+    fd = facility_distances(("X", "Y", "Z"), triangle)  # at the cap
+    assert validate_distance_matrix(triangle).ok
+    for big in (above, 5e307, 1e308, -1e308):
+        values = triangle.copy()
+        values[1, 2] = values[2, 1] = big
+        with pytest.raises(MetricError, match=r"distance .* at \(1, 2\) exceeds 1e\+150"):
+            facility_distances(("X", "Y", "Z"), values)
+    far = 10 * MAX_DISTANCE  # agents may sit ten times farther than the cap
+    assert FullMetric([[far] * 3, [0.0, MAX_DISTANCE, MAX_DISTANCE]], fd).n == 2
+    for big in (np.nextafter(far, np.inf), 1e308):
+        with pytest.raises(MetricError, match=r"agent 1: d\(2\) = .* exceeds 1e\+151"):
+            FullMetric([[far] * 3, [far, far, big]], fd)
 
 
 @pytest.mark.parametrize("row, first", [([np.nan, 1.0], 0), ([np.inf, np.inf], 0),

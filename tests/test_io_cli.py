@@ -7,12 +7,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ordmech import (InternalInvariantError, PreferenceProfile, SchemaError,
+from ordmech import (FullMetric, InternalInvariantError, PreferenceProfile, SchemaError,
                      audit_sum_social_choice)
 from ordmech import audit
 from ordmech.cli import main
-from ordmech.fileio import (InstanceFile, Scenario, audit_report_to_dict, instance_digest,
-                            load_instance, parse_instance, report_text, serialize_instance)
+from ordmech.core import MAX_DISTANCE
+from ordmech.fileio import (InstanceFile, Scenario, _matrix_json, audit_report_to_dict,
+                            instance_digest, load_instance, parse_instance, report_text,
+                            serialize_instance)
 
 from helpers import loop_instance_digest, random_consistent_metric, random_instance
 
@@ -359,6 +361,54 @@ def test_infinite_audit_value_serializes(tmp_path):
     jsonschema.validate(report, schema)
 
 
+@pytest.mark.filterwarnings("error")
+def test_cli_refuses_distances_beyond_the_cap(tmp_path, capsys):
+    """Facility distances of 1e308 used to load and then crash the audit
+    (exit 3, a NaN witness ratio).  Beyond the cap, facility distances and
+    bundled metrics are refused by field with exit 2; at the cap, audits run
+    with no overflow and give the values of the same geometry at scale 1."""
+    cap, far = MAX_DISTANCE, 10 * MAX_DISTANCE
+
+    def run(path, *argv):
+        out = tmp_path / "report.json"
+        code = main([argv[0], "--instance", str(path), *argv[1:], "--out", str(out)])
+        return code, capsys.readouterr().err, code == 0 and json.loads(out.read_text())
+
+    def write(name, v, **extra):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({
+            "schema": "ordmech-instance-v1", "facilities": ["A", "B", "C"],
+            "facility_distances": [[0, v, v], [v, 0, v], [v, v, 0]],
+            "preferences": [["A", "B", "C"], ["B", "A", "C"], ["C", "B", "A"]],
+            "preset": "social_choice_sum", **extra}))
+        return path
+
+    scenario = {"label": "s", "facility_distances": [[0, cap, cap], [cap, 0, cap], [cap, cap, 0]],
+                "metric": [[far] * 3] * 3}
+    for path, field in (
+            (write("l", 1e308), "facility_distances"),
+            (write("metric", cap, metric=[[1e308] * 3] * 3), "metric"),
+            (write("scen_l", cap, scenarios=[dict(scenario, facility_distances=[
+                [0, 1e308, 1e308], [1e308, 0, 1e308], [1e308, 1e308, 0]])]),
+             "scenarios[0].facility_distances"),
+            (write("scen_metric", cap, scenarios=[dict(scenario, metric=[[1e308] * 3] * 3)]),
+             "scenarios[0].metric")):
+        code, err, _ = run(path, "audit", "--outcome", "A", "--objective", "sum")
+        assert code == 2 and err.startswith(f"error: {field}: ") and "exceeds" in err, err
+    at_cap = write("at_cap", cap, metric=[[far] * 3] * 3, scenarios=[scenario])
+    unit = write("unit", 1.0)
+    for argv in (("audit", "--outcome", "A", "--objective", "sum"),
+                 ("audit", "--outcome", "C", "--objective", "sum"),
+                 ("solve", "--mechanism", "alg1", "--audit", "median"),
+                 ("solve", "--mechanism", "alg2", "--audit", "sum")):
+        code, err, report = run(at_cap, *argv)
+        assert code == 0, err
+        expected = run(unit, *argv)[2]
+        audited, expected = report.get("audit") or report, expected.get("audit") or expected
+        assert audited["value"] == pytest.approx(expected["value"], rel=1e-12)
+        assert audited["witness_ratio"] == pytest.approx(expected["witness_ratio"], rel=1e-9)
+
+
 def test_cli_audit_reports_its_certified_upper_bound(tmp_path):
     jsonschema = pytest.importorskip("jsonschema")
     root = Path(__file__).parent.parent
@@ -483,7 +533,9 @@ def test_unknown_facility_names_name_their_field(key, value, field, message):
 
 def _random_instance_file(rng) -> InstanceFile:
     """A random instance whose agents repeat rankings, with at random
-    top-only preferences, candidate rankings, a true metric and a scenario."""
+    top-only preferences, candidate rankings, a true metric and a scenario.
+    Half the metrics repeat one row per ranking class, as a witness does,
+    and turn some zeros into -0.0."""
     profile, fd, _ = random_instance(rng, n_max=6, m_max=5)
     rankings = profile.rankings * int(rng.integers(1, 4))
     rankings = tuple(rankings[i] for i in rng.permutation(len(rankings)))
@@ -491,17 +543,24 @@ def _random_instance_file(rng) -> InstanceFile:
     if top_only:
         rankings = tuple(r[:1] for r in rankings)
     n, m = len(rankings), fd.m
+    profile = PreferenceProfile(m, rankings, top_only)
     candidates = None
     if rng.random() < 0.4:
         candidates = tuple(tuple(int(g) for g in np.argsort(fd.values[f], kind="stable") if g != f)
                            for f in range(m))
-    metric = random_consistent_metric(rng, fd, n) if rng.random() < 0.5 else None
+
+    def metric():
+        if rng.random() < 0.5:
+            return random_consistent_metric(rng, fd, n)
+        rows = random_consistent_metric(rng, fd, len(profile.classes)).distances[profile.class_of]
+        return FullMetric(np.where(rows == 0, rng.choice([0.0, -0.0], rows.shape), rows), fd)
+
     scenarios = ()
     if rng.random() < 0.4:
-        scenarios = (Scenario("worst", fd, random_consistent_metric(rng, fd, n), "a note",
-                              None, (int(rng.integers(0, m)),), 2.5),)
-    return InstanceFile(fd.facilities, PreferenceProfile(m, rankings, top_only),
-                        "social_choice_sum", fd, candidates, {}, metric, scenarios)
+        scenarios = (Scenario("worst", fd, metric(), "a note", None,
+                              (int(rng.integers(0, m)),), 2.5),)
+    return InstanceFile(fd.facilities, profile, "social_choice_sum", fd, candidates, {},
+                        metric() if rng.random() < 0.5 else None, scenarios)
 
 
 def test_instance_digest_matches_agent_by_agent_oracle():
@@ -509,7 +568,7 @@ def test_instance_digest_matches_agent_by_agent_oracle():
         inst = load_instance(path)
         assert instance_digest(inst) == loop_instance_digest(inst), path.name
     rng = np.random.default_rng(211)
-    kinds = set()
+    kinds, repeated, signed = set(), 0, 0
     for _ in range(150):
         inst = _random_instance_file(rng)
         assert instance_digest(inst) == loop_instance_digest(inst)
@@ -517,7 +576,36 @@ def test_instance_digest_matches_agent_by_agent_oracle():
         kinds.add((inst.profile.top_only, inst.candidate_rankings is not None,
                    inst.metric is not None, bool(inst.scenarios),
                    len(inst.profile.classes) < inst.n))
+        if inst.metric is not None:
+            d = inst.metric.distances
+            repeated += len(np.unique(d, axis=0)) < len(d)
+            signed += bool(np.signbit(d).any())
     assert len(kinds) >= 20  # every feature turns up, alone and combined
+    assert repeated >= 20 and signed >= 5, (repeated, signed)
+
+
+_SUBNORMAL = 5e-324
+
+
+@pytest.mark.parametrize("rows", [
+    [[0.0, 1.5, 2.0], [0.0, 1.5, 2.0], [3.0, 1.5, 0.25], [0.0, 1.5, 2.0]],  # repeated rows
+    [[0.0, 1.0], [-0.0, 1.0], [0.0, -0.0], [-0.0, 1.0], [0.0, 1.0]],  # equal, not the same bytes
+    [[_SUBNORMAL, 2.2250738585072014e-308], [1e16, 1e-05], [9999999999999998.0, 0.0001],
+     [_SUBNORMAL, 2.2250738585072014e-308], [1e16, 1e-05]],  # subnormals, repr switches
+    [[1.0, 2.0, 1.0]],  # one row
+    [[2.0], [1e16], [2.0], [-0.0], [0.0]],  # one column
+    [[3.0, 1.0], [2.0, 1.0], [1.0, 2.0]],  # all rows distinct
+    [[1.0, 2.0], [1.0, 3.0], [1.0, 2.0]],  # a first column that repeats
+])
+def test_matrix_json_matches_json_dumps(rows):
+    matrix = np.array(rows, dtype=float)
+    assert _matrix_json(matrix, ",", ",") == json.dumps(rows, separators=(",", ":"))
+    assert _matrix_json(matrix, ", ", ", ") == json.dumps(rows)
+    assert _matrix_json(matrix, ", ", ",\n  ") == json.dumps(rows).replace("], [", "],\n  [")
+    rng = np.random.default_rng(len(rows))
+    shuffled = [rows[i] for i in rng.integers(0, len(rows), 40)]
+    assert _matrix_json(np.array(shuffled), ",", ",") == \
+        json.dumps(shuffled, separators=(",", ":"))
 
 
 def test_reports_put_one_witness_row_per_line(tmp_path, capsys):
@@ -549,6 +637,14 @@ def test_reports_put_one_witness_row_per_line(tmp_path, capsys):
         assert lines[start + len(witness)].strip() == "],"
         # the rest keeps the two-space layout with one number per line
         assert len(lines) == len(indented.splitlines()) - len(witness) * (len(witness[0]) + 1)
+    # rows equal by value but not by bytes keep their own text, in both layouts
+    signed = [[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0], [-0.0, -0.0], [-0.0, 1.0]]
+    for report, pad in (({**audited, "witness_metric": signed}, "    "),
+                        ({"audit": {**audited, "witness_metric": signed}}, "      ")):
+        lines = report_text(report).splitlines()
+        start = lines.index(pad[2:] + '"witness_metric": [') + 1
+        rows = [pad + json.dumps(row) + "," for row in signed[:-1]] + [pad + "[-0.0, 1.0]"]
+        assert lines[start:start + len(signed) + 1] == rows + [pad[2:] + "],"]
 
 
 def test_internal_faults_exit_3(monkeypatch, capsys):
