@@ -256,7 +256,8 @@ def _matrix_json(matrix, item_sep: str, row_sep: str) -> str:
     by their float64 bytes, so 0.0 and -0.0 stay apart."""
     a = np.ascontiguousarray(matrix, dtype=np.float64)
     seps, between = (item_sep, ":"), "]" + item_sep + "["
-    if np.unique(a[:, 0]).size == len(a):  # distinct first entries: no row repeats
+    column = np.sort(a[:, 0])
+    if (column[1:] != column[:-1]).all():  # distinct first entries: no row repeats
         text = json.dumps(a.tolist(), separators=seps)
         return text if row_sep == item_sep else text.replace(between, "]" + row_sep + "[")
     keys = a.view(np.dtype((np.void, a.itemsize * a.shape[1]))).ravel()

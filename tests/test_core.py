@@ -228,7 +228,7 @@ def test_non_finite_facility_distances_rejected(bad):
 @pytest.mark.filterwarnings("error")
 def test_distances_beyond_the_cap_are_refused():
     above = np.nextafter(MAX_DISTANCE, np.inf)
-    triangle = np.full((3, 3), MAX_DISTANCE) - np.diag(np.full(3, MAX_DISTANCE))
+    triangle = MAX_DISTANCE * (1 - np.eye(3))
     fd = facility_distances(("X", "Y", "Z"), triangle)  # at the cap
     assert validate_distance_matrix(triangle).ok
     for big in (above, 5e307, 1e308, -1e308):
