@@ -276,12 +276,14 @@ class _Json:
 _CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
-def _canonical(obj: dict) -> str:
+def _canonical(obj: dict):
     """Canonical JSON of an object (sorted keys, no spaces) whose ``_Json``
-    values are already encoded."""
-    return "{" + ",".join(
-        f"{json.dumps(k)}:{v.text if isinstance(v, _Json) else _CANONICAL.encode(v)}"
-        for k, v in sorted(obj.items())) + "}"
+    values are already encoded, in pieces to join or hash in turn."""
+    yield "{"
+    for i, (k, v) in enumerate(sorted(obj.items())):
+        yield f"{',' if i else ''}{json.dumps(k)}:"
+        yield v.text if isinstance(v, _Json) else _CANONICAL.encode(v)
+    yield "}"
 
 
 def _instance_skeleton(inst: InstanceFile, matrix=_matrix_out) -> dict:
@@ -336,16 +338,21 @@ def serialize_instance(inst: InstanceFile) -> str:
 def instance_digest(inst: InstanceFile) -> str:
     """SHA-256 of the instance as canonical JSON (sorted keys, no spaces).
     The preferences are encoded once per ranking class and each matrix once
-    per distinct row, straight from its array, then joined in agent order:
-    the same bytes as encoding the whole of ``instance_to_dict``."""
+    per distinct row, straight from its array, then joined in agent order
+    and hashed piece by piece: the same bytes as encoding the whole of
+    ``instance_to_dict``."""
     profile, names = inst.profile, [json.dumps(name) for name in inst.facilities.names]
     key, form = ("tops", "{}") if profile.top_only else ("preferences", "[{}]")
     pieces = [form.format(",".join(map(names.__getitem__, r))) for r in profile.classes]
     out = _instance_skeleton(inst, lambda arr: _Json(_matrix_json(arr, ",", ",")))
     out[key] = _Json("[" + ",".join(map(pieces.__getitem__, profile.class_of.tolist())) + "]")
     if inst.scenarios:
-        out["scenarios"] = _Json("[" + ",".join(map(_canonical, out["scenarios"])) + "]")
-    return "sha256:" + hashlib.sha256(_canonical(out).encode()).hexdigest()
+        out["scenarios"] = _Json(
+            "[" + ",".join("".join(_canonical(entry)) for entry in out["scenarios"]) + "]")
+    digest = hashlib.sha256()
+    for piece in _canonical(out):
+        digest.update(piece.encode())
+    return "sha256:" + digest.hexdigest()
 
 
 def _number_out(value: float):
