@@ -584,14 +584,11 @@ def test_instance_digest_matches_agent_by_agent_oracle():
     assert repeated >= 20 and signed >= 5, (repeated, signed)
 
 
-_SUBNORMAL = 5e-324
-
-
 @pytest.mark.parametrize("rows", [
     [[0.0, 1.5, 2.0], [0.0, 1.5, 2.0], [3.0, 1.5, 0.25], [0.0, 1.5, 2.0]],  # repeated rows
     [[0.0, 1.0], [-0.0, 1.0], [0.0, -0.0], [-0.0, 1.0], [0.0, 1.0]],  # equal, not the same bytes
-    [[_SUBNORMAL, 2.2250738585072014e-308], [1e16, 1e-05], [9999999999999998.0, 0.0001],
-     [_SUBNORMAL, 2.2250738585072014e-308], [1e16, 1e-05]],  # subnormals, repr switches
+    [[5e-324, 2.2250738585072014e-308], [1e16, 1e-05], [9999999999999998.0, 0.0001],
+     [5e-324, 2.2250738585072014e-308], [1e16, 1e-05]],  # subnormal, repr's exponent switches
     [[1.0, 2.0, 1.0]],  # one row
     [[2.0], [1e16], [2.0], [-0.0], [0.0]],  # one column
     [[3.0, 1.0], [2.0, 1.0], [1.0, 2.0]],  # all rows distinct
