@@ -291,6 +291,7 @@ _OCT_B = np.array([-1.0, 1.0, -1.0, 1.0, 0.0, 0.0, -1.0, 1.0])
 _OCT_S, _OCT_T = np.array([(s, t) for s, t in combinations(range(8), 2)
                            if _OCT_A[s] * _OCT_B[t] != _OCT_B[s] * _OCT_A[t]]).T
 _OCT_DET = _OCT_A[_OCT_S] * _OCT_B[_OCT_T] - _OCT_B[_OCT_S] * _OCT_A[_OCT_T]
+_OCT_TOL = np.array([_OCT_A, _OCT_B, -1e-9 * abs(_OCT_A), -1e-9 * abs(_OCT_B)])
 # Row t's bound is closure entry [p, q] (halved for the last four rows), with
 # p and q read as coefficients of (2 f, 2 g, 1) for numerator facility f and g
 _OCT_P = np.array([[1, 0, 1, 1, 1, 1, 0, 0], [0, 1, 0, 0, 0, 0, 1, 1], [0, 0, 1, 0, 1, 0, 1, 0]])
@@ -305,14 +306,15 @@ def _octagon_vertices(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     """Vertices of each octagon, given its eight row bounds ``h`` (octagons
     x 8, inf where a row is absent): the intersections of every pair of
     non-parallel rows, as (a, b, valid), where ``valid`` marks the points
-    that satisfy all eight rows within a relative 1e-9."""
+    that satisfy each row within 1e-9 of the size of its own terms."""
     S, T = _OCT_S, _OCT_T
     with np.errstate(invalid="ignore"):
         a = (h[:, S] * _OCT_B[T] - _OCT_B[S] * h[:, T]) / _OCT_DET
         b = (_OCT_A[S] * h[:, T] - h[:, S] * _OCT_A[T]) / _OCT_DET
-        slack = _OCT_A * a[..., None] + _OCT_B * b[..., None] - h[:, None, :]
-    tol = 1e-9 * (1.0 + np.abs(np.where(np.isfinite(h), h, 0.0)).max(axis=1))
-    valid = np.isfinite(a) & np.isfinite(b) & (slack <= tol[:, None, None]).all(axis=2)
+        lhs = _OCT_TOL[0] * a[..., None]  # each row's left side less 1e-9 of its terms' size
+        for row, col in zip(_OCT_TOL[1:], (b, abs(a), abs(b))):
+            lhs += row * col[..., None]
+    valid = np.isfinite(a) & np.isfinite(b) & (lhs <= (h + 1e-9 * (1 + abs(h)))[:, None]).all(2)
     if not valid.any(axis=1).all():
         raise InternalInvariantError("a ranking class's octagon has no vertex")
     return np.where(valid, a, 0.0), np.where(valid, b, 0.0), valid

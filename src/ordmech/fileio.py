@@ -249,20 +249,18 @@ def _matrix_out(arr: np.ndarray) -> list:
     return np.asarray(arr, dtype=float).tolist()
 
 
-def _matrix_json(matrix, item_sep: str, row_sep: str) -> str:
+def _matrix_json(matrix, row_sep: str) -> str:
     """A float64 matrix as the JSON text ``json.dumps`` writes for its rows,
-    with items split by ``item_sep`` and rows by ``row_sep``.  Each distinct
-    row is encoded once and its text repeated in row order.  Rows are keyed
-    by their float64 bytes, so 0.0 and -0.0 stay apart."""
+    with rows split by ``row_sep``.  Each distinct row is encoded once and
+    its text repeated in row order.  Rows are keyed by their float64 bytes,
+    so 0.0 and -0.0 stay apart."""
     a = np.ascontiguousarray(matrix, dtype=np.float64)
-    seps, between = (item_sep, ":"), "]" + item_sep + "["
     column = np.sort(a[:, 0])
     if (column[1:] != column[:-1]).all():  # distinct first entries: no row repeats
-        text = json.dumps(a.tolist(), separators=seps)
-        return text if row_sep == item_sep else text.replace(between, "]" + row_sep + "[")
+        return json.dumps(a.tolist()).replace("], [", "]" + row_sep + "[")
     keys = a.view(np.dtype((np.void, a.itemsize * a.shape[1]))).ravel()
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    texts = json.dumps(a[first].tolist(), separators=seps)[2:-2].split(between)
+    texts = json.dumps(a[first].tolist())[2:-2].split("], [")
     return "[[" + ("]" + row_sep + "[").join(map(texts.__getitem__, inverse.tolist())) + "]]"
 
 
@@ -278,7 +276,7 @@ _CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 def _canonical(obj: dict):
     """Canonical JSON of an object (sorted keys, no spaces) whose ``_Json``
-    values are already encoded, in pieces to join or hash in turn."""
+    values are already encoded, in pieces to hash in turn."""
     yield "{"
     for i, (k, v) in enumerate(sorted(obj.items())):
         yield f"{',' if i else ''}{json.dumps(k)}:"
@@ -336,19 +334,19 @@ def serialize_instance(inst: InstanceFile) -> str:
 
 
 def instance_digest(inst: InstanceFile) -> str:
-    """SHA-256 of the instance as canonical JSON (sorted keys, no spaces).
-    The preferences are encoded once per ranking class and each matrix once
-    per distinct row, straight from its array, then joined in agent order
-    and hashed piece by piece: the same bytes as encoding the whole of
-    ``instance_to_dict``."""
+    """SHA-256 of the instance as canonical JSON (sorted keys, no spaces),
+    each matrix written as ``{"float64le_sha256": <hex>, "shape": [rows,
+    cols]}``, the SHA-256 of its row-major little-endian float64 bytes: equal
+    exactly when the canonical texts with every matrix written out are.  The
+    preferences are encoded once per ranking class, joined in agent order,
+    and the text is hashed piece by piece."""
     profile, names = inst.profile, [json.dumps(name) for name in inst.facilities.names]
     key, form = ("tops", "{}") if profile.top_only else ("preferences", "[{}]")
     pieces = [form.format(",".join(map(names.__getitem__, r))) for r in profile.classes]
-    out = _instance_skeleton(inst, lambda arr: _Json(_matrix_json(arr, ",", ",")))
+    out = _instance_skeleton(inst, lambda arr: {
+        "float64le_sha256": hashlib.sha256(np.ascontiguousarray(arr, "<f8")).hexdigest(),
+        "shape": list(arr.shape)})
     out[key] = _Json("[" + ",".join(map(pieces.__getitem__, profile.class_of.tolist())) + "]")
-    if inst.scenarios:
-        out["scenarios"] = _Json(
-            "[" + ",".join("".join(_canonical(entry)) for entry in out["scenarios"]) + "]")
     digest = hashlib.sha256()
     for piece in _canonical(out):
         digest.update(piece.encode())
@@ -419,7 +417,7 @@ def report_text(report: dict) -> str:
     if audit.get("witness_metric") is None:
         return json.dumps(report, indent=2) + "\n"
     pad, skeleton = "  " * (2 + (audit is not report)), {**audit, "witness_metric": None}
-    rows = _matrix_json(np.array(audit["witness_metric"], dtype=float), ", ", ",\n" + pad)
+    rows = _matrix_json(np.array(audit["witness_metric"], dtype=float), ",\n" + pad)
     text = json.dumps(skeleton if audit is report else {**report, "audit": skeleton}, indent=2)
     key = '"witness_metric": '
     return text.replace(key + "null", f"{key}[\n{pad}{rows[1:-1]}\n{pad[2:]}]", 1) + "\n"

@@ -249,9 +249,8 @@ def loop_profile_error(m, rankings, top_only):
     return None
 
 
-def loop_instance_digest(inst):
-    """The instance digest as first defined: the whole instance, preferences
-    written agent by agent, encoded as one canonical JSON text."""
+def _agent_by_agent_dict(inst):
+    """``instance_to_dict`` with the preferences written agent by agent."""
     from ordmech.fileio import instance_to_dict
 
     names, profile = inst.facilities.names, inst.profile
@@ -260,8 +259,32 @@ def loop_instance_digest(inst):
         out["tops"] = [names[r[0]] for r in profile.rankings]
     else:
         out["preferences"] = [[names[g] for g in r] for r in profile.rankings]
-    canonical = json.dumps(out, sort_keys=True, separators=(",", ":"))
-    return "sha256:" + hashlib.sha256(canonical.encode()).hexdigest()
+    return out
+
+
+def _sha256(text):
+    return "sha256:" + hashlib.sha256(text.encode()).hexdigest()
+
+
+def text_instance_digest(inst):
+    """The instance digest as first defined: the whole instance, preferences
+    written agent by agent and every matrix entry by entry, encoded as one
+    canonical JSON text."""
+    return _sha256(json.dumps(_agent_by_agent_dict(inst), sort_keys=True, separators=(",", ":")))
+
+
+def loop_instance_digest(inst):
+    """The instance digest: the canonical JSON text of ``text_instance_digest``
+    with each matrix replaced by the SHA-256 of its row-major little-endian
+    float64 bytes and its shape."""
+    out = _agent_by_agent_dict(inst)
+    for entry in (out, *out.get("scenarios", ())):
+        for key in ("facility_distances", "metric"):
+            if key in entry:
+                arr = np.asarray(entry[key], dtype="<f8")
+                entry[key] = {"float64le_sha256": hashlib.sha256(arr.tobytes()).hexdigest(),
+                              "shape": [len(entry[key]), len(entry[key][0])]}
+    return _sha256(json.dumps(out, sort_keys=True, separators=(",", ":")))
 
 
 def loop_min_cost_matching(cost):

@@ -58,6 +58,22 @@ def test_tie_audit_is_scale_invariant():
         assert report.value == pytest.approx(3.0, abs=1e-6), span
 
 
+@pytest.mark.parametrize("span", [1.0, 1e4, 1e6, 1e8, 1e10])
+def test_sum_audit_across_wide_distance_spans(span):
+    # l(Y, Z) = 1e-3 beside l(X, .) = span: two agents ranking Z first sit
+    # at least 5e-4 from Y, so X against Y reads 4000 span + 1.  A vertex
+    # tolerance relative to an octagon's largest bound passed b = 0 there
+    # from span = 1e6 on, and the audit read an infinite value.
+    fd = facility_distances("XYZ", [[0.0, span, span], [span, 0.0, 1e-3], [span, 1e-3, 0.0]])
+    profile = PreferenceProfile(3, ((2, 1, 0), (2, 1, 0), (1, 2, 0), (1, 2, 0)))
+    report = audit_sum_social_choice(0, profile, fd)
+    assert report.value == pytest.approx(4000 * span + 1, rel=1e-9)
+    assert report.witness_ratio <= report.value * (1 + 1e-9)
+    assert report.value <= report.certified_upper * (1 + 1e-9)
+    assert report.witness_ratio == pytest.approx(report.value, rel=1e-6)
+    assert report.flags == ()
+
+
 def test_unanimous_winner_audits_to_one():
     # everyone's top choice is optimal under every consistent metric
     fd = facility_distances(("F1", "F2"), [[0.0, 2.0], [2.0, 0.0]])

@@ -13,10 +13,11 @@ from ordmech import audit
 from ordmech.cli import main
 from ordmech.core import MAX_DISTANCE
 from ordmech.fileio import (InstanceFile, Scenario, _matrix_json, audit_report_to_dict,
-                            instance_digest, load_instance, parse_instance, report_text,
-                            serialize_instance)
+                            instance_digest, instance_from_dict, instance_to_dict,
+                            load_instance, parse_instance, report_text, serialize_instance)
 
-from helpers import loop_instance_digest, random_consistent_metric, random_instance
+from helpers import (loop_instance_digest, random_consistent_metric, random_instance,
+                     text_instance_digest)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -584,6 +585,67 @@ def test_instance_digest_matches_agent_by_agent_oracle():
     assert repeated >= 20 and signed >= 5, (repeated, signed)
 
 
+def _variants(data: dict) -> list[dict]:
+    """Copies of an instance dict with one change each: a zero's sign
+    flipped, integral entries written as integers, an entry moved to the
+    next float, two metric rows swapped, the scenario's matrices doubled,
+    and the preferences cut to their tops."""
+    def copy():
+        return json.loads(json.dumps(data))  # "-0.0" reads back as -0.0
+
+    def matrices(d):
+        return [(entry, key) for entry in (d, *d.get("scenarios", ()))
+                for key in ("facility_distances", "metric") if entry.get(key) is not None]
+
+    out = []
+    if matrices(data):
+        d = copy()
+        entry, key = matrices(d)[0]
+        entry[key][0][0] = -entry[key][0][0]  # a diagonal zero
+        out.append(d)
+        d = copy()
+        for entry, key in matrices(d):
+            entry[key] = [[int(x) if x == int(x) and math.copysign(1, x) > 0 else x
+                           for x in row] for row in entry[key]]
+        out.append(d)
+        d = copy()
+        entry, key = matrices(d)[-1]
+        entry[key][0][-1] = float(np.nextafter(entry[key][0][-1], np.inf))
+        out.append(d)
+    if len(data.get("metric") or ()) > 1:
+        d = copy()
+        d["metric"][0], d["metric"][1] = d["metric"][1], d["metric"][0]
+        out.append(d)
+    if data.get("scenarios"):
+        d = copy()
+        for key in ("facility_distances", "metric"):
+            d["scenarios"][0][key] = [[2 * x for x in row] for row in d["scenarios"][0][key]]
+        out.append(d)
+    if "preferences" in data:
+        d = copy()
+        d["tops"] = [ranking[0] for ranking in d.pop("preferences")]
+        out.append(d)
+    return out
+
+
+def test_digests_tell_instances_apart_as_their_canonical_texts_do():
+    rng = np.random.default_rng(212)
+    bases = [load_instance(path) for path in _fixture_paths()]
+    bases += [_random_instance_file(rng) for _ in range(150)]
+    seen, count, same_text = set(), 0, 0
+    for base in bases:
+        family = [base, *map(instance_from_dict, _variants(instance_to_dict(base)))]
+        texts = [text_instance_digest(inst) for inst in family]
+        count, same_text = count + len(family), same_text + texts[1:].count(texts[0])
+        seen.update(zip(texts, map(instance_digest, family)))
+    # one digest per canonical text and one text per digest: for every
+    # pair of instances, equal digests exactly when the texts are equal
+    assert len({text for text, _ in seen}) == len({digest for _, digest in seen}) == len(seen)
+    # texts equal to their base's come from the integer copies and from
+    # swapped rows that are equal; every other copy has a text of its own
+    assert same_text > len(bases) and len(seen) == count - same_text, (count, same_text)
+
+
 @pytest.mark.parametrize("rows", [
     [[0.0, 1.5, 2.0], [0.0, 1.5, 2.0], [3.0, 1.5, 0.25], [0.0, 1.5, 2.0]],  # repeated rows
     [[0.0, 1.0], [-0.0, 1.0], [0.0, -0.0], [-0.0, 1.0], [0.0, 1.0]],  # equal, not the same bytes
@@ -596,13 +658,11 @@ def test_instance_digest_matches_agent_by_agent_oracle():
 ])
 def test_matrix_json_matches_json_dumps(rows):
     matrix = np.array(rows, dtype=float)
-    assert _matrix_json(matrix, ",", ",") == json.dumps(rows, separators=(",", ":"))
-    assert _matrix_json(matrix, ", ", ", ") == json.dumps(rows)
-    assert _matrix_json(matrix, ", ", ",\n  ") == json.dumps(rows).replace("], [", "],\n  [")
+    assert _matrix_json(matrix, ", ") == json.dumps(rows)
+    assert _matrix_json(matrix, ",\n  ") == json.dumps(rows).replace("], [", "],\n  [")
     rng = np.random.default_rng(len(rows))
     shuffled = [rows[i] for i in rng.integers(0, len(rows), 40)]
-    assert _matrix_json(np.array(shuffled), ",", ",") == \
-        json.dumps(shuffled, separators=(",", ":"))
+    assert _matrix_json(np.array(shuffled), ", ") == json.dumps(shuffled)
 
 
 def test_reports_put_one_witness_row_per_line(tmp_path, capsys):
