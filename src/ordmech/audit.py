@@ -14,23 +14,23 @@ over a class keeps it feasible and keeps the ratio, so the value is exact
 while the work follows the number of classes, at most min(n, m!).  The
 same independence makes vanishing denominators combinatorial: an agent
 can sit exactly on a facility iff that facility's distance row respects
-the agent's ranking, and one rule serves every objective
-(_pairs_or_vanishing): a denominator vanishes iff as many agents as it
-needs seated (n for a sum, k for a k-th smallest distance) can sit on one
-of their facilities.  Only the maximizing alternative's witness is built.
+the agent's ranking, and one rule serves every objective: a denominator
+vanishes iff as many agents as it needs seated (n for a sum, k for a
+k-th smallest distance) can sit on one of their facilities at no opening
+cost.  Only the maximizing alternative's witness is built.
 
 A ranking's rows are unit two-variable inequalities, so shortest paths,
 in one stacked pass over the distinct rankings in chunks within BLOCK
 elements (_closure), give every bound on one distance, or on the sum or
 difference of two, exactly, and any values within those bounds extend
-to a full consistent row (_point).  Sum and assignment audits run over
-matchings or open sets of facilities, where each agent takes its best
-facility of the set, so a class reads its distance to its own facility
-and to one of the set's: per facility an octagon of eight closure rows.
-Dinkelbach's parametric method, one rho per alternative over blocks of
-(alternative, class) rows (_ratio_pairs), maximizes every ratio over the
-octagons' vertices with no LP solver (_dinkelbach); its last step also
-certifies an upper bound that the report carries too.
+to a full consistent row (_point).  A sum or assignment ratio reads a
+class's distances to its own facility and to the one it takes: per
+facility an octagon of eight closure rows.  Dinkelbach's parametric
+method maximizes the ratio over the octagons' vertices (_dinkelbach),
+with one rho per family of alternatives: each other facility alone for
+a sum audit, and all matchings or all open sets of facilities for an
+assignment audit, whose best member per step is one exact solve.  Its
+last step also certifies an upper bound that the report carries too.
 
 Percentile objectives are piecewise linear: which agents realize the two
 order statistics is a subset choice, but per-agent independence collapses
@@ -47,9 +47,8 @@ from __future__ import annotations
 
 import logging
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -61,10 +60,9 @@ from .errors import (InternalInvariantError, MetricError, SearchSpaceError,
                      SolverError, UnboundedObjectiveError)
 from .lp import solve_lp
 from .social_choice import evaluate_percentile_cost, percentile_rank
-from .solvers import _subset_minima, min_cost_matching
+from .solvers import KMEDIAN_EXACT_CAP, _subset_minima, min_cost_matching
 
 INF = float("inf")
-ASSIGNMENT_AUDIT_CAP = 10 ** 4
 _LOG = logging.getLogger("ordmech")
 
 
@@ -272,15 +270,13 @@ def _metric_from_values(values, fd: FacilityDistances, flags: list[str],
 
 
 class _Pairs(NamedTuple):
-    """Per alternative: its ratio supremum, a certified upper bound,
+    """Per alternative: its ratio supremum, a certified upper bound, and
     ``witness(j)``, rows attaining value j or None (an infinite value has
-    one iff its denominator vanishes, else its ratio is unbounded), and for
-    additive ratios the assignment (of the denominator) each was read at."""
+    one iff its denominator vanishes, else its ratio is unbounded)."""
 
     value: np.ndarray
     upper: np.ndarray
     witness: Callable[[int], np.ndarray | None]
-    choice: np.ndarray | None = None
 
 
 # A class's octagon over (a, b) = (d(i, num_at), d(i, g)) for a candidate g:
@@ -302,11 +298,11 @@ _VERTEX_ROWS = 2 * BLOCK // (len(_OCT_S) * 8)
 DINKELBACH_MAX_ITER = 100
 
 
-def _octagon_vertices(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _octagon_vertices(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vertices of each octagon, given its eight row bounds ``h`` (octagons
     x 8, inf where a row is absent): the intersections of every pair of
-    non-parallel rows, as (a, b, valid), where ``valid`` marks the points
-    that satisfy each row within 1e-9 of the size of its own terms."""
+    non-parallel rows, as (a, b), where the points that break a row by more
+    than 1e-9 of the size of its own terms read a = -inf and b = inf."""
     S, T = _OCT_S, _OCT_T
     with np.errstate(invalid="ignore"):
         a = (h[:, S] * _OCT_B[T] - _OCT_B[S] * h[:, T]) / _OCT_DET
@@ -317,43 +313,59 @@ def _octagon_vertices(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     valid = np.isfinite(a) & np.isfinite(b) & (lhs <= (h + 1e-9 * (1 + abs(h)))[:, None]).all(2)
     if not valid.any(axis=1).all():
         raise InternalInvariantError("a ranking class's octagon has no vertex")
-    return np.where(valid, a, 0.0), np.where(valid, b, 0.0), valid
+    return np.where(valid, a, -INF), np.where(valid, b, INF)
 
 
-def _dinkelbach(h: np.ndarray, count: np.ndarray, alt: np.ndarray, num_const: np.ndarray,
-                den_const: np.ndarray):
-    """Per alternative j, max (sum_c count_c a_c + num_const[j]) /
-    (sum_c count_c b_c + den_const[j]) over its classes c (rows with alt =
-    j), each in an octagon of one of its candidates (bounds ``h``, classes
-    x candidates x 8), by Dinkelbach's parametric method over the
-    octagons' vertices with one rho per alternative.
+def _dinkelbach(W: np.ndarray, r, f, g, count: np.ndarray, family: np.ndarray,
+                num_const: np.ndarray, choose):
+    """Per family j, max (sum_c count_c a_c + num_const[j]) / (sum_c count_c
+    b_c + den) over its classes c (family = j) and its alternatives, by
+    Dinkelbach's parametric method with one rho per family.  Class c, of
+    ranking r and numerator facility f, has an octagon over (a, b) =
+    (d(f), d(g)) per candidate g (classes x candidates): the projection of
+    a closed system onto two coordinates is exactly its rows on them.  An
+    alternative seats every class on a candidate at a constant den, and
+    ``choose(w, rho)`` gives the seats and den (per family) of those that
+    maximize sum_c count_c w[c, seat] - rho den, for w classes x candidates.
 
     A consistent row stays consistent when all its distances grow by the
     same amount, so each octagon is the convex hull of its vertices plus
     the ray (1, 1).  Along that ray |a - b| stays below l(f, g), so the
     ratio tends to exactly 1, and any mix of vertices and rays has a ratio
     between its vertex part's and 1: the value is the larger of 1 and the
-    vertex maximum.  Starting from rho = 1, every step maximizes a - rho b
-    per class over its candidates' vertices (the first on ties) and moves
-    rho to the ratio of the chosen vertices, read by _ratio, which strictly
-    raises it until
-    F(rho) = max sum_c count_c (a_c - rho b_c) + num_const - rho den_const
-    vanishes; a stopped alternative keeps its rho and so its choice.
+    vertex maximum.  Starting from rho = 1, every step takes each class's
+    best vertex of a - rho b per candidate (the first on ties), seats the
+    classes by ``choose`` and moves rho to the ratio of the chosen
+    vertices, read by _ratio, which strictly raises it until
+    F(rho) = max sum_c count_c (a_c - rho b_c) + num_const - rho den
+    vanishes; a stopped family keeps its rho and so its seats.
     F(rho) <= 0 is the LP dual's certificate that rho is an upper bound:
-    every point has num - rho den <= F(rho), so with the least denominator
-    den_lo, rho + max(F(rho), 0) / den_lo is one, or rho itself where den_lo
-    vanishes and denominators read by the zero rule.  A step to an infinite
-    ratio (every agent seated under a positive numerator below the 1e-12 of
-    _pairs_or_vanishing) reads infinite.  Returns values, upper bounds,
-    each class's vertex (a, b) and the candidate it lies on."""
-    shape = (len(h), h.shape[1] * len(_OCT_S))  # per class, its candidates' vertices
-    a, b, valid = (v.reshape(shape) for v in _octagon_vertices(h.reshape(-1, 8)))
+    every point has num - rho den <= F(rho), so with the family's least
+    denominator den_lo (``choose`` on each class's least b), rho +
+    max(F(rho), 0) / den_lo is one, or rho itself where den_lo vanishes.
+    A step to an infinite ratio (a zero denominator below the 1e-12 of the
+    vanishing screens) reads infinite.  Returns values, upper bounds, the
+    last step's seats and ``point_rows(s)``: the chosen vertices of the
+    classes in slice s, extended to full rows (_point)."""
+    step, parts = max(1, _VERTEX_ROWS // g.shape[1]), []  # classes per vertex pass
+    for lo in range(0, len(r) or 1, step):
+        F, G = 2 * f[lo:lo + step, None, None], 2 * g[lo:lo + step, :, None]
+        p, q = (F * C[0] + G * C[1] + C[2] for C in (_OCT_P, _OCT_Q))
+        parts.append(_octagon_vertices((W[r[lo:lo + step, None, None], p, q]
+                                        * _OCT_HALF).reshape(-1, 8)))
+    a, b = (np.concatenate(v).reshape(*g.shape, len(_OCT_S)) for v in zip(*parts))
     rows, size, rho = np.arange(len(count)), len(num_const), np.ones(len(num_const))
+    step = max(1, 2 * BLOCK // (g.shape[1] * len(_OCT_S)))  # classes per pick pass
+    pick = np.empty(g.shape, dtype=np.intp)
     for _ in range(DINKELBACH_MAX_ITER):
-        pick = np.where(valid, a - rho[alt, None] * b, -INF).argmax(axis=1)
-        a_at, b_at = a[rows, pick], b[rows, pick]
-        num = np.bincount(alt, count * a_at, size) + num_const
-        den = np.bincount(alt, count * b_at, size) + den_const
+        for lo in range(0, len(a), step):
+            part = slice(lo, lo + step)
+            pick[part] = (a[part] - rho[family[part], None, None] * b[part]).argmax(axis=2)
+        a_v, b_v = (np.take_along_axis(v, pick[..., None], 2)[..., 0] for v in (a, b))
+        seat, den_const = choose(a_v - rho[family, None] * b_v, rho)
+        a_at, b_at = a_v[rows, seat], b_v[rows, seat]
+        num = np.bincount(family, count * a_at, size) + num_const
+        den = np.bincount(family, count * b_at, size) + den_const
         gap = num - rho * den
         ratio = _ratio(num, den)
         # the last test catches rounding: no vertex improves on rho
@@ -364,112 +376,61 @@ def _dinkelbach(h: np.ndarray, count: np.ndarray, alt: np.ndarray, num_const: np
         rho = np.where(stop | unbounded, rho, ratio)
     else:
         raise InternalInvariantError("Dinkelbach's method did not converge")
-    den_lo = np.bincount(alt, count * np.where(valid, b, INF).min(axis=1), size) + den_const
+    low = b.min(axis=2)
+    low_seat, low_const = choose(-low, np.ones(size))
+    den_lo = np.bincount(family, count * low[rows, low_seat], size) + low_const
     with np.errstate(divide="ignore", invalid="ignore"):
         upper = np.where(den_lo > 1e-12, rho + np.maximum(gap, 0.0) / den_lo, rho)
-    return (np.where(unbounded, INF, rho), np.where(unbounded, INF, upper), a_at, b_at,
-            pick // len(_OCT_S))
+    fixed = (r, f, g[rows, seat], a_at, b_at)
+
+    def point_rows(s: slice) -> np.ndarray:
+        return np.array([_point(W[k], {p: u, q: v})
+                         for k, p, q, u, v in zip(*(c[s].tolist() for c in fixed))])
+
+    return np.where(unbounded, INF, rho), np.where(unbounded, INF, upper), seat, point_rows
 
 
 def _ratio_pairs(poly: ConsistencyPolytope, num_at, num_const: np.ndarray,
                  den_at: np.ndarray, den_const: np.ndarray) -> _Pairs:
     """Per alternative j, sup (sum_i d(i, num_at[i]) + num_const[j]) /
-    (sum_i d(i, y_i) + den_const[j]) over the polytope and the assignments
-    y that seat each agent i on one of its candidates den_at[j, i]:
-    ``num_at`` broadcasts to the agents, and ``den_at`` is alternatives x
-    agents x candidates, with one row for an open set shared by all.
-
-    Only a class's distances to its numerator facility and a candidate g
-    enter a ratio, and the projection of a closed system onto two
-    coordinates is exactly its rows on them: an octagon per class and g.
-    Classes group an alternative's agents by ranking, numerator facility
-    and first candidate, in order of first appearance, so they share their
-    candidates; the rows go through _dinkelbach in blocks of whole
-    alternatives, and witnesses extend the maximizing vertices (_point).
-    No denominator may vanish (see _pairs_or_vanishing)."""
+    (sum_i d(i, den_at[j, i]) + den_const[j]) over the polytope, where
+    ``num_at`` broadcasts to the agents and ``den_at`` to alternatives x
+    agents, each alternative a family of one (_dinkelbach) whose classes
+    group its agents by ranking and both facilities, in order of first
+    appearance.  No denominator may vanish (see _pairs_or_vanishing)."""
     n, m, size = poly.n, poly.m, len(num_const)
     span = len(poly.bounds) * m * m  # codes of one alternative's classes
-    code = ((poly.ranking_id * m + num_at) * m + den_at[:, :, 0]
-            + span * np.arange(size)[:, None]).ravel()
+    code = ((poly.ranking_id * m + num_at) * m + den_at + span * np.arange(size)[:, None]).ravel()
     _, first, inverse, count = np.unique(code, return_index=True, return_inverse=True,
                                          return_counts=True)
     order = np.argsort(first)  # the rows, by alternative, then first appearance
     rank = np.argsort(order)  # the row of each distinct code
     key, count, alt = code[first[order]] % span, count[order], first[order] // n
     start = np.searchsorted(alt, np.arange(size + 1))  # each alternative's first row
-    r, f, W = key // (m * m), key // m % m, poly.bounds
-    cand = np.broadcast_to(den_at, (size, n, den_at.shape[2]))[alt, first[order] % n]
-
-    def octagons(lo: int, hi: int) -> np.ndarray:  # rows x candidates x 8
-        F, G = 2 * f[lo:hi, None, None], 2 * cand[lo:hi, :, None]
-        p, q = (F * C[0] + G * C[1] + C[2] for C in (_OCT_P, _OCT_Q))
-        return W[r[lo:hi, None, None], p, q] * _OCT_HALF
-
-    # blocks: alternatives starting in one window, within _VERTEX_ROWS octagons
-    width = max(_VERTEX_ROWS // cand.shape[1] + 1 - int(np.diff(start).max(initial=0)), 1)
-    cuts = [0, *(np.flatnonzero(np.diff(start[:-1] // width)) + 1).tolist(), size]
-    value, upper, a_at, b_at, pick = map(np.concatenate, zip(*(
-        _dinkelbach(octagons(start[lo], start[hi]), count[start[lo]:start[hi]],
-                    alt[start[lo]:start[hi]] - lo, num_const[lo:hi], den_const[lo:hi])
-        for lo, hi in zip(cuts, cuts[1:]))))
-    g = cand[np.arange(len(pick)), pick]  # each class's facility in the denominator
-
-    def witness(j: int) -> np.ndarray | None:
-        if math.isinf(value[j]):
-            return None
-        rows = [_point(W[r[i]], {int(f[i]): a_at[i], int(g[i]): b_at[i]})
-                for i in range(start[j], start[j + 1])]
-        return np.array(rows)[rank[inverse[j * n:(j + 1) * n]] - start[j]]
-
-    return _Pairs(value, upper, witness, g[rank[inverse]].reshape(size, n))
-
-
-def _joined(parts: list[_Pairs]) -> _Pairs:
-    """The alternatives of ``parts``, one part after another."""
-    ends = np.cumsum([len(p.value) for p in parts]).tolist()
-
-    def witness(j: int) -> np.ndarray | None:
-        b = bisect_right(ends, j)
-        return parts[b].witness(j - ends[b] + len(parts[b].value))
-
-    return _Pairs(*(np.concatenate([getattr(p, k) for p in parts])
-                    for k in ("value", "upper")), witness,
-                  np.concatenate([p.choice for p in parts]))
+    value, upper, _, point_rows = _dinkelbach(
+        poly.bounds, key // (m * m), key // m % m, key[:, None] % m, count, alt, num_const,
+        lambda w, rho: (np.zeros(len(w), dtype=np.intp), den_const))
+    return _Pairs(value, upper, lambda j: None if math.isinf(value[j]) else point_rows(
+        slice(start[j], start[j + 1]))[rank[inverse[j * n:(j + 1) * n]] - start[j]])
 
 
 def _pairs_or_vanishing(poly: ConsistencyPolytope, num_at, num_const: np.ndarray,
                         den_at: np.ndarray, den_const: np.ndarray, seated: int,
                         one: np.ndarray, solve: Callable[..., _Pairs]) -> _Pairs:
     """Ratios of num_const[j] plus the agents' distances to num_at, to
-    den_const[j] plus their distances to candidates den_at[j, i] (as for
-    _ratio_pairs), summed (``seated`` = n) or as the ``seated``-th
-    smallest, where ``solve`` (called as _ratio_pairs is) gives those of
-    a block of alternatives, and those marked ``one`` read 1.  Blocks keep
-    alternatives x agents x candidates within BLOCK elements and keep no
-    witness: alternative j's is rebuilt from j alone, which reads the same
-    values, as every alternative's are computed apart.  A denominator can
-    vanish iff its den_const does and ``seated`` agents can sit on a
-    candidate.  Seated each on the one farthest from its numerator facility
-    (the first on ties), the ratio is infinite when num_const[j] plus their
-    distances to num_at stays positive, witnessed by seating the first
-    ``seated``, and reads at least 1 when that vanishes too."""
-    step = max(1, BLOCK // (poly.n * den_at.shape[2]))
-    if len(den_const) > step:
-        def block(lo: int, hi: int) -> _Pairs:
-            return _pairs_or_vanishing(poly, num_at, num_const[lo:hi], den_at[lo:hi],
-                                       den_const[lo:hi], seated, one[lo:hi], solve)
-
-        parts = (block(lo, lo + step) for lo in range(0, len(den_const), step))
-        value, upper, choice = map(np.concatenate, zip(*((p.value, p.upper, p.choice)
-                                                         for p in parts)))
-        return _Pairs(value, upper, lambda j: block(j, j + 1).witness(0), choice)
-    n, l, zero = poly.n, poly.fd.values, den_const <= 1e-12
-    cand = den_at[zero]
-    sits = poly.can_sit[np.arange(n)[:, None], cand]  # alternatives x agents x candidates
-    far = np.where(sits, l[cand, num_at[:, None]], -1.0).argmax(axis=2)[..., None]
-    seat = np.full((len(den_const), n), -1)
-    seat[zero] = np.where(sits.any(axis=2), np.take_along_axis(cand, far, 2)[..., 0], -1)
-    vanish = zero & ((seat >= 0).sum(axis=1) >= seated)
+    den_const[j] plus their distances to den_at[j, i] (as for _ratio_pairs),
+    summed (``seated`` = n) or as the ``seated``-th smallest, where ``solve``
+    (called as _ratio_pairs is) gives those of the alternatives passed to
+    it, and those marked ``one`` read 1.  A denominator can vanish iff its
+    den_const does and ``seated`` agents can sit on their facility.  Seated
+    there, the ratio is infinite when num_const[j] plus their distances to
+    num_at stays positive, witnessed by seating the first ``seated``, and
+    reads at least 1 when that vanishes too."""
+    n, l = poly.n, poly.fd.values
+    den_at = np.broadcast_to(den_at, (len(den_const), n))
+    seat = np.where((den_const <= 1e-12)[:, None] & poly.can_sit[np.arange(n), den_at],
+                    den_at, -1)
+    vanish = (seat >= 0).sum(axis=1) >= seated
     num_at_zero = num_const + np.where(seat >= 0, l[seat, num_at], 0.0).sum(axis=1)
     infinite = vanish & (num_at_zero > 1e-12) & ~one
     todo = np.flatnonzero(~infinite & ~one)
@@ -477,8 +438,6 @@ def _pairs_or_vanishing(poly: ConsistencyPolytope, num_at, num_const: np.ndarray
     value, upper = np.where(infinite, INF, 1.0), np.where(infinite, INF, 1.0)
     value[todo] = np.where(vanish[todo], np.maximum(part.value, 1.0), part.value)
     upper[todo] = part.upper
-    if part.choice is not None:
-        seat[todo] = part.choice
     slot = dict(zip(todo.tolist(), range(len(todo))))
 
     def witness(j: int) -> np.ndarray | None:
@@ -488,7 +447,7 @@ def _pairs_or_vanishing(poly: ConsistencyPolytope, num_at, num_const: np.ndarray
             return d
         return part.witness(slot[j]) if j in slot else None
 
-    return _Pairs(value, upper, witness, seat)
+    return _Pairs(value, upper, witness)
 
 
 def _finalize(poly: ConsistencyPolytope, objective: str, target, keys: list,
@@ -528,12 +487,12 @@ def _finalize(poly: ConsistencyPolytope, objective: str, target, keys: list,
 
 def audit_sum_social_choice(winner: int, profile: PreferenceProfile,
                             fd: FacilityDistances) -> AuditReport:
-    """Exact worst-case total-cost distortion of ``winner``: the additive
-    audit against each other facility as the one open set."""
+    """Exact worst-case total-cost distortion of ``winner``: the ratio
+    against each other facility as the one open set, a family of its own."""
     poly = ConsistencyPolytope(profile, fd)
     others = np.delete(np.arange(poly.m), winner)
     zero = np.zeros(len(others))
-    pairs = _pairs_or_vanishing(poly, np.full(poly.n, winner), zero, others[:, None, None], zero,
+    pairs = _pairs_or_vanishing(poly, np.full(poly.n, winner), zero, others[:, None], zero,
                                 poly.n, fd.values[winner, others] <= 1e-12, _ratio_pairs)
 
     def recompute(metric: FullMetric) -> float:
@@ -546,13 +505,25 @@ def audit_sum_social_choice(winner: int, profile: PreferenceProfile,
 def audit_additive_assignment(x, profile: PreferenceProfile,
                               fd: FacilityDistances, problem: AssignmentProblem) -> AuditReport:
     """Exact worst-case distortion of assignment ``x``, for additive distance
-    cost and constant facility costs, against every other matching under
-    the matching rule, else against every open set S: its best assignment
-    into S at S's opening cost, no more than that assignment's own.  An
-    assignment opens at most n facilities, and a superset never lowers the
-    ratio without opening costs, so the sets are those of min(bound, m, n)
-    facilities, else of every size up to that; each size is one pass.
-    More than ASSIGNMENT_AUDIT_CAP alternatives are refused up front."""
+    cost and constant facility costs, against one family of alternatives:
+    every matching under the matching rule, else every open set S, each
+    agent on any facility of S, at the opening costs of the facilities used.
+    An assignment opens at most n facilities, and a superset never lowers
+    the ratio without opening costs, so the sets are those of min(bound, m,
+    n) facilities, else of every size up to that.  More sets than the exact
+    k-median solver takes (KMEDIAN_EXACT_CAP) are refused up front, which
+    with opening costs is facility location beyond FACILITY_EXACT_MAX_M.
+
+    Classes group agents by ranking and facility in x; one Dinkelbach rho
+    serves the family, whose best member per step is one exact solve on -w
+    (_dinkelbach): prefix minima over the open sets, plus rho times the
+    opening costs as solvers._near_minimal adds them, or a minimum-cost
+    matching.  A denominator vanishes iff every agent can sit on a free
+    facility of the alternative.  The same solve, on the distances of the
+    free facilities each class may sit on to its facility in x, and a
+    penalty above their sum elsewhere, finds the vanishing seating of
+    largest numerator; the value is infinite when that exceeds 1e-12.
+    The report lists the maximizer alone."""
     if problem.cost_spec.distance_cost is not DistanceCost.SUM:
         raise SolverError("assignment audits need the additive distance cost")
     x = tuple(x)
@@ -560,23 +531,44 @@ def audit_additive_assignment(x, profile: PreferenceProfile,
         raise SolverError("assignment length does not match the agent count")
     if not problem.constraints.is_valid(x):
         raise SolverError("audited assignment violates the constraints")
-    n, m, cons, spec = profile.n, fd.m, problem.constraints, problem.cost_spec
+    n, m, cons, spec, l = profile.n, fd.m, problem.constraints, problem.cost_spec, fd.values
     bound = min(cons.at_most_open or m, m, n)
     opening = np.zeros(m) if spec.opening_costs is None else np.array(spec.opening_costs)
     sizes = range(1, bound + 1) if opening.any() else (bound,)
-    count = math.perm(m, n) if cons.one_per_facility else sum(math.comb(m, s) for s in sizes)
-    if count > ASSIGNMENT_AUDIT_CAP:
-        raise SearchSpaceError(f"more than {ASSIGNMENT_AUDIT_CAP} alternatives to audit: {count}")
-    if cons.one_per_facility:
-        every = np.array(list(permutations(range(m), n)))
-        groups = [every[(every != x).any(axis=1)]]
-    else:
-        groups = [np.array(list(combinations(range(m), size))) for size in sizes]
+    sets = sum(math.comb(m, s) for s in sizes)
+    if not cons.one_per_facility and sets > KMEDIAN_EXACT_CAP:
+        raise SearchSpaceError(f"more than {KMEDIAN_EXACT_CAP} open sets to audit: {sets}")
     poly = ConsistencyPolytope(profile, fd)
-    pairs = _joined([_pairs_or_vanishing(
-        poly, np.array(x), np.full(len(y), spec.facility_cost(x)),
-        y[:, :, None] if cons.one_per_facility else y[:, None, :], spec.facility_cost(y), n,
-        np.zeros(len(y), bool), _ratio_pairs) for y in groups])
+    _, cls, member, count = np.unique(poly.ranking_id * m + np.array(x), return_index=True,
+                                      return_inverse=True, return_counts=True)
+    rows, f, num_const = np.arange(len(cls)), np.array(x)[cls], spec.facility_cost(x)
+
+    def choose(w: np.ndarray, rho: np.ndarray):
+        if cons.one_per_facility:  # x is injective: each class is one agent
+            cost = np.zeros((m, m))  # a facility's opening cost goes with its one agent
+            cost[:n] = rho * opening - w[member]
+            y = np.array(min_cost_matching(cost).assignment[:n])
+            return y[cls], spec.facility_cost(y)
+        least, best = INF, None
+        for _, low, arg in _subset_minima(-w, sizes):
+            used = spec.facility_cost(arg)  # the opening costs of the facilities seated on
+            cost = low @ count + rho * used
+            j = int(np.argmin(cost))  # the first least; earlier chunks win ties
+            if cost[j] < least:
+                least, best = cost[j], (arg[j].astype(np.intp), used[j])
+        return best
+
+    far, free = l[:, f].T, poly.can_sit[cls] & (opening == 0)  # classes x m
+    seat = (choose(np.where(free, far, -1.0 - 2.0 * n * float(l.max())), np.zeros(1))[0]
+            if free.any(axis=1).all() else None)  # a seating of largest numerator, if free
+    if seat is not None and free[rows, seat].all() and num_const + far[rows, seat] @ count > 1e-12:
+        pairs = _Pairs(np.array([INF]), np.array([INF]), lambda j: l[seat[member]])
+    else:
+        value, upper, seat, point_rows = _dinkelbach(
+            poly.bounds, poly.ranking_id[cls], f, np.tile(np.arange(m), (len(cls), 1)), count,
+            np.zeros(len(cls), np.intp), np.array([num_const]), choose)
+        pairs = _Pairs(value, upper, lambda j: None if math.isinf(value[0])
+                       else point_rows(slice(None))[member])
 
     def recompute(metric: FullMetric) -> float:
         d = metric.distances
@@ -587,8 +579,8 @@ def audit_additive_assignment(x, profile: PreferenceProfile,
                        for S, low, _ in _subset_minima(d, sizes))
         return float(_ratio(total_cost(x, d, spec), best))
 
-    keys = [tuple(y) for y in pairs.choice.tolist()]
-    return _finalize(poly, "assignment_sum", x, keys, pairs, None, recompute)
+    return _finalize(poly, "assignment_sum", x, [tuple(seat[member].tolist())], pairs, None,
+                     recompute)
 
 
 def _percentile_candidate(poly: ConsistencyPolytope, x: int, w: int, k: int):
@@ -700,9 +692,9 @@ def audit_percentile_social_choice(winner: int, profile: PreferenceProfile,
     zero = np.zeros(len(others))
 
     def solve(poly, num_at, num_const, den_at, den_const) -> _Pairs:
-        return _percentile_pairs(poly, den_at[:, 0, 0], winner, k)
+        return _percentile_pairs(poly, den_at[:, 0], winner, k)
 
-    pairs = _pairs_or_vanishing(poly, np.full(poly.n, winner), zero, others[:, None, None], zero,
+    pairs = _pairs_or_vanishing(poly, np.full(poly.n, winner), zero, others[:, None], zero,
                                 k, fd.values[winner, others] <= 1e-12, solve)
 
     def recompute(metric: FullMetric) -> float:

@@ -97,10 +97,12 @@ def validate_distance_matrix(values, tol: float = TOL) -> MetricCheck:
         p = bad[0]
         return MetricCheck(False, "negative distance" if negative[p] else "asymmetric",
                            (int(f[p]), int(g[p])))
-    rows = max(1, BLOCK // max(a.size, 1))
+    rows, size = max(1, BLOCK // max(a.size, 1)), np.abs(a)
     for start in range(0, len(a), rows):
-        block = a[start:start + rows]  # [i, j, k]: a[i, k] > a[i, j] + a[j, k] + tol
-        if (bad := _first(block[:, None, :] > block[:, :, None] + a + tol)) is not None:
+        # [i, j, k]: a[i, k] > a[i, j] + a[j, k] beyond tol (1 + the three sizes)
+        block, over = a[start:start + rows], size[start:start + rows]
+        slack = tol * (1 + over[:, None, :] + over[:, :, None] + size)
+        if (bad := _first(block[:, None, :] > block[:, :, None] + a + slack)) is not None:
             return MetricCheck(False, "triangle inequality violated", (start + bad[0], *bad[1:]))
     return MetricCheck(True)
 
@@ -214,14 +216,17 @@ class FullMetric:
             raise MetricError("negative agent-facility distance")
         # Blocks of agents against the pairs f < g: the first offender is the
         # one an agent-major scan over the pairs meets, the difference bound
-        # tested before the sum bound.
+        # tested before the sum bound, each within TOL (1 + |l| + |d(f) + d(g)|).
         f, g = pair_indices(d.shape[1])
-        rows = max(1, BLOCK // max(f.size, 1))
+        rows, lfg = max(1, BLOCK // max(f.size, 1)), l[f, g]
         for start in range(0, len(d), rows):
             df, dg = d[start:start + rows, f], d[start:start + rows, g]
-            gap = np.abs(df - dg)
-            wide = gap > l[f, g] + TOL
-            if (bad := _first(wide | (df + dg < l[f, g] - TOL))) is not None:
+            gap, total = np.abs(df - dg), df + dg
+            wide, short = gap > lfg + TOL, total < lfg - TOL
+            if (wide | short).any():  # only then can the scaled slack, at least TOL, matter
+                slack = TOL * (1 + np.abs(lfg) + np.abs(total))
+                wide, short = gap > lfg + slack, total < lfg - slack
+            if (bad := _first(wide | short)) is not None:
                 (r, p), i, fp, gp = bad, start + bad[0], int(f[bad[1]]), int(g[bad[1]])
                 if wide[r, p]:
                     raise MetricError(f"agent {i}: |d({fp}) - d({gp})| = {gap[r, p]} "
@@ -262,16 +267,18 @@ def preferences_from_metric(metric: FullMetric) -> PreferenceProfile:
 def check_consistency(profile: PreferenceProfile, metric: FullMetric,
                       tol: float = TOL) -> bool:
     """True when no agent's distances strictly contradict its ranking
-    (weak inequalities: ties are consistent with any order)."""
+    (weak inequalities: ties are consistent with any order), beyond ``tol``
+    times 1 plus the size of the two distances compared."""
     d = metric.distances
     if d.shape[0] != profile.n or d.shape[1] != profile.m:
         raise MetricError("profile and metric dimensions disagree")
     r = profile.array
     if profile.top_only:
-        top = d[np.arange(profile.n), r[:, 0]]
-        return not np.any(top > d.min(axis=1) + tol)
+        top, low = d[np.arange(profile.n), r[:, 0]], d.min(axis=1)
+        return not np.any(top > low + tol * (1 + np.abs(top) + np.abs(low)))
     ranked = np.take_along_axis(d, r, axis=1)
-    return not np.any(ranked[:, :-1] > ranked[:, 1:] + tol)
+    before, after = ranked[:, :-1], ranked[:, 1:]
+    return not np.any(before > after + tol * (1 + np.abs(before) + np.abs(after)))
 
 
 @dataclass(frozen=True)

@@ -86,7 +86,8 @@ def loop_validate_distance_matrix(a, tol=1e-9):
     for i in range(m):
         for j in range(m):
             for k in range(m):
-                if a[i, k] > a[i, j] + a[j, k] + tol:
+                size = 1 + abs(a[i, k]) + abs(a[i, j]) + abs(a[j, k])
+                if a[i, k] > a[i, j] + a[j, k] + tol * size:
                     return False, "triangle inequality violated", (i, j, k)
     return True, None, None
 
@@ -101,10 +102,11 @@ def loop_full_metric_error(d, l, tol=1e-9):
     for i in range(n):
         for f in range(m):
             for g in range(f + 1, m):
-                gap = abs(d[i, f] - d[i, g])
-                if gap > l[f, g] + tol:
+                gap, total = abs(d[i, f] - d[i, g]), d[i, f] + d[i, g]
+                slack = tol * (1 + abs(l[f, g]) + abs(total))
+                if gap > l[f, g] + slack:
                     return f"agent {i}: |d({f}) - d({g})| = {gap} exceeds l = {l[f, g]}"
-                if d[i, f] + d[i, g] < l[f, g] - tol:
+                if total < l[f, g] - slack:
                     return f"agent {i}: d({f}) + d({g}) falls short of l = {l[f, g]}"
     return None
 
@@ -112,11 +114,11 @@ def loop_full_metric_error(d, l, tol=1e-9):
 def loop_check_consistency(rankings, top_only, d, tol=1e-9):
     for i, r in enumerate(rankings):
         if top_only:
-            if d[i, r[0]] > d[i].min() + tol:
+            if d[i, r[0]] > d[i].min() + tol * (1 + abs(d[i, r[0]]) + abs(d[i].min())):
                 return False
             continue
         for a, b in zip(r, r[1:]):
-            if d[i, a] > d[i, b] + tol:
+            if d[i, a] > d[i, b] + tol * (1 + abs(d[i, a]) + abs(d[i, b])):
                 return False
     return True
 
@@ -432,7 +434,7 @@ def _highs_values(poly, pairs):
             continue
         num_at, num_const, den_at, den_const, lp = pair
         outcome = _pairs_or_vanishing(
-            poly, num_at, np.array([num_const]), np.reshape(den_at, (1, -1, 1)),
+            poly, num_at, np.array([num_const]), np.reshape(den_at, (1, -1)),
             np.array([den_const]), poly.n, np.zeros(1, dtype=bool),
             lambda poly, num_at, num_const, *_: solve(lp, num_const))
         values.append(float(outcome.value[0]))
@@ -519,16 +521,19 @@ def iter_valid_assignments(n: int, constraints):
             yield tuple(x)
 
 
+ENUMERATED_AUDIT_CAP = 10 ** 4
+
+
 def enumerated_assignment_audit(x, profile, fd, problem):
     """The assignment audit over every other valid assignment, one
     alternative each, each at its own facility cost; more than
-    ASSIGNMENT_AUDIT_CAP of them are refused.  Its value and flags are the
-    open-set audit's."""
+    ENUMERATED_AUDIT_CAP of them are refused.  Its value and flags are the
+    family audit's, and its ``per_alternative`` lists every alternative."""
     from ordmech import SearchSpaceError, total_cost
-    from ordmech.audit import (ASSIGNMENT_AUDIT_CAP as cap, ConsistencyPolytope, _finalize,
-                               _pairs_or_vanishing, _ratio, _ratio_pairs)
+    from ordmech.audit import (ConsistencyPolytope, _finalize, _pairs_or_vanishing, _ratio,
+                               _ratio_pairs)
 
-    x, spec = tuple(x), problem.cost_spec
+    x, spec, cap = tuple(x), problem.cost_spec, ENUMERATED_AUDIT_CAP
     alternatives = list(islice(iter_valid_assignments(profile.n, problem.constraints), cap + 1))
     if len(alternatives) > cap:
         raise SearchSpaceError(f"more than {cap} alternative assignments to audit")
@@ -536,7 +541,7 @@ def enumerated_assignment_audit(x, profile, fd, problem):
     every = np.array(alternatives)
     alts = every[(every != x).any(axis=1)]
     pairs = _pairs_or_vanishing(poly, np.array(x), np.full(len(alts), spec.facility_cost(x)),
-                                alts[:, :, None], spec.facility_cost(alts), poly.n,
+                                alts, spec.facility_cost(alts), poly.n,
                                 np.zeros(len(alts), dtype=bool), _ratio_pairs)
 
     def recompute(metric):

@@ -74,6 +74,25 @@ def test_sum_audit_across_wide_distance_spans(span):
     assert report.flags == ()
 
 
+@pytest.mark.parametrize("scale", [1e9, 1e12])
+def test_audits_of_geometries_scaled_far_up(scale):
+    # distortion does not depend on the unit: every geometry stays valid
+    # scaled up, and its sum and median audits read the unscaled values,
+    # with no witness pulled inward.  Absolute 1e-9 tolerances refused some
+    # of these geometries, and a median witness one ulp outside the pair
+    # bounds was repaired below the value, so the audit raised.
+    rng = np.random.default_rng(5)
+    for _ in range(40):
+        profile, fd, _ = random_instance(rng, n_max=7, m_max=5)
+        big = facility_distances(fd.facilities.names, fd.values * scale)
+        for winner in range(fd.m):
+            for audit_of in (lambda f: audit_sum_social_choice(winner, profile, f),
+                             lambda f: audit_percentile_social_choice(winner, profile, f, 0.5)):
+                report, base = audit_of(big), audit_of(fd)
+                assert report.value == pytest.approx(base.value, rel=1e-9)
+                assert report.flags == base.flags and "witness_repaired" not in report.flags
+
+
 def test_unanimous_winner_audits_to_one():
     # everyone's top choice is optimal under every consistent metric
     fd = facility_distances(("F1", "F2"), [[0.0, 2.0], [2.0, 0.0]])
@@ -582,22 +601,24 @@ def test_each_ranking_closure_is_built_once(monkeypatch):
         assert np.concatenate(chunks).tobytes() == np.stack(
             [block_closure(*agent_block(poly, i)) for i in first]).tobytes()
     chunks.clear()
-    line = facility_distances([f"F{f}" for f in range(14)],
-                              np.abs(np.subtract.outer(np.arange(14.0), np.arange(14.0))))
-    # 14 agents may open all 14 facilities: 2^14 - 1 = 16383 open sets
-    wide = PreferenceProfile(14, (tuple(range(14)), tuple(range(13, -1, -1))) * 7)
+    line = facility_distances([f"F{f}" for f in range(17)],
+                              np.abs(np.subtract.outer(np.arange(17.0), np.arange(17.0))))
+    # 17 agents may open all 17 facilities: 2^17 - 1 = 131071 open sets,
+    # more than the exact solvers take
+    wide = PreferenceProfile(17, (tuple(range(17)), tuple(range(16, -1, -1))) * 8
+                             + (tuple(range(17)),))
     problem = build_preset("facility_location", wide.n, line.facilities,
-                           {"opening_costs": [1.0] * 14})
-    with pytest.raises(SearchSpaceError, match="more than 10000 alternatives to audit: 16383"):
-        audit_additive_assignment((0,) * 14, wide, line, problem)
+                           {"opening_costs": [1.0] * 17})
+    with pytest.raises(SearchSpaceError, match="more than 100000 open sets to audit: 131071"):
+        audit_additive_assignment((0,) * 17, wide, line, problem)
     assert chunks == []
-    # two agents open at most two facilities: 14 + 91 sets, as the 196
+    # two agents open at most two facilities: 17 + 136 sets, as the 289
     # assignments of the enumeration
-    pair = PreferenceProfile(14, wide.rankings[:2])
-    problem = build_preset("facility_location", 2, line.facilities, {"opening_costs": [1.0] * 14})
-    report = audit_additive_assignment((0, 13), pair, line, problem)
-    assert len(report.per_alternative) == 14 + 91
-    assert report.value == enumerated_assignment_audit((0, 13), pair, line, problem).value
+    pair = PreferenceProfile(17, wide.rankings[:2])
+    problem = build_preset("facility_location", 2, line.facilities, {"opening_costs": [1.0] * 17})
+    report = audit_additive_assignment((0, 16), pair, line, problem)
+    assert len(report.per_alternative) == 1
+    assert report.value == enumerated_assignment_audit((0, 16), pair, line, problem).value
 
 
 def _few_rankings_kmedian(n=300, m=7, k=3):
@@ -613,25 +634,18 @@ def _few_rankings_kmedian(n=300, m=7, k=3):
 
 
 def test_one_vertex_pass_per_block(monkeypatch):
-    # every open set's classes, with an octagon per class and facility of
-    # the set, go through one batched vertex pass, in blocks of whole open
-    # sets of at most _VERTEX_ROWS octagons, instead of one pass per set
+    # every class's octagons, one per facility, go through batched vertex
+    # passes of whole classes within _VERTEX_ROWS octagons, once per audit,
+    # and every Dinkelbach step reads them for all 35 open sets at once
     rows = []
     real = audit._octagon_vertices
     monkeypatch.setattr(audit, "_octagon_vertices", lambda h: rows.append(len(h)) or real(h))
     x, profile, fd, problem = _few_rankings_kmedian()
     report = audit_additive_assignment(x, profile, fd, problem)
-    assert len(report.per_alternative) == math.comb(7, 3) == 35
-    per_set = 3 * len(set(zip(profile.rankings, x)))  # octagons of one open set
-    # every set once, and the maximizing set again, alone, for its witness
-    assert rows[-1] == per_set and sum(rows) == 36 * per_set
-    assert per_set <= audit._VERTEX_ROWS // 3
-    assert 1 < len(rows) < 35 and max(rows) <= audit._VERTEX_ROWS
-    # _pairs_or_vanishing takes ``step`` open sets at a time (BLOCK elements
-    # of sets x agents x facilities); within each, greedy passes: all but
-    # the last are within one open set of full
-    step = BLOCK // (profile.n * 3)
-    assert len(rows) - 1 <= -(-35 // step) * (step * per_set // (audit._VERTEX_ROWS - per_set) + 1)
+    assert len(report.per_alternative) == 1  # the maximizing open set's assignment
+    classes = len(set(zip(profile.rankings, x)))
+    step = audit._VERTEX_ROWS // 7  # classes per pass
+    assert rows == [7 * min(step, classes - lo) for lo in range(0, classes, step)]
     rng = np.random.default_rng(3)
     profile, fd, _ = next(inst for inst in (random_instance(rng, n_max=8, m_max=5)
                                             for _ in range(50)) if inst[1].m == 5)
@@ -641,13 +655,16 @@ def test_one_vertex_pass_per_block(monkeypatch):
 
 
 def test_alternative_blocks_change_no_report(monkeypatch):
-    # alternatives go through _pairs_or_vanishing in blocks within BLOCK
-    # elements of alternatives x agents x candidates, one pass per open-set
-    # size; a single block per call gives the same reports, bit for bit
+    # vertex passes take whole classes within _VERTEX_ROWS octagons, and
+    # each Dinkelbach step picks vertices for whole classes within 2 * BLOCK
+    # elements; one pass of each gives the same reports, bit for bit
     rng = np.random.default_rng(77)
     fd = random_facility_distances(rng, 30)
     sums = preferences_from_metric(random_consistent_metric(rng, fd, 300))
-    x, kmed, kmed_fd, problem = _few_rankings_kmedian()
+    kmed_fd = random_facility_distances(rng, 9)
+    kmed = preferences_from_metric(random_consistent_metric(rng, kmed_fd, 300))
+    problem = build_preset("k_median", 300, kmed_fd.facilities, {"k": 3})
+    x = reduce_and_solve(problem, kmed, kmed_fd, SOLVERS["k_median"]).assignment
     line = facility_distances([f"F{f}" for f in range(6)],
                               np.abs(np.subtract.outer(np.arange(6.0), np.arange(6.0))))
     fl_profile = preferences_from_metric(random_consistent_metric(rng, line, 200))
@@ -656,25 +673,25 @@ def test_alternative_blocks_change_no_report(monkeypatch):
     runs = (lambda: audit_sum_social_choice(3, sums, fd),
             lambda: audit_additive_assignment(x, kmed, kmed_fd, problem),
             lambda: audit_additive_assignment((2,) * 200, fl_profile, line, fl))
-    shapes, real = [], audit._ratio_pairs
-    monkeypatch.setattr(audit, "_ratio_pairs", lambda poly, num_at, num_const, den_at, den_const:
-                        shapes.append((poly.n, *den_at.shape))
-                        or real(poly, num_at, num_const, den_at, den_const))
+    passes, real = [], audit._octagon_vertices
+    monkeypatch.setattr(audit, "_octagon_vertices", lambda h: passes.append(len(h)) or real(h))
     blocked, calls = [], []
     for run in runs:
         blocked.append(run())
-        calls.append(len(shapes) - sum(calls))
-    assert min(calls) > 1  # every audit here needs several blocks
-    assert max(n * alts * cands for n, alts, _, cands in shapes) <= BLOCK
-    # the facility-location sets come one size at a time, none padded
-    assert {cands for *_, cands in shapes} >= set(range(1, 7))
+        calls.append(len(passes) - sum(calls))
+    assert min(calls) > 1 and max(passes) <= audit._VERTEX_ROWS  # several passes each
+    # and the k-median's Dinkelbach steps pick in several chunks
+    assert len(set(zip(kmed.rankings, x))) * 9 * len(audit._OCT_S) > 2 * audit.BLOCK
     monkeypatch.setattr(audit, "BLOCK", 1 << 40)
+    monkeypatch.setattr(audit, "_VERTEX_ROWS", 1 << 40)
+    passes.clear()
     for report, run in zip(blocked, runs):
         whole = run()
         assert whole.per_alternative == report.per_alternative and whole.flags == report.flags
         assert (whole.value, whole.witness_ratio, whole.certified_upper) == (
             report.value, report.witness_ratio, report.certified_upper)
         assert whole.witness.distances.tobytes() == report.witness.distances.tobytes()
+    assert len(passes) == len(runs)
 
 
 def test_kmedian_audit_beyond_the_assignment_enumeration():
@@ -687,13 +704,13 @@ def test_kmedian_audit_beyond_the_assignment_enumeration():
     problem = build_preset("k_median", 240, fd.facilities, {"k": 3})
     solution = reduce_and_solve(problem, profile, fd, SOLVERS["k_median"])
     report = audit_additive_assignment(solution.assignment, profile, fd, problem)
-    assert len(report.per_alternative) == 56 and report.flags == ()
+    assert report.flags == ()
     assert check_consistency(profile, report.witness, tol=1e-7)
     assert report.witness_ratio <= report.value <= report.certified_upper
     assert 1.0 < report.value <= 1.0 + 2.0 * solution.beta
-    # each entry is an assignment into its open set, read at the set's ratio
-    for (alt, value), S in zip(report.per_alternative, combinations(range(8), 3)):
-        assert set(alt) <= set(S) and 1.0 <= value <= report.value
+    # the one entry is the maximizing open set's assignment, read at the value
+    ((alt, value),) = report.per_alternative
+    assert len(alt) == 240 and len(set(alt)) <= 3 and value == report.value
 
 
 def test_fallbacks_log_a_warning(caplog):

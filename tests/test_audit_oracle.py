@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ordmech import (InternalInvariantError, PreferenceProfile, SearchSpaceError,
+from ordmech import (FullMetric, InternalInvariantError, PreferenceProfile, SearchSpaceError,
                      audit_additive_assignment, audit_percentile_social_choice,
                      audit_sum_social_choice, build_preset, check_consistency,
                      distance_partial_order, facility_distances, median_winner,
@@ -44,6 +44,18 @@ def _check(report, oracle):
     assert len(got) == len(oracle)
     for g, want in zip(got, oracle):
         assert _close(g, want), (report.target, got, oracle)
+    _bracketed(report, got)
+
+
+def _check_family(report, oracle):
+    # an assignment audit lists its maximizing alternative alone, at the
+    # largest of the oracle's values per alternative
+    ((_, got),) = report.per_alternative
+    assert _close(max(got, 1.0), max([1.0, *oracle])), (report.target, got, oracle)
+    _bracketed(report, [got])
+
+
+def _bracketed(report, got):
     assert report.value == max([1.0, *got])
     upper = report.certified_upper
     assert upper is not None and report.value <= upper + 1e-9 * abs(upper)
@@ -98,7 +110,7 @@ def test_assignment_audits_match_highs_on_the_criterion_6_suites():
             problem = build_preset(preset, m, fd.facilities, params)
             x = reduce_and_solve(problem, profile, fd, SOLVERS[solver]).assignment
             report = audit_additive_assignment(x, profile, fd, problem)
-            _check(report, highs_assignment_values(x, profile, fd, problem))
+            _check_family(report, highs_assignment_values(x, profile, fd, problem))
 
 
 @pytest.mark.parametrize("eps", [0.0, 1e-13])
@@ -113,10 +125,11 @@ def test_vanishing_denominator_with_vanishing_numerator(eps):
     problem = build_preset("social_choice_sum", 3, fd.facilities)
     for x in iter_valid_assignments(3, problem.constraints):
         report = audit_additive_assignment(x, profile, fd, problem)
-        _check(report, highs_assignment_values(x, profile, fd, problem))
+        _check_family(report, highs_assignment_values(x, profile, fd, problem))
     report = audit_additive_assignment((0, 0, 0), profile, fd, problem)
-    assert report.alternative_value((1, 1, 1)) == 1.0
-    assert report.flags == ()
+    every = enumerated_assignment_audit((0, 0, 0), profile, fd, problem)
+    assert every.alternative_value((1, 1, 1)) == 1.0
+    assert report.value == every.value == 1.0 and report.flags == every.flags == ()
     # everyone can sit on X too, while Y lies 2 away: Y against X is infinite
     report = audit_additive_assignment((2, 2, 2), profile, fd, problem)
     assert "denominator_vanishes" in report.flags
@@ -124,22 +137,22 @@ def test_vanishing_denominator_with_vanishing_numerator(eps):
 
 
 def test_assignment_audit_spanning_several_blocks_matches_highs(monkeypatch):
-    # the three k-median open sets of six agents, with blocks cut to 16
-    # octagons: their (open set, class, facility) octagons fill several
-    # vertex blocks, and each value still matches the best of its 64
+    # the three k-median open sets of six agents, with blocks cut to 6
+    # octagons: their (class, facility) octagons fill several vertex
+    # blocks, and the value still matches the best of the 3 x 64
     # assignments' LPs
     blocks = []
     real = audit._octagon_vertices
     monkeypatch.setattr(audit, "_octagon_vertices", lambda h: blocks.append(len(h)) or real(h))
-    monkeypatch.setattr(audit, "_VERTEX_ROWS", 16)
+    monkeypatch.setattr(audit, "_VERTEX_ROWS", 6)
     rng = np.random.default_rng(SEED + 3)
     fd = random_facility_distances(rng, 3)
     profile = preferences_from_metric(random_consistent_metric(rng, fd, 6))
     problem = build_preset("k_median", 6, fd.facilities, {"k": 2})
     x = reduce_and_solve(problem, profile, fd, SOLVERS["brute_force"]).assignment
     report = audit_additive_assignment(x, profile, fd, problem)
-    assert len(report.per_alternative) == 3 and len(blocks) > 1 and max(blocks) <= 16
-    _check(report, highs_assignment_values(x, profile, fd, problem))
+    assert len(report.per_alternative) == 1 and len(blocks) > 1 and max(blocks) <= 6
+    _check_family(report, highs_assignment_values(x, profile, fd, problem))
 
 
 INF = math.inf
@@ -171,19 +184,28 @@ def test_assignment_audit_mixing_vanishing_and_ordinary_alternatives(eps, far, t
     # facilities every agent can sit has a vanishing denominator: its ratio
     # is infinite where the numerator, each agent seated on its candidate
     # farthest from its facility in x, stays above 1e-12, and at least 1
-    # where it does not; the other sets are ordinary ratios
+    # where it does not; the other sets are ordinary ratios.  ``expected``
+    # lists each set's value with the seating that reaches it; the audit
+    # reports the largest, and an assignment into a set that reaches it
     fd = facility_distances(("X", "Z", "Y"), [[0.0, eps, far], [eps, 0.0, far],
                                               [far, far, 0.0]])
     profile = PreferenceProfile(3, ((0, 1, 2), (1, 0, 2), third))
     problem = build_preset("k_median", 3, fd.facilities, {"k": k})
     report = audit_additive_assignment(x, profile, fd, problem)
-    _check(report, highs_assignment_values(x, profile, fd, problem))
+    _check_family(report, highs_assignment_values(x, profile, fd, problem))
+    # each set's value is the largest over the assignments into it, x's own
+    # reading 1, in the enumeration, which reads every assignment apart
+    every = enumerated_assignment_audit(x, profile, fd, problem)
+    values = [max([1.0] * (set(x) <= set(S))
+                  + [v for y, v in every.per_alternative if set(y) <= set(S)])
+              for S in itertools.combinations(range(3), k)]
     if expected is None:
-        values = [value for _, value in report.per_alternative]
         assert values[0] > 1.0 and values[1] > 1.0 and values[2] == 1.0
-        assert report.flags == () and math.isfinite(report.value)
+        assert report.flags == () and report.value == max(values)
         return
-    assert list(report.per_alternative) == expected
+    assert values == [value for _, value in expected]
+    assert report.value == max(values)
+    assert report.per_alternative[0] in [entry for entry in expected if entry[1] == report.value]
     infinite = report.value == INF
     assert report.flags == (("denominator_vanishes",) if infinite else ())
     assert (report.certified_upper == INF) == infinite
@@ -251,6 +273,47 @@ def test_assignment_audits_match_the_enumerated_oracle():
             assert check_consistency(profile, report.witness, tol=1e-7)
             assert report.witness_ratio <= report.value + 1e-9 * report.value
     assert count >= 400
+
+
+def test_vanishing_families_match_the_enumerated_oracle():
+    # agents drawn on facilities can each sit on their own: k-median and
+    # facility location with free facilities have open sets that seat every
+    # agent at no cost, and a matching of agents on distinct facilities
+    # has a perfect matching on can_sit.  Such a denominator vanishes: the
+    # value is infinite where the farthest seating keeps a numerator, and
+    # at least 1 where it does not, as in the enumeration
+    rng = np.random.default_rng(SEED + 7)
+    seen = set()
+    for trial in range(240):
+        m = int(rng.integers(2, 5))
+        preset = ("matching_min_cost", "k_median", "facility_location")[trial % 3]
+        n = m if preset == "matching_min_cost" else int(rng.integers(1, 6))
+        fd = random_facility_distances(rng, m)
+        hosts = rng.permutation(m) if n == m and trial % 2 else rng.integers(m, size=n)
+        profile = preferences_from_metric(FullMetric(fd.values[hosts], fd))
+        costs = np.where(rng.random(m) < 0.6, 0.0, rng.uniform(0.5, 2.0, m))
+        costs[hosts[:trial % 2 * n]] = 0.0  # every host free in half the trials
+        costs = costs.tolist()
+        params = {"matching_min_cost": {}, "k_median": {"k": int(rng.integers(1, m + 1))},
+                  "facility_location": {"opening_costs": costs}}[preset]
+        problem = build_preset(preset, n, fd.facilities, params)
+        sits = audit.ConsistencyPolytope(profile, fd).can_sit
+        valid = list(iter_valid_assignments(n, problem.constraints))
+        for x in (reduce_and_solve(problem, profile, fd, SOLVERS["brute_force"]).assignment,
+                  valid[int(rng.integers(len(valid)))]):
+            want = enumerated_assignment_audit(x, profile, fd, problem)
+            report = audit_additive_assignment(x, profile, fd, problem)
+            assert _close(report.value, want.value, rel=1e-14), (x, report.value, want.value)
+            assert report.flags == want.flags
+            assert report.value <= report.certified_upper
+            vanishing = any(sits[np.arange(n), y].all() and problem.cost_spec.facility_cost(y) == 0
+                            for y, _ in want.per_alternative)
+            if vanishing:
+                seen.add((preset, math.isinf(report.value)))
+                assert report.value >= 1.0
+                assert (report.flags == ("denominator_vanishes",)) == math.isinf(report.value)
+    assert seen == {(p, inf) for p in ("matching_min_cost", "k_median", "facility_location")
+                    for inf in (False, True)}
 
 
 def test_facilities_closer_than_the_zero_rule_may_split_differently():

@@ -454,8 +454,8 @@ def test_cli_reduce_with_preset_params(tmp_path):
 def test_cli_thousands_of_agents_audit_by_open_sets(tmp_path, capsys):
     # a 1500-agent, one-facility instance is checked for a valid assignment
     # at load time, a 1200-agent k-median audit runs over its three open
-    # sets, and 2^14 - 1 facility-location open sets are refused for their
-    # number
+    # sets and lists the maximizing one, and 2^17 - 1 facility-location
+    # open sets are refused for their number
     one = {"schema": "ordmech-instance-v1", "facilities": ["A"],
            "facility_distances": [[0]], "tops": ["A"] * 1500,
            "preset": "social_choice_sum"}
@@ -473,11 +473,11 @@ def test_cli_thousands_of_agents_audit_by_open_sets(tmp_path, capsys):
     assert main(["solve", "--instance", str(path), "--mechanism", "reduce:k_median",
                  "--audit", "sum"]) == 0
     audit = json.loads(capsys.readouterr().out)["audit"]
-    assert len(audit["per_alternative"]) == 3 and audit["value"] >= 1.0
-    line = [[abs(f - g) for g in range(14)] for f in range(14)]
-    many = {"schema": "ordmech-instance-v1", "facilities": [f"F{f}" for f in range(14)],
-            "facility_distances": line, "tops": ["F0", "F13"] * 600,
-            "preset": "facility_location", "params": {"opening_costs": [1.0] * 14}}
+    assert len(audit["per_alternative"]) == 1 and audit["value"] >= 1.0
+    line = [[abs(f - g) for g in range(17)] for f in range(17)]
+    many = {"schema": "ordmech-instance-v1", "facilities": [f"F{f}" for f in range(17)],
+            "facility_distances": line, "tops": ["F0", "F16"] * 600,
+            "preset": "facility_location", "params": {"opening_costs": [1.0] * 17}}
     path = tmp_path / "many.json"
     path.write_text(json.dumps(many))
     assert main(["solve", "--instance", str(path), "--mechanism",

@@ -36,9 +36,11 @@ from helpers import (gathered_near_minimal, loop_candidate_reach, loop_check_con
 
 def _perturb(rng, a, count):
     """A copy of ``a`` with ``count`` entries moved by amounts from just
-    inside the 1e-9 tolerance up to order one, either sign."""
+    inside the 1e-9 tolerance up to order one, either sign: 2e-9 lies just
+    outside it where it is absolute (diagonal, symmetry, signs), 2e-7 just
+    outside where it scales with terms of up to a few tens."""
     a = np.array(a, dtype=float)
-    scale = rng.choice([5e-10, 2e-9, 1e-3, 0.5, 3.0], size=count)
+    scale = rng.choice([5e-10, 2e-9, 2e-7, 1e-3, 0.5, 3.0], size=count)
     a.flat[rng.integers(0, a.size, count)] += scale * rng.choice([-1.0, 1.0], size=count)
     return a
 
@@ -61,7 +63,7 @@ def test_validate_distance_matrix_first_offender_matches_loop():
 def test_full_metric_first_offender_message_matches_loop():
     rng = np.random.default_rng(102)
     failures = 0
-    for _ in range(300):
+    for _ in range(400):
         fd = random_facility_distances(rng, int(rng.integers(1, 6)))
         base = random_consistent_metric(rng, fd, int(rng.integers(1, 9))).distances
         d = _perturb(rng, base, int(rng.integers(0, 4)))
@@ -144,6 +146,14 @@ def test_check_consistency_matches_loop_full_and_top_only():
             assert got == loop_check_consistency(rankings, top_only, metric.distances)
             seen.add((top_only, got))
     assert seen == {(False, True), (False, False), (True, True), (True, False)}
+    # an inversion of 1e-6 between distances near 1e9 is a few ulps: within
+    # 1e-9 times 1 plus their sizes, though far beyond an absolute 1e-9
+    fd = facility_distances(("X", "Y"), [[0.0, 2e9], [2e9, 0.0]])
+    metric = FullMetric([[1e9 + 1e-6, 1e9]], fd)
+    for top_only, rankings in ((False, ((0, 1),)), (True, ((0,),))):
+        prof = PreferenceProfile(2, rankings, top_only=top_only)
+        assert check_consistency(prof, metric)
+        assert loop_check_consistency(rankings, top_only, metric.distances)
 
 
 def test_majority_counts_match_loop():
