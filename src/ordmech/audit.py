@@ -3,21 +3,20 @@
 Distortion of an outcome is the supremum, over all metrics consistent
 with the ordinal data and the facility geometry, of its cost divided by
 the best alternative's cost.  With positive costs that supremum equals
-the maximum over alternatives of per-pair ratio suprema.  Each pair is a
-linear-fractional program over the consistency polytope.
+the maximum over alternatives of per-alternative ratio suprema.
 
 Consistency constrains each agent's row independently, and agents with
-the same ranking are interchangeable.  Each pair therefore groups agents
-into classes that share a ranking and their coefficients in that pair,
-weighted by the class's number of agents.  Averaging a feasible point
-over a class keeps it feasible and keeps the ratio, so the value is exact
-while the work follows the number of classes, at most min(n, m!).  The
-same independence makes vanishing denominators combinatorial: an agent
-can sit exactly on a facility iff that facility's distance row respects
-the agent's ranking, and one rule serves every objective: a denominator
-vanishes iff as many agents as it needs seated (n for a sum, k for a
-k-th smallest distance) can sit on one of their facilities at no opening
-cost.  Only the maximizing alternative's witness is built.
+the same ranking are interchangeable: averaging a feasible point over a
+ranking class keeps it feasible and keeps the ratio, so the value is
+exact while the work follows the number of classes, at most min(n, m!).
+The same independence makes vanishing denominators combinatorial: an
+agent can sit exactly on a facility iff that facility's distance row
+respects its ranking.  Sum and percentile audits share one front end
+(_social_choice): each facility y other than the winner reads 1 when
+co-located with it, infinite when as many agents as the denominator
+needs seated (n for a sum, k for a k-th smallest distance) can sit on y
+away from the winner, and is solved otherwise.  An assignment audit
+screens its family the same way.  Only the maximizer's witness is built.
 
 A ranking's rows are unit two-variable inequalities, so shortest paths,
 in one stacked pass over the distinct rankings in chunks within BLOCK
@@ -390,66 +389,6 @@ def _dinkelbach(W: np.ndarray, r, f, g, count: np.ndarray, family: np.ndarray,
     return np.where(unbounded, INF, rho), np.where(unbounded, INF, upper), seat, point_rows
 
 
-def _ratio_pairs(poly: ConsistencyPolytope, num_at, num_const: np.ndarray,
-                 den_at: np.ndarray, den_const: np.ndarray) -> _Pairs:
-    """Per alternative j, sup (sum_i d(i, num_at[i]) + num_const[j]) /
-    (sum_i d(i, den_at[j, i]) + den_const[j]) over the polytope, where
-    ``num_at`` broadcasts to the agents and ``den_at`` to alternatives x
-    agents, each alternative a family of one (_dinkelbach) whose classes
-    group its agents by ranking and both facilities, in order of first
-    appearance.  No denominator may vanish (see _pairs_or_vanishing)."""
-    n, m, size = poly.n, poly.m, len(num_const)
-    span = len(poly.bounds) * m * m  # codes of one alternative's classes
-    code = ((poly.ranking_id * m + num_at) * m + den_at + span * np.arange(size)[:, None]).ravel()
-    _, first, inverse, count = np.unique(code, return_index=True, return_inverse=True,
-                                         return_counts=True)
-    order = np.argsort(first)  # the rows, by alternative, then first appearance
-    rank = np.argsort(order)  # the row of each distinct code
-    key, count, alt = code[first[order]] % span, count[order], first[order] // n
-    start = np.searchsorted(alt, np.arange(size + 1))  # each alternative's first row
-    value, upper, _, point_rows = _dinkelbach(
-        poly.bounds, key // (m * m), key // m % m, key[:, None] % m, count, alt, num_const,
-        lambda w, rho: (np.zeros(len(w), dtype=np.intp), den_const))
-    return _Pairs(value, upper, lambda j: None if math.isinf(value[j]) else point_rows(
-        slice(start[j], start[j + 1]))[rank[inverse[j * n:(j + 1) * n]] - start[j]])
-
-
-def _pairs_or_vanishing(poly: ConsistencyPolytope, num_at, num_const: np.ndarray,
-                        den_at: np.ndarray, den_const: np.ndarray, seated: int,
-                        one: np.ndarray, solve: Callable[..., _Pairs]) -> _Pairs:
-    """Ratios of num_const[j] plus the agents' distances to num_at, to
-    den_const[j] plus their distances to den_at[j, i] (as for _ratio_pairs),
-    summed (``seated`` = n) or as the ``seated``-th smallest, where ``solve``
-    (called as _ratio_pairs is) gives those of the alternatives passed to
-    it, and those marked ``one`` read 1.  A denominator can vanish iff its
-    den_const does and ``seated`` agents can sit on their facility.  Seated
-    there, the ratio is infinite when num_const[j] plus their distances to
-    num_at stays positive, witnessed by seating the first ``seated``, and
-    reads at least 1 when that vanishes too."""
-    n, l = poly.n, poly.fd.values
-    den_at = np.broadcast_to(den_at, (len(den_const), n))
-    seat = np.where((den_const <= 1e-12)[:, None] & poly.can_sit[np.arange(n), den_at],
-                    den_at, -1)
-    vanish = (seat >= 0).sum(axis=1) >= seated
-    num_at_zero = num_const + np.where(seat >= 0, l[seat, num_at], 0.0).sum(axis=1)
-    infinite = vanish & (num_at_zero > 1e-12) & ~one
-    todo = np.flatnonzero(~infinite & ~one)
-    part = solve(poly, num_at, num_const[todo], den_at[todo], den_const[todo])
-    value, upper = np.where(infinite, INF, 1.0), np.where(infinite, INF, 1.0)
-    value[todo] = np.where(vanish[todo], np.maximum(part.value, 1.0), part.value)
-    upper[todo] = part.upper
-    slot = dict(zip(todo.tolist(), range(len(todo))))
-
-    def witness(j: int) -> np.ndarray | None:
-        if infinite[j]:
-            seats, d = np.flatnonzero(seat[j] >= 0)[:seated], poly.interior_metric()
-            d[seats] = l[seat[j, seats]]  # seated, the rest far away
-            return d
-        return part.witness(slot[j]) if j in slot else None
-
-    return _Pairs(value, upper, witness)
-
-
 def _finalize(poly: ConsistencyPolytope, objective: str, target, keys: list,
               pairs: _Pairs, alpha: float | None, recompute) -> AuditReport:
     """Assemble the report: pick the maximizing alternative, build its
@@ -485,21 +424,62 @@ def _finalize(poly: ConsistencyPolytope, objective: str, target, keys: list,
                        witness_ratio, alpha, tuple(flags), upper)
 
 
+def _social_choice(poly: ConsistencyPolytope, objective: str, winner, seated: int, solve,
+                   alpha: float | None, recompute) -> AuditReport:
+    """The report of ``winner`` against each other facility y, in order.
+    Co-located with the winner, y reads 1.  If ``seated`` agents (n for a
+    sum, k for a k-th smallest distance) can sit on y and their distances
+    to the winner stay positive, y's denominator vanishes under a positive
+    numerator: y reads infinite, witnessed by seating the first ``seated``
+    there and the rest far away.  The other alternatives ys come from
+    ``solve(ys)``."""
+    if not (isinstance(winner, (int, np.integer)) and 0 <= winner < poly.m):
+        raise SolverError(f"winner {winner!r} is not a facility index below m = {poly.m}")
+    l, others = poly.fd.values, np.delete(np.arange(poly.m), winner)
+    one, can = l[winner, others] <= 1e-12, poly.can_sit[:, others].sum(axis=0)
+    infinite = ~one & (can >= seated) & (can * l[others, winner] > 1e-12)
+    todo = np.flatnonzero(~infinite & ~one)
+    part = solve(others[todo])
+    value, upper = np.where(infinite, INF, 1.0), np.where(infinite, INF, 1.0)
+    value[todo], upper[todo] = part.value, part.upper
+    slot = dict(zip(todo.tolist(), range(len(todo))))
+
+    def witness(j: int) -> np.ndarray | None:
+        if infinite[j]:
+            d = poly.interior_metric()
+            d[np.flatnonzero(poly.can_sit[:, others[j]])[:seated]] = l[others[j]]
+            return d
+        return part.witness(slot[j]) if j in slot else None
+
+    return _finalize(poly, objective, winner, others.tolist(), _Pairs(value, upper, witness),
+                     alpha, recompute)
+
+
+def _sum_pairs(poly: ConsistencyPolytope, ys: np.ndarray, winner: int) -> _Pairs:
+    """Per y in ``ys``, sup sum_i d(i, winner) / sum_i d(i, y): a family of
+    its own (_dinkelbach), whose classes are the distinct rankings."""
+    R, size = len(poly.bounds), len(ys)
+    value, upper, _, point_rows = _dinkelbach(
+        poly.bounds, np.tile(np.arange(R), size), np.full(R * size, winner),
+        np.repeat(ys, R)[:, None], np.tile(np.bincount(poly.ranking_id), size),
+        np.repeat(np.arange(size), R), np.zeros(size),
+        lambda w, rho: (np.zeros(len(w), dtype=np.intp), np.zeros(size)))
+    return _Pairs(value, upper, lambda j: None if math.isinf(value[j])
+                  else point_rows(slice(j * R, (j + 1) * R))[poly.ranking_id])
+
+
 def audit_sum_social_choice(winner: int, profile: PreferenceProfile,
                             fd: FacilityDistances) -> AuditReport:
     """Exact worst-case total-cost distortion of ``winner``: the ratio
     against each other facility as the one open set, a family of its own."""
     poly = ConsistencyPolytope(profile, fd)
-    others = np.delete(np.arange(poly.m), winner)
-    zero = np.zeros(len(others))
-    pairs = _pairs_or_vanishing(poly, np.full(poly.n, winner), zero, others[:, None], zero,
-                                poly.n, fd.values[winner, others] <= 1e-12, _ratio_pairs)
 
     def recompute(metric: FullMetric) -> float:
         cols = metric.distances.sum(axis=0)
         return float(_ratio(cols[winner], cols.min()))
 
-    return _finalize(poly, "sum", winner, others.tolist(), pairs, None, recompute)
+    return _social_choice(poly, "sum", winner, poly.n, lambda ys: _sum_pairs(poly, ys, winner),
+                          None, recompute)
 
 
 def audit_additive_assignment(x, profile: PreferenceProfile,
@@ -686,22 +666,14 @@ def audit_percentile_social_choice(winner: int, profile: PreferenceProfile,
     if not alpha <= 1.0:  # NaN fails every comparison
         raise UnboundedObjectiveError(f"alpha must lie in [0.5, 1], got {alpha}")
     poly = ConsistencyPolytope(profile, fd)
-    m = poly.m
     k = percentile_rank(poly.n, alpha)
-    others = np.delete(np.arange(m), winner)
-    zero = np.zeros(len(others))
-
-    def solve(poly, num_at, num_const, den_at, den_const) -> _Pairs:
-        return _percentile_pairs(poly, den_at[:, 0], winner, k)
-
-    pairs = _pairs_or_vanishing(poly, np.full(poly.n, winner), zero, others[:, None], zero,
-                                k, fd.values[winner, others] <= 1e-12, solve)
 
     def recompute(metric: FullMetric) -> float:
         return float(_ratio(evaluate_percentile_cost(winner, metric, alpha),
-                            min(evaluate_percentile_cost(f, metric, alpha) for f in range(m))))
+                            min(evaluate_percentile_cost(f, metric, alpha) for f in range(fd.m))))
 
-    return _finalize(poly, "percentile", winner, others.tolist(), pairs, alpha, recompute)
+    return _social_choice(poly, "percentile", winner, k,
+                          lambda ys: _percentile_pairs(poly, ys, winner, k), alpha, recompute)
 
 
 def sample_consistent_metric(profile: PreferenceProfile, fd: FacilityDistances,

@@ -13,17 +13,25 @@ own, solve each sum or assignment ratio, and each percentile alternative's
 binding configuration, as a HiGHS LP, and build every percentile
 candidate's subset in full; the enumerated assignment audit runs over
 every valid assignment (iter_valid_assignments) instead of open sets.
+Both the HiGHS ratio values and the enumerated audit go through the
+reference general per-pair ratio: _ratio_pairs (a numerator facility per
+agent, a denominator facility per alternative and agent and constants per
+alternative, each alternative its own Dinkelbach family) inside
+_pairs_or_vanishing (the vanishing-denominator rule around it).
 """
 
 import hashlib
 import json
+import math
 from itertools import combinations, islice, permutations, product
 from types import SimpleNamespace
+from typing import Callable
 
 import numpy as np
 
 from ordmech import (FacilityDistances, FullMetric, facility_distances,
                      preferences_from_metric)
+from ordmech.audit import INF, ConsistencyPolytope, _dinkelbach, _Pairs
 
 
 def random_facility_distances(rng, m, allow_colocated=True) -> FacilityDistances:
@@ -417,12 +425,71 @@ def _classes(poly, *keys):
     return SimpleNamespace(keys=np.array(list(index)), count=np.bincount(member))
 
 
-def _highs_values(poly, pairs):
-    """Per alternative: 1 when co-located (``None``), else the library's
-    vanishing-denominator rule around the HiGHS ratio LP, one alternative
-    at a time; each pair is (num_at, num_const, den_at, den_const, lp)."""
-    from ordmech.audit import _Pairs, _pairs_or_vanishing
+def _ratio_pairs(poly: ConsistencyPolytope, num_at, num_const: np.ndarray,
+                 den_at: np.ndarray, den_const: np.ndarray) -> _Pairs:
+    """Per alternative j, sup (sum_i d(i, num_at[i]) + num_const[j]) /
+    (sum_i d(i, den_at[j, i]) + den_const[j]) over the polytope, where
+    ``num_at`` broadcasts to the agents and ``den_at`` to alternatives x
+    agents, each alternative a family of one (_dinkelbach) whose classes
+    group its agents by ranking and both facilities, in order of first
+    appearance.  No denominator may vanish (see _pairs_or_vanishing)."""
+    n, m, size = poly.n, poly.m, len(num_const)
+    span = len(poly.bounds) * m * m  # codes of one alternative's classes
+    code = ((poly.ranking_id * m + num_at) * m + den_at + span * np.arange(size)[:, None]).ravel()
+    _, first, inverse, count = np.unique(code, return_index=True, return_inverse=True,
+                                         return_counts=True)
+    order = np.argsort(first)  # the rows, by alternative, then first appearance
+    rank = np.argsort(order)  # the row of each distinct code
+    key, count, alt = code[first[order]] % span, count[order], first[order] // n
+    start = np.searchsorted(alt, np.arange(size + 1))  # each alternative's first row
+    value, upper, _, point_rows = _dinkelbach(
+        poly.bounds, key // (m * m), key // m % m, key[:, None] % m, count, alt, num_const,
+        lambda w, rho: (np.zeros(len(w), dtype=np.intp), den_const))
+    return _Pairs(value, upper, lambda j: None if math.isinf(value[j]) else point_rows(
+        slice(start[j], start[j + 1]))[rank[inverse[j * n:(j + 1) * n]] - start[j]])
 
+
+def _pairs_or_vanishing(poly: ConsistencyPolytope, num_at, num_const: np.ndarray,
+                        den_at: np.ndarray, den_const: np.ndarray, seated: int,
+                        one: np.ndarray, solve: Callable[..., _Pairs]) -> _Pairs:
+    """Ratios of num_const[j] plus the agents' distances to num_at, to
+    den_const[j] plus their distances to den_at[j, i] (as for _ratio_pairs),
+    summed (``seated`` = n) or as the ``seated``-th smallest, where ``solve``
+    (called as _ratio_pairs is) gives those of the alternatives passed to
+    it, and those marked ``one`` read 1.  A denominator can vanish iff its
+    den_const does and ``seated`` agents can sit on their facility.  Seated
+    there, the ratio is infinite when num_const[j] plus their distances to
+    num_at stays positive, witnessed by seating the first ``seated``, and
+    reads at least 1 when that vanishes too."""
+    n, l = poly.n, poly.fd.values
+    den_at = np.broadcast_to(den_at, (len(den_const), n))
+    seat = np.where((den_const <= 1e-12)[:, None] & poly.can_sit[np.arange(n), den_at],
+                    den_at, -1)
+    vanish = (seat >= 0).sum(axis=1) >= seated
+    num_at_zero = num_const + np.where(seat >= 0, l[seat, num_at], 0.0).sum(axis=1)
+    infinite = vanish & (num_at_zero > 1e-12) & ~one
+    todo = np.flatnonzero(~infinite & ~one)
+    part = solve(poly, num_at, num_const[todo], den_at[todo], den_const[todo])
+    value, upper = np.where(infinite, INF, 1.0), np.where(infinite, INF, 1.0)
+    value[todo] = np.where(vanish[todo], np.maximum(part.value, 1.0), part.value)
+    upper[todo] = part.upper
+    slot = dict(zip(todo.tolist(), range(len(todo))))
+
+    def witness(j: int) -> np.ndarray | None:
+        if infinite[j]:
+            seats, d = np.flatnonzero(seat[j] >= 0)[:seated], poly.interior_metric()
+            d[seats] = l[seat[j, seats]]  # seated, the rest far away
+            return d
+        return part.witness(slot[j]) if j in slot else None
+
+    return _Pairs(value, upper, witness)
+
+
+def _highs_values(poly, pairs):
+    """Per alternative: 1 when co-located (``None``), else the reference
+    vanishing-denominator rule (_pairs_or_vanishing) around the HiGHS ratio
+    LP, one alternative at a time; each pair is (num_at, num_const, den_at,
+    den_const, lp)."""
     def solve(lp, num_const):
         value = np.full(len(num_const), highs_ratio_pair(poly, *lp) if len(num_const) else 0.0)
         return _Pairs(value, value, lambda j: None)
@@ -443,8 +510,6 @@ def _highs_values(poly, pairs):
 
 def highs_sum_values(winner, profile, fd) -> list[float]:
     """A sum audit's per-alternative values, each pair by the HiGHS LP."""
-    from ordmech.audit import ConsistencyPolytope
-
     poly = ConsistencyPolytope(profile, fd)
     cls = _classes(poly)
     l = fd.values
@@ -471,8 +536,6 @@ def highs_assignment_values(x, profile, fd, problem) -> list[float]:
     own, and per open set the largest over the assignments into it, each
     charged the opening cost of its open set; each assignment by the HiGHS
     LP."""
-    from ordmech.audit import ConsistencyPolytope
-
     poly = ConsistencyPolytope(profile, fd)
     spec = problem.cost_spec
     x = tuple(x)
@@ -530,8 +593,7 @@ def enumerated_assignment_audit(x, profile, fd, problem):
     ENUMERATED_AUDIT_CAP of them are refused.  Its value and flags are the
     family audit's, and its ``per_alternative`` lists every alternative."""
     from ordmech import SearchSpaceError, total_cost
-    from ordmech.audit import (ConsistencyPolytope, _finalize, _pairs_or_vanishing, _ratio,
-                               _ratio_pairs)
+    from ordmech.audit import _finalize, _ratio
 
     x, spec, cap = tuple(x), problem.cost_spec, ENUMERATED_AUDIT_CAP
     alternatives = list(islice(iter_valid_assignments(profile.n, problem.constraints), cap + 1))
@@ -580,7 +642,7 @@ def highs_percentile_values(winner, profile, fd, alpha) -> list[float]:
     """A percentile audit's per-alternative values: 1 when co-located,
     infinite when k agents can sit on the alternative, else the HiGHS LP
     over the agents that bind the library's best candidate."""
-    from ordmech.audit import ConsistencyPolytope, _percentile_candidate
+    from ordmech.audit import _percentile_candidate
     from ordmech.social_choice import percentile_rank
 
     poly = ConsistencyPolytope(profile, fd)

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ordmech import (PreferenceProfile, SearchSpaceError, UnboundedObjectiveError,
+from ordmech import (PreferenceProfile, SearchSpaceError, SolverError, UnboundedObjectiveError,
                      audit_additive_assignment, audit_percentile_social_choice,
                      audit_sum_social_choice, build_preset, check_consistency,
                      evaluate_percentile_cost, evaluate_sum_cost,
@@ -224,6 +224,22 @@ def test_percentile_audit_refuses_low_alpha():
         audit_percentile_social_choice(0, profile, fd, 0.3)
     with pytest.raises(UnboundedObjectiveError):
         audit_percentile_social_choice(0, profile, fd, 1.2)
+
+
+@pytest.mark.parametrize("winner", [-1, 2, 1.0])
+def test_social_choice_audits_refuse_a_winner_outside_the_facilities(winner):
+    profile, fd = _tie_instance()
+    with pytest.raises(SolverError, match=f"winner {winner!r} .* m = 2"):
+        audit_sum_social_choice(winner, profile, fd)
+    with pytest.raises(SolverError, match=f"winner {winner!r} .* m = 2"):
+        audit_percentile_social_choice(winner, profile, fd, 0.5)
+
+
+def test_social_choice_audits_take_a_numpy_winner():
+    profile, fd = _tie_instance()
+    assert audit_sum_social_choice(np.int64(1), profile, fd).value == 3.0
+    assert audit_percentile_social_choice(np.int64(1), profile, fd, 0.5).value == \
+        audit_percentile_social_choice(1, profile, fd, 0.5).value
 
 
 def test_percentile_condorcet_instances_within_three():

@@ -85,6 +85,23 @@ def test_sum_audits_match_highs_on_top_only_profiles():
         _sum_audits(tops, fd)
 
 
+def test_sum_audits_equal_the_one_median_family_audit():
+    # a sum audit of w is the assignment audit of every agent on w against
+    # the family of k = 1 open sets: the two front ends must agree
+    rng = np.random.default_rng(SEED + 9)
+    for t in range(150):
+        profile, fd, _ = random_instance(rng, n_max=8, m_max=5)
+        if t % 2:
+            profile = PreferenceProfile(fd.m, tuple((r[0],) for r in profile.rankings),
+                                        top_only=True)
+        problem = build_preset("k_median", profile.n, fd.facilities, {"k": 1})
+        for w in range(fd.m):
+            got = audit_sum_social_choice(w, profile, fd)
+            want = audit_additive_assignment((w,) * profile.n, profile, fd, problem)
+            assert _close(got.value, want.value, rel=1e-9), (t, w, got.value, want.value)
+            assert got.flags == want.flags, (t, w)
+
+
 def test_sum_audits_match_highs_at_scale():
     ex = gen_sum5_tight(q=1000)
     _sum_audits(ex.profile, ex.fd)
@@ -427,13 +444,13 @@ def test_tampered_percentile_witness_is_an_error(monkeypatch):
 
 
 def test_out_of_order_certificate_is_an_error(monkeypatch):
-    real = audit._ratio_pairs
+    real = audit._dinkelbach
 
     def low_bound(*args):
-        outcome = real(*args)
-        return outcome._replace(upper=outcome.value / 2)
+        value, upper, seat, point_rows = real(*args)
+        return value, value / 2, seat, point_rows
 
-    monkeypatch.setattr(audit, "_ratio_pairs", low_bound)
+    monkeypatch.setattr(audit, "_dinkelbach", low_bound)
     fd = facility_distances(("X", "Y"), [[0.0, 2.0], [2.0, 0.0]])
     profile = PreferenceProfile(2, ((0, 1), (1, 0)))
     with pytest.raises(InternalInvariantError):
