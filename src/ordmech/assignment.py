@@ -83,8 +83,10 @@ class ConstraintSet:
     one_per_facility: bool = False
 
     def is_valid(self, x: Assignment) -> bool:
+        # a facility index is an int or a numpy integer, never a bool, below m
         used = set(x)
-        return (all(0 <= f < self.m for f in used)
+        return (all(issubclass(t, (int, np.integer)) and t is not bool for t in set(map(type, x)))
+                and all(0 <= f < self.m for f in used)
                 and (not self.one_per_facility or len(used) == len(x))
                 and (self.at_most_open is None or len(used) <= self.at_most_open))
 

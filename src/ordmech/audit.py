@@ -36,8 +36,8 @@ order statistics is a subset choice, but per-agent independence collapses
 the search to one candidate configuration per ranking class, whose value
 has a closed form in two closure entries of the one or two agents that
 bind it (see _percentile_candidate).  Each entry is the length of a
-shortest path of ranking rows, so summing those rows' bounds along the
-path (_path_bound) re-derives it from the raw rows and certifies an upper
+shortest path of ranking rows, or half of two, so relaxing paths over
+the ranking's raw rows (_path_bound) re-derives it and certifies an upper
 bound on the value, and the maximizer's witness, built from the closure
 alone, attains the value from below.  No audit solves an LP.
 """
@@ -52,9 +52,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .assignment import AssignmentProblem, DistanceCost, total_cost
+from .assignment import AssignmentProblem, ConstraintSet, DistanceCost, total_cost
 from .core import (BLOCK, FacilityDistances, FullMetric, PreferenceProfile,
-                   check_consistency, consistency_constraints, pair_indices)
+                   check_consistency, consistency_constraints)
 from .errors import (InternalInvariantError, MetricError, SearchSpaceError,
                      SolverError, UnboundedObjectiveError)
 from .lp import solve_lp
@@ -88,11 +88,11 @@ class AuditReport:
 
 
 class ConsistencyPolytope:
-    """The consistent-metric closure per distinct ranking: the edges of its
-    rows, their closure (_closure) and who can sit on which facility.  The
-    rankings share the pair rows of the geometry and differ in their chain
-    rows, so the pair edges are kept once and the chain edges per ranking,
-    and one stacked pass closes every ranking, in chunks within BLOCK."""
+    """The consistent-metric closure per distinct ranking: its raw row
+    bounds (raw), their closure (_closure) and who can sit on which
+    facility.  The rankings share the pair rows and differ in their chain
+    rows, so the pair rows are kept once and the chain per ranking, and one
+    stacked pass closes every ranking, in chunks within BLOCK."""
 
     def __init__(self, profile: PreferenceProfile, fd: FacilityDistances):
         if profile.m != fd.m:
@@ -103,45 +103,39 @@ class ConsistencyPolytope:
         self.ranking_id = profile.class_of  # distinct rankings, in order of first appearance
         self.first = np.unique(self.ranking_id, return_index=True)[1]  # an agent per ranking
         ranks = profile.array[self.first]
-        # Rows as edges (see _closure): per ranking, its chain rows
-        # d(before) - d(after) <= 0 (consecutive ranks, or the top choice
-        # against every other facility when only tops are known), then twins
+        # per ranking, its chain rows d(before) - d(after) <= 0: consecutive
+        # ranks, or the top choice against every other facility when only
+        # tops are known
         if profile.top_only:
             slot = np.arange(m - 1)
-            before, after = np.repeat(ranks, m - 1, axis=1), slot + (slot >= ranks)
+            self.before, self.after = np.repeat(ranks, m - 1, axis=1), slot + (slot >= ranks)
         else:
-            before, after = ranks[:, :-1], ranks[:, 1:]
-        down = before > after
-        p, q = 2 * np.minimum(before, after) + down, 2 * np.maximum(before, after) + down
-        self.chain = (np.hstack([p, q ^ 1]), np.hstack([q, p ^ 1]))
-        # and once the rows every ranking shares: the pair rows as in
-        # core.pair_rows (per f < g: d(f) - d(g) <= l, d(g) - d(f) <= l,
-        # -(d(f) + d(g)) <= -l), their twins, then d >= 0
-        f, g = pair_indices(m)
-        p, q = (2 * f[:, None] + [0, 1, 1]).ravel(), (2 * g[:, None] + [0, 1, 0]).ravel()
-        b, odd = (l[f, g][:, None] * [1.0, 1.0, -1.0]).ravel(), np.arange(1, 2 * m, 2)
-        self.shared = (np.concatenate([p, q ^ 1, odd]), np.concatenate([q, p ^ 1, odd ^ 1]),
-                       np.concatenate([b, b, np.zeros(m)]))
-        shared = np.where(np.eye(2 * m, dtype=bool), 0.0, INF)
-        np.minimum.at(shared, self.shared[:2], self.shared[2])
+            self.before, self.after = ranks[:, :-1], ranks[:, 1:]
+        # and once the rows all rankings share, as bounds on v[p] - v[q]
+        # (_closure): core.pair_rows, with l(f, g) for f < g both ways, and d >= 0
+        u = np.triu(l, 1)
+        u = u + u.T
+        self.pair = np.full((2 * m, 2 * m), INF)
+        self.pair[0::2, 0::2] = self.pair[1::2, 1::2] = u
+        self.pair[1::2, 0::2] = 0.0 - u  # -(d(f) + d(g)) <= -l; 0.0 keeps zeros unsigned
         bounds, sit, step = [], [], max(1, BLOCK // (2 * m) ** 2)
         for lo in range(0, len(ranks), step):
-            src, dst = (e[lo:lo + step] for e in self.chain)
-            W = np.repeat(shared[None], len(src), axis=0)
-            np.minimum.at(W, (np.arange(len(src))[:, None], src, dst), 0.0)
-            bounds.append(_closure(W))
+            part = slice(lo, lo + step)
+            bounds.append(_closure(self.raw(part)))
             # one may sit on facility f iff l(f, .) never falls along the chain
-            sit.append((l[:, before[lo:lo + step]] <= l[:, after[lo:lo + step]] + 1e-9)
-                       .all(axis=2).T)
+            sit.append((l[:, self.before[part]] <= l[:, self.after[part]] + 1e-9).all(axis=2).T)
         self.bounds = np.concatenate(bounds)  # per distinct ranking
         self.can_sit = np.concatenate(sit)[self.ranking_id]  # n x m
 
-    def edges(self, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Ranking r's edges as (source, target, bound) in the order of its
-        core.ranking_block rows: chain, pair, their twins, then d >= 0."""
-        k, P = self.m - 1, (len(self.shared[0]) - self.m) // 2
-        chain = (self.chain[0][r], self.chain[1][r], np.zeros(2 * k))
-        return tuple(np.hstack([c[:k], s[:P], c[k:], s[P:]]) for c, s in zip(chain, self.shared))
+    def raw(self, rankings) -> np.ndarray:
+        """Per ranking of ``rankings`` (indices or a slice), the least bound
+        one of its rows puts on each v[p] - v[q] (see _closure): inf where
+        none, 0 on the diagonal and on each chain row and its twin."""
+        before, after = 2 * self.before[rankings], 2 * self.after[rankings]
+        W = np.repeat(self.pair[None], len(before), axis=0)
+        at = np.arange(len(before))[:, None]
+        W[at, before, after] = W[at, after + 1, before + 1] = 0.0
+        return W
 
     def min_agent_distance(self, agents, f: int) -> np.ndarray:
         """Smallest consistent d(i, f) of each of ``agents``."""
@@ -159,13 +153,13 @@ class ConsistencyPolytope:
 
 
 def _closure(W: np.ndarray) -> np.ndarray:
-    """Close feasible systems of rows with two +-1 coefficients, given as
-    edges: with v[2a] = d(a) and v[2a + 1] = -d(a), a row bounds some
-    v[p] - v[q] and its twin v[q ^ 1] - v[p ^ 1], and d(a) >= 0 bounds
-    v[2a + 1] - v[2a] by 0.  W stacks one 2m x 2m matrix of least edge
-    bounds per system (inf where none, 0 on the diagonal) and is overwritten
-    by the least upper bound of every v[p] - v[q]: shortest paths, then one
-    halving step (the closure of an octagon, exact over the reals)."""
+    """Close feasible systems of rows with two +-1 coefficients: with v[2a]
+    = d(a) and v[2a + 1] = -d(a), a row bounds some v[p] - v[q] and its twin
+    v[q ^ 1] - v[p ^ 1], and d(a) >= 0 bounds v[2a + 1] - v[2a] by 0.  W
+    stacks one 2m x 2m matrix of least row bounds per system (as from
+    ConsistencyPolytope.raw) and is overwritten by the least upper bound of
+    every v[p] - v[q]: shortest paths, then one halving step (the closure
+    of an octagon, exact over the reals)."""
     for k in range(W.shape[1]):
         np.minimum(W, W[:, :, k, None] + W[:, None, k, :], out=W)
     at = np.arange(W.shape[1])
@@ -175,38 +169,23 @@ def _closure(W: np.ndarray) -> np.ndarray:
 
 def _path_bound(poly: ConsistencyPolytope, i: int, p: int, q: int) -> float:
     """Entry [p, q] of the closure W of agent i's ranking, re-derived from
-    its rows: their bounds summed along a path of edges (see
-    ConsistencyPolytope.edges) from p to q that W says are tight, or, where
-    the closure took its halving step, half the sum of the paths p -> p ^ 1
-    and q ^ 1 -> q.  The rows of a path add up to a bound on v[p] - v[q],
-    so the sum holds whatever W says.  Raises unless it is within a
-    relative 1e-9 of the entry, relative to at least the facility radius."""
-    W, scale = poly.bounds[poly.ranking_id[i]], poly.radius
-    src, dst, bound = poly.edges(poly.ranking_id[i])
-    ends = list(zip(src.tolist(), dst.tolist()))
-
-    def walk(p: int, q: int) -> float:
-        tight = np.flatnonzero(W[p, src] + bound <= W[p, dst] + 1e-12 * scale).tolist()
-        via = {p: -1}  # node -> the tight edge that reached it
-        while q not in via:
-            step = {ends[e][1]: e for e in tight if ends[e][0] in via and ends[e][1] not in via}
-            if not step:
-                raise InternalInvariantError(f"no path of rows behind closure entry [{p}, {q}]")
-            via.update(step)
-        total = 0.0
-        while q != p:
-            total += float(bound[via[q]])
-            q = ends[via[q]][0]
-        return total
-
-    entry = float(W[p, q])
-    if q != p ^ 1 and entry == W[p, p ^ 1] / 2 + W[q ^ 1, q] / 2:
-        found = (walk(p, p ^ 1) + walk(q ^ 1, q)) / 2
-    else:
-        found = walk(p, q)
-    if not abs(found - entry) <= 1e-9 * max(scale, abs(entry)):
+    its raw rows (ConsistencyPolytope.raw) by a Bellman-Ford relaxation
+    from p and from q ^ 1: the least of the path p -> q and half the paths
+    p -> p ^ 1 and q ^ 1 -> q.  The rows of a path add up to a bound on
+    v[p] - v[q], so that bound holds whatever W says.  Raises unless it is
+    within a relative 1e-9 of the entry, relative to at least the facility
+    radius."""
+    r = poly.ranking_id[i]
+    raw, entry = poly.raw([r])[0], float(poly.bounds[r, p, q])
+    D = raw[[p, q ^ 1]]  # least sums along paths from p and from q ^ 1
+    for _ in range(len(raw)):  # a shortest path has fewer than 2m rows
+        last, D = D, np.minimum(D, (D[:, :, None] + raw).min(axis=1))
+        if (D == last).all():
+            break
+    found = float(min(D[0, q], (D[0, p ^ 1] + D[1, q]) / 2))
+    if not abs(found - entry) <= 1e-9 * max(poly.radius, abs(entry)):
         raise InternalInvariantError(f"closure entry [{p}, {q}] is {entry}, but its "
-                                     f"path of rows sums to {found}")
+                                     f"paths of rows give {found}")
     return found
 
 
@@ -433,7 +412,7 @@ def _social_choice(poly: ConsistencyPolytope, objective: str, winner, seated: in
     numerator: y reads infinite, witnessed by seating the first ``seated``
     there and the rest far away.  The other alternatives ys come from
     ``solve(ys)``."""
-    if not (isinstance(winner, (int, np.integer)) and 0 <= winner < poly.m):
+    if not ConstraintSet(poly.m).is_valid((winner,)):
         raise SolverError(f"winner {winner!r} is not a facility index below m = {poly.m}")
     l, others = poly.fd.values, np.delete(np.arange(poly.m), winner)
     one, can = l[winner, others] <= 1e-12, poly.can_sit[:, others].sum(axis=0)
@@ -565,7 +544,7 @@ def audit_additive_assignment(x, profile: PreferenceProfile,
 
 def _percentile_candidate(poly: ConsistencyPolytope, x: int, w: int, k: int):
     """The best candidate (S, T) configuration for x against w: its value,
-    S with j first, and the agents that bind it.
+    S with j first, the agents that bind it, and its M and c.
 
     S pins the denominator's k-th order statistic from above, T floors the
     numerator's from below.  The closure constrains each agent's row
@@ -605,24 +584,22 @@ def _percentile_candidate(poly: ConsistencyPolytope, x: int, w: int, k: int):
     best = np.flatnonzero(values >= top - tol)[0]
     j, cap = poly.first[best], cap[best]
     S = np.append(j, order[order != j][:k - 1])
-    return float(values[best]), S, [j] if cap == j else [j, cap]
+    return float(values[best]), S, [j] if cap == j else [j, cap], float(mu[cap]), float(gap[best])
 
 
 def _percentile_pairs(poly: ConsistencyPolytope, xs: np.ndarray, w: int, k: int) -> _Pairs:
     """Per x in ``xs``, the value of x against w, from the best candidate
     configuration (see _percentile_candidate), with an upper bound
     re-derived from the raw ranking rows: the closure entries behind M (of
-    the agent that sets it) and behind c (of agent j) are each summed along
-    their path of rows (_path_bound), and 1 + max(c, 0) / M over those sums
+    the agent that sets it) and behind c (of agent j) are each re-derived
+    from paths of rows (_path_bound), and 1 + max(c, 0) / M over those
     bounds the value.  A vanishing M reads as an infinite value."""
     value, upper, build = [], [], []
     for x in xs.tolist():
-        v, S, binding = _percentile_candidate(poly, x, w, k)
+        v, S, binding, M, c = _percentile_candidate(poly, x, w, k)
         j, cap, finite = binding[0], binding[-1], math.isfinite(v)
         M_sum = -_path_bound(poly, cap, 2 * x + 1, 2 * x) / 2 if finite else 0.0
         c_sum = _path_bound(poly, j, 2 * w, 2 * x) if finite else 0.0
-        M = float(poly.min_agent_distance(cap, x))
-        c = max(float(poly.max_distance_gap(j, w, x)), 0.0)
         value.append(v)
         upper.append(1.0 + max(c_sum, 0.0) / M_sum if M_sum > 0 else INF)
         build.append((x, w, S, binding, M, c) if finite else None)

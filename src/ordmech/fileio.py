@@ -255,9 +255,6 @@ def _matrix_json(matrix, row_sep: str) -> str:
     its text repeated in row order.  Rows are keyed by their float64 bytes,
     so 0.0 and -0.0 stay apart."""
     a = np.ascontiguousarray(matrix, dtype=np.float64)
-    column = np.sort(a[:, 0])
-    if (column[1:] != column[:-1]).all():  # distinct first entries: no row repeats
-        return json.dumps(a.tolist()).replace("], [", "]" + row_sep + "[")
     keys = a.view(np.dtype((np.void, a.itemsize * a.shape[1]))).ravel()
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     texts = json.dumps(a[first].tolist())[2:-2].split("], [")

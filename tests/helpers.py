@@ -364,15 +364,23 @@ def block_edges(A, b):
             np.concatenate([b, b, np.zeros(m)]))
 
 
-def block_closure(A, b):
-    """One block's closure: shortest paths through its edges (block_edges)
-    by Floyd-Warshall, then one halving step through the single-variable
-    bounds."""
+def block_raw(A, b):
+    """One block's least edge bound per (p, q) (block_edges): inf where no
+    edge runs, 0 on the diagonal."""
     m = A.shape[1]
     W = np.full((2 * m, 2 * m), np.inf)
     np.fill_diagonal(W, 0.0)
     src, dst, bound = block_edges(A, b)
     np.minimum.at(W, (src, dst), bound)
+    return W
+
+
+def block_closure(A, b):
+    """One block's closure: shortest paths through its edges (block_raw)
+    by Floyd-Warshall, then one halving step through the single-variable
+    bounds."""
+    m = A.shape[1]
+    W = block_raw(A, b)
     for k in range(2 * m):
         W = np.minimum(W, W[:, k, None] + W[None, k, :])
     at = np.arange(2 * m)
@@ -662,8 +670,8 @@ def highs_percentile_values(winner, profile, fd, alpha) -> list[float]:
 
 
 def subset_percentile_candidate(poly, x, w, k):
-    """The percentile audit's best candidate (value, S, binding), building S
-    for every ranking class and taking its cap by argmax over S."""
+    """The percentile audit's best candidate (value, S, binding, M, c),
+    building S for every ranking class and taking its cap by argmax over S."""
     firsts = np.unique(poly.ranking_id, return_index=True)[1]
     mu = np.array([poly.min_agent_distance(i, x) for i in firsts])[poly.ranking_id]
     order = np.argsort(mu, kind="stable")
@@ -676,8 +684,8 @@ def subset_percentile_candidate(poly, x, w, k):
         S = subset(j)
         cap = S[np.argmax(mu[S])]
         gap = max(poly.max_distance_gap(j, w, x), 0.0)
-        candidates.append((1.0 + gap / mu[cap] if mu[cap] > 0 else float("inf"), j, cap))
+        candidates.append((1.0 + gap / mu[cap] if mu[cap] > 0 else float("inf"), j, cap, gap))
     top = max(c[0] for c in candidates)
     tol = 0.0 if top == float("inf") else 1e-9 * max(1.0, top)
-    value, j, cap = next(c for c in candidates if c[0] >= top - tol)
-    return value, subset(j), [j] if cap == j else [j, cap]
+    value, j, cap, gap = next(c for c in candidates if c[0] >= top - tol)
+    return value, subset(j), [j] if cap == j else [j, cap], float(mu[cap]), float(gap)

@@ -22,7 +22,7 @@ from ordmech.fileio import load_instance
 from ordmech.gallery import gen_median_topchoice_bad, gen_sum5_tight
 from ordmech.solvers import SOLVERS
 
-from helpers import (agent_block, block_closure, block_edges, enumerated_assignment_audit,
+from helpers import (agent_block, block_closure, block_raw, enumerated_assignment_audit,
                      iter_valid_assignments, random_consistent_metric,
                      random_facility_distances, random_instance)
 
@@ -226,7 +226,7 @@ def test_percentile_audit_refuses_low_alpha():
         audit_percentile_social_choice(0, profile, fd, 1.2)
 
 
-@pytest.mark.parametrize("winner", [-1, 2, 1.0])
+@pytest.mark.parametrize("winner", [-1, 2, 1.0, True, False])
 def test_social_choice_audits_refuse_a_winner_outside_the_facilities(winner):
     profile, fd = _tie_instance()
     with pytest.raises(SolverError, match=f"winner {winner!r} .* m = 2"):
@@ -467,6 +467,21 @@ def test_assignment_audit_two_agent_example_is_three():
         assert report.witness_ratio == pytest.approx(3.0, abs=1e-6)
 
 
+@pytest.mark.parametrize("x", [(1.0, 0.0), (1.5, 0), ("1", "0"), (True, False)])
+@pytest.mark.parametrize("preset", ["matching_min_cost", "k_median"])
+def test_assignment_audit_refuses_an_entry_that_is_no_facility_index(preset, x):
+    # a facility index is an int or a numpy integer, never a bool
+    fd = facility_distances(("F1", "F2"), [[0.0, 2.0], [2.0, 0.0]])
+    profile = PreferenceProfile(2, ((0, 1), (0, 1)))
+    problem = build_preset(preset, 2, fd.facilities, {"k": 2})
+    assert not problem.constraints.is_valid(x)
+    with pytest.raises(SolverError, match="violates the constraints"):
+        audit_additive_assignment(x, profile, fd, problem)
+    assert problem.constraints.is_valid((np.int64(1), np.int64(0)))
+    assert audit_additive_assignment((np.int64(1), np.int64(0)), profile, fd, problem).value \
+        == audit_additive_assignment((1, 0), profile, fd, problem).value
+
+
 def test_assignment_audit_with_opening_costs():
     fd = facility_distances(("X", "Y"), [[0.0, 2.0], [2.0, 0.0]])
     profile = PreferenceProfile(2, ((0, 1), (1, 0)))
@@ -565,23 +580,36 @@ def _stacked_profiles():
 
 
 def test_stacked_closure_matches_per_ranking_oracle():
-    # the stacked pass keeps every ranking's edges in its block's row order
-    # and closes it bit for bit as a Floyd-Warshall over that block alone;
-    # an agent can sit on f iff the row l(f, .) keeps its chain rows
+    # every ranking's raw matrix holds its block's least row bound per
+    # (p, q), and the stacked pass closes it bit for bit as a Floyd-Warshall
+    # over that block alone; an agent can sit on f iff the row l(f, .)
+    # keeps its chain rows
     for profile, fd in _stacked_profiles():
         poly = ConsistencyPolytope(profile, fd)
         first = np.unique(poly.ranking_id, return_index=True)[1]
         assert len(poly.bounds) == len(first) == len(set(profile.rankings))
         for r, i in enumerate(first):
             A, b = agent_block(poly, i)
-            for got, want in zip(poly.edges(r), block_edges(A, b)):
-                assert got.tolist() == want.tolist()
+            assert poly.raw([r])[0].tolist() == block_raw(A, b).tolist()
             assert poly.bounds[r].tobytes() == block_closure(A, b).tobytes()
         chain = fd.m - 1  # the first rows of every block
         for i in range(profile.n):
             A, b = agent_block(poly, i)
             sits = (A[:chain] @ fd.values.T <= b[:chain, None] + 1e-9).all(axis=0)
             assert poly.can_sit[i].tolist() == sits.tolist()
+
+
+def test_path_bound_reproduces_every_finite_closure_entry():
+    # a Bellman-Ford relaxation over each ranking's raw rows, with the
+    # halving step, re-derives every finite entry of its closure, not only
+    # the two that a percentile audit reads
+    for profile, fd in _stacked_profiles()[:-4]:  # all but the m = 10 profiles
+        poly = ConsistencyPolytope(profile, fd)
+        for r, i in enumerate(poly.first):
+            W = poly.bounds[r]
+            for p, q in zip(*np.nonzero(np.isfinite(W))):
+                assert audit._path_bound(poly, i, p, q) == \
+                    pytest.approx(W[p, q], rel=1e-9, abs=1e-9 * poly.radius)
 
 
 def test_each_ranking_closure_is_built_once(monkeypatch):

@@ -416,21 +416,28 @@ def _tie_instance():
     return PreferenceProfile(2, ((0, 1), (1, 0))), fd
 
 
-def test_tampered_percentile_closure_entry_is_an_error(monkeypatch):
+def _loosen_gaps(W):
     # every gap d(w) - d(x) the closure bounds grows by 1/2, past what any
     # path of ranking rows implies
+    even = np.arange(0, W.shape[1], 2)
+    for ranking in W:  # every slice of the chunk
+        ranking[np.ix_(even, even)] += 0.5 * (1 - np.eye(len(even)))
+    return W
+
+
+def _tighten_entries(W):
+    # every positive finite closure entry shrinks by a tenth, below what the
+    # ranking rows imply
+    W[np.isfinite(W) & (W > 0)] *= 0.9
+    return W
+
+
+@pytest.mark.parametrize("tamper", [_loosen_gaps, _tighten_entries])
+def test_tampered_percentile_closure_entry_is_an_error(monkeypatch, tamper):
     real = audit._closure
-
-    def loose(W):
-        W = real(W)
-        even = np.arange(0, W.shape[1], 2)
-        for ranking in W:  # every slice of the chunk
-            ranking[np.ix_(even, even)] += 0.5 * (1 - np.eye(len(even)))
-        return W
-
     profile, fd = _tie_instance()
     assert audit_percentile_social_choice(0, profile, fd, 1.0).value > 1.0
-    monkeypatch.setattr(audit, "_closure", loose)
+    monkeypatch.setattr(audit, "_closure", lambda W: tamper(real(W)))
     with pytest.raises(InternalInvariantError, match="closure entry"):
         audit_percentile_social_choice(0, profile, fd, 1.0)
 

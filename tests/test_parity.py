@@ -464,8 +464,10 @@ def test_percentile_cap_matches_subset_rule():
         poly = ConsistencyPolytope(profile, fd)
         for x, w in itertools.permutations(range(fd.m), 2):
             for k in range(1, profile.n + 1):
-                value, S, binding = _percentile_candidate(poly, x, w, k)
-                want_value, want_S, want_binding = subset_percentile_candidate(poly, x, w, k)
+                value, S, binding, M, c = _percentile_candidate(poly, x, w, k)
+                want_value, want_S, want_binding, want_M, want_c = \
+                    subset_percentile_candidate(poly, x, w, k)
                 assert value == want_value
                 assert np.array_equal(S, want_S)
                 assert binding == want_binding
+                assert (M, c) == (want_M, want_c)
