@@ -102,7 +102,7 @@ class ConsistencyPolytope:
         self.radius = max(float(l.max()), 1.0)
         self.ranking_id = profile.class_of  # distinct rankings, in order of first appearance
         self.first = np.unique(self.ranking_id, return_index=True)[1]  # an agent per ranking
-        ranks = profile.array[self.first]
+        ranks = profile.class_array
         # per ranking, its chain rows d(before) - d(after) <= 0: consecutive
         # ranks, or the top choice against every other facility when only
         # tops are known
@@ -373,8 +373,8 @@ def _finalize(poly: ConsistencyPolytope, objective: str, target, keys: list,
     """Assemble the report: pick the maximizing alternative, build its
     witness alone, and re-evaluate the ratio on the witness.  Every outcome
     carries a certified upper bound: the witness's ratio, the value and the
-    largest bound must come in that order, and a percentile witness, built
-    in closed form, must reach the value."""
+    largest bound must come in that order, and the witness must reach the
+    value."""
     flags: list[str] = []
     top = int(np.argmax(np.append(1.0, pairs.value))) - 1  # -1: none exceeds 1
     best = float(pairs.value[top]) if top >= 0 else 1.0
@@ -393,7 +393,7 @@ def _finalize(poly: ConsistencyPolytope, objective: str, target, keys: list,
         if not check_consistency(poly.profile, witness, tol=1e-7):
             raise InternalInvariantError("audit witness is not consistent")
     upper = float(np.max(pairs.upper, initial=1.0))
-    reached = objective != "percentile" or witness_ratio is None or _at_most(best, witness_ratio)
+    reached = witness_ratio is None or _at_most(best, witness_ratio)
     if not (_at_most(witness_ratio, best) and _at_most(best, upper) and reached):
         raise InternalInvariantError(
             f"witness ratio {witness_ratio}, value {best} and certified upper "

@@ -7,6 +7,7 @@ errors, 3 internal errors (bugs).  Commands are deterministic; audits exact.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from contextlib import suppress
 
@@ -190,7 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--audit", default=None,
                          help="also audit the outcome: sum | median | percentile:a")
     p_solve.add_argument("--out", default=None)
-    p_solve.set_defaults(func=_cmd_solve)
 
     p_audit = sub.add_parser("audit", help="worst-case distortion of an outcome")
     p_audit.add_argument("--instance", required=True)
@@ -199,14 +199,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_audit.add_argument("--objective", required=True,
                          help="sum | median | percentile:<alpha>")
     p_audit.add_argument("--out", default=None)
-    p_audit.set_defaults(func=_cmd_audit)
 
     p_gen = sub.add_parser("gen", help="emit a named worked instance")
     p_gen.add_argument("--example", required=True,
                        help=f"one of {sorted(EXAMPLES)}")
     p_gen.add_argument("--params", default=None, help="comma list of key=value")
     p_gen.add_argument("--out", default=None)
-    p_gen.set_defaults(func=_cmd_gen)
 
     p_repro = sub.add_parser("repro",
                              help="regenerate worked instances and check "
@@ -214,18 +212,22 @@ def build_parser() -> argparse.ArgumentParser:
     group = p_repro.add_mutually_exclusive_group(required=True)
     group.add_argument("--all", action="store_true")
     group.add_argument("--example", default=None)
-    p_repro.set_defaults(func=_cmd_repro)
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process; parsing leaves no state in it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    try:
-        return args.func(args)
+    try:  # by name, so that the module's current _cmd_* runs
+        return globals()[f"_cmd_{args.command}"](args)
     except (OrdmechError, OSError) as exc:
         internal = isinstance(exc, InternalInvariantError)  # a bug, not bad input
         print(f"{'internal error' if internal else 'error'}: {exc}", file=sys.stderr)

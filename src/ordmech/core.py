@@ -143,18 +143,20 @@ class PreferenceProfile:
     rankings: tuple[tuple[int, ...], ...]
     top_only: bool = False
     # The distinct rankings by first appearance, each agent's among them, and
-    # the rankings as a read-only n x (m, or 1 when top-only) index array.
+    # read-only index arrays of the rankings, n or classes x (m, or 1 if top-only).
     classes: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
     class_of: np.ndarray = field(init=False, repr=False, compare=False)
     array: np.ndarray = field(init=False, repr=False, compare=False)
+    class_array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.m < 1:
             raise ProfileError("need at least one facility")
         if not self.rankings:
             raise ProfileError("need at least one agent")
-        index = {r: c for c, r in enumerate(dict.fromkeys(self.rankings))}
-        classes, class_of = tuple(index), list(map(index.__getitem__, self.rankings))
+        index: dict = {}
+        class_of = [index.setdefault(r, len(index)) for r in self.rankings]
+        classes = tuple(index)
         try:
             arr = np.asarray(classes)
         except ValueError:  # ragged
@@ -177,7 +179,8 @@ class PreferenceProfile:
                 raise ProfileError(f"agent {i}: ranking is not a permutation of all facilities")
         object.__setattr__(self, "classes", classes)
         object.__setattr__(self, "class_of", _freeze(class_of, np.intp))
-        object.__setattr__(self, "array", _freeze(arr[class_of], np.intp))
+        object.__setattr__(self, "class_array", _freeze(arr, np.intp))
+        object.__setattr__(self, "array", _freeze(self.class_array[self.class_of], np.intp))
 
     @property
     def n(self) -> int:

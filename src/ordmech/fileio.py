@@ -162,10 +162,11 @@ def instance_from_dict(data) -> InstanceFile:
         raw = data["preferences"]
         _expect(isinstance(raw, list) and raw, "must be a nonempty list",
                 "preferences")
-        try:  # names resolved once per distinct ranking, else agent by agent
-            keys = list(map(tuple, raw)) if set(map(type, raw)) == {list} else None
-            resolved = {key: tuple([index[g] for g in key]) for key in dict.fromkeys(keys)}
-            rankings = list(map(resolved.__getitem__, keys))
+        try:  # a class id per agent, names resolved once per distinct ranking
+            ids, lists = {}, set(map(type, raw)) == {list}
+            class_of = [ids.setdefault(tuple(r), len(ids)) for r in raw] if lists else None
+            resolved = [tuple([index[g] for g in key]) for key in ids]
+            rankings = list(map(resolved.__getitem__, class_of))
         except (KeyError, TypeError):  # the per-agent loop names the first bad entry
             rankings = []
             for i, entry in enumerate(raw):

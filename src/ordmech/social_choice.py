@@ -55,17 +55,20 @@ class MajorityGraph:
 
 
 def majority_graph(profile: PreferenceProfile) -> MajorityGraph:
-    """Pairwise counts, one ``bincount`` per rank position p over the pairs
-    (facility at p, facility after p) encoded as a * m + b: memory stays
-    O(n m + m^2).  ``median_winner`` needs nothing more when a Condorcet
-    winner exists; the distance order's closure is left unbuilt."""
+    """Pairwise counts, one ``bincount`` per rank position p over each
+    distinct ranking's pairs (facility at p, facility after p) as a * m + b,
+    weighted by its agents (float64 sums of counts below 2^53, so exact).
+    ``median_winner`` needs nothing more when a Condorcet winner exists; the
+    distance order's closure is left unbuilt."""
     if profile.top_only:
         raise ProfileError("majority graph needs full rankings")
-    m, r = profile.m, profile.array
-    prefer = np.zeros(m * m, dtype=np.int64)
+    m, r = profile.m, np.ascontiguousarray(profile.class_array.T)  # position x class
+    agents = np.bincount(profile.class_of)[None].repeat(m, 0)
+    prefer = np.zeros(m * m)
     for p in range(m - 1):
-        prefer += np.bincount((r[:, p, None] * m + r[:, p + 1:]).ravel(), minlength=m * m)
-    prefer = prefer.reshape(m, m)
+        prefer += np.bincount((r[p] * m + r[p + 1:]).ravel(), agents[p + 1:].ravel(),
+                              minlength=m * m)
+    prefer = prefer.astype(np.int64).reshape(m, m)
     prefer.flags.writeable = False
     return MajorityGraph(profile.n, prefer)
 

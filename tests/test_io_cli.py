@@ -9,8 +9,8 @@ import pytest
 
 from ordmech import (FullMetric, InternalInvariantError, PreferenceProfile, SchemaError,
                      audit_sum_social_choice)
-from ordmech import audit
-from ordmech.cli import main
+from ordmech import audit, cli
+from ordmech.cli import build_parser, main
 from ordmech.core import MAX_DISTANCE
 from ordmech.fileio import (InstanceFile, Scenario, _matrix_json, audit_report_to_dict,
                             instance_digest, instance_from_dict, instance_to_dict,
@@ -718,3 +718,48 @@ def test_internal_faults_exit_3(monkeypatch, capsys):
     assert main(["audit", "--instance", str(fixture), "--outcome", "A",
                  "--objective", "sum"]) == 3
     assert capsys.readouterr().err.startswith("internal error: witness is not a metric")
+
+
+def test_audit_of_a_geometry_scaled_down_is_right_or_refused(tmp_path, capsys):
+    # clustered_n400's F1 sum audit reads 3.20975345547811 at unit scale; with
+    # the facility distances scaled by 1e-9 the audit must give that value or
+    # stop on its witness (exit 3), never a wrong value with exit 0
+    raw = json.loads((FIXTURES / "clustered_n400.json").read_text())
+    raw["facility_distances"] = (np.array(raw["facility_distances"]) * 1e-9).tolist()
+    inst, out = tmp_path / "scaled.json", tmp_path / "report.json"
+    inst.write_text(json.dumps(raw))
+    code = main(["audit", "--instance", str(inst), "--outcome", "F1", "--objective", "sum",
+                 "--out", str(out)])
+    if code == 3:
+        assert "out of order" in capsys.readouterr().err
+    else:
+        assert code == 0
+        assert json.loads(out.read_text())["value"] == pytest.approx(3.20975345547811, rel=1e-9)
+
+
+def test_one_parser_serves_every_call_of_a_process(tmp_path, monkeypatch, capsys):
+    fixture = str(FIXTURES / "social_sum_small.json")
+    calls = [["solve", "--instance", fixture],                       # usage: no mechanism
+             ["repro", "--all", "--example", "sum5_tight"],          # mutually exclusive
+             ["solve", "--instance", fixture, "--mechanism", "alg1", "--audit", "median"],
+             ["audit", "--instance", fixture, "--outcome", "B", "--objective", "sum"]]
+
+    def run(tag):
+        results = []
+        for i, argv in enumerate(calls):
+            out = tmp_path / f"{tag}{i}.json"
+            code = main(argv if i < 2 else [*argv, "--out", str(out)])
+            results.append((code, out.read_bytes() if out.exists() else None))
+        return results
+
+    built = []
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+    cli._parser.cache_clear()
+    reused = run("reused")
+    assert [code for code, _ in reused] == [2, 2, 0, 0]
+    with monkeypatch.context() as patch:  # dispatch reads the module's _cmd_* when it runs
+        patch.setattr(cli, "_cmd_audit", lambda args: 7)
+        assert main(calls[3]) == 7
+    assert len(built) == 1
+    monkeypatch.setattr(cli, "_parser", build_parser)  # a new parser for every call
+    assert run("fresh") == reused

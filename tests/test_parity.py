@@ -7,6 +7,7 @@ bit, ties included.
 """
 
 import itertools
+import json
 import tracemalloc
 
 import numpy as np
@@ -22,9 +23,11 @@ from ordmech import (AssignmentProblem, ConstraintSet, CostSpec, DistanceCost, F
                      validate_distance_matrix)
 from ordmech.audit import ConsistencyPolytope, _percentile_candidate
 from ordmech.core import BLOCK
+from ordmech.fileio import parse_instance
 from ordmech.solvers import _near_minimal, _subset_minima
 
-from helpers import (gathered_near_minimal, loop_candidate_reach, loop_check_consistency,
+from helpers import (bincount_majority_counts, first_appearance_classes,
+                     gathered_near_minimal, loop_candidate_reach, loop_check_consistency,
                      loop_facility_location, loop_full_metric_error, loop_k_median,
                      loop_majority_counts, loop_matching_brute_force,
                      loop_min_cost_matching, loop_numeric_reach,
@@ -129,6 +132,40 @@ def test_profile_first_malformed_ranking_matches_loop():
     assert failures > 100
 
 
+def _pooled_rankings(rng, n, m, pool, top_only=False):
+    """n rankings over m facilities drawn from a pool of ``pool`` random
+    ones, so that agents repeat rankings."""
+    draws = [(int(rng.integers(0, m)),) if top_only else tuple(rng.permutation(m).tolist())
+             for _ in range(pool)]
+    return tuple(draws[i] for i in rng.integers(0, pool, n).tolist())
+
+
+def test_profile_classes_match_first_appearance_oracle():
+    rng = np.random.default_rng(113)
+    names = [f"F{j}" for j in range(7)]
+    for case in range(300):
+        m, n = (1 if case % 5 == 0 else int(rng.integers(2, 8))), int(rng.integers(1, 40))
+        top_only = case % 3 == 0
+        rankings = _pooled_rankings(rng, n, m, int(rng.integers(1, n + 1)), top_only)
+        profile = PreferenceProfile(m, rankings, top_only)
+        classes, class_of, array, class_array = first_appearance_classes(rankings)
+        assert profile.rankings == rankings and profile.classes == classes
+        for got, expected in ((profile.class_of, class_of), (profile.array, array),
+                              (profile.class_array, class_array)):
+            assert got.dtype == expected.dtype and not got.flags.writeable
+            np.testing.assert_array_equal(got, expected)
+        # the loader resolves names once per distinct ranking to the same profile
+        raw = {"schema": "ordmech-instance-v1", "facilities": names[:m],
+               "facility_distances": (1.0 - np.eye(m)).tolist(), "preset": "social_choice_sum",
+               "tops" if top_only else "preferences":
+                   [names[r[0]] if top_only else [names[g] for g in r] for r in rankings]}
+        loaded = parse_instance(json.dumps(raw)).profile
+        assert loaded == profile and loaded.classes == classes
+        for got, expected in ((loaded.class_of, class_of), (loaded.array, array),
+                              (loaded.class_array, class_array)):
+            np.testing.assert_array_equal(got, expected)
+
+
 def test_check_consistency_matches_loop_full_and_top_only():
     rng = np.random.default_rng(104)
     seen = set()
@@ -165,6 +202,17 @@ def test_majority_counts_match_loop():
             graph = majority_graph(PreferenceProfile(m, rankings))
             np.testing.assert_array_equal(graph.prefer, loop_majority_counts(rankings, m))
             assert graph.prefer.dtype == loop_majority_counts(rankings, m).dtype
+
+
+def test_majority_counts_per_class_match_the_per_agent_bincount():
+    rng = np.random.default_rng(114)
+    for n, m, pool in ((1, 1, 1), (1, 2, 1), (1, 6, 1), (2, 3, 1), (40, 4, 2), (500, 6, 3),
+                       (3000, 10, 5), (200, 12, 200), (1000, 25, 40)):
+        for _ in range(3):
+            profile = PreferenceProfile(m, _pooled_rankings(rng, n, m, pool))
+            prefer = majority_graph(profile).prefer
+            assert prefer.dtype == np.int64 and not prefer.flags.writeable
+            np.testing.assert_array_equal(prefer, bincount_majority_counts(profile.array, m))
 
 
 def test_majority_even_n_exact_ties():
