@@ -150,20 +150,35 @@ class PreferenceProfile:
     class_array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        index: dict = {}
+        class_of = [index.setdefault(r, len(index)) for r in self.rankings]
+        self._index(tuple(index), class_of)
+
+    @classmethod
+    def _of_classes(cls, m: int, classes: tuple, class_of: list[int]) -> "PreferenceProfile":
+        """The full profile whose agent i ranks ``classes[class_of[i]]``, for
+        distinct ``classes`` in order of first appearance: the constructor
+        without its hashing pass."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "rankings", tuple(map(classes.__getitem__, class_of)))
+        object.__setattr__(self, "top_only", False)
+        self._index(classes, class_of)
+        return self
+
+    def _index(self, classes: tuple, class_of: list[int]):
+        """Check the rankings and keep their classes and index arrays."""
         if self.m < 1:
             raise ProfileError("need at least one facility")
         if not self.rankings:
             raise ProfileError("need at least one agent")
-        index: dict = {}
-        class_of = [index.setdefault(r, len(index)) for r in self.rankings]
-        classes = tuple(index)
         try:
             arr = np.asarray(classes)
         except ValueError:  # ragged
             arr = np.zeros(0)
         # An array pass finds suspect classes; the first to fail names its first agent.
-        if arr.shape != (len(index), 1 if self.top_only else self.m) or arr.dtype.kind not in "iu":
-            suspects = range(len(index))
+        if arr.shape != (len(classes), 1 if self.top_only else self.m) or arr.dtype.kind not in "iu":
+            suspects = range(len(classes))
         elif self.top_only:
             suspects = np.flatnonzero((arr[:, 0] < 0) | (arr[:, 0] >= self.m))
         else:

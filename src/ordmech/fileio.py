@@ -7,6 +7,11 @@ parameters, and optionally a true metric plus named adversarial
 scenarios.  Serialization is canonical, so parse/serialize round-trips
 are byte-identical and reports can embed a digest of the instance they
 describe.  Infinite ratios serialize as the string "inf".
+
+Files are decoded with orjson, and the standard library's ``json`` stays
+the reference: a document that orjson refuses, that nests too deeply for
+it, or where it may change a number kept as written is decoded again with
+``json``, so every instance and every error message is what ``json`` gives.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+import orjson
 
 from .assignment import PRESET_NAMES, build_preset
 from .audit import AuditReport
@@ -70,9 +76,13 @@ def _expect(condition: bool, message: str, fieldname: str):
 
 
 def _is_number(value) -> bool:
-    """A finite JSON number; booleans are not numbers."""
-    return (isinstance(value, int) and not isinstance(value, bool)
-            or isinstance(value, float) and math.isfinite(value))
+    """A JSON number with a finite float64 value; booleans are not numbers."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond float64's range
+        return False
 
 
 def _matrix(raw, fieldname: str) -> np.ndarray:
@@ -82,6 +92,8 @@ def _matrix(raw, fieldname: str) -> np.ndarray:
         arr = np.asarray(raw, dtype=float)
     except (TypeError, ValueError):
         raise SchemaError("entries must be numbers", field=fieldname) from None
+    except OverflowError:  # an integer beyond float64's range
+        raise SchemaError("entries must be finite", field=fieldname) from None
     _expect(arr.ndim == 2, "must be two-dimensional", fieldname)
     _expect(bool(np.isfinite(arr).all()), "entries must be finite", fieldname)
     return arr
@@ -100,14 +112,86 @@ def _facility_indices(index: dict[str, int], raw, fieldname: str) -> tuple[int, 
         raise
 
 
-def parse_instance(text: str) -> InstanceFile:
+# orjson reads integer literals in [-2⁶³, 2⁶⁴) exactly and any other as a float.
+_EXACT_INT = 2.0 ** 63
+# orjson builds nested containers by recursion, at up to about 170 bytes of C
+# stack per level; deeper documents go to ``json``, which raises RecursionError.
+_ORJSON_DEPTH = 10_000
+_CHUNK = 1 << 16  # bytes per array pass, so that its temporaries stay small
+
+
+def _holds_big_float(value) -> bool:
+    """Whether ``value`` holds a float of magnitude >= 2⁶³ at any depth:
+    where orjson may have rounded an integer literal that ``json`` keeps."""
+    stack = [value]
+    while stack:
+        v = stack.pop()
+        if isinstance(v, float):
+            if abs(v) >= _EXACT_INT:
+                return True
+        elif isinstance(v, (list, dict)):
+            stack.extend(v.values() if isinstance(v, dict) else v)
+    return False
+
+
+def _shallow(data: bytes) -> bool:
+    """Whether the JSON text ``data`` nests at most ``_ORJSON_DEPTH`` deep:
+    it opens no more brackets than that, or (backslash-free, so that every
+    quote delimits a string) no more are open at once outside strings."""
+    a = np.frombuffer(data, np.uint8)
+    chunks = [a[i:i + _CHUNK] for i in range(0, a.size, _CHUNK)]
+    # '[' and '{' are the bytes that fold to 0x7B under | 0x20, ']' and '}' to 0x7D
+    if sum(np.count_nonzero((c | 0x20) == 0x7B) for c in chunks) <= _ORJSON_DEPTH:
+        return True
+    if b"\\" in data:
+        return False
+    s = np.concatenate([c[((c | 0x20) == 0x7B) | ((c | 0x20) == 0x7D) | (c == 0x22)]
+                        for c in chunks])
+    quote = s == 0x22
+    outside = ~quote & (np.cumsum(quote) % 2 == 0)
+    return int(np.cumsum(np.where(s[outside] & 4, -1, 1)).max(initial=0)) <= _ORJSON_DEPTH
+
+
+def _stdlib_decode(text: str | bytes):
+    """The document as ``json`` reads UTF-8 text, its errors as schema errors."""
     try:
-        data = json.loads(text)
+        return json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"not UTF-8 text: {exc.reason} at byte {exc.start}",
+                          field="<document>") from None
     except json.JSONDecodeError as exc:
         raise SchemaError(
             f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}",
             field="<document>") from None
-    return instance_from_dict(data)
+    except RecursionError:
+        raise SchemaError("nested too deeply", field="<document>") from None
+
+
+def _decode(text: str | bytes):
+    """The document as ``_stdlib_decode`` reads it, through orjson.  orjson
+    refuses NaN, infinities, numbers beyond float64 and lone surrogates, and
+    reads integer literals beyond 64 bits as floats; ``json`` decodes those
+    documents, any whose numbers kept as written (``params``, each scenario's
+    ``expected_ratio``) hold such a float, and any nested too deeply."""
+    data = text.encode("utf-8", "surrogatepass") if isinstance(text, str) else text
+    if not _shallow(data):
+        return _stdlib_decode(text)
+    try:
+        doc = orjson.loads(data)
+    except orjson.JSONDecodeError:
+        return _stdlib_decode(text)
+    if isinstance(doc, dict):
+        kept, scenarios = [doc.get("params")], doc.get("scenarios")
+        if isinstance(scenarios, list):
+            kept += [s.get("expected_ratio") for s in scenarios if isinstance(s, dict)]
+        if _holds_big_float(kept):
+            return _stdlib_decode(text)
+    return doc
+
+
+def parse_instance(text: str | bytes) -> InstanceFile:
+    """The instance in a JSON document, given as text or as UTF-8 bytes."""
+    return instance_from_dict(_decode(text))
 
 
 def instance_from_dict(data) -> InstanceFile:
@@ -163,17 +247,18 @@ def instance_from_dict(data) -> InstanceFile:
         _expect(isinstance(raw, list) and raw, "must be a nonempty list",
                 "preferences")
         try:  # a class id per agent, names resolved once per distinct ranking
-            ids, lists = {}, set(map(type, raw)) == {list}
-            class_of = [ids.setdefault(tuple(r), len(ids)) for r in raw] if lists else None
-            resolved = [tuple([index[g] for g in key]) for key in ids]
-            rankings = list(map(resolved.__getitem__, class_of))
+            if set(map(type, raw)) != {list}:
+                raise TypeError("a ranking is not a list")
+            ids: dict = {}
+            class_of = [ids.setdefault(tuple(r), len(ids)) for r in raw]
+            resolved = tuple([tuple([index[g] for g in key]) for key in ids])
         except (KeyError, TypeError):  # the per-agent loop names the first bad entry
-            rankings = []
             for i, entry in enumerate(raw):
                 _expect(isinstance(entry, list), "ranking must be a list", f"preferences[{i}]")
-                rankings.append(_facility_indices(index, entry, f"preferences[{i}]"))
-        try:
-            profile = PreferenceProfile(m, tuple(rankings))
+                _facility_indices(index, entry, f"preferences[{i}]")
+            raise
+        try:  # names map to indices one to one, so the classes stay distinct
+            profile = PreferenceProfile._of_classes(m, resolved, class_of)
         except ProfileError as exc:
             raise SchemaError(str(exc), field="preferences") from None
     else:
@@ -190,7 +275,9 @@ def instance_from_dict(data) -> InstanceFile:
     for key in ("capacities", "must_coassign", "must_separate", "coassign_penalties"):
         _expect(key not in params, f"{key} is not supported by any preset", "params")
     k, costs = params.get("k", 1), params.get("opening_costs", [])
-    _expect(_is_number(k) and k >= 1 and k == int(k), "k must be an integer >= 1", "params")
+    # an integer k of any size is left for the preset to bound
+    _expect(isinstance(k, int) and not isinstance(k, bool) and k >= 1
+            or _is_number(k) and k >= 1 and k == int(k), "k must be an integer >= 1", "params")
     _expect(isinstance(costs, list) and all(_is_number(c) and c >= 0 for c in costs),
             "opening_costs must be a list of numbers >= 0", "params")
     if preset != "social_choice_median":  # has no assignment-framework form
@@ -210,7 +297,9 @@ def instance_from_dict(data) -> InstanceFile:
             raise SchemaError(str(exc), field="metric") from None
 
     scenarios = []
-    for s, raw_scen in enumerate(data.get("scenarios", ())):
+    raw_scenarios = data.get("scenarios", [])
+    _expect(isinstance(raw_scenarios, list), "must be a list", "scenarios")
+    for s, raw_scen in enumerate(raw_scenarios):
         where = f"scenarios[{s}]"
         _expect(isinstance(raw_scen, dict), "must be an object", where)
         label = raw_scen.get("label")
@@ -338,9 +427,11 @@ def instance_digest(inst: InstanceFile) -> str:
     exactly when the canonical texts with every matrix written out are.  The
     preferences are encoded once per ranking class, joined in agent order,
     and the text is hashed piece by piece."""
-    profile, names = inst.profile, [json.dumps(name) for name in inst.facilities.names]
-    key, form = ("tops", "{}") if profile.top_only else ("preferences", "[{}]")
-    pieces = [form.format(",".join(map(names.__getitem__, r))) for r in profile.classes]
+    profile = inst.profile
+    names = np.array([json.dumps(name) for name in inst.facilities.names], dtype=object)
+    rows = names[profile.class_array].tolist()  # each class's names, encoded
+    key, pieces = (("tops", [row[0] for row in rows]) if profile.top_only
+                   else ("preferences", ["[" + ",".join(row) + "]" for row in rows]))
     out = _instance_skeleton(inst, lambda arr: {
         "float64le_sha256": hashlib.sha256(np.ascontiguousarray(arr, "<f8")).hexdigest(),
         "shape": list(arr.shape)})
@@ -398,7 +489,7 @@ def solve_report_to_dict(inst: InstanceFile, digest: str, mechanism: str, target
 
 
 def load_instance(path) -> InstanceFile:
-    return parse_instance(Path(path).read_text(encoding="utf-8"))
+    return parse_instance(Path(path).read_bytes())
 
 
 def save_instance(inst: InstanceFile, path) -> None:

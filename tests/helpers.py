@@ -8,6 +8,8 @@ instance is consistent by construction.
 
 The loop oracles at the end are the plain per-agent and per-pair loops
 that the library's array passes replace; the parity tests compare the two.
+Among them, ``stdlib_parse_instance`` is the loader with the standard
+library's decoder alone.
 The audit oracles after them close each ranking's constraint block on its
 own, solve each sum or assignment ratio, and each percentile alternative's
 binding configuration, as a HiGHS LP, and build every percentile
@@ -317,6 +319,43 @@ def loop_instance_digest(inst):
                 entry[key] = {"float64le_sha256": hashlib.sha256(arr.tobytes()).hexdigest(),
                               "shape": [len(entry[key]), len(entry[key][0])]}
     return _sha256(json.dumps(out, sort_keys=True, separators=(",", ":")))
+
+
+def stdlib_parse_instance(raw):
+    """``parse_instance`` with the standard library's ``json`` as its only
+    decoder, the reference for the orjson loader: bytes are read as UTF-8
+    text, and a document that does not decode is a schema error."""
+    from ordmech.errors import SchemaError
+    from ordmech.fileio import instance_from_dict
+
+    try:
+        data = json.loads(raw.decode("utf-8") if isinstance(raw, bytes) else raw)
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"not UTF-8 text: {exc.reason} at byte {exc.start}",
+                          field="<document>") from None
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}",
+                          field="<document>") from None
+    except RecursionError:
+        raise SchemaError("nested too deeply", field="<document>") from None
+    return instance_from_dict(data)
+
+
+def instance_state(inst):
+    """What a loaded instance holds, comparable with ``==``: its canonical
+    text and digest, the shape and float64 bytes of each matrix, the numbers
+    kept as written (``params``, each ``expected_ratio``) by their ``repr``,
+    which tells an int from a float, and the profile's class arrays."""
+    from ordmech.fileio import instance_digest, serialize_instance
+
+    arrays = [None if inst.fd is None else inst.fd.values,
+              None if inst.metric is None else inst.metric.distances]
+    for scen in inst.scenarios:
+        arrays += [scen.fd.values, scen.metric.distances]
+    return (serialize_instance(inst), instance_digest(inst),
+            [None if a is None else (a.shape, a.tobytes()) for a in arrays],
+            repr(inst.params), [repr(scen.expected_ratio) for scen in inst.scenarios],
+            inst.profile.class_of.tobytes(), inst.profile.class_array.tobytes())
 
 
 def loop_min_cost_matching(cost):

@@ -248,6 +248,79 @@ def test_cli_usage_and_schema_errors(tmp_path, capsys):
                      "--mechanism", mechanism]) == 0
 
 
+def _solve_exit_and_error(path, mechanism, capsys):
+    capsys.readouterr()
+    code = main(["solve", "--instance", str(path), "--mechanism", mechanism])
+    return code, capsys.readouterr().err
+
+
+def test_cli_refuses_an_integer_beyond_float64(tmp_path, capsys):
+    """An integer literal too large for a float64 (10^400) in a matrix, in
+    the opening costs or as an expected ratio used to raise OverflowError
+    (exit 1, a traceback); it is a schema error of its field."""
+    huge = "1" + "0" * 400
+    doc = json.loads((FIXTURES / "kmedian_scenarios.json").read_text())
+    location = dict(doc, preset="facility_location", params={"opening_costs": [7.25, 1, 1]})
+    scen = dict(doc, scenarios=[dict(doc["scenarios"][0], expected_ratio=7.25)])
+    for name, text, mechanism, field in (
+            ("matrix", json.dumps(doc).replace("1000000.0", huge, 1), "reduce:k_median",
+             "facility_distances"),
+            ("metric", json.dumps(dict(doc, metric=[[7.25] + row[1:] for row in doc["metric"]]))
+             .replace("7.25", huge, 1), "reduce:k_median", "metric"),
+            ("costs", json.dumps(location).replace("7.25", huge), "reduce:facility_location",
+             "params"),
+            ("ratio", json.dumps(scen).replace("7.25", huge), "reduce:k_median",
+             "scenarios[0].expected_ratio")):
+        path = tmp_path / f"{name}.json"
+        path.write_text(text)
+        with pytest.raises(SchemaError) as err:
+            load_instance(path)
+        assert err.value.field == field, name
+        code, message = _solve_exit_and_error(path, mechanism, capsys)
+        assert code == 2 and message.startswith(f"error: {field}: "), message
+
+
+def test_cli_refuses_a_file_that_is_not_utf8(tmp_path, capsys):
+    """Bytes that are not UTF-8 used to raise UnicodeDecodeError (exit 1);
+    they are a schema error of the document that gives the byte offset."""
+    text = (FIXTURES / "kmedian_scenarios.json").read_text().replace('"Y"', '"é"')
+    path = tmp_path / "latin1.json"
+    path.write_bytes(text.encode("latin-1"))
+    with pytest.raises(SchemaError) as err:
+        load_instance(path)
+    offset = text.index("é")
+    assert err.value.field == "<document>" and f"at byte {offset}" in str(err.value)
+    code, message = _solve_exit_and_error(path, "reduce:k_median", capsys)
+    assert code == 2 and message.startswith("error: <document>: not UTF-8 text"), message
+
+
+def test_cli_refuses_a_document_nested_too_deeply(tmp_path, capsys):
+    """A document nested 100,000 deep used to raise RecursionError from the
+    decoder (exit 1); it is a schema error of the document, for nested lists
+    and objects alike, and inside an otherwise valid instance."""
+    base = (FIXTURES / "kmedian_scenarios.json").read_text().rstrip()
+    for name, text in (("lists", "[" * 100_000 + "]" * 100_000),
+                       ("objects", '{"a":' * 100_000 + "1" + "}" * 100_000),
+                       ("inside", base[:-1] + ', "x": ' + "[" * 100_000 + "]" * 100_000 + "}")):
+        path = tmp_path / f"{name}.json"
+        path.write_text(text)
+        with pytest.raises(SchemaError) as err:
+            load_instance(path)
+        assert err.value.field == "<document>" and "nested too deeply" in str(err.value), name
+        code, message = _solve_exit_and_error(path, "alg1", capsys)
+        assert code == 2 and message == "error: <document>: nested too deeply\n", message
+
+
+def test_cli_refuses_scenarios_that_are_not_a_list(tmp_path, capsys):
+    """``"scenarios": 5`` (or null) used to raise TypeError (exit 1)."""
+    doc = json.loads((FIXTURES / "social_sum_small.json").read_text())
+    for value in (5, None, "s", {"label": "s"}):
+        path = tmp_path / "scenarios.json"
+        path.write_text(json.dumps(dict(doc, scenarios=value)))
+        code, message = _solve_exit_and_error(path, "alg1", capsys)
+        assert code == 2 and message == "error: scenarios: must be a list\n", message
+
+
 @pytest.mark.parametrize("example, params", [
     ("kmedian_lb", "q=0"), ("kmedian_lb", "q=-2"),
     ("median_matching_unbounded", "eps=0"), ("median_matching_unbounded", "eps=-0.001"),
