@@ -35,11 +35,12 @@ Percentile objectives are piecewise linear: which agents realize the two
 order statistics is a subset choice, but per-agent independence collapses
 the search to one candidate configuration per ranking class, whose value
 has a closed form in two closure entries of the one or two agents that
-bind it (see _percentile_candidate).  Each entry is the length of a
-shortest path of ranking rows, or half of two, so relaxing paths over
-the ranking's raw rows (_path_bound) re-derives it and certifies an upper
-bound on the value, and the maximizer's witness, built from the closure
-alone, attains the value from below.  No audit solves an LP.
+bind it (_percentile_candidates, for every alternative at once).  Each
+entry is the length of a shortest path of ranking rows, or half of two,
+so relaxing paths over the raw rows, stacked (_path_bounds), re-derives
+it and certifies an upper bound on the value, and the maximizer's witness,
+built from the closure alone, attains the value from below.  No audit
+solves an LP.
 """
 
 from __future__ import annotations
@@ -137,13 +138,13 @@ class ConsistencyPolytope:
         W[at, before, after] = W[at, after + 1, before + 1] = 0.0
         return W
 
-    def min_agent_distance(self, agents, f: int) -> np.ndarray:
-        """Smallest consistent d(i, f) of each of ``agents``."""
+    def min_agent_distance(self, agents, f) -> np.ndarray:
+        """Smallest consistent d(i, f) of each of ``agents``, broadcast against f."""
         low = np.maximum(-self.bounds[self.ranking_id[agents], 2 * f + 1, 2 * f] / 2, 0.0)
         return np.where(self.can_sit[agents, f], 0.0, low)
 
-    def max_distance_gap(self, agents, w: int, x: int) -> np.ndarray:
-        """Largest consistent d(i, w) - d(i, x) of each of ``agents``."""
+    def max_distance_gap(self, agents, w, x) -> np.ndarray:
+        """Largest consistent d(i, w) - d(i, x) of ``agents``, broadcast with w, x."""
         return self.bounds[self.ranking_id[agents], 2 * w, 2 * x]
 
     def interior_metric(self) -> np.ndarray:
@@ -167,25 +168,32 @@ def _closure(W: np.ndarray) -> np.ndarray:
     return np.minimum(W, half[:, :, None] + half[:, None, at ^ 1], out=W)
 
 
-def _path_bound(poly: ConsistencyPolytope, i: int, p: int, q: int) -> float:
-    """Entry [p, q] of the closure W of agent i's ranking, re-derived from
-    its raw rows (ConsistencyPolytope.raw) by a Bellman-Ford relaxation
-    from p and from q ^ 1: the least of the path p -> q and half the paths
-    p -> p ^ 1 and q ^ 1 -> q.  The rows of a path add up to a bound on
-    v[p] - v[q], so that bound holds whatever W says.  Raises unless it is
-    within a relative 1e-9 of the entry, relative to at least the facility
-    radius."""
-    r = poly.ranking_id[i]
-    raw, entry = poly.raw([r])[0], float(poly.bounds[r, p, q])
-    D = raw[[p, q ^ 1]]  # least sums along paths from p and from q ^ 1
-    for _ in range(len(raw)):  # a shortest path has fewer than 2m rows
-        last, D = D, np.minimum(D, (D[:, :, None] + raw).min(axis=1))
-        if (D == last).all():
-            break
-    found = float(min(D[0, q], (D[0, p ^ 1] + D[1, q]) / 2))
-    if not abs(found - entry) <= 1e-9 * max(poly.radius, abs(entry)):
-        raise InternalInvariantError(f"closure entry [{p}, {q}] is {entry}, but its "
-                                     f"paths of rows give {found}")
+def _path_bounds(poly: ConsistencyPolytope, agents, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Per aligned entry of ``agents``, ``p`` and ``q``: entry [p, q] of the
+    closure W of the agent's ranking, re-derived from its raw rows
+    (ConsistencyPolytope.raw) by a Bellman-Ford relaxation from p and from
+    q ^ 1: the least of the path p -> q and half the paths p -> p ^ 1 and
+    q ^ 1 -> q.  The rows of a path add up to a bound on v[p] - v[q], so
+    that bound holds whatever W says.  The entries relax as one stack, in
+    chunks whose round keeps within 2 * BLOCK elements (or one entry),
+    until none changes, which leaves a converged entry as it is.  Raises at
+    the first entry not within a relative 1e-9 of the closure's, relative
+    to at least the facility radius."""
+    r, found, step = poly.ranking_id[agents], np.empty(len(p)), max(1, BLOCK // len(poly.pair)**2)
+    for lo in range(0, len(r), step):
+        s, at = slice(lo, lo + step), np.arange(len(r[lo:lo + step]))
+        raw = poly.raw(r[s])
+        D = raw[at[:, None], np.array([p[s], q[s] ^ 1]).T]  # paths from p and from q ^ 1
+        for _ in range(len(poly.pair)):  # a shortest path has fewer than 2m rows
+            last, D = D, np.minimum(D, (D[..., None] + raw[:, None]).min(axis=2))
+            if (D == last).all():
+                break
+        direct, half = D[at, 0, q[s]], (D[at, 0, p[s] ^ 1] + D[at, 1, q[s]]) / 2
+        found[s] = np.where(half < direct, half, direct)  # the first of ties, as min
+    entry = poly.bounds[r, p, q]
+    for e in np.flatnonzero(~(abs(found - entry) <= 1e-9 * np.maximum(poly.radius, abs(entry)))):
+        raise InternalInvariantError(f"closure entry [{p[e]}, {q[e]}] is {float(entry[e])}, "
+                                     f"but its paths of rows give {float(found[e])}")
     return found
 
 
@@ -542,9 +550,10 @@ def audit_additive_assignment(x, profile: PreferenceProfile,
                      recompute)
 
 
-def _percentile_candidate(poly: ConsistencyPolytope, x: int, w: int, k: int):
-    """The best candidate (S, T) configuration for x against w: its value,
-    S with j first, the agents that bind it, and its M and c.
+def _percentile_candidates(poly: ConsistencyPolytope, xs: np.ndarray, w: int, k: int):
+    """Per x in ``xs``, the best candidate (S, T) configuration for x
+    against w: its value, the agents j and cap that bind it (cap sets M),
+    its M and c, and ``subset(t)``, the S of column t with j first.
 
     S pins the denominator's k-th order statistic from above, T floors the
     numerator's from below.  The closure constrains each agent's row
@@ -562,70 +571,73 @@ def _percentile_candidate(poly: ConsistencyPolytope, x: int, w: int, k: int):
     S and c the largest consistent d(j, w) - d(j, x), agent j can sit at
     d(j, x) = M, d(j, w) = M + c, so the value is 1 + max(c, 0) / M.  Only
     j and the member of S that sets M bind, so the configuration restricted
-    to those one or two agents has the same value."""
-    mu = poly.min_agent_distance(np.arange(poly.n), x)
-    order = np.argsort(mu, kind="stable")
+    to those one or two agents has the same value.  One pass reads every x:
+    agents x xs smallest distances, each column in stable order."""
+    first, cols = poly.first, np.arange(len(xs))
+    mu = poly.min_agent_distance(np.arange(poly.n)[:, None], xs)
+    order = np.argsort(mu, axis=0, kind="stable")
     # cap = S[argmax(mu[S])] for S = j, then the k-1 others lowest in
     # ``order``, read off the order: the last of those others is order[k-1]
     # when j is among the first k-1, else order[k-2].  The first maximum in
     # S is j when j reaches that value, else the first agent at that value.
-    cap = poly.first
+    cap = np.broadcast_to(first[:, None], (len(first), len(xs)))
     if k > 1:
-        rank = np.empty(poly.n, dtype=int)
-        rank[order] = np.arange(poly.n)
-        cap_mu = mu[np.where(rank[poly.first] < k - 1, order[k - 1], order[k - 2])]
-        first_at = order[np.searchsorted(mu[order], cap_mu)]
-        cap = np.where(mu[poly.first] >= cap_mu, poly.first, first_at)
-    gap = np.maximum(poly.max_distance_gap(poly.first, w, x), 0.0)
+        rank = np.empty_like(order)
+        rank[order, cols] = np.arange(poly.n)[:, None]
+        ordered = mu[order, cols]
+        cap_mu = np.where(rank[first] < k - 1, ordered[k - 1], ordered[k - 2])
+        first_at = np.empty_like(cap)
+        for t in cols.tolist():  # per column: comparing all at once takes classes x n x xs
+            first_at[:, t] = order[np.searchsorted(ordered[:, t], cap_mu[:, t]), t]
+        cap = np.where(mu[first] >= cap_mu, cap, first_at)
+    gap, low = np.maximum(poly.max_distance_gap(first[:, None], w, xs), 0.0), mu[cap, cols]
     with np.errstate(divide="ignore", invalid="ignore"):
-        values = np.where(mu[cap] > 0, 1.0 + gap / mu[cap], INF)
-    top = values.max()
-    tol = 0.0 if math.isinf(top) else 1e-9 * max(1.0, top)
-    best = np.flatnonzero(values >= top - tol)[0]
-    j, cap = poly.first[best], cap[best]
-    S = np.append(j, order[order != j][:k - 1])
-    return float(values[best]), S, [j] if cap == j else [j, cap], float(mu[cap]), float(gap[best])
+        values = np.where(low > 0, 1.0 + gap / low, INF)
+    top = values.max(axis=0)
+    best = (values >= top - np.where(np.isinf(top), 0.0, 1e-9 * np.maximum(1.0, top))).argmax(0)
+    j = first[best]
+    return (values[best, cols], j, cap[best, cols], low[best, cols], gap[best, cols],
+            lambda t: np.append(j[t], order[order[:, t] != j[t], t][:k - 1]))
 
 
 def _percentile_pairs(poly: ConsistencyPolytope, xs: np.ndarray, w: int, k: int) -> _Pairs:
     """Per x in ``xs``, the value of x against w, from the best candidate
-    configuration (see _percentile_candidate), with an upper bound
+    configuration (see _percentile_candidates), with an upper bound
     re-derived from the raw ranking rows: the closure entries behind M (of
-    the agent that sets it) and behind c (of agent j) are each re-derived
-    from paths of rows (_path_bound), and 1 + max(c, 0) / M over those
-    bounds the value.  A vanishing M reads as an infinite value."""
-    value, upper, build = [], [], []
-    for x in xs.tolist():
-        v, S, binding, M, c = _percentile_candidate(poly, x, w, k)
-        j, cap, finite = binding[0], binding[-1], math.isfinite(v)
-        M_sum = -_path_bound(poly, cap, 2 * x + 1, 2 * x) / 2 if finite else 0.0
-        c_sum = _path_bound(poly, j, 2 * w, 2 * x) if finite else 0.0
-        value.append(v)
-        upper.append(1.0 + max(c_sum, 0.0) / M_sum if M_sum > 0 else INF)
-        build.append((x, w, S, binding, M, c) if finite else None)
-    return _Pairs(np.array(value, dtype=float), np.array(upper, dtype=float),
-                  lambda j: None if build[j] is None else _percentile_witness(poly, *build[j]))
+    the agent that sets it) and behind c (of agent j) of every x of finite
+    value are re-derived from paths of rows in one stack (_path_bounds),
+    and 1 + max(c, 0) / M over those bounds the value.  A vanishing M reads
+    as an infinite value."""
+    value, j, cap, M, c, subset = _percentile_candidates(poly, xs, w, k)
+    t = np.flatnonzero(np.isfinite(value))  # per x, the M entry of cap, then the c entry of j
+    p, q = np.array([2 * xs[t] + 1, np.full(len(t), 2 * w)]).T.ravel(), np.repeat(2 * xs[t], 2)
+    sums = _path_bounds(poly, np.array([cap[t], j[t]]).T.ravel(), p, q).reshape(-1, 2)
+    M_sum, upper = -sums[:, 0] / 2, np.full(len(xs), INF)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        upper[t] = np.where(M_sum > 0, 1.0 + np.maximum(sums[:, 1], 0.0) / M_sum, INF)
+    return _Pairs(value, upper, lambda i: None if math.isinf(value[i]) else _percentile_witness(
+        poly, int(xs[i]), w, subset(i), int(j[i]), int(cap[i]), float(M[i]), float(c[i])))
 
 
-def _percentile_witness(poly: ConsistencyPolytope, x: int, w: int, S, binding,
-                        M: float, c: float) -> np.ndarray:
+def _percentile_witness(poly: ConsistencyPolytope, x: int, w: int, S: np.ndarray, j: int,
+                        cap: int, M: float, c: float) -> np.ndarray:
     """Rows attaining 1 + c / M for x against w, from the closure alone.
 
-    Agent j = binding[0] sits at d(j, x) = M, d(j, w) = M + c, and the
-    agent that sets M, if another, at d(., x) = M.  The rest of S sits at
-    its smallest consistent distance to x, at most M, so x's k-th smallest
+    Agent j sits at d(j, x) = M, d(j, w) = M + c, and the agent cap that
+    sets M, if another, at d(cap, x) = M.  The rest of S sits at its
+    smallest consistent distance to x, at most M, so x's k-th smallest
     distance is at most M.  Agents outside S sit equidistant from every
     facility at max(radius, M + c), which fits any ranking, so w's k-th
     smallest distance is at least M + c and the ratio reaches the value."""
-    rid = poly.ranking_id
-    d = np.full((poly.n, poly.m), max(poly.radius, M + c))
-    rest = np.setdiff1d(S, binding)
-    ranks, first, member = np.unique(rid[rest], return_index=True, return_inverse=True)
-    mu = poly.min_agent_distance(rest[first], x).tolist()
-    d[rest] = np.array([_point(poly.bounds[r], {x: v})
-                        for r, v in zip(ranks, mu)]).reshape(-1, poly.m)[member]
-    d[binding[-1]] = _point(poly.bounds[rid[binding[-1]]], {x: M})
-    d[binding[0]] = _point(poly.bounds[rid[binding[0]]], {x: M, w: M + c})
+    rid, d = poly.ranking_id, np.full((poly.n, poly.m), max(poly.radius, M + c))
+    rows: dict[int, np.ndarray] = {}  # S holds at most k agents: one row per ranking
+    for i, r, mu in zip(S.tolist(), rid[S].tolist(), poly.min_agent_distance(S, x).tolist()):
+        if i != j and i != cap:
+            if r not in rows:
+                rows[r] = _point(poly.bounds[r], {x: mu})
+            d[i] = rows[r]
+    d[cap] = _point(poly.bounds[rid[cap]], {x: M})
+    d[j] = _point(poly.bounds[rid[j]], {x: M, w: M + c})
     return d
 
 

@@ -35,6 +35,7 @@ from .errors import (InvalidCostError, MetricError, ProfileError,
 SCHEMA_INSTANCE = "ordmech-instance-v1"
 SCHEMA_REPORT = "ordmech-report-v1"
 SCHEMA_AUDIT = "ordmech-audit-v1"
+PARAMS_MAX_DEPTH = 100  # levels of lists and objects in params, params itself the first
 
 
 @dataclass(frozen=True)
@@ -272,6 +273,11 @@ def instance_from_dict(data) -> InstanceFile:
             f"preset must be one of {list(PRESET_NAMES)}", "preset")
     params = data.get("params", {})
     _expect(isinstance(params, dict), "must be an object", "params")
+    level = [params]  # the values PARAMS_MAX_DEPTH levels down, walked without recursion
+    for _ in range(PARAMS_MAX_DEPTH):
+        level = [v for u in level if isinstance(u, (dict, list))
+                 for v in (u.values() if isinstance(u, dict) else u)]
+    _expect(not any(isinstance(u, (dict, list)) for u in level), "nested too deeply", "params")
     for key in ("capacities", "must_coassign", "must_separate", "coassign_penalties"):
         _expect(key not in params, f"{key} is not supported by any preset", "params")
     k, costs = params.get("k", 1), params.get("opening_costs", [])

@@ -9,7 +9,9 @@ instance is consistent by construction.
 The loop oracles at the end are the plain per-agent and per-pair loops
 that the library's array passes replace; the parity tests compare the two.
 Among them, ``stdlib_parse_instance`` is the loader with the standard
-library's decoder alone.
+library's decoder alone, and ``loop_percentile_candidate`` and
+``loop_path_bound`` are the percentile audit's candidate and certificate
+one alternative and one closure entry at a time.
 The audit oracles after them close each ranking's constraint block on its
 own, solve each sum or assignment ratio, and each percentile alternative's
 binding configuration, as a HiGHS LP, and build every percentile
@@ -31,8 +33,8 @@ from typing import Callable
 
 import numpy as np
 
-from ordmech import (FacilityDistances, FullMetric, facility_distances,
-                     preferences_from_metric)
+from ordmech import (FacilityDistances, FullMetric, InternalInvariantError,
+                     facility_distances, preferences_from_metric)
 from ordmech.audit import INF, ConsistencyPolytope, _dinkelbach, _Pairs
 
 
@@ -397,6 +399,60 @@ def loop_min_cost_matching(cost):
     return tuple(x), float(sum(cost[i, x[i]] for i in range(n)))
 
 
+def loop_percentile_candidate(poly: ConsistencyPolytope, x: int, w: int, k: int):
+    """The best candidate (S, T) configuration for x against w: its value,
+    S with j first, the agents that bind it, and its M and c; one
+    alternative at a time (audit._percentile_candidates reads them all)."""
+    mu = poly.min_agent_distance(np.arange(poly.n), x)
+    order = np.argsort(mu, kind="stable")
+    # cap = S[argmax(mu[S])] for S = j, then the k-1 others lowest in
+    # ``order``, read off the order: the last of those others is order[k-1]
+    # when j is among the first k-1, else order[k-2].  The first maximum in
+    # S is j when j reaches that value, else the first agent at that value.
+    cap = poly.first
+    if k > 1:
+        rank = np.empty(poly.n, dtype=int)
+        rank[order] = np.arange(poly.n)
+        cap_mu = mu[np.where(rank[poly.first] < k - 1, order[k - 1], order[k - 2])]
+        first_at = order[np.searchsorted(mu[order], cap_mu)]
+        cap = np.where(mu[poly.first] >= cap_mu, poly.first, first_at)
+    gap = np.maximum(poly.max_distance_gap(poly.first, w, x), 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        values = np.where(mu[cap] > 0, 1.0 + gap / mu[cap], INF)
+    top = values.max()
+    tol = 0.0 if math.isinf(top) else 1e-9 * max(1.0, top)
+    best = np.flatnonzero(values >= top - tol)[0]
+    j, cap = poly.first[best], cap[best]
+    S = np.append(j, order[order != j][:k - 1])
+    return float(values[best]), S, [j] if cap == j else [j, cap], float(mu[cap]), float(gap[best])
+
+
+def loop_path_bound(poly: ConsistencyPolytope, i: int, p: int, q: int) -> float:
+    """Entry [p, q] of the closure W of agent i's ranking, re-derived from
+    its raw rows (ConsistencyPolytope.raw) by a Bellman-Ford relaxation
+    from p and from q ^ 1, one entry at a time (audit._path_bounds stacks
+    them).  Raises unless it is within a relative 1e-9 of the entry,
+    relative to at least the facility radius."""
+    r = poly.ranking_id[i]
+    raw, entry = poly.raw([r])[0], float(poly.bounds[r, p, q])
+    D = raw[[p, q ^ 1]]  # least sums along paths from p and from q ^ 1
+    for _ in range(len(raw)):  # a shortest path has fewer than 2m rows
+        last, D = D, np.minimum(D, (D[:, :, None] + raw).min(axis=1))
+        if (D == last).all():
+            break
+    found = float(min(D[0, q], (D[0, p ^ 1] + D[1, q]) / 2))
+    if not abs(found - entry) <= 1e-9 * max(poly.radius, abs(entry)):
+        raise InternalInvariantError(f"closure entry [{p}, {q}] is {entry}, but its "
+                                     f"paths of rows give {found}")
+    return found
+
+
+def batched_binding(j, cap, t):
+    """The binding agents of column t of audit._percentile_candidates, as
+    loop_percentile_candidate lists them: j, then cap if another."""
+    return [j[t]] if cap[t] == j[t] else [j[t], cap[t]]
+
+
 # ---------------------------------------------------------------------------
 # Audit oracles: the per-ranking closures, HiGHS linear programs and subset
 # rules that the audits' exact passes replaced, kept as references for the
@@ -711,21 +767,21 @@ def highs_percentile_values(winner, profile, fd, alpha) -> list[float]:
     """A percentile audit's per-alternative values: 1 when co-located,
     infinite when k agents can sit on the alternative, else the HiGHS LP
     over the agents that bind the library's best candidate."""
-    from ordmech.audit import _percentile_candidate
+    from ordmech.audit import _percentile_candidates
     from ordmech.social_choice import percentile_rank
 
     poly = ConsistencyPolytope(profile, fd)
     k = percentile_rank(poly.n, alpha)
+    others = np.delete(np.arange(fd.m), winner)
+    _, j, cap, *_ = _percentile_candidates(poly, others, winner, k)
     values = []
-    for x in range(fd.m):
-        if x == winner:
-            continue
+    for t, x in enumerate(others.tolist()):
         if fd.values[winner, x] <= 1e-12:
             values.append(1.0)
         elif poly.can_sit[:, x].sum() >= k:
             values.append(float("inf"))
         else:
-            binding = _percentile_candidate(poly, x, winner, k)[2]
+            binding = batched_binding(j, cap, t)
             values.append(highs_percentile_pair(poly, binding, x, winner))
     return values
 

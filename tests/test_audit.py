@@ -602,14 +602,13 @@ def test_stacked_closure_matches_per_ranking_oracle():
 def test_path_bound_reproduces_every_finite_closure_entry():
     # a Bellman-Ford relaxation over each ranking's raw rows, with the
     # halving step, re-derives every finite entry of its closure, not only
-    # the two that a percentile audit reads
+    # the two that a percentile audit reads: one stacked call per profile
     for profile, fd in _stacked_profiles()[:-4]:  # all but the m = 10 profiles
         poly = ConsistencyPolytope(profile, fd)
-        for r, i in enumerate(poly.first):
-            W = poly.bounds[r]
-            for p, q in zip(*np.nonzero(np.isfinite(W))):
-                assert audit._path_bound(poly, i, p, q) == \
-                    pytest.approx(W[p, q], rel=1e-9, abs=1e-9 * poly.radius)
+        r, p, q = np.nonzero(np.isfinite(poly.bounds))
+        found = audit._path_bounds(poly, poly.first[r], p, q)
+        for e, W in enumerate(poly.bounds[r, p, q].tolist()):
+            assert found[e] == pytest.approx(W, rel=1e-9, abs=1e-9 * poly.radius)
 
 
 def test_each_ranking_closure_is_built_once(monkeypatch):

@@ -11,6 +11,7 @@ assignment (``helpers.enumerated_assignment_audit``) to 1e-14 relative.
 
 import itertools
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -22,13 +23,16 @@ from ordmech import (FullMetric, InternalInvariantError, PreferenceProfile, Sear
                      distance_partial_order, facility_distances, median_winner,
                      preferences_from_metric, reduce_and_solve)
 from ordmech import audit
+from ordmech.core import BLOCK
 from ordmech.fileio import load_instance
 from ordmech.gallery import gen_sum5_tight
+from ordmech.social_choice import percentile_rank
 from ordmech.solvers import SOLVERS
 
 from helpers import (enumerated_assignment_audit, highs_assignment_values,
                      highs_percentile_values, highs_sum_values, iter_valid_assignments,
-                     random_consistent_metric, random_facility_distances, random_instance)
+                     loop_percentile_candidate, random_consistent_metric,
+                     random_facility_distances, random_instance)
 
 SEED = 20260810  # the acceptance suites' seed
 
@@ -440,6 +444,38 @@ def test_tampered_percentile_closure_entry_is_an_error(monkeypatch, tamper):
     monkeypatch.setattr(audit, "_closure", lambda W: tamper(real(W)))
     with pytest.raises(InternalInvariantError, match="closure entry"):
         audit_percentile_social_choice(0, profile, fd, 1.0)
+
+
+def test_tampered_gap_entry_inside_the_certificate_stack_is_an_error(monkeypatch):
+    # one ranking's [2w, 2x] entry grows, for the ranking that binds an
+    # alternative x in the middle of the certified entries: at m = 25 each
+    # chunk of the stack holds three entries, two per alternative, so x is
+    # neither in the first nor in the last chunk, and only the check of
+    # every entry in every chunk finds it
+    rng = np.random.default_rng(2323)
+    fd = random_facility_distances(rng, 25, allow_colocated=False)
+    profile = preferences_from_metric(random_consistent_metric(rng, fd, 40))
+    w, alpha = 0, 0.5
+    report = audit_percentile_social_choice(w, profile, fd, alpha)
+    xs = [x for x, v in report.per_alternative]
+    assert all(1.0 < v < math.inf for _, v in report.per_alternative)  # all stacked
+    step = BLOCK // (2 * fd.m) ** 2
+    t = len(xs) // 2
+    assert step < 2 * t and 2 * t + 2 < 2 * len(xs) - step
+    poly = audit.ConsistencyPolytope(profile, fd)
+    x = xs[t]
+    j = loop_percentile_candidate(poly, x, w, percentile_rank(profile.n, alpha))[2][0]
+    r = poly.ranking_id[j]
+
+    class Tampered(audit.ConsistencyPolytope):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.bounds[r, 2 * w, 2 * x] += 0.5
+
+    monkeypatch.setattr(audit, "ConsistencyPolytope", Tampered)
+    entry = re.escape(f"closure entry [{2 * w}, {2 * x}]")
+    with pytest.raises(InternalInvariantError, match=entry):
+        audit_percentile_social_choice(w, profile, fd, alpha)
 
 
 def test_tampered_percentile_witness_is_an_error(monkeypatch):

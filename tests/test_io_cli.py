@@ -12,9 +12,10 @@ from ordmech import (FullMetric, InternalInvariantError, PreferenceProfile, Sche
 from ordmech import audit, cli
 from ordmech.cli import build_parser, main
 from ordmech.core import MAX_DISTANCE
-from ordmech.fileio import (InstanceFile, Scenario, _matrix_json, audit_report_to_dict,
-                            instance_digest, instance_from_dict, instance_to_dict,
-                            load_instance, parse_instance, report_text, serialize_instance)
+from ordmech.fileio import (PARAMS_MAX_DEPTH, InstanceFile, Scenario, _matrix_json,
+                            audit_report_to_dict, instance_digest, instance_from_dict,
+                            instance_to_dict, load_instance, parse_instance, report_text,
+                            serialize_instance)
 
 from helpers import (loop_instance_digest, random_consistent_metric, random_instance,
                      text_instance_digest)
@@ -309,6 +310,27 @@ def test_cli_refuses_a_document_nested_too_deeply(tmp_path, capsys):
         assert err.value.field == "<document>" and "nested too deeply" in str(err.value), name
         code, message = _solve_exit_and_error(path, "alg1", capsys)
         assert code == 2 and message == "error: <document>: nested too deeply\n", message
+
+
+def test_cli_refuses_params_nested_too_deeply(tmp_path, capsys):
+    """``params`` nested 995 or 5,000 deep used to raise RecursionError while
+    the digest encoded it (exit 1).  Lists and objects nested beyond
+    PARAMS_MAX_DEPTH levels, ``params`` itself the first, are a schema error
+    of ``params``; at that depth the file still solves."""
+    base = (FIXTURES / "social_sum_small.json").read_text().rstrip()
+    assert '"params"' not in base and base.endswith("}")
+    for depth in (PARAMS_MAX_DEPTH, PARAMS_MAX_DEPTH + 1, 995, 5000):
+        path = tmp_path / f"params_{depth}.json"
+        path.write_text(base[:-1] + ', "params": {"x": ' + "[" * (depth - 1)
+                        + "]" * (depth - 1) + "}}")
+        code, message = _solve_exit_and_error(path, "alg1", capsys)
+        if depth == PARAMS_MAX_DEPTH:
+            assert code == 0, message
+            continue
+        assert code == 2 and message == "error: params: nested too deeply\n", (depth, message)
+        with pytest.raises(SchemaError) as err:
+            load_instance(path)
+        assert err.value.field == "params", depth
 
 
 def test_cli_refuses_scenarios_that_are_not_a_list(tmp_path, capsys):

@@ -21,17 +21,18 @@ from ordmech import (AssignmentProblem, ConstraintSet, CostSpec, DistanceCost, F
                      majority_graph, median_winner, min_cost_matching,
                      preferences_from_metric, project_agents,
                      validate_distance_matrix)
-from ordmech.audit import ConsistencyPolytope, _percentile_candidate
+from ordmech.audit import ConsistencyPolytope, _path_bounds, _percentile_candidates
 from ordmech.core import BLOCK
 from ordmech.fileio import parse_instance
 from ordmech.solvers import _near_minimal, _subset_minima
 
-from helpers import (bincount_majority_counts, first_appearance_classes,
+from helpers import (batched_binding, bincount_majority_counts, first_appearance_classes,
                      gathered_near_minimal, loop_candidate_reach, loop_check_consistency,
                      loop_facility_location, loop_full_metric_error, loop_k_median,
                      loop_majority_counts, loop_matching_brute_force,
                      loop_min_cost_matching, loop_numeric_reach,
-                     loop_open_count_brute_force, loop_profile_error,
+                     loop_open_count_brute_force, loop_path_bound,
+                     loop_percentile_candidate, loop_profile_error,
                      loop_validate_distance_matrix, random_consistent_metric,
                      random_facility_distances, random_instance,
                      subset_percentile_candidate)
@@ -510,12 +511,58 @@ def test_percentile_cap_matches_subset_rule():
                    fd) for p, fd in instances[:8]]
     for profile, fd in instances:
         poly = ConsistencyPolytope(profile, fd)
-        for x, w in itertools.permutations(range(fd.m), 2):
+        for w in range(fd.m):
+            xs = np.delete(np.arange(fd.m), w)
             for k in range(1, profile.n + 1):
-                value, S, binding, M, c = _percentile_candidate(poly, x, w, k)
-                want_value, want_S, want_binding, want_M, want_c = \
-                    subset_percentile_candidate(poly, x, w, k)
-                assert value == want_value
-                assert np.array_equal(S, want_S)
-                assert binding == want_binding
-                assert (M, c) == (want_M, want_c)
+                value, j, cap, M, c, subset = _percentile_candidates(poly, xs, w, k)
+                for t, x in enumerate(xs.tolist()):
+                    want_value, want_S, want_binding, want_M, want_c = \
+                        subset_percentile_candidate(poly, x, w, k)
+                    assert value[t] == want_value
+                    assert np.array_equal(subset(t), want_S)
+                    assert batched_binding(j, cap, t) == want_binding
+                    assert (M[t], c[t]) == (want_M, want_c)
+
+
+def _percentile_profiles(seed, count):
+    """Random profiles, then some of them replicated three times and as
+    top-only profiles: the ties and zero smallest distances of the cap rule."""
+    rng = np.random.default_rng(seed)
+    instances = [random_instance(rng, n_max=9, m_max=5)[:2] for _ in range(count)]
+    instances += [(PreferenceProfile(p.m, p.rankings * 3), fd) for p, fd in instances[:count // 3]]
+    instances += [(PreferenceProfile(p.m, tuple((r[0],) for r in p.rankings), top_only=True),
+                   fd) for p, fd in instances[:count // 3]]
+    return instances
+
+
+def test_batched_percentile_candidates_and_path_sums_match_loop_oracles():
+    # one pass over every alternative gives each x the per-alternative
+    # loop's candidate bit for bit, for every ordered pair (x, w) and every
+    # k; one stacked relaxation over every certified entry of a profile (its
+    # M and c entries for every w, k and x of finite value, many chunks)
+    # gives the scalar relaxation's path sums bit for bit
+    chunked = 0
+    for profile, fd in _percentile_profiles(109, 24):
+        poly = ConsistencyPolytope(profile, fd)
+        agents, p, q, want_sums = [], [], [], []
+        for w in range(fd.m):
+            xs = np.delete(np.arange(fd.m), w)
+            for k in range(1, profile.n + 1):
+                value, j, cap, M, c, subset = _percentile_candidates(poly, xs, w, k)
+                want = [loop_percentile_candidate(poly, x, w, k) for x in xs.tolist()]
+                assert value.tobytes() == np.array([v[0] for v in want]).tobytes()
+                assert M.tobytes() == np.array([v[3] for v in want]).tobytes()
+                assert c.tobytes() == np.array([v[4] for v in want]).tobytes()
+                for t, x in enumerate(xs.tolist()):
+                    assert np.array_equal(subset(t), want[t][1])
+                    assert batched_binding(j, cap, t) == want[t][2]
+                    if np.isfinite(value[t]):
+                        agents += [cap[t], j[t]]
+                        p += [2 * x + 1, 2 * w]
+                        q += [2 * x, 2 * x]
+                        want_sums += [loop_path_bound(poly, cap[t], 2 * x + 1, 2 * x),
+                                      loop_path_bound(poly, j[t], 2 * w, 2 * x)]
+        chunked += len(p) > BLOCK // (2 * fd.m) ** 2
+        found = _path_bounds(poly, np.array(agents, dtype=np.intp), np.array(p), np.array(q))
+        assert found.tobytes() == np.array(want_sums).tobytes()
+    assert chunked >= 10  # stacks of more than one chunk
