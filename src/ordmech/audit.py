@@ -24,12 +24,13 @@ elements (_closure), give every bound on one distance, or on the sum or
 difference of two, exactly, and any values within those bounds extend
 to a full consistent row (_point).  A sum or assignment ratio reads a
 class's distances to its own facility and to the one it takes: per
-facility an octagon of eight closure rows.  Dinkelbach's parametric
-method maximizes the ratio over the octagons' vertices (_dinkelbach),
-with one rho per family of alternatives: each other facility alone for
-a sum audit, and all matchings or all open sets of facilities for an
-assignment audit, whose best member per step is one exact solve.  Its
-last step also certifies an upper bound that the report carries too.
+facility an octagon of tight closure rows, whose best point is a vertex
+in closed form (_octagon_points).  Dinkelbach's parametric method
+maximizes the ratio over those points (_dinkelbach), with one rho per
+family of alternatives: each other facility alone for a sum audit, and
+all matchings or all open sets of facilities for an assignment audit,
+whose best member per step is one exact solve.  Its last step also
+certifies an upper bound that the report carries too.
 
 Percentile objectives are piecewise linear: which agents realize the two
 order statistics is a subset choice, but per-agent independence collapses
@@ -45,10 +46,8 @@ solves an LP.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -63,7 +62,6 @@ from .social_choice import evaluate_percentile_cost, percentile_rank
 from .solvers import KMEDIAN_EXACT_CAP, _subset_minima, min_cost_matching
 
 INF = float("inf")
-_LOG = logging.getLogger("ordmech")
 
 
 @dataclass(frozen=True)
@@ -233,25 +231,12 @@ def _at_most(lo: float | None, hi: float) -> bool:
     return lo is None or lo <= hi + 1e-9 * abs(hi)
 
 
-def _metric_from_values(values, fd: FacilityDistances, flags: list[str],
-                        label: str) -> FullMetric:
-    """Build a FullMetric from an optimum's rows, nudging it toward a strictly
-    interior point when solver slack leaves it microscopically outside."""
-    values = np.maximum(np.asarray(values, dtype=float), 0.0)
+def _metric_from_values(values, fd: FacilityDistances, label: str) -> FullMetric:
+    """A FullMetric from an optimum's rows, clipped at zero; rows that are
+    not a metric are an internal fault."""
     try:
-        return FullMetric(values, fd)
+        return FullMetric(np.maximum(np.asarray(values, dtype=float), 0.0), fd)
     except MetricError as exc:
-        radius = max(float(fd.values.max()), 1.0)
-        interior = np.full_like(values, radius)
-        lam = 1e-9
-        while lam <= 1e-4:
-            try:
-                metric = FullMetric((1 - lam) * values + lam * interior, fd)
-                flags.append(f"{label}_repaired")  # a fallback: flagged and logged
-                _LOG.warning("audit fallback: %s", flags[-1])
-                return metric
-            except MetricError:
-                lam *= 10
         raise InternalInvariantError(f"{label} is not a metric: {exc}") from exc
 
 
@@ -265,41 +250,18 @@ class _Pairs(NamedTuple):
     witness: Callable[[int], np.ndarray | None]
 
 
-# A class's octagon over (a, b) = (d(i, num_at), d(i, g)) for a candidate g:
-# row t reads _OCT_A[t] * a + _OCT_B[t] * b <= bound t.  Its vertices lie
-# where two rows with independent coefficients hold with equality.
-_OCT_A = np.array([1.0, -1.0, -1.0, 1.0, -1.0, 1.0, 0.0, 0.0])
-_OCT_B = np.array([-1.0, 1.0, -1.0, 1.0, 0.0, 0.0, -1.0, 1.0])
-_OCT_S, _OCT_T = np.array([(s, t) for s, t in combinations(range(8), 2)
-                           if _OCT_A[s] * _OCT_B[t] != _OCT_B[s] * _OCT_A[t]]).T
-_OCT_DET = _OCT_A[_OCT_S] * _OCT_B[_OCT_T] - _OCT_B[_OCT_S] * _OCT_A[_OCT_T]
-_OCT_TOL = np.array([_OCT_A, _OCT_B, -1e-9 * abs(_OCT_A), -1e-9 * abs(_OCT_B)])
-# Row t's bound is closure entry [p, q] (halved for the last four rows), with
-# p and q read as coefficients of (2 f, 2 g, 1) for numerator facility f and g
-_OCT_P = np.array([[1, 0, 1, 1, 1, 1, 0, 0], [0, 1, 0, 0, 0, 0, 1, 1], [0, 0, 1, 0, 1, 0, 1, 0]])
-_OCT_Q = np.array([[0, 1, 0, 0, 1, 1, 0, 0], [1, 0, 1, 1, 0, 0, 1, 1], [0, 0, 0, 1, 0, 1, 0, 1]])
-_OCT_HALF = np.array([1.0, 1.0, 1.0, 1.0, 0.5, 0.5, 0.5, 0.5])
-# octagons per vertex pass: its vertex-by-row slack keeps within 2 * BLOCK elements
-_VERTEX_ROWS = 2 * BLOCK // (len(_OCT_S) * 8)
 DINKELBACH_MAX_ITER = 100
 
 
-def _octagon_vertices(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vertices of each octagon, given its eight row bounds ``h`` (octagons
-    x 8, inf where a row is absent): the intersections of every pair of
-    non-parallel rows, as (a, b), where the points that break a row by more
-    than 1e-9 of the size of its own terms read a = -inf and b = inf."""
-    S, T = _OCT_S, _OCT_T
-    with np.errstate(invalid="ignore"):
-        a = (h[:, S] * _OCT_B[T] - _OCT_B[S] * h[:, T]) / _OCT_DET
-        b = (_OCT_A[S] * h[:, T] - h[:, S] * _OCT_A[T]) / _OCT_DET
-        lhs = _OCT_TOL[0] * a[..., None]  # each row's left side less 1e-9 of its terms' size
-        for row, col in zip(_OCT_TOL[1:], (b, abs(a), abs(b))):
-            lhs += row * col[..., None]
-    valid = np.isfinite(a) & np.isfinite(b) & (lhs <= (h + 1e-9 * (1 + abs(h)))[:, None]).all(2)
-    if not valid.any(axis=1).all():
-        raise InternalInvariantError("a ranking class's octagon has no vertex")
-    return np.where(valid, a, -INF), np.where(valid, b, INF)
+def _octagon_points(W: np.ndarray, r, f, g) -> tuple[np.ndarray, np.ndarray]:
+    """Per class (ranking r, numerator facility f) and candidate g, the
+    vertex (a, b) = (mu + c, mu) of its octagon over (d(f), d(g)) where
+    the rows b >= mu and a - b <= c meet: mu = -W[2g + 1, 2g] / 2 >= 0 is
+    the least d(g), c = W[2f, 2g] <= l(f, g) the largest d(f) - d(g).  The
+    closure makes every row tight, and for rho >= 1, (1, -rho) = (1, -1) +
+    (rho - 1)(0, -1) lies in the vertex's normal cone: it maximizes a - rho b."""
+    b = -W[r[:, None], 2 * g + 1, 2 * g] / 2
+    return b + W[r[:, None], 2 * f[:, None], 2 * g], b
 
 
 def _dinkelbach(W: np.ndarray, r, f, g, count: np.ndarray, family: np.ndarray,
@@ -319,42 +281,30 @@ def _dinkelbach(W: np.ndarray, r, f, g, count: np.ndarray, family: np.ndarray,
     the ray (1, 1).  Along that ray |a - b| stays below l(f, g), so the
     ratio tends to exactly 1, and any mix of vertices and rays has a ratio
     between its vertex part's and 1: the value is the larger of 1 and the
-    vertex maximum.  Starting from rho = 1, every step takes each class's
-    best vertex of a - rho b per candidate (the first on ties), seats the
-    classes by ``choose`` and moves rho to the ratio of the chosen
-    vertices, read by _ratio, which strictly raises it until
-    F(rho) = max sum_c count_c (a_c - rho b_c) + num_const - rho den
-    vanishes; a stopped family keeps its rho and so its seats.
+    vertex maximum, and for rho >= 1 one vertex per octagon maximizes
+    a - rho b (_octagon_points).  Starting from rho = 1, every step seats
+    the classes by ``choose`` on a - rho b and moves rho to the ratio of
+    the chosen points, read by _ratio, which strictly raises it until F(rho)
+    = max sum_c count_c (a_c - rho b_c) + num_const - rho den vanishes; a
+    stopped family keeps its rho and so its seats.
     F(rho) <= 0 is the LP dual's certificate that rho is an upper bound:
     every point has num - rho den <= F(rho), so with the family's least
-    denominator den_lo (``choose`` on each class's least b), rho +
+    denominator den_lo (``choose`` on each class's least b, mu), rho +
     max(F(rho), 0) / den_lo is one, or rho itself where den_lo vanishes.
     A step to an infinite ratio (a zero denominator below the 1e-12 of the
     vanishing screens) reads infinite.  Returns values, upper bounds, the
-    last step's seats and ``point_rows(s)``: the chosen vertices of the
+    last step's seats and ``point_rows(s)``: the chosen points of the
     classes in slice s, extended to full rows (_point)."""
-    step, parts = max(1, _VERTEX_ROWS // g.shape[1]), []  # classes per vertex pass
-    for lo in range(0, len(r) or 1, step):
-        F, G = 2 * f[lo:lo + step, None, None], 2 * g[lo:lo + step, :, None]
-        p, q = (F * C[0] + G * C[1] + C[2] for C in (_OCT_P, _OCT_Q))
-        parts.append(_octagon_vertices((W[r[lo:lo + step, None, None], p, q]
-                                        * _OCT_HALF).reshape(-1, 8)))
-    a, b = (np.concatenate(v).reshape(*g.shape, len(_OCT_S)) for v in zip(*parts))
+    a, b = _octagon_points(W, r, f, g)
     rows, size, rho = np.arange(len(count)), len(num_const), np.ones(len(num_const))
-    step = max(1, 2 * BLOCK // (g.shape[1] * len(_OCT_S)))  # classes per pick pass
-    pick = np.empty(g.shape, dtype=np.intp)
     for _ in range(DINKELBACH_MAX_ITER):
-        for lo in range(0, len(a), step):
-            part = slice(lo, lo + step)
-            pick[part] = (a[part] - rho[family[part], None, None] * b[part]).argmax(axis=2)
-        a_v, b_v = (np.take_along_axis(v, pick[..., None], 2)[..., 0] for v in (a, b))
-        seat, den_const = choose(a_v - rho[family, None] * b_v, rho)
-        a_at, b_at = a_v[rows, seat], b_v[rows, seat]
+        seat, den_const = choose(a - rho[family, None] * b, rho)
+        a_at, b_at = a[rows, seat], b[rows, seat]
         num = np.bincount(family, count * a_at, size) + num_const
         den = np.bincount(family, count * b_at, size) + den_const
         gap = num - rho * den
         ratio = _ratio(num, den)
-        # the last test catches rounding: no vertex improves on rho
+        # the last test catches rounding: no point improves on rho
         stop = (gap <= 1e-13 * (abs(num) + rho * abs(den))) | (ratio <= rho)
         unbounded = ~stop & np.isinf(ratio)
         if (stop | unbounded).all():
@@ -362,9 +312,8 @@ def _dinkelbach(W: np.ndarray, r, f, g, count: np.ndarray, family: np.ndarray,
         rho = np.where(stop | unbounded, rho, ratio)
     else:
         raise InternalInvariantError("Dinkelbach's method did not converge")
-    low = b.min(axis=2)
-    low_seat, low_const = choose(-low, np.ones(size))
-    den_lo = np.bincount(family, count * low[rows, low_seat], size) + low_const
+    low_seat, low_const = choose(-b, np.ones(size))
+    den_lo = np.bincount(family, count * b[rows, low_seat], size) + low_const
     with np.errstate(divide="ignore", invalid="ignore"):
         upper = np.where(den_lo > 1e-12, rho + np.maximum(gap, 0.0) / den_lo, rho)
     fixed = (r, f, g[rows, seat], a_at, b_at)
@@ -383,20 +332,16 @@ def _finalize(poly: ConsistencyPolytope, objective: str, target, keys: list,
     carries a certified upper bound: the witness's ratio, the value and the
     largest bound must come in that order, and the witness must reach the
     value."""
-    flags: list[str] = []
     top = int(np.argmax(np.append(1.0, pairs.value))) - 1  # -1: none exceeds 1
     best = float(pairs.value[top]) if top >= 0 else 1.0
+    rows, flags = pairs.witness(top) if top >= 0 else None, ()
+    if math.isinf(best):
+        flags = ("unbounded_ratio" if rows is None else "denominator_vanishes",)
+    elif rows is None:  # distortion 1: any consistent point certifies the value
+        rows = poly.interior_metric()
     witness = witness_ratio = None
-    if top >= 0:
-        rows = pairs.witness(top)
-        if math.isinf(best):
-            flags.append("unbounded_ratio" if rows is None else "denominator_vanishes")
-        if rows is not None:
-            witness = _metric_from_values(rows, poly.fd, flags, "witness")
-    if witness is None and math.isfinite(best):
-        # Distortion 1 instances: any consistent point certifies the value.
-        witness = _metric_from_values(poly.interior_metric(), poly.fd, flags, "witness")
-    if witness is not None:
+    if rows is not None:
+        witness = _metric_from_values(rows, poly.fd, "witness")
         witness_ratio = recompute(witness)
         if not check_consistency(poly.profile, witness, tol=1e-7):
             raise InternalInvariantError("audit witness is not consistent")
@@ -408,7 +353,7 @@ def _finalize(poly: ConsistencyPolytope, objective: str, target, keys: list,
             f"bound {upper} are out of order")
     per_alt = tuple(zip(keys, pairs.value.tolist()))
     return AuditReport(objective, target, best, True, per_alt, witness,
-                       witness_ratio, alpha, tuple(flags), upper)
+                       witness_ratio, alpha, flags, upper)
 
 
 def _social_choice(poly: ConsistencyPolytope, objective: str, winner, seated: int, solve,
@@ -679,7 +624,7 @@ def sample_consistent_metric(profile: PreferenceProfile, fd: FacilityDistances,
     if not res.optimal:
         raise InternalInvariantError(
             "consistency polytope reported infeasible while sampling")
-    metric = _metric_from_values(res.x.reshape(profile.n, profile.m), fd, [], "sample")
+    metric = _metric_from_values(res.x.reshape(profile.n, profile.m), fd, "sample")
     if not check_consistency(profile, metric, tol=1e-7):
         raise InternalInvariantError("sampled metric is not consistent")
     return metric

@@ -20,6 +20,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -87,15 +88,14 @@ def _is_number(value) -> bool:
 
 
 def _matrix(raw, fieldname: str) -> np.ndarray:
-    _expect(isinstance(raw, list) and raw and set(map(type, raw)) == {list},
-            "must be a matrix", fieldname)
+    _expect(isinstance(raw, list) and raw and set(map(type, raw)) == {list}
+            and len(set(map(len, raw))) == 1, "must be a matrix", fieldname)
+    _expect(set(map(type, chain.from_iterable(raw))) <= {int, float},
+            "entries must be numbers", fieldname)
     try:
         arr = np.asarray(raw, dtype=float)
-    except (TypeError, ValueError):
-        raise SchemaError("entries must be numbers", field=fieldname) from None
     except OverflowError:  # an integer beyond float64's range
         raise SchemaError("entries must be finite", field=fieldname) from None
-    _expect(arr.ndim == 2, "must be two-dimensional", fieldname)
     _expect(bool(np.isfinite(arr).all()), "entries must be finite", fieldname)
     return arr
 

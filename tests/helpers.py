@@ -11,7 +11,9 @@ that the library's array passes replace; the parity tests compare the two.
 Among them, ``stdlib_parse_instance`` is the loader with the standard
 library's decoder alone, and ``loop_percentile_candidate`` and
 ``loop_path_bound`` are the percentile audit's candidate and certificate
-one alternative and one closure entry at a time.
+one alternative and one closure entry at a time, and
+``loop_octagon_vertices`` intersects every pair of a sum or assignment
+octagon's rows, of which audit._octagon_points takes one vertex.
 The audit oracles after them close each ranking's constraint block on its
 own, solve each sum or assignment ratio, and each percentile alternative's
 binding configuration, as a HiGHS LP, and build every percentile
@@ -445,6 +447,57 @@ def loop_path_bound(poly: ConsistencyPolytope, i: int, p: int, q: int) -> float:
         raise InternalInvariantError(f"closure entry [{p}, {q}] is {entry}, but its "
                                      f"paths of rows give {found}")
     return found
+
+
+# A class's octagon over (a, b) = (d(i, num_at), d(i, g)) for a candidate g:
+# row t reads _OCT_A[t] * a + _OCT_B[t] * b <= bound t.  Its vertices lie
+# where two rows with independent coefficients hold with equality.
+_OCT_A = np.array([1.0, -1.0, -1.0, 1.0, -1.0, 1.0, 0.0, 0.0])
+_OCT_B = np.array([-1.0, 1.0, -1.0, 1.0, 0.0, 0.0, -1.0, 1.0])
+_OCT_S, _OCT_T = np.array([(s, t) for s, t in combinations(range(8), 2)
+                           if _OCT_A[s] * _OCT_B[t] != _OCT_B[s] * _OCT_A[t]]).T
+_OCT_DET = _OCT_A[_OCT_S] * _OCT_B[_OCT_T] - _OCT_B[_OCT_S] * _OCT_A[_OCT_T]
+_OCT_TOL = np.array([_OCT_A, _OCT_B, -1e-9 * abs(_OCT_A), -1e-9 * abs(_OCT_B)])
+# Row t's bound is closure entry [p, q] (halved for the last four rows), with
+# p and q read as coefficients of (2 f, 2 g, 1) for numerator facility f and g
+_OCT_P = np.array([[1, 0, 1, 1, 1, 1, 0, 0], [0, 1, 0, 0, 0, 0, 1, 1], [0, 0, 1, 0, 1, 0, 1, 0]])
+_OCT_Q = np.array([[0, 1, 0, 0, 1, 1, 0, 0], [1, 0, 1, 1, 0, 0, 1, 1], [0, 0, 0, 1, 0, 1, 0, 1]])
+_OCT_HALF = np.array([1.0, 1.0, 1.0, 1.0, 0.5, 0.5, 0.5, 0.5])
+
+
+def octagon_rows(W, r, f, g):
+    """The eight row bounds of the octagon of ranking r's closure W[r] over
+    (d(f), d(g)), per aligned entry of r, f and g: entries x 8."""
+    F, G = 2 * np.asarray(f)[:, None], 2 * np.asarray(g)[:, None]
+    p, q = (F * C[0] + G * C[1] + C[2] for C in (_OCT_P, _OCT_Q))
+    return W[np.asarray(r)[:, None], p, q] * _OCT_HALF
+
+
+def octagon_inside(h: np.ndarray, a: np.ndarray, b: np.ndarray, tol=1e-12) -> np.ndarray:
+    """Per octagon (row bounds ``h``, octagons x 8) and point (a, b), each
+    octagons x points: whether the point keeps every row within ``tol`` of
+    the size of the row's terms."""
+    with np.errstate(invalid="ignore"):  # 0 * inf where a vertex is absent
+        A, B = _OCT_A * a[..., None], _OCT_B * b[..., None]
+        return (A + B <= h[:, None] + tol * (abs(A) + abs(B) + abs(h[:, None]))).all(axis=-1)
+
+
+def loop_octagon_vertices(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Vertices of each octagon, given its eight row bounds ``h`` (octagons
+    x 8, inf where a row is absent): the intersections of every pair of
+    non-parallel rows, as (a, b), where the points that break a row by more
+    than 1e-9 of the size of its own terms read a = -inf and b = inf."""
+    S, T = _OCT_S, _OCT_T
+    with np.errstate(invalid="ignore"):
+        a = (h[:, S] * _OCT_B[T] - _OCT_B[S] * h[:, T]) / _OCT_DET
+        b = (_OCT_A[S] * h[:, T] - h[:, S] * _OCT_A[T]) / _OCT_DET
+        lhs = _OCT_TOL[0] * a[..., None]  # each row's left side less 1e-9 of its terms' size
+        for row, col in zip(_OCT_TOL[1:], (b, abs(a), abs(b))):
+            lhs += row * col[..., None]
+    valid = np.isfinite(a) & np.isfinite(b) & (lhs <= (h + 1e-9 * (1 + abs(h)))[:, None]).all(2)
+    if not valid.any(axis=1).all():
+        raise InternalInvariantError("a ranking class's octagon has no vertex")
+    return np.where(valid, a, -INF), np.where(valid, b, INF)
 
 
 def batched_binding(j, cap, t):

@@ -1,6 +1,5 @@
 """Distortion audits: exactness, witnesses, soundness, degenerate cases."""
 
-import logging
 import math
 from itertools import combinations
 from pathlib import Path
@@ -8,9 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ordmech import (PreferenceProfile, SearchSpaceError, SolverError, UnboundedObjectiveError,
-                     audit_additive_assignment, audit_percentile_social_choice,
-                     audit_sum_social_choice, build_preset, check_consistency,
+from ordmech import (InternalInvariantError, PreferenceProfile, SearchSpaceError, SolverError,
+                     UnboundedObjectiveError, audit_additive_assignment,
+                     audit_percentile_social_choice, audit_sum_social_choice, build_preset,
+                     check_consistency,
                      evaluate_percentile_cost, evaluate_sum_cost,
                      facility_distances, median_winner, distance_partial_order,
                      FullMetric, preferences_from_metric, project_agents,
@@ -90,7 +90,7 @@ def test_audits_of_geometries_scaled_far_up(scale):
                              lambda f: audit_percentile_social_choice(winner, profile, f, 0.5)):
                 report, base = audit_of(big), audit_of(fd)
                 assert report.value == pytest.approx(base.value, rel=1e-9)
-                assert report.flags == base.flags and "witness_repaired" not in report.flags
+                assert report.flags == base.flags
 
 
 def test_unanimous_winner_audits_to_one():
@@ -549,7 +549,7 @@ def test_sum_audit_witness_reproduces_value_at_n400():
     inst = load_instance(Path(__file__).parent / "fixtures" / "clustered_n400.json")
     winner = sum_winner(project_agents(inst.profile, inst.fd)).winner
     report = audit_sum_social_choice(winner, inst.profile, inst.fd)
-    assert "witness_repaired" not in report.flags
+    assert report.flags == ()
     assert abs(report.witness_ratio - report.value) <= 1e-6 * report.value
 
 
@@ -664,43 +664,9 @@ def test_each_ranking_closure_is_built_once(monkeypatch):
     assert report.value == enumerated_assignment_audit((0, 16), pair, line, problem).value
 
 
-def _few_rankings_kmedian(n=300, m=7, k=3):
-    """A k-median audit of n agents that share six rankings, at the
-    reduction's assignment: (x, profile, fd, problem)."""
-    rng = np.random.default_rng(12)
-    fd = random_facility_distances(rng, m)
-    profile = preferences_from_metric(random_consistent_metric(rng, fd, 6))
-    profile = PreferenceProfile(m, profile.rankings * (n // 6))
-    problem = build_preset("k_median", profile.n, fd.facilities, {"k": k})
-    x = reduce_and_solve(problem, profile, fd, SOLVERS["k_median"]).assignment
-    return x, profile, fd, problem
-
-
-def test_one_vertex_pass_per_block(monkeypatch):
-    # every class's octagons, one per facility, go through batched vertex
-    # passes of whole classes within _VERTEX_ROWS octagons, once per audit,
-    # and every Dinkelbach step reads them for all 35 open sets at once
-    rows = []
-    real = audit._octagon_vertices
-    monkeypatch.setattr(audit, "_octagon_vertices", lambda h: rows.append(len(h)) or real(h))
-    x, profile, fd, problem = _few_rankings_kmedian()
-    report = audit_additive_assignment(x, profile, fd, problem)
-    assert len(report.per_alternative) == 1  # the maximizing open set's assignment
-    classes = len(set(zip(profile.rankings, x)))
-    step = audit._VERTEX_ROWS // 7  # classes per pass
-    assert rows == [7 * min(step, classes - lo) for lo in range(0, classes, step)]
-    rng = np.random.default_rng(3)
-    profile, fd, _ = next(inst for inst in (random_instance(rng, n_max=8, m_max=5)
-                                            for _ in range(50)) if inst[1].m == 5)
-    rows.clear()
-    audit_sum_social_choice(0, profile, fd)
-    assert len(rows) == 1
-
-
 def test_alternative_blocks_change_no_report(monkeypatch):
-    # vertex passes take whole classes within _VERTEX_ROWS octagons, and
-    # each Dinkelbach step picks vertices for whole classes within 2 * BLOCK
-    # elements; one pass of each gives the same reports, bit for bit
+    # the closure takes the distinct rankings in chunks within BLOCK
+    # elements; one chunk gives the same reports, bit for bit
     rng = np.random.default_rng(77)
     fd = random_facility_distances(rng, 30)
     sums = preferences_from_metric(random_consistent_metric(rng, fd, 300))
@@ -716,25 +682,23 @@ def test_alternative_blocks_change_no_report(monkeypatch):
     runs = (lambda: audit_sum_social_choice(3, sums, fd),
             lambda: audit_additive_assignment(x, kmed, kmed_fd, problem),
             lambda: audit_additive_assignment((2,) * 200, fl_profile, line, fl))
-    passes, real = [], audit._octagon_vertices
-    monkeypatch.setattr(audit, "_octagon_vertices", lambda h: passes.append(len(h)) or real(h))
+    chunks, real = [], audit._closure
+    monkeypatch.setattr(audit, "_closure", lambda W: chunks.append(W.size) or real(W))
     blocked, calls = [], []
     for run in runs:
         blocked.append(run())
-        calls.append(len(passes) - sum(calls))
-    assert min(calls) > 1 and max(passes) <= audit._VERTEX_ROWS  # several passes each
-    # and the k-median's Dinkelbach steps pick in several chunks
-    assert len(set(zip(kmed.rankings, x))) * 9 * len(audit._OCT_S) > 2 * audit.BLOCK
+        calls.append(len(chunks) - sum(calls))
+    # several chunks for the sum and the k-median; the line's few rankings fit one
+    assert min(calls[:2]) > 1 and max(chunks) <= audit.BLOCK
     monkeypatch.setattr(audit, "BLOCK", 1 << 40)
-    monkeypatch.setattr(audit, "_VERTEX_ROWS", 1 << 40)
-    passes.clear()
+    chunks.clear()
     for report, run in zip(blocked, runs):
         whole = run()
         assert whole.per_alternative == report.per_alternative and whole.flags == report.flags
         assert (whole.value, whole.witness_ratio, whole.certified_upper) == (
             report.value, report.witness_ratio, report.certified_upper)
         assert whole.witness.distances.tobytes() == report.witness.distances.tobytes()
-    assert len(passes) == len(runs)
+    assert len(chunks) == len(runs)
 
 
 def test_kmedian_audit_beyond_the_assignment_enumeration():
@@ -756,26 +720,21 @@ def test_kmedian_audit_beyond_the_assignment_enumeration():
     assert len(alt) == 240 and len(set(alt)) <= 3 and value == report.value
 
 
-def test_fallbacks_log_a_warning(caplog):
+def test_a_witness_that_is_not_a_metric_raises():
+    # just outside the pair bound |d(X) - d(Y)| <= 2: no repair, an internal fault
     pair = facility_distances(("X", "Y"), [[0.0, 2.0], [2.0, 0.0]])
-    flags = []
-    with caplog.at_level(logging.WARNING, logger="ordmech"):
-        # just outside the pair bound |d(X) - d(Y)| <= 2
-        _metric_from_values([[0.0, 2.0 + 1e-6]], pair, flags, "witness")
-    assert flags == ["witness_repaired"]
-    logged = " ".join(r.getMessage() for r in caplog.records if r.name == "ordmech")
-    assert "witness_repaired" in logged
+    with pytest.raises(InternalInvariantError, match="witness is not a metric"):
+        _metric_from_values([[0.0, 2.0 + 1e-6]], pair, "witness")
 
 
-def test_only_the_maximizer_builds_a_witness(caplog):
+def test_only_the_maximizer_builds_a_witness():
     # a two-agent matching whose other assignment audits to 1: no witness
-    # but the interior point is built, so nothing is repaired or logged
+    # but the interior point is built
     rng = np.random.default_rng(11)
     profile, fd, _ = next(inst for inst in (random_instance(rng, n_max=4, m_max=3)
                                             for _ in range(50))
                           if inst[0].n == inst[1].m == 2)
     problem = build_preset("matching_min_cost", 2, fd.facilities, {})
-    with caplog.at_level(logging.WARNING, logger="ordmech"):
-        report = audit_additive_assignment((0, 1), profile, fd, problem)
+    report = audit_additive_assignment((0, 1), profile, fd, problem)
     assert report.value == pytest.approx(1.0) and report.flags == ()
-    assert not [r for r in caplog.records if r.name == "ordmech"]
+    assert (report.witness.distances == max(float(fd.values.max()), 1.0)).all()

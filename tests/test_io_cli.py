@@ -281,6 +281,30 @@ def test_cli_refuses_an_integer_beyond_float64(tmp_path, capsys):
         assert code == 2 and message.startswith(f"error: {field}: "), message
 
 
+def test_matrix_entries_written_as_strings_booleans_or_null_are_refused(tmp_path, capsys):
+    """Matrix entries must be JSON numbers: "1.5" and " 0.5 " used to load
+    as numbers, and booleans as 1 and 0, so a file with string entries
+    solved and shared the numeric file's digest."""
+    doc = json.loads((FIXTURES / "kmedian_scenarios.json").read_text())
+    for field in ("facility_distances", "metric", "scenarios[0].facility_distances",
+                  "scenarios[0].metric"):
+        for value in ("1.5", " 0.5 ", "0", True, False, None):
+            bad = json.loads(json.dumps(doc))
+            holder = bad["scenarios"][0] if field.startswith("scenarios") else bad
+            holder[field.rsplit(".", 1)[-1]][0][1] = value
+            with pytest.raises(SchemaError, match="entries must be numbers") as err:
+                instance_from_dict(bad)
+            assert err.value.field == field, (field, value)
+    # every entry of social_sum_small.json written as a string: exit 2
+    doc = json.loads((FIXTURES / "social_sum_small.json").read_text())
+    for key in ("facility_distances", "metric"):
+        doc[key] = [[repr(float(x)) for x in row] for row in doc[key]]
+    path = tmp_path / "strings.json"
+    path.write_text(json.dumps(doc))
+    code, message = _solve_exit_and_error(path, "alg1", capsys)
+    assert code == 2 and message == "error: facility_distances: entries must be numbers\n"
+
+
 def test_cli_refuses_a_file_that_is_not_utf8(tmp_path, capsys):
     """Bytes that are not UTF-8 used to raise UnicodeDecodeError (exit 1);
     they are a schema error of the document that gives the byte offset."""
@@ -815,20 +839,17 @@ def test_internal_faults_exit_3(monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("internal error: witness is not a metric")
 
 
-def test_audit_of_a_geometry_scaled_down_is_right_or_refused(tmp_path, capsys):
-    # clustered_n400's F1 sum audit reads 3.20975345547811 at unit scale; with
-    # the facility distances scaled by 1e-9 the audit must give that value or
-    # stop on its witness (exit 3), never a wrong value with exit 0
+def test_audit_of_a_geometry_scaled_down_is_right_or_refused(tmp_path):
+    # clustered_n400's F1 sum audit reads 3.20975345547811 at unit scale, and
+    # with the facility distances scaled by 1e-9 or 2^-30 it reads the same
     raw = json.loads((FIXTURES / "clustered_n400.json").read_text())
-    raw["facility_distances"] = (np.array(raw["facility_distances"]) * 1e-9).tolist()
-    inst, out = tmp_path / "scaled.json", tmp_path / "report.json"
-    inst.write_text(json.dumps(raw))
-    code = main(["audit", "--instance", str(inst), "--outcome", "F1", "--objective", "sum",
-                 "--out", str(out)])
-    if code == 3:
-        assert "out of order" in capsys.readouterr().err
-    else:
-        assert code == 0
+    for scale in (1e-9, 2.0 ** -30):
+        scaled = dict(raw, facility_distances=(np.array(raw["facility_distances"])
+                                               * scale).tolist())
+        inst, out = tmp_path / "scaled.json", tmp_path / "report.json"
+        inst.write_text(json.dumps(scaled))
+        assert main(["audit", "--instance", str(inst), "--outcome", "F1", "--objective", "sum",
+                     "--out", str(out)]) == 0
         assert json.loads(out.read_text())["value"] == pytest.approx(3.20975345547811, rel=1e-9)
 
 

@@ -21,7 +21,8 @@ from ordmech import (AssignmentProblem, ConstraintSet, CostSpec, DistanceCost, F
                      majority_graph, median_winner, min_cost_matching,
                      preferences_from_metric, project_agents,
                      validate_distance_matrix)
-from ordmech.audit import ConsistencyPolytope, _path_bounds, _percentile_candidates
+from ordmech.audit import (ConsistencyPolytope, _octagon_points, _path_bounds,
+                           _percentile_candidates)
 from ordmech.core import BLOCK
 from ordmech.fileio import parse_instance
 from ordmech.solvers import _near_minimal, _subset_minima
@@ -30,11 +31,11 @@ from helpers import (batched_binding, bincount_majority_counts, first_appearance
                      gathered_near_minimal, loop_candidate_reach, loop_check_consistency,
                      loop_facility_location, loop_full_metric_error, loop_k_median,
                      loop_majority_counts, loop_matching_brute_force,
-                     loop_min_cost_matching, loop_numeric_reach,
+                     loop_min_cost_matching, loop_numeric_reach, loop_octagon_vertices,
                      loop_open_count_brute_force, loop_path_bound,
                      loop_percentile_candidate, loop_profile_error,
-                     loop_validate_distance_matrix, random_consistent_metric,
-                     random_facility_distances, random_instance,
+                     loop_validate_distance_matrix, octagon_inside, octagon_rows,
+                     random_consistent_metric, random_facility_distances, random_instance,
                      subset_percentile_candidate)
 
 
@@ -566,3 +567,33 @@ def test_batched_percentile_candidates_and_path_sums_match_loop_oracles():
         found = _path_bounds(poly, np.array(agents, dtype=np.intp), np.array(p), np.array(q))
         assert found.tobytes() == np.array(want_sums).tobytes()
     assert chunked >= 10  # stacks of more than one chunk
+
+
+@pytest.mark.parametrize("top_only", [False, True])
+def test_octagon_point_reaches_the_vertex_maximum(top_only):
+    # per ranking class, numerator facility f and candidate g (f = g
+    # included), the closed-form point reaches the largest a - rho b over
+    # the loop oracle's vertices that keep every row within 1e-12 of their
+    # terms, for rho = 1, random rho > 1 and rho = 1e6, and keeps every row
+    # itself.  The oracle's own 1e-9 tolerance admits vertices up to about
+    # 1e-9 outside a row, whose a - rho b may exceed the octagon's maximum.
+    rng = np.random.default_rng(41)
+    co_located = 0
+    for _ in range(120):
+        profile, fd, _ = random_instance(rng, n_max=8, m_max=5)
+        co_located += int((fd.values + np.eye(fd.m) == 0).any())
+        if top_only:
+            profile = PreferenceProfile(fd.m, tuple(r[:1] for r in profile.rankings),
+                                        top_only=True)
+        poly, m = ConsistencyPolytope(profile, fd), fd.m
+        r, f = np.repeat(np.arange(len(poly.bounds)), m), np.tile(np.arange(m), len(poly.bounds))
+        g = np.tile(np.arange(m), (len(r), 1))
+        a, b = (v.ravel() for v in _octagon_points(poly.bounds, r, f, g))
+        h = octagon_rows(poly.bounds, np.repeat(r, m), np.repeat(f, m), g.ravel())
+        va, vb = loop_octagon_vertices(h)
+        inside = octagon_inside(h, va, vb)
+        for rho in (1.0, *rng.uniform(1.0, 10.0, 2), 1e6):
+            best = np.where(inside, va - rho * vb, -np.inf).max(axis=1)
+            assert (abs(a - rho * b - best) <= 1e-12 * (abs(a) + rho * abs(b))).all()
+        assert octagon_inside(h, a[:, None], b[:, None]).all()
+    assert co_located >= 5
