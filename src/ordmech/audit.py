@@ -21,24 +21,24 @@ screens its family the same way.  Only the maximizer's witness is built.
 A ranking's rows are unit two-variable inequalities, so shortest paths,
 in one stacked pass over the distinct rankings in chunks within BLOCK
 elements (_closure), give every bound on one distance, or on the sum or
-difference of two, exactly, and any values within those bounds extend
-to a full consistent row (_point).  A sum or assignment ratio reads a
-class's distances to its own facility and to the one it takes: per
-facility an octagon of tight closure rows, whose best point is a vertex
-in closed form (_octagon_points).  Dinkelbach's parametric method
-maximizes the ratio over those points (_dinkelbach), with one rho per
-family of alternatives: each other facility alone for a sum audit, and
-all matchings or all open sets of facilities for an assignment audit,
-whose best member per step is one exact solve.  Its last step also
-certifies an upper bound that the report carries too.
+difference of two, exactly, in two m x m blocks, and any values within
+those bounds extend to a full consistent row (_point).  A sum or
+assignment ratio reads a class's distances to its own facility and to
+the one it takes: per facility an octagon of tight closure rows, whose
+best point is a vertex in closed form (_octagon_points).  Dinkelbach's
+parametric method maximizes the ratio over those points (_dinkelbach),
+with one rho per family of alternatives: each other facility alone for a
+sum audit, and all matchings or all open sets of facilities for an
+assignment audit, whose best member per step is one exact solve.  Its
+last step also certifies an upper bound that the report carries too.
 
 Percentile objectives are piecewise linear: which agents realize the two
 order statistics is a subset choice, but per-agent independence collapses
 the search to one candidate configuration per ranking class, whose value
 has a closed form in two closure entries of the one or two agents that
 bind it (_percentile_candidates, for every alternative at once).  Each
-entry is the length of a shortest path of ranking rows, or half of two,
-so relaxing paths over the raw rows, stacked (_path_bounds), re-derives
+entry is the length of a shortest path of ranking rows, so relaxing
+paths from one source over the raw rows, stacked (_path_bounds), re-derives
 it and certifies an upper bound on the value, and the maximizer's witness,
 built from the closure alone, attains the value from below.  No audit
 solves an LP.
@@ -53,7 +53,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .assignment import AssignmentProblem, ConstraintSet, DistanceCost, total_cost
-from .core import (BLOCK, FacilityDistances, FullMetric, PreferenceProfile,
+from .core import (BLOCK, FacilityDistances, FullMetric, PreferenceProfile, _keeps_rankings,
                    check_consistency, consistency_constraints)
 from .errors import (InternalInvariantError, MetricError, SearchSpaceError,
                      SolverError, UnboundedObjectiveError)
@@ -89,9 +89,10 @@ class AuditReport:
 class ConsistencyPolytope:
     """The consistent-metric closure per distinct ranking: its raw row
     bounds (raw), their closure (_closure) and who can sit on which
-    facility.  The rankings share the pair rows and differ in their chain
-    rows, so the pair rows are kept once and the chain per ranking, and one
-    stacked pass closes every ranking, in chunks within BLOCK."""
+    facility.  Per ranking r, G[r, f, g] bounds d(f) - d(g) and S[r, f, g]
+    -(d(f) + d(g)).  The rankings share the pair rows and differ in their
+    chain rows, so the pair rows are kept once and the chain per ranking,
+    and one stacked pass closes every ranking in place, in chunks within BLOCK."""
 
     def __init__(self, profile: PreferenceProfile, fd: FacilityDistances):
         if profile.m != fd.m:
@@ -110,40 +111,35 @@ class ConsistencyPolytope:
             self.before, self.after = np.repeat(ranks, m - 1, axis=1), slot + (slot >= ranks)
         else:
             self.before, self.after = ranks[:, :-1], ranks[:, 1:]
-        # and once the rows all rankings share, as bounds on v[p] - v[q]
-        # (_closure): core.pair_rows, with l(f, g) for f < g both ways, and d >= 0
-        u = np.triu(l, 1)
-        u = u + u.T
-        self.pair = np.full((2 * m, 2 * m), INF)
-        self.pair[0::2, 0::2] = self.pair[1::2, 1::2] = u
-        self.pair[1::2, 0::2] = 0.0 - u  # -(d(f) + d(g)) <= -l; 0.0 keeps zeros unsigned
-        bounds, sit, step = [], [], max(1, BLOCK // (2 * m) ** 2)
-        for lo in range(0, len(ranks), step):
+        # and once the rows all rankings share (core.pair_rows): l(f, g) for f < g
+        # both ways, bounding |d(f) - d(g)| by l and -(d(f) + d(g)) by -l
+        self.l = np.triu(l, 1) + np.triu(l, 1).T
+        R, step = len(ranks), max(1, BLOCK // (2 * m * m))
+        self.G, self.S, sit = np.empty((R, m, m)), np.empty((R, m, m)), np.empty((R, m), bool)
+        for lo in range(0, R, step):
             part = slice(lo, lo + step)
-            bounds.append(_closure(self.raw(part)))
+            self.G[part], self.S[part] = self.raw(part)
+            _closure(self.G[part], self.S[part])
             # one may sit on facility f iff l(f, .) never falls along the chain
-            sit.append((l[:, self.before[part]] <= l[:, self.after[part]] + 1e-9).all(axis=2).T)
-        self.bounds = np.concatenate(bounds)  # per distinct ranking
-        self.can_sit = np.concatenate(sit)[self.ranking_id]  # n x m
+            sit[part] = (l[:, self.before[part]] <= l[:, self.after[part]] + 1e-9).all(axis=2).T
+        self.can_sit = sit[self.ranking_id]  # n x m
 
-    def raw(self, rankings) -> np.ndarray:
+    def raw(self, rankings) -> tuple[np.ndarray, np.ndarray]:
         """Per ranking of ``rankings`` (indices or a slice), the least bound
-        one of its rows puts on each v[p] - v[q] (see _closure): inf where
-        none, 0 on the diagonal and on each chain row and its twin."""
-        before, after = 2 * self.before[rankings], 2 * self.after[rankings]
-        W = np.repeat(self.pair[None], len(before), axis=0)
-        at = np.arange(len(before))[:, None]
-        W[at, before, after] = W[at, after + 1, before + 1] = 0.0
-        return W
+        one of its rows puts on each d(f) - d(g) and -(d(f) + d(g)), as G and
+        S: 0 on G's diagonal and chain rows, and on S's diagonal (d >= 0)."""
+        G = np.repeat(self.l[None], len(self.before[rankings]), axis=0)
+        G[np.arange(len(G))[:, None], self.before[rankings], self.after[rankings]] = 0.0
+        return G, np.broadcast_to(0.0 - self.l, G.shape)  # 0.0 keeps zeros unsigned
 
     def min_agent_distance(self, agents, f) -> np.ndarray:
         """Smallest consistent d(i, f) of each of ``agents``, broadcast against f."""
-        low = np.maximum(-self.bounds[self.ranking_id[agents], 2 * f + 1, 2 * f] / 2, 0.0)
+        low = np.maximum(-self.S[self.ranking_id[agents], f, f] / 2, 0.0)
         return np.where(self.can_sit[agents, f], 0.0, low)
 
     def max_distance_gap(self, agents, w, x) -> np.ndarray:
         """Largest consistent d(i, w) - d(i, x) of ``agents``, broadcast with w, x."""
-        return self.bounds[self.ranking_id[agents], 2 * w, 2 * x]
+        return self.G[self.ranking_id[agents], w, x]
 
     def interior_metric(self) -> np.ndarray:
         """All agents equally far from everything: consistent with every
@@ -151,69 +147,71 @@ class ConsistencyPolytope:
         return np.full((self.n, self.m), self.radius)
 
 
-def _closure(W: np.ndarray) -> np.ndarray:
-    """Close feasible systems of rows with two +-1 coefficients: with v[2a]
-    = d(a) and v[2a + 1] = -d(a), a row bounds some v[p] - v[q] and its twin
-    v[q ^ 1] - v[p ^ 1], and d(a) >= 0 bounds v[2a + 1] - v[2a] by 0.  W
-    stacks one 2m x 2m matrix of least row bounds per system (as from
-    ConsistencyPolytope.raw) and is overwritten by the least upper bound of
-    every v[p] - v[q]: shortest paths, then one halving step (the closure
-    of an octagon, exact over the reals)."""
-    for k in range(W.shape[1]):
-        np.minimum(W, W[:, :, k, None] + W[:, None, k, :], out=W)
-    at = np.arange(W.shape[1])
-    half = W[:, at, at ^ 1] / 2  # v[p] - v[bar p] = 2 v[p]
-    return np.minimum(W, half[:, :, None] + half[:, None, at ^ 1], out=W)
+def _closure(G: np.ndarray, S: np.ndarray):
+    """Close in place feasible systems of rows with two +-1 coefficients
+    that bound no d(f) + d(g) from above: G and S stack per system the least
+    row bounds on each d(f) - d(g) and -(d(f) + d(g)) (as from
+    ConsistencyPolytope.raw), then their least upper bounds.  With v[2a] =
+    d(a), v[2a + 1] = -d(a), they are the v[2f] - v[2g] and v[2f + 1] - v[2g]
+    quarters of an octagon's closure (Mine, 2006; exact over the reals),
+    whose others stay inf and G transposed: pivot j is its pivots 2j and 2j
+    + 1 on the same operands in the same order (G[j, j] = 0 keeps G's row
+    and column j), and one halving step follows."""
+    for j in range(G.shape[1]):
+        np.minimum(G, G[:, :, j, None] + G[:, None, j, :], out=G)
+        np.minimum(S, S[:, :, j, None] + G[:, None, j, :], out=S)
+        np.minimum(S, G[:, j, :, None] + S[:, None, j, :], out=S)
+    half = np.diagonal(S, axis1=1, axis2=2) / 2  # -(d(f) + d(f)) = -2 d(f)
+    np.minimum(S, half[:, :, None] + half[:, None, :], out=S)
 
 
-def _path_bounds(poly: ConsistencyPolytope, agents, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Per aligned entry of ``agents``, ``p`` and ``q``: entry [p, q] of the
-    closure W of the agent's ranking, re-derived from its raw rows
-    (ConsistencyPolytope.raw) by a Bellman-Ford relaxation from p and from
-    q ^ 1: the least of the path p -> q and half the paths p -> p ^ 1 and
-    q ^ 1 -> q.  The rows of a path add up to a bound on v[p] - v[q], so
-    that bound holds whatever W says.  The entries relax as one stack, in
-    chunks whose round keeps within 2 * BLOCK elements (or one entry),
-    until none changes, which leaves a converged entry as it is.  Raises at
+def _path_bounds(poly: ConsistencyPolytope, agents, f, g, neg) -> np.ndarray:
+    """Per aligned entry of ``agents``, ``f``, ``g`` and ``neg``: entry [f,
+    g] of S (where ``neg``), else of G, of the agent's ranking's closure,
+    re-derived from its raw rows (ConsistencyPolytope.raw) as the least sum
+    of rows along a path from -d(f) (else d(f)) to d(g), by Bellman-Ford
+    rounds: a bound that holds whatever the closure says, and one that the
+    halving step leaves as it is.  The entries relax as one stack, in chunks
+    whose temporaries keep within BLOCK elements (or one entry).  Raises at
     the first entry not within a relative 1e-9 of the closure's, relative
     to at least the facility radius."""
-    r, found, step = poly.ranking_id[agents], np.empty(len(p)), max(1, BLOCK // len(poly.pair)**2)
+    r, found, step = poly.ranking_id[agents], np.empty(len(f)), max(1, BLOCK // poly.m ** 2)
     for lo in range(0, len(r), step):
         s, at = slice(lo, lo + step), np.arange(len(r[lo:lo + step]))
-        raw = poly.raw(r[s])
-        D = raw[at[:, None], np.array([p[s], q[s] ^ 1]).T]  # paths from p and from q ^ 1
-        for _ in range(len(poly.pair)):  # a shortest path has fewer than 2m rows
-            last, D = D, np.minimum(D, (D[..., None] + raw[:, None]).min(axis=2))
-            if (D == last).all():
-                break
-        direct, half = D[at, 0, q[s]], (D[at, 0, p[s] ^ 1] + D[at, 1, q[s]]) / 2
-        found[s] = np.where(half < direct, half, direct)  # the first of ties, as min
-    entry = poly.bounds[r, p, q]
+        G, S = poly.raw(r[s])
+        # least sums along paths from -d(f) to each -d(a), by rows of G transposed,
+        # on by one row of S to each d(a), then by rows of G; from d(f), by rows of
+        # G alone.  No row is negative, so a shortest path has fewer than m rows.
+        D = np.where(neg[s, None], G[at, :, f[s]], INF)
+        for _ in range(poly.m - 1):
+            D = np.minimum(D, (D[:, None, :] + G).min(axis=2))
+        D = np.where(neg[s, None], (D[..., None] + S).min(axis=1), G[at, f[s]])
+        for _ in range(poly.m - 1):
+            D = np.minimum(D, (D[..., None] + G).min(axis=1))
+        found[s] = D[at, g[s]]
+    entry = np.where(neg, poly.S[r, f, g], poly.G[r, f, g])
     for e in np.flatnonzero(~(abs(found - entry) <= 1e-9 * np.maximum(poly.radius, abs(entry)))):
-        raise InternalInvariantError(f"closure entry [{p[e]}, {q[e]}] is {float(entry[e])}, "
-                                     f"but its paths of rows give {float(found[e])}")
+        raise InternalInvariantError(f"closure entry {'S' if neg[e] else 'G'}[{f[e]}, {g[e]}] is "
+                                     f"{entry[e]}, but its paths of rows give {found[e]}")
     return found
 
 
-def _point(W: np.ndarray, fixed: dict[int, float]) -> np.ndarray:
-    """A point of a closed system (see _closure): the ``fixed`` coordinates
-    take their given values and every other coordinate its least value,
-    each clipped into the bounds left by the coordinates set before it.
+def _point(G: np.ndarray, S: np.ndarray, fixed: dict[int, float]) -> np.ndarray:
+    """A point of a closed system (one ranking's G and S, see _closure): the
+    ``fixed`` coordinates take their given values and every other
+    coordinate its least value, each clipped into the bounds left by the
+    coordinates set before it.
 
     Projecting a closed system onto any set of coordinates keeps exactly
     its rows on them, so values that satisfy those rows extend one
     coordinate at a time, each constrained only by its own bounds and its
     rows with the coordinates already set."""
-    m = len(W) // 2
-    W = W.tolist()
-    d = [0.0] * m
+    G, S, d = G.tolist(), S.tolist(), [0.0] * len(G)
     done: list[int] = []
-    for a in [*fixed, *(a for a in range(m) if a not in fixed)]:
-        row, neg = W[2 * a], W[2 * a + 1]
-        low = max([-neg[2 * a] / 2] + [d[e] - W[2 * e][2 * a] for e in done]
-                  + [-d[e] - W[2 * e + 1][2 * a] for e in done])
-        high = min([row[2 * a + 1] / 2] + [d[e] + row[2 * e] for e in done]
-                   + [row[2 * e + 1] - d[e] for e in done])
+    for a in [*fixed, *(a for a in range(len(d)) if a not in fixed)]:
+        low = max([-S[a][a] / 2] + [d[e] - G[e][a] for e in done]
+                  + [-d[e] - S[e][a] for e in done])
+        high = min([INF] + [d[e] + G[a][e] for e in done])
         d[a] = min(max(fixed.get(a, low), low), high)
         done.append(a)
     return np.array(d)
@@ -253,18 +251,18 @@ class _Pairs(NamedTuple):
 DINKELBACH_MAX_ITER = 100
 
 
-def _octagon_points(W: np.ndarray, r, f, g) -> tuple[np.ndarray, np.ndarray]:
+def _octagon_points(poly: ConsistencyPolytope, r, f, g) -> tuple[np.ndarray, np.ndarray]:
     """Per class (ranking r, numerator facility f) and candidate g, the
     vertex (a, b) = (mu + c, mu) of its octagon over (d(f), d(g)) where
-    the rows b >= mu and a - b <= c meet: mu = -W[2g + 1, 2g] / 2 >= 0 is
-    the least d(g), c = W[2f, 2g] <= l(f, g) the largest d(f) - d(g).  The
+    the rows b >= mu and a - b <= c meet: mu = -S[g, g] / 2 >= 0 is the
+    least d(g), c = G[f, g] <= l(f, g) the largest d(f) - d(g).  The
     closure makes every row tight, and for rho >= 1, (1, -rho) = (1, -1) +
     (rho - 1)(0, -1) lies in the vertex's normal cone: it maximizes a - rho b."""
-    b = -W[r[:, None], 2 * g + 1, 2 * g] / 2
-    return b + W[r[:, None], 2 * f[:, None], 2 * g], b
+    b = -poly.S[r[:, None], g, g] / 2
+    return b + poly.G[r[:, None], f[:, None], g], b
 
 
-def _dinkelbach(W: np.ndarray, r, f, g, count: np.ndarray, family: np.ndarray,
+def _dinkelbach(poly: ConsistencyPolytope, r, f, g, count: np.ndarray, family: np.ndarray,
                 num_const: np.ndarray, choose):
     """Per family j, max (sum_c count_c a_c + num_const[j]) / (sum_c count_c
     b_c + den) over its classes c (family = j) and its alternatives, by
@@ -295,7 +293,7 @@ def _dinkelbach(W: np.ndarray, r, f, g, count: np.ndarray, family: np.ndarray,
     vanishing screens) reads infinite.  Returns values, upper bounds, the
     last step's seats and ``point_rows(s)``: the chosen points of the
     classes in slice s, extended to full rows (_point)."""
-    a, b = _octagon_points(W, r, f, g)
+    a, b = _octagon_points(poly, r, f, g)
     rows, size, rho = np.arange(len(count)), len(num_const), np.ones(len(num_const))
     for _ in range(DINKELBACH_MAX_ITER):
         seat, den_const = choose(a - rho[family, None] * b, rho)
@@ -319,7 +317,7 @@ def _dinkelbach(W: np.ndarray, r, f, g, count: np.ndarray, family: np.ndarray,
     fixed = (r, f, g[rows, seat], a_at, b_at)
 
     def point_rows(s: slice) -> np.ndarray:
-        return np.array([_point(W[k], {p: u, q: v})
+        return np.array([_point(poly.G[k], poly.S[k], {p: u, q: v})
                          for k, p, q, u, v in zip(*(c[s].tolist() for c in fixed))])
 
     return np.where(unbounded, INF, rho), np.where(unbounded, INF, upper), seat, point_rows
@@ -343,7 +341,9 @@ def _finalize(poly: ConsistencyPolytope, objective: str, target, keys: list,
     if rows is not None:
         witness = _metric_from_values(rows, poly.fd, "witness")
         witness_ratio = recompute(witness)
-        if not check_consistency(poly.profile, witness, tol=1e-7):
+        # at the geometry's unit (2^-e is exact), where 1 + |d| swamps no distance
+        unit = np.ldexp(witness.distances, -math.frexp(float(poly.fd.values.max()))[1])
+        if not _keeps_rankings(poly.profile, unit, 1e-7):
             raise InternalInvariantError("audit witness is not consistent")
     upper = float(np.max(pairs.upper, initial=1.0))
     reached = witness_ratio is None or _at_most(best, witness_ratio)
@@ -390,9 +390,9 @@ def _social_choice(poly: ConsistencyPolytope, objective: str, winner, seated: in
 def _sum_pairs(poly: ConsistencyPolytope, ys: np.ndarray, winner: int) -> _Pairs:
     """Per y in ``ys``, sup sum_i d(i, winner) / sum_i d(i, y): a family of
     its own (_dinkelbach), whose classes are the distinct rankings."""
-    R, size = len(poly.bounds), len(ys)
+    R, size = len(poly.G), len(ys)
     value, upper, _, point_rows = _dinkelbach(
-        poly.bounds, np.tile(np.arange(R), size), np.full(R * size, winner),
+        poly, np.tile(np.arange(R), size), np.full(R * size, winner),
         np.repeat(ys, R)[:, None], np.tile(np.bincount(poly.ranking_id), size),
         np.repeat(np.arange(size), R), np.zeros(size),
         lambda w, rho: (np.zeros(len(w), dtype=np.intp), np.zeros(size)))
@@ -477,7 +477,7 @@ def audit_additive_assignment(x, profile: PreferenceProfile,
         pairs = _Pairs(np.array([INF]), np.array([INF]), lambda j: l[seat[member]])
     else:
         value, upper, seat, point_rows = _dinkelbach(
-            poly.bounds, poly.ranking_id[cls], f, np.tile(np.arange(m), (len(cls), 1)), count,
+            poly, poly.ranking_id[cls], f, np.tile(np.arange(m), (len(cls), 1)), count,
             np.zeros(len(cls), np.intp), np.array([num_const]), choose)
         pairs = _Pairs(value, upper, lambda j: None if math.isinf(value[0])
                        else point_rows(slice(None))[member])
@@ -554,9 +554,9 @@ def _percentile_pairs(poly: ConsistencyPolytope, xs: np.ndarray, w: int, k: int)
     and 1 + max(c, 0) / M over those bounds the value.  A vanishing M reads
     as an infinite value."""
     value, j, cap, M, c, subset = _percentile_candidates(poly, xs, w, k)
-    t = np.flatnonzero(np.isfinite(value))  # per x, the M entry of cap, then the c entry of j
-    p, q = np.array([2 * xs[t] + 1, np.full(len(t), 2 * w)]).T.ravel(), np.repeat(2 * xs[t], 2)
-    sums = _path_bounds(poly, np.array([cap[t], j[t]]).T.ravel(), p, q).reshape(-1, 2)
+    t = np.flatnonzero(np.isfinite(value))  # per x, M = S[x, x] of cap (f == g), c = G[w, x] of j
+    f, g = np.array([xs[t], np.full(len(t), w)]).T.ravel(), np.repeat(xs[t], 2)
+    sums = _path_bounds(poly, np.array([cap[t], j[t]]).T.ravel(), f, g, f == g).reshape(-1, 2)
     M_sum, upper = -sums[:, 0] / 2, np.full(len(xs), INF)
     with np.errstate(divide="ignore", invalid="ignore"):
         upper[t] = np.where(M_sum > 0, 1.0 + np.maximum(sums[:, 1], 0.0) / M_sum, INF)
@@ -579,10 +579,10 @@ def _percentile_witness(poly: ConsistencyPolytope, x: int, w: int, S: np.ndarray
     for i, r, mu in zip(S.tolist(), rid[S].tolist(), poly.min_agent_distance(S, x).tolist()):
         if i != j and i != cap:
             if r not in rows:
-                rows[r] = _point(poly.bounds[r], {x: mu})
+                rows[r] = _point(poly.G[r], poly.S[r], {x: mu})
             d[i] = rows[r]
-    d[cap] = _point(poly.bounds[rid[cap]], {x: M})
-    d[j] = _point(poly.bounds[rid[j]], {x: M, w: M + c})
+    d[cap] = _point(poly.G[rid[cap]], poly.S[rid[cap]], {x: M})
+    d[j] = _point(poly.G[rid[j]], poly.S[rid[j]], {x: M, w: M + c})
     return d
 
 

@@ -287,7 +287,11 @@ def check_consistency(profile: PreferenceProfile, metric: FullMetric,
     """True when no agent's distances strictly contradict its ranking
     (weak inequalities: ties are consistent with any order), beyond ``tol``
     times 1 plus the size of the two distances compared."""
-    d = metric.distances
+    return _keeps_rankings(profile, metric.distances, tol)
+
+
+def _keeps_rankings(profile: PreferenceProfile, d: np.ndarray, tol: float) -> bool:
+    """check_consistency on the agent-facility distances ``d`` alone."""
     if d.shape[0] != profile.n or d.shape[1] != profile.m:
         raise MetricError("profile and metric dimensions disagree")
     r = profile.array

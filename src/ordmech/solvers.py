@@ -103,12 +103,11 @@ def _near_minimal(D: np.ndarray, sizes, largest: bool = False, opening=None) -> 
     return sorted((subset for cost, subset in kept if cost <= least + margin), key=len)
 
 
-def brute_force_optimal(problem: AssignmentProblem, agents: ProjectedAgents,
-                        cap: int = BRUTE_FORCE_CAP) -> SolverResult:
+def brute_force_optimal(problem: AssignmentProblem, agents: ProjectedAgents) -> SolverResult:
     """Globally minimal valid assignment; first in lexicographic order on
     cost ties.  Problems without the matching rule get a subset fast path;
     matchings are enumerated, in ``permutations`` order and costed in
-    chunks within BLOCK, while there are at most ``cap`` of them."""
+    chunks within BLOCK, while there are at most BRUTE_FORCE_CAP of them."""
     n, m = agents.n, problem.m
     cons, spec, D = problem.constraints, problem.cost_spec, agents.distance_matrix
     if not cons.one_per_facility:
@@ -120,9 +119,9 @@ def brute_force_optimal(problem: AssignmentProblem, agents: ProjectedAgents,
 
     # the problem is feasible, so n <= at_most_open: every injective map is valid
     count = math.perm(m, n)
-    if count > cap:
-        raise SearchSpaceError(
-            f"{count} matchings of {n} agents to {m} facilities exceed the {cap} budget")
+    if count > BRUTE_FORCE_CAP:
+        raise SearchSpaceError(f"{count} matchings of {n} agents to {m} facilities exceed "
+                               f"the {BRUTE_FORCE_CAP} budget")
     rows, matchings, best = np.arange(n), permutations(range(m), n), (np.inf, ())
     while chunk := list(islice(matchings, max(1, BLOCK // n))):
         cost = spec.distance_cost.evaluate(D[rows, np.array(chunk)]) + spec.facility_cost(chunk)
@@ -170,21 +169,31 @@ def min_cost_matching(cost) -> SolverResult:
 
 
 def _kuhn_perfect_matching(allowed: np.ndarray) -> list[int] | None:
-    """Perfect matching on a boolean bipartite adjacency, or None."""
+    """Perfect matching on a boolean bipartite adjacency, or None: Kuhn's
+    augmenting paths from each row in turn, depth first over the columns in
+    ascending order, on an explicit stack, so a path may run through every
+    row."""
     n = allowed.shape[0]
     match_col = [-1] * n
-
-    def try_row(r: int, seen: list[bool]) -> bool:
-        for c in range(n):
-            if allowed[r, c] and not seen[c]:
-                seen[c] = True
-                if match_col[c] < 0 or try_row(match_col[c], seen):
-                    match_col[c] = r
-                    return True
-        return False
-
+    columns = [np.flatnonzero(row).tolist() for row in allowed]
     for r in range(n):
-        if not try_row(r, [False] * n):
+        seen = [False] * n
+        path = [(r, iter(columns[r]))]  # the rows on the path, each with its columns left
+        taken: list[int] = []  # the column each row but the last moves to
+        while path:
+            c = next((c for c in path[-1][1] if not seen[c]), -1)
+            if c < 0:  # a dead end: the row before it tries its next column
+                path.pop()
+                del taken[-1:]
+                continue
+            seen[c] = True
+            taken.append(c)
+            if match_col[c] < 0:  # free: every row on the path moves to its column
+                for (row, _), col in zip(path, taken):
+                    match_col[col] = row
+                break
+            path.append((match_col[c], iter(columns[match_col[c]])))
+        else:
             return None
     return match_col
 
@@ -246,13 +255,13 @@ def k_center_greedy(fd_values: np.ndarray, tops, k: int) -> SolverResult:
     return SolverResult(x, value, 2.0, False)
 
 
-def k_median_solver(fd_values: np.ndarray, tops, k: int,
-                    exact_cap: int = KMEDIAN_EXACT_CAP) -> SolverResult:
-    """Exact subset enumeration while C(m, k) fits the budget, otherwise
-    single-swap local search (documented factor 5).  The enumeration screens
-    every k-subset once per distinct projected row, from prefix minima in
-    chunks within BLOCK (``_near_minimal``), and costs per agent only the
-    subsets the screen keeps: the first least in ``combinations`` order."""
+def k_median_solver(fd_values: np.ndarray, tops, k: int) -> SolverResult:
+    """Exact subset enumeration while C(m, k) is at most KMEDIAN_EXACT_CAP,
+    otherwise single-swap local search (documented factor 5).  The
+    enumeration screens every k-subset once per distinct projected row, from
+    prefix minima in chunks within BLOCK (``_near_minimal``), and costs per
+    agent only the subsets the screen keeps: the first least in
+    ``combinations`` order."""
     fd_values = np.asarray(fd_values, dtype=float)
     m = fd_values.shape[0]
     tops = list(tops)
@@ -263,7 +272,7 @@ def k_median_solver(fd_values: np.ndarray, tops, k: int,
     def subset_cost(subset):
         return float(D[:, list(subset)].min(axis=1).sum())
 
-    if math.comb(m, k) <= exact_cap:
+    if math.comb(m, k) <= KMEDIAN_EXACT_CAP:
         cost, subset = min((subset_cost(subset), subset) for subset in _near_minimal(D, (k,)))
         exact, beta = True, 1.0
     else:
@@ -334,7 +343,9 @@ def facility_location_solver(distances: np.ndarray, opening_costs) -> SolverResu
         opened.append(f)
         current = newdist
     value, x = eval_open(opened)
-    beta = sum(1.0 / i for i in range(1, n + 1))  # harmonic-series greedy bound
+    beta = 0.0  # the harmonic-series greedy bound, summed left to right on every Python
+    for i in range(1, n + 1):  # (sum() compensates its rounding from Python 3.12 on)
+        beta += 1.0 / i
     return SolverResult(x, value, max(beta, 1.0), False)
 
 

@@ -429,14 +429,17 @@ def loop_percentile_candidate(poly: ConsistencyPolytope, x: int, w: int, k: int)
     return float(values[best]), S, [j] if cap == j else [j, cap], float(mu[cap]), float(gap[best])
 
 
-def loop_path_bound(poly: ConsistencyPolytope, i: int, p: int, q: int) -> float:
-    """Entry [p, q] of the closure W of agent i's ranking, re-derived from
-    its raw rows (ConsistencyPolytope.raw) by a Bellman-Ford relaxation
-    from p and from q ^ 1, one entry at a time (audit._path_bounds stacks
-    them).  Raises unless it is within a relative 1e-9 of the entry,
-    relative to at least the facility radius."""
-    r = poly.ranking_id[i]
-    raw, entry = poly.raw([r])[0], float(poly.bounds[r, p, q])
+def loop_path_bound(poly: ConsistencyPolytope, i: int, f: int, g: int, neg: bool) -> float:
+    """Entry [f, g] of S (``neg``) or of G of the closure of agent i's
+    ranking, as entry [p, q] = [2f + neg, 2g] of its octagon closure
+    (block_closure), re-derived from the block's raw rows (block_raw) by a
+    Bellman-Ford relaxation from p and from q ^ 1 with the halving step,
+    one entry at a time (audit._path_bounds stacks them, from p alone).
+    Raises unless it is within a relative 1e-9 of the entry, relative to
+    at least the facility radius."""
+    p, q = 2 * f + neg, 2 * g
+    raw = block_raw(*agent_block(poly, i))
+    entry = float((poly.S if neg else poly.G)[poly.ranking_id[i], f, g])
     D = raw[[p, q ^ 1]]  # least sums along paths from p and from q ^ 1
     for _ in range(len(raw)):  # a shortest path has fewer than 2m rows
         last, D = D, np.minimum(D, (D[:, :, None] + raw).min(axis=1))
@@ -458,19 +461,15 @@ _OCT_S, _OCT_T = np.array([(s, t) for s, t in combinations(range(8), 2)
                            if _OCT_A[s] * _OCT_B[t] != _OCT_B[s] * _OCT_A[t]]).T
 _OCT_DET = _OCT_A[_OCT_S] * _OCT_B[_OCT_T] - _OCT_B[_OCT_S] * _OCT_A[_OCT_T]
 _OCT_TOL = np.array([_OCT_A, _OCT_B, -1e-9 * abs(_OCT_A), -1e-9 * abs(_OCT_B)])
-# Row t's bound is closure entry [p, q] (halved for the last four rows), with
-# p and q read as coefficients of (2 f, 2 g, 1) for numerator facility f and g
-_OCT_P = np.array([[1, 0, 1, 1, 1, 1, 0, 0], [0, 1, 0, 0, 0, 0, 1, 1], [0, 0, 1, 0, 1, 0, 1, 0]])
-_OCT_Q = np.array([[0, 1, 0, 0, 1, 1, 0, 0], [1, 0, 1, 1, 0, 0, 1, 1], [0, 0, 0, 1, 0, 1, 0, 1]])
-_OCT_HALF = np.array([1.0, 1.0, 1.0, 1.0, 0.5, 0.5, 0.5, 0.5])
-
-
-def octagon_rows(W, r, f, g):
-    """The eight row bounds of the octagon of ranking r's closure W[r] over
-    (d(f), d(g)), per aligned entry of r, f and g: entries x 8."""
-    F, G = 2 * np.asarray(f)[:, None], 2 * np.asarray(g)[:, None]
-    p, q = (F * C[0] + G * C[1] + C[2] for C in (_OCT_P, _OCT_Q))
-    return W[np.asarray(r)[:, None], p, q] * _OCT_HALF
+def octagon_rows(poly: ConsistencyPolytope, r, f, g):
+    """The eight row bounds of the octagon of ranking r's closure over
+    (d(f), d(g)), per aligned entry of r, f and g: entries x 8, where the
+    three rows that bound a distance or the sum of both from above are
+    absent (inf), as no ranking row bounds those."""
+    r, f, g = (np.asarray(v) for v in (r, f, g))
+    G, S, absent = poly.G, poly.S, np.full(len(r), INF)
+    return np.stack([G[r, f, g], G[r, g, f], S[r, f, g], absent, S[r, f, f] / 2, absent,
+                     S[r, g, g] / 2, absent], axis=1)
 
 
 def octagon_inside(h: np.ndarray, a: np.ndarray, b: np.ndarray, tol=1e-12) -> np.ndarray:
@@ -498,6 +497,30 @@ def loop_octagon_vertices(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if not valid.any(axis=1).all():
         raise InternalInvariantError("a ranking class's octagon has no vertex")
     return np.where(valid, a, -INF), np.where(valid, b, INF)
+
+
+def recursive_kuhn_perfect_matching(allowed: np.ndarray) -> list[int] | None:
+    """Perfect matching on a boolean bipartite adjacency, or None, by Kuhn's
+    augmenting paths with one recursive call per row on a path (the
+    solvers._kuhn_perfect_matching this replaced): each row in turn, the
+    columns in ascending order.  A path through about a thousand rows
+    exceeds Python's recursion limit."""
+    n = allowed.shape[0]
+    match_col = [-1] * n
+
+    def try_row(r: int, seen: list[bool]) -> bool:
+        for c in range(n):
+            if allowed[r, c] and not seen[c]:
+                seen[c] = True
+                if match_col[c] < 0 or try_row(match_col[c], seen):
+                    match_col[c] = r
+                    return True
+        return False
+
+    for r in range(n):
+        if not try_row(r, [False] * n):
+            return None
+    return match_col
 
 
 def batched_binding(j, cap, t):
@@ -561,26 +584,23 @@ def block_closure(A, b):
 def highs_ratio_pair(poly, cls, num_at, num_const, den_at, den_const) -> float:
     """sup (sum_i d(i, num_at) + num_const) / (sum_i d(i, den_at) + den_const)
     as one Charnes-Cooper LP solved by HiGHS: per class its two distances
-    under the eight octagon rows of its closure, each bound multiplied by a
-    joint scale variable, and the scaled mean denominator pinned to one."""
+    under the five octagon rows of its closure that bound anything (see
+    octagon_rows), each bound multiplied by a joint scale variable, and the
+    scaled mean denominator pinned to one."""
     from ordmech.lp import solve_lp
 
     n_cls = len(cls.count)
     r = np.arange(n_cls)
     f = np.broadcast_to(num_at, (n_cls,))
     g = np.broadcast_to(den_at, (n_cls,))
-    W = poly.bounds[cls.keys[:, 0]]
-    F, G = 2 * f, 2 * g
+    G, S = poly.G[cls.keys[:, 0]], poly.S[cls.keys[:, 0]]
     k = 2 * n_cls  # d(i, num_at) and d(i, den_at) per class, then the scale
-    octagon = [(1, -1, W[r, F, G]), (-1, 1, W[r, G, F]), (-1, -1, W[r, F + 1, G]),
-               (1, 1, W[r, F, G + 1]), (-1, 0, W[r, F + 1, F] / 2),
-               (1, 0, W[r, F, F + 1] / 2), (0, -1, W[r, G + 1, G] / 2),
-               (0, 1, W[r, G, G + 1] / 2)]
+    octagon = [(1, -1, G[r, f, g]), (-1, 1, G[r, g, f]), (-1, -1, S[r, f, g]),
+               (-1, 0, S[r, f, f] / 2), (0, -1, S[r, g, g] / 2)]
     A = np.zeros((len(octagon), n_cls, k + 1))
     for t, (ca, cb, bound) in enumerate(octagon):
         A[t, r, 2 * r], A[t, r, 2 * r + 1], A[t, r, k] = ca, cb, -bound
     A = A.reshape(-1, k + 1)
-    A = A[np.isfinite(A[:, k])]
     c = np.zeros(k + 1)
     c[2 * r] = cls.count / poly.n
     c[k] = num_const / poly.n
@@ -612,7 +632,7 @@ def _ratio_pairs(poly: ConsistencyPolytope, num_at, num_const: np.ndarray,
     group its agents by ranking and both facilities, in order of first
     appearance.  No denominator may vanish (see _pairs_or_vanishing)."""
     n, m, size = poly.n, poly.m, len(num_const)
-    span = len(poly.bounds) * m * m  # codes of one alternative's classes
+    span = len(poly.G) * m * m  # codes of one alternative's classes
     code = ((poly.ranking_id * m + num_at) * m + den_at + span * np.arange(size)[:, None]).ravel()
     _, first, inverse, count = np.unique(code, return_index=True, return_inverse=True,
                                          return_counts=True)
@@ -621,7 +641,7 @@ def _ratio_pairs(poly: ConsistencyPolytope, num_at, num_const: np.ndarray,
     key, count, alt = code[first[order]] % span, count[order], first[order] // n
     start = np.searchsorted(alt, np.arange(size + 1))  # each alternative's first row
     value, upper, _, point_rows = _dinkelbach(
-        poly.bounds, key // (m * m), key // m % m, key[:, None] % m, count, alt, num_const,
+        poly, key // (m * m), key // m % m, key[:, None] % m, count, alt, num_const,
         lambda w, rho: (np.zeros(len(w), dtype=np.intp), den_const))
     return _Pairs(value, upper, lambda j: None if math.isinf(value[j]) else point_rows(
         slice(start[j], start[j + 1]))[rank[inverse[j * n:(j + 1) * n]] - start[j]])

@@ -347,11 +347,11 @@ def test_point_extends_two_consistent_distances():
         poly = ConsistencyPolytope(profile, fd)
         for i in range(profile.n):
             A, b = agent_block(poly, i)
-            W = poly.bounds[poly.ranking_id[i]]
+            r = poly.ranking_id[i]
             d = metric.distances[i]
             for f in range(fd.m):
                 for g in range(fd.m):
-                    row = audit._point(W, {f: d[f], g: d[g]})
+                    row = audit._point(poly.G[r], poly.S[r], {f: d[f], g: d[g]})
                     assert row[[f, g]] == pytest.approx(d[[f, g]], abs=1e-9)
                     assert (A @ row - b).max() <= 1e-9
 
@@ -579,19 +579,30 @@ def _stacked_profiles():
     return cases
 
 
+def _live_blocks(W):
+    """The even -> even and odd -> even quarters of an octagon matrix over
+    v[2a] = d(a), v[2a + 1] = -d(a): the bounds on d(f) - d(g) and on
+    -(d(f) + d(g)), as ConsistencyPolytope's G and S hold them."""
+    return W[0::2, 0::2], W[1::2, 0::2]
+
+
 def test_stacked_closure_matches_per_ranking_oracle():
-    # every ranking's raw matrix holds its block's least row bound per
-    # (p, q), and the stacked pass closes it bit for bit as a Floyd-Warshall
-    # over that block alone; an agent can sit on f iff the row l(f, .)
-    # keeps its chain rows
+    # every ranking's raw blocks hold its block's least row bound per (p, q)
+    # of the octagon matrix, and the stacked pass closes them bit for bit as
+    # a Floyd-Warshall over that block alone; an agent can sit on f iff the
+    # row l(f, .) keeps its chain rows
     for profile, fd in _stacked_profiles():
         poly = ConsistencyPolytope(profile, fd)
         first = np.unique(poly.ranking_id, return_index=True)[1]
-        assert len(poly.bounds) == len(first) == len(set(profile.rankings))
+        assert poly.G.shape == poly.S.shape == (len(first), fd.m, fd.m)
+        assert len(first) == len(set(profile.rankings))
         for r, i in enumerate(first):
             A, b = agent_block(poly, i)
-            assert poly.raw([r])[0].tolist() == block_raw(A, b).tolist()
-            assert poly.bounds[r].tobytes() == block_closure(A, b).tobytes()
+            G, S = poly.raw([r])
+            assert [G[0].tolist(), S[0].tolist()] == [w.tolist() for w in
+                                                      _live_blocks(block_raw(A, b))]
+            G, S = _live_blocks(block_closure(A, b))
+            assert (poly.G[r].tobytes(), poly.S[r].tobytes()) == (G.tobytes(), S.tobytes())
         chain = fd.m - 1  # the first rows of every block
         for i in range(profile.n):
             A, b = agent_block(poly, i)
@@ -599,15 +610,37 @@ def test_stacked_closure_matches_per_ranking_oracle():
             assert poly.can_sit[i].tolist() == sits.tolist()
 
 
-def test_path_bound_reproduces_every_finite_closure_entry():
-    # a Bellman-Ford relaxation over each ranking's raw rows, with the
-    # halving step, re-derives every finite entry of its closure, not only
-    # the two that a percentile audit reads: one stacked call per profile
-    for profile, fd in _stacked_profiles()[:-4]:  # all but the m = 10 profiles
+def test_closure_keeps_the_two_live_quarters_of_the_octagon():
+    # per ranking, the octagon closure of its block alone has nothing but
+    # +inf on d(f) + d(g) (even -> odd) and G transposed on -d(f) + d(g)
+    # (odd -> odd), so G and S, its even -> even and odd -> even quarters,
+    # are all of it, bit for bit: full and top-only profiles, and at m = 10
+    # across chunks
+    for profile, fd in _stacked_profiles():
         poly = ConsistencyPolytope(profile, fd)
-        r, p, q = np.nonzero(np.isfinite(poly.bounds))
-        found = audit._path_bounds(poly, poly.first[r], p, q)
-        for e, W in enumerate(poly.bounds[r, p, q].tolist()):
+        for r, i in enumerate(poly.first):
+            W = block_closure(*agent_block(poly, i))
+            assert (W[0::2, 1::2] == np.inf).all()
+            assert W[1::2, 1::2].tobytes() == W[0::2, 0::2].T.tobytes()
+            assert poly.G[r].tobytes() == W[0::2, 0::2].tobytes()
+            assert poly.S[r].tobytes() == W[1::2, 0::2].tobytes()
+
+
+def test_path_bound_reproduces_every_certified_closure_entry():
+    # a Bellman-Ford relaxation over each ranking's raw rows from one source
+    # re-derives every entry of G and every entry on S's diagonal, the only
+    # entries an audit certifies, not only the two that a percentile audit
+    # reads: one stacked call per profile
+    for profile, fd in _stacked_profiles()[:-4]:  # all but the m = 10 profiles
+        poly, m = ConsistencyPolytope(profile, fd), fd.m
+        entries = ([(r, f, g, False) for r in range(len(poly.G)) for f in range(m)
+                    for g in range(m)] + [(r, g, g, True) for r in range(len(poly.G))
+                                          for g in range(m)])  # G in full, then S's diagonal
+        r, f, g, neg = (np.array(v) for v in zip(*entries))
+        found = audit._path_bounds(poly, poly.first[r], f, g, neg)
+        entry = np.where(neg, poly.S[r, f, g], poly.G[r, f, g])
+        assert np.isfinite(entry).all()
+        for e, W in enumerate(entry.tolist()):
             assert found[e] == pytest.approx(W, rel=1e-9, abs=1e-9 * poly.radius)
 
 
@@ -617,7 +650,8 @@ def test_each_ranking_closure_is_built_once(monkeypatch):
     # audit refused for its search space builds none
     chunks = []
     real = audit._closure
-    monkeypatch.setattr(audit, "_closure", lambda W: chunks.append(real(W).copy()) or W)
+    monkeypatch.setattr(audit, "_closure",
+                        lambda G, S: real(G, S) or chunks.append([G.copy(), S.copy()]))
     fixtures = Path(__file__).parent / "fixtures"
     inst = load_instance(fixtures / "clustered_n400.json")
     pair = load_instance(fixtures / "matching_pair.json")
@@ -636,13 +670,15 @@ def test_each_ranking_closure_is_built_once(monkeypatch):
         first = np.unique(poly.ranking_id, return_index=True)[1]
         chunks.clear()
         run()
-        size = (2 * fd.m) ** 2
-        assert all(W.shape[1:] == (2 * fd.m, 2 * fd.m) for W in chunks)
-        assert max(W.size for W in chunks) <= max(BLOCK, size)
+        size = 2 * fd.m ** 2  # G and S of one ranking
+        assert all(G.shape[1:] == S.shape[1:] == (fd.m, fd.m) for G, S in chunks)
+        assert max(G.size + S.size for G, S in chunks) <= max(BLOCK, size)
         # the chunks, in order, close each distinct ranking exactly once
         assert len(chunks) == -(-len(first) // max(1, BLOCK // size))
-        assert np.concatenate(chunks).tobytes() == np.stack(
-            [block_closure(*agent_block(poly, i)) for i in first]).tobytes()
+        want = [_live_blocks(block_closure(*agent_block(poly, i))) for i in first]
+        for t in range(2):  # G, then S
+            assert np.concatenate([c[t] for c in chunks]).tobytes() == np.stack(
+                [w[t] for w in want]).tobytes()
     chunks.clear()
     line = facility_distances([f"F{f}" for f in range(17)],
                               np.abs(np.subtract.outer(np.arange(17.0), np.arange(17.0))))
@@ -683,7 +719,8 @@ def test_alternative_blocks_change_no_report(monkeypatch):
             lambda: audit_additive_assignment(x, kmed, kmed_fd, problem),
             lambda: audit_additive_assignment((2,) * 200, fl_profile, line, fl))
     chunks, real = [], audit._closure
-    monkeypatch.setattr(audit, "_closure", lambda W: chunks.append(W.size) or real(W))
+    monkeypatch.setattr(audit, "_closure", lambda G, S: chunks.append(G.size + S.size)
+                        or real(G, S))
     blocked, calls = [], []
     for run in runs:
         blocked.append(run())

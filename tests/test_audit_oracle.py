@@ -414,20 +414,17 @@ def _tie_instance():
     return PreferenceProfile(2, ((0, 1), (1, 0))), fd
 
 
-def _loosen_gaps(W):
+def _loosen_gaps(G, S):
     # every gap d(w) - d(x) the closure bounds grows by 1/2, past what any
     # path of ranking rows implies
-    even = np.arange(0, W.shape[1], 2)
-    for ranking in W:  # every slice of the chunk
-        ranking[np.ix_(even, even)] += 0.5 * (1 - np.eye(len(even)))
-    return W
+    G += 0.5 * (1 - np.eye(G.shape[1]))  # every slice of the chunk
 
 
-def _tighten_entries(W):
+def _tighten_entries(G, S):
     # every positive finite closure entry shrinks by a tenth, below what the
     # ranking rows imply
-    W[np.isfinite(W) & (W > 0)] *= 0.9
-    return W
+    for W in (G, S):
+        W[np.isfinite(W) & (W > 0)] *= 0.9
 
 
 @pytest.mark.parametrize("tamper", [_loosen_gaps, _tighten_entries])
@@ -435,15 +432,15 @@ def test_tampered_percentile_closure_entry_is_an_error(monkeypatch, tamper):
     real = audit._closure
     profile, fd = _tie_instance()
     assert audit_percentile_social_choice(0, profile, fd, 1.0).value > 1.0
-    monkeypatch.setattr(audit, "_closure", lambda W: tamper(real(W)))
+    monkeypatch.setattr(audit, "_closure", lambda G, S: real(G, S) or tamper(G, S))
     with pytest.raises(InternalInvariantError, match="closure entry"):
         audit_percentile_social_choice(0, profile, fd, 1.0)
 
 
 def test_tampered_gap_entry_inside_the_certificate_stack_is_an_error(monkeypatch):
-    # one ranking's [2w, 2x] entry grows, for the ranking that binds an
+    # one ranking's G[w, x] entry grows, for the ranking that binds an
     # alternative x in the middle of the certified entries: at m = 25 each
-    # chunk of the stack holds three entries, two per alternative, so x is
+    # chunk of the stack holds 13 entries, two per alternative, so x is
     # neither in the first nor in the last chunk, and only the check of
     # every entry in every chunk finds it
     rng = np.random.default_rng(2323)
@@ -453,7 +450,7 @@ def test_tampered_gap_entry_inside_the_certificate_stack_is_an_error(monkeypatch
     report = audit_percentile_social_choice(w, profile, fd, alpha)
     xs = [x for x, v in report.per_alternative]
     assert all(1.0 < v < math.inf for _, v in report.per_alternative)  # all stacked
-    step = BLOCK // (2 * fd.m) ** 2
+    step = BLOCK // fd.m ** 2
     t = len(xs) // 2
     assert step < 2 * t and 2 * t + 2 < 2 * len(xs) - step
     poly = audit.ConsistencyPolytope(profile, fd)
@@ -464,10 +461,10 @@ def test_tampered_gap_entry_inside_the_certificate_stack_is_an_error(monkeypatch
     class Tampered(audit.ConsistencyPolytope):
         def __init__(self, *args):
             super().__init__(*args)
-            self.bounds[r, 2 * w, 2 * x] += 0.5
+            self.G[r, w, x] += 0.5
 
     monkeypatch.setattr(audit, "ConsistencyPolytope", Tampered)
-    entry = re.escape(f"closure entry [{2 * w}, {2 * x}]")
+    entry = re.escape(f"closure entry G[{w}, {x}]")
     with pytest.raises(InternalInvariantError, match=entry):
         audit_percentile_social_choice(w, profile, fd, alpha)
 

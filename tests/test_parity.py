@@ -21,6 +21,7 @@ from ordmech import (AssignmentProblem, ConstraintSet, CostSpec, DistanceCost, F
                      majority_graph, median_winner, min_cost_matching,
                      preferences_from_metric, project_agents,
                      validate_distance_matrix)
+from ordmech import audit
 from ordmech.audit import (ConsistencyPolytope, _octagon_points, _path_bounds,
                            _percentile_candidates)
 from ordmech.core import BLOCK
@@ -536,16 +537,19 @@ def _percentile_profiles(seed, count):
     return instances
 
 
-def test_batched_percentile_candidates_and_path_sums_match_loop_oracles():
+def test_batched_percentile_candidates_and_path_sums_match_loop_oracles(monkeypatch):
     # one pass over every alternative gives each x the per-alternative
     # loop's candidate bit for bit, for every ordered pair (x, w) and every
     # k; one stacked relaxation over every certified entry of a profile (its
     # M and c entries for every w, k and x of finite value, many chunks)
-    # gives the scalar relaxation's path sums bit for bit
+    # gives the scalar relaxation's path sums bit for bit.  A quarter of
+    # BLOCK cuts the stacks into chunks of BLOCK // (2m)^2 entries, as many
+    # as when each entry relaxed over the whole octagon matrix
+    monkeypatch.setattr(audit, "BLOCK", BLOCK // 4)
     chunked = 0
     for profile, fd in _percentile_profiles(109, 24):
         poly = ConsistencyPolytope(profile, fd)
-        agents, p, q, want_sums = [], [], [], []
+        agents, f, g, neg, want_sums = [], [], [], [], []
         for w in range(fd.m):
             xs = np.delete(np.arange(fd.m), w)
             for k in range(1, profile.n + 1):
@@ -557,14 +561,16 @@ def test_batched_percentile_candidates_and_path_sums_match_loop_oracles():
                 for t, x in enumerate(xs.tolist()):
                     assert np.array_equal(subset(t), want[t][1])
                     assert batched_binding(j, cap, t) == want[t][2]
-                    if np.isfinite(value[t]):
+                    if np.isfinite(value[t]):  # S[x, x] of cap, G[w, x] of j
                         agents += [cap[t], j[t]]
-                        p += [2 * x + 1, 2 * w]
-                        q += [2 * x, 2 * x]
-                        want_sums += [loop_path_bound(poly, cap[t], 2 * x + 1, 2 * x),
-                                      loop_path_bound(poly, j[t], 2 * w, 2 * x)]
-        chunked += len(p) > BLOCK // (2 * fd.m) ** 2
-        found = _path_bounds(poly, np.array(agents, dtype=np.intp), np.array(p), np.array(q))
+                        f += [x, w]
+                        g += [x, x]
+                        neg += [True, False]
+                        want_sums += [loop_path_bound(poly, cap[t], x, x, True),
+                                      loop_path_bound(poly, j[t], w, x, False)]
+        chunked += len(f) > audit.BLOCK // fd.m ** 2
+        found = _path_bounds(poly, np.array(agents, dtype=np.intp), np.array(f, dtype=np.intp),
+                             np.array(g, dtype=np.intp), np.array(neg, dtype=bool))
         assert found.tobytes() == np.array(want_sums).tobytes()
     assert chunked >= 10  # stacks of more than one chunk
 
@@ -586,10 +592,10 @@ def test_octagon_point_reaches_the_vertex_maximum(top_only):
             profile = PreferenceProfile(fd.m, tuple(r[:1] for r in profile.rankings),
                                         top_only=True)
         poly, m = ConsistencyPolytope(profile, fd), fd.m
-        r, f = np.repeat(np.arange(len(poly.bounds)), m), np.tile(np.arange(m), len(poly.bounds))
+        r, f = np.repeat(np.arange(len(poly.G)), m), np.tile(np.arange(m), len(poly.G))
         g = np.tile(np.arange(m), (len(r), 1))
-        a, b = (v.ravel() for v in _octagon_points(poly.bounds, r, f, g))
-        h = octagon_rows(poly.bounds, np.repeat(r, m), np.repeat(f, m), g.ravel())
+        a, b = (v.ravel() for v in _octagon_points(poly, r, f, g))
+        h = octagon_rows(poly, np.repeat(r, m), np.repeat(f, m), g.ravel())
         va, vb = loop_octagon_vertices(h)
         inside = octagon_inside(h, va, vb)
         for rho in (1.0, *rng.uniform(1.0, 10.0, 2), 1e6):

@@ -15,8 +15,11 @@ from ordmech import (PRESET_NAMES, SOLVERS, PreferenceProfile, SearchSpaceError,
                      total_cost)
 from ordmech.cli import main
 
+from ordmech import solvers
+from ordmech.solvers import _kuhn_perfect_matching
+
 from helpers import (iter_valid_assignments, random_consistent_metric,
-                     random_facility_distances)
+                     random_facility_distances, recursive_kuhn_perfect_matching)
 
 
 def _projected(preset, fd, rankings, params=None):
@@ -148,6 +151,37 @@ def test_bottleneck_equals_brute_force():
         assert result.value == pytest.approx(_bottleneck_oracle(cost), abs=1e-9)
 
 
+def test_kuhn_matching_runs_paths_through_every_row():
+    # row r may take columns r - 1 and r: row r's augmenting search runs
+    # through rows r - 1, ..., 0 before it takes column r, deeper than the
+    # recursion limit lets the recursive search go (RecursionError, after
+    # about a minute of scanning)
+    n = 1200
+    chain = np.eye(n, dtype=bool) | np.eye(n, k=-1, dtype=bool)
+    assert _kuhn_perfect_matching(chain) == list(range(n))
+    chain[0, 0] = False  # row 0 has no column left: no perfect matching
+    assert _kuhn_perfect_matching(chain) is None
+
+
+def test_kuhn_matching_matches_the_recursive_search():
+    # the same augmenting paths in the same order, so the same matching
+    rng = np.random.default_rng(16)
+    for _ in range(300):
+        n = int(rng.integers(1, 61))
+        allowed = rng.random((n, n)) < rng.uniform(0.02, 0.3)
+        if rng.random() < 0.5:  # dense enough that most have a perfect matching
+            allowed |= np.eye(n, dtype=bool)[rng.permutation(n)]
+        assert _kuhn_perfect_matching(allowed) == recursive_kuhn_perfect_matching(allowed)
+
+
+def test_greedy_facility_location_beta_sums_left_to_right():
+    # H_1000 summed left to right, as Python before 3.12 sums floats; sum()
+    # compensates from 3.12 on and reads 7.485470860550345
+    D = np.random.default_rng(17).uniform(0, 10, (1000, 17))
+    result = solvers.facility_location_solver(D, np.ones(17))
+    assert not result.exact and result.beta == 7.485470860550343
+
+
 def _kcenter_opt(fd_values, tops, k):
     m = fd_values.shape[0]
     return min(max(min(fd_values[t, f] for f in subset) for t in tops)
@@ -207,13 +241,15 @@ def test_k_median_exact_matches_enumeration():
             assert result.value == pytest.approx(0.0)
 
 
-def test_k_median_local_search_bracketed_by_exact():
+def test_k_median_local_search_bracketed_by_exact(monkeypatch):
     rng = np.random.default_rng(14)
     for _ in range(20):
         fd = random_facility_distances(rng, 5)
         tops = tuple(int(t) for t in rng.integers(0, 5, 6))
         exact = k_median_solver(fd.values, tops, 2)
-        local = k_median_solver(fd.values, tops, 2, exact_cap=0)
+        monkeypatch.setattr(solvers, "KMEDIAN_EXACT_CAP", 0)
+        local = k_median_solver(fd.values, tops, 2)
+        monkeypatch.undo()
         assert not local.exact and local.beta == 5.0
         assert exact.value <= local.value + 1e-9
         assert local.value <= 5 * exact.value + 1e-9
