@@ -17,6 +17,9 @@ co-located with it, infinite when as many agents as the denominator
 needs seated (n for a sum, k for a k-th smallest distance) can sit on y
 away from the winner, and is solved otherwise.  An assignment audit
 screens its family the same way.  Only the maximizer's witness is built.
+Zero means exactly 0: these tests compare input numbers or their sums,
+never with a threshold, so no value depends on the unit of length, and a
+ratio beyond what a float64 witness reaches raises (_finalize).
 
 A ranking's rows are unit two-variable inequalities, so shortest paths,
 in one stacked pass over the distinct rankings in chunks within BLOCK
@@ -89,17 +92,18 @@ class AuditReport:
 class ConsistencyPolytope:
     """The consistent-metric closure per distinct ranking: its raw row
     bounds (raw), their closure (_closure) and who can sit on which
-    facility.  Per ranking r, G[r, f, g] bounds d(f) - d(g) and S[r, f, g]
-    -(d(f) + d(g)).  The rankings share the pair rows and differ in their
-    chain rows, so the pair rows are kept once and the chain per ranking,
-    and one stacked pass closes every ranking in place, in chunks within BLOCK."""
+    facility, read exactly off the facility distances.  Per ranking r,
+    G[r, f, g] bounds d(f) - d(g) and S[r, f, g] -(d(f) + d(g)).  The
+    rankings share the pair rows and differ in their chain rows, so the
+    pair rows are kept once and the chain per ranking, and one stacked
+    pass closes every ranking in place, in chunks within BLOCK."""
 
     def __init__(self, profile: PreferenceProfile, fd: FacilityDistances):
         if profile.m != fd.m:
             raise MetricError("profile and facility distances disagree on m")
         self.profile, self.fd, self.n, self.m = profile, fd, profile.n, profile.m
         m, l = profile.m, fd.values
-        self.radius = max(float(l.max()), 1.0)
+        self.radius = float(l.max()) if l.max() > 0 else 1.0
         self.ranking_id = profile.class_of  # distinct rankings, in order of first appearance
         self.first = np.unique(self.ranking_id, return_index=True)[1]  # an agent per ranking
         ranks = profile.class_array
@@ -121,7 +125,7 @@ class ConsistencyPolytope:
             self.G[part], self.S[part] = self.raw(part)
             _closure(self.G[part], self.S[part])
             # one may sit on facility f iff l(f, .) never falls along the chain
-            sit[part] = (l[:, self.before[part]] <= l[:, self.after[part]] + 1e-9).all(axis=2).T
+            sit[part] = (self.l[:, self.before[part]] <= self.l[:, self.after[part]]).all(axis=2).T
         self.can_sit = sit[self.ranking_id]  # n x m
 
     def raw(self, rankings) -> tuple[np.ndarray, np.ndarray]:
@@ -136,10 +140,6 @@ class ConsistencyPolytope:
         """Smallest consistent d(i, f) of each of ``agents``, broadcast against f."""
         low = np.maximum(-self.S[self.ranking_id[agents], f, f] / 2, 0.0)
         return np.where(self.can_sit[agents, f], 0.0, low)
-
-    def max_distance_gap(self, agents, w, x) -> np.ndarray:
-        """Largest consistent d(i, w) - d(i, x) of ``agents``, broadcast with w, x."""
-        return self.G[self.ranking_id[agents], w, x]
 
     def interior_metric(self) -> np.ndarray:
         """All agents equally far from everything: consistent with every
@@ -174,7 +174,7 @@ def _path_bounds(poly: ConsistencyPolytope, agents, f, g, neg) -> np.ndarray:
     halving step leaves as it is.  The entries relax as one stack, in chunks
     whose temporaries keep within BLOCK elements (or one entry).  Raises at
     the first entry not within a relative 1e-9 of the closure's, relative
-    to at least the facility radius."""
+    to at least the largest facility distance (the polytope's radius)."""
     r, found, step = poly.ranking_id[agents], np.empty(len(f)), max(1, BLOCK // poly.m ** 2)
     for lo in range(0, len(r), step):
         s, at = slice(lo, lo + step), np.arange(len(r[lo:lo + step]))
@@ -218,10 +218,10 @@ def _point(G: np.ndarray, S: np.ndarray, fixed: dict[int, float]) -> np.ndarray:
 
 
 def _ratio(num, den) -> np.ndarray:
-    """num / den elementwise, where a vanishing denominator reads as an
-    infinite ratio, or as 1 when the numerator vanishes too."""
+    """num / den elementwise, where a vanishing denominator (<= 0) reads as
+    an infinite ratio, or as 1 when the numerator vanishes too."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(den <= 1e-12, np.where(num > 1e-12, INF, 1.0), np.divide(num, den))
+        return np.where(den <= 0, np.where(num > 0, INF, 1.0), np.divide(num, den))
 
 
 def _at_most(lo: float | None, hi: float) -> bool:
@@ -289,8 +289,8 @@ def _dinkelbach(poly: ConsistencyPolytope, r, f, g, count: np.ndarray, family: n
     every point has num - rho den <= F(rho), so with the family's least
     denominator den_lo (``choose`` on each class's least b, mu), rho +
     max(F(rho), 0) / den_lo is one, or rho itself where den_lo vanishes.
-    A step to an infinite ratio (a zero denominator below the 1e-12 of the
-    vanishing screens) reads infinite.  Returns values, upper bounds, the
+    A step to chosen points of zero denominator under a positive numerator
+    reads infinite (_ratio).  Returns values, upper bounds, the
     last step's seats and ``point_rows(s)``: the chosen points of the
     classes in slice s, extended to full rows (_point)."""
     a, b = _octagon_points(poly, r, f, g)
@@ -312,8 +312,7 @@ def _dinkelbach(poly: ConsistencyPolytope, r, f, g, count: np.ndarray, family: n
         raise InternalInvariantError("Dinkelbach's method did not converge")
     low_seat, low_const = choose(-b, np.ones(size))
     den_lo = np.bincount(family, count * b[rows, low_seat], size) + low_const
-    with np.errstate(divide="ignore", invalid="ignore"):
-        upper = np.where(den_lo > 1e-12, rho + np.maximum(gap, 0.0) / den_lo, rho)
+    upper = rho + np.maximum(gap, 0.0) / np.where(den_lo > 0, den_lo, INF)
     fixed = (r, f, g[rows, seat], a_at, b_at)
 
     def point_rows(s: slice) -> np.ndarray:
@@ -328,8 +327,8 @@ def _finalize(poly: ConsistencyPolytope, objective: str, target, keys: list,
     """Assemble the report: pick the maximizing alternative, build its
     witness alone, and re-evaluate the ratio on the witness.  Every outcome
     carries a certified upper bound: the witness's ratio, the value and the
-    largest bound must come in that order, and the witness must reach the
-    value."""
+    largest bound must come in that order, the witness must reach the
+    value, and the bound must match it, each within a relative 1e-9."""
     top = int(np.argmax(np.append(1.0, pairs.value))) - 1  # -1: none exceeds 1
     best = float(pairs.value[top]) if top >= 0 else 1.0
     rows, flags = pairs.witness(top) if top >= 0 else None, ()
@@ -346,8 +345,9 @@ def _finalize(poly: ConsistencyPolytope, objective: str, target, keys: list,
         if not _keeps_rankings(poly.profile, unit, 1e-7):
             raise InternalInvariantError("audit witness is not consistent")
     upper = float(np.max(pairs.upper, initial=1.0))
-    reached = witness_ratio is None or _at_most(best, witness_ratio)
-    if not (_at_most(witness_ratio, best) and _at_most(best, upper) and reached):
+    # each at most the next within 1e-9: witness ratio <= value <= bound <= value <= witness ratio
+    chain = [witness_ratio, best, upper, best, best if witness_ratio is None else witness_ratio]
+    if not all(map(_at_most, chain, chain[1:])):
         raise InternalInvariantError(
             f"witness ratio {witness_ratio}, value {best} and certified upper "
             f"bound {upper} are out of order")
@@ -359,17 +359,17 @@ def _finalize(poly: ConsistencyPolytope, objective: str, target, keys: list,
 def _social_choice(poly: ConsistencyPolytope, objective: str, winner, seated: int, solve,
                    alpha: float | None, recompute) -> AuditReport:
     """The report of ``winner`` against each other facility y, in order.
-    Co-located with the winner, y reads 1.  If ``seated`` agents (n for a
-    sum, k for a k-th smallest distance) can sit on y and their distances
-    to the winner stay positive, y's denominator vanishes under a positive
-    numerator: y reads infinite, witnessed by seating the first ``seated``
-    there and the rest far away.  The other alternatives ys come from
-    ``solve(ys)``."""
+    Co-located with the winner (at distance 0), y reads 1.  Else, if
+    ``seated`` agents (n for a sum, k for a k-th smallest distance) can sit
+    on y, their distances to the winner stay l(y, winner) > 0: y's
+    denominator vanishes under a positive numerator and y reads infinite,
+    witnessed by seating the first ``seated`` there and the rest far away.
+    The other alternatives ys come from ``solve(ys)``."""
     if not ConstraintSet(poly.m).is_valid((winner,)):
         raise SolverError(f"winner {winner!r} is not a facility index below m = {poly.m}")
-    l, others = poly.fd.values, np.delete(np.arange(poly.m), winner)
-    one, can = l[winner, others] <= 1e-12, poly.can_sit[:, others].sum(axis=0)
-    infinite = ~one & (can >= seated) & (can * l[others, winner] > 1e-12)
+    l, others = poly.l, np.delete(np.arange(poly.m), winner)
+    one, can = l[winner, others] <= 0, poly.can_sit[:, others].sum(axis=0)
+    infinite = ~one & (can >= seated)
     todo = np.flatnonzero(~infinite & ~one)
     part = solve(others[todo])
     value, upper = np.where(infinite, INF, 1.0), np.where(infinite, INF, 1.0)
@@ -434,7 +434,7 @@ def audit_additive_assignment(x, profile: PreferenceProfile,
     facility of the alternative.  The same solve, on the distances of the
     free facilities each class may sit on to its facility in x, and a
     penalty above their sum elsewhere, finds the vanishing seating of
-    largest numerator; the value is infinite when that exceeds 1e-12.
+    largest numerator; the value is infinite when that is positive.
     The report lists the maximizer alone."""
     if problem.cost_spec.distance_cost is not DistanceCost.SUM:
         raise SolverError("assignment audits need the additive distance cost")
@@ -443,7 +443,7 @@ def audit_additive_assignment(x, profile: PreferenceProfile,
         raise SolverError("assignment length does not match the agent count")
     if not problem.constraints.is_valid(x):
         raise SolverError("audited assignment violates the constraints")
-    n, m, cons, spec, l = profile.n, fd.m, problem.constraints, problem.cost_spec, fd.values
+    n, m, cons, spec = profile.n, fd.m, problem.constraints, problem.cost_spec
     bound = min(cons.at_most_open or m, m, n)
     opening = np.zeros(m) if spec.opening_costs is None else np.array(spec.opening_costs)
     sizes = range(1, bound + 1) if opening.any() else (bound,)
@@ -470,11 +470,11 @@ def audit_additive_assignment(x, profile: PreferenceProfile,
                 least, best = cost[j], (arg[j].astype(np.intp), used[j])
         return best
 
-    far, free = l[:, f].T, poly.can_sit[cls] & (opening == 0)  # classes x m
-    seat = (choose(np.where(free, far, -1.0 - 2.0 * n * float(l.max())), np.zeros(1))[0]
+    far, free = poly.l[:, f].T, poly.can_sit[cls] & (opening == 0)  # classes x m
+    seat = (choose(np.where(free, far, -1.0 - 2.0 * n * poly.radius), np.zeros(1))[0]
             if free.any(axis=1).all() else None)  # a seating of largest numerator, if free
-    if seat is not None and free[rows, seat].all() and num_const + far[rows, seat] @ count > 1e-12:
-        pairs = _Pairs(np.array([INF]), np.array([INF]), lambda j: l[seat[member]])
+    if seat is not None and free[rows, seat].all() and num_const + far[rows, seat] @ count > 0:
+        pairs = _Pairs(np.array([INF]), np.array([INF]), lambda j: poly.l[seat[member]])
     else:
         value, upper, seat, point_rows = _dinkelbach(
             poly, poly.ranking_id[cls], f, np.tile(np.arange(m), (len(cls), 1)), count,
@@ -535,7 +535,7 @@ def _percentile_candidates(poly: ConsistencyPolytope, xs: np.ndarray, w: int, k:
         for t in cols.tolist():  # per column: comparing all at once takes classes x n x xs
             first_at[:, t] = order[np.searchsorted(ordered[:, t], cap_mu[:, t]), t]
         cap = np.where(mu[first] >= cap_mu, cap, first_at)
-    gap, low = np.maximum(poly.max_distance_gap(first[:, None], w, xs), 0.0), mu[cap, cols]
+    gap, low = np.maximum(poly.G[:, w, xs], 0.0), mu[cap, cols]  # G[r]: first[r]'s ranking
     with np.errstate(divide="ignore", invalid="ignore"):
         values = np.where(low > 0, 1.0 + gap / low, INF)
     top = values.max(axis=0)

@@ -76,11 +76,11 @@ def _first(mask: np.ndarray) -> tuple[int, ...] | None:
     return None
 
 
-def validate_distance_matrix(values, tol: float = TOL) -> MetricCheck:
+def validate_distance_matrix(values) -> MetricCheck:
     """Check symmetry, zero diagonal, nonnegativity and the triangle
-    inequality; on failure the report names the first offending entry:
-    diagonal, then pairs i < j, then triples (i, j, k), each in
-    lexicographic order.  A non-finite entry, or one beyond
+    inequality, each within TOL; on failure the report names the first
+    offending entry: diagonal, then pairs i < j, then triples (i, j, k),
+    each in lexicographic order.  A non-finite entry, or one beyond
     ``MAX_DISTANCE`` in size, raises ``MetricError``."""
     a = np.asarray(values, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -89,19 +89,19 @@ def validate_distance_matrix(values, tol: float = TOL) -> MetricCheck:
         raise MetricError(f"non-finite distance {a[bad]} at {bad}")
     if (bad := _first(np.abs(a) > MAX_DISTANCE)) is not None:
         raise MetricError(f"distance {a[bad]} at {bad} exceeds {MAX_DISTANCE:g}")
-    if (bad := _first(np.abs(np.diag(a)) > tol)) is not None:
+    if (bad := _first(np.abs(np.diag(a)) > TOL)) is not None:
         return MetricCheck(False, "nonzero diagonal", bad * 2)
     f, g = pair_indices(len(a))
-    negative = (a[f, g] < -tol) | (a[g, f] < -tol)
-    if (bad := _first(negative | (np.abs(a[f, g] - a[g, f]) > tol))) is not None:
+    negative = (a[f, g] < -TOL) | (a[g, f] < -TOL)
+    if (bad := _first(negative | (np.abs(a[f, g] - a[g, f]) > TOL))) is not None:
         p = bad[0]
         return MetricCheck(False, "negative distance" if negative[p] else "asymmetric",
                            (int(f[p]), int(g[p])))
     rows, size = max(1, BLOCK // max(a.size, 1)), np.abs(a)
     for start in range(0, len(a), rows):
-        # [i, j, k]: a[i, k] > a[i, j] + a[j, k] beyond tol (1 + the three sizes)
+        # [i, j, k]: a[i, k] > a[i, j] + a[j, k] beyond TOL (1 + the three sizes)
         block, over = a[start:start + rows], size[start:start + rows]
-        slack = tol * (1 + over[:, None, :] + over[:, :, None] + size)
+        slack = TOL * (1 + over[:, None, :] + over[:, :, None] + size)
         if (bad := _first(block[:, None, :] > block[:, :, None] + a + slack)) is not None:
             return MetricCheck(False, "triangle inequality violated", (start + bad[0], *bad[1:]))
     return MetricCheck(True)

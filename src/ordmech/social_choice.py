@@ -19,7 +19,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .core import (TOL, FacilityDistances, FullMetric, PreferenceProfile, ProjectedAgents,
+from .core import (FacilityDistances, FullMetric, PreferenceProfile, ProjectedAgents,
                    pair_indices)
 from .errors import InternalInvariantError, ProfileError
 
@@ -76,7 +76,7 @@ def majority_graph(profile: PreferenceProfile) -> MajorityGraph:
 @dataclass(frozen=True)
 class DistancePartialOrder:
     """Known "<=" relation between facility-pair distances.  From numeric
-    distances (``values``) ``leq`` compares two values directly.  From
+    distances (``values``) ``leq`` compares two values exactly.  From
     candidate rankings it reads the transitive closure ``reach`` of the
     ``chain`` edges (closer pair, farther pair) along each ranking, which
     is built only for candidate rankings and only on the first query;
@@ -98,14 +98,14 @@ class DistancePartialOrder:
     def leq(self, pair_a: tuple[int, int], pair_b: tuple[int, int]) -> bool:
         p, q = self.pair_index(*pair_a), self.pair_index(*pair_b)
         if self.values is not None:
-            return bool(self.values[p] <= self.values[q] + TOL)
+            return bool(self.values[p] <= self.values[q])
         return bool(self.reach[p, q])
 
     @functools.cached_property
     def reach(self) -> np.ndarray:
         """reach[p, q]: distance of pair p known <= pair q."""
         if self.values is not None:
-            reach = self.values[:, None] <= self.values[None, :] + TOL
+            reach = self.values[:, None] <= self.values[None, :]
         else:
             reach = _reachability(len(self.pairs), self.chain)
         reach.flags.writeable = False

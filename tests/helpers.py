@@ -160,10 +160,10 @@ def bincount_majority_counts(array, m):
     return prefer.reshape(m, m)
 
 
-def loop_numeric_reach(fd, tol=1e-9):
+def loop_numeric_reach(fd):
     pairs = list(combinations(range(fd.m), 2))
     vals = [fd.values[f, g] for f, g in pairs]
-    return np.array([[vp <= vq + tol for vq in vals] for vp in vals], dtype=bool)
+    return np.array([[vp <= vq for vq in vals] for vp in vals], dtype=bool)
 
 
 def loop_candidate_reach(rankings):
@@ -418,7 +418,7 @@ def loop_percentile_candidate(poly: ConsistencyPolytope, x: int, w: int, k: int)
         cap_mu = mu[np.where(rank[poly.first] < k - 1, order[k - 1], order[k - 2])]
         first_at = order[np.searchsorted(mu[order], cap_mu)]
         cap = np.where(mu[poly.first] >= cap_mu, poly.first, first_at)
-    gap = np.maximum(poly.max_distance_gap(poly.first, w, x), 0.0)
+    gap = np.maximum(poly.G[:, w, x], 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         values = np.where(mu[cap] > 0, 1.0 + gap / mu[cap], INF)
     top = values.max()
@@ -661,11 +661,11 @@ def _pairs_or_vanishing(poly: ConsistencyPolytope, num_at, num_const: np.ndarray
     reads at least 1 when that vanishes too."""
     n, l = poly.n, poly.fd.values
     den_at = np.broadcast_to(den_at, (len(den_const), n))
-    seat = np.where((den_const <= 1e-12)[:, None] & poly.can_sit[np.arange(n), den_at],
+    seat = np.where((den_const <= 0)[:, None] & poly.can_sit[np.arange(n), den_at],
                     den_at, -1)
     vanish = (seat >= 0).sum(axis=1) >= seated
     num_at_zero = num_const + np.where(seat >= 0, l[seat, num_at], 0.0).sum(axis=1)
-    infinite = vanish & (num_at_zero > 1e-12) & ~one
+    infinite = vanish & (num_at_zero > 0) & ~one
     todo = np.flatnonzero(~infinite & ~one)
     part = solve(poly, num_at, num_const[todo], den_at[todo], den_const[todo])
     value, upper = np.where(infinite, INF, 1.0), np.where(infinite, INF, 1.0)
@@ -712,7 +712,7 @@ def highs_sum_values(winner, profile, fd) -> list[float]:
     cls = _classes(poly)
     l = fd.values
     return _highs_values(poly, [
-        None if l[winner, x] <= 1e-12 else
+        None if l[winner, x] <= 0 else
         (np.full(poly.n, winner), 0.0, x, 0.0, (cls, winner, 0.0, x, 0.0))
         for x in range(fd.m) if x != winner])
 
@@ -849,7 +849,7 @@ def highs_percentile_values(winner, profile, fd, alpha) -> list[float]:
     _, j, cap, *_ = _percentile_candidates(poly, others, winner, k)
     values = []
     for t, x in enumerate(others.tolist()):
-        if fd.values[winner, x] <= 1e-12:
+        if fd.values[winner, x] <= 0:
             values.append(1.0)
         elif poly.can_sit[:, x].sum() >= k:
             values.append(float("inf"))
@@ -873,7 +873,7 @@ def subset_percentile_candidate(poly, x, w, k):
     for j in firsts:
         S = subset(j)
         cap = S[np.argmax(mu[S])]
-        gap = max(poly.max_distance_gap(j, w, x), 0.0)
+        gap = max(poly.G[poly.ranking_id[j], w, x], 0.0)
         candidates.append((1.0 + gap / mu[cap] if mu[cap] > 0 else float("inf"), j, cap, gap))
     top = max(c[0] for c in candidates)
     tol = 0.0 if top == float("inf") else 1e-9 * max(1.0, top)

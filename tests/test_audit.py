@@ -93,6 +93,44 @@ def test_audits_of_geometries_scaled_far_up(scale):
                 assert report.flags == base.flags
 
 
+def test_audits_do_not_depend_on_the_unit_of_length():
+    # the audits test zero exactly on input numbers, so a geometry scaled
+    # far down or up keeps every sum, median and k-median value and flag
+    # within 1e-9, and bit for bit when the scale is a power of two.  At
+    # 1e-12 and below, absolute 1e-12 zero tests read facilities as
+    # co-located, or agents as seated where their rankings rule it out
+    rng = np.random.default_rng(5)
+    suite = []
+    for _ in range(200):
+        profile, fd, _ = random_instance(rng, n_max=7, m_max=5)
+        problem = build_preset("k_median", profile.n, fd.facilities, {"k": 2})
+        suite.append((profile, fd, problem,
+                      reduce_and_solve(problem, profile, fd, SOLVERS["k_median"]).assignment))
+
+    def audits(scale):
+        values, flags = [], []
+        for profile, fd, problem, x in suite:
+            fd = facility_distances(fd.facilities.names, fd.values * scale)
+            reports = [audit_additive_assignment(x, profile, fd, problem)]
+            for winner in range(fd.m):
+                reports += [audit_sum_social_choice(winner, profile, fd),
+                            audit_percentile_social_choice(winner, profile, fd, 0.5)]
+            values += [report.value for report in reports]
+            flags += [report.flags for report in reports]
+        return np.array(values), flags
+
+    want, want_flags = audits(1.0)
+    assert len(want) == 1562
+    for scale in (2.0 ** -40, 1e-15, 1e-12, 1e-9, 1e-6, 1e6, 1e9, 1e12):
+        got, flags = audits(scale)
+        assert flags == want_flags, scale
+        if math.frexp(scale)[0] == 0.5:
+            assert got.tobytes() == want.tobytes()
+        finite = np.isfinite(want)
+        np.testing.assert_array_equal(got[~finite], want[~finite])
+        np.testing.assert_allclose(got[finite], want[finite], rtol=1e-9, atol=0, err_msg=scale)
+
+
 def test_unanimous_winner_audits_to_one():
     # everyone's top choice is optimal under every consistent metric
     fd = facility_distances(("F1", "F2"), [[0.0, 2.0], [2.0, 0.0]])
@@ -335,7 +373,7 @@ def test_closure_bounds_match_lp():
                 assert poly.min_agent_distance(i, x) == pytest.approx(res.fun, abs=1e-9)
                 for w in range(m):
                     res = audit.solve_lp(np.eye(m)[w] - np.eye(m)[x], A, b, maximize=True)
-                    assert poly.max_distance_gap(i, w, x) == pytest.approx(res.fun, abs=1e-9)
+                    assert poly.G[poly.ranking_id[i], w, x] == pytest.approx(res.fun, abs=1e-9)
 
 
 def test_point_extends_two_consistent_distances():

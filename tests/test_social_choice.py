@@ -169,6 +169,21 @@ def test_median_winner_ordinal_content_suffices():
         assert numeric.winner == ordinal.winner
 
 
+def test_median_winner_does_not_depend_on_the_unit_of_length():
+    # the distance order compares facility distances exactly, so scaling
+    # them by a power of two keeps every comparison, and so the winner and
+    # its certificates.  An absolute 1e-9 read distinct pairs as equal at
+    # 2^-40: the winner changed on 27 of these 300 instances, and only the
+    # certificates on 2 more
+    rng = np.random.default_rng(9)
+    for _ in range(300):
+        profile, fd, _ = random_instance(rng, n_max=9, m_max=6)
+        want = median_winner(profile, distance_partial_order(fd))
+        for scale in (2.0 ** -40, 2.0 ** 40):
+            scaled = facility_distances(fd.facilities.names, fd.values * scale)
+            assert median_winner(profile, distance_partial_order(scaled)) == want
+
+
 def test_augmentation_pass_is_order_independent(monkeypatch):
     # the pass visits the pairs in a shuffled order instead of the
     # lexicographic one, and must add the same edges
