@@ -16,6 +16,7 @@ it, or where it may change a number kept as written is decoded again with
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import math
@@ -191,8 +192,19 @@ def _decode(text: str | bytes):
 
 
 def parse_instance(text: str | bytes) -> InstanceFile:
-    """The instance in a JSON document, given as text or as UTF-8 bytes."""
-    return instance_from_dict(_decode(text))
+    """The instance in a JSON document, given as text or as UTF-8 bytes.
+
+    The cyclic garbage collector is paused while the document is decoded and
+    built: everything made here is a JSON tree, a tuple or a frozen dataclass,
+    which holds no cycle, so reference counting frees all of it, and a
+    collection would only walk the fresh lists again."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return instance_from_dict(_decode(text))
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def instance_from_dict(data) -> InstanceFile:

@@ -287,7 +287,7 @@ def k_median_solver(fd_values: np.ndarray, tops, k: int) -> SolverResult:
                         continue
                     cand = tuple(sorted(set(subset) - {out} | {inn}))
                     c = subset_cost(cand)
-                    if c < cost - 1e-12:
+                    if c < cost - 1e-12 * cost:  # relative, so free of the unit
                         subset, cost = cand, c
                         improved = True
                         break
@@ -338,7 +338,9 @@ def facility_location_solver(distances: np.ndarray, opening_costs) -> SolverResu
             if best_step is None or delta < best_step[0]:
                 best_step = (delta, f, newdist)
         delta, f, newdist = best_step
-        if opened and delta >= -1e-12:
+        # a step must save a share of the current cost, so the unit of length
+        # does not decide where the greedy stops
+        if opened and delta >= -1e-12 * (current.sum() + costs[opened].sum()):
             break
         opened.append(f)
         current = newdist

@@ -6,6 +6,7 @@ decodes with ``json`` alone.  Every document must give both the same
 instance, matrices bit for bit, or the same schema error.
 """
 
+import gc
 import json
 import sys
 from pathlib import Path
@@ -162,3 +163,63 @@ def test_random_float64_bit_patterns_decode_bit_identically():
         expected = np.array(json.loads(text)["values"], dtype=np.float64)
         np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
         np.testing.assert_array_equal(got.view(np.uint64), values.view(np.uint64))
+
+
+def _gc_documents():
+    """(name, text, loads): documents that load, fail on a name, and take the
+    ``json`` fallback for a NaN that fails or that ``params`` keeps."""
+    scen = json.loads((FIXTURES / "kmedian_scenarios.json").read_text())
+    social = json.loads((FIXTURES / "social_sum_small.json").read_text())
+    yield "loads", json.dumps(scen), True
+    yield "unknown facility", json.dumps(scen).replace('"Y"', '"nowhere"', 1), False
+    yield "NaN in the metric", _dumps_with(scen, ("metric", 0, 0), "NaN"), False
+    yield "NaN in params", _dumps_with(dict(social, params={"w": 0}), ("params", "w"), "NaN"), True
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_parse_instance_restores_the_collector_state(enabled):
+    was = gc.isenabled()
+    try:
+        for name, text, loads in _gc_documents():
+            (gc.enable if enabled else gc.disable)()
+            try:
+                parse_instance(text)
+                assert loads, name
+            except SchemaError:
+                assert not loads, name
+            assert gc.isenabled() is enabled, name
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def test_parse_instance_runs_no_cyclic_collection():
+    """The cyclic collector is paused while a document is decoded and built,
+    so the lists of a large file are not walked again and again."""
+    rng = np.random.default_rng(27)
+    n, m = 2000, 25
+    pts, agents = rng.uniform(0, 10, (m, 2)), rng.uniform(0, 10, (n, 2))
+    names = [f"F{j}" for j in range(m)]
+    d = np.linalg.norm(agents[:, None] - pts[None], axis=2)
+    text = json.dumps({"schema": "ordmech-instance-v1", "facilities": names,
+                       "facility_distances": np.linalg.norm(pts[:, None] - pts[None], axis=2).tolist(),
+                       "preferences": [[names[j] for j in np.argsort(row)] for row in d],
+                       "preset": "social_choice_sum", "metric": d.tolist()})
+    starts = []
+
+    def count(phase, info):  # a collection that starts inside parse_instance's call
+        frame = sys._getframe(1) if phase == "start" else None
+        while frame is not None and frame.f_code is not parse_instance.__code__:
+            frame = frame.f_back
+        if frame is not None:
+            starts.append(info["generation"])
+
+    was = gc.isenabled()
+    gc.enable()
+    gc.callbacks.append(count)
+    try:
+        inst = parse_instance(text)
+    finally:
+        gc.callbacks.remove(count)
+        (gc.enable if was else gc.disable)()
+    assert inst.n == n and inst.metric is not None
+    assert starts == []

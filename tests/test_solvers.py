@@ -255,6 +255,24 @@ def test_k_median_local_search_bracketed_by_exact(monkeypatch):
         assert local.value <= 5 * exact.value + 1e-9
 
 
+def test_heuristic_solvers_do_not_depend_on_the_unit_of_length(monkeypatch):
+    # the greedy facility location (m > FACILITY_EXACT_MAX_M) and the k-median
+    # local search step only on a saving relative to the current cost
+    monkeypatch.setattr(solvers, "KMEDIAN_EXACT_CAP", 0)
+    rng = np.random.default_rng(27)
+    for _ in range(40):
+        m, n, k = int(rng.integers(17, 22)), int(rng.integers(5, 15)), int(rng.integers(2, 6))
+        fd = random_facility_distances(rng, m)
+        tops = [int(t) for t in rng.integers(0, m, n)]
+        costs = rng.uniform(0.5, 3.0, m)
+        unit = (facility_location_solver(fd.values[tops], costs).assignment,
+                k_median_solver(fd.values, tops, k).assignment)
+        for scale in (2.0 ** -40, 1e-15, 1e6):
+            l = fd.values * scale
+            assert (facility_location_solver(l[tops], costs * scale).assignment,
+                    k_median_solver(l, tops, k).assignment) == unit, scale
+
+
 def test_facility_location_single_facility():
     result = facility_location_solver(np.array([[2.0], [3.0]]), [4.0])
     assert result.assignment == (0, 0)
