@@ -155,22 +155,21 @@ class PreferenceProfile:
         self._index(tuple(index), class_of)
 
     @classmethod
-    def _of_classes(cls, m: int, classes: tuple, class_of: list[int]) -> "PreferenceProfile":
-        """The full profile whose agent i ranks ``classes[class_of[i]]``, for
-        distinct ``classes`` in order of first appearance: the constructor
-        without its hashing pass."""
+    def _of_classes(cls, m: int, classes, class_of: list[int]) -> "PreferenceProfile":
+        """The full profile whose agent i ranks row ``class_of[i]`` of ``classes``, an index
+        array of distinct rankings by first appearance: the constructor without hashing."""
         self = object.__new__(cls)
         object.__setattr__(self, "m", m)
-        object.__setattr__(self, "rankings", tuple(map(classes.__getitem__, class_of)))
         object.__setattr__(self, "top_only", False)
         self._index(classes, class_of)
+        object.__setattr__(self, "rankings", tuple(map(self.classes.__getitem__, class_of)))
         return self
 
-    def _index(self, classes: tuple, class_of: list[int]):
-        """Check the rankings and keep their classes and index arrays."""
+    def _index(self, classes, class_of: list[int]):
+        """Check the distinct rankings ``classes`` and keep them with their index arrays."""
         if self.m < 1:
             raise ProfileError("need at least one facility")
-        if not self.rankings:
+        if not class_of:
             raise ProfileError("need at least one agent")
         try:
             arr = np.asarray(classes)
@@ -183,8 +182,8 @@ class PreferenceProfile:
             suspects = np.flatnonzero((arr[:, 0] < 0) | (arr[:, 0] >= self.m))
         else:
             suspects = np.flatnonzero((np.sort(arr, axis=1) != np.arange(self.m)).any(axis=1))
-        for r in map(classes.__getitem__, suspects):
-            i = self.rankings.index(r)
+        for c in suspects:
+            r, i = classes[c], class_of.index(c)
             if len(r) == 0:
                 raise ProfileError(f"agent {i} has an empty ranking")
             if self.top_only:
@@ -192,9 +191,9 @@ class PreferenceProfile:
                     raise ProfileError(f"agent {i}: top-only entry must be one facility index")
             elif sorted(r) != list(range(self.m)):
                 raise ProfileError(f"agent {i}: ranking is not a permutation of all facilities")
-        object.__setattr__(self, "classes", classes)
-        object.__setattr__(self, "class_of", _freeze(class_of, np.intp))
         object.__setattr__(self, "class_array", _freeze(arr, np.intp))
+        object.__setattr__(self, "classes", tuple(map(tuple, self.class_array.tolist())))
+        object.__setattr__(self, "class_of", _freeze(class_of, np.intp))
         object.__setattr__(self, "array", _freeze(self.class_array[self.class_of], np.intp))
 
     @property

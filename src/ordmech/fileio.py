@@ -20,6 +20,8 @@ import gc
 import hashlib
 import json
 import math
+import os
+import stat
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
@@ -29,8 +31,7 @@ import orjson
 
 from .assignment import PRESET_NAMES, build_preset
 from .audit import AuditReport
-from .core import (FacilityDistances, FacilitySet, FullMetric,
-                   PreferenceProfile, facility_distances)
+from .core import FacilityDistances, FacilitySet, FullMetric, PreferenceProfile
 from .errors import (InvalidCostError, MetricError, ProfileError,
                      SchemaError, SolverError)
 
@@ -94,7 +95,7 @@ def _matrix(raw, fieldname: str) -> np.ndarray:
     _expect(set(map(type, chain.from_iterable(raw))) <= {int, float},
             "entries must be numbers", fieldname)
     try:
-        arr = np.asarray(raw, dtype=float)
+        arr = np.fromiter(chain.from_iterable(raw), float).reshape(len(raw), -1)
     except OverflowError:  # an integer beyond float64's range
         raise SchemaError("entries must be finite", field=fieldname) from None
     _expect(bool(np.isfinite(arr).all()), "entries must be finite", fieldname)
@@ -154,8 +155,11 @@ def _shallow(data: bytes) -> bool:
     return int(np.cumsum(np.where(s[outside] & 4, -1, 1)).max(initial=0)) <= _ORJSON_DEPTH
 
 
-def _stdlib_decode(text: str | bytes):
-    """The document as ``json`` reads UTF-8 text, its errors as schema errors."""
+def _stdlib_decode(text: str | bytes, reason: str, *args):
+    """The document as ``json`` reads UTF-8 text, its errors as schema errors.
+    Why orjson did not read it is logged at DEBUG; ``logging`` loads only here."""
+    import logging
+    logging.getLogger(__name__).debug("json decodes the document: " + reason, *args)
     try:
         return json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
     except UnicodeDecodeError as exc:
@@ -177,17 +181,17 @@ def _decode(text: str | bytes):
     ``expected_ratio``) hold such a float, and any nested too deeply."""
     data = text.encode("utf-8", "surrogatepass") if isinstance(text, str) else text
     if not _shallow(data):
-        return _stdlib_decode(text)
+        return _stdlib_decode(text, "it may nest over %d deep", _ORJSON_DEPTH)
     try:
         doc = orjson.loads(data)
-    except orjson.JSONDecodeError:
-        return _stdlib_decode(text)
+    except orjson.JSONDecodeError as exc:
+        return _stdlib_decode(text, "orjson refused it (%s)", exc)
     if isinstance(doc, dict):
         kept, scenarios = [doc.get("params")], doc.get("scenarios")
         if isinstance(scenarios, list):
             kept += [s.get("expected_ratio") for s in scenarios if isinstance(s, dict)]
         if _holds_big_float(kept):
-            return _stdlib_decode(text)
+            return _stdlib_decode(text, "a number kept as written is >= 2**63")
     return doc
 
 
@@ -259,21 +263,24 @@ def instance_from_dict(data) -> InstanceFile:
         raw = data["preferences"]
         _expect(isinstance(raw, list) and raw, "must be a nonempty list",
                 "preferences")
-        try:  # a class id per agent, names resolved once per distinct ranking
+        try:  # a class id per agent, the distinct rankings' names resolved in one pass
             if set(map(type, raw)) != {list}:
                 raise TypeError("a ranking is not a list")
             ids: dict = {}
             class_of = [ids.setdefault(tuple(r), len(ids)) for r in raw]
-            resolved = tuple([tuple([index[g] for g in key]) for key in ids])
+            flat = np.fromiter(map(index.__getitem__, chain.from_iterable(ids)), np.intp)
         except (KeyError, TypeError):  # the per-agent loop names the first bad entry
             for i, entry in enumerate(raw):
                 _expect(isinstance(entry, list), "ranking must be a list", f"preferences[{i}]")
                 _facility_indices(index, entry, f"preferences[{i}]")
             raise
+        classes = (flat.reshape(-1, m) if set(map(len, ids)) == {m}  # else refused by the check
+                   else np.split(flat, np.cumsum(list(map(len, ids)))[:-1]))
         try:  # names map to indices one to one, so the classes stay distinct
-            profile = PreferenceProfile._of_classes(m, resolved, class_of)
+            profile = PreferenceProfile._of_classes(m, classes, class_of)
         except ProfileError as exc:
             raise SchemaError(str(exc), field="preferences") from None
+        del flat, classes  # the profile keeps its own copy; free this one before the metric
     else:
         raw = data["tops"]
         _expect(isinstance(raw, list) and raw, "must be a nonempty list", "tops")
@@ -510,8 +517,16 @@ def load_instance(path) -> InstanceFile:
     return parse_instance(Path(path).read_bytes())
 
 
+def _write_over(text: str, path) -> None:
+    """``text`` as UTF-8 over ``path``, without O_TRUNC: ext4 writes back a cut file on close."""
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as f:
+        f.write(text.encode("utf-8"))
+        if stat.S_ISREG(os.fstat(f.fileno()).st_mode):  # not a pipe or a device
+            f.truncate()
+
+
 def save_instance(inst: InstanceFile, path) -> None:
-    Path(path).write_text(serialize_instance(inst), encoding="utf-8")
+    _write_over(serialize_instance(inst), path)
 
 
 def report_text(report: dict) -> str:
@@ -531,4 +546,4 @@ def report_text(report: dict) -> str:
 
 
 def save_report(report: dict, path) -> None:
-    Path(path).write_text(report_text(report), encoding="utf-8")
+    _write_over(report_text(report), path)

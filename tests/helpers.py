@@ -9,9 +9,11 @@ instance is consistent by construction.
 The loop oracles at the end are the plain per-agent and per-pair loops
 that the library's array passes replace; the parity tests compare the two.
 Among them, ``stdlib_parse_instance`` is the loader with the standard
-library's decoder alone, and ``loop_percentile_candidate`` and
-``loop_path_bound`` are the percentile audit's candidate and certificate
-one alternative and one closure entry at a time, and
+library's decoder alone, ``tuple_resolved_profile`` its profile with each
+distinct ranking resolved to a tuple of indices on its own, and
+``loop_percentile_candidate`` and ``loop_path_bound`` are the percentile
+audit's candidate and certificate one alternative and one closure entry
+at a time, and
 ``loop_octagon_vertices`` intersects every pair of a sum or assignment
 octagon's rows, of which audit._octagon_points takes one vertex.
 The audit oracles after them close each ranking's constraint block on its
@@ -343,6 +345,41 @@ def stdlib_parse_instance(raw):
     except RecursionError:
         raise SchemaError("nested too deeply", field="<document>") from None
     return instance_from_dict(data)
+
+
+def tuple_resolved_profile(data):
+    """The profile of a decoded instance document as the loader built it by
+    per-class tuples, the reference for its one-array resolution: each
+    agent's entries checked in turn, the names of each distinct ranking
+    resolved to a tuple of indices one class at a time, and the first
+    malformed ranking named as a schema error on ``preferences``.  Returns
+    (classes, class_of, class_array, array, rankings)."""
+    from ordmech.errors import SchemaError
+
+    index = {name: f for f, name in enumerate(data["facilities"])}
+    top_only = "tops" in data
+    raw = data["tops" if top_only else "preferences"]
+    if not isinstance(raw, list) or not raw:
+        raise SchemaError("must be a nonempty list", field="tops" if top_only else "preferences")
+    ids: dict = {}
+    class_of = []
+    for i, entry in enumerate(raw):
+        where = "tops" if top_only else f"preferences[{i}]"
+        if not top_only and not isinstance(entry, list):
+            raise SchemaError("ranking must be a list", field=where)
+        for g in [entry] if top_only else entry:
+            if not isinstance(g, str):
+                raise SchemaError("facility references are names", field=where)
+            if g not in index:
+                raise SchemaError(f"unknown facility {g!r}", field=where)
+        class_of.append(ids.setdefault((entry,) if top_only else tuple(entry), len(ids)))
+    classes = tuple(tuple(index[g] for g in key) for key in ids)
+    rankings = tuple(classes[c] for c in class_of)
+    error = loop_profile_error(len(index), rankings, top_only)
+    if error is not None:
+        raise SchemaError(error, field="preferences")
+    class_array = np.array(classes, dtype=np.intp)
+    return classes, np.array(class_of, dtype=np.intp), class_array, class_array[class_of], rankings
 
 
 def instance_state(inst):

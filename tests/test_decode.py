@@ -8,6 +8,7 @@ instance, matrices bit for bit, or the same schema error.
 
 import gc
 import json
+import logging
 import sys
 from pathlib import Path
 
@@ -15,6 +16,7 @@ import numpy as np
 import pytest
 
 from ordmech import SchemaError
+from ordmech.cli import main
 from ordmech.fileio import _decode, parse_instance
 
 from helpers import instance_state, stdlib_parse_instance
@@ -223,3 +225,32 @@ def test_parse_instance_runs_no_cyclic_collection():
         (gc.enable if was else gc.disable)()
     assert inst.n == n and inst.metric is not None
     assert starts == []
+
+
+def test_each_json_fallback_logs_its_reason_at_debug_only(tmp_path, caplog, capsys):
+    social = json.loads((FIXTURES / "social_sum_small.json").read_text())
+    big = _dumps_with(dict(social, params={"w": 0}), ("params", "w"), str(2 ** 64))
+    cases = [(json.dumps(social), None), (big, "a number kept as written is >= 2**63"),
+             (_dumps_with(social, ("metric", 0, 0), "NaN"), "orjson refused it"),
+             ("[" * 100_000 + "]" * 100_000, "it may nest over 10000 deep")]
+    for text, reason in cases:
+        with caplog.at_level(logging.DEBUG, logger="ordmech.fileio"):
+            caplog.clear()
+            _outcome(parse_instance, text)
+        got = [(r.name, r.levelno, r.getMessage()) for r in caplog.records]
+        if reason is None:
+            assert got == []
+        else:  # orjson's refusal is followed by its own message
+            assert len(got) == 1 and got[0][:2] == ("ordmech.fileio", logging.DEBUG)
+            assert got[0][2].startswith(f"json decodes the document: {reason}"), got
+    # at the default level the fallback prints nothing and the report is the same
+    path = tmp_path / "big.json"
+    path.write_text(big)
+    argv = ["solve", "--instance", str(path), "--mechanism", "alg1"]
+    capsys.readouterr()
+    assert main(argv) == 0
+    printed = capsys.readouterr()
+    assert printed.err == ""
+    assert main(argv + ["--out", str(tmp_path / "out.json")]) == 0
+    assert (tmp_path / "out.json").read_text() == printed.out
+    assert capsys.readouterr() == ("", "")

@@ -2,6 +2,8 @@
 
 import json
 import math
+import os
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -396,6 +398,64 @@ def test_cli_gen_output_parses_identically(tmp_path):
                  "--out", str(out)]) == 0
     text = out.read_text()
     assert serialize_instance(parse_instance(text)) == text
+
+
+def _printed(argv, capsys):
+    """What the command ``argv`` prints on stdout, with exit status 0."""
+    capsys.readouterr()
+    assert main(argv) == 0
+    return capsys.readouterr().out.encode()
+
+
+def test_out_overwrites_a_longer_file_in_place(tmp_path, capsys):
+    audit = ["audit", "--instance", str(FIXTURES / "clustered_n400.json"), "--outcome", "F1",
+             "--objective", "sum"]
+    solve = ["solve", "--instance", str(FIXTURES / "tops_only.json"), "--mechanism", "alg1"]
+    gen = ["gen", "--example", "kmedian_lb"]
+    long, short, instance = (_printed(argv, capsys) for argv in (audit, solve, gen))
+    assert len(long) > len(instance) > len(short) and len(long) > 20 * len(short)
+    out = tmp_path / "out.json"
+    for argv, expected in ((audit, long), (solve, short), (solve, short), (audit, long),
+                           (gen, instance), (gen, instance), (solve, short)):
+        assert main(argv + ["--out", str(out)]) == 0
+        assert out.read_bytes() == expected, argv[0]
+
+
+def test_out_writes_to_devices_pipes_and_fifos(tmp_path, capsys):
+    solve = ["solve", "--instance", str(FIXTURES / "tops_only.json"), "--mechanism", "alg1"]
+    expected = _printed(solve, capsys)
+    assert main(solve + ["--out", os.devnull]) == 0
+    fifo, chunks = tmp_path / "fifo", []
+    os.mkfifo(fifo)
+
+    def drain():  # opening a FIFO waits for the other end, so read it meanwhile
+        with open(fifo, "rb") as f:
+            chunks.append(f.read())
+
+    thread = threading.Thread(target=drain, daemon=True)
+    thread.start()
+    assert main(solve + ["--out", str(fifo)]) == 0
+    thread.join(timeout=30)
+    assert not thread.is_alive() and chunks == [expected]
+    read_end, write_end = os.pipe()
+    with open(read_end, "rb") as reader:
+        try:  # the report fits in the pipe's buffer
+            assert main(solve + ["--out", f"/dev/fd/{write_end}"]) == 0
+        finally:
+            os.close(write_end)
+        assert reader.read() == expected
+    assert capsys.readouterr().err == ""
+
+
+def test_out_naming_a_directory_or_a_missing_one_exits_2(tmp_path, capsys):
+    solve = ["solve", "--instance", str(FIXTURES / "tops_only.json"), "--mechanism", "alg1"]
+    missing = tmp_path / "missing" / "out.json"
+    for target, message in ((tmp_path, "[Errno 21] Is a directory"),
+                            (missing, "[Errno 2] No such file or directory")):
+        capsys.readouterr()
+        assert main(solve + ["--out", str(target)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}: {str(target)!r}\n")
+    assert not missing.parent.exists()
 
 
 def test_shipped_schemas_validate_real_files(tmp_path):

@@ -9,12 +9,13 @@ bit, ties included.
 import itertools
 import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ordmech import (AssignmentProblem, ConstraintSet, CostSpec, DistanceCost, FullMetric,
-                     MetricError, PreferenceProfile, ProfileError,
+                     MetricError, PreferenceProfile, ProfileError, SchemaError,
                      brute_force_optimal, build_preset, check_consistency,
                      distance_partial_order, facility_distances,
                      facility_location_solver, k_center_greedy, k_median_solver,
@@ -37,7 +38,9 @@ from helpers import (batched_binding, bincount_majority_counts, first_appearance
                      loop_percentile_candidate, loop_profile_error,
                      loop_validate_distance_matrix, octagon_inside, octagon_rows,
                      random_consistent_metric, random_facility_distances, random_instance,
-                     subset_percentile_candidate)
+                     subset_percentile_candidate, tuple_resolved_profile)
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def _perturb(rng, a, count):
@@ -167,6 +170,110 @@ def test_profile_classes_match_first_appearance_oracle():
         for got, expected in ((loaded.class_of, class_of), (loaded.array, array),
                               (loaded.class_array, class_array)):
             np.testing.assert_array_equal(got, expected)
+
+
+def _profile_outcome(load, raw):
+    """What ``load`` makes of the document ``raw``: the profile's classes,
+    rankings and index arrays (dtype, shape and bytes), or the schema error."""
+    try:
+        classes, class_of, class_array, array, rankings = load(raw)
+    except SchemaError as exc:
+        return "error", exc.field, str(exc)
+    return ("profile", classes, rankings,
+            *((a.dtype.str, a.shape, a.tobytes()) for a in (class_of, class_array, array)))
+
+
+def _loaded_profile(raw):
+    profile = parse_instance(raw).profile
+    return (profile.classes, profile.class_of, profile.class_array, profile.array,
+            profile.rankings)
+
+
+def _assert_loads_as_tuples(raw):
+    got = _profile_outcome(_loaded_profile, raw)
+    assert got == _profile_outcome(lambda text: tuple_resolved_profile(json.loads(text)), raw)
+    return got
+
+
+def _planar_document(seed, n, m, metric):
+    """A planar instance as the benchmark draws them: Euclidean facility
+    distances, agents ranking by distance, optionally the true metric."""
+    rng = np.random.default_rng(seed)
+    pts, agents = rng.uniform(0, 10, (m, 2)), rng.uniform(0, 10, (n, 2))
+    names = [f"F{j}" for j in range(m)]
+    d = np.linalg.norm(agents[:, None] - pts[None], axis=2)
+    doc = {"schema": "ordmech-instance-v1", "facilities": names,
+           "facility_distances": np.linalg.norm(pts[:, None] - pts[None], axis=2).tolist(),
+           "preset": "social_choice_sum",
+           "preferences": [[names[j] for j in row] for row in np.argsort(d, axis=1).tolist()]}
+    if metric:
+        doc["metric"] = d.tolist()
+    return json.dumps(doc)
+
+
+def test_loader_resolves_rankings_as_per_class_tuples_did():
+    docs = [path.read_text() for path in sorted(FIXTURES.glob("*.json"))]
+    docs += [_planar_document(0, 1000, 25, metric=True), _planar_document(1, 5000, 10, False)]
+    for raw in docs:
+        assert _assert_loads_as_tuples(raw)[0] == "profile"
+        inst, doc = parse_instance(raw), json.loads(raw)  # matrices as np.asarray reads them
+        for got, key in ((inst.fd, "facility_distances"), (inst.metric, "metric")):
+            if key in doc:
+                values = got.values if key == "facility_distances" else got.distances
+                assert values.tobytes() == np.asarray(doc[key], dtype=float).tobytes()
+    assert len(parse_instance(docs[-2]).profile.classes) > 500
+    rng = np.random.default_rng(28)
+    names = [f"F{j}" for j in range(7)]
+    malformed = 0
+    for case in range(500):
+        m, n = int(rng.integers(1, 8)), int(rng.integers(1, 40))
+        top_only = case % 4 == 0
+        rankings = _pooled_rankings(rng, n, m, int(rng.integers(1, n + 1)), top_only)
+        if not top_only and rng.random() < 0.3:
+            rankings = tuple(_malformed(rng, r, m) if rng.random() < 0.2 else r for r in rankings)
+        raw = json.dumps({
+            "schema": "ordmech-instance-v1", "facilities": names[:m],
+            "facility_distances": (1.0 - np.eye(m)).tolist(), "preset": "social_choice_sum",
+            "tops" if top_only else "preferences":
+                [names[r[0]] if top_only else [names[g] if 0 <= g < m else "Z" for g in r]
+                 for r in rankings]})
+        malformed += _assert_loads_as_tuples(raw)[0] == "error"
+    assert malformed > 20
+
+
+def _abcd_document(preferences):
+    return json.dumps({"schema": "ordmech-instance-v1", "facilities": ["A", "B", "C", "D"],
+                       "facility_distances": (1.0 - np.eye(4)).tolist(),
+                       "preset": "social_choice_sum", "preferences": preferences})
+
+
+BAD_RANKINGS = {
+    "short": ["A", "B", "C"], "long": ["A", "B", "C", "D", "A"],
+    "repeated": ["A", "A", "C", "D"], "unknown": ["A", "B", "C", "Z"],
+    "number": ["A", "B", "C", 1], "nested": ["A", "B", ["C"], "D"], "empty": [],
+    "string": "ABCD"}
+
+
+@pytest.mark.parametrize("first, second", itertools.product(BAD_RANKINGS, repeat=2))
+def test_loader_names_the_first_malformed_ranking_as_per_class_tuples_did(first, second):
+    good = [["A", "B", "C", "D"], ["D", "C", "B", "A"]]
+    raw = _abcd_document(good + [BAD_RANKINGS[first]] + good + [BAD_RANKINGS[second]] + good)
+    assert _assert_loads_as_tuples(raw)[0] == "error"
+    with pytest.raises(SchemaError) as err:
+        parse_instance(raw)
+    if first in ("short", "long") and second not in ("unknown", "number", "nested", "string"):
+        assert str(err.value) == ("preferences: agent 2: ranking is not a permutation "
+                                  "of all facilities")
+
+
+def test_loader_refuses_rankings_whose_lengths_only_add_up():
+    # flattened, the two rankings read as two permutations of four facilities
+    raw = _abcd_document([["A", "B", "C"], ["D", "A", "B", "C", "D"]])
+    assert _assert_loads_as_tuples(raw) == (
+        "error", "preferences",
+        "preferences: agent 0: ranking is not a permutation of all facilities")
+    assert _assert_loads_as_tuples(_abcd_document([])) == (
+        "error", "preferences", "preferences: must be a nonempty list")
 
 
 def test_check_consistency_matches_loop_full_and_top_only():
