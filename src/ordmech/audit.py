@@ -106,19 +106,11 @@ class ConsistencyPolytope:
         self.radius = float(l.max()) if l.max() > 0 else 1.0
         self.ranking_id = profile.class_of  # distinct rankings, in order of first appearance
         self.first = np.unique(self.ranking_id, return_index=True)[1]  # an agent per ranking
-        ranks = profile.class_array
-        # per ranking, its chain rows d(before) - d(after) <= 0: consecutive
-        # ranks, or the top choice against every other facility when only
-        # tops are known
-        if profile.top_only:
-            slot = np.arange(m - 1)
-            self.before, self.after = np.repeat(ranks, m - 1, axis=1), slot + (slot >= ranks)
-        else:
-            self.before, self.after = ranks[:, :-1], ranks[:, 1:]
+        self.before, self.after = profile.before, profile.after  # chain rows per ranking
         # and once the rows all rankings share (core.pair_rows): l(f, g) for f < g
         # both ways, bounding |d(f) - d(g)| by l and -(d(f) + d(g)) by -l
         self.l = np.triu(l, 1) + np.triu(l, 1).T
-        R, step = len(ranks), max(1, BLOCK // (2 * m * m))
+        R, step = len(profile.classes), max(1, BLOCK // (2 * m * m))
         self.G, self.S, sit = np.empty((R, m, m)), np.empty((R, m, m)), np.empty((R, m), bool)
         for lo in range(0, R, step):
             part = slice(lo, lo + step)
@@ -423,8 +415,8 @@ def audit_additive_assignment(x, profile: PreferenceProfile,
     An assignment opens at most n facilities, and a superset never lowers
     the ratio without opening costs, so the sets are those of min(bound, m,
     n) facilities, else of every size up to that.  More sets than the exact
-    k-median solver takes (KMEDIAN_EXACT_CAP) are refused up front, which
-    with opening costs is facility location beyond FACILITY_EXACT_MAX_M.
+    k-median solver takes (KMEDIAN_EXACT_CAP) are refused up front, as the
+    facility location solver leaves that many for its greedy (m > 16).
 
     Classes group agents by ranking and facility in x; one Dinkelbach rho
     serves the family, whose best member per step is one exact solve on -w

@@ -142,12 +142,13 @@ class PreferenceProfile:
     m: int
     rankings: tuple[tuple[int, ...], ...]
     top_only: bool = False
-    # The distinct rankings by first appearance, each agent's among them, and
-    # read-only index arrays of the rankings, n or classes x (m, or 1 if top-only).
+    # The distinct rankings by first appearance, each agent's among them, and read-only index
+    # arrays: the rankings, classes x (m, or 1 if top-only), chain rows d(before) <= d(after).
     classes: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
     class_of: np.ndarray = field(init=False, repr=False, compare=False)
-    array: np.ndarray = field(init=False, repr=False, compare=False)
     class_array: np.ndarray = field(init=False, repr=False, compare=False)
+    before: np.ndarray = field(init=False, repr=False, compare=False)
+    after: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         index: dict = {}
@@ -194,15 +195,26 @@ class PreferenceProfile:
         object.__setattr__(self, "class_array", _freeze(arr, np.intp))
         object.__setattr__(self, "classes", tuple(map(tuple, self.class_array.tolist())))
         object.__setattr__(self, "class_of", _freeze(class_of, np.intp))
-        object.__setattr__(self, "array", _freeze(self.class_array[self.class_of], np.intp))
+        # consecutive ranks (views), or the top against each other facility in index order
+        ranks, slot = self.class_array, np.arange(self.m - 1)
+        chain = ((ranks.repeat(self.m - 1, axis=1), slot + (slot >= ranks)) if self.top_only
+                 else (ranks[:, :-1], ranks[:, 1:]))
+        for name, rows in zip(("before", "after"), chain):
+            rows.flags.writeable = False
+            object.__setattr__(self, name, rows)
 
     @property
     def n(self) -> int:
         return len(self.rankings)
 
     @property
+    def array(self) -> np.ndarray:
+        """Each agent's ranking as a read-only n x (m, or 1 if top-only) index array."""
+        return _freeze(self.class_array[self.class_of], np.intp)
+
+    @property
     def tops(self) -> tuple[int, ...]:
-        return tuple(self.array[:, 0].tolist())
+        return tuple(self.class_array[self.class_of, 0].tolist())
 
 
 @dataclass(frozen=True)
@@ -293,12 +305,8 @@ def _keeps_rankings(profile: PreferenceProfile, d: np.ndarray, tol: float) -> bo
     """check_consistency on the agent-facility distances ``d`` alone."""
     if d.shape[0] != profile.n or d.shape[1] != profile.m:
         raise MetricError("profile and metric dimensions disagree")
-    r = profile.array
-    if profile.top_only:
-        top, low = d[np.arange(profile.n), r[:, 0]], d.min(axis=1)
-        return not np.any(top > low + tol * (1 + np.abs(top) + np.abs(low)))
-    ranked = np.take_along_axis(d, r, axis=1)
-    before, after = ranked[:, :-1], ranked[:, 1:]
+    agents, c = np.arange(profile.n)[:, None], profile.class_of
+    before, after = d[agents, profile.before[c]], d[agents, profile.after[c]]
     return not np.any(before > after + tol * (1 + np.abs(before) + np.abs(after)))
 
 
@@ -374,17 +382,13 @@ def pair_rows(fd: FacilityDistances) -> tuple[np.ndarray, np.ndarray]:
     return A, np.stack([lv, lv, -lv], axis=1).reshape(-1)
 
 
-def ranking_block(ranking, pairs: tuple[np.ndarray, np.ndarray],
-                  top_only: bool = False) -> tuple[np.ndarray, np.ndarray]:
+def ranking_block(before, after,
+                  pairs: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Constraint rows ``A d <= b`` over one agent's m distances: the m - 1
-    chain rows of its ranking (consecutive ranks, or the top choice against
-    every other facility when only tops are known), then ``pairs``."""
+    chain rows d(before) - d(after) <= 0 of its ranking (a row of the
+    profile's ``before`` and ``after``), then ``pairs``."""
     A_pair, b_pair = pairs
     m = A_pair.shape[1]
-    if top_only:
-        before, after = [ranking[0]] * (m - 1), [g for g in range(m) if g != ranking[0]]
-    else:
-        before, after = list(ranking[:-1]), list(ranking[1:])
     chain = np.zeros((m - 1, m))
     chain[np.arange(m - 1), before] = 1.0
     chain[np.arange(m - 1), after] = -1.0
@@ -412,7 +416,7 @@ def consistency_constraints(profile: PreferenceProfile,
     if m != fd.m:
         raise MetricError("profile and facility distances disagree on m")
     pairs = pair_rows(fd)
-    blocks = {r: ranking_block(r, pairs, profile.top_only) for r in set(profile.rankings)}
-    A, b = stack_blocks(blocks[r] for r in profile.rankings)
+    blocks = [ranking_block(*rows, pairs) for rows in zip(profile.before, profile.after)]
+    A, b = stack_blocks(blocks[c] for c in profile.class_of.tolist())
     kinds = (("chain",) * (m - 1) + ("diff", "diff", "sum") * (m * (m - 1) // 2)) * n
     return ConsistencyConstraintSet(n, m, _freeze(A), _freeze(b), kinds)

@@ -20,7 +20,6 @@ from .errors import SearchSpaceError, SolverError
 
 BRUTE_FORCE_CAP = 10 ** 6
 KMEDIAN_EXACT_CAP = 10 ** 5
-FACILITY_EXACT_MAX_M = 16
 SCREEN_RTOL = 1e-9  # far above the (n + m) * 2.2e-16 rounding of a screened cost
 
 
@@ -107,21 +106,24 @@ def brute_force_optimal(problem: AssignmentProblem, agents: ProjectedAgents) -> 
     """Globally minimal valid assignment; first in lexicographic order on
     cost ties.  Problems without the matching rule get a subset fast path;
     matchings are enumerated, in ``permutations`` order and costed in
-    chunks within BLOCK, while there are at most BRUTE_FORCE_CAP of them."""
+    chunks within BLOCK.  Either search runs while it has at most
+    BRUTE_FORCE_CAP open sets or matchings."""
     n, m = agents.n, problem.m
     cons, spec, D = problem.constraints, problem.cost_spec, agents.distance_matrix
+    limit = cons.at_most_open if cons.at_most_open is not None else m
+    if cons.one_per_facility:  # feasible, so n <= at_most_open: every injective map is valid
+        count, what = math.perm(m, n), f"matchings of {n} agents to {m} facilities"
+    else:
+        count = sum(math.comb(m, s) for s in range(1, limit + 1))
+        what = f"open sets of at most {limit} of {m} facilities"
+    if count > BRUTE_FORCE_CAP:
+        raise SearchSpaceError(f"{count} {what} exceed the {BRUTE_FORCE_CAP} budget")
     if not cons.one_per_facility:
-        limit = cons.at_most_open if cons.at_most_open is not None else m
         xs = [_serve(D, subset) for subset in _near_minimal(
             D, range(1, limit + 1), spec.distance_cost is DistanceCost.MAX, spec.opening_costs)]
         c, x = min((total_cost(x, D, spec), x) for x in xs)
         return SolverResult(x, c, 1.0, True)
 
-    # the problem is feasible, so n <= at_most_open: every injective map is valid
-    count = math.perm(m, n)
-    if count > BRUTE_FORCE_CAP:
-        raise SearchSpaceError(f"{count} matchings of {n} agents to {m} facilities exceed "
-                               f"the {BRUTE_FORCE_CAP} budget")
     rows, matchings, best = np.arange(n), permutations(range(m), n), (np.inf, ())
     while chunk := list(islice(matchings, max(1, BLOCK // n))):
         cost = spec.distance_cost.evaluate(D[rows, np.array(chunk)]) + spec.facility_cost(chunk)
@@ -299,12 +301,13 @@ def k_median_solver(fd_values: np.ndarray, tops, k: int) -> SolverResult:
 
 
 def facility_location_solver(distances: np.ndarray, opening_costs) -> SolverResult:
-    """Exact open-set enumeration up to 16 facilities; beyond that an
-    incremental greedy whose documented factor is harmonic in the agent
-    count.  The enumeration screens the open sets of every size in one
-    walk that shares each prefix's row minima across sizes, with the opening
-    costs of the facilities each set uses (``_near_minimal``), and evaluates
-    per agent only the sets it keeps, in bitmask order."""
+    """Exact open-set enumeration while the 2^m - 1 open sets are at most
+    KMEDIAN_EXACT_CAP (m <= 16); beyond that an incremental greedy whose
+    documented factor is harmonic in the agent count.  The enumeration
+    screens the open sets of every size in one walk that shares each
+    prefix's row minima across sizes, with the opening costs of the
+    facilities each set uses (``_near_minimal``), and evaluates per agent
+    only the sets it keeps, in bitmask order."""
     D = np.asarray(distances, dtype=float)
     costs = np.asarray(opening_costs, dtype=float)
     n, m = D.shape
@@ -317,7 +320,7 @@ def facility_location_solver(distances: np.ndarray, opening_costs) -> SolverResu
         value = float(sum(costs[f] for f in used) + sum(D[i, x[i]] for i in range(n)))
         return value, x
 
-    if m <= FACILITY_EXACT_MAX_M:
+    if 2 ** m - 1 <= KMEDIAN_EXACT_CAP:
         kept = sorted(_near_minimal(D, range(1, m + 1), opening=costs),
                       key=lambda subset: sum(1 << f for f in subset))
         value, x = min(map(eval_open, kept), key=lambda pair: pair[0])

@@ -575,7 +575,8 @@ def agent_block(poly, i):
     """Agent i's ranking block ``(A, b)``, as core.ranking_block builds it."""
     from ordmech.core import pair_rows, ranking_block
 
-    return ranking_block(poly.profile.rankings[i], pair_rows(poly.fd), poly.profile.top_only)
+    c = poly.profile.class_of[i]
+    return ranking_block(poly.profile.before[c], poly.profile.after[c], pair_rows(poly.fd))
 
 
 def block_edges(A, b):

@@ -156,9 +156,18 @@ def test_profile_classes_match_first_appearance_oracle():
         profile = PreferenceProfile(m, rankings, top_only)
         classes, class_of, array, class_array = first_appearance_classes(rankings)
         assert profile.rankings == rankings and profile.classes == classes
+        # each ranking's chain rows: consecutive ranks, or the top choice
+        # against every other facility in index order; none at m = 1
+        chains = [(r[:-1], r[1:]) if not top_only else
+                  ((r[0],) * (m - 1), tuple(g for g in range(m) if g != r[0]))
+                  for r in classes]
+        before, after = (np.array(rows, dtype=np.intp).reshape(len(classes), m - 1)
+                         for rows in zip(*chains))
         for got, expected in ((profile.class_of, class_of), (profile.array, array),
-                              (profile.class_array, class_array)):
+                              (profile.class_array, class_array),
+                              (profile.before, before), (profile.after, after)):
             assert got.dtype == expected.dtype and not got.flags.writeable
+            assert got.shape == expected.shape
             np.testing.assert_array_equal(got, expected)
         # the loader resolves names once per distinct ranking to the same profile
         raw = {"schema": "ordmech-instance-v1", "facilities": names[:m],
@@ -168,7 +177,8 @@ def test_profile_classes_match_first_appearance_oracle():
         loaded = parse_instance(json.dumps(raw)).profile
         assert loaded == profile and loaded.classes == classes
         for got, expected in ((loaded.class_of, class_of), (loaded.array, array),
-                              (loaded.class_array, class_array)):
+                              (loaded.class_array, class_array), (loaded.before, before),
+                              (loaded.after, after)):
             np.testing.assert_array_equal(got, expected)
 
 
@@ -301,6 +311,26 @@ def test_check_consistency_matches_loop_full_and_top_only():
         prof = PreferenceProfile(2, rankings, top_only=top_only)
         assert check_consistency(prof, metric)
         assert loop_check_consistency(rankings, top_only, metric.distances)
+    # at the tolerance's edge: agent 0 ranks facility 0 first, and facility 1
+    # (tied, nearer by less than 1e-9 (1 + the sizes), nearer by more) or 2
+    # is nearer; one facility has no chain to break
+    fd = facility_distances(("X", "Y", "Z"), [[0.0, 2.0, 2.0], [2.0, 0.0, 2.0],
+                                              [2.0, 2.0, 0.0]])
+    for d, keeps in (([1.0, 1.0, 1.5], True), ([1.0, 1.0 - 2e-9, 1.5], True),
+                     ([1.0, 1.0 - 4e-9, 1.5], False), ([1.0, 1.5, 1.0 - 2e-9], True),
+                     ([1.0, 1.5, 1.0 - 4e-9], False)):
+        metric = FullMetric([d], fd)
+        for top_only, rankings in ((False, ((0, 1, 2),)), (False, ((0, 2, 1),)),
+                                   (True, ((0,),))):
+            expected = loop_check_consistency(rankings, top_only, metric.distances)
+            prof = PreferenceProfile(3, rankings, top_only=top_only)
+            assert check_consistency(prof, metric) == expected
+            if top_only:
+                assert expected == keeps
+    single = facility_distances(("X",), [[0.0]])
+    for top_only, rankings in ((False, ((0,), (0,))), (True, ((0,), (0,)))):
+        prof = PreferenceProfile(1, rankings, top_only=top_only)
+        assert check_consistency(prof, FullMetric([[0.0], [3.0]], single))
 
 
 def test_majority_counts_match_loop():

@@ -59,13 +59,27 @@ def test_brute_force_social_choice_is_column_argmin():
         assert result.value == pytest.approx(float(sums.min()))
 
 
-def test_brute_force_respects_cap():
+def test_brute_force_respects_cap(monkeypatch):
     # matchings are enumerated, and 10! of them exceed the search budget
     fd = random_facility_distances(np.random.default_rng(0), 10, allow_colocated=False)
     profile = PreferenceProfile(10, (tuple(range(10)),) * 10)
     prob = build_preset("matching_min_cost", 10, fd.facilities)
     with pytest.raises(SearchSpaceError):
         brute_force_optimal(prob, project_agents(profile, fd))
+    # facility location opens sets of every size: the 2^19 - 1 = 524,287 sets
+    # of 19 facilities are searched, the 1,048,575 of 20 refused unscreened
+    class Screened(Exception):
+        pass
+
+    def screen(*args, **kwargs):
+        raise Screened
+
+    monkeypatch.setattr(solvers, "_near_minimal", screen)
+    for m in (19, 20):
+        fd = random_facility_distances(np.random.default_rng(m), m)
+        with pytest.raises(Screened if m == 19 else SearchSpaceError):
+            brute_force_optimal(*_projected("facility_location", fd, [tuple(range(m))] * 30,
+                                            {"opening_costs": [1.0] * m}))
 
 
 def test_brute_force_enumerates_matchings_within_the_cap():
@@ -256,7 +270,7 @@ def test_k_median_local_search_bracketed_by_exact(monkeypatch):
 
 
 def test_heuristic_solvers_do_not_depend_on_the_unit_of_length(monkeypatch):
-    # the greedy facility location (m > FACILITY_EXACT_MAX_M) and the k-median
+    # the greedy facility location (2^m - 1 > KMEDIAN_EXACT_CAP) and the k-median
     # local search step only on a saving relative to the current cost
     monkeypatch.setattr(solvers, "KMEDIAN_EXACT_CAP", 0)
     rng = np.random.default_rng(27)
