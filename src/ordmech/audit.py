@@ -110,7 +110,7 @@ class ConsistencyPolytope:
         # and once the rows all rankings share (core.pair_rows): l(f, g) for f < g
         # both ways, bounding |d(f) - d(g)| by l and -(d(f) + d(g)) by -l
         self.l = np.triu(l, 1) + np.triu(l, 1).T
-        R, step = len(profile.classes), max(1, BLOCK // (2 * m * m))
+        R, step = len(profile.class_array), max(1, BLOCK // (2 * m * m))
         self.G, self.S, sit = np.empty((R, m, m)), np.empty((R, m, m)), np.empty((R, m), bool)
         for lo in range(0, R, step):
             part = slice(lo, lo + step)

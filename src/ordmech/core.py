@@ -99,8 +99,11 @@ def validate_distance_matrix(values) -> MetricCheck:
                            (int(f[p]), int(g[p])))
     rows, size = max(1, BLOCK // max(a.size, 1)), np.abs(a)
     for start in range(0, len(a), rows):
-        # [i, j, k]: a[i, k] > a[i, j] + a[j, k] beyond TOL (1 + the three sizes)
+        # [i, j, k]: a[i, k] > a[i, j] + a[j, k] beyond TOL (1 + the three sizes); a block
+        # within TOL alone is settled, as the scaled slack is at least TOL
         block, over = a[start:start + rows], size[start:start + rows]
+        if (block[:, None, :] <= block[:, :, None] + a + TOL).all():
+            continue
         slack = TOL * (1 + over[:, None, :] + over[:, :, None] + size)
         if (bad := _first(block[:, None, :] > block[:, :, None] + a + slack)) is not None:
             return MetricCheck(False, "triangle inequality violated", (start + bad[0], *bad[1:]))
@@ -131,7 +134,7 @@ def facility_distances(names, values) -> FacilityDistances:
     return FacilityDistances(FacilitySet(tuple(names)), values)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class PreferenceProfile:
     """Per-agent rankings over facility indices.
 
@@ -140,35 +143,32 @@ class PreferenceProfile:
     """
 
     m: int
-    rankings: tuple[tuple[int, ...], ...]
-    top_only: bool = False
-    # The distinct rankings by first appearance, each agent's among them, and read-only index
-    # arrays: the rankings, classes x (m, or 1 if top-only), chain rows d(before) <= d(after).
-    classes: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
-    class_of: np.ndarray = field(init=False, repr=False, compare=False)
-    class_array: np.ndarray = field(init=False, repr=False, compare=False)
-    before: np.ndarray = field(init=False, repr=False, compare=False)
-    after: np.ndarray = field(init=False, repr=False, compare=False)
+    top_only: bool
+    # Read-only index arrays: the distinct rankings by first appearance, classes x (m, or 1 if
+    # top-only), each agent's among them, and chain rows d(before) <= d(after).
+    class_array: np.ndarray = field(repr=False)
+    class_of: np.ndarray = field(repr=False)
+    before: np.ndarray = field(repr=False)
+    after: np.ndarray = field(repr=False)
 
-    def __post_init__(self):
+    def __init__(self, m: int, rankings, top_only: bool = False):
         index: dict = {}
-        class_of = [index.setdefault(r, len(index)) for r in self.rankings]
-        self._index(tuple(index), class_of)
+        class_of = [index.setdefault(r, len(index)) for r in rankings]
+        self._index(m, top_only, tuple(index), class_of)
 
     @classmethod
     def _of_classes(cls, m: int, classes, class_of: list[int]) -> "PreferenceProfile":
         """The full profile whose agent i ranks row ``class_of[i]`` of ``classes``, an index
         array of distinct rankings by first appearance: the constructor without hashing."""
         self = object.__new__(cls)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "top_only", False)
-        self._index(classes, class_of)
-        object.__setattr__(self, "rankings", tuple(map(self.classes.__getitem__, class_of)))
+        self._index(m, False, classes, class_of)
         return self
 
-    def _index(self, classes, class_of: list[int]):
-        """Check the distinct rankings ``classes`` and keep them with their index arrays."""
-        if self.m < 1:
+    def _index(self, m: int, top_only: bool, classes, class_of: list[int]):
+        """Check the distinct rankings ``classes`` and keep them as index arrays."""
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "top_only", top_only)
+        if m < 1:
             raise ProfileError("need at least one facility")
         if not class_of:
             raise ProfileError("need at least one agent")
@@ -177,35 +177,51 @@ class PreferenceProfile:
         except ValueError:  # ragged
             arr = np.zeros(0)
         # An array pass finds suspect classes; the first to fail names its first agent.
-        if arr.shape != (len(classes), 1 if self.top_only else self.m) or arr.dtype.kind not in "iu":
+        if arr.shape != (len(classes), 1 if top_only else m) or arr.dtype.kind not in "iu":
             suspects = range(len(classes))
-        elif self.top_only:
-            suspects = np.flatnonzero((arr[:, 0] < 0) | (arr[:, 0] >= self.m))
+        elif top_only:
+            suspects = np.flatnonzero((arr[:, 0] < 0) | (arr[:, 0] >= m))
         else:
-            suspects = np.flatnonzero((np.sort(arr, axis=1) != np.arange(self.m)).any(axis=1))
+            suspects = np.flatnonzero((np.sort(arr, axis=1) != np.arange(m)).any(axis=1))
         for c in suspects:
             r, i = classes[c], class_of.index(c)
             if len(r) == 0:
                 raise ProfileError(f"agent {i} has an empty ranking")
-            if self.top_only:
-                if len(r) != 1 or not 0 <= r[0] < self.m:
+            if top_only:
+                if len(r) != 1 or not 0 <= r[0] < m:
                     raise ProfileError(f"agent {i}: top-only entry must be one facility index")
-            elif sorted(r) != list(range(self.m)):
+            elif sorted(r) != list(range(m)):
                 raise ProfileError(f"agent {i}: ranking is not a permutation of all facilities")
         object.__setattr__(self, "class_array", _freeze(arr, np.intp))
-        object.__setattr__(self, "classes", tuple(map(tuple, self.class_array.tolist())))
         object.__setattr__(self, "class_of", _freeze(class_of, np.intp))
         # consecutive ranks (views), or the top against each other facility in index order
-        ranks, slot = self.class_array, np.arange(self.m - 1)
-        chain = ((ranks.repeat(self.m - 1, axis=1), slot + (slot >= ranks)) if self.top_only
+        ranks, slot = self.class_array, np.arange(m - 1)
+        chain = ((ranks.repeat(m - 1, axis=1), slot + (slot >= ranks)) if top_only
                  else (ranks[:, :-1], ranks[:, 1:]))
         for name, rows in zip(("before", "after"), chain):
             rows.flags.writeable = False
             object.__setattr__(self, name, rows)
 
+    def _key(self) -> tuple:  # classes by first appearance: equal keys, equal rankings
+        return (self.m, self.top_only, self.class_array.tobytes(), self.class_of.tobytes())
+
+    def __eq__(self, other):
+        return isinstance(other, PreferenceProfile) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    @functools.cached_property
+    def classes(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, self.class_array.tolist()))
+
+    @functools.cached_property
+    def rankings(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(self.classes.__getitem__, self.class_of.tolist()))
+
     @property
     def n(self) -> int:
-        return len(self.rankings)
+        return len(self.class_of)
 
     @property
     def array(self) -> np.ndarray:
@@ -236,12 +252,12 @@ class FullMetric:
         l = self.facility_distances.values
         if d.ndim != 2 or d.shape[1] != self.facility_distances.m:
             raise MetricError("agent-facility matrix shape does not match facilities")
-        if (bad := _first(~np.isfinite(d))) is not None:
-            raise MetricError(f"agent {bad[0]}: d({bad[1]}) = {d[bad]} is not finite")
-        if (bad := _first(d > 10 * MAX_DISTANCE)) is not None:
-            raise MetricError(f"agent {bad[0]}: d({bad[1]}) = {d[bad]} exceeds "
-                              f"{10 * MAX_DISTANCE:g}")
-        if np.any(d < -TOL):
+        if not (-TOL <= d.min(initial=0.0) and d.max(initial=0.0) <= 10 * MAX_DISTANCE):
+            if (bad := _first(~np.isfinite(d))) is not None:  # NaN fails both bounds above
+                raise MetricError(f"agent {bad[0]}: d({bad[1]}) = {d[bad]} is not finite")
+            if (bad := _first(d > 10 * MAX_DISTANCE)) is not None:
+                raise MetricError(f"agent {bad[0]}: d({bad[1]}) = {d[bad]} exceeds "
+                                  f"{10 * MAX_DISTANCE:g}")
             raise MetricError("negative agent-facility distance")
         # Blocks of agents against the pairs f < g: the first offender is the
         # one an agent-major scan over the pairs meets, the difference bound
@@ -250,11 +266,12 @@ class FullMetric:
         rows, lfg = max(1, BLOCK // max(f.size, 1)), l[f, g]
         for start in range(0, len(d), rows):
             df, dg = d[start:start + rows, f], d[start:start + rows, g]
+            # |d(f) - d(g)| <= l <= d(f) + d(g) as |max - l| <= min, within TOL / 2 for rounding
+            if (np.abs(np.maximum(df, dg) - lfg) <= np.minimum(df, dg) + TOL / 2).all():
+                continue
             gap, total = np.abs(df - dg), df + dg
-            wide, short = gap > lfg + TOL, total < lfg - TOL
-            if (wide | short).any():  # only then can the scaled slack, at least TOL, matter
-                slack = TOL * (1 + np.abs(lfg) + np.abs(total))
-                wide, short = gap > lfg + slack, total < lfg - slack
+            slack = TOL * (1 + np.abs(lfg) + np.abs(total))
+            wide, short = gap > lfg + slack, total < lfg - slack
             if (bad := _first(wide | short)) is not None:
                 (r, p), i, fp, gp = bad, start + bad[0], int(f[bad[1]]), int(g[bad[1]])
                 if wide[r, p]:

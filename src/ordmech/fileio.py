@@ -296,6 +296,8 @@ def instance_from_dict(data) -> InstanceFile:
     for _ in range(PARAMS_MAX_DEPTH):
         level = [v for u in level if isinstance(u, (dict, list))
                  for v in (u.values() if isinstance(u, dict) else u)]
+        if not level:  # nothing nests deeper
+            break
     _expect(not any(isinstance(u, (dict, list)) for u in level), "nested too deeply", "params")
     for key in ("capacities", "must_coassign", "must_separate", "coassign_penalties"):
         _expect(key not in params, f"{key} is not supported by any preset", "params")
@@ -435,7 +437,8 @@ def _instance_skeleton(inst: InstanceFile, matrix=_matrix_out) -> dict:
 
 def instance_to_dict(inst: InstanceFile) -> dict:
     names, top_only, out = inst.facilities.names, inst.profile.top_only, _instance_skeleton(inst)
-    per_class = [names[r[0]] if top_only else [names[g] for g in r] for r in inst.profile.classes]
+    per_class = [names[r[0]] if top_only else [names[g] for g in r]
+                 for r in inst.profile.class_array.tolist()]
     agents = inst.profile.class_of.tolist()
     out["tops" if top_only else "preferences"] = list(map(per_class.__getitem__, agents))
     return out
@@ -454,13 +457,13 @@ def instance_digest(inst: InstanceFile) -> str:
     and the text is hashed piece by piece."""
     profile = inst.profile
     names = np.array([json.dumps(name) for name in inst.facilities.names], dtype=object)
-    rows = names[profile.class_array].tolist()  # each class's names, encoded
-    key, pieces = (("tops", [row[0] for row in rows]) if profile.top_only
-                   else ("preferences", ["[" + ",".join(row) + "]" for row in rows]))
+    pieces = list(map(",".join, names[profile.class_array].tolist()))  # each class, encoded
+    key, sep, head, tail = (("tops", ",", "[", "]") if profile.top_only
+                            else ("preferences", "],[", "[[", "]]"))  # a ranking's brackets
     out = _instance_skeleton(inst, lambda arr: {
         "float64le_sha256": hashlib.sha256(np.ascontiguousarray(arr, "<f8")).hexdigest(),
         "shape": list(arr.shape)})
-    out[key] = _Json("[" + ",".join(map(pieces.__getitem__, profile.class_of.tolist())) + "]")
+    out[key] = _Json(head + sep.join(map(pieces.__getitem__, profile.class_of.tolist())) + tail)
     digest = hashlib.sha256()
     for piece in _canonical(out):
         digest.update(piece.encode())

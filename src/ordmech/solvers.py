@@ -62,9 +62,9 @@ def _subset_minima(rows: np.ndarray, sizes):
             child = np.arange(start, min(start + step, int(ends[-1])))
             parent = np.searchsorted(ends, child, side="right")
             col = (hi + 1 - (ends[parent] - child)).astype(index)
-            low_c, arg_c = low[parent], arg[parent]
-            np.copyto(arg_c, col[:, None], where=cols[col] < low_c)
-            np.minimum(low_c, cols[col], out=low_c)
+            low_c, arg_c, new = low[parent], arg[parent], cols[col]
+            np.copyto(arg_c, col[:, None], where=new < low_c)
+            np.minimum(low_c, new, out=low_c)
             chunk = np.column_stack((subsets[parent], col)), low_c, arg_c
             if size in sizes:
                 yield chunk

@@ -175,11 +175,41 @@ def test_profile_classes_match_first_appearance_oracle():
                "tops" if top_only else "preferences":
                    [names[r[0]] if top_only else [names[g] for g in r] for r in rankings]}
         loaded = parse_instance(json.dumps(raw)).profile
-        assert loaded == profile and loaded.classes == classes
+        assert loaded == profile and hash(loaded) == hash(profile) and loaded.classes == classes
         for got, expected in ((loaded.class_of, class_of), (loaded.array, array),
                               (loaded.class_array, class_array), (loaded.before, before),
                               (loaded.after, after)):
             np.testing.assert_array_equal(got, expected)
+        if m > 1:  # one agent ranking otherwise parts the profiles, in == and in hash
+            i, r = case % n, rankings[case % n]
+            other = ((r[0] + 1) % m,) if top_only else r[1:] + r[:1]
+            changed = PreferenceProfile(m, rankings[:i] + (other,) + rankings[i + 1:], top_only)
+            for same in (profile, loaded):
+                assert changed != same and hash(changed) != hash(same)
+
+
+def test_loaded_profile_builds_its_tuples_on_first_read():
+    raw = _planar_document(0, 1000, 25, metric=True)
+    profile = parse_instance(raw).profile
+    assert profile.n == 1000 and not {"classes", "rankings"} & vars(profile).keys()
+    rankings = tuple(tuple(int(name[1:]) for name in r) for r in json.loads(raw)["preferences"])
+    classes = first_appearance_classes(rankings)[0]
+    assert profile.classes == classes and profile.rankings == rankings
+    assert profile.classes is profile.classes and profile.rankings is profile.rankings
+
+
+def test_loaded_profile_keeps_only_its_index_arrays():
+    """What parse_instance keeps of a 1000-agent, 25-facility file with its
+    metric: at least a quarter below the 0.61 MB it kept while every load
+    also built the per-class and per-agent tuples."""
+    raw = _planar_document(0, 1000, 25, metric=True).encode()
+    tracemalloc.start()
+    try:
+        inst = parse_instance(raw)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert inst.n == 1000 and kept < 0.75 * 0.61 * 2 ** 20, kept
 
 
 def _profile_outcome(load, raw):
