@@ -25,15 +25,16 @@ A ranking's rows are unit two-variable inequalities, so shortest paths,
 in one stacked pass over the distinct rankings in chunks within BLOCK
 elements (_closure), give every bound on one distance, or on the sum or
 difference of two, exactly, in two m x m blocks, and any values within
-those bounds extend to a full consistent row (_point).  A sum or
+those bounds extend to a full consistent row: the greatest one, read off
+the fixed facilities' columns of G (_greatest_rows).  A sum or
 assignment ratio reads a class's distances to its own facility and to
 the one it takes: per facility an octagon of tight closure rows, whose
-best point is a vertex in closed form (_octagon_points).  Dinkelbach's
-parametric method maximizes the ratio over those points (_dinkelbach),
-with one rho per family of alternatives: each other facility alone for a
-sum audit, and all matchings or all open sets of facilities for an
-assignment audit, whose best member per step is one exact solve.  Its
-last step also certifies an upper bound that the report carries too.
+best point is a vertex in closed form (_octagon_points).  A sum audit
+pits one vertex per class against each other facility, so its ratio is
+one quotient of two sums (_sum_pairs).  An assignment audit maximizes the
+ratio over all matchings or all open sets of facilities by Dinkelbach's
+parametric method (_dinkelbach), whose best member per step is one exact
+solve.  Each also certifies an upper bound that the report carries too.
 
 Percentile objectives are piecewise linear: which agents realize the two
 order statistics is a subset choice, but per-agent independence collapses
@@ -61,7 +62,7 @@ from .core import (BLOCK, FacilityDistances, FullMetric, PreferenceProfile, _kee
 from .errors import (InternalInvariantError, MetricError, SearchSpaceError,
                      SolverError, UnboundedObjectiveError)
 from .lp import solve_lp
-from .social_choice import evaluate_percentile_cost, percentile_rank
+from .social_choice import percentile_rank
 from .solvers import KMEDIAN_EXACT_CAP, _subset_minima, min_cost_matching
 
 INF = float("inf")
@@ -109,7 +110,8 @@ class ConsistencyPolytope:
         self.before, self.after = profile.before, profile.after  # chain rows per ranking
         # and once the rows all rankings share (core.pair_rows): l(f, g) for f < g
         # both ways, bounding |d(f) - d(g)| by l and -(d(f) + d(g)) by -l
-        self.l = np.triu(l, 1) + np.triu(l, 1).T
+        u = np.triu(l, 1)
+        self.l = u + u.T
         R, step = len(profile.class_array), max(1, BLOCK // (2 * m * m))
         self.G, self.S, sit = np.empty((R, m, m)), np.empty((R, m, m)), np.empty((R, m), bool)
         for lo in range(0, R, step):
@@ -188,25 +190,18 @@ def _path_bounds(poly: ConsistencyPolytope, agents, f, g, neg) -> np.ndarray:
     return found
 
 
-def _point(G: np.ndarray, S: np.ndarray, fixed: dict[int, float]) -> np.ndarray:
-    """A point of a closed system (one ranking's G and S, see _closure): the
-    ``fixed`` coordinates take their given values and every other
-    coordinate its least value, each clipped into the bounds left by the
-    coordinates set before it.
-
-    Projecting a closed system onto any set of coordinates keeps exactly
-    its rows on them, so values that satisfy those rows extend one
-    coordinate at a time, each constrained only by its own bounds and its
-    rows with the coordinates already set."""
-    G, S, d = G.tolist(), S.tolist(), [0.0] * len(G)
-    done: list[int] = []
-    for a in [*fixed, *(a for a in range(len(d)) if a not in fixed)]:
-        low = max([-S[a][a] / 2] + [d[e] - G[e][a] for e in done]
-                  + [-d[e] - S[e][a] for e in done])
-        high = min([INF] + [d[e] + G[a][e] for e in done])
-        d[a] = min(max(fixed.get(a, low), low), high)
-        done.append(a)
-    return np.array(d)
+def _greatest_rows(poly: ConsistencyPolytope, r, fixed) -> np.ndarray:
+    """Per ranking of ``r``, the greatest consistent row whose coordinates f
+    of the (f, u) pairs in ``fixed`` (broadcast against r) take the values
+    u, a point of the ranking's closure: x(a) = min over f of u_f + G[a, f],
+    one column of G per fixed facility.  Each of those bounds holds on any
+    such row, and x is one: differences hold, as G[a, f] <= G[a, b] + G[b,
+    f] in a closure; sums hold, as the closure bounds none from above and a
+    consistent point P with the fixed values has P <= x entrywise, so x(a)
+    + x(b) >= P(a) + P(b) >= -S[a, b]; and the fixed coordinates keep their
+    values, as G[f, f] = 0 and u_f - u_g <= G[f, g]."""
+    return np.min([np.asarray(u, dtype=float)[..., None] + poly.G[r, :, f] for f, u in fixed],
+                  axis=0)
 
 
 def _ratio(num, den) -> np.ndarray:
@@ -258,7 +253,8 @@ def _dinkelbach(poly: ConsistencyPolytope, r, f, g, count: np.ndarray, family: n
                 num_const: np.ndarray, choose):
     """Per family j, max (sum_c count_c a_c + num_const[j]) / (sum_c count_c
     b_c + den) over its classes c (family = j) and its alternatives, by
-    Dinkelbach's parametric method with one rho per family.  Class c, of
+    Dinkelbach's parametric method with one rho per family: the one family
+    of an assignment audit, all its matchings or open sets.  Class c, of
     ranking r and numerator facility f, has an octagon over (a, b) =
     (d(f), d(g)) per candidate g (classes x candidates): the projection of
     a closed system onto two coordinates is exactly its rows on them.  An
@@ -284,7 +280,7 @@ def _dinkelbach(poly: ConsistencyPolytope, r, f, g, count: np.ndarray, family: n
     A step to chosen points of zero denominator under a positive numerator
     reads infinite (_ratio).  Returns values, upper bounds, the
     last step's seats and ``point_rows(s)``: the chosen points of the
-    classes in slice s, extended to full rows (_point)."""
+    classes in slice s, extended to their greatest rows (_greatest_rows)."""
     a, b = _octagon_points(poly, r, f, g)
     rows, size, rho = np.arange(len(count)), len(num_const), np.ones(len(num_const))
     for _ in range(DINKELBACH_MAX_ITER):
@@ -305,11 +301,10 @@ def _dinkelbach(poly: ConsistencyPolytope, r, f, g, count: np.ndarray, family: n
     low_seat, low_const = choose(-b, np.ones(size))
     den_lo = np.bincount(family, count * b[rows, low_seat], size) + low_const
     upper = rho + np.maximum(gap, 0.0) / np.where(den_lo > 0, den_lo, INF)
-    fixed = (r, f, g[rows, seat], a_at, b_at)
+    q = g[rows, seat]
 
     def point_rows(s: slice) -> np.ndarray:
-        return np.array([_point(poly.G[k], poly.S[k], {p: u, q: v})
-                         for k, p, q, u, v in zip(*(c[s].tolist() for c in fixed))])
+        return _greatest_rows(poly, r[s], ((f[s], a_at[s]), (q[s], b_at[s])))
 
     return np.where(unbounded, INF, rho), np.where(unbounded, INF, upper), seat, point_rows
 
@@ -380,16 +375,24 @@ def _social_choice(poly: ConsistencyPolytope, objective: str, winner, seated: in
 
 
 def _sum_pairs(poly: ConsistencyPolytope, ys: np.ndarray, winner: int) -> _Pairs:
-    """Per y in ``ys``, sup sum_i d(i, winner) / sum_i d(i, y): a family of
-    its own (_dinkelbach), whose classes are the distinct rankings."""
+    """Per y in ``ys``, sup sum_i d(i, winner) / sum_i d(i, y), classes the
+    distinct rankings: Dinkelbach's run (_dinkelbach) in closed form, as each
+    class has one vertex.  From rho = 1 it stops at once where the ratio of
+    the vertex sums num / den (_ratio) gains nothing (ratio <= 1, or num -
+    den within a relative 1e-13); else rho moves to that ratio, which is the
+    value even when infinite, and the next step stops.  It certifies rho +
+    max(num - rho den, 0) / den, or rho where den vanishes."""
     R, size = len(poly.G), len(ys)
-    value, upper, _, point_rows = _dinkelbach(
-        poly, np.tile(np.arange(R), size), np.full(R * size, winner),
-        np.repeat(ys, R)[:, None], np.tile(np.bincount(poly.ranking_id), size),
-        np.repeat(np.arange(size), R), np.zeros(size),
-        lambda w, rho: (np.zeros(len(w), dtype=np.intp), np.zeros(size)))
-    return _Pairs(value, upper, lambda j: None if math.isinf(value[j])
-                  else point_rows(slice(j * R, (j + 1) * R))[poly.ranking_id])
+    a, b = _octagon_points(poly, np.arange(R), np.full(R, winner), np.broadcast_to(ys, (R, size)))
+    count, family = np.bincount(poly.ranking_id)[:, None], np.tile(np.arange(size), R)
+    num, den = (np.bincount(family, (count * v).ravel(), size) for v in (a, b))
+    ratio = _ratio(num, den)
+    stop = (num - den <= 1e-13 * (abs(num) + abs(den))) | (ratio <= 1)
+    rho = np.where(stop | np.isinf(ratio), 1.0, ratio)
+    upper = rho + np.maximum(num - rho * den, 0.0) / np.where(den > 0, den, INF)
+    value, upper = (np.where(~stop & np.isinf(ratio), INF, v) for v in (rho, upper))
+    return _Pairs(value, upper, lambda j: None if math.isinf(value[j]) else _greatest_rows(
+        poly, np.arange(R), ((winner, a[:, j]), (ys[j], b[:, j])))[poly.ranking_id])
 
 
 def audit_sum_social_choice(winner: int, profile: PreferenceProfile,
@@ -558,7 +561,8 @@ def _percentile_pairs(poly: ConsistencyPolytope, xs: np.ndarray, w: int, k: int)
 
 def _percentile_witness(poly: ConsistencyPolytope, x: int, w: int, S: np.ndarray, j: int,
                         cap: int, M: float, c: float) -> np.ndarray:
-    """Rows attaining 1 + c / M for x against w, from the closure alone.
+    """Rows attaining 1 + c / M for x against w, from the closure alone
+    (_greatest_rows: only the distances named here are fixed).
 
     Agent j sits at d(j, x) = M, d(j, w) = M + c, and the agent cap that
     sets M, if another, at d(cap, x) = M.  The rest of S sits at its
@@ -567,14 +571,10 @@ def _percentile_witness(poly: ConsistencyPolytope, x: int, w: int, S: np.ndarray
     facility at max(radius, M + c), which fits any ranking, so w's k-th
     smallest distance is at least M + c and the ratio reaches the value."""
     rid, d = poly.ranking_id, np.full((poly.n, poly.m), max(poly.radius, M + c))
-    rows: dict[int, np.ndarray] = {}  # S holds at most k agents: one row per ranking
-    for i, r, mu in zip(S.tolist(), rid[S].tolist(), poly.min_agent_distance(S, x).tolist()):
-        if i != j and i != cap:
-            if r not in rows:
-                rows[r] = _point(poly.G[r], poly.S[r], {x: mu})
-            d[i] = rows[r]
-    d[cap] = _point(poly.G[rid[cap]], poly.S[rid[cap]], {x: M})
-    d[j] = _point(poly.G[rid[j]], poly.S[rid[j]], {x: M, w: M + c})
+    rest = S[(S != j) & (S != cap)]
+    d[rest] = _greatest_rows(poly, rid[rest], ((x, poly.min_agent_distance(rest, x)),))
+    d[cap] = _greatest_rows(poly, rid[cap], ((x, M),))
+    d[j] = _greatest_rows(poly, rid[j], ((x, M), (w, M + c)))
     return d
 
 
@@ -595,8 +595,8 @@ def audit_percentile_social_choice(winner: int, profile: PreferenceProfile,
     k = percentile_rank(poly.n, alpha)
 
     def recompute(metric: FullMetric) -> float:
-        return float(_ratio(evaluate_percentile_cost(winner, metric, alpha),
-                            min(evaluate_percentile_cost(f, metric, alpha) for f in range(fd.m))))
+        cost = np.sort(metric.distances, axis=0)[k - 1]  # each facility's k-th smallest distance
+        return float(_ratio(cost[winner], cost.min()))
 
     return _social_choice(poly, "percentile", winner, k,
                           lambda ys: _percentile_pairs(poly, ys, winner, k), alpha, recompute)

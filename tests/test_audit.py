@@ -376,22 +376,36 @@ def test_closure_bounds_match_lp():
                     assert poly.G[poly.ranking_id[i], w, x] == pytest.approx(res.fun, abs=1e-9)
 
 
-def test_point_extends_two_consistent_distances():
+def test_greatest_row_extends_two_consistent_distances():
     # how sum and assignment audits build witness rows: two distances of a
-    # consistent row, extended to a full row from the closure alone
+    # consistent row, extended to the greatest full row from the closure
+    # alone, whose every coordinate is HiGHS's largest under the agent's
+    # block with the two distances fixed
     rng = np.random.default_rng(454)
     for _ in range(30):
         profile, fd, metric = random_instance(rng, n_max=4, m_max=5)
         poly = ConsistencyPolytope(profile, fd)
+        eye = np.eye(fd.m)
         for i in range(profile.n):
             A, b = agent_block(poly, i)
             r = poly.ranking_id[i]
             d = metric.distances[i]
             for f in range(fd.m):
                 for g in range(fd.m):
-                    row = audit._point(poly.G[r], poly.S[r], {f: d[f], g: d[g]})
+                    row = audit._greatest_rows(poly, r, ((f, d[f]), (g, d[g])))
+                    # exactly where the two values keep the closure's rows in
+                    # floating point, else within the metric's own rounding
+                    G = poly.G[r]
+                    if d[f] <= d[g] + G[f, g] and d[g] <= d[f] + G[g, f]:
+                        assert row[f] == d[f] and row[g] == d[g]
                     assert row[[f, g]] == pytest.approx(d[[f, g]], abs=1e-9)
                     assert (A @ row - b).max() <= 1e-9
+                    if g < f:  # the pair's LPs are those of (g, f)
+                        continue
+                    for a in range(fd.m):
+                        res = audit.solve_lp(eye[a], A, b, eye[[f, g]], d[[f, g]],
+                                             maximize=True)
+                        assert row[a] == pytest.approx(res.fun, abs=1e-9)
 
 
 def _planar_instance(rng, n, m):

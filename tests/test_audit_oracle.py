@@ -148,16 +148,16 @@ def test_vanishing_denominator_with_vanishing_numerator(eps):
         # first, so on Z they would sit farther from X than from Z, and only
         # agent 1 can sit on Z.  (X, X, X) then reads 2 and (Z, Z, Z) 5, as
         # in the enumeration.  Against (Y, Y, Y) the ratio is about 1.2e14,
-        # beyond what a float64 witness reaches (1.1956e14): both refuse
+        # and the greatest witness rows reach it: both report it, with the
+        # witness ratio and the certified bound equal to it
         assert sits[:, 1].tolist() == [False, True, False]
-        for x, value in (((0, 0, 0), 2.0), ((1, 1, 1), 5.0)):
+        for x, value in (((0, 0, 0), 2.0), ((1, 1, 1), 5.0), ((2, 2, 2), 120000000000000.98)):
             report = audit_additive_assignment(x, profile, fd, problem)
             every = enumerated_assignment_audit(x, profile, fd, problem)
             assert report.value == every.value == value and report.flags == every.flags == ()
             _bracketed(report, [value])
-        for audit_of in (audit_additive_assignment, enumerated_assignment_audit):
-            with pytest.raises(InternalInvariantError, match="out of order"):
-                audit_of((2, 2, 2), profile, fd, problem)
+        for r in (report, every):  # (Y, Y, Y)
+            assert r.witness_ratio == r.certified_upper == 120000000000000.98
         return
     # X and Z co-located and every agent can sit on Z: the denominator of
     # (Z, Z) against (X, X) vanishes with its numerator, so the ratio is
@@ -381,14 +381,17 @@ def test_near_co_located_facilities_match_the_enumeration_or_raise():
 
 
 def test_dinkelbach_that_needs_two_steps_fails_at_one(monkeypatch):
-    # the tie instance's ratio 3 takes a step from rho = 1 to 3 and a
-    # second to certify it: capped at one step, the audit raises
+    # the tie instance's assignment (X, X) against every agent on one
+    # facility reads 3: a step from rho = 1 to 3, where (Y, Y) is the best
+    # member, and a second to certify it.  Capped at one step, the audit raises
     profile, fd = _tie_instance()
+    problem = build_preset("social_choice_sum", 2, fd.facilities)
+    x = (0, 0)
     monkeypatch.setattr(audit, "DINKELBACH_MAX_ITER", 2)
-    assert audit_sum_social_choice(0, profile, fd).value == 3.0
+    assert audit_additive_assignment(x, profile, fd, problem).value == 3.0
     monkeypatch.setattr(audit, "DINKELBACH_MAX_ITER", 1)
     with pytest.raises(InternalInvariantError, match="did not converge"):
-        audit_sum_social_choice(0, profile, fd)
+        audit_additive_assignment(x, profile, fd, problem)
 
 
 def _check_percentile(report, oracle):
@@ -503,14 +506,23 @@ def test_tampered_percentile_witness_is_an_error(monkeypatch):
 
 
 def test_out_of_order_certificate_is_an_error(monkeypatch):
-    real = audit._dinkelbach
+    # a certified bound below the value is an error, not a number: in a sum
+    # audit (its closed form) and in an assignment audit (Dinkelbach's run)
+    real_sum, real_dinkelbach = audit._sum_pairs, audit._dinkelbach
+
+    def low_sum(*args):
+        pairs = real_sum(*args)
+        return pairs._replace(upper=pairs.value / 2)
 
     def low_bound(*args):
-        value, upper, seat, point_rows = real(*args)
+        value, upper, seat, point_rows = real_dinkelbach(*args)
         return value, value / 2, seat, point_rows
 
+    monkeypatch.setattr(audit, "_sum_pairs", low_sum)
     monkeypatch.setattr(audit, "_dinkelbach", low_bound)
-    fd = facility_distances(("X", "Y"), [[0.0, 2.0], [2.0, 0.0]])
-    profile = PreferenceProfile(2, ((0, 1), (1, 0)))
-    with pytest.raises(InternalInvariantError):
+    profile, fd = _tie_instance()
+    with pytest.raises(InternalInvariantError, match="out of order"):
         audit_sum_social_choice(0, profile, fd)
+    problem = build_preset("social_choice_sum", 2, fd.facilities)
+    with pytest.raises(InternalInvariantError, match="out of order"):
+        audit_additive_assignment((0, 0), profile, fd, problem)

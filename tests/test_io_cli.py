@@ -887,10 +887,10 @@ def test_internal_faults_exit_3(monkeypatch, capsys):
     fixture = FIXTURES / "social_sum_small.json"
     inst = load_instance(fixture)
 
-    def broken_point(G, S, fixed):  # |d(f) - d(g)| far above any l(f, g)
-        return np.arange(len(G)) * 1e6
+    def broken_rows(poly, r, fixed):  # |d(f) - d(g)| far above any l(f, g)
+        return np.broadcast_to(np.arange(poly.m) * 1e6, (*np.shape(r), poly.m))
 
-    monkeypatch.setattr(audit, "_point", broken_point)
+    monkeypatch.setattr(audit, "_greatest_rows", broken_rows)
     with pytest.raises(InternalInvariantError):
         audit_sum_social_choice(0, inst.profile, inst.fd)
     capsys.readouterr()

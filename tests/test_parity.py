@@ -770,3 +770,65 @@ def test_octagon_point_reaches_the_vertex_maximum(top_only):
             assert (abs(a - rho * b - best) <= 1e-12 * (abs(a) + rho * abs(b))).all()
         assert octagon_inside(h, a[:, None], b[:, None]).all()
     assert co_located >= 5
+
+
+def _dinkelbach_sum(poly, ys, winner):
+    """The sum audit's families as Dinkelbach's run reads them: per y in
+    ``ys`` a family whose classes are the distinct rankings, each with y as
+    its one candidate (a constant ``choose``)."""
+    R, size = len(poly.G), len(ys)
+    return audit._dinkelbach(
+        poly, np.tile(np.arange(R), size), np.full(R * size, winner), np.repeat(ys, R)[:, None],
+        np.tile(np.bincount(poly.ranking_id), size), np.repeat(np.arange(size), R),
+        np.zeros(size), lambda w, rho: (np.zeros(len(w), dtype=np.intp), np.zeros(size)))
+
+
+def _near_tie_instance(rng):
+    """W and Y eps apart, Z 2 from both, every agent ranking Z first: the
+    least d(Y) is 1, so each ratio against Y lies within eps of 1."""
+    eps = 10.0 ** rng.uniform(-16.0, -11.0)
+    fd = facility_distances(("W", "Y", "Z"), [[0.0, eps, 2.0], [eps, 0.0, 2.0],
+                                              [2.0, 2.0, 0.0]])
+    rankings = tuple((2, *rng.permutation(2).tolist()) for _ in range(rng.integers(1, 4)))
+    return PreferenceProfile(3, rankings), fd
+
+
+def test_sum_closed_form_matches_dinkelbach_bit_for_bit():
+    # values, certified bounds and witness rows of every winner against
+    # every other facility, co-located and vanishing ones included, on 1000
+    # random instances (every other one top-only) and 300 near ties
+    rng = np.random.default_rng(32)
+    seen = dict.fromkeys(("stepped", "ratio at most 1", "gap within 1e-13", "unbounded",
+                          "vanishing with its numerator"), 0)
+    for t in range(1300):
+        if t < 1000:
+            profile, fd, _ = random_instance(rng, n_max=6, m_max=5)
+            if t % 2:
+                profile = PreferenceProfile(fd.m, tuple(r[:1] for r in profile.rankings),
+                                            top_only=True)
+        else:
+            profile, fd = _near_tie_instance(rng)
+        poly, R = ConsistencyPolytope(profile, fd), len(profile.class_array)
+        count = np.bincount(poly.ranking_id)[:, None]
+        for winner in range(fd.m):
+            ys = np.delete(np.arange(fd.m), winner)
+            pairs = audit._sum_pairs(poly, ys, winner)
+            value, upper, _, point_rows = _dinkelbach_sum(poly, ys, winner)
+            assert pairs.value.tobytes() == value.tobytes()
+            assert pairs.upper.tobytes() == upper.tobytes()
+            a, b = _octagon_points(poly, np.arange(R), np.full(R, winner),
+                                   np.broadcast_to(ys, (R, len(ys))))
+            for j, (num, den) in enumerate(zip((count * a).sum(axis=0), (count * b).sum(axis=0))):
+                rows = pairs.witness(j)
+                if value[j] == np.inf:
+                    assert rows is None
+                else:
+                    want = point_rows(slice(j * R, (j + 1) * R))[poly.ranking_id]
+                    assert rows.tobytes() == want.tobytes()
+                if den <= 0:
+                    seen["unbounded" if num > 0 else "vanishing with its numerator"] += 1
+                elif num <= den:
+                    seen["ratio at most 1"] += 1
+                else:
+                    seen["gap within 1e-13" if value[j] == 1.0 else "stepped"] += 1
+    assert min(seen.values()) >= 20, seen
