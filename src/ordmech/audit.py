@@ -52,11 +52,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .assignment import AssignmentProblem, ConstraintSet, DistanceCost, total_cost
+from .assignment import AssignmentProblem, DistanceCost, total_cost
 from .core import (BLOCK, FacilityDistances, FullMetric, PreferenceProfile, _keeps_rankings,
                    check_consistency, consistency_constraints)
 from .errors import (InternalInvariantError, MetricError, SearchSpaceError,
@@ -103,20 +104,22 @@ class ConsistencyPolytope:
         if profile.m != fd.m:
             raise MetricError("profile and facility distances disagree on m")
         self.profile, self.fd, self.n, self.m = profile, fd, profile.n, profile.m
-        m, l = profile.m, fd.values
-        self.radius = float(l.max()) if l.max() > 0 else 1.0
+        m, l, R = profile.m, fd.values, len(profile.class_array)
+        self.radius = float(top) if (top := l.max()) > 0 else 1.0
         self.ranking_id = profile.class_of  # distinct rankings, in order of first appearance
-        self.first = np.unique(self.ranking_id, return_index=True)[1]  # an agent per ranking
+        # an agent per ranking: its first, where the running maximum of ranking_id steps up
+        self.first = np.maximum.accumulate(self.ranking_id).searchsorted(np.arange(R))
         self.before, self.after = profile.before, profile.after  # chain rows per ranking
         # and once the rows all rankings share (core.pair_rows): l(f, g) for f < g
         # both ways, bounding |d(f) - d(g)| by l and -(d(f) + d(g)) by -l
-        u = np.triu(l, 1)
+        u = np.where(np.arange(m)[:, None] < np.arange(m), l, 0.0)  # l above the diagonal
         self.l = u + u.T
-        R, step = len(profile.class_array), max(1, BLOCK // (2 * m * m))
+        step = max(1, BLOCK // (2 * m * m))
         self.G, self.S, sit = np.empty((R, m, m)), np.empty((R, m, m)), np.empty((R, m), bool)
+        self.G[...], self.S[...] = self.l, 0.0 - self.l  # the raw rows (raw), in place
+        self.G[np.arange(R)[:, None], self.before, self.after] = 0.0
         for lo in range(0, R, step):
             part = slice(lo, lo + step)
-            self.G[part], self.S[part] = self.raw(part)
             _closure(self.G[part], self.S[part])
             # one may sit on facility f iff l(f, .) never falls along the chain
             sit[part] = (self.l[:, self.before[part]] <= self.l[:, self.after[part]]).all(axis=2).T
@@ -125,10 +128,11 @@ class ConsistencyPolytope:
     def raw(self, rankings) -> tuple[np.ndarray, np.ndarray]:
         """Per ranking of ``rankings`` (indices or a slice), the least bound
         one of its rows puts on each d(f) - d(g) and -(d(f) + d(g)), as G and
-        S: 0 on G's diagonal and chain rows, and on S's diagonal (d >= 0)."""
-        G = np.repeat(self.l[None], len(self.before[rankings]), axis=0)
+        S: 0 on G's diagonal and chain rows, and on S's diagonal (d >= 0); S,
+        the same for every ranking, comes once, as 1 x m x m."""
+        G = self.l[None].repeat(len(self.before[rankings]), axis=0)
         G[np.arange(len(G))[:, None], self.before[rankings], self.after[rankings]] = 0.0
-        return G, np.broadcast_to(0.0 - self.l, G.shape)  # 0.0 keeps zeros unsigned
+        return G, (0.0 - self.l)[None]  # 0.0 keeps zeros unsigned
 
     def min_agent_distance(self, agents, f) -> np.ndarray:
         """Smallest consistent d(i, f) of each of ``agents``, broadcast against f."""
@@ -184,7 +188,7 @@ def _path_bounds(poly: ConsistencyPolytope, agents, f, g, neg) -> np.ndarray:
             D = np.minimum(D, (D[..., None] + G).min(axis=1))
         found[s] = D[at, g[s]]
     entry = np.where(neg, poly.S[r, f, g], poly.G[r, f, g])
-    for e in np.flatnonzero(~(abs(found - entry) <= 1e-9 * np.maximum(poly.radius, abs(entry)))):
+    for e in (~(abs(found - entry) <= 1e-9 * np.maximum(poly.radius, abs(entry)))).nonzero()[0]:
         raise InternalInvariantError(f"closure entry {'S' if neg[e] else 'G'}[{f[e]}, {g[e]}] is "
                                      f"{entry[e]}, but its paths of rows give {found[e]}")
     return found
@@ -200,15 +204,19 @@ def _greatest_rows(poly: ConsistencyPolytope, r, fixed) -> np.ndarray:
     consistent point P with the fixed values has P <= x entrywise, so x(a)
     + x(b) >= P(a) + P(b) >= -S[a, b]; and the fixed coordinates keep their
     values, as G[f, f] = 0 and u_f - u_g <= G[f, g]."""
-    return np.min([np.asarray(u, dtype=float)[..., None] + poly.G[r, :, f] for f, u in fixed],
-                  axis=0)
+    return reduce(np.minimum, [np.asarray(u, dtype=float)[..., None] + poly.G[r, :, f]
+                               for f, u in fixed])
 
 
 def _ratio(num, den) -> np.ndarray:
-    """num / den elementwise, where a vanishing denominator (<= 0) reads as
-    an infinite ratio, or as 1 when the numerator vanishes too."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(den <= 0, np.where(num > 0, INF, 1.0), np.divide(num, den))
+    """num / den of one shape elementwise, where a vanishing denominator
+    (<= 0) reads as an infinite ratio, or as 1 when the numerator vanishes too."""
+    return np.divide(num, den, out=np.where(num > 0, INF, 1.0), where=den > 0)
+
+
+def _lift(c, M) -> np.ndarray:
+    """1 + max(c, 0) / M of one shape elementwise, infinite where M <= 0."""
+    return 1.0 + np.divide(np.maximum(c, 0.0), M, out=np.full(np.shape(M), INF), where=M > 0)
 
 
 def _at_most(lo: float | None, hi: float) -> bool:
@@ -316,7 +324,8 @@ def _finalize(poly: ConsistencyPolytope, objective: str, target, keys: list,
     carries a certified upper bound: the witness's ratio, the value and the
     largest bound must come in that order, the witness must reach the
     value, and the bound must match it, each within a relative 1e-9."""
-    top = int(np.argmax(np.append(1.0, pairs.value))) - 1  # -1: none exceeds 1
+    top = int(pairs.value.argmax()) if len(pairs.value) else -1
+    top = top if top >= 0 and pairs.value[top] > 1.0 else -1  # -1: none exceeds 1
     best = float(pairs.value[top]) if top >= 0 else 1.0
     rows, flags = pairs.witness(top) if top >= 0 else None, ()
     if math.isinf(best):
@@ -331,7 +340,7 @@ def _finalize(poly: ConsistencyPolytope, objective: str, target, keys: list,
         unit = np.ldexp(witness.distances, -math.frexp(float(poly.fd.values.max()))[1])
         if not _keeps_rankings(poly.profile, unit, 1e-7):
             raise InternalInvariantError("audit witness is not consistent")
-    upper = float(np.max(pairs.upper, initial=1.0))
+    upper = float(pairs.upper.max(initial=1.0))
     # each at most the next within 1e-9: witness ratio <= value <= bound <= value <= witness ratio
     chain = [witness_ratio, best, upper, best, best if witness_ratio is None else witness_ratio]
     if not all(map(_at_most, chain, chain[1:])):
@@ -352,12 +361,13 @@ def _social_choice(poly: ConsistencyPolytope, objective: str, winner, seated: in
     denominator vanishes under a positive numerator and y reads infinite,
     witnessed by seating the first ``seated`` there and the rest far away.
     The other alternatives ys come from ``solve(ys)``."""
-    if not ConstraintSet(poly.m).is_valid((winner,)):
+    if (type(winner) is bool or not isinstance(winner, (int, np.integer))
+            or not 0 <= winner < poly.m):
         raise SolverError(f"winner {winner!r} is not a facility index below m = {poly.m}")
-    l, others = poly.l, np.delete(np.arange(poly.m), winner)
+    l, others = poly.l, (np.arange(poly.m) != winner).nonzero()[0]
     one, can = l[winner, others] <= 0, poly.can_sit[:, others].sum(axis=0)
     infinite = ~one & (can >= seated)
-    todo = np.flatnonzero(~infinite & ~one)
+    todo = (~infinite & ~one).nonzero()[0]
     part = solve(others[todo])
     value, upper = np.where(infinite, INF, 1.0), np.where(infinite, INF, 1.0)
     value[todo], upper[todo] = part.value, part.upper
@@ -366,7 +376,7 @@ def _social_choice(poly: ConsistencyPolytope, objective: str, winner, seated: in
     def witness(j: int) -> np.ndarray | None:
         if infinite[j]:
             d = poly.interior_metric()
-            d[np.flatnonzero(poly.can_sit[:, others[j]])[:seated]] = l[others[j]]
+            d[poly.can_sit[:, others[j]].nonzero()[0][:seated]] = l[others[j]]
             return d
         return part.witness(slot[j]) if j in slot else None
 
@@ -382,10 +392,11 @@ def _sum_pairs(poly: ConsistencyPolytope, ys: np.ndarray, winner: int) -> _Pairs
     den within a relative 1e-13); else rho moves to that ratio, which is the
     value even when infinite, and the next step stops.  It certifies rho +
     max(num - rho den, 0) / den, or rho where den vanishes."""
-    R, size = len(poly.G), len(ys)
-    a, b = _octagon_points(poly, np.arange(R), np.full(R, winner), np.broadcast_to(ys, (R, size)))
-    count, family = np.bincount(poly.ranking_id)[:, None], np.tile(np.arange(size), R)
-    num, den = (np.bincount(family, (count * v).ravel(), size) for v in (a, b))
+    R, count = len(poly.G), np.bincount(poly.ranking_id)[:, None]
+    a, b = _octagon_points(poly, np.arange(R), np.array([winner]), ys[None, :])
+    # each sum adds its classes first to last, as np.bincount does (a numpy sum down
+    # one column of 8 or more pairs them); only a zero sum's sign, read nowhere, differs
+    num, den = (np.add.accumulate(count * v)[-1] for v in (a, b))
     ratio = _ratio(num, den)
     stop = (num - den <= 1e-13 * (abs(num) + abs(den))) | (ratio <= 1)
     rho = np.where(stop | np.isinf(ratio), 1.0, ratio)
@@ -472,7 +483,7 @@ def audit_additive_assignment(x, profile: PreferenceProfile,
         pairs = _Pairs(np.array([INF]), np.array([INF]), lambda j: poly.l[seat[member]])
     else:
         value, upper, seat, point_rows = _dinkelbach(
-            poly, poly.ranking_id[cls], f, np.tile(np.arange(m), (len(cls), 1)), count,
+            poly, poly.ranking_id[cls], f, np.arange(m)[None].repeat(len(cls), axis=0), count,
             np.zeros(len(cls), np.intp), np.array([num_const]), choose)
         pairs = _Pairs(value, upper, lambda j: None if math.isinf(value[0])
                        else point_rows(slice(None))[member])
@@ -515,12 +526,12 @@ def _percentile_candidates(poly: ConsistencyPolytope, xs: np.ndarray, w: int, k:
     agents x xs smallest distances, each column in stable order."""
     first, cols = poly.first, np.arange(len(xs))
     mu = poly.min_agent_distance(np.arange(poly.n)[:, None], xs)
-    order = np.argsort(mu, axis=0, kind="stable")
+    order = mu.argsort(axis=0, kind="stable")
     # cap = S[argmax(mu[S])] for S = j, then the k-1 others lowest in
     # ``order``, read off the order: the last of those others is order[k-1]
     # when j is among the first k-1, else order[k-2].  The first maximum in
     # S is j when j reaches that value, else the first agent at that value.
-    cap = np.broadcast_to(first[:, None], (len(first), len(xs)))
+    cap = first[:, None].repeat(len(xs), axis=1)
     if k > 1:
         rank = np.empty_like(order)
         rank[order, cols] = np.arange(poly.n)[:, None]
@@ -528,16 +539,15 @@ def _percentile_candidates(poly: ConsistencyPolytope, xs: np.ndarray, w: int, k:
         cap_mu = np.where(rank[first] < k - 1, ordered[k - 1], ordered[k - 2])
         first_at = np.empty_like(cap)
         for t in cols.tolist():  # per column: comparing all at once takes classes x n x xs
-            first_at[:, t] = order[np.searchsorted(ordered[:, t], cap_mu[:, t]), t]
+            first_at[:, t] = order[ordered[:, t].searchsorted(cap_mu[:, t]), t]
         cap = np.where(mu[first] >= cap_mu, cap, first_at)
     gap, low = np.maximum(poly.G[:, w, xs], 0.0), mu[cap, cols]  # G[r]: first[r]'s ranking
-    with np.errstate(divide="ignore", invalid="ignore"):
-        values = np.where(low > 0, 1.0 + gap / low, INF)
+    values = _lift(gap, low)
     top = values.max(axis=0)
     best = (values >= top - np.where(np.isinf(top), 0.0, 1e-9 * np.maximum(1.0, top))).argmax(0)
     j = first[best]
     return (values[best, cols], j, cap[best, cols], low[best, cols], gap[best, cols],
-            lambda t: np.append(j[t], order[order[:, t] != j[t], t][:k - 1]))
+            lambda t: np.concatenate((j[t, None], order[order[:, t] != j[t], t][:k - 1])))
 
 
 def _percentile_pairs(poly: ConsistencyPolytope, xs: np.ndarray, w: int, k: int) -> _Pairs:
@@ -549,12 +559,11 @@ def _percentile_pairs(poly: ConsistencyPolytope, xs: np.ndarray, w: int, k: int)
     and 1 + max(c, 0) / M over those bounds the value.  A vanishing M reads
     as an infinite value."""
     value, j, cap, M, c, subset = _percentile_candidates(poly, xs, w, k)
-    t = np.flatnonzero(np.isfinite(value))  # per x, M = S[x, x] of cap (f == g), c = G[w, x] of j
-    f, g = np.array([xs[t], np.full(len(t), w)]).T.ravel(), np.repeat(xs[t], 2)
+    t = np.isfinite(value).nonzero()[0]  # per x, M = S[x, x] of cap (f == g), c = G[w, x] of j
+    f, g = np.array([xs[t], np.full(len(t), w)]).T.ravel(), xs[t].repeat(2)
     sums = _path_bounds(poly, np.array([cap[t], j[t]]).T.ravel(), f, g, f == g).reshape(-1, 2)
-    M_sum, upper = -sums[:, 0] / 2, np.full(len(xs), INF)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        upper[t] = np.where(M_sum > 0, 1.0 + np.maximum(sums[:, 1], 0.0) / M_sum, INF)
+    upper = np.full(len(xs), INF)
+    upper[t] = _lift(sums[:, 1], -sums[:, 0] / 2)
     return _Pairs(value, upper, lambda i: None if math.isinf(value[i]) else _percentile_witness(
         poly, int(xs[i]), w, subset(i), int(j[i]), int(cap[i]), float(M[i]), float(c[i])))
 

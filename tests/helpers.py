@@ -13,7 +13,9 @@ library's decoder alone, ``tuple_resolved_profile`` its profile with each
 distinct ranking resolved to a tuple of indices on its own, and
 ``loop_percentile_candidate`` and ``loop_path_bound`` are the percentile
 audit's candidate and certificate one alternative and one closure entry
-at a time, and
+at a time,
+the ``errstate_*`` quotients are audit._ratio and audit._lift as np.where
+formulas with warnings silenced, and
 ``loop_octagon_vertices`` intersects every pair of a sum or assignment
 octagon's rows, of which audit._octagon_points takes one vertex.
 The audit oracles after them close each ranking's constraint block on its
@@ -436,6 +438,27 @@ def loop_min_cost_matching(cost):
     for j in range(1, n + 1):
         x[p[j] - 1] = j - 1
     return tuple(x), float(sum(cost[i, x[i]] for i in range(n)))
+
+
+def errstate_ratio(num, den):
+    """audit._ratio as an np.where over both branches, warnings silenced."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(den <= 0, np.where(num > 0, INF, 1.0), np.divide(num, den))
+
+
+def errstate_percentile_value(gap, low):
+    """A percentile configuration's value 1 + gap / low, infinite where low
+    <= 0, for gap >= 0, as audit._percentile_candidates read it with
+    np.errstate (audit._lift)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(low > 0, 1.0 + gap / low, INF)
+
+
+def errstate_percentile_bound(c, M):
+    """A percentile value's certified bound 1 + max(c, 0) / M, infinite where
+    M <= 0, as audit._percentile_pairs read it with np.errstate (audit._lift)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(M > 0, 1.0 + np.maximum(c, 0.0) / M, INF)
 
 
 def loop_percentile_candidate(poly: ConsistencyPolytope, x: int, w: int, k: int):

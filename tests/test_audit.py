@@ -1,6 +1,7 @@
 """Distortion audits: exactness, witnesses, soundness, degenerate cases."""
 
 import math
+import re
 from itertools import combinations
 from pathlib import Path
 
@@ -264,18 +265,24 @@ def test_percentile_audit_refuses_low_alpha():
         audit_percentile_social_choice(0, profile, fd, 1.2)
 
 
-@pytest.mark.parametrize("winner", [-1, 2, 1.0, True, False])
+@pytest.mark.parametrize("winner", [-1, 2, 1.0, True, False, np.bool_(False), "0"])
 def test_social_choice_audits_refuse_a_winner_outside_the_facilities(winner):
+    # a facility index is an int or a numpy integer, never a bool, below m
     profile, fd = _tie_instance()
-    with pytest.raises(SolverError, match=f"winner {winner!r} .* m = 2"):
+    message = f"^winner {re.escape(repr(winner))} is not a facility index below m = 2$"
+    with pytest.raises(SolverError, match=message):
         audit_sum_social_choice(winner, profile, fd)
-    with pytest.raises(SolverError, match=f"winner {winner!r} .* m = 2"):
+    with pytest.raises(SolverError, match=message):
         audit_percentile_social_choice(winner, profile, fd, 0.5)
 
 
 def test_social_choice_audits_take_a_numpy_winner():
     profile, fd = _tie_instance()
     assert audit_sum_social_choice(np.int64(1), profile, fd).value == 3.0
+    assert audit_sum_social_choice(np.int64(0), profile, fd).value == \
+        audit_sum_social_choice(0, profile, fd).value
+    assert audit_percentile_social_choice(np.int64(0), profile, fd, 0.5).value == \
+        audit_percentile_social_choice(0, profile, fd, 0.5).value
     assert audit_percentile_social_choice(np.int64(1), profile, fd, 0.5).value == \
         audit_percentile_social_choice(1, profile, fd, 0.5).value
 
@@ -660,6 +667,22 @@ def test_stacked_closure_matches_per_ranking_oracle():
             A, b = agent_block(poly, i)
             sits = (A[:chain] @ fd.values.T <= b[:chain, None] + 1e-9).all(axis=0)
             assert poly.can_sit[i].tolist() == sits.tolist()
+
+
+def test_first_agent_of_each_ranking_is_uniques_first_index():
+    # ConsistencyPolytope.first reads each ranking's first agent off the
+    # running maximum of ranking_id, as rankings are numbered by first
+    # appearance: np.unique's first indices, on full and top-only profiles,
+    # one agent, one ranking, and the stacked-closure cases
+    fd = facility_distances(("A", "B", "C"), [[0, 1, 2], [1, 0, 1], [2, 1, 0]])
+    cases = [(PreferenceProfile(3, ((0, 1, 2), (2, 1, 0), (0, 1, 2), (1, 0, 2), (2, 1, 0))), fd),
+             (PreferenceProfile(3, ((1,), (1,), (0,), (2,), (0,)), top_only=True), fd),
+             (PreferenceProfile(3, ((2, 1, 0),)), fd),
+             (PreferenceProfile(3, ((1,),), top_only=True), fd),
+             (PreferenceProfile(3, ((1, 0, 2),) * 4), fd)]
+    for profile, fd in cases + _stacked_profiles():
+        first = ConsistencyPolytope(profile, fd).first
+        assert first.tolist() == np.unique(profile.class_of, return_index=True)[1].tolist()
 
 
 def test_closure_keeps_the_two_live_quarters_of_the_octagon():

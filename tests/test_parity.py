@@ -9,6 +9,7 @@ bit, ties included.
 import itertools
 import json
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +30,8 @@ from ordmech.core import BLOCK
 from ordmech.fileio import parse_instance
 from ordmech.solvers import _near_minimal, _subset_minima
 
-from helpers import (batched_binding, bincount_majority_counts, first_appearance_classes,
+from helpers import (batched_binding, bincount_majority_counts, errstate_percentile_bound,
+                     errstate_percentile_value, errstate_ratio, first_appearance_classes,
                      gathered_near_minimal, loop_candidate_reach, loop_check_consistency,
                      loop_facility_location, loop_full_metric_error, loop_k_median,
                      loop_majority_counts, loop_matching_brute_force,
@@ -832,3 +834,52 @@ def test_sum_closed_form_matches_dinkelbach_bit_for_bit():
                 else:
                     seen["gap within 1e-13" if value[j] == 1.0 else "stepped"] += 1
     assert min(seen.values()) >= 20, seen
+
+
+def test_sum_closed_form_adds_many_classes_in_order():
+    # one alternative at a time over 8 or more classes: the closed form's
+    # sums add the classes first to last, as Dinkelbach's bincount does, so
+    # values and bounds match bit for bit (a numpy sum down one column of 8
+    # or more adds them pairwise and can move the last bit)
+    rng, checked = np.random.default_rng(34), 0
+    while checked < 300:
+        fd = random_facility_distances(rng, int(rng.integers(4, 6)))
+        n = int(rng.integers(20, 60))
+        poly = ConsistencyPolytope(preferences_from_metric(random_consistent_metric(rng, fd, n)),
+                                   fd)
+        if len(poly.G) < 8:
+            continue
+        for winner, y in itertools.permutations(range(fd.m), 2):
+            ys = np.array([y])
+            pairs, (value, upper) = audit._sum_pairs(poly, ys, winner), \
+                _dinkelbach_sum(poly, ys, winner)[:2]
+            assert (pairs.value.tobytes(), pairs.upper.tobytes()) == \
+                (value.tobytes(), upper.tobytes()), (winner, y)
+            checked += 1
+
+
+def test_ratio_and_percentile_quotients_match_the_errstate_formulas():
+    # _ratio and _lift (a percentile configuration's value, from a gap >= 0,
+    # and its certified bound) divide only where the denominator is
+    # positive, and read bit for bit as the np.where formulas they replaced
+    # under np.errstate (helpers), with no warning: on a grid of numerators
+    # and denominators, as scalars and as arrays.  inf / inf is itself an
+    # invalid IEEE operation, which no audit forms (it divides sums of
+    # finite distances); it reads the same NaN, checked with warnings off
+    grid = (-1.0, -0.0, 0.0, 1e-300, 1.0, np.inf)
+    pairs = [(a, b) for a in grid for b in grid if not np.isinf(a) or not np.isinf(b)]
+    num, den = (np.array(v) for v in zip(*pairs))
+    quotients = ((audit._ratio, errstate_ratio, lambda a: a),
+                 (audit._lift, errstate_percentile_value, lambda a: np.maximum(a, 0.0)),
+                 (audit._lift, errstate_percentile_bound, lambda a: a))
+    for new, old, top in quotients:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for a, b in pairs:
+                got, want = np.asarray(new(top(a), b)), np.asarray(old(top(a), b))
+                assert (got.shape, got.tobytes()) == ((), want.tobytes()), (a, b)
+            assert new(top(num), den).tobytes() == old(top(num), den).tobytes()
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(new(top(np.inf), np.inf))
+            assert (np.asarray(new(top(np.inf), np.inf)).tobytes()
+                    == np.asarray(old(top(np.inf), np.inf)).tobytes())
