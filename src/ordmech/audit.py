@@ -51,6 +51,7 @@ solves an LP.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from functools import reduce
 from typing import Callable, NamedTuple
@@ -100,10 +101,13 @@ class ConsistencyPolytope:
     pair rows are kept once and the chain per ranking, and one stacked
     pass closes every ranking in place, in chunks within BLOCK."""
 
+    profile = property(lambda self: self._of[0]())  # both held by weak reference (_polytope)
+    fd = property(lambda self: self._of[1]())
+
     def __init__(self, profile: PreferenceProfile, fd: FacilityDistances):
         if profile.m != fd.m:
             raise MetricError("profile and facility distances disagree on m")
-        self.profile, self.fd, self.n, self.m = profile, fd, profile.n, profile.m
+        self._of, self.n, self.m = (weakref.ref(profile), weakref.ref(fd)), profile.n, profile.m
         m, l, R = profile.m, fd.values, len(profile.class_array)
         self.radius = float(top) if (top := l.max()) > 0 else 1.0
         self.ranking_id = profile.class_of  # distinct rankings, in order of first appearance
@@ -145,6 +149,19 @@ class ConsistencyPolytope:
         return np.full((self.n, self.m), self.radius)
 
 
+_last: list = [None]  # weak references to a profile and an fd, and their polytope
+
+
+def _polytope(profile: PreferenceProfile, fd: FacilityDistances) -> ConsistencyPolytope:
+    """The polytope of ``profile`` and ``fd``: the last one built if both are the same objects,
+    which are immutable, else a new one; the slot empties when either object is freed."""
+    if (last := _last[0]) is None or last[0]() is not profile or last[1]() is not fd:
+        last = _last[0] = None  # the last closure goes before the next is built
+        refs = [weakref.ref(obj, lambda _: _last.__setitem__(0, None)) for obj in (profile, fd)]
+        last = _last[0] = (*refs, ConsistencyPolytope(profile, fd))
+    return last[2]
+
+
 def _closure(G: np.ndarray, S: np.ndarray):
     """Close in place feasible systems of rows with two +-1 coefficients
     that bound no d(f) + d(g) from above: G and S stack per system the least
@@ -179,9 +196,10 @@ def _path_bounds(poly: ConsistencyPolytope, agents, f, g, neg) -> np.ndarray:
         G, S = poly.raw(r[s])
         # least sums along paths from -d(f) to each -d(a), by rows of G transposed,
         # on by one row of S to each d(a), then by rows of G; from d(f), by rows of
-        # G alone.  No row is negative, so a shortest path has fewer than m rows.
+        # G alone.  No row is negative, so rounded sums are least on simple paths, of
+        # fewer than m rows: m - 2 rounds extend one row to them, m - 1 the S row.
         D = np.where(neg[s, None], G[at, :, f[s]], INF)
-        for _ in range(poly.m - 1):
+        for _ in range(poly.m - 2):
             D = np.minimum(D, (D[:, None, :] + G).min(axis=2))
         D = np.where(neg[s, None], (D[..., None] + S).min(axis=1), G[at, f[s]])
         for _ in range(poly.m - 1):
@@ -410,7 +428,7 @@ def audit_sum_social_choice(winner: int, profile: PreferenceProfile,
                             fd: FacilityDistances) -> AuditReport:
     """Exact worst-case total-cost distortion of ``winner``: the ratio
     against each other facility as the one open set, a family of its own."""
-    poly = ConsistencyPolytope(profile, fd)
+    poly = _polytope(profile, fd)
 
     def recompute(metric: FullMetric) -> float:
         cols = metric.distances.sum(axis=0)
@@ -456,7 +474,7 @@ def audit_additive_assignment(x, profile: PreferenceProfile,
     sets = sum(math.comb(m, s) for s in sizes)
     if not cons.one_per_facility and sets > KMEDIAN_EXACT_CAP:
         raise SearchSpaceError(f"more than {KMEDIAN_EXACT_CAP} open sets to audit: {sets}")
-    poly = ConsistencyPolytope(profile, fd)
+    poly = _polytope(profile, fd)
     _, cls, member, count = np.unique(poly.ranking_id * m + np.array(x), return_index=True,
                                       return_inverse=True, return_counts=True)
     rows, f, num_const = np.arange(len(cls)), np.array(x)[cls], spec.facility_cost(x)
@@ -600,7 +618,7 @@ def audit_percentile_social_choice(winner: int, profile: PreferenceProfile,
             "distortion; the audit refuses rather than report a number")
     if not alpha <= 1.0:  # NaN fails every comparison
         raise UnboundedObjectiveError(f"alpha must lie in [0.5, 1], got {alpha}")
-    poly = ConsistencyPolytope(profile, fd)
+    poly = _polytope(profile, fd)
     k = percentile_rank(poly.n, alpha)
 
     def recompute(metric: FullMetric) -> float:

@@ -85,19 +85,21 @@ def validate_distance_matrix(values) -> MetricCheck:
     a = np.asarray(values, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise MetricError(f"distance matrix must be square, got shape {a.shape}")
-    if (bad := _first(~np.isfinite(a))) is not None:
-        raise MetricError(f"non-finite distance {a[bad]} at {bad}")
-    if (bad := _first(np.abs(a) > MAX_DISTANCE)) is not None:
-        raise MetricError(f"distance {a[bad]} at {bad} exceeds {MAX_DISTANCE:g}")
-    if (bad := _first(np.abs(np.diag(a)) > TOL)) is not None:
-        return MetricCheck(False, "nonzero diagonal", bad * 2)
-    f, g = pair_indices(len(a))
-    negative = (a[f, g] < -TOL) | (a[g, f] < -TOL)
-    if (bad := _first(negative | (np.abs(a[f, g] - a[g, f]) > TOL))) is not None:
-        p = bad[0]
-        return MetricCheck(False, "negative distance" if negative[p] else "asymmetric",
-                           (int(f[p]), int(g[p])))
     rows, size = max(1, BLOCK // max(a.size, 1)), np.abs(a)
+    if not (size.max(initial=0.0) <= MAX_DISTANCE and a.min(initial=0.0) >= -TOL and  # NaN fails
+            size.diagonal().max(initial=0.0) <= TOL and np.abs(a - a.T).max(initial=0.0) <= TOL):
+        if (bad := _first(~np.isfinite(a))) is not None:
+            raise MetricError(f"non-finite distance {a[bad]} at {bad}")
+        if (bad := _first(size > MAX_DISTANCE)) is not None:
+            raise MetricError(f"distance {a[bad]} at {bad} exceeds {MAX_DISTANCE:g}")
+        if (bad := _first(size.diagonal() > TOL)) is not None:
+            return MetricCheck(False, "nonzero diagonal", bad * 2)
+        f, g = pair_indices(len(a))
+        negative = (a[f, g] < -TOL) | (a[g, f] < -TOL)
+        if (bad := _first(negative | (np.abs(a[f, g] - a[g, f]) > TOL))) is not None:
+            p = bad[0]
+            return MetricCheck(False, "negative distance" if negative[p] else "asymmetric",
+                               (int(f[p]), int(g[p])))
     for start in range(0, len(a), rows):
         # [i, j, k]: a[i, k] > a[i, j] + a[j, k] beyond TOL (1 + the three sizes); a block
         # within TOL alone is settled, as the scaled slack is at least TOL

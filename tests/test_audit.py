@@ -1,7 +1,9 @@
 """Distortion audits: exactness, witnesses, soundness, degenerate cases."""
 
+import gc
 import math
 import re
+import weakref
 from itertools import combinations
 from pathlib import Path
 
@@ -19,7 +21,7 @@ from ordmech import (InternalInvariantError, PreferenceProfile, SearchSpaceError
 from ordmech import audit
 from ordmech.audit import ConsistencyPolytope, _metric_from_values
 from ordmech.core import BLOCK, consistency_constraints
-from ordmech.fileio import load_instance
+from ordmech.fileio import audit_report_to_dict, instance_digest, load_instance, report_text
 from ordmech.gallery import gen_median_topchoice_bad, gen_sum5_tight
 from ordmech.solvers import SOLVERS
 
@@ -722,13 +724,15 @@ def test_path_bound_reproduces_every_certified_closure_entry():
 def test_each_ranking_closure_is_built_once(monkeypatch):
     # every audit reads every distinct ranking's closure, built once in
     # chunks of whole rankings within the element budget; an assignment
-    # audit refused for its search space builds none
+    # audit refused for its search space builds none.  The median audit
+    # reads a second load of the sum audit's file: the same objects would
+    # share the sum audit's closure
     chunks = []
     real = audit._closure
     monkeypatch.setattr(audit, "_closure",
                         lambda G, S: real(G, S) or chunks.append([G.copy(), S.copy()]))
     fixtures = Path(__file__).parent / "fixtures"
-    inst = load_instance(fixtures / "clustered_n400.json")
+    inst, again = (load_instance(fixtures / "clustered_n400.json") for _ in range(2))
     pair = load_instance(fixtures / "matching_pair.json")
     problem = build_preset(pair.preset, pair.n, pair.facilities)
     wide_fd = random_facility_distances(np.random.default_rng(457), 40)
@@ -736,8 +740,8 @@ def test_each_ranking_closure_is_built_once(monkeypatch):
                                                             wide_fd, 200))
     for profile, fd, run in (
             (inst.profile, inst.fd, lambda: audit_sum_social_choice(0, inst.profile, inst.fd)),
-            (inst.profile, inst.fd,
-             lambda: audit_percentile_social_choice(0, inst.profile, inst.fd, 0.5)),
+            (again.profile, again.fd,
+             lambda: audit_percentile_social_choice(0, again.profile, again.fd, 0.5)),
             (pair.profile, pair.fd, lambda: audit_additive_assignment(
                 (1, 0), pair.profile, pair.fd, problem)),
             (wide, wide_fd, lambda: audit_sum_social_choice(0, wide, wide_fd))):
@@ -811,6 +815,111 @@ def test_alternative_blocks_change_no_report(monkeypatch):
             report.value, report.witness_ratio, report.certified_upper)
         assert whole.witness.distances.tobytes() == report.witness.distances.tobytes()
     assert len(chunks) == len(runs)
+
+
+def _closure_spy(monkeypatch) -> list:
+    """The number of rankings in each chunk that ``audit._closure`` closes from now on."""
+    chunks, real = [], audit._closure
+    monkeypatch.setattr(audit, "_closure", lambda G, S: chunks.append(len(G)) or real(G, S))
+    return chunks
+
+
+def _one_build(profile, fd) -> list:
+    """The chunk sizes of one build of the closure of ``profile`` and ``fd``."""
+    R, step = len(profile.class_array), max(1, BLOCK // (2 * fd.m ** 2))
+    return [min(step, R - lo) for lo in range(0, R, step)]
+
+
+def _kmedian_case(seed: int, n: int = 60, m: int = 6):
+    rng = np.random.default_rng(seed)
+    fd = random_facility_distances(rng, m)
+    profile = preferences_from_metric(random_consistent_metric(rng, fd, n))
+    problem = build_preset("k_median", n, fd.facilities, {"k": 2})
+    return profile, fd, problem, reduce_and_solve(problem, profile, fd,
+                                                  SOLVERS["k_median"]).assignment
+
+
+def _audits(profile, fd, problem, x) -> list:
+    """A sum, three percentile and a k-median audit of ``profile`` and ``fd``, to run."""
+    return [lambda: audit_sum_social_choice(0, profile, fd)] + [
+        lambda alpha=alpha: audit_percentile_social_choice(0, profile, fd, alpha)
+        for alpha in (0.5, 0.75, 1.0)] + [
+        lambda: audit_additive_assignment(x, profile, fd, problem)]
+
+
+def test_audits_of_one_profile_and_geometry_share_one_closure(monkeypatch):
+    # a sum, three percentile and a k-median audit of the same two objects
+    # build one closure between them, and an equal but distinct copy of the
+    # profile, or of the geometry, builds its own
+    chunks = _closure_spy(monkeypatch)
+    profile, fd, problem, x = _kmedian_case(61)
+    for run in _audits(profile, fd, problem, x):
+        run()
+    assert chunks == _one_build(profile, fd) and len(profile.class_array) > 10
+    twin = PreferenceProfile(profile.m, profile.rankings)
+    fd_twin = facility_distances(fd.facilities.names, fd.values)
+    assert twin == profile and twin is not profile
+    assert fd_twin.values.tobytes() == fd.values.tobytes() and fd_twin is not fd
+    for pair, builds in (((twin, fd), True), ((twin, fd), False), ((profile, fd_twin), True),
+                         ((profile, fd), True)):
+        chunks.clear()
+        audit_sum_social_choice(1, *pair)
+        audit_percentile_social_choice(1, *pair, 0.5)
+        assert chunks == (_one_build(profile, fd) if builds else [])
+
+
+def test_shared_closure_is_freed_with_its_profile_or_geometry(monkeypatch):
+    # the slot holds the pair by weak reference: the polytope goes with
+    # either object, and the last one goes before the next is built, so no
+    # two closures are ever held at once
+    profile, fd, _, _ = _kmedian_case(62, n=30, m=5)
+    poly = weakref.ref(audit._polytope(profile, fd))
+    assert audit._polytope(profile, fd) is poly()
+    del profile
+    gc.collect()
+    assert poly() is None
+    profile, fd, _, _ = _kmedian_case(63, n=30, m=5)
+    poly = weakref.ref(audit._polytope(profile, fd))
+    del fd
+    gc.collect()
+    assert poly() is None
+    profile, fd, _, _ = _kmedian_case(64, n=30, m=5)
+    last = weakref.ref(audit._polytope(profile, fd))
+    held = []
+
+    class Counted(audit.ConsistencyPolytope):
+        def __init__(self, *args):
+            held.append(last() is not None)
+            super().__init__(*args)
+
+    monkeypatch.setattr(audit, "ConsistencyPolytope", Counted)
+    other = PreferenceProfile(profile.m, profile.rankings)
+    assert audit._polytope(other, fd) is not None
+    assert held == [False] and last() is None
+
+
+def test_shared_closure_reports_match_fresh_objects_byte_for_byte(monkeypatch):
+    # every report of audits that share one closure is the report of the
+    # same audit on objects of its own, bit for bit through the report text
+    fixtures = Path(__file__).parent / "fixtures"
+    chunks = _closure_spy(monkeypatch)
+    for name in ("clustered_n400", "kmedian_scenarios"):
+        inst = load_instance(fixtures / f"{name}.json")
+        problem = build_preset("k_median", inst.n, inst.facilities, {"k": 2})
+        x = reduce_and_solve(problem, inst.profile, inst.fd, SOLVERS["k_median"]).assignment
+        digest = instance_digest(inst)
+
+        def text(report):
+            return report_text(audit_report_to_dict(report, inst, digest))
+
+        chunks.clear()
+        shared = [text(run()) for run in _audits(inst.profile, inst.fd, problem, x) * 2]
+        assert chunks == _one_build(inst.profile, inst.fd)  # ten audits, one closure
+        fresh = []
+        for t in range(5):  # each audit on a load of the file of its own
+            again = load_instance(fixtures / f"{name}.json")
+            fresh.append(text(_audits(again.profile, again.fd, problem, x)[t]()))
+        assert shared == fresh * 2
 
 
 def test_kmedian_audit_beyond_the_assignment_enumeration():

@@ -457,12 +457,13 @@ def _tighten_entries(G, S):
 
 @pytest.mark.parametrize("tamper", [_loosen_gaps, _tighten_entries])
 def test_tampered_percentile_closure_entry_is_an_error(monkeypatch, tamper):
+    # the tampered audit reads new, equal objects: the same ones would share
+    # the first audit's closure
     real = audit._closure
-    profile, fd = _tie_instance()
-    assert audit_percentile_social_choice(0, profile, fd, 1.0).value > 1.0
+    assert audit_percentile_social_choice(0, *_tie_instance(), 1.0).value > 1.0
     monkeypatch.setattr(audit, "_closure", lambda G, S: real(G, S) or tamper(G, S))
     with pytest.raises(InternalInvariantError, match="closure entry"):
-        audit_percentile_social_choice(0, profile, fd, 1.0)
+        audit_percentile_social_choice(0, *_tie_instance(), 1.0)
 
 
 def test_tampered_gap_entry_inside_the_certificate_stack_is_an_error(monkeypatch):
@@ -470,7 +471,8 @@ def test_tampered_gap_entry_inside_the_certificate_stack_is_an_error(monkeypatch
     # alternative x in the middle of the certified entries: at m = 25 each
     # chunk of the stack holds 13 entries, two per alternative, so x is
     # neither in the first nor in the last chunk, and only the check of
-    # every entry in every chunk finds it
+    # every entry in every chunk finds it.  The tampered audit reads new,
+    # equal objects: the same ones would share the first audit's closure
     rng = np.random.default_rng(2323)
     fd = random_facility_distances(rng, 25, allow_colocated=False)
     profile = preferences_from_metric(random_consistent_metric(rng, fd, 40))
@@ -494,7 +496,8 @@ def test_tampered_gap_entry_inside_the_certificate_stack_is_an_error(monkeypatch
     monkeypatch.setattr(audit, "ConsistencyPolytope", Tampered)
     entry = re.escape(f"closure entry G[{w}, {x}]")
     with pytest.raises(InternalInvariantError, match=entry):
-        audit_percentile_social_choice(w, profile, fd, alpha)
+        audit_percentile_social_choice(w, PreferenceProfile(profile.m, profile.rankings),
+                                       facility_distances(fd.facilities.names, fd.values), alpha)
 
 
 def test_tampered_percentile_witness_is_an_error(monkeypatch):

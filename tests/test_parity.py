@@ -26,7 +26,7 @@ from ordmech import (AssignmentProblem, ConstraintSet, CostSpec, DistanceCost, F
 from ordmech import audit
 from ordmech.audit import (ConsistencyPolytope, _octagon_points, _path_bounds,
                            _percentile_candidates)
-from ordmech.core import BLOCK
+from ordmech.core import BLOCK, TOL
 from ordmech.fileio import parse_instance
 from ordmech.solvers import _near_minimal, _subset_minima
 
@@ -69,6 +69,44 @@ def test_validate_distance_matrix_first_offender_matches_loop():
         assert (check.ok, check.reason, check.triple) == expected
         reasons[check.reason] = reasons.get(check.reason, 0) + 1
     assert min(reasons.values()) >= 5, reasons  # every kind of offender occurs
+
+
+def _edge(*entries):
+    """A 3-point pseudometric with ``(i, j, value)`` entries written over it."""
+    a = np.array([[0.0, 0.0, 3.0], [0.0, 0.0, 3.0], [3.0, 3.0, 0.0]])
+    for i, j, value in entries:
+        a[i, j] = value
+    return a
+
+
+def test_validate_distance_matrix_edge_cases_match_loop():
+    # an entry off by exactly TOL passes the one screen and one off by 2 TOL
+    # fails it, so the first-offender search runs; either way the verdict
+    # and the entry named are the loop's
+    verdicts = set()
+    for entries in ([(1, 1, TOL)], [(1, 1, 2 * TOL)], [(1, 1, -TOL)], [(2, 2, -2 * TOL)],
+                    [(1, 0, TOL)], [(1, 0, 2 * TOL)], [(0, 1, -TOL), (1, 0, -TOL)],
+                    [(0, 1, -2 * TOL), (1, 0, -2 * TOL)], [(1, 2, 3 + 4 * TOL)],
+                    [(0, 2, 6 + 2 * TOL), (2, 0, 6 + 2 * TOL)],
+                    [(2, 2, 2 * TOL), (0, 1, 2 * TOL)]):
+        values = _edge(*entries)
+        check = validate_distance_matrix(values)
+        assert (check.ok, check.reason, check.triple) == loop_validate_distance_matrix(values)
+        verdicts.add(check.reason)
+    assert verdicts == {None, "nonzero diagonal", "asymmetric", "negative distance",
+                        "triangle inequality violated"}
+    # a NaN, an inf or an entry beyond MAX_DISTANCE raises, naming the first
+    # non-finite entry in C order, else the first beyond the cap
+    for entries, message in (
+            ([(2, 1, np.nan), (1, 2, np.nan)], r"non-finite distance nan at \(1, 2\)"),
+            ([(0, 2, np.inf)], r"non-finite distance inf at \(0, 2\)"),
+            ([(2, 0, np.nan), (0, 1, -np.inf)], r"non-finite distance -inf at \(0, 1\)"),
+            ([(0, 1, 2e150), (1, 0, 2e150), (2, 2, np.nan)],
+             r"non-finite distance nan at \(2, 2\)"),
+            ([(1, 2, 2e150), (2, 1, 2e150), (0, 0, 1.0)], r"distance 2e\+150 at \(1, 2\) exceeds"),
+            ([(2, 0, -2e150), (0, 2, 2e150)], r"distance 2e\+150 at \(0, 2\) exceeds")):
+        with pytest.raises(MetricError, match=message):
+            validate_distance_matrix(_edge(*entries))
 
 
 def test_full_metric_first_offender_message_matches_loop():
