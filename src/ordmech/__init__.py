@@ -7,15 +7,14 @@ metric consistent with that ordinal data.
 
 from .assignment import (Assignment, AssignmentProblem, ConstraintSet, CostSpec,
                          DistanceCost, PRESET_NAMES, build_preset,
-                         distance_vector, reduce_and_solve, total_cost)
+                         reduce_and_solve, total_cost)
 from .audit import (AuditReport, ConsistencyPolytope, audit_additive_assignment,
                     audit_percentile_social_choice, audit_sum_social_choice,
                     sample_consistent_metric)
 from .core import (ConsistencyConstraintSet, FacilityDistances, FacilitySet,
                    FullMetric, MetricCheck, PreferenceProfile, ProjectedAgents,
                    check_consistency, consistency_constraints,
-                   facility_distances, preferences_from_metric,
-                   project_agents, shortest_path_completion,
+                   facility_distances, project_agents,
                    validate_distance_matrix)
 from .errors import (InternalInvariantError, InvalidCostError, MetricError,
                      OrdmechError, ProfileError, SchemaError, SearchSpaceError,

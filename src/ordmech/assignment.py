@@ -41,15 +41,6 @@ class DistanceCost(enum.Enum):
             return np.sum(s, axis=-1)
         return np.max(s, axis=-1, initial=0.0)
 
-    @classmethod
-    def parse(cls, name: str) -> "DistanceCost":
-        try:
-            return cls(name.lower())
-        except ValueError:
-            raise InvalidCostError(
-                f"unsupported distance cost {name!r}; choose from "
-                f"{[c.value for c in cls]} (median is not subadditive)") from None
-
 
 @dataclass(frozen=True)
 class CostSpec:
@@ -115,14 +106,10 @@ class AssignmentProblem:
         return self.facilities.m
 
 
-def distance_vector(x: Assignment, distances: np.ndarray) -> np.ndarray:
-    return np.asarray(distances, dtype=float)[np.arange(len(x)), np.asarray(x, dtype=np.intp)]
-
-
 def total_cost(x: Assignment, distances: np.ndarray, spec: CostSpec) -> float:
     x = np.asarray(x, dtype=np.intp)
-    cost = spec.distance_cost.evaluate(distance_vector(x, distances)) + spec.facility_cost(x)
-    return float(cost)
+    d = np.asarray(distances, dtype=float)[np.arange(len(x)), x]  # each agent's distance
+    return float(spec.distance_cost.evaluate(d) + spec.facility_cost(x))
 
 
 def reduce_and_solve(problem: AssignmentProblem, profile: PreferenceProfile,

@@ -85,12 +85,6 @@ class AuditReport:
     flags: tuple[str, ...] = ()
     certified_upper: float | None = None  # a certified upper bound on value
 
-    def alternative_value(self, key) -> float:
-        for alt, val in self.per_alternative:
-            if alt == key:
-                return val
-        raise KeyError(key)
-
 
 class ConsistencyPolytope:
     """The consistent-metric closure per distinct ranking: its raw row

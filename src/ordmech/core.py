@@ -32,6 +32,17 @@ def _freeze(arr: np.ndarray, dtype=float) -> np.ndarray:
     return arr
 
 
+class _ByKey:
+    """Equality and hash by ``_key()``, for immutable values that hold arrays: equal keys,
+    equal values.  Arrays are keyed by their bytes, so 0.0 and -0.0 differ, as in the digest."""
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+
 @dataclass(frozen=True)
 class FacilitySet:
     """Ordered facility identifiers; indices are the canonical handle."""
@@ -112,8 +123,8 @@ def validate_distance_matrix(values) -> MetricCheck:
     return MetricCheck(True)
 
 
-@dataclass(frozen=True)
-class FacilityDistances:
+@dataclass(frozen=True, eq=False)
+class FacilityDistances(_ByKey):
     """Known symmetric metric on the facilities."""
 
     facilities: FacilitySet
@@ -131,13 +142,16 @@ class FacilityDistances:
     def m(self) -> int:
         return self.facilities.m
 
+    def _key(self) -> tuple:
+        return self.facilities.names, self.values.tobytes()
+
 
 def facility_distances(names, values) -> FacilityDistances:
     return FacilityDistances(FacilitySet(tuple(names)), values)
 
 
 @dataclass(frozen=True, init=False, eq=False)
-class PreferenceProfile:
+class PreferenceProfile(_ByKey):
     """Per-agent rankings over facility indices.
 
     Full profiles carry a permutation of all facilities per agent;
@@ -207,12 +221,6 @@ class PreferenceProfile:
     def _key(self) -> tuple:  # classes by first appearance: equal keys, equal rankings
         return (self.m, self.top_only, self.class_array.tobytes(), self.class_of.tobytes())
 
-    def __eq__(self, other):
-        return isinstance(other, PreferenceProfile) and self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
     @functools.cached_property
     def classes(self) -> tuple[tuple[int, ...], ...]:
         return tuple(map(tuple, self.class_array.tolist()))
@@ -226,17 +234,12 @@ class PreferenceProfile:
         return len(self.class_of)
 
     @property
-    def array(self) -> np.ndarray:
-        """Each agent's ranking as a read-only n x (m, or 1 if top-only) index array."""
-        return _freeze(self.class_array[self.class_of], np.intp)
-
-    @property
     def tops(self) -> tuple[int, ...]:
         return tuple(self.class_array[self.class_of, 0].tolist())
 
 
-@dataclass(frozen=True)
-class FullMetric:
+@dataclass(frozen=True, eq=False)
+class FullMetric(_ByKey):
     """Agent-facility distances together with the facility geometry.
 
     The two-sided bound |d(i,F) - d(i,F')| <= l(F,F') <= d(i,F) + d(i,F')
@@ -289,27 +292,8 @@ class FullMetric:
     def m(self) -> int:
         return self.distances.shape[1]
 
-
-def shortest_path_completion(metric: FullMetric) -> np.ndarray:
-    """Extend the known distances to all of agents + facilities by
-    shortest paths; returns the (n+m) x (n+m) matrix with agents first."""
-    n, m = metric.n, metric.m
-    size = n + m
-    big = np.full((size, size), np.inf)
-    np.fill_diagonal(big, 0.0)
-    big[:n, n:] = metric.distances
-    big[n:, :n] = metric.distances.T
-    big[n:, n:] = metric.facility_distances.values
-    for k in range(size):
-        big = np.minimum(big, big[:, k, None] + big[None, k, :])
-    return big
-
-
-def preferences_from_metric(metric: FullMetric) -> PreferenceProfile:
-    """Rank facilities by distance, equal distances broken toward the
-    lower facility index."""
-    order = np.argsort(metric.distances, axis=1, kind="stable")
-    return PreferenceProfile(metric.m, tuple(map(tuple, order.tolist())))
+    def _key(self) -> tuple:
+        return self.distances.shape, self.distances.tobytes(), self.facility_distances._key()
 
 
 def check_consistency(profile: PreferenceProfile, metric: FullMetric,
@@ -336,9 +320,6 @@ class ProjectedAgents:
 
     tops: tuple[int, ...]
     facility_distances: FacilityDistances
-
-    def distance(self, i: int, f: int) -> float:
-        return float(self.facility_distances.values[self.tops[i], f])
 
     @property
     def distance_matrix(self) -> np.ndarray:

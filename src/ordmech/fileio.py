@@ -69,10 +69,6 @@ class InstanceFile:
     def n(self) -> int:
         return self.profile.n
 
-    @property
-    def m(self) -> int:
-        return self.facilities.m
-
 
 def _expect(condition: bool, message: str, fieldname: str):
     if not condition:
@@ -100,6 +96,26 @@ def _matrix(raw, fieldname: str) -> np.ndarray:
         raise SchemaError("entries must be finite", field=fieldname) from None
     _expect(bool(np.isfinite(arr).all()), "entries must be finite", fieldname)
     return arr
+
+
+def _built(fieldname: str, make, *args):
+    """``make(*args)``, where the library's refusal is a schema error of ``fieldname``."""
+    try:
+        return make(*args)
+    except (MetricError, ProfileError, InvalidCostError, SolverError) as exc:
+        raise SchemaError(str(exc), field=fieldname) from None
+
+
+def _facility_distances(raw, facilities: FacilitySet, fieldname: str) -> FacilityDistances:
+    arr, m = _matrix(raw, fieldname), facilities.m
+    _expect(arr.shape == (m, m), f"must be {m}x{m}", fieldname)
+    return _built(fieldname, FacilityDistances, facilities, arr)
+
+
+def _metric(raw, fd: FacilityDistances, n: int, fieldname: str) -> FullMetric:
+    arr = _matrix(raw, fieldname)
+    _expect(arr.shape == (n, fd.m), f"must be {n}x{fd.m}", fieldname)
+    return _built(fieldname, FullMetric, arr, fd)
 
 
 def _facility_indices(index: dict[str, int], raw, fieldname: str) -> tuple[int, ...]:
@@ -219,21 +235,13 @@ def instance_from_dict(data) -> InstanceFile:
     _expect(isinstance(raw_names, list) and raw_names
             and all(isinstance(s, str) for s in raw_names),
             "must be a nonempty list of names", "facilities")
-    try:
-        facilities = FacilitySet(tuple(raw_names))
-    except MetricError as exc:
-        raise SchemaError(str(exc), field="facilities") from None
+    facilities = _built("facilities", FacilitySet, tuple(raw_names))
     m = facilities.m
     index = {name: f for f, name in enumerate(facilities.names)}
 
     fd = None
     if "facility_distances" in data:
-        arr = _matrix(data["facility_distances"], "facility_distances")
-        _expect(arr.shape == (m, m), f"must be {m}x{m}", "facility_distances")
-        try:
-            fd = FacilityDistances(facilities, arr)
-        except MetricError as exc:
-            raise SchemaError(str(exc), field="facility_distances") from None
+        fd = _facility_distances(data["facility_distances"], facilities, "facility_distances")
 
     candidate_rankings = None
     if "candidate_rankings" in data:
@@ -276,10 +284,8 @@ def instance_from_dict(data) -> InstanceFile:
             raise
         classes = (flat.reshape(-1, m) if set(map(len, ids)) == {m}  # else refused by the check
                    else np.split(flat, np.cumsum(list(map(len, ids)))[:-1]))
-        try:  # names map to indices one to one, so the classes stay distinct
-            profile = PreferenceProfile._of_classes(m, classes, class_of)
-        except ProfileError as exc:
-            raise SchemaError(str(exc), field="preferences") from None
+        # names map to indices one to one, so the classes stay distinct
+        profile = _built("preferences", PreferenceProfile._of_classes, m, classes, class_of)
         del flat, classes  # the profile keeps its own copy; free this one before the metric
     else:
         raw = data["tops"]
@@ -308,20 +314,12 @@ def instance_from_dict(data) -> InstanceFile:
     _expect(isinstance(costs, list) and all(_is_number(c) and c >= 0 for c in costs),
             "opening_costs must be a list of numbers >= 0", "params")
     if preset != "social_choice_median":  # has no assignment-framework form
-        try:
-            build_preset(preset, profile.n, facilities, params)
-        except (InvalidCostError, SolverError) as exc:
-            raise SchemaError(str(exc), field="params") from None
+        _built("params", build_preset, preset, profile.n, facilities, params)
 
     metric = None
     if data.get("metric") is not None:
         _expect(fd is not None, "a true metric needs facility_distances", "metric")
-        arr = _matrix(data["metric"], "metric")
-        _expect(arr.shape == (profile.n, m), f"must be {profile.n}x{m}", "metric")
-        try:
-            metric = FullMetric(arr, fd)
-        except MetricError as exc:
-            raise SchemaError(str(exc), field="metric") from None
+        metric = _metric(data["metric"], fd, profile.n, "metric")
 
     scenarios = []
     raw_scenarios = data.get("scenarios", [])
@@ -333,16 +331,9 @@ def instance_from_dict(data) -> InstanceFile:
         _expect(isinstance(label, str) and label, "needs a label", f"{where}.label")
         for required in ("facility_distances", "metric"):
             _expect(required in raw_scen, "is required", f"{where}.{required}")
-        arr = _matrix(raw_scen["facility_distances"], f"{where}.facility_distances")
-        try:
-            scen_fd = FacilityDistances(facilities, arr)
-        except MetricError as exc:
-            raise SchemaError(str(exc), field=f"{where}.facility_distances") from None
-        arr = _matrix(raw_scen["metric"], f"{where}.metric")
-        try:
-            scen_metric = FullMetric(arr, scen_fd)
-        except MetricError as exc:
-            raise SchemaError(str(exc), field=f"{where}.metric") from None
+        scen_fd = _facility_distances(raw_scen["facility_distances"], facilities,
+                                      f"{where}.facility_distances")
+        scen_metric = _metric(raw_scen["metric"], scen_fd, profile.n, f"{where}.metric")
         assignment = None
         choice = None
         if raw_scen.get("assignment") is not None:

@@ -39,14 +39,6 @@ class MajorityGraph:
     def defeats_or_ties(self, a: int, b: int) -> bool:
         return a != b and 2 * int(self.prefer[a, b]) >= self.n
 
-    def strictly_defeats(self, a: int, b: int) -> bool:
-        return a != b and 2 * int(self.prefer[a, b]) > self.n
-
-    def edges(self) -> set[tuple[int, int]]:
-        m = self.m
-        return {(a, b) for a in range(m) for b in range(m)
-                if self.defeats_or_ties(a, b)}
-
     def condorcet_winner(self) -> int | None:
         beats = 2 * self.prefer > self.n
         np.fill_diagonal(beats, True)
@@ -110,15 +102,6 @@ class DistancePartialOrder:
             reach = _reachability(len(self.pairs), self.chain)
         reach.flags.writeable = False
         return reach
-
-    def equality_classes(self) -> list[set[tuple[int, int]]]:
-        same, seen, classes = self.reach & self.reach.T, set(), []
-        for p in range(len(self.pairs)):
-            if p not in seen:
-                cls = set(np.flatnonzero(same[p]).tolist())
-                seen |= cls
-                classes.append({self.pairs[q] for q in cls})
-        return classes
 
 
 def _reachability(size: int, edges: np.ndarray) -> np.ndarray:

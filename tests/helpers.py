@@ -4,7 +4,9 @@ Facility metrics come either from planar points or from a repaired random
 symmetric matrix; agent rows are convex mixtures of two facility rows
 plus a nonnegative shift, which keeps every row inside the consistency
 polytope, and the profile is read off the metric, so every generated
-instance is consistent by construction.
+instance is consistent by construction.  ``preferences_from_metric``
+reads a profile off a metric, and ``shortest_path_completion`` extends a
+metric to agents and facilities alike.
 
 The loop oracles at the end are the plain per-agent and per-pair loops
 that the library's array passes replace; the parity tests compare the two.
@@ -40,8 +42,30 @@ from typing import Callable
 import numpy as np
 
 from ordmech import (FacilityDistances, FullMetric, InternalInvariantError,
-                     facility_distances, preferences_from_metric)
+                     PreferenceProfile, facility_distances)
 from ordmech.audit import INF, ConsistencyPolytope, _dinkelbach, _Pairs
+
+
+def preferences_from_metric(metric: FullMetric) -> PreferenceProfile:
+    """Rank facilities by distance, equal distances broken toward the
+    lower facility index."""
+    order = np.argsort(metric.distances, axis=1, kind="stable")
+    return PreferenceProfile(metric.m, tuple(map(tuple, order.tolist())))
+
+
+def shortest_path_completion(metric: FullMetric) -> np.ndarray:
+    """Extend the known distances to all of agents + facilities by
+    shortest paths; returns the (n+m) x (n+m) matrix with agents first."""
+    n, m = metric.n, metric.m
+    size = n + m
+    big = np.full((size, size), np.inf)
+    np.fill_diagonal(big, 0.0)
+    big[:n, n:] = metric.distances
+    big[n:, :n] = metric.distances.T
+    big[n:, n:] = metric.facility_distances.values
+    for k in range(size):
+        big = np.minimum(big, big[:, k, None] + big[None, k, :])
+    return big
 
 
 def random_facility_distances(rng, m, allow_colocated=True) -> FacilityDistances:
@@ -280,15 +304,12 @@ def loop_profile_error(m, rankings, top_only):
 
 
 def first_appearance_classes(rankings):
-    """(classes, class_of, array, class_array) of a profile: its distinct
-    rankings in order of first appearance (``dict.fromkeys``), each agent's
-    position among them, and the rankings per agent and per class as index
-    arrays."""
+    """(classes, class_of, class_array) of a profile: its distinct rankings
+    in order of first appearance (``dict.fromkeys``), each agent's position
+    among them, and the rankings per class as an index array."""
     classes = tuple(dict.fromkeys(rankings))
     class_of = [classes.index(r) for r in rankings]
-    return (classes, np.array(class_of, dtype=np.intp),
-            np.array([classes[c] for c in class_of], dtype=np.intp),
-            np.array(classes, dtype=np.intp))
+    return classes, np.array(class_of, dtype=np.intp), np.array(classes, dtype=np.intp)
 
 
 def _agent_by_agent_dict(inst):

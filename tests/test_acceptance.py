@@ -18,15 +18,15 @@ from ordmech import (PreferenceProfile, audit_additive_assignment,
                      evaluate_median_cost, evaluate_percentile_cost,
                      evaluate_sum_cost, facility_distances,
                      gen_worked_example, k_center_greedy, median_winner, min_cost_matching,
-                     preferences_from_metric, project_agents,
+                     project_agents,
                      reduce_and_solve, sample_consistent_metric, sum_winner,
                      total_cost, verify_worked_example)
 from ordmech.assignment import DistanceCost
 from ordmech.cli import main as cli_main
 from ordmech.solvers import SOLVERS
 
-from helpers import (iter_valid_assignments, random_consistent_metric,
-                     random_facility_distances, random_instance)
+from helpers import (iter_valid_assignments, preferences_from_metric,
+                     random_consistent_metric, random_facility_distances, random_instance)
 
 SEED = 20260810
 TOL = 1e-6

@@ -16,7 +16,7 @@ from ordmech import (InternalInvariantError, PreferenceProfile, SearchSpaceError
                      check_consistency,
                      evaluate_percentile_cost, evaluate_sum_cost,
                      facility_distances, median_winner, distance_partial_order,
-                     FullMetric, preferences_from_metric, project_agents,
+                     FullMetric, project_agents,
                      reduce_and_solve, sample_consistent_metric, sum_winner)
 from ordmech import audit
 from ordmech.audit import ConsistencyPolytope, _metric_from_values
@@ -26,8 +26,8 @@ from ordmech.gallery import gen_median_topchoice_bad, gen_sum5_tight
 from ordmech.solvers import SOLVERS
 
 from helpers import (agent_block, block_closure, block_raw, enumerated_assignment_audit,
-                     iter_valid_assignments, random_consistent_metric,
-                     random_facility_distances, random_instance)
+                     iter_valid_assignments, preferences_from_metric,
+                     random_consistent_metric, random_facility_distances, random_instance)
 
 
 def _tie_instance(span=2.0):
@@ -355,7 +355,7 @@ def test_percentile_reduction_matches_subset_enumeration():
                 for S in combinations(range(n), k):
                     for T in combinations(range(n), n - k + 1):
                         oracle = max(oracle, _config_value(cons, S, T, x, winner))
-                got = report.alternative_value(x)
+                got = dict(report.per_alternative)[x]
                 if math.isinf(oracle) or math.isinf(got):
                     assert math.isinf(oracle) and math.isinf(got)
                 else:
@@ -859,7 +859,7 @@ def test_audits_of_one_profile_and_geometry_share_one_closure(monkeypatch):
     twin = PreferenceProfile(profile.m, profile.rankings)
     fd_twin = facility_distances(fd.facilities.names, fd.values)
     assert twin == profile and twin is not profile
-    assert fd_twin.values.tobytes() == fd.values.tobytes() and fd_twin is not fd
+    assert fd_twin == fd and fd_twin is not fd
     for pair, builds in (((twin, fd), True), ((twin, fd), False), ((profile, fd_twin), True),
                          ((profile, fd), True)):
         chunks.clear()
@@ -920,6 +920,28 @@ def test_shared_closure_reports_match_fresh_objects_byte_for_byte(monkeypatch):
             again = load_instance(fixtures / f"{name}.json")
             fresh.append(text(_audits(again.profile, again.fd, problem, x)[t]()))
         assert shared == fresh * 2
+
+
+def test_audits_of_equal_fresh_objects_give_equal_reports():
+    # geometries, metrics and so instances and reports compare by value: two
+    # loads of one file are equal but distinct, each audited with its own closure
+    fixtures = Path(__file__).parent / "fixtures"
+
+    def kmedian(inst):
+        problem = build_preset("k_median", inst.n, inst.facilities, inst.params)
+        x = reduce_and_solve(problem, inst.profile, inst.fd, SOLVERS["k_median"]).assignment
+        return audit_additive_assignment(x, inst.profile, inst.fd, problem)
+
+    for name, runs in (("clustered_n400", (
+            lambda inst: audit_sum_social_choice(0, inst.profile, inst.fd),
+            lambda inst: audit_percentile_social_choice(0, inst.profile, inst.fd, 0.75))),
+                       ("kmedian_scenarios", (kmedian,))):
+        first, again = (load_instance(fixtures / f"{name}.json") for _ in range(2))
+        assert first == again and first.fd is not again.fd and hash(first.fd) == hash(again.fd)
+        for run in runs:
+            report, other = run(first), run(again)
+            assert report.witness is not None and report.witness is not other.witness
+            assert report == other and hash(report) == hash(other)
 
 
 def test_kmedian_audit_beyond_the_assignment_enumeration():

@@ -23,7 +23,7 @@ from ordmech import (FullMetric, InternalInvariantError, PreferenceProfile, Sear
                      audit_additive_assignment, audit_percentile_social_choice,
                      audit_sum_social_choice, build_preset, check_consistency,
                      distance_partial_order, facility_distances, median_winner,
-                     preferences_from_metric, reduce_and_solve)
+                     reduce_and_solve)
 from ordmech import audit
 from ordmech.core import BLOCK
 from ordmech.fileio import load_instance
@@ -33,8 +33,8 @@ from ordmech.solvers import SOLVERS
 
 from helpers import (enumerated_assignment_audit, highs_assignment_values,
                      highs_percentile_values, highs_sum_values, iter_valid_assignments,
-                     loop_percentile_candidate, random_consistent_metric,
-                     random_facility_distances, random_instance)
+                     loop_percentile_candidate, preferences_from_metric,
+                     random_consistent_metric, random_facility_distances, random_instance)
 
 SEED = 20260810  # the acceptance suites' seed
 
@@ -168,7 +168,7 @@ def test_vanishing_denominator_with_vanishing_numerator(eps):
         _check_family(report, highs_assignment_values(x, profile, fd, problem))
     report = audit_additive_assignment((0, 0, 0), profile, fd, problem)
     every = enumerated_assignment_audit((0, 0, 0), profile, fd, problem)
-    assert every.alternative_value((1, 1, 1)) == 1.0
+    assert dict(every.per_alternative)[(1, 1, 1)] == 1.0
     assert report.value == every.value == 1.0 and report.flags == every.flags == ()
     # everyone can sit on X too, while Y lies 2 away: Y against X is infinite
     report = audit_additive_assignment((2, 2, 2), profile, fd, problem)

@@ -5,13 +5,13 @@ import pytest
 
 from ordmech import (FullMetric, MetricError, PreferenceProfile,
                      check_consistency, consistency_constraints,
-                     facility_distances, preferences_from_metric,
-                     project_agents, shortest_path_completion,
+                     facility_distances, project_agents,
                      validate_distance_matrix)
 from ordmech.core import MAX_DISTANCE, pair_indices
 from ordmech.lp import solve_lp
 
-from helpers import random_consistent_metric, random_facility_distances, random_instance
+from helpers import (preferences_from_metric, random_consistent_metric,
+                     random_facility_distances, random_instance, shortest_path_completion)
 
 
 def test_validate_zero_matrix_ok():
@@ -92,11 +92,29 @@ def test_profile_classes_are_distinct_rankings_in_order_of_first_appearance():
     profile = PreferenceProfile(3, ((2, 0, 1), (0, 1, 2), (2, 0, 1), (1, 2, 0), (0, 1, 2)))
     assert profile.classes == ((2, 0, 1), (0, 1, 2), (1, 2, 0))
     assert profile.class_of.tolist() == [0, 1, 0, 2, 1]
-    assert profile.array.tolist() == [list(r) for r in profile.rankings]
+    assert profile.class_array[profile.class_of].tolist() == [list(r) for r in profile.rankings]
     tops = PreferenceProfile(3, ((1,), (1,), (0,)), top_only=True)
     assert tops.classes == ((1,), (0,)) and tops.class_of.tolist() == [0, 0, 1]
-    for arr in (profile.class_of, profile.array):
+    for arr in (profile.class_of, profile.class_array):
         assert not arr.flags.writeable
+
+
+def test_geometries_and_metrics_compare_and_hash_by_value():
+    names, l = ("A", "B", "C"), [[0.0, 2.0, 1.0], [2.0, 0.0, 1.5], [1.0, 1.5, 0.0]]
+    d = [[1.0, 1.0, 0.5], [0.5, 2.0, 1.0]]
+    fd, copy = facility_distances(names, l), facility_distances(names, np.array(l))
+    metric, metric_copy = FullMetric(d, fd), FullMetric(np.array(d), copy)
+    assert fd is not copy and fd == copy and hash(fd) == hash(copy) and {fd, copy} == {fd}
+    assert metric == metric_copy and hash(metric) == hash(metric_copy)
+    moved, signed = np.array(l), np.array(l)
+    moved[0, 2] = moved[2, 0] = 1.25
+    signed[0, 0] = -0.0  # bytes tell -0.0 from 0.0, as in the instance digest
+    for other in (facility_distances(names, moved), facility_distances(names, signed),
+                  facility_distances(("A", "B", "D"), l)):
+        assert other != fd and FullMetric(d, other) != metric
+    shifted = np.array(d)
+    shifted[0, 0] = 1.1
+    assert FullMetric(shifted, fd) != metric and metric != fd and fd != l
 
 
 def test_pair_indices_are_the_cached_upper_triangle():
@@ -113,11 +131,11 @@ def test_project_agents_basics():
     unanimous = PreferenceProfile(2, ((0, 1), (0, 1)))
     proj = project_agents(unanimous, fd)
     assert proj.tops == (0, 0)
-    assert [proj.distance(i, 0) for i in range(2)] == [0.0, 0.0]
+    assert proj.distance_matrix[:, 0].tolist() == [0.0, 0.0]
 
     mixed = PreferenceProfile(2, ((0, 1), (0, 1), (1, 0)))
     proj = project_agents(mixed, fd)
-    assert [proj.distance(i, 1) for i in range(3)] == [4.0, 4.0, 0.0]
+    assert proj.distance_matrix[:, 1].tolist() == [4.0, 4.0, 0.0]
 
 
 def test_project_agents_three_cycle_costs():
@@ -131,7 +149,7 @@ def test_project_agents_three_cycle_costs():
     rankings = [(0, 1, 2)] * q + [(2, 0, 1)] * q + [(1, 2, 0)]
     profile = PreferenceProfile(3, tuple(rankings))
     proj = project_agents(profile, fd)
-    cost_w = sum(proj.distance(i, 1) for i in range(profile.n))
+    cost_w = sum(proj.distance_matrix[:, 1])
     assert cost_w == pytest.approx(q * (2 - 2 * eps) + q * (2 - eps) + 0.0)
 
 

@@ -251,10 +251,56 @@ def test_cli_usage_and_schema_errors(tmp_path, capsys):
                      "--mechanism", mechanism]) == 0
 
 
+@pytest.mark.parametrize("argv, message", [
+    ("audit social_sum_small.json --outcome A --objective nope",
+     "objective: unknown objective 'nope'; use sum, median or percentile:<alpha>"),
+    ("audit social_sum_small.json --outcome A --objective percentile:abc",
+     "objective: bad percentile spec 'percentile:abc'"),
+    ("solve social_sum_small.json --mechanism nope", "mechanism: unknown mechanism 'nope'"),
+    ("solve social_sum_small.json --mechanism reduce:nope", "mechanism: unknown solver 'nope'; "),
+    ("gen --example sum5_tight --params q", "params: bad parameter 'q'; use key=value"),
+    ("audit kmedian_scenarios.json --outcome F1,F2 --objective sum",
+     "outcome: assignment outcome needs 11 comma-separated facility names, got 2"),
+    ("audit matching_pair.json --outcome F1,F2 --objective median",
+     "objective: assignment audits support the sum objective only"),
+])
+def test_cli_usage_errors_exit_2_with_their_message(argv, message, capsys):
+    command, *rest = argv.split()
+    if command != "gen":
+        rest = ["--instance", str(FIXTURES / rest[0]), *rest[1:]]
+    capsys.readouterr()
+    assert main([command, *rest]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and "Traceback" not in err, err
+
+
 def _solve_exit_and_error(path, mechanism, capsys):
     capsys.readouterr()
     code = main(["solve", "--instance", str(path), "--mechanism", mechanism])
     return code, capsys.readouterr().err
+
+
+def _twelve_rows(metric):
+    return metric + metric[:1]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: d["facilities"].__setitem__(1, d["facilities"][0]),
+     "facilities: facility identifiers must be unique"),
+    # a scenario's matrices are read as the top-level ones are: by shape first
+    (lambda d: d.update(metric=_twelve_rows(d["metric"])), "metric: must be 11x3"),
+    (lambda d: d["scenarios"][0].update(metric=_twelve_rows(d["scenarios"][0]["metric"])),
+     "scenarios[0].metric: must be 11x3"),
+    (lambda d: d.update(facility_distances=[[0, 1], [1, 0]]), "facility_distances: must be 3x3"),
+    (lambda d: d["scenarios"][0].update(facility_distances=[[0, 1], [1, 0]]),
+     "scenarios[0].facility_distances: must be 3x3"),
+])
+def test_cli_refuses_a_malformed_file_naming_its_field(edit, message, tmp_path, capsys):
+    data = json.loads((FIXTURES / "kmedian_scenarios.json").read_text())
+    edit(data)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert _solve_exit_and_error(path, "reduce:k_median", capsys) == (2, f"error: {message}\n")
 
 
 def test_cli_refuses_an_integer_beyond_float64(tmp_path, capsys):

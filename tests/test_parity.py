@@ -21,8 +21,7 @@ from ordmech import (AssignmentProblem, ConstraintSet, CostSpec, DistanceCost, F
                      distance_partial_order, facility_distances,
                      facility_location_solver, k_center_greedy, k_median_solver,
                      majority_graph, median_winner, min_cost_matching,
-                     preferences_from_metric, project_agents,
-                     validate_distance_matrix)
+                     project_agents, validate_distance_matrix)
 from ordmech import audit
 from ordmech.audit import (ConsistencyPolytope, _octagon_points, _path_bounds,
                            _percentile_candidates)
@@ -39,6 +38,7 @@ from helpers import (batched_binding, bincount_majority_counts, errstate_percent
                      loop_open_count_brute_force, loop_path_bound,
                      loop_percentile_candidate, loop_profile_error,
                      loop_validate_distance_matrix, octagon_inside, octagon_rows,
+                     preferences_from_metric,
                      random_consistent_metric, random_facility_distances, random_instance,
                      subset_percentile_candidate, tuple_resolved_profile)
 
@@ -169,7 +169,7 @@ def test_profile_first_malformed_ranking_matches_loop():
         expected = loop_profile_error(m, rankings, top_only)
         if expected is None:
             profile = PreferenceProfile(m, rankings, top_only)
-            assert profile.array.tolist() == [list(r) for r in rankings]
+            assert profile.class_array[profile.class_of].tolist() == [list(r) for r in rankings]
             continue
         failures += 1
         with pytest.raises(ProfileError) as err:
@@ -194,7 +194,7 @@ def test_profile_classes_match_first_appearance_oracle():
         top_only = case % 3 == 0
         rankings = _pooled_rankings(rng, n, m, int(rng.integers(1, n + 1)), top_only)
         profile = PreferenceProfile(m, rankings, top_only)
-        classes, class_of, array, class_array = first_appearance_classes(rankings)
+        classes, class_of, class_array = first_appearance_classes(rankings)
         assert profile.rankings == rankings and profile.classes == classes
         # each ranking's chain rows: consecutive ranks, or the top choice
         # against every other facility in index order; none at m = 1
@@ -203,8 +203,7 @@ def test_profile_classes_match_first_appearance_oracle():
                   for r in classes]
         before, after = (np.array(rows, dtype=np.intp).reshape(len(classes), m - 1)
                          for rows in zip(*chains))
-        for got, expected in ((profile.class_of, class_of), (profile.array, array),
-                              (profile.class_array, class_array),
+        for got, expected in ((profile.class_of, class_of), (profile.class_array, class_array),
                               (profile.before, before), (profile.after, after)):
             assert got.dtype == expected.dtype and not got.flags.writeable
             assert got.shape == expected.shape
@@ -216,9 +215,8 @@ def test_profile_classes_match_first_appearance_oracle():
                    [names[r[0]] if top_only else [names[g] for g in r] for r in rankings]}
         loaded = parse_instance(json.dumps(raw)).profile
         assert loaded == profile and hash(loaded) == hash(profile) and loaded.classes == classes
-        for got, expected in ((loaded.class_of, class_of), (loaded.array, array),
-                              (loaded.class_array, class_array), (loaded.before, before),
-                              (loaded.after, after)):
+        for got, expected in ((loaded.class_of, class_of), (loaded.class_array, class_array),
+                              (loaded.before, before), (loaded.after, after)):
             np.testing.assert_array_equal(got, expected)
         if m > 1:  # one agent ranking otherwise parts the profiles, in == and in hash
             i, r = case % n, rankings[case % n]
@@ -265,8 +263,8 @@ def _profile_outcome(load, raw):
 
 def _loaded_profile(raw):
     profile = parse_instance(raw).profile
-    return (profile.classes, profile.class_of, profile.class_array, profile.array,
-            profile.rankings)
+    return (profile.classes, profile.class_of, profile.class_array,
+            profile.class_array[profile.class_of], profile.rankings)
 
 
 def _assert_loads_as_tuples(raw):
@@ -422,7 +420,8 @@ def test_majority_counts_per_class_match_the_per_agent_bincount():
             profile = PreferenceProfile(m, _pooled_rankings(rng, n, m, pool))
             prefer = majority_graph(profile).prefer
             assert prefer.dtype == np.int64 and not prefer.flags.writeable
-            np.testing.assert_array_equal(prefer, bincount_majority_counts(profile.array, m))
+            np.testing.assert_array_equal(prefer, bincount_majority_counts(
+                profile.class_array[profile.class_of], m))
 
 
 def test_majority_even_n_exact_ties():
@@ -432,7 +431,7 @@ def test_majority_even_n_exact_ties():
     graph = majority_graph(PreferenceProfile(m, rankings))
     assert (graph.prefer + np.eye(m, dtype=int) * 3 == 3).all()
     assert graph.condorcet_winner() is None
-    assert graph.edges() == {(a, b) for a in range(m) for b in range(m) if a != b}
+    np.testing.assert_array_equal(2 * graph.prefer >= graph.n, ~np.eye(m, dtype=bool))
 
 
 def test_condorcet_winner_matches_pairwise_definition():
@@ -442,7 +441,7 @@ def test_condorcet_winner_matches_pairwise_definition():
         rankings = tuple(tuple(int(f) for f in rng.permutation(m)) for _ in range(n))
         graph = majority_graph(PreferenceProfile(m, rankings))
         expected = next((w for w in range(m)
-                         if all(graph.strictly_defeats(w, y) for y in range(m) if y != w)),
+                         if all(2 * graph.prefer[w, y] > graph.n for y in range(m) if y != w)),
                         None)
         assert graph.condorcet_winner() == expected
 

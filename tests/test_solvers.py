@@ -11,14 +11,14 @@ from ordmech import (PRESET_NAMES, SOLVERS, PreferenceProfile, SearchSpaceError,
                      SolverError, bottleneck_matching, brute_force_optimal,
                      build_preset, facility_distances, facility_location_solver,
                      k_center_greedy, k_median_solver,
-                     min_cost_matching, preferences_from_metric, project_agents,
+                     min_cost_matching, project_agents,
                      total_cost)
 from ordmech.cli import main
 
 from ordmech import solvers
 from ordmech.solvers import _kuhn_perfect_matching
 
-from helpers import (iter_valid_assignments, random_consistent_metric,
+from helpers import (iter_valid_assignments, preferences_from_metric, random_consistent_metric,
                      random_facility_distances, recursive_kuhn_perfect_matching)
 
 
