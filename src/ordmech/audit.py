@@ -22,12 +22,12 @@ never with a threshold, so no value depends on the unit of length, and a
 ratio beyond what a float64 witness reaches raises (_finalize).
 
 A ranking's rows are unit two-variable inequalities, so shortest paths,
-in one stacked pass over the distinct rankings in chunks within BLOCK
-elements (_closure), give every bound on one distance, or on the sum or
-difference of two, exactly, in two m x m blocks, and any values within
-those bounds extend to a full consistent row: the greatest one, read off
-the fixed facilities' columns of G (_greatest_rows).  A sum or
-assignment ratio reads a class's distances to its own facility and to
+in one stacked pass over the distinct rankings in chunks within
+CLOSURE_BLOCK elements (_closure), give every bound on one distance, or
+on the sum or difference of two, exactly, in two m x m blocks, and any
+values within those bounds extend to a full consistent row: the greatest
+one, read off the fixed facilities' columns of G (_greatest_rows).  A sum
+or assignment ratio reads a class's distances to its own facility and to
 the one it takes: per facility an octagon of tight closure rows, whose
 best point is a vertex in closed form (_octagon_points).  A sum audit
 pits one vertex per class against each other facility, so its ratio is
@@ -68,6 +68,13 @@ from .social_choice import percentile_rank
 from .solvers import KMEDIAN_EXACT_CAP, _subset_minima, min_cost_matching
 
 INF = float("inf")
+# Elements per closure chunk's temporaries (step x m x m; 256 KB): 20 rankings per chunk
+# at m = 40, 52 at m = 25, 128 at m = 16.  Building planar n = 2000 polytopes (median of 9
+# alternating builds, process time per ranking) took, at 2^12 (the chunks of BLOCK // 2m^2),
+# 2^14, 2^15 and 2^16: m = 8, 6.5 / 5.4 / 5.3 / 5.4 us; m = 16, 35.2 / 29.1 / 26.7 / 32.3 us;
+# m = 25, 132 / 104 / 99.5 / 104 us; m = 40, 537 / 407 / 394 / 409 us.  Every update is an
+# elementwise ufunc on the same operands whatever the chunk, so G and S keep every bit.
+CLOSURE_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -93,7 +100,7 @@ class ConsistencyPolytope:
     G[r, f, g] bounds d(f) - d(g) and S[r, f, g] -(d(f) + d(g)).  The
     rankings share the pair rows and differ in their chain rows, so the
     pair rows are kept once and the chain per ranking, and one stacked
-    pass closes every ranking in place, in chunks within BLOCK."""
+    pass closes every ranking in place, in chunks within CLOSURE_BLOCK."""
 
     profile = property(lambda self: self._of[0]())  # both held by weak reference (_polytope)
     fd = property(lambda self: self._of[1]())
@@ -112,7 +119,7 @@ class ConsistencyPolytope:
         # both ways, bounding |d(f) - d(g)| by l and -(d(f) + d(g)) by -l
         u = np.where(np.arange(m)[:, None] < np.arange(m), l, 0.0)  # l above the diagonal
         self.l = u + u.T
-        step = max(1, BLOCK // (2 * m * m))
+        step = max(1, CLOSURE_BLOCK // (m * m))
         self.G, self.S, sit = np.empty((R, m, m)), np.empty((R, m, m)), np.empty((R, m), bool)
         self.G[...], self.S[...] = self.l, 0.0 - self.l  # the raw rows (raw), in place
         self.G[np.arange(R)[:, None], self.before, self.after] = 0.0

@@ -472,6 +472,9 @@ def _outcome_out(target, names) -> dict:
 
 
 def audit_report_to_dict(report: AuditReport, inst: InstanceFile, digest: str) -> dict:
+    """The audit report for ``report_text``: JSON-native values, but for the
+    witness, the audit's own read-only float64 array (``.tolist()`` gives
+    its rows as lists)."""
     names = inst.facilities.names
     return {
         "schema": SCHEMA_AUDIT,
@@ -484,8 +487,7 @@ def audit_report_to_dict(report: AuditReport, inst: InstanceFile, digest: str) -
         "per_alternative": [
             {"alternative": _outcome_out(alt, names), "ratio": _number_out(ratio)}
             for alt, ratio in report.per_alternative],
-        "witness_metric": (None if report.witness is None
-                           else _matrix_out(report.witness.distances)),
+        "witness_metric": None if report.witness is None else report.witness.distances,
         "witness_ratio": _number_out(report.witness_ratio),
         "certified_upper": _number_out(report.certified_upper),
         "flags": list(report.flags),
@@ -525,15 +527,17 @@ def save_instance(inst: InstanceFile, path) -> None:
 
 def report_text(report: dict) -> str:
     """A solve or audit report as JSON indented by two spaces, but each row
-    of its witness on one line.  Each distinct witness row is encoded once
-    (``_matrix_json``), with the bytes ``json.dumps`` gives it; the rows are
-    spliced in where the skeleton holds null (a quote inside a JSON string
-    is escaped, so the key's text can only be the key)."""
+    of its witness on one line.  The witness is a float64 array (as
+    ``audit_report_to_dict`` gives it) or lists of floats.  Each distinct
+    witness row is encoded once (``_matrix_json``), with the bytes
+    ``json.dumps`` gives it; the rows are spliced in where the skeleton
+    holds null (a quote inside a JSON string is escaped, so the key's text
+    can only be the key)."""
     audit = report.get("audit") or report
     if audit.get("witness_metric") is None:
         return json.dumps(report, indent=2) + "\n"
     pad, skeleton = "  " * (2 + (audit is not report)), {**audit, "witness_metric": None}
-    rows = _matrix_json(np.array(audit["witness_metric"], dtype=float), ",\n" + pad)
+    rows = _matrix_json(audit["witness_metric"], ",\n" + pad)
     text = json.dumps(skeleton if audit is report else {**report, "audit": skeleton}, indent=2)
     key = '"witness_metric": '
     return text.replace(key + "null", f"{key}[\n{pad}{rows[1:-1]}\n{pad[2:]}]", 1) + "\n"

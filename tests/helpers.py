@@ -30,11 +30,15 @@ reference general per-pair ratio: _ratio_pairs (a numerator facility per
 agent, a denominator facility per alternative and agent and constants per
 alternative, each alternative its own Dinkelbach family) inside
 _pairs_or_vanishing (the vanishing-denominator rule around it).
+The exact oracle at the end closes each ranking's rows in exact rational
+arithmetic (``exact_closure``) and gives every sum audit's ratios as
+``Fraction``s (``exact_sum_values``).
 """
 
 import hashlib
 import json
 import math
+from fractions import Fraction
 from itertools import combinations, islice, permutations, product
 from types import SimpleNamespace
 from typing import Callable
@@ -961,3 +965,89 @@ def subset_percentile_candidate(poly, x, w, k):
     tol = 0.0 if top == float("inf") else 1e-9 * max(1.0, top)
     value, j, cap, gap = next(c for c in candidates if c[0] >= top - tol)
     return value, subset(j), [j] if cap == j else [j, cap], float(mu[cap]), float(gap)
+
+
+# ---------------------------------------------------------------------------
+# Exact-rational oracle: every float64 is a rational, so the same theory
+# runs in exact arithmetic.  The facility distances share one power-of-two
+# denominator, so every closure entry, a sum of them (and after the
+# strengthening step half of one), is held as an integer over twice it,
+# and the ratios are read back as ``Fraction``s.
+
+def exact_closure(L, ranking, m):
+    """The closure of one ranking's raw rows, in integer multiples of the
+    unit of ``L`` (the facility distances as even integers): the least upper
+    bound on each v[p] - v[q] over v[2a] = d(a), v[2a + 1] = -d(a), as a 2m
+    x 2m list of lists (None for unbounded).  The rows are |d(f) - d(g)| <=
+    l(f, g) <= d(f) + d(g), d >= 0, and d(f) <= d(g) for f ranked just
+    before g (a top-only ranking's top before every other facility).
+    Floyd-Warshall closes the difference-bound matrix, and one
+    strengthening step after it makes it the octagon's closure over the
+    rationals (Bagnara, Hill and Zaffanella, 2009)."""
+    size = 2 * m
+    W = [[None] * size for _ in range(size)]
+    for f in range(m):
+        W[2 * f][2 * f] = W[2 * f + 1][2 * f + 1] = W[2 * f + 1][2 * f] = 0
+        for g in range(m):
+            if f != g:
+                W[2 * f][2 * g] = W[2 * g + 1][2 * f + 1] = L[f][g]  # d(f) - d(g) <= l
+                W[2 * f + 1][2 * g] = -L[f][g]                        # -(d(f) + d(g)) <= -l
+    chain = list(zip(ranking, ranking[1:])) + [
+        (ranking[-1], g) for g in range(m) if g not in ranking]
+    for f, g in chain:
+        W[2 * f][2 * g] = W[2 * g + 1][2 * f + 1] = 0  # d(f) - d(g) <= 0
+    for k in range(size):
+        via = W[k]
+        for row in W:
+            if (head := row[k]) is not None:
+                for q, tail in enumerate(via):
+                    if tail is not None and (row[q] is None or head + tail < row[q]):
+                        row[q] = head + tail
+    # every path sum is even, as every row is: the halves are exact
+    for p, q in product(range(size), repeat=2):
+        if W[p][p ^ 1] is not None and W[q ^ 1][q] is not None:
+            half, odd = divmod(W[p][p ^ 1] + W[q ^ 1][q], 2)
+            assert not odd
+            if W[p][q] is None or half < W[p][q]:
+                W[p][q] = half
+    return W
+
+
+def exact_sum_values(profile, fd) -> list[list]:
+    """Per winner, and per facility y other than it in order, the sum
+    audit's ratio sup sum_i d(i, winner) / sum_i d(i, y) as a ``Fraction``,
+    or INF, from each distinct ranking's exact closure: mu(y) = -W[2y +
+    1][2y] / 2, the least consistent d(y), and c = W[2 winner][2y], the
+    largest d(winner) - d(y).  The screens are the audit's: y co-located
+    with the winner reads 1; y on which every agent can sit reads infinite,
+    where one can sit on y iff the row l(y, .) keeps one's ranking, read off
+    the facility distances; a vanishing denominator sum reads infinite
+    under a positive numerator, else 1; the rest read max(1, sum of mu + c
+    over sum of mu), each sum over agents."""
+    m, l = fd.m, fd.values.tolist()
+    unit = 2 * max(Fraction(x).denominator for row in l for x in row)  # even multiples
+    L = [[int(Fraction(x) * unit) for x in row] for row in l]
+    count = np.bincount(profile.class_of).tolist()
+    ranks = profile.class_array.tolist()
+    closed = [exact_closure(L, r, m) for r in ranks]
+    sit = [sum(k for k, r in zip(count, ranks)
+               if all(l[y][f] <= l[y][g] for f, g in zip(r, r[1:]))
+               and all(l[y][r[-1]] <= l[y][g] for g in range(m) if g not in r))
+           for y in range(m)]
+    table = []
+    for winner in range(m):
+        values = []
+        for y in range(m):
+            if y == winner:
+                continue
+            if l[winner][y] == 0:
+                values.append(Fraction(1))
+            elif sit[y] == profile.n:
+                values.append(INF)
+            else:
+                den = sum(k * -W[2 * y + 1][2 * y] for k, W in zip(count, closed))
+                num = den + 2 * sum(k * W[2 * winner][2 * y] for k, W in zip(count, closed))
+                values.append(max(Fraction(1), Fraction(num, den)) if den > 0
+                              else INF if num > 0 else Fraction(1))
+        table.append(values)
+    return table

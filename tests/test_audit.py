@@ -616,7 +616,7 @@ def test_sum_audit_witness_reproduces_value_at_n400():
 
 def _stacked_profiles():
     """(profile, fd) pairs for the stacked-closure tests: random full and
-    top-only profiles (some with co-located facilities), m = 1, and m = 10
+    top-only profiles (some with co-located facilities), m = 1, and m = 40
     profiles whose distinct rankings span several chunks."""
     rng = np.random.default_rng(456)
     cases = []
@@ -632,10 +632,10 @@ def _stacked_profiles():
     cases += [(PreferenceProfile(3, ((0, 1, 2), (1, 0, 2), (2, 1, 0))), colocated),
               (PreferenceProfile(3, ((1,), (2,)), top_only=True), colocated)]
     for _ in range(2):
-        fd = random_facility_distances(rng, 10)
+        fd = random_facility_distances(rng, 40)
         profile = preferences_from_metric(random_consistent_metric(rng, fd, 60))
-        assert len(set(profile.rankings)) > BLOCK // 20 ** 2
-        cases += [(profile, fd), (PreferenceProfile(10, tuple((r[0],) for r in profile.rankings),
+        assert len({r[0] for r in profile.rankings}) > audit.CLOSURE_BLOCK // 40 ** 2
+        cases += [(profile, fd), (PreferenceProfile(40, tuple((r[0],) for r in profile.rankings),
                                                     top_only=True), fd)]
     return cases
 
@@ -691,7 +691,7 @@ def test_closure_keeps_the_two_live_quarters_of_the_octagon():
     # per ranking, the octagon closure of its block alone has nothing but
     # +inf on d(f) + d(g) (even -> odd) and G transposed on -d(f) + d(g)
     # (odd -> odd), so G and S, its even -> even and odd -> even quarters,
-    # are all of it, bit for bit: full and top-only profiles, and at m = 10
+    # are all of it, bit for bit: full and top-only profiles, and at m = 40
     # across chunks
     for profile, fd in _stacked_profiles():
         poly = ConsistencyPolytope(profile, fd)
@@ -708,7 +708,7 @@ def test_path_bound_reproduces_every_certified_closure_entry():
     # re-derives every entry of G and every entry on S's diagonal, the only
     # entries an audit certifies, not only the two that a percentile audit
     # reads: one stacked call per profile
-    for profile, fd in _stacked_profiles()[:-4]:  # all but the m = 10 profiles
+    for profile, fd in _stacked_profiles()[:-4]:  # all but the m = 40 profiles
         poly, m = ConsistencyPolytope(profile, fd), fd.m
         entries = ([(r, f, g, False) for r in range(len(poly.G)) for f in range(m)
                     for g in range(m)] + [(r, g, g, True) for r in range(len(poly.G))
@@ -749,11 +749,11 @@ def test_each_ranking_closure_is_built_once(monkeypatch):
         first = np.unique(poly.ranking_id, return_index=True)[1]
         chunks.clear()
         run()
-        size = 2 * fd.m ** 2  # G and S of one ranking
+        size = fd.m ** 2  # G, or S, of one ranking
         assert all(G.shape[1:] == S.shape[1:] == (fd.m, fd.m) for G, S in chunks)
-        assert max(G.size + S.size for G, S in chunks) <= max(BLOCK, size)
+        assert max(max(G.size, S.size) for G, S in chunks) <= max(audit.CLOSURE_BLOCK, size)
         # the chunks, in order, close each distinct ranking exactly once
-        assert len(chunks) == -(-len(first) // max(1, BLOCK // size))
+        assert len(chunks) == -(-len(first) // max(1, audit.CLOSURE_BLOCK // size))
         want = [_live_blocks(block_closure(*agent_block(poly, i))) for i in first]
         for t in range(2):  # G, then S
             assert np.concatenate([c[t] for c in chunks]).tobytes() == np.stack(
@@ -780,8 +780,9 @@ def test_each_ranking_closure_is_built_once(monkeypatch):
 
 
 def test_alternative_blocks_change_no_report(monkeypatch):
-    # the closure takes the distinct rankings in chunks within BLOCK
-    # elements; one chunk gives the same reports, bit for bit
+    # the closure takes the distinct rankings in chunks within CLOSURE_BLOCK
+    # elements per array; one chunk gives the same reports, bit for bit, as
+    # the chunks of the budget and of the former rule (BLOCK // 2 elements)
     rng = np.random.default_rng(77)
     fd = random_facility_distances(rng, 30)
     sums = preferences_from_metric(random_consistent_metric(rng, fd, 300))
@@ -798,22 +799,30 @@ def test_alternative_blocks_change_no_report(monkeypatch):
             lambda: audit_additive_assignment(x, kmed, kmed_fd, problem),
             lambda: audit_additive_assignment((2,) * 200, fl_profile, line, fl))
     chunks, real = [], audit._closure
-    monkeypatch.setattr(audit, "_closure", lambda G, S: chunks.append(G.size + S.size)
+    monkeypatch.setattr(audit, "_closure", lambda G, S: chunks.append(G.size)
                         or real(G, S))
-    blocked, calls = [], []
-    for run in runs:
-        blocked.append(run())
-        calls.append(len(chunks) - sum(calls))
-    # several chunks for the sum and the k-median; the line's few rankings fit one
-    assert min(calls[:2]) > 1 and max(chunks) <= audit.BLOCK
-    monkeypatch.setattr(audit, "BLOCK", 1 << 40)
+    blocked = []
+    # several chunks for the sum, and under the former rule for the k-median
+    # too; the line's few rankings fit one
+    for budget, several in ((audit.CLOSURE_BLOCK, 1), (BLOCK // 2, 2)):
+        monkeypatch.setattr(audit, "CLOSURE_BLOCK", budget)
+        chunks.clear()
+        calls, reports = [], []
+        for run in runs:
+            reports.append(run())
+            calls.append(len(chunks) - sum(calls))
+        assert min(calls[:several]) > 1 and max(chunks) <= budget
+        blocked.append(reports)
+    monkeypatch.setattr(audit, "CLOSURE_BLOCK", 1 << 40)
     chunks.clear()
-    for report, run in zip(blocked, runs):
+    for *reports, run in zip(*blocked, runs):
         whole = run()
-        assert whole.per_alternative == report.per_alternative and whole.flags == report.flags
-        assert (whole.value, whole.witness_ratio, whole.certified_upper) == (
-            report.value, report.witness_ratio, report.certified_upper)
-        assert whole.witness.distances.tobytes() == report.witness.distances.tobytes()
+        for report in reports:
+            assert whole.per_alternative == report.per_alternative
+            assert whole.flags == report.flags
+            assert (whole.value, whole.witness_ratio, whole.certified_upper) == (
+                report.value, report.witness_ratio, report.certified_upper)
+            assert whole.witness.distances.tobytes() == report.witness.distances.tobytes()
     assert len(chunks) == len(runs)
 
 
@@ -826,7 +835,7 @@ def _closure_spy(monkeypatch) -> list:
 
 def _one_build(profile, fd) -> list:
     """The chunk sizes of one build of the closure of ``profile`` and ``fd``."""
-    R, step = len(profile.class_array), max(1, BLOCK // (2 * fd.m ** 2))
+    R, step = len(profile.class_array), max(1, audit.CLOSURE_BLOCK // fd.m ** 2)
     return [min(step, R - lo) for lo in range(0, R, step)]
 
 

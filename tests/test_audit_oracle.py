@@ -9,11 +9,14 @@ relative, and every report must put its witness's ratio, its value and its
 certified upper bound in that order within 1e-9 relative.  Assignment
 audits over open sets must also match the audit over every valid
 assignment (``helpers.enumerated_assignment_audit``) to 1e-14 relative.
+Every sum value must also come within a stated number of units of
+float64's epsilon of the exact rational value (``helpers.exact_sum_values``).
 """
 
 import itertools
 import math
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +34,7 @@ from ordmech.gallery import gen_sum5_tight
 from ordmech.social_choice import percentile_rank
 from ordmech.solvers import SOLVERS
 
-from helpers import (enumerated_assignment_audit, highs_assignment_values,
+from helpers import (enumerated_assignment_audit, exact_sum_values, highs_assignment_values,
                      highs_percentile_values, highs_sum_values, iter_valid_assignments,
                      loop_percentile_candidate, preferences_from_metric,
                      random_consistent_metric, random_facility_distances, random_instance)
@@ -80,6 +83,32 @@ def test_sum_audits_match_highs_on_the_criterion_1_suite():
     rng = np.random.default_rng(SEED)
     for profile, fd, _ in (random_instance(rng, n_max=8, m_max=5) for _ in range(500)):
         _sum_audits(profile, fd)
+
+
+def test_sum_audits_match_exact_rationals_to_a_stated_bound():
+    # every alternative's ratio of 1,000 sum audits (random_instance, seed 21,
+    # every winner) against the exact rational ratio: at the change that added
+    # this test, 2,754 finite values were within 1.6741 eps of exact (eps =
+    # 2^-52, relative), 460 of them exactly equal, and 24 infinite values were
+    # infinite in both.  This bounds the suite, not every input: where mu
+    # cancels (a denominator near 0.0066 built from distances near 2 and 3,
+    # seed 2), a value was 152 eps off.  The test takes about 0.5 s
+    eps, worst, audits = Fraction(2) ** -52, Fraction(0), 0
+    rng = np.random.default_rng(21)
+    while audits < 1000:
+        profile, fd, _ = random_instance(rng)
+        for winner, exact in enumerate(exact_sum_values(profile, fd)):
+            report = audit_sum_social_choice(winner, profile, fd)
+            got = [value for _, value in report.per_alternative]
+            assert len(got) == len(exact)
+            for g, want in zip(got, exact):
+                if math.isinf(want) or math.isinf(g):
+                    assert g == want, (winner, got, exact)
+                else:
+                    worst = max(worst, abs(Fraction(g) - want) / want / eps)
+            assert report.value == max([1.0, *got])
+            audits += 1
+    assert worst <= Fraction(1675, 1000), float(worst)
 
 
 def test_sum_audits_match_highs_on_top_only_profiles():

@@ -905,9 +905,15 @@ def test_reports_put_one_witness_row_per_line(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert main(argv + ["--out", str(out)]) == 0
     assert printed == out.read_text() == report_text(audited)  # the same bytes either way
+    # the witness reaches the writer as the audit's read-only float64 array
+    witness = audited["witness_metric"]
+    assert isinstance(witness, np.ndarray) and witness.dtype == np.float64
+    assert not witness.flags.writeable
+    listed = {**audited, "witness_metric": witness.tolist()}
+    assert report_text(listed) == printed
     assert main(["solve", "--instance", str(fixture), "--mechanism", "alg1", "--audit", "median",
                  "--out", str(out)]) == 0
-    for report, text in ((audited, printed), (json.loads(out.read_text()), out.read_text())):
+    for report, text in ((listed, printed), (json.loads(out.read_text()), out.read_text())):
         indented = json.dumps(report, indent=2)
         assert json.loads(text) == json.loads(indented)
         assert "".join(text.split()) == "".join(indented.split())  # only whitespace moved
@@ -927,6 +933,34 @@ def test_reports_put_one_witness_row_per_line(tmp_path, capsys):
         start = lines.index(pad[2:] + '"witness_metric": [') + 1
         rows = [pad + json.dumps(row) + "," for row in signed[:-1]] + [pad + "[-0.0, 1.0]"]
         assert lines[start:start + len(signed) + 1] == rows + [pad[2:] + "],"]
+        # the same rows as an array give the same text as the lists
+        inner = report.get("audit", report)
+        arrayed = {**inner, "witness_metric": np.array(signed)}
+        assert report_text(arrayed if inner is report else {"audit": arrayed}) == report_text(
+            report)
+
+
+# The --out files of these commands, recorded before the witness reached the
+# writer as an array; every later report change must leave them byte for byte
+GOLDEN = {
+    "audit_clustered_n400_F1_sum.json": ["audit", "--instance", "clustered_n400.json",
+                                         "--outcome", "F1", "--objective", "sum"],
+    "audit_clustered_n400_F1_median.json": ["audit", "--instance", "clustered_n400.json",
+                                            "--outcome", "F1", "--objective", "median"],
+    "solve_clustered_n400_alg1_sum.json": ["solve", "--instance", "clustered_n400.json",
+                                           "--mechanism", "alg1", "--audit", "sum"],
+    "solve_kmedian_scenarios_k_median_sum.json": [
+        "solve", "--instance", "kmedian_scenarios.json", "--mechanism", "reduce:k_median",
+        "--audit", "sum"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_reports_keep_their_recorded_bytes(name, tmp_path):
+    argv = [str(FIXTURES / arg) if arg.endswith(".json") else arg for arg in GOLDEN[name]]
+    out = tmp_path / name
+    assert main(argv + ["--out", str(out)]) == 0
+    assert out.read_bytes() == (FIXTURES / "reports" / name).read_bytes()
 
 
 def test_internal_faults_exit_3(monkeypatch, capsys):
